@@ -958,10 +958,14 @@ fn exp_s1() -> Value {
 /// counterexample schedule exhibited.
 fn exp_m1() -> Value {
     use msgorder_protocols::{AsyncProtocol, CausalRst, FifoProtocol, SyncProtocol};
-    use msgorder_simnet::{explore_parallel, SendSpec};
+    use msgorder_simnet::{explore_parallel_with, ExploreOptions, SendSpec};
     use std::sync::atomic::{AtomicBool, Ordering};
     println!("Exhaustive exploration (all frame orderings) of small configurations.\n");
-    let threads = engine().threads();
+    let opts = ExploreOptions {
+        cap: 1 << 20,
+        threads: engine().threads(),
+        ..ExploreOptions::default()
+    };
     let same3 = Workload {
         sends: (0..3)
             .map(|i| SendSpec {
@@ -1046,13 +1050,12 @@ fn exp_m1() -> Value {
     {
         let ok = AtomicBool::new(true);
         let prep = eval::Prepared::new(&fifo_spec);
-        let e = explore_parallel(
+        let e = explore_parallel_with(
             2,
             same3.clone(),
             |_| FifoProtocol::new(),
-            threads,
-            1 << 20,
-            |run| {
+            &opts,
+            &|run: &msgorder_runs::SystemRun| {
                 if !(run.is_quiescent() && prep.satisfies_spec(&run.users_view())) {
                     ok.store(false, Ordering::Relaxed);
                 }
@@ -1074,13 +1077,12 @@ fn exp_m1() -> Value {
     {
         let violated = AtomicBool::new(false);
         let prep = eval::Prepared::new(&fifo_spec);
-        let e = explore_parallel(
+        let e = explore_parallel_with(
             2,
             same3,
             |_| AsyncProtocol::new(),
-            threads,
-            1 << 20,
-            |run| {
+            &opts,
+            &|run: &msgorder_runs::SystemRun| {
                 if !prep.satisfies_spec(&run.users_view()) {
                     violated.store(true, Ordering::Relaxed);
                 }
@@ -1101,13 +1103,12 @@ fn exp_m1() -> Value {
     }
     {
         let ok = AtomicBool::new(true);
-        let e = explore_parallel(
+        let e = explore_parallel_with(
             3,
             triangle.clone(),
             |_| CausalRst::new(3),
-            threads,
-            1 << 20,
-            |run| {
+            &opts,
+            &|run: &msgorder_runs::SystemRun| {
                 if !(run.is_quiescent() && limit_sets::in_x_co(&run.users_view())) {
                     ok.store(false, Ordering::Relaxed);
                 }
@@ -1128,13 +1129,12 @@ fn exp_m1() -> Value {
     }
     {
         let violated = AtomicBool::new(false);
-        let e = explore_parallel(
+        let e = explore_parallel_with(
             3,
             triangle,
             |_| AsyncProtocol::new(),
-            threads,
-            1 << 20,
-            |run| {
+            &opts,
+            &|run: &msgorder_runs::SystemRun| {
                 if !limit_sets::in_x_co(&run.users_view()) {
                     violated.store(true, Ordering::Relaxed);
                 }
@@ -1155,13 +1155,12 @@ fn exp_m1() -> Value {
     }
     {
         let ok = AtomicBool::new(true);
-        let e = explore_parallel(
+        let e = explore_parallel_with(
             2,
             crossing,
             |_| SyncProtocol::new(),
-            threads,
-            1 << 20,
-            |run| {
+            &opts,
+            &|run: &msgorder_runs::SystemRun| {
                 if !(run.is_quiescent() && limit_sets::in_x_sync(&run.users_view())) {
                     ok.store(false, Ordering::Relaxed);
                 }

@@ -61,10 +61,11 @@ pub enum SimErrorKind {
     /// A replayed run requested more network decisions than the trace
     /// recorded — the setup being replayed does not match the recording.
     ReplayExhausted,
-    /// A real-transport host failed to dispatch an event to its remote
-    /// protocol instance (connection lost past the reconnect budget, a
-    /// malformed reply, a client gone for good). Only produced by the
-    /// realtime kernel — the in-simulator path never fails this way.
+    /// A host failed to answer an event with a usable action batch: a
+    /// real transport lost its remote protocol instance (connection
+    /// lost past the reconnect budget, a malformed reply, a client gone
+    /// for good), or an action named a message or process the run does
+    /// not have.
     HostFailure {
         /// What the transport reported.
         detail: String,

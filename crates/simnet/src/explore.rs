@@ -8,10 +8,10 @@
 //! world at each branch. Every complete schedule's captured run is
 //! handed to the visitor, which typically checks a specification.
 //!
-//! Three layers keep the search tractable beyond toy workloads (all
-//! opt-in through [`ExploreOptions`]; the classic entry points
-//! [`explore`], [`explore_monitored`], [`explore_dedup`] and
-//! [`explore_parallel`] keep their original semantics):
+//! Three layers keep the search tractable beyond toy workloads, all
+//! opt-in through [`ExploreOptions`] ([`explore`] and
+//! [`explore_monitored`] are the all-defaults forms of [`explore_with`]
+//! and [`explore_monitored_with`]):
 //!
 //! 1. **Sleep-set partial-order reduction** ([`ExploreOptions::por`]).
 //!    Two enabled events *commute* iff they dispatch at different
@@ -43,7 +43,8 @@
 
 use crate::error::SimError;
 use crate::faults::FaultModel;
-use crate::kernel::{EventKind, KernelEvent, Protocol, Scheduled, SimConfig, Simulation};
+use crate::host::HostEvent;
+use crate::kernel::{Driver, EventKind, KernelEvent, Protocol, Scheduled, SimConfig, Simulation};
 use crate::liveness::{self, LivenessVerdict};
 use crate::workload::Workload;
 use msgorder_runs::{StreamingRun, SystemEvent, SystemRun};
@@ -240,7 +241,7 @@ impl PrefixMonitor for NoMonitor {
 }
 
 // ---------------------------------------------------------------------------
-// Classic entry points (original semantics, now wrappers over the engine)
+// All-defaults entry points
 // ---------------------------------------------------------------------------
 
 /// Exhaustively explores every schedule of `workload` under the
@@ -274,35 +275,6 @@ where
     run_sequential(state, &opts, NoMonitor, &mut visit)
 }
 
-/// Like [`explore`], but merges converging interleavings: two schedule
-/// prefixes whose dispatches commute (events on different processes)
-/// reach the *same* configuration, and the sub-tree below it is
-/// explored only once. The set of distinct complete runs handed to
-/// `visit` is identical to [`explore`]'s; `schedules` counts distinct
-/// terminal configurations rather than schedules, so it is ≤ the
-/// undeduplicated count.
-///
-/// Equivalent to [`explore_with`] with [`DedupMode::Exact`]; see there
-/// for what the configuration key covers.
-pub fn explore_dedup<P, V>(
-    processes: usize,
-    workload: Workload,
-    factory: impl Fn(usize) -> P,
-    cap: usize,
-    mut visit: V,
-) -> Exploration
-where
-    P: Protocol + Clone + Hash,
-    V: FnMut(&SystemRun) -> bool,
-{
-    let opts = ExploreOptions {
-        cap,
-        dedup: DedupMode::Exact,
-        ..ExploreOptions::default()
-    };
-    explore_with(processes, workload, factory, &opts, &mut visit)
-}
-
 /// Like [`explore`], but carries a [`PrefixMonitor`] along every branch
 /// and prunes any prefix the monitor condemns — the schedule sub-tree
 /// below a detected violation is never expanded. `visit` receives only
@@ -330,41 +302,6 @@ where
     };
     let state = initial_state(processes, workload, factory, &opts.faults);
     run_sequential(state, &opts, monitor, &mut visit)
-}
-
-/// Like [`explore`], but across `threads` workers over a work-stealing
-/// frontier. With `threads <= 1` this *is* [`explore`] — same code
-/// path, same visit order. With more threads the complete-schedule
-/// count (uncapped) and the multiset of runs visited are identical, but
-/// visit order is nondeterministic and `visit` runs concurrently, so it
-/// must be `Sync` (accumulate through atomics or a mutex). When `cap`
-/// truncates the search, *which* schedules were counted before the cut
-/// depends on thread timing.
-///
-/// # Panics
-/// Propagates panics from worker threads (e.g. a livelocking protocol).
-pub fn explore_parallel<P, V>(
-    processes: usize,
-    workload: Workload,
-    factory: impl Fn(usize) -> P,
-    threads: usize,
-    cap: usize,
-    visit: V,
-) -> Exploration
-where
-    P: Protocol + Clone + Send,
-    V: Fn(&SystemRun) -> bool + Sync,
-{
-    if threads <= 1 {
-        return explore(processes, workload, factory, cap, |run| visit(run));
-    }
-    let opts = ExploreOptions {
-        cap,
-        threads,
-        ..ExploreOptions::default()
-    };
-    let state = initial_state(processes, workload, factory, &opts.faults);
-    run_parallel(state, &opts, NoMonitor, &visit)
 }
 
 // ---------------------------------------------------------------------------
@@ -495,9 +432,8 @@ fn initial_state<P: Protocol + Clone>(
             _ => initial.push(ev),
         }
     }
-    for (node, protocol) in protocols.iter_mut().enumerate() {
-        let mut ctx = world.ctx(node);
-        protocol.on_init(&mut ctx);
+    for node in 0..processes {
+        protocols.react(&mut world, node, HostEvent::Init);
     }
     while let Some(Reverse(ev)) = world.queue.pop() {
         initial.push(ev);
@@ -552,10 +488,7 @@ impl<P: Protocol + Clone> State<P> {
     /// If the last dispatch poisoned the world, extracts the
     /// counterexample (with the partial trace and stats attached).
     fn take_error(&mut self) -> Option<Box<SimError>> {
-        let mut e = self.world.error.take()?;
-        e.trace = self.world.builder.build().ok();
-        e.stats = self.world.stats.clone();
-        Some(Box::new(e))
+        self.world.take_error().map(Box::new)
     }
 
     fn clone_state(&self) -> State<P> {
@@ -627,7 +560,7 @@ impl<P: Protocol + Clone> State<P> {
     /// prefixes reach identical configurations.
     fn execute<M: PrefixMonitor>(&mut self, ev: Scheduled, mon: &mut M) -> bool {
         let node = ev.node;
-        self.world.dispatch(&mut self.protocols, node, ev.kind);
+        self.world.step(&mut self.protocols, node, ev.kind);
         let mut condemned = false;
         if self.world.record {
             // The explorer never journals wire/fault records
@@ -1819,9 +1752,33 @@ mod tests {
         assert!(exp.first_stall.is_none());
 
         // The parallel front end aggregates the same counts.
-        let par = explore_parallel(2, two_same_channel(), |_| Sink2, 4, 10_000, |_| true);
+        let par = explore_parallel_with(
+            2,
+            two_same_channel(),
+            |_| Sink2,
+            &threaded(4, 10_000),
+            &|_: &SystemRun| true,
+        );
         assert_eq!(par.non_live, par.schedules);
         assert!(par.first_stall.is_some());
+    }
+
+    /// `threads` workers, stopping after `cap` schedules.
+    fn threaded(threads: usize, cap: usize) -> ExploreOptions {
+        ExploreOptions {
+            cap,
+            threads,
+            ..ExploreOptions::default()
+        }
+    }
+
+    /// The fan-out workload under exact deduplication.
+    fn exact_dedup_fan_out(mut visit: impl FnMut(&SystemRun) -> bool) -> Exploration {
+        let opts = ExploreOptions {
+            dedup: DedupMode::Exact,
+            ..ExploreOptions::default()
+        };
+        explore_with(3, fan_out(), |_| Immediate, &opts, &mut visit)
     }
 
     fn two_same_channel() -> Workload {
@@ -1973,16 +1930,10 @@ mod tests {
             },
         );
         let mut dedup_runs = BTreeSet::new();
-        let dedup = explore_dedup(
-            3,
-            fan_out(),
-            |_| Immediate,
-            usize::MAX,
-            |run| {
-                dedup_runs.insert(fingerprint(run));
-                true
-            },
-        );
+        let dedup = exact_dedup_fan_out(|run| {
+            dedup_runs.insert(fingerprint(run));
+            true
+        });
         assert_eq!(plain_runs, dedup_runs, "dedup must not lose runs");
         assert!(
             dedup.schedules < plain.schedules,
@@ -2107,7 +2058,13 @@ mod tests {
     fn parallel_counts_match_sequential() {
         let seq = explore(3, fan_out(), |_| Immediate, usize::MAX, |_| true);
         for threads in [1, 2, 4] {
-            let par = explore_parallel(3, fan_out(), |_| Immediate, threads, usize::MAX, |_| true);
+            let par = explore_parallel_with(
+                3,
+                fan_out(),
+                |_| Immediate,
+                &threaded(threads, usize::MAX),
+                &|_: &SystemRun| true,
+            );
             assert_eq!(par.schedules, seq.schedules, "threads = {threads}");
             assert!(!par.truncated);
         }
@@ -2127,13 +2084,12 @@ mod tests {
             },
         );
         let par_runs = Mutex::new(BTreeMap::<Vec<(String, String)>, usize>::new());
-        explore_parallel(
+        explore_parallel_with(
             3,
             fan_out(),
             |_| Immediate,
-            4,
-            usize::MAX,
-            |run| {
+            &threaded(4, usize::MAX),
+            &|run: &SystemRun| {
                 *par_runs
                     .lock()
                     .expect("no visitor panicked")
@@ -2232,7 +2188,8 @@ mod tests {
                 })
                 .collect(),
         };
-        let exp = explore_parallel(2, w, |_| Immediate, 4, 3, |_| true);
+        let exp =
+            explore_parallel_with(2, w, |_| Immediate, &threaded(4, 3), &|_: &SystemRun| true);
         assert!(exp.truncated);
         assert_eq!(exp.schedules, 3);
     }
@@ -2285,16 +2242,10 @@ mod tests {
     #[test]
     fn por_with_dedup_agrees_with_exact_dedup() {
         let mut exact_runs = BTreeSet::new();
-        let exact = explore_dedup(
-            3,
-            fan_out(),
-            |_| Immediate,
-            usize::MAX,
-            |run| {
-                exact_runs.insert(fingerprint(run));
-                true
-            },
-        );
+        let exact = exact_dedup_fan_out(|run| {
+            exact_runs.insert(fingerprint(run));
+            true
+        });
         let mut both_runs = BTreeSet::new();
         let opts = ExploreOptions {
             por: true,
@@ -2321,7 +2272,7 @@ mod tests {
 
     #[test]
     fn compact_dedup_matches_exact_counts() {
-        let exact = explore_dedup(3, fan_out(), |_| Immediate, usize::MAX, |_| true);
+        let exact = exact_dedup_fan_out(|_| true);
         let opts = ExploreOptions {
             dedup: DedupMode::Compact {
                 max_states: 0,
@@ -2361,7 +2312,7 @@ mod tests {
     fn spilling_seen_set_completes_the_search() {
         let dir = std::env::temp_dir().join(format!("msgorder-spill-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let exact = explore_dedup(3, fan_out(), |_| Immediate, usize::MAX, |_| true);
+        let exact = exact_dedup_fan_out(|_| true);
         let opts = ExploreOptions {
             dedup: DedupMode::Compact {
                 max_states: 8,
@@ -2611,7 +2562,7 @@ mod tests {
 
     #[test]
     fn threaded_dedup_counts_terminal_configurations_once() {
-        let exact = explore_dedup(3, fan_out(), |_| Immediate, usize::MAX, |_| true);
+        let exact = exact_dedup_fan_out(|_| true);
         let opts = ExploreOptions {
             por: true,
             threads: 4,

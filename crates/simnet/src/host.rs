@@ -1,15 +1,16 @@
 //! The transport-agnostic protocol/host boundary (DESIGN.md §13).
 //!
-//! The kernel drives protocols through [`Ctx`], which historically
-//! borrowed the simulator's `World` directly — so a protocol instance
-//! could only ever run *inside* the simulator. This module extracts the
-//! boundary: a protocol consumes framed inbound events ([`HostEvent`])
-//! and emits outbound frames plus delivery decisions ([`HostAction`]),
-//! with no kernel types in the signature. Any `impl Protocol` is a
-//! [`ProtocolHost`] for free (the blanket impl routes events through a
-//! buffering [`Ctx`]), which is what lets the six registry protocols and
-//! the reliable link run unmodified under both the simnet kernel and a
-//! real socket runtime.
+//! A protocol consumes framed inbound events ([`HostEvent`]) and emits
+//! outbound frames plus delivery decisions ([`HostAction`]) through
+//! [`Ctx`], with no kernel types in the signature — the paper's whole
+//! protocol contract (§3.2). Every host works this way: the simulator
+//! and the explorer collect the actions in a reused buffer, the
+//! realtime kernel gets them back from a
+//! [`HostDriver`](crate::HostDriver), and all of them apply the batch
+//! through the same kernel code. Any `impl Protocol` is a
+//! [`ProtocolHost`] for free (the blanket impl hands it a [`Ctx`] over
+//! a [`HostEnv`]), which is how the registry protocols and the reliable
+//! link run unmodified behind a real socket.
 //!
 //! The split mirrors febft's `poll`/`process_message` ordering-protocol
 //! interface: the *host* owns I/O, time, and scheduling; the *protocol*
@@ -64,9 +65,9 @@ pub enum HostEvent {
 /// a frame to put on the wire, a delivery decision, or a timer request.
 ///
 /// The host applies the whole batch at the event's logical time and is
-/// responsible for validation (ownership, double delivery, …) — under
-/// the simnet kernel invalid actions poison the run into a structured
-/// counterexample exactly as before.
+/// responsible for validation (ownership, double delivery, ids in
+/// range, …) — invalid actions poison the run into a structured
+/// counterexample.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum HostAction {
     /// Execute the send `x.s` of `msg`, piggybacking `tag`.
@@ -212,10 +213,6 @@ impl HostEnv {
     pub fn take_actions(&mut self) -> Vec<HostAction> {
         std::mem::take(&mut self.actions)
     }
-
-    pub(crate) fn push(&mut self, action: HostAction) {
-        self.actions.push(action);
-    }
 }
 
 /// A protocol instance viewed through the transport-agnostic boundary:
@@ -232,14 +229,15 @@ pub trait ProtocolHost {
 
 impl<P: Protocol + ?Sized> ProtocolHost for P {
     fn process_event(&mut self, env: &mut HostEnv, ev: HostEvent) {
-        let mut ctx = Ctx::host(env);
-        match ev {
-            HostEvent::Init => self.on_init(&mut ctx),
-            HostEvent::Request { msg } => self.on_send_request(&mut ctx, msg),
-            HostEvent::UserFrame { from, msg, tag } => self.on_user_frame(&mut ctx, from, msg, tag),
-            HostEvent::ControlFrame { from, bytes } => self.on_control_frame(&mut ctx, from, bytes),
-            HostEvent::Timer { id } => self.on_timer(&mut ctx, id),
-        }
+        let mut ctx = Ctx {
+            node: env.node,
+            now: env.now,
+            processes: env.processes,
+            epoch: env.epoch,
+            metas: &env.metas,
+            actions: &mut env.actions,
+        };
+        ctx.feed(self, ev);
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::error::{SimError, SimErrorKind, SimOutcome};
 use crate::faults::FaultModel;
-use crate::host::{HostAction, HostEnv, HostEvent};
+use crate::host::{HostAction, HostEvent};
 use crate::latency::LatencyModel;
 use crate::liveness::{self, FrameFate, LivenessVerdict};
 use crate::stats::Stats;
@@ -54,49 +54,39 @@ impl SimConfig {
     }
 }
 
-/// What a protocol instance can do when the kernel dispatches to it.
+/// What a protocol instance can do when a host dispatches to it: read
+/// the dispatch's facts and emit [`HostAction`]s.
 ///
-/// All actions take effect *now* (at the current simulated time); the
-/// kernel records run events in the same order, so the captured
-/// [`SystemRun`] is exactly what happened.
+/// The host applies the emitted batch, in emission order, at the
+/// dispatch's logical time, and records run events in the same order,
+/// so the captured [`SystemRun`] is exactly what happened.
 ///
 /// Invalid actions (sending a message one does not own, delivering
-/// twice, …) do not panic: they *poison* the simulation with a
+/// twice, …) do not panic: applying them *poisons* the run with a
 /// [`SimError`] — the first error wins, subsequent actions become
 /// no-ops, and [`Simulation::run`] returns the counterexample.
 ///
-/// The context is backed either by the simulator's `World` (actions take
-/// effect immediately) or by a [`HostEnv`] (actions are buffered as
-/// [`HostAction`]s for a real transport to apply) — protocol code cannot
-/// tell the difference, which is the point of the `ProtocolHost`
-/// boundary (DESIGN.md §13).
+/// Every host — the simulator, the explorer, the realtime kernel, a
+/// socket client — hands the protocol the same context and applies the
+/// same actions (DESIGN.md §13).
 pub struct Ctx<'a> {
-    inner: CtxInner<'a>,
-    node: usize,
+    pub(crate) node: usize,
+    pub(crate) now: u64,
+    pub(crate) processes: usize,
+    pub(crate) epoch: u64,
+    pub(crate) metas: &'a [msgorder_runs::MessageMeta],
+    pub(crate) actions: &'a mut Vec<HostAction>,
 }
 
-enum CtxInner<'a> {
-    /// Simulator backend: mutate the world directly.
-    Sim(&'a mut World),
-    /// Host backend: buffer emitted actions for the transport.
-    Host(&'a mut HostEnv),
-}
-
-impl<'a> Ctx<'a> {
-    /// A simulator-backed context for the protocol instance at `node`.
-    pub(crate) fn sim(world: &'a mut World, node: usize) -> Ctx<'a> {
-        Ctx {
-            inner: CtxInner::Sim(world),
-            node,
-        }
-    }
-
-    /// A host-backed context buffering actions into `env`.
-    pub(crate) fn host(env: &'a mut HostEnv) -> Ctx<'a> {
-        let node = env.node;
-        Ctx {
-            inner: CtxInner::Host(env),
-            node,
+impl Ctx<'_> {
+    /// Hands `ev` to the matching [`Protocol`] callback.
+    pub(crate) fn feed<P: Protocol + ?Sized>(&mut self, protocol: &mut P, ev: HostEvent) {
+        match ev {
+            HostEvent::Init => protocol.on_init(self),
+            HostEvent::Request { msg } => protocol.on_send_request(self, msg),
+            HostEvent::UserFrame { from, msg, tag } => protocol.on_user_frame(self, from, msg, tag),
+            HostEvent::ControlFrame { from, bytes } => protocol.on_control_frame(self, from, bytes),
+            HostEvent::Timer { id } => protocol.on_timer(self, id),
         }
     }
 
@@ -107,18 +97,12 @@ impl<'a> Ctx<'a> {
 
     /// Current simulated time.
     pub fn now(&self) -> u64 {
-        match &self.inner {
-            CtxInner::Sim(world) => world.now,
-            CtxInner::Host(env) => env.now,
-        }
+        self.now
     }
 
     /// Number of processes in the system.
     pub fn process_count(&self) -> usize {
-        match &self.inner {
-            CtxInner::Sim(world) => world.processes,
-            CtxInner::Host(env) => env.processes,
-        }
+        self.processes
     }
 
     /// Metadata (endpoints, color) of a workload message.
@@ -126,10 +110,7 @@ impl<'a> Ctx<'a> {
     /// # Panics
     /// Panics if `msg` is not a workload message.
     pub fn meta(&self, msg: MessageId) -> &msgorder_runs::MessageMeta {
-        match &self.inner {
-            CtxInner::Sim(world) => &world.metas[msg.0],
-            CtxInner::Host(env) => &env.metas[msg.0],
-        }
+        &self.metas[msg.0]
     }
 
     /// Executes the send `x.s` of a previously requested message,
@@ -139,10 +120,7 @@ impl<'a> Ctx<'a> {
     /// a protocol implementation bug: it poisons the simulation with a
     /// [`SimError`] counterexample instead of executing.
     pub fn send_user(&mut self, msg: MessageId, tag: Vec<u8>) {
-        match &mut self.inner {
-            CtxInner::Sim(world) => world.do_send_user(self.node, msg, tag),
-            CtxInner::Host(env) => env.push(HostAction::SendUser { msg, tag }),
-        }
+        self.actions.push(HostAction::SendUser { msg, tag });
     }
 
     /// Retransmits a previously sent user frame (same message id, fresh
@@ -153,10 +131,7 @@ impl<'a> Ctx<'a> {
     /// Resending a message that was never sent (or from a non-owner) is
     /// a protocol bug and poisons the simulation.
     pub fn resend_user(&mut self, msg: MessageId, tag: Vec<u8>) {
-        match &mut self.inner {
-            CtxInner::Sim(world) => world.do_resend_user(self.node, msg, tag),
-            CtxInner::Host(env) => env.push(HostAction::ResendUser { msg, tag }),
-        }
+        self.actions.push(HostAction::ResendUser { msg, tag });
     }
 
     /// Executes the delivery `x.r` of a previously received message.
@@ -166,35 +141,23 @@ impl<'a> Ctx<'a> {
     /// the simulation with a [`SimError`] counterexample instead of
     /// executing.
     pub fn deliver(&mut self, msg: MessageId) {
-        match &mut self.inner {
-            CtxInner::Sim(world) => world.do_deliver(self.node, msg),
-            CtxInner::Host(env) => env.push(HostAction::Deliver { msg }),
-        }
+        self.actions.push(HostAction::Deliver { msg });
     }
 
     /// Sends a control message to another process.
     pub fn send_control(&mut self, to: ProcessId, bytes: Vec<u8>) {
-        match &mut self.inner {
-            CtxInner::Sim(world) => world.do_send_control(self.node, to, bytes),
-            CtxInner::Host(env) => env.push(HostAction::SendControl { to, bytes }),
-        }
+        self.actions.push(HostAction::SendControl { to, bytes });
     }
 
     /// Retransmits a control frame. Counted as a retransmission (and its
     /// wire bytes), not as a fresh control message.
     pub fn resend_control(&mut self, to: ProcessId, bytes: Vec<u8>) {
-        match &mut self.inner {
-            CtxInner::Sim(world) => world.do_resend_control(self.node, to, bytes),
-            CtxInner::Host(env) => env.push(HostAction::ResendControl { to, bytes }),
-        }
+        self.actions.push(HostAction::ResendControl { to, bytes });
     }
 
     /// Schedules `on_timer(id)` for this process after `delay` ticks.
     pub fn set_timer(&mut self, delay: u64, id: u64) {
-        match &mut self.inner {
-            CtxInner::Sim(world) => world.do_set_timer(self.node, delay, id),
-            CtxInner::Host(env) => env.push(HostAction::SetTimer { delay, id }),
-        }
+        self.actions.push(HostAction::SetTimer { delay, id });
     }
 
     /// Records that this process refused an incoming frame claimed to be
@@ -203,10 +166,7 @@ impl<'a> Ctx<'a> {
     /// Feeds the rejection counters, the trace journal, and the liveness
     /// blame analysis.
     pub fn reject_frame(&mut self, from: ProcessId, reason: RejectReason) {
-        match &mut self.inner {
-            CtxInner::Sim(world) => world.do_reject(self.node, from, reason),
-            CtxInner::Host(env) => env.push(HostAction::RejectFrame { from, reason }),
-        }
+        self.actions.push(HostAction::RejectFrame { from, reason });
     }
 
     /// This process's crash/restart epoch: the number of restarts it has
@@ -214,22 +174,12 @@ impl<'a> Ctx<'a> {
     /// tagged with an older epoch are pre-restart stragglers a hardened
     /// protocol should refuse.
     pub fn epoch(&self) -> u64 {
-        match &self.inner {
-            CtxInner::Sim(world) => world
-                .faults
-                .crashes
-                .iter()
-                .filter(|c| {
-                    c.process == self.node && matches!(c.restart, Some(r) if r <= world.now)
-                })
-                .count() as u64,
-            CtxInner::Host(env) => env.epoch,
-        }
+        self.epoch
     }
 }
 
 impl World {
-    /// [`Ctx::send_user`], simulator backend.
+    /// Applies [`HostAction::SendUser`].
     fn do_send_user(&mut self, node: usize, msg: MessageId, tag: Vec<u8>) {
         if self.error.is_some() {
             return;
@@ -260,7 +210,7 @@ impl World {
         );
     }
 
-    /// [`Ctx::resend_user`], simulator backend.
+    /// Applies [`HostAction::ResendUser`].
     fn do_resend_user(&mut self, node: usize, msg: MessageId, tag: Vec<u8>) {
         if self.error.is_some() {
             return;
@@ -284,7 +234,7 @@ impl World {
         );
     }
 
-    /// [`Ctx::deliver`], simulator backend.
+    /// Applies [`HostAction::Deliver`].
     fn do_deliver(&mut self, node: usize, msg: MessageId) {
         if self.error.is_some() {
             return;
@@ -310,7 +260,7 @@ impl World {
         self.stats.total_latency += self.now - invoked;
     }
 
-    /// [`Ctx::send_control`], simulator backend.
+    /// Applies [`HostAction::SendControl`].
     fn do_send_control(&mut self, node: usize, to: ProcessId, bytes: Vec<u8>) {
         if self.error.is_some() {
             return;
@@ -325,7 +275,7 @@ impl World {
         );
     }
 
-    /// [`Ctx::resend_control`], simulator backend.
+    /// Applies [`HostAction::ResendControl`].
     fn do_resend_control(&mut self, node: usize, to: ProcessId, bytes: Vec<u8>) {
         if self.error.is_some() {
             return;
@@ -340,7 +290,7 @@ impl World {
         );
     }
 
-    /// [`Ctx::reject_frame`], simulator backend.
+    /// Applies [`HostAction::RejectFrame`].
     fn do_reject(&mut self, node: usize, from: ProcessId, reason: RejectReason) {
         if self.error.is_some() {
             return;
@@ -355,18 +305,36 @@ impl World {
         });
     }
 
-    /// [`Ctx::set_timer`], simulator backend.
+    /// Applies [`HostAction::SetTimer`].
     fn do_set_timer(&mut self, node: usize, delay: u64, id: u64) {
         let at = self.now.saturating_add(delay.max(1));
         self.schedule(at, node, EventKind::Timer { id });
     }
 
-    /// Applies a batch of host actions emitted by one protocol dispatch,
-    /// in emission order, at the current time — the simulator-semantics
-    /// sink of the `ProtocolHost` boundary. Invalid actions poison the
-    /// world exactly as their [`Ctx`] counterparts do.
-    pub(crate) fn apply(&mut self, node: usize, actions: Vec<HostAction>) {
-        for action in actions {
+    /// Applies (and drains) the actions one protocol dispatch at `node`
+    /// emitted, in emission order, at the current time. Invalid actions
+    /// poison the world; the first error wins and later actions become
+    /// no-ops.
+    ///
+    /// Actions can arrive off a socket, so one naming a message or
+    /// process this world does not have is a [`SimErrorKind::HostFailure`],
+    /// never an index.
+    pub(crate) fn apply(&mut self, node: usize, actions: &mut Vec<HostAction>) {
+        for action in actions.drain(..) {
+            let in_range = match &action {
+                HostAction::SendUser { msg, .. }
+                | HostAction::ResendUser { msg, .. }
+                | HostAction::Deliver { msg } => msg.0 < self.metas.len(),
+                HostAction::SendControl { to: peer, .. }
+                | HostAction::ResendControl { to: peer, .. }
+                | HostAction::RejectFrame { from: peer, .. } => peer.0 < self.processes,
+                HostAction::SetTimer { .. } => true,
+            };
+            if !in_range {
+                let detail = format!("action names an unknown message or process: {action:?}");
+                self.fail(node, None, SimErrorKind::HostFailure { detail });
+                continue;
+            }
             match action {
                 HostAction::SendUser { msg, tag } => self.do_send_user(node, msg, tag),
                 HostAction::ResendUser { msg, tag } => self.do_resend_user(node, msg, tag),
@@ -737,18 +705,13 @@ pub(crate) fn flip_bit(bytes: &mut [u8], seed: u64) -> bool {
 }
 
 impl World {
-    /// A dispatch context for `node` (explorer entry point).
-    pub(crate) fn ctx(&mut self, node: usize) -> Ctx<'_> {
-        Ctx::sim(self, node)
-    }
-
     /// Admits one scheduled event at `node`: executes the kernel-owned
     /// bookkeeping that precedes the protocol call (`x.s*`/`x.r*` run
     /// events, journal entries, invoke/receive timestamps, duplicate
     /// suppression) and returns the transport-agnostic [`HostEvent`] to
     /// hand the protocol — or `None` when the event is absorbed
     /// (suppressed duplicate) or invalid (the world is now poisoned).
-    pub(crate) fn admit(&mut self, node: usize, kind: EventKind) -> Option<HostEvent> {
+    fn admit(&mut self, node: usize, kind: EventKind) -> Option<HostEvent> {
         match kind {
             EventKind::Request { msg } => {
                 if let Err(e) = self.builder.invoke(msg) {
@@ -788,30 +751,58 @@ impl World {
         }
     }
 
-    /// Dispatches one event to the protocol instance at `node`,
-    /// recording the corresponding run events (shared between the timed
-    /// kernel and the exhaustive explorer).
-    pub(crate) fn dispatch<P: Protocol>(
+    /// Admits `kind` at `node` and, unless it was absorbed, lets
+    /// `driver` answer it (shared between the event loop and the
+    /// exhaustive explorer).
+    pub(crate) fn step<D: Driver + ?Sized>(
         &mut self,
-        protocols: &mut [P],
+        driver: &mut D,
         node: usize,
         kind: EventKind,
     ) {
-        let Some(ev) = self.admit(node, kind) else {
-            return;
-        };
-        let mut ctx = Ctx::sim(self, node);
-        match ev {
-            HostEvent::Init => protocols[node].on_init(&mut ctx),
-            HostEvent::Request { msg } => protocols[node].on_send_request(&mut ctx, msg),
-            HostEvent::UserFrame { from, msg, tag } => {
-                protocols[node].on_user_frame(&mut ctx, from, msg, tag);
-            }
-            HostEvent::ControlFrame { from, bytes } => {
-                protocols[node].on_control_frame(&mut ctx, from, bytes);
-            }
-            HostEvent::Timer { id } => protocols[node].on_timer(&mut ctx, id),
+        if let Some(ev) = self.admit(node, kind) {
+            driver.react(self, node, ev);
         }
+    }
+
+    /// The crash/restart epoch of `node` now: restarts completed so far.
+    fn epoch(&self, node: usize) -> u64 {
+        let crashes = self.faults.crashes.iter();
+        crashes
+            .filter(|c| c.process == node && matches!(c.restart, Some(r) if r <= self.now))
+            .count() as u64
+    }
+}
+
+/// The two things a kernel driver supplies to the event loop
+/// ([`World::run`]): pacing, and how an admitted [`HostEvent`] becomes
+/// applied actions.
+pub(crate) trait Driver {
+    /// Blocks until virtual time `time` is due. The simulator never
+    /// waits.
+    fn pace(&mut self, _time: u64) {}
+
+    /// Answers `ev` at `node`: obtains the protocol's actions and
+    /// [`World::apply`]s them.
+    fn react(&mut self, world: &mut World, node: usize, ev: HostEvent);
+}
+
+/// In-process protocol instances, one per process: the callback runs
+/// right here, into the world's reusable action buffer.
+impl<P: Protocol> Driver for Vec<P> {
+    fn react(&mut self, world: &mut World, node: usize, ev: HostEvent) {
+        let mut actions = std::mem::take(&mut world.scratch);
+        let mut ctx = Ctx {
+            node,
+            now: world.now,
+            processes: world.processes,
+            epoch: world.epoch(node),
+            metas: &world.metas,
+            actions: &mut actions,
+        };
+        ctx.feed(&mut self[node], ev);
+        world.apply(node, &mut actions);
+        world.scratch = actions;
     }
 }
 
@@ -890,6 +881,10 @@ pub(crate) struct World {
     pub(crate) spare: Vec<KernelEvent>,
     /// Where network decisions come from (sampled or replayed).
     pub(crate) decisions: DecisionSource,
+    /// Reusable action buffer of the in-process driver: filled by one
+    /// dispatch, drained by [`World::apply`], so steady-state dispatch
+    /// does not allocate.
+    scratch: Vec<HostAction>,
 }
 
 impl World {
@@ -982,6 +977,7 @@ impl World {
             fresh: Vec::new(),
             spare: Vec::new(),
             decisions: DecisionSource::Sample,
+            scratch: Vec::new(),
         }
     }
 
@@ -1071,11 +1067,102 @@ impl World {
         !halted
     }
 
+    /// The event loop of every timed kernel: dispatches until the queue
+    /// drains, the step limit is hit, the world is poisoned, or the
+    /// observer (if any) requests a halt, then packages the outcome
+    /// ([`World::finish`]).
+    #[allow(clippy::result_large_err)] // see `Simulation::run`
+    pub(crate) fn run<D: Driver + ?Sized>(
+        mut self,
+        step_limit: usize,
+        driver: &mut D,
+        mut obs: Option<&mut dyn RunObserver>,
+    ) -> Result<StreamResult, SimError> {
+        if let Some(o) = obs.as_deref() {
+            self.record = true;
+            self.record_wire = o.wants_wire();
+        }
+        for node in 0..self.processes {
+            if self.error.is_none() {
+                driver.react(&mut self, node, HostEvent::Init);
+            }
+        }
+        let mut steps = 0usize;
+        let mut completed = true;
+        loop {
+            // Only run events can halt, so the flush after the last
+            // dispatch (trailing crash-window fault records) never does.
+            if let Some(o) = obs.as_deref_mut() {
+                if !self.notify_observer(o) {
+                    return self.finish(step_limit, false, true);
+                }
+            }
+            if self.error.is_some() {
+                break;
+            }
+            let Some(Reverse(ev)) = self.queue.pop() else {
+                break;
+            };
+            steps += 1;
+            if steps > step_limit {
+                completed = false;
+                break;
+            }
+            driver.pace(ev.time);
+            debug_assert!(ev.time >= self.now, "time must not run backwards");
+            self.now = ev.time;
+            if let Some(ev) = self.absorb_crashed(ev) {
+                self.stats.dispatched_events += 1;
+                self.step(driver, ev.node, ev.kind);
+            }
+        }
+        self.finish(step_limit, completed, false)
+    }
+
+    /// The one run epilogue: stamps the end time, turns step-limit
+    /// exhaustion into its counterexample, and returns either the
+    /// packaged error or the live run with its liveness verdict (`None`
+    /// for halted runs: the observer cut the run short on purpose).
+    #[allow(clippy::result_large_err)] // see `Simulation::run`
+    fn finish(
+        mut self,
+        step_limit: usize,
+        completed: bool,
+        halted: bool,
+    ) -> Result<StreamResult, SimError> {
+        self.stats.end_time = self.now;
+        self.poison_step_limit(step_limit, completed, halted);
+        if let Some(e) = self.take_error() {
+            return Err(e);
+        }
+        let liveness = if halted {
+            None
+        } else {
+            liveness::analyze(&self, false)
+        };
+        Ok(StreamResult {
+            run: self.builder,
+            stats: self.stats,
+            completed,
+            halted,
+            liveness,
+        })
+    }
+
+    /// If the world is poisoned, extracts the counterexample with the
+    /// partial captured run and the stats so far attached.
+    pub(crate) fn take_error(&mut self) -> Option<SimError> {
+        let mut e = self.error.take()?;
+        e.trace = self.builder.build().ok();
+        e.stats = self.stats.clone();
+        Some(e)
+    }
+
     /// Turns step-limit exhaustion into the structured
     /// [`SimErrorKind::StepLimit`] counterexample, carrying the blame
     /// analysis of whatever was still pending when the limit tripped.
     /// Observer halts are deliberate and never poisoned.
-    pub(crate) fn poison_step_limit(&mut self, step_limit: usize, completed: bool, halted: bool) {
+    fn poison_step_limit(&mut self, step_limit: usize, completed: bool, halted: bool) {
         if completed || halted || self.error.is_some() {
             return;
         }
@@ -1476,29 +1563,21 @@ impl<P: Protocol> Simulation<P> {
     // would not shrink the Result.
     #[allow(clippy::result_large_err)]
     pub fn run(mut self) -> SimOutcome {
-        let (completed, _halted) = self.drive(None);
-        self.world.stats.end_time = self.world.now;
-        self.poison_step_limit(completed, false);
-        if let Some(mut e) = self.world.error.take() {
-            e.trace = self.world.builder.build().ok();
-            e.stats = self.world.stats.clone();
-            return Err(e);
-        }
-        let liveness = liveness::analyze(&self.world, false);
-        match self.world.builder.build() {
+        let r = self.world.run(self.step_limit, &mut self.protocols, None)?;
+        match r.run.build() {
             Ok(run) => Ok(SimResult {
                 run,
-                stats: self.world.stats,
-                completed,
-                liveness,
+                stats: r.stats,
+                completed: r.completed,
+                liveness: r.liveness,
             }),
             Err(re) => Err(SimError {
                 kind: SimErrorKind::InvalidRun(re),
                 node: ProcessId(0),
                 msg: None,
-                time: self.world.now,
+                time: r.stats.end_time,
                 trace: None,
-                stats: self.world.stats.clone(),
+                stats: r.stats,
             }),
         }
     }
@@ -1514,80 +1593,8 @@ impl<P: Protocol> Simulation<P> {
     /// yields the structured [`SimError`] counterexample.
     #[allow(clippy::result_large_err)] // see `run`
     pub fn run_streaming(mut self, obs: &mut dyn RunObserver) -> Result<StreamResult, SimError> {
-        self.world.record = true;
-        self.world.record_wire = obs.wants_wire();
-        let (completed, halted) = self.drive(Some(obs));
-        self.world.stats.end_time = self.world.now;
-        self.poison_step_limit(completed, halted);
-        if let Some(mut e) = self.world.error.take() {
-            e.trace = self.world.builder.build().ok();
-            e.stats = self.world.stats.clone();
-            return Err(e);
-        }
-        let liveness = if halted {
-            None
-        } else {
-            liveness::analyze(&self.world, false)
-        };
-        Ok(StreamResult {
-            run: self.world.builder,
-            stats: self.world.stats,
-            completed,
-            halted,
-            liveness,
-        })
-    }
-
-    /// See [`World::poison_step_limit`].
-    fn poison_step_limit(&mut self, completed: bool, halted: bool) {
         self.world
-            .poison_step_limit(self.step_limit, completed, halted);
-    }
-
-    /// The shared event loop: dispatches until the queue drains, the
-    /// step limit is hit, a protocol bug poisons the world, or the
-    /// observer (if any) requests a halt. Returns `(completed, halted)`.
-    fn drive(&mut self, mut obs: Option<&mut dyn RunObserver>) -> (bool, bool) {
-        for node in 0..self.world.processes {
-            let mut ctx = Ctx::sim(&mut self.world, node);
-            self.protocols[node].on_init(&mut ctx);
-        }
-        if let Some(o) = obs.as_deref_mut() {
-            if !self.world.notify_observer(o) {
-                return (false, true);
-            }
-        }
-        let mut steps = 0usize;
-        let mut completed = true;
-        while let Some(Reverse(ev)) = self.world.queue.pop() {
-            steps += 1;
-            if steps > self.step_limit {
-                completed = false;
-                break;
-            }
-            debug_assert!(ev.time >= self.world.now, "time must not run backwards");
-            self.world.now = ev.time;
-            let Some(ev) = self.world.absorb_crashed(ev) else {
-                continue;
-            };
-            self.world.stats.dispatched_events += 1;
-            self.world.dispatch(&mut self.protocols, ev.node, ev.kind);
-            if let Some(o) = obs.as_deref_mut() {
-                if !self.world.notify_observer(o) {
-                    return (false, true);
-                }
-            }
-            if self.world.error.is_some() {
-                break;
-            }
-        }
-        // Flush journal entries appended after the last dispatch (e.g.
-        // fault records from trailing crash-window drops). Only run
-        // events can halt, and there are none left here.
-        if let Some(o) = obs {
-            let _ = self.world.notify_observer(o);
-        }
-        (completed, false)
+            .run(self.step_limit, &mut self.protocols, Some(obs))
     }
 
     /// Decomposes the simulation into its world and protocol instances
@@ -1950,12 +1957,16 @@ mod tests {
     }
 
     /// Records every observed event; optionally halts at the first
-    /// delivery.
+    /// delivery, optionally asks for wire records too.
     struct Recorder {
         events: Vec<(SystemEvent, usize, u64)>,
         halt_on_deliver: bool,
+        wire: bool,
     }
     impl RunObserver for Recorder {
+        fn wants_wire(&self) -> bool {
+            self.wire
+        }
         fn on_event(
             &mut self,
             view: &StreamingRun,
@@ -1976,30 +1987,34 @@ mod tests {
     #[test]
     fn run_streaming_observes_every_event_in_order() {
         let w = Workload::uniform_random(3, 20, 19);
-        let mut obs = Recorder {
-            events: Vec::new(),
-            halt_on_deliver: false,
-        };
-        let r = Simulation::new(config(2), w.clone(), |_| Immediate)
-            .run_streaming(&mut obs)
-            .expect("no protocol bug");
-        assert!(r.completed && !r.halted);
-        assert!(r.run.is_quiescent() && r.run.is_complete());
-        assert_eq!(obs.events.len(), 80, "4 events per message");
-        for (i, (_, index, _)) in obs.events.iter().enumerate() {
-            assert_eq!(*index, i, "indices are the global append order");
-        }
-        let times: Vec<u64> = obs.events.iter().map(|&(_, _, t)| t).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]), "times monotone");
+        let plain = Simulation::run_uniform(config(2), w.clone(), |_| Immediate).expect("ok");
+        for wire in [false, true] {
+            let mut obs = Recorder {
+                events: Vec::new(),
+                halt_on_deliver: false,
+                wire,
+            };
+            let r = Simulation::new(config(2), w.clone(), |_| Immediate)
+                .run_streaming(&mut obs)
+                .expect("no protocol bug");
+            assert!(r.completed && !r.halted);
+            assert!(r.run.is_quiescent() && r.run.is_complete());
+            assert_eq!(obs.events.len(), 80, "4 events per message");
+            for (i, (_, index, _)) in obs.events.iter().enumerate() {
+                assert_eq!(*index, i, "indices are the global append order");
+            }
+            let times: Vec<u64> = obs.events.iter().map(|&(_, _, t)| t).collect();
+            assert!(times.windows(2).all(|w| w[0] <= w[1]), "times monotone");
 
-        // The streaming path is observationally identical to the plain
-        // one: same stats, same user view.
-        let plain = Simulation::run_uniform(config(2), w, |_| Immediate).expect("ok");
-        assert_eq!(plain.stats, r.stats);
-        assert_eq!(
-            plain.run.users_view().relation_pairs(),
-            r.run.users_view().relation_pairs()
-        );
+            // Observing — run events only, or the wire journal too —
+            // never changes the run: same stats, same user view as the
+            // plain path.
+            assert_eq!(plain.stats, r.stats);
+            assert_eq!(
+                plain.run.users_view().relation_pairs(),
+                r.run.users_view().relation_pairs()
+            );
+        }
     }
 
     #[test]
@@ -2008,6 +2023,7 @@ mod tests {
         let mut obs = Recorder {
             events: Vec::new(),
             halt_on_deliver: true,
+            wire: false,
         };
         let r = Simulation::new(config(2), w, |_| Immediate)
             .run_streaming(&mut obs)

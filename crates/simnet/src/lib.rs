@@ -65,8 +65,8 @@ mod workload;
 
 pub use error::{SimError, SimErrorKind, SimOutcome};
 pub use explore::{
-    explore, explore_dedup, explore_monitored, explore_monitored_with, explore_parallel,
-    explore_parallel_with, explore_with, DedupMode, Exploration, ExploreOptions, PrefixMonitor,
+    explore, explore_monitored, explore_monitored_with, explore_parallel_with, explore_with,
+    DedupMode, Exploration, ExploreOptions, PrefixMonitor,
 };
 pub use faults::{AdversarialModel, CrashSchedule, FaultConfigError, FaultModel, Partition};
 pub use frame::Frame;

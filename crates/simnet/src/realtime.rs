@@ -1,12 +1,13 @@
-//! The realtime kernel: the simulator's event discipline paced against
+//! The realtime kernel: the simulator's own event loop paced against
 //! the wall clock, driving protocol instances that live behind a
 //! [`HostDriver`] (in-process, or real OS processes on real sockets).
 //!
 //! # Why live runs replay bit-exact
 //!
-//! The kernel is a *sequencer*: it keeps the exact `(time, seq)` binary
-//! heap of the discrete-event simulator and dispatches one event at a
-//! time, blocking on the host's reply before touching the next event.
+//! The kernel is a *sequencer*: it runs the one event loop of the
+//! discrete-event simulator over the same `(time, seq)` binary heap and
+//! dispatches one event at a time, blocking on the host's reply before
+//! touching the next event.
 //! Three invariants make the recorded trace indistinguishable from a
 //! simulated one:
 //!
@@ -23,9 +24,9 @@
 //!    like any simulated frame — so the live execution order *is* the
 //!    replay order by construction.
 //! 3. **Dispatch is atomic.** The host call is a blocking round-trip;
-//!    the returned action batch is applied at `ev.time` exactly as a
-//!    simulated protocol's [`Ctx`](crate::Ctx) calls would be, through
-//!    the same `World` machinery (journal, stats, fault accounting).
+//!    the returned action batch is applied at `ev.time` by the same
+//!    function that applies a simulated protocol's
+//!    [`Ctx`](crate::Ctx) calls (journal, stats, fault accounting).
 //!
 //! Replaying the recorded decisions through [`Simulation::with_replay`]
 //! therefore reproduces the identical event sequence, fingerprint, and
@@ -36,11 +37,9 @@
 use crate::error::{SimError, SimErrorKind};
 use crate::host::{HostAction, HostEnv, HostEvent, ProtocolHost};
 use crate::kernel::{
-    DecisionSource, Protocol, RunObserver, SimConfig, StreamResult, TransmitDecision, World,
+    DecisionSource, Driver, Protocol, RunObserver, SimConfig, StreamResult, TransmitDecision, World,
 };
-use crate::liveness;
 use crate::workload::Workload;
-use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -199,13 +198,20 @@ pub struct RealtimeOutcome {
 
 /// The wall-clock-paced kernel. Construction mirrors
 /// [`Simulation::new`](crate::Simulation::new) — same message
-/// numbering, same pre-queued requests, same tie-breaking — but events
-/// are processed by a [`HostDriver`] instead of in-process protocol
-/// instances, and the loop sleeps until each event's wall deadline
-/// (`ev.time × tick`) before dispatching it.
+/// numbering, same pre-queued requests, same tie-breaking — and the
+/// event loop is the simulator's own; events are answered by a
+/// [`HostDriver`] instead of in-process protocol instances, and the
+/// loop sleeps until each event's wall deadline (`ev.time × tick`)
+/// before dispatching it.
 pub struct RealtimeKernel {
     world: World,
     step_limit: usize,
+    pacer: Pacer,
+}
+
+/// The wall-clock side of a realtime run: the clock, the tick length,
+/// and the drift accounting.
+struct Pacer {
     tick: Duration,
     clock: Box<dyn WallClock>,
     /// Epoch reading taken when the run starts; elapsed time is every
@@ -213,7 +219,7 @@ pub struct RealtimeKernel {
     /// produces negative elapsed time rather than a silent clamp.
     epoch: u64,
     last_reading: u64,
-    backwards_steps: u64,
+    drift: DriftStats,
 }
 
 impl RealtimeKernel {
@@ -225,11 +231,13 @@ impl RealtimeKernel {
         RealtimeKernel {
             world: World::build(config, workload),
             step_limit: 1_000_000,
-            tick: Duration::ZERO,
-            clock: Box::new(MonotonicClock::new()),
-            epoch: 0,
-            last_reading: 0,
-            backwards_steps: 0,
+            pacer: Pacer {
+                tick: Duration::ZERO,
+                clock: Box::new(MonotonicClock::new()),
+                epoch: 0,
+                last_reading: 0,
+                drift: DriftStats::default(),
+            },
         }
     }
 
@@ -243,23 +251,46 @@ impl RealtimeKernel {
     /// default) free-runs: no sleeping, every frame takes one virtual
     /// tick in flight.
     pub fn with_tick(mut self, tick: Duration) -> Self {
-        self.tick = tick;
+        self.pacer.tick = tick;
         self
     }
 
     /// Replaces the wall-clock source (tests inject scripted clocks;
     /// deployments keep the default [`MonotonicClock`]).
     pub fn with_clock(mut self, clock: impl WallClock + 'static) -> Self {
-        self.clock = Box::new(clock);
+        self.pacer.clock = Box::new(clock);
         self
     }
 
+    /// Runs the workload through `host`, feeding every run/wire/fault
+    /// event to `obs` exactly as [`Simulation::run_streaming`] does.
+    ///
+    /// [`Simulation::run_streaming`]: crate::Simulation::run_streaming
+    pub fn run(mut self, host: &mut dyn HostDriver, obs: &mut dyn RunObserver) -> RealtimeOutcome {
+        // All network decisions are injected just-in-time from wall
+        // measurements; the sampling RNGs are never consulted.
+        self.world.decisions = DecisionSource::Replay(VecDeque::new());
+        self.pacer.epoch = self.pacer.clock.now_nanos();
+        self.pacer.last_reading = self.pacer.epoch;
+        let mut live = Live {
+            host,
+            pacer: self.pacer,
+        };
+        let outcome = self.world.run(self.step_limit, &mut live, Some(obs));
+        RealtimeOutcome {
+            outcome,
+            drift: live.pacer.drift,
+        }
+    }
+}
+
+impl Pacer {
     /// Reads the clock, counting backwards steps against the previous
     /// raw reading, and returns signed nanoseconds since the epoch.
     fn elapsed_nanos(&mut self) -> i128 {
         let reading = self.clock.now_nanos();
         if reading < self.last_reading {
-            self.backwards_steps += 1;
+            self.drift.clock_went_backwards += 1;
         }
         self.last_reading = reading;
         i128::from(reading) - i128::from(self.epoch)
@@ -275,17 +306,27 @@ impl RealtimeKernel {
         let ticks = self.elapsed_nanos() / self.tick.as_nanos() as i128;
         i64::try_from(ticks).unwrap_or(if ticks > 0 { i64::MAX } else { i64::MIN })
     }
+}
 
+/// The realtime [`Driver`]: paces against the wall clock and answers
+/// events with a blocking round trip through the host.
+struct Live<'a> {
+    host: &'a mut dyn HostDriver,
+    pacer: Pacer,
+}
+
+impl Driver for Live<'_> {
     /// Sleeps until `time`'s wall deadline (no-op when free-running or
     /// already past it).
-    fn pace_until(&mut self, time: u64) {
-        if self.tick.is_zero() {
+    fn pace(&mut self, time: u64) {
+        let pacer = &mut self.pacer;
+        if pacer.tick.is_zero() {
             return;
         }
-        let Some(deadline) = self.tick.as_nanos().checked_mul(u128::from(time)) else {
+        let Some(deadline) = pacer.tick.as_nanos().checked_mul(u128::from(time)) else {
             return; // virtual time too large to pace — run as fast as possible
         };
-        let elapsed = self.elapsed_nanos();
+        let elapsed = pacer.elapsed_nanos();
         let remaining = i128::try_from(deadline).unwrap_or(i128::MAX) - elapsed;
         if let (Ok(remaining), true) = (u64::try_from(remaining), remaining > 0) {
             std::thread::sleep(Duration::from_nanos(remaining));
@@ -296,25 +337,17 @@ impl RealtimeKernel {
     /// returned batch: measures the wall clock once, injects one
     /// [`TransmitDecision`] per transmit-type action (arrival at
     /// `max(wall+1, now+1)`), then applies the actions at `now`.
-    fn round_trip(
-        &mut self,
-        host: &mut dyn HostDriver,
-        node: usize,
-        ev: HostEvent,
-        drift: &mut DriftStats,
-    ) {
-        let now = self.world.now;
-        let actions = match host.dispatch(node, ev, now) {
+    fn react(&mut self, world: &mut World, node: usize, ev: HostEvent) {
+        let now = world.now;
+        let mut actions = match self.host.dispatch(node, ev, now) {
             Ok(actions) => actions,
             Err(e) => {
-                self.world
-                    .fail(e.node, None, SimErrorKind::HostFailure { detail: e.detail });
+                world.fail(e.node, None, SimErrorKind::HostFailure { detail: e.detail });
                 return;
             }
         };
-        let wall = self.wall_ticks(now);
-        drift.observe(wall.saturating_sub_unsigned(now));
-        drift.clock_went_backwards = self.backwards_steps;
+        let wall = self.pacer.wall_ticks(now);
+        self.pacer.drift.observe(wall.saturating_sub_unsigned(now));
         let transmits = actions.iter().filter(|a| a.is_transmit()).count();
         if transmits > 0 {
             // Arrival stays in the future even when the wall clock reads
@@ -329,102 +362,11 @@ impl RealtimeKernel {
                 replay_delay: None,
                 reorder_extra: 0,
             };
-            if let DecisionSource::Replay(log) = &mut self.world.decisions {
+            if let DecisionSource::Replay(log) = &mut world.decisions {
                 log.extend(std::iter::repeat_n(decision, transmits));
             }
         }
-        self.world.apply(node, actions);
-    }
-
-    /// Runs the workload through `host`, feeding every run/wire/fault
-    /// event to `obs` exactly as [`Simulation::run_streaming`] does.
-    ///
-    /// [`Simulation::run_streaming`]: crate::Simulation::run_streaming
-    pub fn run(mut self, host: &mut dyn HostDriver, obs: &mut dyn RunObserver) -> RealtimeOutcome {
-        let mut drift = DriftStats::default();
-        self.world.record = true;
-        self.world.record_wire = obs.wants_wire();
-        // All network decisions are injected just-in-time from wall
-        // measurements; the sampling RNGs are never consulted.
-        self.world.decisions = DecisionSource::Replay(VecDeque::new());
-        self.epoch = self.clock.now_nanos();
-        self.last_reading = self.epoch;
-        for node in 0..self.world.processes {
-            self.round_trip(host, node, HostEvent::Init, &mut drift);
-            if self.world.error.is_some() {
-                break;
-            }
-        }
-        let (completed, halted) = if self.world.error.is_some() {
-            (false, false)
-        } else if !self.world.notify_observer(obs) {
-            (false, true)
-        } else {
-            self.drive(host, obs, &mut drift)
-        };
-        self.world.stats.end_time = self.world.now;
-        self.world
-            .poison_step_limit(self.step_limit, completed, halted);
-        if let Some(mut e) = self.world.error.take() {
-            e.trace = self.world.builder.build().ok();
-            e.stats = self.world.stats.clone();
-            return RealtimeOutcome {
-                outcome: Err(e),
-                drift,
-            };
-        }
-        let liveness = if halted {
-            None
-        } else {
-            liveness::analyze(&self.world, false)
-        };
-        RealtimeOutcome {
-            outcome: Ok(StreamResult {
-                run: self.world.builder,
-                stats: self.world.stats,
-                completed,
-                halted,
-                liveness,
-            }),
-            drift,
-        }
-    }
-
-    /// The paced event loop; returns `(completed, halted)`.
-    fn drive(
-        &mut self,
-        host: &mut dyn HostDriver,
-        obs: &mut dyn RunObserver,
-        drift: &mut DriftStats,
-    ) -> (bool, bool) {
-        let mut steps = 0usize;
-        let mut completed = true;
-        while let Some(Reverse(ev)) = self.world.queue.pop() {
-            steps += 1;
-            if steps > self.step_limit {
-                completed = false;
-                break;
-            }
-            self.pace_until(ev.time);
-            debug_assert!(ev.time >= self.world.now, "time must not run backwards");
-            self.world.now = ev.time;
-            let Some(ev) = self.world.absorb_crashed(ev) else {
-                continue;
-            };
-            self.world.stats.dispatched_events += 1;
-            let node = ev.node;
-            if let Some(hev) = self.world.admit(node, ev.kind) {
-                self.round_trip(host, node, hev, drift);
-            }
-            if !self.world.notify_observer(obs) {
-                return (false, true);
-            }
-            if self.world.error.is_some() {
-                break;
-            }
-        }
-        let _ = self.world.notify_observer(obs);
-        (completed, false)
+        world.apply(node, &mut actions);
     }
 }
 
@@ -432,8 +374,8 @@ impl RealtimeKernel {
 /// the degenerate transport. Useful for tests and as the reference a
 /// socket transport must be observationally equivalent to: a protocol
 /// behaves identically under [`Simulation`](crate::Simulation), under
-/// `InProcessHost`, and across real sockets, because all three drive the
-/// same [`ProtocolHost`] objects.
+/// `InProcessHost`, and across real sockets, because all three hand the
+/// same [`Protocol`] objects the same [`Ctx`](crate::Ctx).
 pub struct InProcessHost {
     protocols: Vec<Box<dyn Protocol>>,
     envs: Vec<HostEnv>,
@@ -626,6 +568,52 @@ mod tests {
             "{e}"
         );
         assert_eq!(e.kind.discriminant_name(), "host-failure");
+    }
+
+    #[test]
+    fn out_of_range_actions_poison_instead_of_indexing() {
+        /// Answers every request with one fixed action, as a hostile or
+        /// buggy peer on the far side of a socket could.
+        struct Hostile(HostAction);
+        impl HostDriver for Hostile {
+            fn dispatch(
+                &mut self,
+                _node: usize,
+                ev: HostEvent,
+                _now: u64,
+            ) -> Result<Vec<HostAction>, HostError> {
+                Ok(match ev {
+                    HostEvent::Request { .. } => vec![self.0.clone()],
+                    _ => Vec::new(),
+                })
+            }
+        }
+        let far = ProcessId(1_000_000);
+        for bad in [
+            HostAction::Deliver {
+                msg: MessageId(1_000_000),
+            },
+            HostAction::SendUser {
+                msg: MessageId(3),
+                tag: Vec::new(),
+            },
+            HostAction::SendControl {
+                to: far,
+                bytes: vec![1],
+            },
+            HostAction::RejectFrame {
+                from: far,
+                reason: crate::RejectReason::Malformed,
+            },
+        ] {
+            let w = Workload::uniform_random(2, 3, 0);
+            let out = RealtimeKernel::new(config(2), &w).run(&mut Hostile(bad.clone()), &mut Sink);
+            let e = out.outcome.expect_err("out-of-range action is an error");
+            assert!(
+                matches!(&e.kind, SimErrorKind::HostFailure { .. }),
+                "{bad:?}: {e}"
+            );
+        }
     }
 
     #[test]

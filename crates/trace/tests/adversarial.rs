@@ -49,6 +49,16 @@ fn quiet_adversarial_model_keeps_preadversarial_fingerprints() {
         ("causal-rst", 11, 3189633879455296089),
         ("sync", 3, 3858905718874074982),
         ("sync", 11, 14865458837620922709),
+        // Captured at the commit before the single-backend kernel, so
+        // every fixed-name registry protocol pins that refactor too.
+        ("async", 3, 7438647529498225702),
+        ("async", 11, 16039800257874485365),
+        ("causal-ses", 3, 3259900665696165670),
+        ("causal-ses", 11, 11710198535216910509),
+        ("flush", 3, 2486484488977183494),
+        ("flush", 11, 4852362940803313959),
+        ("sync-batched", 3, 6378338132599173819),
+        ("sync-batched", 11, 1847497660884904145),
     ];
     for &(protocol, seed, want) in pins {
         let recorded = record(&baseline_setup(protocol, seed)).expect("records");
@@ -71,19 +81,26 @@ fn quiet_adversarial_model_keeps_crash_schedule_fingerprint() {
         at: 200,
         restart: Some(900),
     }];
-    let setup = Setup {
-        processes: 4,
-        latency: LatencyModel::Uniform { lo: 1, hi: 800 },
-        seed: 7,
-        faults,
-        workload: Workload::uniform_random(4, 12, 7),
-        protocol: "flush".to_owned(),
-        reliable: false,
-        spec: None,
-        step_limit: 1_000_000,
-    };
-    let recorded = record(&setup).expect("records");
-    assert_eq!(recorded.trace.footer.fingerprint, 14055127132968614344);
+    // `sync` tags its control frames with `Ctx::epoch`, so its row also
+    // pins the epoch a restarted process reports.
+    for (protocol, want) in [
+        ("flush", 14055127132968614344),
+        ("sync", 2049752050517373982),
+    ] {
+        let setup = Setup {
+            processes: 4,
+            latency: LatencyModel::Uniform { lo: 1, hi: 800 },
+            seed: 7,
+            faults: faults.clone(),
+            workload: Workload::uniform_random(4, 12, 7),
+            protocol: protocol.to_owned(),
+            reliable: false,
+            spec: None,
+            step_limit: 1_000_000,
+        };
+        let recorded = record(&setup).expect("records");
+        assert_eq!(recorded.trace.footer.fingerprint, want, "{protocol}");
+    }
 }
 
 /// Explicitly setting every adversarial knob to `0.0` is
