@@ -1464,14 +1464,17 @@ fn exp_tr1() -> Value {
 
     let with_metrics = time_sweep(&|msgs, seed| {
         let w = Workload::uniform_random(n, msgs, seed);
-        let mut obs = msgorder_trace::metrics::MetricsObserver::new();
-        let r = Simulation::new(config(seed), w, |_| {
+        let registry = msgorder_trace::SharedRegistry::new();
+        let mut obs = msgorder_trace::LiveMetrics::new(registry.clone());
+        Simulation::new(config(seed), w, |_| {
             msgorder_protocols::AsyncProtocol::new()
         })
         .run_streaming(&mut obs)
         .expect("async has no protocol bugs");
-        let m = obs.finish(&r.stats);
-        assert!(m.deliveries > 0);
+        obs.finish();
+        let deliveries =
+            registry.with(|reg| reg.counter(msgorder_trace::registry::names::DELIVERIES, &[]));
+        assert!(deliveries > 0);
     });
 
     let replayed = time_sweep(&|msgs, seed| {

@@ -469,8 +469,16 @@ pub enum RejectReason {
 }
 
 impl RejectReason {
+    /// Every reason, in declaration order.
+    pub const ALL: [RejectReason; 4] = [
+        RejectReason::Malformed,
+        RejectReason::StaleEpoch,
+        RejectReason::Replayed,
+        RejectReason::Unexpected,
+    ];
+
     /// Stable label used as the metrics `reason` tag.
-    pub fn label(&self) -> &'static str {
+    pub const fn label(&self) -> &'static str {
         match self {
             RejectReason::Malformed => "malformed",
             RejectReason::StaleEpoch => "stale-epoch",

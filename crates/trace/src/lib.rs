@@ -1,5 +1,9 @@
-//! Trace capture and deterministic replay for the simulator, plus a
-//! cheap metrics layer over the same observer hook (DESIGN.md §10).
+//! Trace capture and deterministic replay for the simulator
+//! (DESIGN.md §10), plus the metrics path over the same observer hook:
+//! one observer ([`LiveMetrics`]) feeding one store
+//! ([`MetricsRegistry`], whose families are fixed by
+//! [`registry::FAMILIES`]) that every report and exporter reads
+//! (DESIGN.md §15).
 //!
 //! A **trace** is the complete journal of one simulation: a header
 //! naming the [`Setup`] (config, workload, protocol, spec), the
@@ -47,7 +51,7 @@ pub mod registry;
 pub mod shrink;
 pub mod soak;
 
-pub use metrics::{Histogram, LiveMetrics, Metrics, MetricsObserver};
+pub use metrics::{Histogram, LiveMetrics};
 pub use registry::{FileExporter, MetricsRegistry, SharedRegistry};
 
 use msgorder_predicate::{catalog, eval, ForbiddenPredicate};

@@ -1,25 +1,24 @@
 //! Run metrics: counters and log₂ histograms collected from the kernel
 //! event stream via the same [`RunObserver`] hook the tracer uses.
 //!
-//! [`MetricsObserver`] rides along a simulation (alone or fanned out
-//! next to a [`Recorder`](crate::Recorder) / online monitor) and is
-//! folded into a [`Metrics`] report with
-//! [`finish`](MetricsObserver::finish). All message timings are in
-//! simulated ticks; only `wall_nanos` (and thus deliveries/sec) uses
-//! the host clock.
+//! [`LiveMetrics`] rides along a simulation (alone or fanned out next
+//! to a [`Recorder`](crate::Recorder) / online monitor) and drains what
+//! it sees into a [`SharedRegistry`] — the one store every report and
+//! exporter reads (see [`registry`](crate::registry)). All message
+//! timings are in simulated ticks.
 
-use crate::registry::{names, MetricsRegistry, SharedRegistry};
+use crate::registry::{names, Scope, SharedRegistry};
 use msgorder_predicate::eval::MonitorTimings;
 use msgorder_runs::{EventKind, StreamingRun, SystemEvent};
 use msgorder_simnet::{
-    DropReason, FaultModel, FaultRecord, KernelEvent, PayloadKind, RunObserver, Stats, WireRecord,
+    DropReason, FaultModel, FaultRecord, KernelEvent, PayloadKind, RejectReason, RunObserver,
+    WireRecord,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A log₂-bucketed histogram of `u64` samples: bucket `i` holds samples
 /// in `[2^i, 2^(i+1))` (bucket 0 also takes 0).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// Per-bucket counts; bucket `i` covers `[2^i, 2^(i+1))`.
     pub buckets: Vec<u64>,
@@ -148,216 +147,6 @@ impl From<&MonitorTimings> for Histogram {
     }
 }
 
-/// The metrics report of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Metrics {
-    /// Host wall-clock time of the run, in nanoseconds.
-    pub wall_nanos: u64,
-    /// User messages delivered.
-    pub deliveries: u64,
-    /// End-to-end delivery latency (`deliver - invoke`), in sim ticks.
-    pub delivery_latency: Histogram,
-    /// Protocol inhibition (`deliver - receive`), in sim ticks.
-    pub inhibition: Histogram,
-    /// User frames put on the wire (including retransmissions).
-    pub user_frames: u64,
-    /// Control frames put on the wire (including retransmissions).
-    pub control_frames: u64,
-    /// Total user-frame tag bytes on the wire.
-    pub user_bytes: u64,
-    /// Total control-frame bytes on the wire.
-    pub control_bytes: u64,
-    /// Frames marked as retransmissions.
-    pub retransmissions: u64,
-    /// Frames eaten by partitions.
-    pub partition_drops: u64,
-    /// Frames eaten by random loss.
-    pub loss_drops: u64,
-    /// Duplicate frame copies created by the network.
-    pub duplicates: u64,
-    /// Frames lost to (or deferred by) crash windows.
-    pub crash_effects: u64,
-    /// Messages whose latency tracking was evicted on a terminal
-    /// outcome (dropped with no retransmission layer, destination
-    /// crashed for good, or still undelivered when the run ended) —
-    /// the count that keeps the in-flight map bounded on soak runs.
-    pub messages_abandoned: u64,
-    /// The online monitor's delta-search timings (host nanoseconds),
-    /// when a monitor ran alongside.
-    pub monitor_search_nanos: Option<Histogram>,
-    /// Final kernel stats, attached at [`MetricsObserver::finish`].
-    pub stats: Stats,
-}
-
-impl Metrics {
-    /// Deliveries per host wall-clock second.
-    pub fn deliveries_per_sec(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            0.0
-        } else {
-            self.deliveries as f64 * 1e9 / self.wall_nanos as f64
-        }
-    }
-
-    /// Control overhead: control frames per user frame.
-    pub fn control_overhead(&self) -> f64 {
-        if self.user_frames == 0 {
-            0.0
-        } else {
-            self.control_frames as f64 / self.user_frames as f64
-        }
-    }
-
-    /// Renders the report as the human-readable block `msgorder simulate
-    /// --metrics` prints.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "wall time           {:.3} ms\n",
-            self.wall_nanos as f64 / 1e6
-        ));
-        out.push_str(&format!(
-            "deliveries          {} ({:.0}/s wall)\n",
-            self.deliveries,
-            self.deliveries_per_sec()
-        ));
-        out.push_str(&format!(
-            "wire frames         {} user + {} control ({:.2} ctl/user), {} retransmitted\n",
-            self.user_frames,
-            self.control_frames,
-            self.control_overhead(),
-            self.retransmissions
-        ));
-        out.push_str(&format!(
-            "wire bytes          {} tag + {} control\n",
-            self.user_bytes, self.control_bytes
-        ));
-        out.push_str(&format!(
-            "faults              {} partition drops, {} losses, {} duplicates, {} crash effects\n",
-            self.partition_drops, self.loss_drops, self.duplicates, self.crash_effects
-        ));
-        if self.messages_abandoned > 0 {
-            out.push_str(&format!(
-                "abandoned           {} messages never delivered\n",
-                self.messages_abandoned
-            ));
-        }
-        out.push_str(&format!(
-            "delivery latency    mean {:.1}, p50 ≤{}, p99 ≤{}, max {} ticks\n",
-            self.delivery_latency.mean(),
-            self.delivery_latency.quantile(0.5),
-            self.delivery_latency.quantile(0.99),
-            self.delivery_latency.max
-        ));
-        out.push_str("  histogram (ticks):\n");
-        out.push_str(&self.delivery_latency.render("    "));
-        out.push_str(&format!(
-            "inhibition          mean {:.1}, max {} ticks\n",
-            self.inhibition.mean(),
-            self.inhibition.max
-        ));
-        if let Some(mon) = &self.monitor_search_nanos {
-            out.push_str(&format!(
-                "monitor searches    {} (mean {:.0} ns, p99 ≤{} ns, max {} ns)\n",
-                mon.count,
-                mon.mean(),
-                mon.quantile(0.99),
-                mon.max
-            ));
-            out.push_str("  histogram (ns):\n");
-            out.push_str(&mon.render("    "));
-        }
-        out
-    }
-
-    /// Snapshots this finished report into a [`MetricsRegistry`] under
-    /// the standard `msgorder_*` names (counters add onto whatever the
-    /// registry already holds, histograms merge).
-    pub fn export_into(&self, reg: &mut MetricsRegistry) {
-        reg.add_counter(
-            names::DELIVERIES,
-            &[],
-            names::HELP_DELIVERIES,
-            self.deliveries,
-        );
-        reg.add_counter(
-            names::USER_FRAMES,
-            &[],
-            names::HELP_USER_FRAMES,
-            self.user_frames,
-        );
-        reg.add_counter(
-            names::CONTROL_FRAMES,
-            &[],
-            names::HELP_CONTROL_FRAMES,
-            self.control_frames,
-        );
-        reg.add_counter(
-            names::USER_BYTES,
-            &[],
-            names::HELP_USER_BYTES,
-            self.user_bytes,
-        );
-        reg.add_counter(
-            names::CONTROL_BYTES,
-            &[],
-            names::HELP_CONTROL_BYTES,
-            self.control_bytes,
-        );
-        reg.add_counter(
-            names::RETRANSMISSIONS,
-            &[],
-            names::HELP_RETRANSMISSIONS,
-            self.retransmissions,
-        );
-        reg.add_counter(
-            names::DROPS,
-            &[("reason", "partition")],
-            names::HELP_DROPS,
-            self.partition_drops,
-        );
-        reg.add_counter(
-            names::DROPS,
-            &[("reason", "loss")],
-            names::HELP_DROPS,
-            self.loss_drops,
-        );
-        reg.add_counter(
-            names::DUPLICATES,
-            &[],
-            names::HELP_DUPLICATES,
-            self.duplicates,
-        );
-        reg.add_counter(
-            names::CRASH_EFFECTS,
-            &[],
-            names::HELP_CRASH_EFFECTS,
-            self.crash_effects,
-        );
-        reg.add_counter(
-            names::ABANDONED,
-            &[],
-            names::HELP_ABANDONED,
-            self.messages_abandoned,
-        );
-        reg.merge_histogram(
-            names::DELIVERY_LATENCY,
-            &[],
-            names::HELP_DELIVERY_LATENCY,
-            &self.delivery_latency,
-        );
-        reg.merge_histogram(
-            names::INHIBITION,
-            &[],
-            names::HELP_INHIBITION,
-            &self.inhibition,
-        );
-        if let Some(mon) = &self.monitor_search_nanos {
-            reg.merge_histogram(names::MONITOR_SEARCH, &[], names::HELP_MONITOR_SEARCH, mon);
-        }
-    }
-}
-
 /// Per-message latency anchors, held only while the message is in
 /// flight. Entries leave the map on delivery or on a provably terminal
 /// outcome — the fix for the unbounded-growth leak soak runs hit.
@@ -393,28 +182,9 @@ impl std::hash::Hasher for MsgIdHasher {
 
 type PendingMap = HashMap<usize, Pending, std::hash::BuildHasherDefault<MsgIdHasher>>;
 
-/// A [`RunObserver`] that folds the kernel event stream into a
-/// [`Metrics`] report. Opts into wire records to count frames, bytes,
-/// and fault effects.
-///
-/// Memory stays `O(in-flight messages)`: latency anchors are evicted
-/// when a message delivers, and — with
-/// [`with_terminal_eviction`](MetricsObserver::with_terminal_eviction)
-/// — as soon as its last chance of delivery is gone (frame dropped
-/// with no retransmission layer, or destination permanently crashed).
-/// Whatever is still pending at [`finish`](MetricsObserver::finish)
-/// is counted as abandoned.
-#[derive(Debug)]
-pub struct MetricsObserver {
-    started: std::time::Instant,
-    pending: PendingMap,
-    /// Evict on any drop: set when no retransmission layer exists, so
-    /// a dropped user frame is the end of that message's story.
-    evict_on_drop: bool,
-    /// Known fault schedules, for spotting frames bound for a
-    /// permanently crashed destination.
-    faults: Option<FaultModel>,
-    messages_abandoned: u64,
+/// Counters and histograms accumulated since the last flush.
+#[derive(Debug, Default)]
+struct Deltas {
     deliveries: u64,
     delivery_latency: Histogram,
     inhibition: Histogram,
@@ -427,34 +197,56 @@ pub struct MetricsObserver {
     loss_drops: u64,
     duplicates: u64,
     crash_effects: u64,
-    /// Frames rejected by protocol validation, indexed by
-    /// [`RejectReason`] discriminant order (malformed, stale-epoch,
-    /// replayed, unexpected).
-    rejected: [u64; 4],
+    messages_abandoned: u64,
+    /// Indexed by [`RejectReason`] discriminant.
+    rejected: [u64; RejectReason::ALL.len()],
 }
 
-impl MetricsObserver {
-    /// Starts the wall clock.
-    pub fn new() -> MetricsObserver {
-        MetricsObserver {
-            started: std::time::Instant::now(),
+/// Kernel events between registry flushes: keeps the registry lock off
+/// the per-event path (the EXP-TR1 <10% observer-overhead bar).
+const FLUSH_EVERY: usize = 1024;
+
+/// The one metrics observer: a [`RunObserver`] that folds the kernel
+/// event stream into [`Scope::Run`] deltas and drains them into a
+/// [`SharedRegistry`] every 1024 events, so a Prometheus
+/// scrape (or `--metrics-out` snapshot) sees fresh numbers *while* the
+/// kernel runs. Drains only add, so repeated drains — from one observer
+/// or several sharing a registry — sum to exactly one big drain.
+///
+/// Memory stays `O(in-flight messages)`: latency anchors are evicted
+/// when a message delivers, and — with
+/// [`with_terminal_eviction`](LiveMetrics::with_terminal_eviction) — as
+/// soon as its last chance of delivery is gone (frame dropped with no
+/// retransmission layer, or destination permanently crashed). Whatever
+/// is still pending at [`finish`](LiveMetrics::finish) is counted as
+/// abandoned.
+#[derive(Debug)]
+pub struct LiveMetrics {
+    registry: SharedRegistry,
+    since_flush: usize,
+    pending: PendingMap,
+    /// Evict on any drop: set when no retransmission layer exists, so
+    /// a dropped user frame is the end of that message's story.
+    evict_on_drop: bool,
+    /// Known fault schedules, for spotting frames bound for a
+    /// permanently crashed destination.
+    faults: Option<FaultModel>,
+    delta: Deltas,
+}
+
+impl LiveMetrics {
+    /// Declares every [`Scope::Run`] family in `registry`, so scrapers
+    /// see the full schema before the first flush, and starts feeding
+    /// it.
+    pub fn new(registry: SharedRegistry) -> LiveMetrics {
+        registry.with(|reg| reg.declare(Scope::Run));
+        LiveMetrics {
+            registry,
+            since_flush: 0,
             pending: PendingMap::default(),
             evict_on_drop: false,
             faults: None,
-            messages_abandoned: 0,
-            deliveries: 0,
-            delivery_latency: Histogram::new(),
-            inhibition: Histogram::new(),
-            user_frames: 0,
-            control_frames: 0,
-            user_bytes: 0,
-            control_bytes: 0,
-            retransmissions: 0,
-            partition_drops: 0,
-            loss_drops: 0,
-            duplicates: 0,
-            crash_effects: 0,
-            rejected: [0; 4],
+            delta: Deltas::default(),
         }
     }
 
@@ -475,170 +267,7 @@ impl MetricsObserver {
         self.pending.len()
     }
 
-    /// Messages evicted on a terminal outcome so far.
-    pub fn abandoned(&self) -> u64 {
-        self.messages_abandoned
-    }
-
-    fn abandon(&mut self, msg: usize) {
-        if self.pending.remove(&msg).is_some() {
-            self.messages_abandoned += 1;
-        }
-    }
-
-    /// Folds the observation into a [`Metrics`] report, stopping the
-    /// wall clock and attaching the kernel's final `stats`. Messages
-    /// still awaiting delivery count as abandoned — the run is over.
-    pub fn finish(mut self, stats: &Stats) -> Metrics {
-        self.messages_abandoned += self.pending.len() as u64;
-        self.pending.clear();
-        Metrics {
-            wall_nanos: self.started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-            deliveries: self.deliveries,
-            delivery_latency: self.delivery_latency,
-            inhibition: self.inhibition,
-            user_frames: self.user_frames,
-            control_frames: self.control_frames,
-            user_bytes: self.user_bytes,
-            control_bytes: self.control_bytes,
-            retransmissions: self.retransmissions,
-            partition_drops: self.partition_drops,
-            loss_drops: self.loss_drops,
-            duplicates: self.duplicates,
-            crash_effects: self.crash_effects,
-            messages_abandoned: self.messages_abandoned,
-            monitor_search_nanos: None,
-            stats: stats.clone(),
-        }
-    }
-
-    /// Flushes the counters and histograms accumulated since the last
-    /// drain into `reg` and resets them, keeping only the in-flight
-    /// latency anchors. Repeated drains therefore sum to exactly one
-    /// big drain — the property the live observer and the soak
-    /// harness lean on for bounded-memory metrics.
-    pub fn drain_into(&mut self, reg: &mut MetricsRegistry) {
-        // Zero deltas are skipped: [`declare_run_families`] registered
-        // every family up front, so absence of an add never hides a
-        // series — it only spares the registry lookups on the hot path.
-        let mut counter = |name, labels: &[(&str, &str)], help, value: &mut u64| {
-            if *value > 0 {
-                reg.add_counter(name, labels, help, *value);
-                *value = 0;
-            }
-        };
-        counter(
-            names::DELIVERIES,
-            &[],
-            names::HELP_DELIVERIES,
-            &mut self.deliveries,
-        );
-        counter(
-            names::USER_FRAMES,
-            &[],
-            names::HELP_USER_FRAMES,
-            &mut self.user_frames,
-        );
-        counter(
-            names::CONTROL_FRAMES,
-            &[],
-            names::HELP_CONTROL_FRAMES,
-            &mut self.control_frames,
-        );
-        counter(
-            names::USER_BYTES,
-            &[],
-            names::HELP_USER_BYTES,
-            &mut self.user_bytes,
-        );
-        counter(
-            names::CONTROL_BYTES,
-            &[],
-            names::HELP_CONTROL_BYTES,
-            &mut self.control_bytes,
-        );
-        counter(
-            names::RETRANSMISSIONS,
-            &[],
-            names::HELP_RETRANSMISSIONS,
-            &mut self.retransmissions,
-        );
-        counter(
-            names::DROPS,
-            &[("reason", "partition")],
-            names::HELP_DROPS,
-            &mut self.partition_drops,
-        );
-        counter(
-            names::DROPS,
-            &[("reason", "loss")],
-            names::HELP_DROPS,
-            &mut self.loss_drops,
-        );
-        const REJECT_LABELS: [&str; 4] = ["malformed", "stale-epoch", "replayed", "unexpected"];
-        for (i, label) in REJECT_LABELS.iter().enumerate() {
-            let mut v = self.rejected[i];
-            counter(
-                names::REJECTED,
-                &[("reason", *label)],
-                names::HELP_REJECTED,
-                &mut v,
-            );
-            self.rejected[i] = v;
-        }
-        counter(
-            names::DUPLICATES,
-            &[],
-            names::HELP_DUPLICATES,
-            &mut self.duplicates,
-        );
-        counter(
-            names::CRASH_EFFECTS,
-            &[],
-            names::HELP_CRASH_EFFECTS,
-            &mut self.crash_effects,
-        );
-        counter(
-            names::ABANDONED,
-            &[],
-            names::HELP_ABANDONED,
-            &mut self.messages_abandoned,
-        );
-        if self.delivery_latency.count > 0 {
-            reg.merge_histogram(
-                names::DELIVERY_LATENCY,
-                &[],
-                names::HELP_DELIVERY_LATENCY,
-                &self.delivery_latency,
-            );
-            self.delivery_latency = Histogram::new();
-        }
-        if self.inhibition.count > 0 {
-            reg.merge_histogram(
-                names::INHIBITION,
-                &[],
-                names::HELP_INHIBITION,
-                &self.inhibition,
-            );
-            self.inhibition = Histogram::new();
-        }
-        reg.set_gauge(
-            names::IN_FLIGHT,
-            &[],
-            names::HELP_IN_FLIGHT,
-            self.pending.len() as f64,
-        );
-    }
-
-    /// Like [`finish`](MetricsObserver::finish), attaching the online
-    /// monitor's delta-search timings.
-    pub fn finish_with_monitor(self, stats: &Stats, timings: &MonitorTimings) -> Metrics {
-        let mut m = self.finish(stats);
-        m.monitor_search_nanos = Some(Histogram::from(timings));
-        m
-    }
-
-    /// Replays a recorded event stream through the observer — lets
+    /// Feeds a recorded event stream through the observer — lets
     /// `msgorder replay --metrics` report on a trace without re-running
     /// the kernel.
     pub fn consume(&mut self, events: &[KernelEvent]) {
@@ -648,6 +277,56 @@ impl MetricsObserver {
                 KernelEvent::Wire(w) => self.on_wire(w),
                 KernelEvent::Fault(f) => self.on_fault(f),
             }
+        }
+    }
+
+    /// Drains the deltas accumulated since the last flush into the
+    /// shared registry, keeping only the in-flight latency anchors.
+    pub fn flush(&mut self) {
+        self.since_flush = 0;
+        let d = std::mem::take(&mut self.delta);
+        let in_flight = self.pending.len() as f64;
+        self.registry.with(|reg| {
+            // Zero deltas are skipped: `new` declared every series, so
+            // this only spares the registry lookups.
+            let mut add = |name, labels: &[(&str, &str)], delta: u64| {
+                if delta > 0 {
+                    reg.add_counter(name, labels, delta);
+                }
+            };
+            add(names::DELIVERIES, &[], d.deliveries);
+            add(names::USER_FRAMES, &[], d.user_frames);
+            add(names::CONTROL_FRAMES, &[], d.control_frames);
+            add(names::USER_BYTES, &[], d.user_bytes);
+            add(names::CONTROL_BYTES, &[], d.control_bytes);
+            add(names::RETRANSMISSIONS, &[], d.retransmissions);
+            add(names::DROPS, &[("reason", "partition")], d.partition_drops);
+            add(names::DROPS, &[("reason", "loss")], d.loss_drops);
+            add(names::DUPLICATES, &[], d.duplicates);
+            add(names::CRASH_EFFECTS, &[], d.crash_effects);
+            add(names::ABANDONED, &[], d.messages_abandoned);
+            for reason in RejectReason::ALL {
+                let delta = d.rejected[reason as usize];
+                add(names::REJECTED, &[("reason", reason.label())], delta);
+            }
+            reg.merge_histogram(names::DELIVERY_LATENCY, &[], &d.delivery_latency);
+            reg.merge_histogram(names::INHIBITION, &[], &d.inhibition);
+            reg.set_gauge(names::IN_FLIGHT, &[], in_flight);
+        });
+    }
+
+    /// Final drain: whatever is still in flight is abandoned (the run
+    /// is over), then the last deltas land in the registry.
+    pub fn finish(mut self) {
+        self.delta.messages_abandoned += self.pending.len() as u64;
+        self.pending.clear();
+        self.flush();
+    }
+
+    fn bump(&mut self) {
+        self.since_flush += 1;
+        if self.since_flush >= FLUSH_EVERY {
+            self.flush();
         }
     }
 
@@ -665,17 +344,18 @@ impl MetricsObserver {
                 }
             }
             EventKind::Deliver => {
-                self.deliveries += 1;
+                self.delta.deliveries += 1;
                 if let Some(p) = self.pending.remove(&msg) {
                     if let Some(t0) = p.invoke {
-                        self.delivery_latency.record(time.saturating_sub(t0));
+                        self.delta.delivery_latency.record(time.saturating_sub(t0));
                     }
                     if let Some(t0) = p.receive {
-                        self.inhibition.record(time.saturating_sub(t0));
+                        self.delta.inhibition.record(time.saturating_sub(t0));
                     }
                 }
             }
         }
+        self.bump();
     }
 
     /// Marks user frames whose loss is provably the end of the message:
@@ -692,19 +372,13 @@ impl MetricsObserver {
             .faults
             .as_ref()
             .is_some_and(|f| matches!(f.down_until(wire.to, arrival), Some(None)));
-        if terminal_drop || dead_destination {
-            self.abandon(msg.0);
+        if (terminal_drop || dead_destination) && self.pending.remove(&msg.0).is_some() {
+            self.delta.messages_abandoned += 1;
         }
     }
 }
 
-impl Default for MetricsObserver {
-    fn default() -> Self {
-        MetricsObserver::new()
-    }
-}
-
-impl RunObserver for MetricsObserver {
+impl RunObserver for LiveMetrics {
     fn on_event(
         &mut self,
         _view: &StreamingRun,
@@ -717,142 +391,35 @@ impl RunObserver for MetricsObserver {
     }
 
     fn on_wire(&mut self, wire: &WireRecord) {
+        let d = &mut self.delta;
         match wire.payload {
             PayloadKind::User {
                 bytes, retransmit, ..
             } => {
-                self.user_frames += 1;
-                self.user_bytes += bytes as u64;
-                if retransmit {
-                    self.retransmissions += 1;
-                }
+                d.user_frames += 1;
+                d.user_bytes += bytes as u64;
+                d.retransmissions += u64::from(retransmit);
             }
             PayloadKind::Control { bytes, retransmit } => {
-                self.control_frames += 1;
-                self.control_bytes += bytes as u64;
-                if retransmit {
-                    self.retransmissions += 1;
-                }
+                d.control_frames += 1;
+                d.control_bytes += bytes as u64;
+                d.retransmissions += u64::from(retransmit);
             }
         }
         match wire.dropped {
-            Some(DropReason::Partition) => self.partition_drops += 1,
-            Some(DropReason::Loss) => self.loss_drops += 1,
-            None => {
-                if wire.dup_delay.is_some() {
-                    self.duplicates += 1;
-                }
-            }
+            Some(DropReason::Partition) => d.partition_drops += 1,
+            Some(DropReason::Loss) => d.loss_drops += 1,
+            None => d.duplicates += u64::from(wire.dup_delay.is_some()),
         }
         self.observe_terminal_wire(wire);
+        self.bump();
     }
 
     fn on_fault(&mut self, fault: &FaultRecord) {
         match fault {
-            FaultRecord::Rejected { reason, .. } => {
-                self.rejected[*reason as usize] += 1;
-            }
-            _ => self.crash_effects += 1,
+            FaultRecord::Rejected { reason, .. } => self.delta.rejected[*reason as usize] += 1,
+            _ => self.delta.crash_effects += 1,
         }
-    }
-
-    fn wants_wire(&self) -> bool {
-        true
-    }
-}
-
-/// The live feed: a [`RunObserver`] that accumulates into a local
-/// [`MetricsObserver`] and periodically drains the deltas into a
-/// [`SharedRegistry`], so a Prometheus scrape (or `--metrics-out`
-/// snapshot) sees fresh numbers *while* the kernel runs.
-///
-/// The registry lock is touched once per `flush_every` events (default
-/// 1024), which keeps the live path within the EXP-TR1 <10% observer
-/// overhead bar — BENCH_9 measures exactly this adapter.
-#[derive(Debug)]
-pub struct LiveMetrics {
-    obs: MetricsObserver,
-    registry: SharedRegistry,
-    flush_every: usize,
-    since_flush: usize,
-}
-
-impl LiveMetrics {
-    /// Wraps `registry` with the default flush cadence. Into a fresh
-    /// registry, every run-level family is declared immediately, so
-    /// scrapers see the full schema before the first flush; a registry
-    /// that already carries series (a soak's shared one) skips the
-    /// re-declaration.
-    pub fn new(registry: SharedRegistry) -> LiveMetrics {
-        registry.with(|reg| {
-            if reg.is_empty() {
-                crate::registry::declare_run_families(reg);
-            }
-        });
-        LiveMetrics {
-            obs: MetricsObserver::new(),
-            registry,
-            flush_every: 1024,
-            since_flush: 0,
-        }
-    }
-
-    /// Sets how many kernel events may pass between registry flushes
-    /// (clamped to at least 1).
-    pub fn with_flush_every(mut self, every: usize) -> LiveMetrics {
-        self.flush_every = every.max(1);
-        self
-    }
-
-    /// Enables terminal eviction on the inner observer — see
-    /// [`MetricsObserver::with_terminal_eviction`].
-    pub fn with_terminal_eviction(mut self, reliable: bool, faults: &FaultModel) -> Self {
-        self.obs = self.obs.with_terminal_eviction(reliable, faults);
-        self
-    }
-
-    /// Messages currently tracked for latency.
-    pub fn in_flight(&self) -> usize {
-        self.obs.in_flight()
-    }
-
-    fn bump(&mut self) {
-        self.since_flush += 1;
-        if self.since_flush >= self.flush_every {
-            self.flush();
-        }
-    }
-
-    /// Drains accumulated deltas into the shared registry now.
-    pub fn flush(&mut self) {
-        self.since_flush = 0;
-        let obs = &mut self.obs;
-        self.registry.with(|reg| obs.drain_into(reg));
-    }
-
-    /// Final drain: whatever is still in flight is abandoned (the run
-    /// is over), then the last deltas land in the registry.
-    pub fn finish(mut self) {
-        self.obs.messages_abandoned += self.obs.pending.len() as u64;
-        self.obs.pending.clear();
-        self.flush();
-    }
-}
-
-impl RunObserver for LiveMetrics {
-    fn on_event(&mut self, view: &StreamingRun, ev: SystemEvent, index: usize, time: u64) -> bool {
-        let keep = self.obs.on_event(view, ev, index, time);
-        self.bump();
-        keep
-    }
-
-    fn on_wire(&mut self, wire: &WireRecord) {
-        self.obs.on_wire(wire);
-        self.bump();
-    }
-
-    fn on_fault(&mut self, fault: &FaultRecord) {
-        self.obs.on_fault(fault);
         self.bump();
     }
 
@@ -918,36 +485,30 @@ mod tests {
     }
 
     #[test]
-    fn metrics_render_mentions_the_headline_numbers() {
-        let mut obs = MetricsObserver::new();
+    fn report_mentions_the_headline_numbers() {
         use msgorder_runs::MessageId;
-        obs.observe_run(
-            SystemEvent {
-                msg: MessageId(0),
-                kind: EventKind::Invoke,
-            },
-            10,
-        );
-        obs.observe_run(
-            SystemEvent {
-                msg: MessageId(0),
-                kind: EventKind::Receive,
-            },
-            30,
-        );
-        obs.observe_run(
-            SystemEvent {
-                msg: MessageId(0),
-                kind: EventKind::Deliver,
-            },
-            40,
-        );
-        let m = obs.finish(&Stats::default());
-        assert_eq!(m.deliveries, 1);
-        assert_eq!(m.delivery_latency.max, 30);
-        assert_eq!(m.inhibition.max, 10);
-        let text = m.render();
-        assert!(text.contains("deliveries          1"), "{text}");
-        assert!(text.contains("delivery latency"), "{text}");
+        let registry = SharedRegistry::new();
+        let mut live = LiveMetrics::new(registry.clone());
+        for (kind, time) in [
+            (EventKind::Invoke, 10),
+            (EventKind::Receive, 30),
+            (EventKind::Deliver, 40),
+        ] {
+            live.consume(&[KernelEvent::Run {
+                ev: SystemEvent::new(MessageId(0), kind),
+                time,
+            }]);
+        }
+        live.finish();
+        registry.with(|reg| {
+            assert_eq!(reg.counter(names::DELIVERIES, &[]), 1);
+            let latency = reg.histogram(names::DELIVERY_LATENCY, &[]);
+            assert_eq!(latency.expect("one delivery").max, 30);
+            let inhibition = reg.histogram(names::INHIBITION, &[]);
+            assert_eq!(inhibition.expect("one delivery").max, 10);
+            let text = reg.render_report();
+            assert!(text.contains("deliveries          1"), "{text}");
+            assert!(text.contains("delivery latency"), "{text}");
+        });
     }
 }

@@ -1,13 +1,20 @@
-//! A process-wide metrics registry with a Prometheus text-format face.
+//! The one store of run metrics, with a Prometheus text-format face.
 //!
-//! [`Metrics`](crate::Metrics) reports describe one finished run; a
-//! [`MetricsRegistry`] is the always-on accumulator those reports (and
-//! the live [`LiveMetrics`](crate::LiveMetrics) observer) snapshot
-//! into. It holds three kinds of series — monotone counters, gauges,
-//! and the crate's log₂ [`Histogram`]s — keyed by metric name plus an
-//! optional label set, and renders them in the Prometheus text
+//! Every number the stack reports — `simulate --metrics`, `replay
+//! --metrics`, `serve`/`soak` endpoints and snapshot files — lives in a
+//! [`MetricsRegistry`], fed by the [`LiveMetrics`](crate::LiveMetrics)
+//! observer and a handful of end-of-run folds ([`observe_drift`], the
+//! soak counters). It holds three kinds of series — monotone counters,
+//! gauges, and the crate's log₂ [`Histogram`]s — keyed by metric name
+//! plus an optional label set, and renders them in the Prometheus text
 //! exposition format (`# HELP` / `# TYPE` headers, cumulative `le`
-//! buckets derived from the log₂ buckets).
+//! buckets derived from the log₂ buckets) or as the CLI's text report
+//! ([`MetricsRegistry::render_report`]).
+//!
+//! The set of families is closed: [`FAMILIES`] is the one table giving
+//! each family's name, kind, help text, owning [`Scope`] and the label
+//! values declared up front. Updates name a family from the table (see
+//! [`names`]); an update naming anything else is refused.
 //!
 //! Naming scheme (see DESIGN.md §15): every metric is prefixed
 //! `msgorder_`, counters end in `_total`, histograms carry their unit
@@ -16,6 +23,7 @@
 //! given registry state is stable byte for byte.
 
 use crate::metrics::Histogram;
+use msgorder_simnet::RejectReason;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -23,132 +31,71 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// The standard `msgorder_*` metric names and help strings — one
-/// place, so the observer, the `Metrics` snapshot path, the soak
-/// harness, and the tests can never drift apart on spelling.
+/// The `msgorder_*` metric names. Kind, help text and label sets are in
+/// [`FAMILIES`].
 pub mod names {
     /// User messages delivered.
     pub const DELIVERIES: &str = "msgorder_deliveries_total";
-    /// Help for [`DELIVERIES`].
-    pub const HELP_DELIVERIES: &str = "User messages delivered.";
     /// User frames on the wire.
     pub const USER_FRAMES: &str = "msgorder_user_frames_total";
-    /// Help for [`USER_FRAMES`].
-    pub const HELP_USER_FRAMES: &str = "User frames put on the wire, retransmissions included.";
     /// Control frames on the wire.
     pub const CONTROL_FRAMES: &str = "msgorder_control_frames_total";
-    /// Help for [`CONTROL_FRAMES`].
-    pub const HELP_CONTROL_FRAMES: &str =
-        "Control frames put on the wire, retransmissions included.";
     /// User-frame tag bytes.
     pub const USER_BYTES: &str = "msgorder_user_bytes_total";
-    /// Help for [`USER_BYTES`].
-    pub const HELP_USER_BYTES: &str = "User-frame tag bytes on the wire.";
     /// Control-frame bytes.
     pub const CONTROL_BYTES: &str = "msgorder_control_bytes_total";
-    /// Help for [`CONTROL_BYTES`].
-    pub const HELP_CONTROL_BYTES: &str = "Control-frame bytes on the wire.";
     /// Retransmitted frames.
     pub const RETRANSMISSIONS: &str = "msgorder_retransmissions_total";
-    /// Help for [`RETRANSMISSIONS`].
-    pub const HELP_RETRANSMISSIONS: &str = "Frames marked as retransmissions.";
     /// Dropped frames, labeled by `reason` (`partition` / `loss`).
     pub const DROPS: &str = "msgorder_drops_total";
-    /// Help for [`DROPS`].
-    pub const HELP_DROPS: &str = "Frames eaten by the network, by reason.";
     /// Frames rejected by a protocol or transport guard, labeled by
-    /// `reason` (`malformed` / `stale-epoch` / `replayed` /
-    /// `unexpected` in simulation, `crc` on the real wire).
+    /// `reason` (a [`RejectReason`](msgorder_simnet::RejectReason)
+    /// label in simulation, [`REASON_CRC`] on the real wire).
     pub const REJECTED: &str = "msgorder_frames_rejected_total";
-    /// Help for [`REJECTED`].
-    pub const HELP_REJECTED: &str = "Frames rejected by validation, by reason.";
+    /// The [`REJECTED`] `reason` of a frame whose CRC did not match.
+    pub const REASON_CRC: &str = "crc";
     /// Duplicated frame copies.
     pub const DUPLICATES: &str = "msgorder_duplicate_frames_total";
-    /// Help for [`DUPLICATES`].
-    pub const HELP_DUPLICATES: &str = "Duplicate frame copies created by the network.";
     /// Crash-window effects.
     pub const CRASH_EFFECTS: &str = "msgorder_crash_effects_total";
-    /// Help for [`CRASH_EFFECTS`].
-    pub const HELP_CRASH_EFFECTS: &str = "Frames lost to (or deferred by) crash windows.";
     /// Messages abandoned before delivery.
     pub const ABANDONED: &str = "msgorder_messages_abandoned_total";
-    /// Help for [`ABANDONED`].
-    pub const HELP_ABANDONED: &str =
-        "Messages evicted from latency tracking on a terminal outcome (never delivered).";
     /// Messages currently awaiting delivery.
     pub const IN_FLIGHT: &str = "msgorder_in_flight_messages";
-    /// Help for [`IN_FLIGHT`].
-    pub const HELP_IN_FLIGHT: &str = "Messages invoked or received but not yet delivered.";
     /// Delivery latency histogram (sim ticks).
     pub const DELIVERY_LATENCY: &str = "msgorder_delivery_latency_ticks";
-    /// Help for [`DELIVERY_LATENCY`].
-    pub const HELP_DELIVERY_LATENCY: &str =
-        "End-to-end delivery latency (deliver - invoke), sim ticks.";
     /// Inhibition histogram (sim ticks).
     pub const INHIBITION: &str = "msgorder_inhibition_ticks";
-    /// Help for [`INHIBITION`].
-    pub const HELP_INHIBITION: &str = "Protocol inhibition (deliver - receive), sim ticks.";
     /// Online-monitor delta-search timings (host nanoseconds).
     pub const MONITOR_SEARCH: &str = "msgorder_monitor_search_nanos";
-    /// Help for [`MONITOR_SEARCH`].
-    pub const HELP_MONITOR_SEARCH: &str =
-        "Online monitor delta-search durations, host nanoseconds.";
     /// Realtime kernel dispatches.
     pub const RT_DISPATCHES: &str = "msgorder_realtime_dispatches_total";
-    /// Help for [`RT_DISPATCHES`].
-    pub const HELP_RT_DISPATCHES: &str = "Events dispatched by the realtime kernel.";
     /// Realtime dispatches that ran behind the wall clock.
     pub const RT_LATE: &str = "msgorder_realtime_late_dispatches_total";
-    /// Help for [`RT_LATE`].
-    pub const HELP_RT_LATE: &str = "Realtime dispatches that ran later than their virtual time.";
     /// Worst positive drift seen (ticks).
     pub const RT_MAX_DRIFT: &str = "msgorder_realtime_max_drift_ticks";
-    /// Help for [`RT_MAX_DRIFT`].
-    pub const HELP_RT_MAX_DRIFT: &str =
-        "Largest wall-behind-schedule drift observed, virtual ticks.";
     /// Most negative drift seen (ticks; negative means the wall clock
     /// read earlier than the virtual schedule).
     pub const RT_MIN_DRIFT: &str = "msgorder_realtime_min_drift_ticks";
-    /// Help for [`RT_MIN_DRIFT`].
-    pub const HELP_RT_MIN_DRIFT: &str =
-        "Most negative drift observed (wall ahead of schedule), virtual ticks.";
     /// Backwards wall-clock steps.
     pub const RT_CLOCK_BACKWARDS: &str = "msgorder_clock_backwards_total";
-    /// Help for [`RT_CLOCK_BACKWARDS`].
-    pub const HELP_RT_CLOCK_BACKWARDS: &str =
-        "Times the wall clock read earlier than a previous reading.";
     /// Soak episodes completed.
     pub const SOAK_EPISODES: &str = "msgorder_soak_episodes_total";
-    /// Help for [`SOAK_EPISODES`].
-    pub const HELP_SOAK_EPISODES: &str = "Soak episodes completed.";
     /// Soak messages injected.
     pub const SOAK_MESSAGES: &str = "msgorder_soak_messages_total";
-    /// Help for [`SOAK_MESSAGES`].
-    pub const HELP_SOAK_MESSAGES: &str = "User messages injected across soak episodes.";
     /// Soak episodes whose online monitor saw a spec violation.
     pub const SOAK_VIOLATIONS: &str = "msgorder_soak_spec_violations_total";
-    /// Help for [`SOAK_VIOLATIONS`].
-    pub const HELP_SOAK_VIOLATIONS: &str =
-        "Soak episodes where the online monitor flagged a specification violation.";
     /// Soak episodes that ended in a structured protocol bug.
     pub const SOAK_PROTOCOL_BUGS: &str = "msgorder_soak_protocol_bugs_total";
-    /// Help for [`SOAK_PROTOCOL_BUGS`].
-    pub const HELP_SOAK_PROTOCOL_BUGS: &str =
-        "Soak episodes that ended in a structured protocol bug (SimError).";
     /// Soak episodes with a non-live verdict.
     pub const SOAK_NONLIVE: &str = "msgorder_soak_nonlive_episodes_total";
-    /// Help for [`SOAK_NONLIVE`].
-    pub const HELP_SOAK_NONLIVE: &str =
-        "Soak episodes whose liveness verdict reported stuck messages.";
-    /// Stuck messages by blame class.
+    /// Stuck messages, labeled by blame `class`.
     pub const SOAK_STUCK: &str = "msgorder_soak_stuck_messages_total";
-    /// Help for [`SOAK_STUCK`].
-    pub const HELP_SOAK_STUCK: &str =
-        "Stuck messages reported by liveness blame analysis, by class.";
     /// Soak wall-clock uptime.
     pub const SOAK_UPTIME: &str = "msgorder_soak_uptime_seconds";
-    /// Help for [`SOAK_UPTIME`].
-    pub const HELP_SOAK_UPTIME: &str = "Wall-clock seconds since the soak started.";
+    /// Snapshot writes the [`FileExporter`](super::FileExporter) could
+    /// not complete — it has no caller to report errors to.
+    pub const EXPORT_ERRORS: &str = "msgorder_metrics_export_errors_total";
 }
 
 /// What a metric family measures: its Prometheus `# TYPE`.
@@ -172,6 +119,246 @@ impl MetricKind {
     }
 }
 
+/// Which producer feeds a family. A registry declares one scope at a
+/// time ([`MetricsRegistry::declare`]), so a scrape shows every family
+/// its producers can feed — and only those — before the first sample.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scope {
+    /// One kernel run, fed by [`LiveMetrics`](crate::LiveMetrics).
+    Run,
+    /// The online monitor's search timings.
+    Monitor,
+    /// The realtime kernel's drift statistics ([`observe_drift`]).
+    Realtime,
+    /// The soak harness's episode counters.
+    Soak,
+    /// The [`FileExporter`]'s own failures.
+    Exporter,
+}
+
+/// One row of [`FAMILIES`].
+#[derive(Debug)]
+pub struct FamilySpec {
+    /// The family name, one of [`names`].
+    pub name: &'static str,
+    /// Its Prometheus `# TYPE`.
+    pub kind: MetricKind,
+    /// Its `# HELP` text.
+    pub help: &'static str,
+    /// The producer that feeds it.
+    pub scope: Scope,
+    /// The label key and the values whose series are declared at zero;
+    /// `None` for a family with one unlabeled series.
+    pub labels: Option<(&'static str, &'static [&'static str])>,
+}
+
+impl FamilySpec {
+    const fn labeled(mut self, key: &'static str, values: &'static [&'static str]) -> FamilySpec {
+        self.labels = Some((key, values));
+        self
+    }
+}
+
+/// Every metric family: the one place a name is tied to its kind, help
+/// text and declared label values. Declaration, the registry's updates
+/// and the `# HELP` / `# TYPE` encoding all read it.
+pub static FAMILIES: &[FamilySpec] = {
+    use names::*;
+    use MetricKind::{Counter, Gauge, Histogram};
+    use Scope::{Exporter, Monitor, Realtime, Run, Soak};
+    const fn row(
+        scope: Scope,
+        kind: MetricKind,
+        name: &'static str,
+        help: &'static str,
+    ) -> FamilySpec {
+        FamilySpec {
+            name,
+            kind,
+            help,
+            scope,
+            labels: None,
+        }
+    }
+    &[
+        row(Run, Counter, DELIVERIES, "User messages delivered."),
+        row(
+            Run,
+            Counter,
+            USER_FRAMES,
+            "User frames put on the wire, retransmissions included.",
+        ),
+        row(
+            Run,
+            Counter,
+            CONTROL_FRAMES,
+            "Control frames put on the wire, retransmissions included.",
+        ),
+        row(
+            Run,
+            Counter,
+            USER_BYTES,
+            "User-frame tag bytes on the wire.",
+        ),
+        row(
+            Run,
+            Counter,
+            CONTROL_BYTES,
+            "Control-frame bytes on the wire.",
+        ),
+        row(
+            Run,
+            Counter,
+            RETRANSMISSIONS,
+            "Frames marked as retransmissions.",
+        ),
+        row(
+            Run,
+            Counter,
+            DROPS,
+            "Frames eaten by the network, by reason.",
+        )
+        .labeled("reason", &["loss", "partition"]),
+        row(
+            Run,
+            Counter,
+            REJECTED,
+            "Frames rejected by validation, by reason.",
+        )
+        .labeled(
+            "reason",
+            &[
+                RejectReason::Malformed.label(),
+                RejectReason::StaleEpoch.label(),
+                RejectReason::Replayed.label(),
+                RejectReason::Unexpected.label(),
+                REASON_CRC,
+            ],
+        ),
+        row(
+            Run,
+            Counter,
+            DUPLICATES,
+            "Duplicate frame copies created by the network.",
+        ),
+        row(
+            Run,
+            Counter,
+            CRASH_EFFECTS,
+            "Frames lost to (or deferred by) crash windows.",
+        ),
+        row(
+            Run,
+            Counter,
+            ABANDONED,
+            "Messages evicted from latency tracking on a terminal outcome (never delivered).",
+        ),
+        row(
+            Run,
+            Gauge,
+            IN_FLIGHT,
+            "Messages invoked or received but not yet delivered.",
+        ),
+        row(
+            Run,
+            Histogram,
+            DELIVERY_LATENCY,
+            "End-to-end delivery latency (deliver - invoke), sim ticks.",
+        ),
+        row(
+            Run,
+            Histogram,
+            INHIBITION,
+            "Protocol inhibition (deliver - receive), sim ticks.",
+        ),
+        row(
+            Monitor,
+            Histogram,
+            MONITOR_SEARCH,
+            "Online monitor delta-search durations, host nanoseconds.",
+        ),
+        row(
+            Realtime,
+            Counter,
+            RT_DISPATCHES,
+            "Events dispatched by the realtime kernel.",
+        ),
+        row(
+            Realtime,
+            Counter,
+            RT_LATE,
+            "Realtime dispatches that ran later than their virtual time.",
+        ),
+        row(
+            Realtime,
+            Gauge,
+            RT_MAX_DRIFT,
+            "Largest wall-behind-schedule drift observed, virtual ticks.",
+        ),
+        row(
+            Realtime,
+            Gauge,
+            RT_MIN_DRIFT,
+            "Most negative drift observed (wall ahead of schedule), virtual ticks.",
+        ),
+        row(
+            Realtime,
+            Counter,
+            RT_CLOCK_BACKWARDS,
+            "Times the wall clock read earlier than a previous reading.",
+        ),
+        row(Soak, Counter, SOAK_EPISODES, "Soak episodes completed."),
+        row(
+            Soak,
+            Counter,
+            SOAK_MESSAGES,
+            "User messages injected across soak episodes.",
+        ),
+        row(
+            Soak,
+            Counter,
+            SOAK_VIOLATIONS,
+            "Soak episodes where the online monitor flagged a specification violation.",
+        ),
+        row(
+            Soak,
+            Counter,
+            SOAK_PROTOCOL_BUGS,
+            "Soak episodes that ended in a structured protocol bug (SimError).",
+        ),
+        row(
+            Soak,
+            Counter,
+            SOAK_NONLIVE,
+            "Soak episodes whose liveness verdict reported stuck messages.",
+        ),
+        row(
+            Soak,
+            Counter,
+            SOAK_STUCK,
+            "Stuck messages reported by liveness blame analysis, by class.",
+        )
+        .labeled("class", &[]),
+        row(
+            Soak,
+            Gauge,
+            SOAK_UPTIME,
+            "Wall-clock seconds since the soak started.",
+        ),
+        row(
+            Exporter,
+            Counter,
+            EXPORT_ERRORS,
+            "Metrics snapshot writes that failed.",
+        ),
+    ]
+};
+
+/// The [`FAMILIES`] row of `name`, if it has one.
+fn spec_of(name: &str) -> Option<&'static FamilySpec> {
+    FAMILIES.iter().find(|s| s.name == name)
+}
+
 #[derive(Debug, Clone)]
 enum Sample {
     Counter(u64),
@@ -181,21 +368,20 @@ enum Sample {
 
 #[derive(Debug, Clone)]
 struct Family {
-    kind: MetricKind,
-    help: String,
+    spec: &'static FamilySpec,
     /// Keyed by the canonical rendered label set (`""` for none).
     series: BTreeMap<String, Sample>,
 }
 
-/// The metric accumulator behind the Prometheus endpoint.
+/// The metric accumulator behind the Prometheus endpoint and the CLI's
+/// text report.
 ///
-/// All mutating entry points take the family's help text so call sites
-/// stay self-documenting; the first registration of a name fixes its
-/// kind and help, and later calls with a conflicting kind are ignored
-/// (debug builds assert — that is a programming error, not data).
+/// Updates name their family by its [`names`] constant; kind and help
+/// come from [`FAMILIES`]. An update whose name is not in the table, or
+/// whose kind is not the table's, is refused: it changes nothing.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    families: BTreeMap<String, Family>,
+    families: BTreeMap<&'static str, Family>,
 }
 
 /// Renders a label set in canonical form: sorted by key, values
@@ -232,88 +418,94 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// True when no family has been registered yet.
-    pub fn is_empty(&self) -> bool {
-        self.families.is_empty()
+    /// Declares every family of `scope` with its fixed series at zero,
+    /// so a scrape shows the full schema before the first sample lands.
+    /// Series that already hold a value keep it.
+    pub fn declare(&mut self, scope: Scope) {
+        for spec in FAMILIES.iter().filter(|s| s.scope == scope) {
+            let Some(fam) = self.family(spec.name, spec.kind) else {
+                continue;
+            };
+            let zero = match spec.kind {
+                MetricKind::Counter => Sample::Counter(0),
+                MetricKind::Gauge => Sample::Gauge(0.0),
+                // A histogram series appears with its first sample.
+                MetricKind::Histogram => continue,
+            };
+            let keys = match spec.labels {
+                None => vec![String::new()],
+                Some((key, values)) => values.iter().map(|v| label_string(&[(key, v)])).collect(),
+            };
+            for key in keys {
+                fam.series.entry(key).or_insert_with(|| zero.clone());
+            }
+        }
     }
 
-    fn family(&mut self, name: &str, kind: MetricKind, help: &str) -> Option<&mut Family> {
-        let fam = self
-            .families
-            .entry(name.to_string())
-            .or_insert_with(|| Family {
-                kind,
-                help: help.to_string(),
-                series: BTreeMap::new(),
-            });
-        if fam.kind != kind {
-            debug_assert!(
-                false,
-                "metric {name} re-registered as {kind:?}, was {:?}",
-                fam.kind
+    /// The family `name` as `kind`, created series-less from
+    /// [`FAMILIES`] on first touch; `None` refuses the update.
+    fn family(&mut self, name: &str, kind: MetricKind) -> Option<&mut Family> {
+        if !self.families.contains_key(name) {
+            let spec = spec_of(name)?;
+            self.families.insert(
+                spec.name,
+                Family {
+                    spec,
+                    series: BTreeMap::new(),
+                },
             );
-            return None;
         }
-        Some(fam)
+        self.families
+            .get_mut(name)
+            .filter(|fam| fam.spec.kind == kind)
     }
 
     /// Adds `delta` to a counter series, creating it at zero first.
-    pub fn add_counter(&mut self, name: &str, labels: &[(&str, &str)], help: &str, delta: u64) {
-        let key = label_string(labels);
-        if let Some(fam) = self.family(name, MetricKind::Counter, help) {
-            match fam.series.entry(key).or_insert(Sample::Counter(0)) {
-                Sample::Counter(c) => *c += delta,
-                _ => debug_assert!(false, "series kind mismatch for {name}"),
+    pub fn add_counter(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
+        if let Some(fam) = self.family(name, MetricKind::Counter) {
+            if let Sample::Counter(c) = fam
+                .series
+                .entry(label_string(labels))
+                .or_insert(Sample::Counter(0))
+            {
+                *c += delta;
             }
         }
     }
 
     /// Sets a gauge series to `value`.
-    pub fn set_gauge(&mut self, name: &str, labels: &[(&str, &str)], help: &str, value: f64) {
-        let key = label_string(labels);
-        if let Some(fam) = self.family(name, MetricKind::Gauge, help) {
-            fam.series.insert(key, Sample::Gauge(value));
+    pub fn set_gauge(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
+        if let Some(fam) = self.family(name, MetricKind::Gauge) {
+            fam.series
+                .insert(label_string(labels), Sample::Gauge(value));
         }
     }
 
-    /// Sets a gauge from a signed integer (drift extrema are signed).
-    pub fn set_gauge_i64(&mut self, name: &str, labels: &[(&str, &str)], help: &str, value: i64) {
-        self.set_gauge(name, labels, help, value as f64);
-    }
-
-    /// Merges `h` into a histogram series (bucket-wise addition).
-    pub fn merge_histogram(
-        &mut self,
-        name: &str,
-        labels: &[(&str, &str)],
-        help: &str,
-        h: &Histogram,
-    ) {
+    /// Merges `h` into a histogram series (bucket-wise addition). An
+    /// empty `h` still makes the family show on the endpoint.
+    pub fn merge_histogram(&mut self, name: &str, labels: &[(&str, &str)], h: &Histogram) {
+        let Some(fam) = self.family(name, MetricKind::Histogram) else {
+            return;
+        };
         if h.count == 0 {
-            // Still register the family so the endpoint shows it.
-            self.family(name, MetricKind::Histogram, help);
             return;
         }
-        let key = label_string(labels);
-        if let Some(fam) = self.family(name, MetricKind::Histogram, help) {
-            match fam
-                .series
-                .entry(key)
-                .or_insert_with(|| Sample::Histogram(Histogram::new()))
-            {
-                Sample::Histogram(mine) => mine.merge(h),
-                _ => debug_assert!(false, "series kind mismatch for {name}"),
-            }
+        if let Sample::Histogram(mine) = fam
+            .series
+            .entry(label_string(labels))
+            .or_insert_with(|| Sample::Histogram(Histogram::new()))
+        {
+            mine.merge(h);
         }
+    }
+
+    fn sample(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Sample> {
+        self.families.get(name)?.series.get(&label_string(labels))
     }
 
     /// Current value of a counter series (0 when absent).
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        match self
-            .families
-            .get(name)
-            .and_then(|f| f.series.get(&label_string(labels)))
-        {
+        match self.sample(name, labels) {
             Some(Sample::Counter(c)) => *c,
             _ => 0,
         }
@@ -321,11 +513,7 @@ impl MetricsRegistry {
 
     /// Current value of a gauge series, if set.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        match self
-            .families
-            .get(name)
-            .and_then(|f| f.series.get(&label_string(labels)))
-        {
+        match self.sample(name, labels) {
             Some(Sample::Gauge(g)) => Some(*g),
             _ => None,
         }
@@ -333,11 +521,7 @@ impl MetricsRegistry {
 
     /// The accumulated histogram behind a series, if any samples landed.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Histogram> {
-        match self
-            .families
-            .get(name)
-            .and_then(|f| f.series.get(&label_string(labels)))
-        {
+        match self.sample(name, labels) {
             Some(Sample::Histogram(h)) => Some(h),
             _ => None,
         }
@@ -348,7 +532,7 @@ impl MetricsRegistry {
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (name, fam) in &other.families {
             // Register even series-less families so they carry over.
-            let Some(target) = self.family(name, fam.kind, &fam.help) else {
+            let Some(target) = self.family(name, fam.spec.kind) else {
                 continue;
             };
             for (key, sample) in &fam.series {
@@ -388,8 +572,8 @@ impl MetricsRegistry {
     pub fn encode(&self) -> String {
         let mut out = String::new();
         for (name, fam) in &self.families {
-            out.push_str(&format!("# HELP {name} {}\n", escape_help(&fam.help)));
-            out.push_str(&format!("# TYPE {name} {}\n", fam.kind.as_str()));
+            out.push_str(&format!("# HELP {name} {}\n", escape_help(fam.spec.help)));
+            out.push_str(&format!("# TYPE {name} {}\n", fam.spec.kind.as_str()));
             for (key, sample) in &fam.series {
                 match sample {
                     Sample::Counter(c) => {
@@ -403,6 +587,88 @@ impl MetricsRegistry {
                     }
                 }
             }
+        }
+        out
+    }
+
+    /// Renders the [`Scope::Run`] and [`Scope::Monitor`] families as
+    /// the text block `msgorder simulate --metrics` and `replay
+    /// --metrics` print. Timings are in simulated ticks, except the
+    /// monitor's host nanoseconds.
+    pub fn render_report(&self) -> String {
+        let count = |name| self.counter(name, &[]);
+        let by_reason = |name, reason| self.counter(name, &[("reason", reason)]);
+        let hist = |name| self.histogram(name, &[]).cloned().unwrap_or_default();
+        let (user, control) = (count(names::USER_FRAMES), count(names::CONTROL_FRAMES));
+        let mut out = format!("deliveries          {}\n", count(names::DELIVERIES));
+        out.push_str(&format!(
+            "wire frames         {user} user + {control} control ({:.2} ctl/user), {} retransmitted\n",
+            if user == 0 {
+                0.0
+            } else {
+                control as f64 / user as f64
+            },
+            count(names::RETRANSMISSIONS)
+        ));
+        out.push_str(&format!(
+            "wire bytes          {} tag + {} control\n",
+            count(names::USER_BYTES),
+            count(names::CONTROL_BYTES)
+        ));
+        out.push_str(&format!(
+            "faults              {} partition drops, {} losses, {} duplicates, {} crash effects\n",
+            by_reason(names::DROPS, "partition"),
+            by_reason(names::DROPS, "loss"),
+            count(names::DUPLICATES),
+            count(names::CRASH_EFFECTS)
+        ));
+        let rejected: Vec<(&str, u64)> = spec_of(names::REJECTED)
+            .and_then(|s| s.labels)
+            .map_or(&[][..], |(_, reasons)| reasons)
+            .iter()
+            .map(|&r| (r, by_reason(names::REJECTED, r)))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        if !rejected.is_empty() {
+            let reasons: Vec<String> = rejected.iter().map(|(r, n)| format!("{r} {n}")).collect();
+            out.push_str(&format!(
+                "rejected frames     {} ({})\n",
+                rejected.iter().map(|&(_, n)| n).sum::<u64>(),
+                reasons.join(", ")
+            ));
+        }
+        let abandoned = count(names::ABANDONED);
+        if abandoned > 0 {
+            out.push_str(&format!(
+                "abandoned           {abandoned} messages never delivered\n"
+            ));
+        }
+        let latency = hist(names::DELIVERY_LATENCY);
+        out.push_str(&format!(
+            "delivery latency    mean {:.1}, p50 ≤{}, p99 ≤{}, max {} ticks\n",
+            latency.mean(),
+            latency.quantile(0.5),
+            latency.quantile(0.99),
+            latency.max
+        ));
+        out.push_str("  histogram (ticks):\n");
+        out.push_str(&latency.render("    "));
+        let inhibition = hist(names::INHIBITION);
+        out.push_str(&format!(
+            "inhibition          mean {:.1}, max {} ticks\n",
+            inhibition.mean(),
+            inhibition.max
+        ));
+        if let Some(mon) = self.histogram(names::MONITOR_SEARCH, &[]) {
+            out.push_str(&format!(
+                "monitor searches    {} (mean {:.0} ns, p99 ≤{} ns, max {} ns)\n",
+                mon.count,
+                mon.mean(),
+                mon.quantile(0.99),
+                mon.max
+            ));
+            out.push_str("  histogram (ns):\n");
+            out.push_str(&mon.render("    "));
         }
         out
     }
@@ -467,83 +733,25 @@ fn encode_histogram(out: &mut String, name: &str, key: &str, h: &Histogram) {
     ));
 }
 
-/// Pre-registers every run-level metric family at zero so scrapers see
-/// the full schema from the first scrape, before any traffic flows.
-/// Called once per [`LiveMetrics`](crate::LiveMetrics); the observer's
-/// delta flushes can then skip zero counters without hiding families.
-pub fn declare_run_families(reg: &mut MetricsRegistry) {
-    reg.add_counter(names::DELIVERIES, &[], names::HELP_DELIVERIES, 0);
-    reg.add_counter(names::USER_FRAMES, &[], names::HELP_USER_FRAMES, 0);
-    reg.add_counter(names::CONTROL_FRAMES, &[], names::HELP_CONTROL_FRAMES, 0);
-    reg.add_counter(names::USER_BYTES, &[], names::HELP_USER_BYTES, 0);
-    reg.add_counter(names::CONTROL_BYTES, &[], names::HELP_CONTROL_BYTES, 0);
-    reg.add_counter(names::RETRANSMISSIONS, &[], names::HELP_RETRANSMISSIONS, 0);
-    reg.add_counter(
-        names::DROPS,
-        &[("reason", "partition")],
-        names::HELP_DROPS,
-        0,
-    );
-    reg.add_counter(names::DROPS, &[("reason", "loss")], names::HELP_DROPS, 0);
-    for reason in ["malformed", "stale-epoch", "replayed", "unexpected", "crc"] {
-        reg.add_counter(
-            names::REJECTED,
-            &[("reason", reason)],
-            names::HELP_REJECTED,
-            0,
-        );
-    }
-    reg.add_counter(names::DUPLICATES, &[], names::HELP_DUPLICATES, 0);
-    reg.add_counter(names::CRASH_EFFECTS, &[], names::HELP_CRASH_EFFECTS, 0);
-    reg.add_counter(names::ABANDONED, &[], names::HELP_ABANDONED, 0);
-    reg.set_gauge(names::IN_FLIGHT, &[], names::HELP_IN_FLIGHT, 0.0);
-    let empty = Histogram::new();
-    reg.merge_histogram(
-        names::DELIVERY_LATENCY,
-        &[],
-        names::HELP_DELIVERY_LATENCY,
-        &empty,
-    );
-    reg.merge_histogram(names::INHIBITION, &[], names::HELP_INHIBITION, &empty);
-}
-
 /// Folds one realtime run's [`DriftStats`](msgorder_simnet::DriftStats)
 /// into the registry: dispatch/late/backwards counts accumulate,
 /// drift extrema land as gauges (widened, not overwritten, so a soak of
 /// many runs keeps its worst excursions).
 pub fn observe_drift(reg: &mut MetricsRegistry, drift: &msgorder_simnet::DriftStats) {
-    reg.add_counter(
-        names::RT_DISPATCHES,
-        &[],
-        names::HELP_RT_DISPATCHES,
-        drift.dispatches,
-    );
-    reg.add_counter(names::RT_LATE, &[], names::HELP_RT_LATE, drift.late);
-    reg.add_counter(
-        names::RT_CLOCK_BACKWARDS,
-        &[],
-        names::HELP_RT_CLOCK_BACKWARDS,
-        drift.clock_went_backwards,
-    );
-    let worst_min = reg
-        .gauge(names::RT_MIN_DRIFT, &[])
-        .unwrap_or(0.0)
-        .min(drift.min_drift as f64);
-    reg.set_gauge_i64(
+    reg.add_counter(names::RT_DISPATCHES, &[], drift.dispatches);
+    reg.add_counter(names::RT_LATE, &[], drift.late);
+    reg.add_counter(names::RT_CLOCK_BACKWARDS, &[], drift.clock_went_backwards);
+    let worst_min = reg.gauge(names::RT_MIN_DRIFT, &[]).unwrap_or(0.0);
+    reg.set_gauge(
         names::RT_MIN_DRIFT,
         &[],
-        names::HELP_RT_MIN_DRIFT,
-        worst_min as i64,
+        worst_min.min(drift.min_drift as f64),
     );
-    let worst_max = reg
-        .gauge(names::RT_MAX_DRIFT, &[])
-        .unwrap_or(0.0)
-        .max(drift.max_drift as f64);
-    reg.set_gauge_i64(
+    let worst_max = reg.gauge(names::RT_MAX_DRIFT, &[]).unwrap_or(0.0);
+    reg.set_gauge(
         names::RT_MAX_DRIFT,
         &[],
-        names::HELP_RT_MAX_DRIFT,
-        worst_max as i64,
+        worst_max.max(drift.max_drift as f64),
     );
 }
 
@@ -616,10 +824,6 @@ pub struct FileExporter {
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
-/// Counter bumped (in the exported registry itself) when a snapshot
-/// write fails — the exporter has no caller to report errors to.
-pub const EXPORT_ERRORS: &str = "msgorder_metrics_export_errors_total";
-
 fn write_snapshot(path: &PathBuf, registry: &SharedRegistry) {
     let text = registry.encode();
     let tmp = path.with_extension("prom.tmp");
@@ -631,20 +835,15 @@ fn write_snapshot(path: &PathBuf, registry: &SharedRegistry) {
         Ok(())
     })();
     if result.is_err() {
-        registry.with(|reg| {
-            reg.add_counter(
-                EXPORT_ERRORS,
-                &[],
-                "Metrics snapshot writes that failed.",
-                1,
-            );
-        });
+        registry.with(|reg| reg.add_counter(names::EXPORT_ERRORS, &[], 1));
     }
 }
 
 impl FileExporter {
-    /// Starts the exporter thread, snapshotting every `period`.
+    /// Starts the exporter thread, snapshotting every `period`, and
+    /// declares [`Scope::Exporter`] in `registry`.
     pub fn start(path: PathBuf, registry: SharedRegistry, period: Duration) -> FileExporter {
+        registry.with(|reg| reg.declare(Scope::Exporter));
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
@@ -692,22 +891,22 @@ mod tests {
     #[test]
     fn counters_and_gauges_encode_stably() {
         let mut reg = MetricsRegistry::new();
-        reg.add_counter("msgorder_b_total", &[], "b", 2);
-        reg.add_counter("msgorder_a_total", &[("reason", "loss")], "a", 3);
-        reg.add_counter("msgorder_a_total", &[("reason", "partition")], "a", 1);
-        reg.set_gauge("msgorder_g", &[], "g", 1.5);
+        reg.add_counter(names::SOAK_EPISODES, &[], 2);
+        reg.add_counter(names::DROPS, &[("reason", "loss")], 3);
+        reg.add_counter(names::DROPS, &[("reason", "partition")], 1);
+        reg.set_gauge(names::SOAK_UPTIME, &[], 1.5);
         let text = reg.encode();
         let expected = "\
-# HELP msgorder_a_total a
-# TYPE msgorder_a_total counter
-msgorder_a_total{reason=\"loss\"} 3
-msgorder_a_total{reason=\"partition\"} 1
-# HELP msgorder_b_total b
-# TYPE msgorder_b_total counter
-msgorder_b_total 2
-# HELP msgorder_g g
-# TYPE msgorder_g gauge
-msgorder_g 1.5
+# HELP msgorder_drops_total Frames eaten by the network, by reason.
+# TYPE msgorder_drops_total counter
+msgorder_drops_total{reason=\"loss\"} 3
+msgorder_drops_total{reason=\"partition\"} 1
+# HELP msgorder_soak_episodes_total Soak episodes completed.
+# TYPE msgorder_soak_episodes_total counter
+msgorder_soak_episodes_total 2
+# HELP msgorder_soak_uptime_seconds Wall-clock seconds since the soak started.
+# TYPE msgorder_soak_uptime_seconds gauge
+msgorder_soak_uptime_seconds 1.5
 ";
         assert_eq!(text, expected);
     }
@@ -719,40 +918,46 @@ msgorder_g 1.5
         for v in [0, 1, 2, 5] {
             h.record(v);
         }
-        reg.merge_histogram("msgorder_lat_ticks", &[], "latency", &h);
+        reg.merge_histogram(names::INHIBITION, &[], &h);
         let text = reg.encode();
         assert!(
-            text.contains("# TYPE msgorder_lat_ticks histogram"),
+            text.contains("# TYPE msgorder_inhibition_ticks histogram"),
             "{text}"
         );
         assert!(
-            text.contains("msgorder_lat_ticks_bucket{le=\"1\"} 2\n"),
+            text.contains("msgorder_inhibition_ticks_bucket{le=\"1\"} 2\n"),
             "{text}"
         );
         assert!(
-            text.contains("msgorder_lat_ticks_bucket{le=\"3\"} 3\n"),
+            text.contains("msgorder_inhibition_ticks_bucket{le=\"3\"} 3\n"),
             "{text}"
         );
         assert!(
-            text.contains("msgorder_lat_ticks_bucket{le=\"7\"} 4\n"),
+            text.contains("msgorder_inhibition_ticks_bucket{le=\"7\"} 4\n"),
             "{text}"
         );
         assert!(
-            text.contains("msgorder_lat_ticks_bucket{le=\"+Inf\"} 4\n"),
+            text.contains("msgorder_inhibition_ticks_bucket{le=\"+Inf\"} 4\n"),
             "{text}"
         );
-        assert!(text.contains("msgorder_lat_ticks_sum 8\n"), "{text}");
-        assert!(text.contains("msgorder_lat_ticks_count 4\n"), "{text}");
+        assert!(text.contains("msgorder_inhibition_ticks_sum 8\n"), "{text}");
+        assert!(
+            text.contains("msgorder_inhibition_ticks_count 4\n"),
+            "{text}"
+        );
     }
 
     #[test]
     fn parse_round_trips_encode() {
         let mut reg = MetricsRegistry::new();
-        reg.add_counter("msgorder_x_total", &[("k", "v")], "x", 7);
-        reg.set_gauge("msgorder_y", &[], "y", -2.0);
+        reg.add_counter(names::SOAK_STUCK, &[("class", "v")], 7);
+        reg.set_gauge(names::RT_MIN_DRIFT, &[], -2.0);
         let samples = parse_samples(&reg.encode()).expect("parses");
-        assert_eq!(samples["msgorder_x_total{k=\"v\"}"], 7.0);
-        assert_eq!(samples["msgorder_y"], -2.0);
+        assert_eq!(
+            samples["msgorder_soak_stuck_messages_total{class=\"v\"}"],
+            7.0
+        );
+        assert_eq!(samples[names::RT_MIN_DRIFT], -2.0);
     }
 
     #[test]
@@ -766,16 +971,16 @@ msgorder_g 1.5
     fn merge_adds_counters_and_histograms() {
         let mut a = MetricsRegistry::new();
         let mut b = MetricsRegistry::new();
-        a.add_counter("msgorder_c_total", &[], "c", 1);
-        b.add_counter("msgorder_c_total", &[], "c", 2);
+        a.add_counter(names::DELIVERIES, &[], 1);
+        b.add_counter(names::DELIVERIES, &[], 2);
         let mut h = Histogram::new();
         h.record(4);
-        a.merge_histogram("msgorder_h_ticks", &[], "h", &h);
-        b.merge_histogram("msgorder_h_ticks", &[], "h", &h);
+        a.merge_histogram(names::INHIBITION, &[], &h);
+        b.merge_histogram(names::INHIBITION, &[], &h);
         a.merge(&b);
-        assert_eq!(a.counter("msgorder_c_total", &[]), 3);
+        assert_eq!(a.counter(names::DELIVERIES, &[]), 3);
         assert_eq!(
-            a.histogram("msgorder_h_ticks", &[]).expect("merged").count,
+            a.histogram(names::INHIBITION, &[]).expect("merged").count,
             2
         );
     }
@@ -783,9 +988,39 @@ msgorder_g 1.5
     #[test]
     fn label_values_are_escaped() {
         let mut reg = MetricsRegistry::new();
-        reg.add_counter("msgorder_e_total", &[("k", "a\"b\\c\nd")], "e", 1);
+        reg.add_counter(names::SOAK_STUCK, &[("class", "a\"b\\c\nd")], 1);
         let text = reg.encode();
-        assert!(text.contains("k=\"a\\\"b\\\\c\\nd\""), "{text}");
+        assert!(text.contains("class=\"a\\\"b\\\\c\\nd\""), "{text}");
+    }
+
+    #[test]
+    fn updates_outside_the_table_are_refused() {
+        let mut reg = MetricsRegistry::new();
+        reg.add_counter("msgorder_no_such_total", &[], 1);
+        reg.set_gauge("msgorder_no_such_gauge", &[], 1.0);
+        reg.merge_histogram("msgorder_no_such_ticks", &[], &Histogram::new());
+        assert_eq!(reg.encode(), "", "a name outside FAMILIES declares nothing");
+        // So is a table name used as another kind.
+        reg.set_gauge(names::DELIVERIES, &[], 9.0);
+        reg.add_counter(names::IN_FLIGHT, &[], 9);
+        assert_eq!(reg.gauge(names::DELIVERIES, &[]), None);
+        assert_eq!(reg.counter(names::IN_FLIGHT, &[]), 0);
+        assert!(!reg.encode().contains(" 9"), "{}", reg.encode());
+    }
+
+    #[test]
+    fn report_lists_rejections_by_reason() {
+        let mut reg = MetricsRegistry::new();
+        reg.declare(Scope::Run);
+        let clean = reg.render_report();
+        assert!(!clean.contains("rejected frames"), "{clean}");
+        reg.add_counter(names::REJECTED, &[("reason", "malformed")], 3);
+        reg.add_counter(names::REJECTED, &[("reason", names::REASON_CRC)], 1);
+        let text = reg.render_report();
+        assert!(
+            text.contains("rejected frames     4 (malformed 3, crc 1)"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -794,11 +1029,15 @@ msgorder_g 1.5
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("metrics.prom");
         let shared = SharedRegistry::new();
-        shared.with(|r| r.add_counter("msgorder_t_total", &[], "t", 5));
+        shared.with(|r| r.add_counter(names::DELIVERIES, &[], 5));
         let exporter = FileExporter::start(path.clone(), shared.clone(), Duration::from_secs(3600));
         exporter.stop();
         let text = std::fs::read_to_string(&path).expect("snapshot written");
-        assert!(text.contains("msgorder_t_total 5"), "{text}");
+        assert!(text.contains("msgorder_deliveries_total 5"), "{text}");
+        assert!(
+            text.contains("msgorder_metrics_export_errors_total 0"),
+            "{text}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,7 +19,7 @@
 //! fit in the duration varies between hosts.
 
 use crate::chaos::{sample_adversarial_faults, sample_schedule_faults, SplitMix64};
-use crate::registry::{names, SharedRegistry};
+use crate::registry::{names, Scope, SharedRegistry};
 use crate::{LiveMetrics, Setup, TraceError};
 use msgorder_protocols::OnlineMonitor;
 use msgorder_simnet::{FaultModel, LatencyModel, SimConfig, Simulation, Workload};
@@ -142,8 +142,9 @@ pub fn rss_kb() -> Option<u64> {
 }
 
 /// Runs the soak loop until `config.duration` elapses (or
-/// `max_episodes` is hit), streaming metrics into `registry` and
-/// returning the end-of-run report.
+/// `max_episodes` is hit), streaming metrics into `registry` (whose
+/// [`Scope::Soak`] families it declares up front) and returning the
+/// end-of-run report.
 ///
 /// # Errors
 /// Configuration errors only — unknown protocol or spec, invalid fault
@@ -175,6 +176,8 @@ pub fn run_soak(config: &SoakConfig, registry: &SharedRegistry) -> Result<SoakRe
     };
     let kind = crate::resolve_protocol(&probe)?;
     let spec = probe.spec_predicate()?;
+    // A scrape taken mid-run already shows every family the final one has.
+    registry.with(|reg| reg.declare(Scope::Soak));
 
     let started = Instant::now();
     let mut rng = SplitMix64(config.seed);
@@ -242,14 +245,7 @@ pub fn run_soak(config: &SoakConfig, registry: &SharedRegistry) -> Result<SoakRe
                 };
                 if monitor.violated() {
                     report.spec_violations += 1;
-                    registry.with(|reg| {
-                        reg.add_counter(
-                            names::SOAK_VIOLATIONS,
-                            &[],
-                            names::HELP_SOAK_VIOLATIONS,
-                            1,
-                        );
-                    });
+                    registry.with(|reg| reg.add_counter(names::SOAK_VIOLATIONS, &[], 1));
                 }
                 outcome
             }
@@ -274,14 +270,7 @@ pub fn run_soak(config: &SoakConfig, registry: &SharedRegistry) -> Result<SoakRe
                     report.step_limited += 1;
                 } else {
                     report.protocol_bugs += 1;
-                    registry.with(|reg| {
-                        reg.add_counter(
-                            names::SOAK_PROTOCOL_BUGS,
-                            &[],
-                            names::HELP_SOAK_PROTOCOL_BUGS,
-                            1,
-                        );
-                    });
+                    registry.with(|reg| reg.add_counter(names::SOAK_PROTOCOL_BUGS, &[], 1));
                 }
                 e.kind.liveness()
             }
@@ -295,33 +284,22 @@ pub fn run_soak(config: &SoakConfig, registry: &SharedRegistry) -> Result<SoakRe
                     report.first_stuck_class = classes.first().cloned();
                 }
                 registry.with(|reg| {
-                    reg.add_counter(names::SOAK_NONLIVE, &[], names::HELP_SOAK_NONLIVE, 1);
+                    reg.add_counter(names::SOAK_NONLIVE, &[], 1);
                     for class in &classes {
-                        reg.add_counter(
-                            names::SOAK_STUCK,
-                            &[("class", class)],
-                            names::HELP_SOAK_STUCK,
-                            1,
-                        );
+                        reg.add_counter(names::SOAK_STUCK, &[("class", class)], 1);
                     }
                 });
             }
         }
 
         registry.with(|reg| {
-            reg.add_counter(names::SOAK_EPISODES, &[], names::HELP_SOAK_EPISODES, 1);
+            reg.add_counter(names::SOAK_EPISODES, &[], 1);
             reg.add_counter(
                 names::SOAK_MESSAGES,
                 &[],
-                names::HELP_SOAK_MESSAGES,
                 config.messages_per_episode as u64,
             );
-            reg.set_gauge(
-                names::SOAK_UPTIME,
-                &[],
-                names::HELP_SOAK_UPTIME,
-                started.elapsed().as_secs_f64(),
-            );
+            reg.set_gauge(names::SOAK_UPTIME, &[], started.elapsed().as_secs_f64());
         });
         if report.episodes == 1 {
             report.rss_after_warmup_kb = rss_kb();

@@ -1,12 +1,13 @@
 //! Observability invariants (PR 9): the Prometheus text encoding
-//! round-trips exactly, delta draining is merge-associative across
+//! round-trips exactly and is pinned byte for byte, the family table
+//! is the whole schema, delta draining is merge-associative across
 //! observers, and the latency tracker's memory stays bounded under
 //! loss — the property behind the soak harness's multi-hour honesty.
 
 use msgorder_runs::{EventKind, MessageId, SystemEvent};
 use msgorder_simnet::{DropReason, FaultModel, KernelEvent, PayloadKind, WireRecord};
-use msgorder_trace::registry::{declare_run_families, names, parse_samples};
-use msgorder_trace::{Histogram, MetricsObserver, MetricsRegistry};
+use msgorder_trace::registry::{names, parse_samples, Scope, FAMILIES};
+use msgorder_trace::{Histogram, LiveMetrics, MetricsRegistry, SharedRegistry};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -39,12 +40,7 @@ proptest! {
         }
 
         let mut reg = MetricsRegistry::new();
-        reg.merge_histogram(
-            names::DELIVERY_LATENCY,
-            &[],
-            names::HELP_DELIVERY_LATENCY,
-            &h,
-        );
+        reg.merge_histogram(names::DELIVERY_LATENCY, &[], &h);
         let text = reg.encode();
         let parsed = parse_samples(&text);
         prop_assert!(parsed.is_ok(), "parse failed: {:?}", parsed);
@@ -85,11 +81,10 @@ proptest! {
         let faults = FaultModel::none();
 
         // One observer over everything.
-        let mut whole = MetricsObserver::new().with_terminal_eviction(false, &faults);
+        let reg_whole = SharedRegistry::new();
+        let mut whole = LiveMetrics::new(reg_whole.clone()).with_terminal_eviction(false, &faults);
         whole.consume(&stream);
-        let mut reg_whole = MetricsRegistry::new();
-        declare_run_families(&mut reg_whole);
-        whole.drain_into(&mut reg_whole);
+        whole.flush();
 
         // Two observers, each seeing the complete story of half the
         // messages (split by id parity, order preserved), draining —
@@ -103,16 +98,15 @@ proptest! {
                 .collect()
         };
         let (a, b) = (by_parity(0), by_parity(1));
-        let mut reg_split = MetricsRegistry::new();
-        declare_run_families(&mut reg_split);
-        let mut obs_a = MetricsObserver::new().with_terminal_eviction(false, &faults);
-        let mut obs_b = MetricsObserver::new().with_terminal_eviction(false, &faults);
+        let reg_split = SharedRegistry::new();
+        let mut obs_a = LiveMetrics::new(reg_split.clone()).with_terminal_eviction(false, &faults);
+        let mut obs_b = LiveMetrics::new(reg_split.clone()).with_terminal_eviction(false, &faults);
         obs_a.consume(&a[..a.len() / 2]);
-        obs_a.drain_into(&mut reg_split); // mid-stream drain: deltas must still sum
+        obs_a.flush(); // mid-stream drain: deltas must still sum
         obs_a.consume(&a[a.len() / 2..]);
         obs_b.consume(&b);
-        obs_a.drain_into(&mut reg_split);
-        obs_b.drain_into(&mut reg_split);
+        obs_a.flush();
+        obs_b.flush();
 
         // Every message's story is terminal (delivered or abandoned),
         // so the in-flight gauges agree at 0 and the comparison is
@@ -217,9 +211,8 @@ fn latency_tracker_memory_stays_bounded_over_a_million_messages() {
     let lost = |m: usize| mix(0x50AC ^ m as u64).is_multiple_of(20);
 
     let faults = FaultModel::none();
-    let mut obs = MetricsObserver::new().with_terminal_eviction(false, &faults);
-    let mut reg = MetricsRegistry::new();
-    declare_run_families(&mut reg);
+    let registry = SharedRegistry::new();
+    let mut obs = LiveMetrics::new(registry.clone()).with_terminal_eviction(false, &faults);
 
     let (mut dropped, mut delivered, mut peak) = (0u64, 0u64, 0usize);
     for i in 0..TOTAL + WINDOW {
@@ -273,10 +266,10 @@ fn latency_tracker_memory_stays_bounded_over_a_million_messages() {
         }
         peak = peak.max(obs.in_flight());
         if i.is_multiple_of(65_536) {
-            obs.drain_into(&mut reg); // periodic drains must not lose deltas
+            obs.flush(); // periodic drains must not lose deltas
         }
     }
-    obs.drain_into(&mut reg);
+    obs.flush();
 
     assert!(
         peak <= WINDOW,
@@ -288,12 +281,85 @@ fn latency_tracker_memory_stays_bounded_over_a_million_messages() {
         "messages leaked past their terminal events"
     );
     assert_eq!(delivered + dropped, TOTAL as u64);
-    assert_eq!(reg.counter(names::DELIVERIES, &[]), delivered);
-    assert_eq!(reg.counter(names::ABANDONED, &[]), dropped);
-    assert_eq!(
-        reg.counter(names::DROPS, &[("reason", "loss")]),
-        dropped,
-        "every abandonment should trace back to a recorded loss"
-    );
-    assert_eq!(reg.gauge(names::IN_FLIGHT, &[]), Some(0.0));
+    registry.with(|reg| {
+        assert_eq!(reg.counter(names::DELIVERIES, &[]), delivered);
+        assert_eq!(reg.counter(names::ABANDONED, &[]), dropped);
+        assert_eq!(
+            reg.counter(names::DROPS, &[("reason", "loss")]),
+            dropped,
+            "every abandonment should trace back to a recorded loss"
+        );
+        assert_eq!(reg.gauge(names::IN_FLIGHT, &[]), Some(0.0));
+    });
+}
+
+/// The family table is the whole schema: `LiveMetrics::new` declares
+/// its scope, the other scopes declare theirs, every family then shows
+/// a `# TYPE` line of the table's kind, and a name outside the table
+/// cannot be fed.
+#[test]
+fn every_table_family_is_declared_and_nothing_else_can_be() {
+    let registry = SharedRegistry::new();
+    let _live = LiveMetrics::new(registry.clone());
+    let text = registry.encode();
+    for spec in FAMILIES {
+        let line = format!("# TYPE {} ", spec.name);
+        assert_eq!(
+            text.contains(&line),
+            spec.scope == Scope::Run,
+            "LiveMetrics::new declares exactly the run families: {}",
+            spec.name
+        );
+    }
+    registry.with(|reg| {
+        for scope in [
+            Scope::Monitor,
+            Scope::Realtime,
+            Scope::Soak,
+            Scope::Exporter,
+        ] {
+            reg.declare(scope);
+        }
+    });
+    let text = registry.encode();
+    let types = text.lines().filter(|l| l.starts_with("# TYPE ")).count();
+    assert_eq!(types, FAMILIES.len(), "{text}");
+    for spec in FAMILIES {
+        let kind = format!("{:?}", spec.kind).to_lowercase();
+        let line = format!("# TYPE {} {kind}\n", spec.name);
+        assert!(text.contains(&line), "missing {line:?} in {text}");
+        assert!(
+            text.contains(&format!("# HELP {} {}\n", spec.name, spec.help)),
+            "missing help for {}",
+            spec.name
+        );
+    }
+    for reason in msgorder_simnet::RejectReason::ALL {
+        let series = format!("{}{{reason=\"{}\"}} 0\n", names::REJECTED, reason.label());
+        assert!(text.contains(&series), "missing {series:?}");
+    }
+
+    registry.with(|reg| {
+        reg.add_counter("msgorder_undeclared_total", &[], 1);
+        reg.set_gauge("msgorder_undeclared", &[], 1.0);
+        reg.merge_histogram("msgorder_undeclared_ticks", &[], &{
+            let mut h = Histogram::new();
+            h.record(1);
+            h
+        });
+    });
+    assert_eq!(registry.encode(), text, "an undeclared name is refused");
+}
+
+/// The exposition of one fixed stream, captured at the commit before
+/// the registry became the only metrics store: the encoding may not
+/// move by a byte.
+#[test]
+fn prometheus_text_is_pinned_for_a_fixed_stream() {
+    let registry = SharedRegistry::new();
+    let mut live =
+        LiveMetrics::new(registry.clone()).with_terminal_eviction(false, &FaultModel::none());
+    live.consume(&synthetic_stream(7, 40));
+    live.finish();
+    assert_eq!(registry.encode(), include_str!("pin_seed7_40.prom"));
 }

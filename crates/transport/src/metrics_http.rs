@@ -181,14 +181,14 @@ mod tests {
     #[test]
     fn serves_the_registry_over_http() {
         let registry = SharedRegistry::default();
-        registry.with(|r| r.add_counter("msgorder_deliveries_total", &[], "deliveries", 42));
+        registry.with(|r| r.add_counter("msgorder_deliveries_total", &[], 42));
         let exporter = local_exporter(registry.clone());
         let body = scrape(exporter.endpoint()).expect("scrape succeeds");
         let samples = parse_samples(&body).expect("parseable exposition");
         assert_eq!(samples.get("msgorder_deliveries_total"), Some(&42.0));
         // A later scrape sees later values: it is a live feed, not a
         // bind-time snapshot.
-        registry.with(|r| r.add_counter("msgorder_deliveries_total", &[], "deliveries", 8));
+        registry.with(|r| r.add_counter("msgorder_deliveries_total", &[], 8));
         let body = scrape(exporter.endpoint()).expect("second scrape succeeds");
         let samples = parse_samples(&body).expect("parseable exposition");
         assert_eq!(samples.get("msgorder_deliveries_total"), Some(&50.0));
@@ -198,7 +198,7 @@ mod tests {
     #[test]
     fn malformed_client_does_not_kill_the_exporter() {
         let registry = SharedRegistry::default();
-        registry.with(|r| r.add_counter("msgorder_deliveries_total", &[], "deliveries", 1));
+        registry.with(|r| r.add_counter("msgorder_deliveries_total", &[], 1));
         let exporter = local_exporter(registry);
         // Garbage bytes, then immediate hangup.
         {

@@ -21,8 +21,12 @@ use msgorder::simnet::{
     CrashSchedule, FaultModel, LatencyModel, Partition, RunObserver, SimConfig, Simulation,
     Workload,
 };
-use msgorder::trace::metrics::MetricsObserver;
-use msgorder::trace::{record_with_extra, Fanout, Setup, Trace};
+use msgorder::trace::registry::names;
+use msgorder::trace::{
+    parse_spec, record_with_extra, Fanout, FileExporter, Histogram, LiveMetrics, Setup,
+    SharedRegistry, Trace,
+};
+use msgorder::transport::MetricsExporter;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -184,11 +188,24 @@ fn predicate_arg(args: &[String]) -> Result<ForbiddenPredicate, String> {
     let src = args
         .first()
         .ok_or_else(|| "expected a predicate argument".to_owned())?;
-    // Convenience: accept catalog names too.
-    if let Some(entry) = catalog::by_name(src) {
-        return Ok(entry.predicate);
-    }
-    ForbiddenPredicate::parse(src).map_err(|e| e.to_string())
+    parse_spec(src).map_err(|e| e.to_string())
+}
+
+/// `--spec`: a catalog name or a `forbid …` DSL predicate.
+fn spec_arg(spec: Option<&str>) -> Result<Option<ForbiddenPredicate>, String> {
+    spec.map(parse_spec).transpose().map_err(|e| e.to_string())
+}
+
+/// `--protocol`: a [`ProtocolKind`] registry name; `synthesized` is
+/// built from `spec`.
+fn protocol_arg(name: &str, spec: Option<&ForbiddenPredicate>) -> Result<ProtocolKind, String> {
+    ProtocolKind::by_name(name, spec).ok_or_else(|| {
+        if name == "synthesized" {
+            "--protocol synthesized requires --spec".to_owned()
+        } else {
+            format!("unknown protocol `{name}`")
+        }
+    })
 }
 
 fn cmd_classify(args: &[String]) -> Result<(), String> {
@@ -385,28 +402,8 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    let spec_pred = match &spec {
-        Some(s) => Some(catalog::by_name(s).map(|e| e.predicate).map_or_else(
-            || ForbiddenPredicate::parse(s).map_err(|e| e.to_string()),
-            Ok,
-        )?),
-        None => None,
-    };
-    let kind = match protocol.as_str() {
-        "async" => ProtocolKind::Async,
-        "fifo" => ProtocolKind::Fifo,
-        "causal-rst" => ProtocolKind::CausalRst,
-        "causal-ses" => ProtocolKind::CausalSes,
-        "flush" => ProtocolKind::Flush,
-        "sync" => ProtocolKind::Sync,
-        "sync-batched" => ProtocolKind::SyncBatched,
-        "synthesized" => ProtocolKind::Synthesized(
-            spec_pred
-                .clone()
-                .ok_or_else(|| "--protocol synthesized requires --spec".to_owned())?,
-        ),
-        other => return Err(format!("unknown protocol `{other}`")),
-    };
+    let spec_pred = spec_arg(spec.as_deref())?;
+    let kind = protocol_arg(&protocol, spec_pred.as_ref())?;
     if processes < 2 {
         return Err("--processes must be at least 2".into());
     }
@@ -577,15 +574,16 @@ fn simulate_traced(
     }
     let processes = setup.processes;
     let reliable = setup.reliable;
-    let mut mobs = MetricsObserver::new();
+    let registry = SharedRegistry::new();
+    let mut live = metrics.then(|| LiveMetrics::new(registry.clone()));
     let mut monitor = match (online, spec_pred) {
         (true, Some(p)) => Some(OnlineMonitor::halting(p)),
         _ => None,
     };
     let recorded = {
         let mut extras: Vec<&mut dyn RunObserver> = Vec::new();
-        if metrics {
-            extras.push(&mut mobs);
+        if let Some(l) = live.as_mut() {
+            extras.push(l);
         }
         if let Some(m) = monitor.as_mut() {
             extras.push(m);
@@ -659,13 +657,17 @@ fn simulate_traced(
         (Some(_), _) => println!("spec          : satisfied"),
         (None, _) => {}
     }
-    if metrics {
-        let m = match monitor.as_ref() {
-            Some(mon) => mobs.finish_with_monitor(&footer.stats, &mon.search_timings()),
-            None => mobs.finish(&footer.stats),
-        };
+    if let Some(live) = live {
+        live.finish();
+        let report = registry.with(|reg| {
+            if let Some(mon) = monitor.as_ref() {
+                let searches = Histogram::from(&mon.search_timings());
+                reg.merge_histogram(names::MONITOR_SEARCH, &[], &searches);
+            }
+            reg.render_report()
+        });
         println!("\nmetrics:");
-        print!("{}", m.render());
+        print!("{report}");
     }
     if timeline {
         if let Ok(r) = &recorded.outcome {
@@ -763,10 +765,12 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         );
     }
     if metrics {
-        let mut mobs = MetricsObserver::new();
-        mobs.consume(&trace.events);
+        let registry = SharedRegistry::new();
+        let mut live = LiveMetrics::new(registry.clone());
+        live.consume(&trace.events);
+        live.finish();
         println!("\nmetrics (from the recorded events):");
-        print!("{}", mobs.finish(&trace.footer.stats).render());
+        print!("{}", registry.with(|reg| reg.render_report()));
     }
     if report.ok() {
         println!("REPLAY OK     : the trace reproduces the recorded run");
@@ -951,15 +955,8 @@ fn cmd_explore(args: &[String]) -> Result<(), String> {
                 .into(),
         );
     }
-    let spec_pred = match &spec {
-        Some(s) => Some(catalog::by_name(s).map(|e| e.predicate).map_or_else(
-            || ForbiddenPredicate::parse(s).map_err(|e| e.to_string()),
-            Ok,
-        )?),
-        None => None,
-    };
-    let kind = ProtocolKind::by_name(&protocol, spec_pred.as_ref())
-        .ok_or_else(|| format!("unknown protocol `{protocol}`"))?;
+    let spec_pred = spec_arg(spec.as_deref())?;
+    let kind = protocol_arg(&protocol, spec_pred.as_ref())?;
     if kind.explorable(processes, 0).is_none() {
         return Err(format!(
             "--protocol `{protocol}` is not explorable (its state cannot be fingerprinted); \
@@ -1132,6 +1129,29 @@ fn metrics_endpoint(addr: &str) -> Result<msgorder::transport::Endpoint, String>
     }
 }
 
+/// Starts the `--metrics-addr` HTTP endpoint and the `--metrics-out`
+/// snapshot writer of `serve` and `soak`, both reading `registry`.
+fn start_exporters(
+    registry: &SharedRegistry,
+    addr: Option<&str>,
+    out: Option<&str>,
+) -> Result<(Option<MetricsExporter>, Option<FileExporter>), String> {
+    let http = match addr {
+        Some(addr) => {
+            let ep = metrics_endpoint(addr)?;
+            let l = ep.listen().map_err(|e| format!("{ep}: {e}"))?;
+            let exporter =
+                MetricsExporter::start(l, registry.clone()).map_err(|e| e.to_string())?;
+            println!("metrics       : http on {}", exporter.endpoint());
+            Some(exporter)
+        }
+        None => None,
+    };
+    let period = std::time::Duration::from_secs(1);
+    let file = out.map(|path| FileExporter::start(path.into(), registry.clone(), period));
+    Ok((http, file))
+}
+
 /// Parses a human duration: `45s`, `5m`, `2h`, `500ms`, or bare
 /// seconds.
 fn parse_duration(s: &str) -> Result<std::time::Duration, String> {
@@ -1156,9 +1176,8 @@ fn parse_duration(s: &str) -> Result<std::time::Duration, String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    use msgorder::trace::registry::{names, observe_drift};
-    use msgorder::trace::{FileExporter, LiveMetrics, SharedRegistry};
-    use msgorder::transport::{serve_on_observed, Endpoint, MetricsExporter, ServeOptions};
+    use msgorder::trace::registry::{observe_drift, Scope};
+    use msgorder::transport::{serve_on_observed, Endpoint, ServeOptions};
     use std::time::Duration;
 
     let mut transport = "tcp:127.0.0.1:4600".to_owned();
@@ -1225,8 +1244,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         step_limit,
     };
     let spec_pred = setup.spec_predicate().map_err(|e| e.to_string())?;
-    let kind = ProtocolKind::by_name(&setup.protocol, spec_pred.as_ref())
-        .ok_or_else(|| format!("unknown protocol `{}`", setup.protocol))?;
+    let kind = protocol_arg(&setup.protocol, spec_pred.as_ref())?;
     if reliable && !kind.supports_retransmission() {
         return Err(format!(
             "--reliable is not supported for `{}` (use fifo, causal-rst, sync or sync-batched)",
@@ -1256,21 +1274,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // Optional live metrics: one shared registry feeds the HTTP
     // endpoint and/or the periodic snapshot file while the run streams.
     let registry = SharedRegistry::new();
-    let exporter = match &metrics_addr {
-        Some(addr) => {
-            let ep = metrics_endpoint(addr)?;
-            let l = ep.listen().map_err(|e| format!("{ep}: {e}"))?;
-            let exporter =
-                MetricsExporter::start(l, registry.clone()).map_err(|e| e.to_string())?;
-            println!("metrics       : http on {}", exporter.endpoint());
-            Some(exporter)
-        }
-        None => None,
-    };
-    let file_exporter = metrics_out
-        .as_ref()
-        .map(|path| FileExporter::start(path.into(), registry.clone(), Duration::from_secs(1)));
+    let (exporter, file_exporter) =
+        start_exporters(&registry, metrics_addr.as_deref(), metrics_out.as_deref())?;
     let mut live = (exporter.is_some() || file_exporter.is_some()).then(|| {
+        // A scrape taken mid-run already shows every family the final one has.
+        registry.with(|reg| reg.declare(Scope::Realtime));
         LiveMetrics::new(registry.clone())
             .with_terminal_eviction(opts.setup.reliable, &opts.setup.faults)
     });
@@ -1298,20 +1306,19 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let extra: Option<&mut dyn RunObserver> = live.as_mut().map(|l| l as &mut dyn RunObserver);
     let outcome =
         serve_on_observed(listener, &opts, spec_pred.as_ref(), extra).map_err(|e| e.to_string())?;
-    // Frames the server discarded for CRC mismatch join the same
-    // rejection family the simulator's validators feed, under their
-    // own reason label.
-    registry.with(|reg| {
-        reg.add_counter(
-            names::REJECTED,
-            &[("reason", "crc")],
-            names::HELP_REJECTED,
-            outcome.crc_rejected,
-        );
-    });
     if let Some(live) = live {
         live.finish();
-        registry.with(|reg| observe_drift(reg, &outcome.drift));
+        registry.with(|reg| {
+            // Frames the server discarded for CRC mismatch join the
+            // same rejection family the simulator's validators feed,
+            // under their own reason label.
+            reg.add_counter(
+                names::REJECTED,
+                &[("reason", names::REASON_CRC)],
+                outcome.crc_rejected,
+            );
+            observe_drift(reg, &outcome.drift);
+        });
     }
     for mut child in children {
         let _ = child.wait();
@@ -1374,8 +1381,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 fn cmd_soak(args: &[String]) -> Result<(), String> {
     use msgorder::trace::registry::parse_samples;
     use msgorder::trace::soak::{run_soak, SoakConfig};
-    use msgorder::trace::{FileExporter, SharedRegistry};
-    use msgorder::transport::{scrape, MetricsExporter};
+    use msgorder::transport::scrape;
     use std::time::Duration;
 
     let mut config = SoakConfig::new(Duration::from_secs(60));
@@ -1429,20 +1435,8 @@ fn cmd_soak(args: &[String]) -> Result<(), String> {
     }
 
     let registry = SharedRegistry::new();
-    let exporter = match &metrics_addr {
-        Some(addr) => {
-            let ep = metrics_endpoint(addr)?;
-            let l = ep.listen().map_err(|e| format!("{ep}: {e}"))?;
-            let exporter =
-                MetricsExporter::start(l, registry.clone()).map_err(|e| e.to_string())?;
-            println!("metrics       : http on {}", exporter.endpoint());
-            Some(exporter)
-        }
-        None => None,
-    };
-    let file_exporter = metrics_out
-        .as_ref()
-        .map(|path| FileExporter::start(path.into(), registry.clone(), Duration::from_secs(1)));
+    let (exporter, file_exporter) =
+        start_exporters(&registry, metrics_addr.as_deref(), metrics_out.as_deref())?;
     println!(
         "soak          : {} x{}, {} messages/episode, seed {}, drop {}, dup {}{}{}",
         config.protocol,

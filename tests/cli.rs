@@ -257,6 +257,37 @@ fn simulate_metrics_report() {
 }
 
 #[test]
+fn simulate_metrics_report_lists_rejected_frames() {
+    let (ok, stdout, stderr) = msgorder(&[
+        "simulate",
+        "--protocol",
+        "causal-rst",
+        "--spec",
+        "causal",
+        "--corrupt",
+        "0.3",
+        "--reliable",
+        "--seed",
+        "1",
+        "--metrics",
+    ]);
+    assert!(ok, "{stdout}{stderr}");
+    // The run summary (kernel stats) and the metrics block (registry)
+    // must tell the same story about the frames the protocol refused.
+    let summary = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("rejected      : "))
+        .expect("adversarial summary line");
+    assert_ne!(summary, "0", "seed 1 corrupts frames the protocol rejects");
+    assert!(
+        stdout.contains(&format!(
+            "rejected frames     {summary} (malformed {summary})"
+        )),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn replay_metrics_from_recorded_events() {
     let dir = std::env::temp_dir().join("msgorder-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
