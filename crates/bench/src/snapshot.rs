@@ -14,21 +14,7 @@ use std::time::Instant;
 /// FNV-1a over the terminal run's user-view partial order: identical
 /// for identical configurations whatever schedule produced them.
 pub fn run_digest(run: &SystemRun) -> u64 {
-    let snap = UserRunSnapshot::from(&run.users_view());
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    };
-    for m in &snap.messages {
-        eat(m.src.0 as u64);
-        eat(m.dst.0 as u64);
-    }
-    for &(a, b) in &snap.covers {
-        eat(a as u64);
-        eat(b as u64);
-    }
-    h
+    UserRunSnapshot::from(&run.users_view()).digest()
 }
 
 /// One timed, digest-checked exploration: statistics plus a commutative

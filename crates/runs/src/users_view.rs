@@ -193,6 +193,31 @@ pub struct UserRunSnapshot {
     pub covers: Vec<(usize, usize)>,
 }
 
+impl UserRunSnapshot {
+    /// A 64-bit FNV-1a digest of the *partial order* (message metadata
+    /// and covering pairs of `▷`): identical for identical user views,
+    /// whatever schedule produced them. The explorer sums these over
+    /// its violating configurations (wrapping addition, so the total is
+    /// independent of the order workers reach them in) — the `digest`
+    /// line of `msgorder explore` and the benchmark's output check.
+    pub fn digest(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |v: u64| {
+            h ^= v;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        };
+        for m in &self.messages {
+            eat(m.src.0 as u64);
+            eat(m.dst.0 as u64);
+        }
+        for &(a, b) in &self.covers {
+            eat(a as u64);
+            eat(b as u64);
+        }
+        h
+    }
+}
+
 impl From<&UserRun> for UserRunSnapshot {
     fn from(run: &UserRun) -> Self {
         UserRunSnapshot {

@@ -366,13 +366,7 @@ pub fn sweep(config: &ChaosConfig) -> Result<ChaosReport, TraceError> {
             "adversarial"
         };
         let recorded = record(&setup)?;
-        let violated = recorded
-            .trace
-            .footer
-            .verdict
-            .as_ref()
-            .is_some_and(|v| v.violated);
-        let Some(class) = shrink::classify_outcome(&recorded.outcome, violated) else {
+        let Some(class) = shrink::classify(&recorded) else {
             continue;
         };
         violations += 1;

@@ -588,10 +588,9 @@ pub struct Recorded {
 /// Records one run of `setup` using the protocol registry, returning
 /// the assembled trace. Fails if the setup names an unknown protocol.
 pub fn record(setup: &Setup) -> Result<Recorded, TraceError> {
-    let kind = resolve_protocol(setup)?;
-    let n = setup.processes;
-    let reliable = setup.reliable;
-    record_with(setup, |node| kind.instantiate_with(n, node, reliable))
+    let spec = setup.spec_predicate()?;
+    let kind = resolve_protocol(&setup.protocol, spec.as_ref())?;
+    record_with(setup, registry_factory(&kind, setup))
 }
 
 /// Like [`record`], with an explicit protocol factory (for protocols
@@ -612,8 +611,25 @@ pub fn record_with_extra<P: Protocol>(
     extra: Option<&mut dyn RunObserver>,
 ) -> Result<Recorded, TraceError> {
     let spec = setup.spec_predicate()?;
-    let sim = Simulation::new(setup.config(), setup.workload.clone(), factory)
+    let (events, outcome) = run_recorded(setup, factory, None, extra);
+    let trace = assemble_trace(setup, events, &outcome, spec.as_ref())?;
+    Ok(Recorded { trace, outcome })
+}
+
+/// The one place a recorded simulation is built and run: `setup`'s
+/// kernel under a [`Recorder`], sampling the network afresh or — with
+/// `decisions` — replaying a recorded one bit-exactly.
+fn run_recorded<P: Protocol>(
+    setup: &Setup,
+    factory: impl Fn(usize) -> P,
+    decisions: Option<Vec<TransmitDecision>>,
+    extra: Option<&mut dyn RunObserver>,
+) -> (Vec<KernelEvent>, Result<StreamResult, SimError>) {
+    let mut sim = Simulation::new(setup.config(), setup.workload.clone(), factory)
         .with_step_limit(setup.step_limit);
+    if let Some(decisions) = decisions {
+        sim = sim.with_replay(decisions);
+    }
     // 4 run events per message, one wire record per frame, plus slack
     // for control traffic and retransmissions.
     let mut recorder = Recorder::with_capacity(setup.workload.len() * 8);
@@ -624,8 +640,20 @@ pub fn record_with_extra<P: Protocol>(
         }
         None => sim.run_streaming(&mut recorder),
     };
-    let trace = assemble_trace(setup, recorder.events, &outcome, spec.as_ref())?;
-    Ok(Recorded { trace, outcome })
+    (recorder.events, outcome)
+}
+
+/// Re-executes `setup` under its registry protocol against a recorded
+/// decision log — what [`replay`] compares a trace to and what the
+/// shrinker runs every candidate through.
+pub(crate) fn reexecute(
+    setup: &Setup,
+    spec: Option<&ForbiddenPredicate>,
+    decisions: Vec<TransmitDecision>,
+) -> Result<(Vec<KernelEvent>, Result<StreamResult, SimError>), TraceError> {
+    let kind = resolve_protocol(&setup.protocol, spec)?;
+    let factory = registry_factory(&kind, setup);
+    Ok(run_recorded(setup, factory, Some(decisions), None))
 }
 
 /// Builds a complete [`Trace`] (footer, fingerprint, verdict) from a
@@ -678,10 +706,20 @@ pub fn assemble_trace(
     Ok(trace)
 }
 
-fn resolve_protocol(setup: &Setup) -> Result<ProtocolKind, TraceError> {
-    let spec = setup.spec_predicate()?;
-    ProtocolKind::by_name(&setup.protocol, spec.as_ref())
-        .ok_or_else(|| TraceError::UnknownProtocol(setup.protocol.clone()))
+fn resolve_protocol(
+    name: &str,
+    spec: Option<&ForbiddenPredicate>,
+) -> Result<ProtocolKind, TraceError> {
+    ProtocolKind::by_name(name, spec).ok_or_else(|| TraceError::UnknownProtocol(name.to_owned()))
+}
+
+/// The per-node factory of a registry protocol under `setup`.
+fn registry_factory<'k>(
+    kind: &'k ProtocolKind,
+    setup: &Setup,
+) -> impl Fn(usize) -> Box<dyn Protocol> + 'k {
+    let (n, reliable) = (setup.processes, setup.reliable);
+    move |node| kind.instantiate_with(n, node, reliable)
 }
 
 /// Rebuilds the captured [`StreamingRun`] from a trace's run events —
@@ -792,18 +830,10 @@ pub fn replay(trace: &Trace) -> Result<ReplayReport, TraceError> {
     let fingerprint_ok = recomputed == trace.footer.fingerprint;
 
     let spec = setup.spec_predicate()?;
-    let reexecution = match ProtocolKind::by_name(&setup.protocol, spec.as_ref()) {
-        None => None,
-        Some(kind) => {
-            let n = setup.processes;
-            let reliable = setup.reliable;
-            let sim = Simulation::new(setup.config(), setup.workload.clone(), |node| {
-                kind.instantiate_with(n, node, reliable)
-            })
-            .with_step_limit(setup.step_limit)
-            .with_replay(trace.decisions());
-            let mut recorder = Recorder::default();
-            let outcome = sim.run_streaming(&mut recorder);
+    let reexecution = match reexecute(setup, spec.as_ref(), trace.decisions()) {
+        // Only a protocol outside the registry cannot be re-executed.
+        Err(_) => None,
+        Ok((events, outcome)) => {
             let (stats, error) = match &outcome {
                 Ok(sr) => (sr.stats.clone(), None),
                 Err(e) => (e.stats.clone(), Some(ErrorSummary::of(e))),
@@ -812,10 +842,10 @@ pub fn replay(trace: &Trace) -> Result<ReplayReport, TraceError> {
             // kernel (with no halting observer) runs past that point, so
             // compare only the recorded prefix then.
             let identical = if trace.footer.halted {
-                recorder.events.len() >= trace.events.len()
-                    && recorder.events[..trace.events.len()] == trace.events[..]
+                events.len() >= trace.events.len()
+                    && events[..trace.events.len()] == trace.events[..]
             } else {
-                recorder.events == trace.events
+                events == trace.events
             };
             let stats_match = trace.footer.halted || stats == trace.footer.stats;
             // A halted recording stopped consuming decisions early, so
@@ -831,7 +861,7 @@ pub fn replay(trace: &Trace) -> Result<ReplayReport, TraceError> {
                 error == trace.footer.error
             };
             Some(Reexecution {
-                fingerprint: fingerprint(setup.processes, &recorder.events),
+                fingerprint: fingerprint(setup.processes, &events),
                 identical,
                 stats_match,
                 error_match,

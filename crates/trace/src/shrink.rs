@@ -5,7 +5,7 @@
 //! 30-message, 5-process run with three partitions and a pile of
 //! irrelevant drop decisions. The shrinker reduces it the way
 //! delta-debugging frameworks do: propose a smaller candidate, re-run
-//! it through the kernel's [`with_replay`](Simulation::with_replay)
+//! it through the kernel's [`with_replay`](msgorder_simnet::Simulation::with_replay)
 //! machinery, and keep the edit only if the **verdict class** is
 //! preserved — the same [`SimErrorKind`] discriminant, the same
 //! violated predicate, or the same liveness blame classes — and the
@@ -28,13 +28,9 @@
 //! replaced by the decisions the candidate actually consumed, so the
 //! final artifact is a self-consistent, still-replayable [`Trace`].
 
-use crate::{assemble_trace, Recorder, Setup, Trace, TraceError};
-use msgorder_predicate::{eval, ForbiddenPredicate};
-use msgorder_protocols::ProtocolKind;
-use msgorder_runs::EventKind;
-use msgorder_simnet::{
-    KernelEvent, SimError, SimErrorKind, Simulation, StreamResult, TransmitDecision,
-};
+use crate::{assemble_trace, reexecute, Recorded, Setup, Trace, TraceError};
+use msgorder_predicate::ForbiddenPredicate;
+use msgorder_simnet::{KernelEvent, SimErrorKind, TransmitDecision};
 
 /// The identity a shrink step must preserve: what kind of failure the
 /// trace demonstrates, abstracted from incidental detail (times,
@@ -76,28 +72,7 @@ impl std::fmt::Display for VerdictClass {
     }
 }
 
-/// One candidate execution: the captured stream and its outcome.
-struct Execution {
-    events: Vec<KernelEvent>,
-    outcome: Result<StreamResult, SimError>,
-    violated: bool,
-}
-
-impl Execution {
-    /// The decisions this execution actually consumed, in order.
-    fn consumed_decisions(&self) -> Vec<TransmitDecision> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                KernelEvent::Wire(w) => Some(w.decision()),
-                _ => None,
-            })
-            .collect()
-    }
-}
-
 /// A shrink candidate: a setup plus the decision log it replays.
-#[derive(Clone)]
 struct Candidate {
     setup: Setup,
     decisions: Vec<TransmitDecision>,
@@ -106,71 +81,21 @@ struct Candidate {
 /// Executes a candidate bit-exactly: the kernel replays the decision
 /// log instead of sampling, so two runs of the same candidate are
 /// identical and acceptance is deterministic.
-fn execute(cand: &Candidate, spec: Option<&ForbiddenPredicate>) -> Result<Execution, TraceError> {
-    let setup = &cand.setup;
-    let kind = ProtocolKind::by_name(&setup.protocol, spec)
-        .ok_or_else(|| TraceError::UnknownProtocol(setup.protocol.clone()))?;
-    let n = setup.processes;
-    let reliable = setup.reliable;
-    let sim = Simulation::new(setup.config(), setup.workload.clone(), |node| {
-        kind.instantiate_with(n, node, reliable)
-    })
-    .with_step_limit(setup.step_limit)
-    .with_replay(cand.decisions.iter().copied());
-    let mut recorder = Recorder::with_capacity(setup.workload.len() * 8);
-    let outcome = sim.run_streaming(&mut recorder);
-    let violated = match spec {
-        None => false,
-        Some(pred) => {
-            let run = match &outcome {
-                Ok(sr) => Some(&sr.run),
-                // The builder is consumed into the error's SystemRun;
-                // evaluate post hoc on the user view instead.
-                Err(e) => {
-                    let violated = e
-                        .trace
-                        .as_ref()
-                        .is_some_and(|t| eval::find_instantiation(pred, &t.users_view()).is_some());
-                    return Ok(Execution {
-                        events: recorder.events,
-                        outcome,
-                        violated,
-                    });
-                }
-            };
-            let mut mon = eval::Monitor::new(pred);
-            if let Some(run) = run {
-                for e in &recorder.events {
-                    if let KernelEvent::Run { ev, .. } = e {
-                        if ev.kind == EventKind::Deliver && mon.on_complete(run, ev.msg).is_some() {
-                            break;
-                        }
-                    }
-                }
-            }
-            mon.violated()
-        }
-    };
-    Ok(Execution {
-        events: recorder.events,
-        outcome,
-        violated,
-    })
+fn execute(
+    setup: &Setup,
+    decisions: Vec<TransmitDecision>,
+    spec: Option<&ForbiddenPredicate>,
+) -> Result<Recorded, TraceError> {
+    let (events, outcome) = reexecute(setup, spec, decisions)?;
+    let trace = assemble_trace(setup, events, &outcome, spec)?;
+    Ok(Recorded { trace, outcome })
 }
 
-/// Classifies an execution, or `None` if it demonstrates nothing
-/// (clean, quiescent, spec-satisfying run — nothing to preserve).
-fn classify(exec: &Execution) -> Option<VerdictClass> {
-    classify_outcome(&exec.outcome, exec.violated)
-}
-
-/// Classifies a raw simulation outcome + spec verdict — also used by
-/// the chaos sweep to triage freshly recorded trials.
-pub(crate) fn classify_outcome(
-    outcome: &Result<StreamResult, SimError>,
-    violated: bool,
-) -> Option<VerdictClass> {
-    match outcome {
+/// Classifies a recorded run, or `None` if it demonstrates nothing
+/// (clean, quiescent, spec-satisfying run — nothing to preserve) — also
+/// used by the chaos sweep to triage freshly recorded trials.
+pub(crate) fn classify(rec: &Recorded) -> Option<VerdictClass> {
+    match &rec.outcome {
         Err(e) => match &e.kind {
             SimErrorKind::StepLimit { frontier, .. } => Some(VerdictClass::StepLimited {
                 classes: frontier.classes(),
@@ -180,7 +105,8 @@ pub(crate) fn classify_outcome(
             }),
         },
         Ok(sr) => {
-            if violated {
+            let verdict = rec.trace.footer.verdict.as_ref();
+            if verdict.is_some_and(|v| v.violated) {
                 Some(VerdictClass::SpecViolated)
             } else {
                 sr.liveness.as_ref().map(|v| VerdictClass::NonLive {
@@ -269,11 +195,15 @@ impl From<TraceError> for ShrinkError {
 /// The shrinking engine: holds the current best candidate and its
 /// accounting.
 struct Shrinker<'p> {
-    current: Candidate,
-    /// The event stream of `current` (replaying `current` reproduces it
-    /// exactly) — the yardstick candidates must not grow past, and the
-    /// map from decision index to the message its frame carried.
-    current_events: Vec<KernelEvent>,
+    /// The best reproducer so far, as the trace its last execution
+    /// assembled to: its setup is what the passes edit, its event
+    /// stream is the yardstick candidates must not grow past and the
+    /// map from decision index to the message its frame carried, and
+    /// the trace itself is the shrinker's result.
+    trace: Trace,
+    /// The decisions `trace` consumed (replaying them under its setup
+    /// reproduces it exactly).
+    decisions: Vec<TransmitDecision>,
     class: VerdictClass,
     spec: Option<&'p ForbiddenPredicate>,
     tried: usize,
@@ -281,25 +211,26 @@ struct Shrinker<'p> {
 }
 
 impl Shrinker<'_> {
+    fn setup(&self) -> &Setup {
+        &self.trace.header.setup
+    }
+
     /// Offers a candidate; adopts it (re-normalizing its decision log
     /// to what it actually consumed) iff it reproduces the verdict
     /// class without growing the event stream.
     fn offer(&mut self, cand: Candidate) -> bool {
         self.tried += 1;
-        let Ok(exec) = execute(&cand, self.spec) else {
+        let Ok(exec) = execute(&cand.setup, cand.decisions, self.spec) else {
             return false;
         };
         if classify(&exec) != Some(self.class.clone())
-            || exec.events.len() > self.current_events.len()
+            || exec.trace.events.len() > self.trace.events.len()
         {
             return false;
         }
         self.accepted += 1;
-        self.current = Candidate {
-            setup: cand.setup,
-            decisions: exec.consumed_decisions(),
-        };
-        self.current_events = exec.events;
+        self.decisions = exec.trace.decisions();
+        self.trace = exec.trace;
         true
     }
 
@@ -312,7 +243,8 @@ impl Shrinker<'_> {
     /// and stay; the unfiltered fallback covers scenarios where that
     /// matters.)
     fn decisions_without(&self, removed: &[bool]) -> Vec<TransmitDecision> {
-        self.current_events
+        self.trace
+            .events
             .iter()
             .filter_map(|e| match e {
                 KernelEvent::Wire(w) => match w.payload {
@@ -331,23 +263,23 @@ impl Shrinker<'_> {
     /// Pass 1: ddmin over the workload's sends.
     fn shrink_messages(&mut self) -> bool {
         let mut improved = false;
-        let mut chunk = (self.current.setup.workload.len() / 2).max(1);
+        let mut chunk = (self.setup().workload.len() / 2).max(1);
         loop {
-            let len = self.current.setup.workload.len();
+            let len = self.setup().workload.len();
             if len <= 1 {
                 break;
             }
             let mut start = 0;
             let mut removed_any = false;
-            while start < self.current.setup.workload.len() {
-                let mut setup = self.current.setup.clone();
+            while start < self.setup().workload.len() {
+                let mut setup = self.setup().clone();
                 let end = (start + chunk).min(setup.workload.sends.len());
                 setup.workload.sends.drain(start..end);
                 if setup.workload.sends.is_empty() {
                     start += chunk;
                     continue;
                 }
-                let mut removed = vec![false; self.current.setup.workload.len()];
+                let mut removed = vec![false; self.setup().workload.len()];
                 removed[start..end].fill(true);
                 // Filtered decisions first (survivors stay aligned with
                 // their original latencies/drops), raw log as fallback.
@@ -356,7 +288,7 @@ impl Shrinker<'_> {
                     decisions: self.decisions_without(&removed),
                 }) || self.offer(Candidate {
                     setup,
-                    decisions: self.current.decisions.clone(),
+                    decisions: self.decisions.clone(),
                 });
                 if accepted {
                     improved = true;
@@ -379,7 +311,7 @@ impl Shrinker<'_> {
 
     /// Pass 2: drop processes no send touches, remapping ids densely.
     fn shrink_processes(&mut self) -> bool {
-        let setup = &self.current.setup;
+        let setup = self.setup();
         let n = setup.processes;
         let mut used = vec![false; n];
         for s in &setup.workload.sends {
@@ -414,7 +346,7 @@ impl Shrinker<'_> {
         }
         self.offer(Candidate {
             setup: new,
-            decisions: self.current.decisions.clone(),
+            decisions: self.decisions.clone(),
         })
     }
 
@@ -425,12 +357,12 @@ impl Shrinker<'_> {
         // Whole-partition removal (index-stable loop: retry the same
         // index after a removal shifts the tail down).
         let mut i = 0;
-        while i < self.current.setup.faults.partitions.len() {
-            let mut setup = self.current.setup.clone();
+        while i < self.setup().faults.partitions.len() {
+            let mut setup = self.setup().clone();
             setup.faults.partitions.remove(i);
             if self.offer(Candidate {
                 setup,
-                decisions: self.current.decisions.clone(),
+                decisions: self.decisions.clone(),
             }) {
                 improved = true;
             } else {
@@ -438,18 +370,18 @@ impl Shrinker<'_> {
             }
         }
         // Window halving for the partitions that remain.
-        for i in 0..self.current.setup.faults.partitions.len() {
+        for i in 0..self.setup().faults.partitions.len() {
             loop {
-                let p = self.current.setup.faults.partitions[i];
+                let p = self.setup().faults.partitions[i];
                 let width = p.until.saturating_sub(p.from);
                 if width <= 1 {
                     break;
                 }
-                let mut setup = self.current.setup.clone();
+                let mut setup = self.setup().clone();
                 setup.faults.partitions[i].until = p.from + width / 2;
                 if !self.offer(Candidate {
                     setup,
-                    decisions: self.current.decisions.clone(),
+                    decisions: self.decisions.clone(),
                 }) {
                     break;
                 }
@@ -457,12 +389,12 @@ impl Shrinker<'_> {
             }
         }
         let mut i = 0;
-        while i < self.current.setup.faults.crashes.len() {
-            let mut setup = self.current.setup.clone();
+        while i < self.setup().faults.crashes.len() {
+            let mut setup = self.setup().clone();
             setup.faults.crashes.remove(i);
             if self.offer(Candidate {
                 setup,
-                decisions: self.current.decisions.clone(),
+                decisions: self.decisions.clone(),
             }) {
                 improved = true;
             } else {
@@ -494,15 +426,15 @@ impl Shrinker<'_> {
         ];
         let mut improved = false;
         for (applies, neutralize) in PASSES {
-            for i in 0..self.current.decisions.len() {
-                if i >= self.current.decisions.len() {
+            for i in 0..self.decisions.len() {
+                if i >= self.decisions.len() {
                     break;
                 }
-                if applies(&self.current.decisions[i]) {
-                    let mut decisions = self.current.decisions.clone();
+                if applies(&self.decisions[i]) {
+                    let mut decisions = self.decisions.clone();
                     neutralize(&mut decisions[i]);
                     if self.offer(Candidate {
-                        setup: self.current.setup.clone(),
+                        setup: self.setup().clone(),
                         decisions,
                     }) {
                         improved = true;
@@ -526,23 +458,16 @@ const MAX_ROUNDS: usize = 8;
 /// violation; [`ShrinkError::Trace`] if the trace's protocol cannot be
 /// re-executed (not in the registry) or the spec fails to parse.
 pub fn shrink(trace: &Trace) -> Result<Shrunk, ShrinkError> {
-    let setup = trace.header.setup.clone();
+    let setup = &trace.header.setup;
     let spec = setup.spec_predicate()?;
-    let baseline = Candidate {
-        decisions: trace.decisions(),
-        setup,
-    };
-    let exec = execute(&baseline, spec.as_ref())?;
+    let exec = execute(setup, trace.decisions(), spec.as_ref())?;
     let class = classify(&exec).ok_or(ShrinkError::NothingToShrink)?;
     let events_before = trace.events.len();
-    let messages_before = baseline.setup.workload.len();
-    let processes_before = baseline.setup.processes;
+    let messages_before = setup.workload.len();
+    let processes_before = setup.processes;
     let mut sh = Shrinker {
-        current: Candidate {
-            setup: baseline.setup,
-            decisions: exec.consumed_decisions(),
-        },
-        current_events: exec.events,
+        decisions: exec.trace.decisions(),
+        trace: exec.trace,
         class,
         spec: spec.as_ref(),
         tried: 0,
@@ -560,24 +485,17 @@ pub fn shrink(trace: &Trace) -> Result<Shrunk, ShrinkError> {
             break;
         }
     }
-    // Final re-execution assembles the minimized, replay-consistent
-    // trace (the decision log is exactly what the run consumes).
-    let final_exec = execute(&sh.current, spec.as_ref())?;
-    debug_assert_eq!(classify(&final_exec), Some(sh.class.clone()));
-    let trace = assemble_trace(
-        &sh.current.setup,
-        final_exec.events,
-        &final_exec.outcome,
-        spec.as_ref(),
-    )?;
+    // The decision log is exactly what the last accepted run consumed,
+    // so its trace is already the minimized, replay-consistent artifact.
+    let trace = sh.trace;
     let report = ShrinkReport {
         class: sh.class,
         events_before,
         events_after: trace.events.len(),
         messages_before,
-        messages_after: sh.current.setup.workload.len(),
+        messages_after: trace.header.setup.workload.len(),
         processes_before,
-        processes_after: sh.current.setup.processes,
+        processes_after: trace.header.setup.processes,
         candidates_tried: sh.tried,
         candidates_accepted: sh.accepted,
         rounds,
@@ -588,13 +506,9 @@ pub fn shrink(trace: &Trace) -> Result<Shrunk, ShrinkError> {
 /// Classifies a recorded trace by re-executing it — the entry point the
 /// chaos sweep uses to decide whether a trial found anything.
 pub fn classify_trace(trace: &Trace) -> Result<Option<VerdictClass>, TraceError> {
-    let setup = trace.header.setup.clone();
+    let setup = &trace.header.setup;
     let spec = setup.spec_predicate()?;
-    let cand = Candidate {
-        decisions: trace.decisions(),
-        setup,
-    };
-    let exec = execute(&cand, spec.as_ref())?;
+    let exec = execute(setup, trace.decisions(), spec.as_ref())?;
     Ok(classify(&exec))
 }
 

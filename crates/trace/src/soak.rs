@@ -20,7 +20,7 @@
 
 use crate::chaos::{sample_adversarial_faults, sample_schedule_faults, SplitMix64};
 use crate::registry::{names, Scope, SharedRegistry};
-use crate::{LiveMetrics, Setup, TraceError};
+use crate::{LiveMetrics, TraceError};
 use msgorder_protocols::OnlineMonitor;
 use msgorder_simnet::{FaultModel, LatencyModel, SimConfig, Simulation, Workload};
 use serde::Serialize;
@@ -163,19 +163,8 @@ pub fn run_soak(config: &SoakConfig, registry: &SharedRegistry) -> Result<SoakRe
         .map_err(|e| TraceError::Internal(format!("invalid fault probability: {e}")))?;
     // Resolve protocol and spec once, up front, so a typo fails fast
     // instead of after an hour of silence.
-    let probe = Setup {
-        processes: config.processes,
-        latency: config.latency,
-        seed: config.seed,
-        faults: base_faults.clone(),
-        workload: Workload::uniform_random(config.processes, 1, config.seed),
-        protocol: config.protocol.clone(),
-        reliable: config.reliable,
-        spec: config.spec.clone(),
-        step_limit: config.step_limit,
-    };
-    let kind = crate::resolve_protocol(&probe)?;
-    let spec = probe.spec_predicate()?;
+    let spec = config.spec.as_deref().map(crate::parse_spec).transpose()?;
+    let kind = crate::resolve_protocol(&config.protocol, spec.as_ref())?;
     // A scrape taken mid-run already shows every family the final one has.
     registry.with(|reg| reg.declare(Scope::Soak));
 

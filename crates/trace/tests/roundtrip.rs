@@ -361,6 +361,16 @@ fn halted_recording_replays_as_a_prefix() {
 
     let report = replay(&trace).expect("replay runs");
     assert!(report.ok(), "halted trace replays as a prefix: {report:?}");
+    // The re-execution really ran (and ran past the halt): its stream
+    // differs from the recording, yet extends it.
+    let re = report.reexecution.expect("async is a registry protocol");
+    assert!(re.identical && re.fingerprint != trace.footer.fingerprint);
+    // The shrinker re-executes through the same function and the same
+    // verdict path, so the halted prefix still classifies.
+    assert_eq!(
+        msgorder_trace::shrink::classify_trace(&trace).expect("re-executes"),
+        Some(msgorder_trace::shrink::VerdictClass::SpecViolated)
+    );
 }
 
 /// Malformed trace files are structured errors, not panics.

@@ -1,0 +1,183 @@
+//! `msgorder explore`: exhaustive schedule exploration (model checking)
+//! of an explorable protocol on a seeded workload — sleep-set
+//! partial-order reduction, a sharded work-stealing frontier for
+//! `--threads`, and an optional bounded/disk-spillable seen-set.
+
+use crate::args::{Args, Faults, Session};
+use msgorder::predicate::eval;
+use msgorder::runs::UserRunSnapshot;
+use msgorder::simnet::{explore_parallel_with, DedupMode, ExploreOptions, Workload};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+pub fn run(args: &[String]) -> Result<(), String> {
+    let mut session = Session::new("async", 3, 6, 1);
+    let mut faults = Faults::default();
+    let mut por = true;
+    let mut threads = 1usize;
+    let mut dedup: Option<&str> = None;
+    let mut max_states: Option<usize> = None;
+    let mut spill: Option<&str> = None;
+    let mut cap: Option<usize> = None;
+    let mut max_depth: Option<usize> = None;
+    let mut args = Args::new(args);
+    while let Some(flag) = args.next() {
+        match flag {
+            "--por" => {
+                por = match args.value()? {
+                    "on" => true,
+                    "off" => false,
+                    other => return Err(format!("--por: expected `on` or `off`, got `{other}`")),
+                }
+            }
+            "--threads" => threads = args.parse()?,
+            "--dedup" => {
+                dedup = match args.value()? {
+                    v @ ("off" | "exact" | "compact") => Some(v),
+                    other => {
+                        return Err(format!(
+                            "--dedup: expected `off`, `exact` or `compact`, got `{other}`"
+                        ))
+                    }
+                }
+            }
+            "--max-states" => max_states = Some(args.parse()?),
+            "--spill" => spill = Some(args.value()?),
+            "--cap" => cap = Some(args.parse()?),
+            "--max-depth" => max_depth = Some(args.parse()?),
+            _ if session.take(&mut args)? || faults.take(&mut args)? => {}
+            _ => return Err(args.unknown()),
+        }
+    }
+    let faults = faults.model;
+    let (kind, spec_pred) = session.resolve(&faults)?;
+    if threads < 1 {
+        return Err("--threads must be at least 1".into());
+    }
+    if spill.is_some() && max_states.is_none() {
+        return Err("--spill requires --max-states (nothing overflows an unbounded set)".into());
+    }
+    if max_states.is_some() && dedup.is_some_and(|d| d != "compact") {
+        return Err(
+            "--max-states requires --dedup compact (its seen-set is the bounded one)".into(),
+        );
+    }
+    let dedup_mode = if max_states.is_some() || dedup == Some("compact") {
+        DedupMode::Compact {
+            max_states: max_states.unwrap_or(0),
+            spill: spill.map(std::path::PathBuf::from),
+        }
+    } else if dedup == Some("exact") {
+        DedupMode::Exact
+    } else {
+        DedupMode::Off
+    };
+    if dedup_mode != DedupMode::Off && !faults.is_quiet() {
+        return Err(
+            "--dedup requires a quiet fault model: the probabilistic fault stream is part \
+             of the configuration but cannot be keyed (remove --drop/--dup)"
+                .into(),
+        );
+    }
+    let (processes, messages, seed) = (session.processes, session.messages, session.seed);
+    if kind.explorable(processes, 0).is_none() {
+        return Err(format!(
+            "--protocol `{}` is not explorable (its state cannot be fingerprinted); \
+             use async, fifo, causal-rst, causal-ses, sync or sync-batched",
+            session.protocol
+        ));
+    }
+    let por_effective = por && faults.is_quiet();
+    let opts = ExploreOptions {
+        cap: cap.unwrap_or(usize::MAX),
+        por,
+        threads,
+        dedup: dedup_mode.clone(),
+        max_depth: max_depth.unwrap_or(ExploreOptions::default().max_depth),
+        faults,
+    };
+    let violations = AtomicUsize::new(0);
+    // Distinct violating *configurations* (user-view partial orders) by
+    // digest: invariant under --por/--threads/--dedup, which only change
+    // how many schedules reach each configuration — so the summary line
+    // is comparable across explorer settings (the CI smoke pins it).
+    let violating_configs: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::new());
+    let out = explore_parallel_with(
+        processes,
+        Workload::uniform_random(processes, messages, seed),
+        |node| {
+            kind.explorable(processes, node)
+                .expect("explorability was checked above")
+        },
+        &opts,
+        &|run| {
+            if let Some(p) = &spec_pred {
+                let user = run.users_view();
+                if eval::find_instantiation(p, &user).is_some() {
+                    violations.fetch_add(1, Ordering::Relaxed);
+                    violating_configs
+                        .lock()
+                        .expect("no panics hold the digest lock")
+                        .insert(UserRunSnapshot::from(&user).digest());
+                }
+            }
+            true
+        },
+    );
+    println!("protocol      : {}", kind.name());
+    println!("workload      : {processes} processes, {messages} messages, seed {seed}");
+    println!(
+        "por           : {}",
+        match (por, por_effective) {
+            (true, true) => "on",
+            (true, false) => "on (ineffective: faults are not quiet)",
+            _ => "off",
+        }
+    );
+    println!("threads       : {threads}");
+    println!(
+        "dedup         : {}",
+        match &dedup_mode {
+            DedupMode::Off => "off".to_owned(),
+            DedupMode::Exact => "exact".to_owned(),
+            DedupMode::Compact {
+                max_states: 0,
+                spill: None,
+            } => "compact".to_owned(),
+            DedupMode::Compact { max_states, spill } => format!(
+                "compact (max {max_states} states{})",
+                spill
+                    .as_ref()
+                    .map(|p| format!(", spill {}", p.display()))
+                    .unwrap_or_default()
+            ),
+        }
+    );
+    println!("schedules     : {}", out.schedules);
+    println!("states        : {}", out.states);
+    println!("sleep-skipped : {}", out.sleep_skipped);
+    println!("spilled       : {} segment(s)", out.spilled);
+    println!("non-live      : {}", out.non_live);
+    println!(
+        "truncated     : {}",
+        if out.truncated { "yes" } else { "no" }
+    );
+    if let Some(e) = &out.error {
+        println!("PROTOCOL BUG  : {e}");
+        return Err("exploration found a protocol bug".into());
+    }
+    if let Some(p) = &spec_pred {
+        let configs = violating_configs
+            .lock()
+            .expect("no panics hold the digest lock");
+        let digest = configs.iter().fold(0u64, |acc, d| acc.wrapping_add(*d));
+        println!(
+            "violations    : {} schedule(s), {} distinct configuration(s) violate {p}",
+            violations.load(Ordering::Relaxed),
+            configs.len()
+        );
+        println!("digest        : {digest:#018x}");
+    }
+    Ok(())
+}

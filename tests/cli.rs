@@ -427,6 +427,22 @@ fn fault_flags_are_validated() {
         ),
         (&["simulate", "--drop", "1.5"], "not in [0, 1]"),
         (&["simulate", "--dup", "-0.1"], "not in [0, 1]"),
+        // Every subcommand with fault flags rejects them the same way.
+        (&["explore", "--dup", "-0.1"], "--dup: probability -0.1 not"),
+        (
+            &["soak", "--drop", "1.5"],
+            "--drop: probability 1.5 not in [0, 1]",
+        ),
+        (&["soak", "--dup", "-0.1"], "--dup: probability -0.1 not"),
+        (&["soak", "--drop", "nan"], "--drop: probability NaN not"),
+        (
+            &["soak", "--processes", "1"],
+            "error: --processes must be at least 2",
+        ),
+        (
+            &["soak", "--protocol", "async", "--reliable"],
+            "--reliable is not supported for `async`",
+        ),
     ];
     for (args, needle) in cases {
         let (ok, _, stderr) = msgorder(args);
@@ -568,4 +584,192 @@ fn chaos_confirm_flag_annotates_table() {
     ]);
     assert!(ok, "{stdout}{stderr}");
     assert!(stdout.contains("inherent"), "{stdout}");
+}
+
+/// The verdict is a property of the run, not of the flags that observed
+/// it: bare, with `--metrics`, and halted by `--online`, the same
+/// violating run names the same witness, in workload message ids.
+#[test]
+fn simulate_witness_is_the_same_through_every_observer() {
+    let base = [
+        "simulate",
+        "--protocol",
+        "async",
+        "--spec",
+        "fifo",
+        "--processes",
+        "3",
+        "--messages",
+        "10",
+        "--seed",
+        "3",
+    ];
+    let run = |extra: &[&str]| {
+        let mut args = base.to_vec();
+        args.extend_from_slice(extra);
+        let (ok, stdout, stderr) = msgorder(&args);
+        assert!(ok, "{args:?}: {stdout}{stderr}");
+        let verdict = stdout
+            .lines()
+            .find(|l| l.starts_with("spec          : "))
+            .unwrap_or_else(|| panic!("{args:?} prints no verdict: {stdout}"))
+            .to_owned();
+        (verdict, stdout)
+    };
+    let (bare, bare_stdout) = run(&[]);
+    assert_eq!(bare, "spec          : VIOLATED by [3, 9]");
+    assert!(!bare_stdout.contains("detected at"), "only --online halts");
+    assert_eq!(run(&["--metrics"]).0, bare);
+    let (online, stdout) = run(&["--online"]);
+    assert_eq!(online, bare);
+    assert!(stdout.contains("detected at   : event "), "{stdout}");
+}
+
+/// `(subcommand, flags that take a value, boolean flags)` — everything
+/// the parsers accept.
+const FLAGS: &[(&str, &[&str], &[&str])] = &[
+    (
+        "simulate",
+        &[
+            "--protocol",
+            "--spec",
+            "--processes",
+            "--messages",
+            "--seed",
+            "--drop",
+            "--dup",
+            "--corrupt",
+            "--forge",
+            "--replay-stale",
+            "--reorder",
+            "--partition",
+            "--crash",
+            "--record",
+        ],
+        &["--timeline", "--reliable", "--online", "--metrics"],
+    ),
+    (
+        "explore",
+        &[
+            "--protocol",
+            "--spec",
+            "--processes",
+            "--messages",
+            "--seed",
+            "--por",
+            "--threads",
+            "--dedup",
+            "--max-states",
+            "--spill",
+            "--cap",
+            "--max-depth",
+            "--drop",
+            "--dup",
+        ],
+        &[],
+    ),
+    ("replay", &[], &["--metrics"]),
+    ("shrink", &["--out"], &[]),
+    (
+        "chaos",
+        &["--trials", "--seed", "--protocol", "--step-limit", "--out"],
+        &["--no-shrink", "--confirm", "--adversarial"],
+    ),
+    (
+        "serve",
+        &[
+            "--transport",
+            "--protocol",
+            "--spec",
+            "--processes",
+            "--messages",
+            "--seed",
+            "--step-limit",
+            "--tick-us",
+            "--record",
+            "--metrics-addr",
+            "--metrics-out",
+            "--wire-chaos",
+        ],
+        &["--reliable", "--spawn"],
+    ),
+    ("client", &["--connect", "--node", "--wire-chaos"], &[]),
+    (
+        "soak",
+        &[
+            "--duration",
+            "--protocol",
+            "--spec",
+            "--processes",
+            "--messages",
+            "--seed",
+            "--drop",
+            "--dup",
+            "--step-limit",
+            "--max-episodes",
+            "--metrics-addr",
+            "--metrics-out",
+            "--report",
+            "--max-rss-growth-mb",
+        ],
+        &["--reliable", "--adversarial", "--no-rotate"],
+    ),
+];
+
+/// The `--flag` tokens of `text`.
+fn flag_tokens(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+        .filter(|t| t.starts_with("--"))
+}
+
+/// One flag path: every subcommand accepts exactly its row of [`FLAGS`],
+/// rejects a missing value and a foreign flag with the same two
+/// messages, and `msgorder help` documents exactly what is parsed.
+#[test]
+fn every_flag_is_parsed_and_documented() {
+    let (_, help, _) = msgorder(&["help"]);
+    let universe: std::collections::BTreeSet<&str> = FLAGS
+        .iter()
+        .flat_map(|(_, valued, boolean)| valued.iter().chain(boolean.iter()).copied())
+        .collect();
+    // Parsing fails before anything runs, so no row starts a session.
+    let error_of = |args: &[&str]| {
+        let (ok, _, stderr) = msgorder(args);
+        assert!(!ok, "{args:?} must fail");
+        stderr
+    };
+    for (sub, valued, boolean) in FLAGS {
+        let own: std::collections::BTreeSet<&str> =
+            valued.iter().chain(boolean.iter()).copied().collect();
+        for flag in *valued {
+            let stderr = error_of(&[sub, flag]);
+            let needle = format!("flag {flag} needs a value");
+            assert!(stderr.contains(&needle), "{sub} {flag}: {stderr}");
+        }
+        for flag in *boolean {
+            let stderr = error_of(&[sub, flag, "--no-such-flag"]);
+            let needle = "unknown flag `--no-such-flag`";
+            assert!(stderr.contains(needle), "{sub} {flag}: {stderr}");
+        }
+        for flag in universe.difference(&own) {
+            let stderr = error_of(&[sub, flag]);
+            let needle = format!("unknown flag `{flag}`");
+            assert!(stderr.contains(&needle), "{sub} {flag}: {stderr}");
+        }
+        // The subcommand's help section: its `msgorder <sub>` usage line
+        // plus the indented option lines that start with a flag, up to
+        // the next subcommand.
+        let header = format!("  msgorder {sub} ");
+        let documented: std::collections::BTreeSet<&str> = help
+            .lines()
+            .skip_while(|l| !l.starts_with(&header))
+            .enumerate()
+            .take_while(|(i, l)| *i == 0 || !(l.starts_with("  msgorder ") || l.is_empty()))
+            .flat_map(|(i, l)| {
+                let first = l.split_whitespace().next().unwrap_or_default();
+                flag_tokens(if i == 0 { l } else { first })
+            })
+            .collect();
+        assert_eq!(documented, own, "`msgorder help` vs the {sub} parser");
+    }
 }
