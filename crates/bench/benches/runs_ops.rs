@@ -8,7 +8,7 @@ use msgorder_runs::ProcessId;
 
 fn bench_users_view(c: &mut Criterion) {
     let mut g = c.benchmark_group("runs/users-view");
-    for msgs in [10usize, 50, 100, 200] {
+    for msgs in [10usize, 50, 100, 200, 2_000] {
         let run = random_system_run(GenParams::new(4, msgs, 5));
         g.bench_with_input(BenchmarkId::from_parameter(msgs), &run, |b, run| {
             b.iter(|| run.users_view())

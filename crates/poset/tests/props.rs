@@ -14,8 +14,67 @@ fn forward_edges() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
     })
 }
 
+/// Arbitrary digraphs: back edges close multi-node SCCs, `u == v`
+/// gives self-loops, and a sparse draw leaves isolated nodes.
+fn any_edges() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
+    (1usize..12).prop_flat_map(|n| (Just(n), proptest::collection::vec((0..n, 0..n), 0..24)))
+}
+
+/// Nodes reached from `from` by a non-empty path — a plain DFS over the
+/// edge list, sharing nothing with `TransitiveClosure`.
+fn dfs_reach(n: usize, edges: &[(usize, usize)], from: usize) -> Vec<usize> {
+    let mut seen = vec![false; n];
+    let mut stack = vec![from];
+    while let Some(u) = stack.pop() {
+        for &(a, b) in edges {
+            if a == u && !seen[b] {
+                seen[b] = true;
+                stack.push(b);
+            }
+        }
+    }
+    (0..n).filter(|&v| seen[v]).collect()
+}
+
+#[test]
+fn closure_matches_dfs_on_nested_sccs() {
+    // {0,1,2} -> {3,4}, a self-loop on 5 fed by 4, and 6 isolated.
+    let edges = [
+        (0, 1),
+        (1, 2),
+        (2, 0),
+        (2, 3),
+        (3, 4),
+        (4, 3),
+        (4, 5),
+        (5, 5),
+    ];
+    let c = TransitiveClosure::from_pairs(7, edges);
+    for v in 0..7 {
+        let row: Vec<usize> = c.descendants(v).iter().collect();
+        assert_eq!(row, dfs_reach(7, &edges, v), "row {v}");
+    }
+    assert_eq!(
+        c.ancestors(5).iter().collect::<Vec<_>>(),
+        vec![0, 1, 2, 3, 4, 5]
+    );
+    assert!(c.ancestors(6).is_empty() && c.descendants(6).is_empty());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn closure_matches_dfs_on_any_digraph((n, edges) in any_edges()) {
+        let c = TransitiveClosure::from_pairs(n, edges.iter().copied());
+        let mut on_cycle = false;
+        for v in 0..n {
+            let reach = dfs_reach(n, &edges, v);
+            on_cycle |= reach.contains(&v);
+            prop_assert_eq!(c.descendants(v).iter().collect::<Vec<_>>(), reach, "row {}", v);
+        }
+        prop_assert_eq!(c.is_strict_order(), !on_cycle);
+    }
 
     #[test]
     fn closure_is_idempotent((n, edges) in forward_edges()) {
@@ -142,9 +201,9 @@ proptest! {
     }
 
     #[test]
-    fn ancestors_cache_matches_column_scan((n, edges) in forward_edges()) {
+    fn ancestors_cache_matches_column_scan((n, edges) in any_edges()) {
         // The transposed-rows cache must agree with scanning the row
-        // matrix column-wise.
+        // matrix column-wise, cycles and self-loops included.
         let c = TransitiveClosure::from_pairs(n, edges);
         for v in 0..n {
             let cached: Vec<usize> = c.ancestors(v).iter().collect();

@@ -26,19 +26,23 @@ pub fn in_x_co(run: &UserRun) -> bool {
 }
 
 /// The first causal-ordering violation `(x, y)` with
-/// `x.s ▷ y.s ∧ y.r ▷ x.r`, if any.
+/// `x.s ▷ y.s ∧ y.r ▷ x.r`, if any — first in lexicographic order.
+///
+/// Sends are the even event nodes and deliveries the odd ones, so for a
+/// fixed `x` the offending `y` are the even bits of
+/// `row(x.s) & (col(x.r) >> 1)`, one word (32 messages) at a time.
 pub fn co_violation(run: &UserRun) -> Option<(MessageId, MessageId)> {
-    let m = run.len();
-    for x in 0..m {
-        for y in 0..m {
-            if x == y {
-                continue;
-            }
-            let (x, y) = (MessageId(x), MessageId(y));
-            if run.before(UserEvent::send(x), UserEvent::send(y))
-                && run.before(UserEvent::deliver(y), UserEvent::deliver(x))
-            {
-                return Some((x, y));
+    const EVEN: u64 = 0x5555_5555_5555_5555;
+    let closure = run.closure();
+    for x in (0..run.len()).map(MessageId) {
+        let sent_after = closure.descendants(UserEvent::send(x).node()).words();
+        let delivered_before = closure.ancestors(UserEvent::deliver(x).node()).words();
+        for (wi, (&s, &r)) in sent_after.iter().zip(delivered_before).enumerate() {
+            // `y = x` never shows up: `x.s` is not its own descendant.
+            let hits = s & EVEN & (r >> 1);
+            if hits != 0 {
+                let y = (wi * 64 + hits.trailing_zeros() as usize) / 2;
+                return Some((x, MessageId(y)));
             }
         }
     }
@@ -47,9 +51,11 @@ pub fn co_violation(run: &UserRun) -> Option<(MessageId, MessageId)> {
 
 /// Membership in `X_sync` (logically synchronous ordering): the message
 /// precedence digraph is acyclic, equivalently a numbering
-/// `T : M → N` with `x.h ▷ y.f ⇒ T(x) < T(y)` exists.
+/// `T : M → N` with `x.h ▷ y.f ⇒ T(x) < T(y)` exists. Decided on the
+/// contracted skeleton, which is cyclic exactly when the message graph
+/// is.
 pub fn in_x_sync(run: &UserRun) -> bool {
-    !run.message_graph().has_cycle()
+    !run.skeleton_graph().has_cycle()
 }
 
 /// The numbering `T` witnessing logical synchrony (one slot per message,
@@ -57,7 +63,7 @@ pub fn in_x_sync(run: &UserRun) -> bool {
 ///
 /// Ties are broken by message id, so the result is deterministic.
 pub fn sync_numbering(run: &UserRun) -> Option<Vec<usize>> {
-    let order = run.message_graph().topo_sort().ok()?;
+    let order = run.skeleton_graph().topo_sort().ok()?;
     let mut t = vec![0usize; run.len()];
     for (slot, msg) in order.into_iter().enumerate() {
         t[msg] = slot;
@@ -70,7 +76,7 @@ pub fn sync_numbering(run: &UserRun) -> Option<Vec<usize>> {
 /// pattern in the paper's definition of `X_sync`. Returns `None` for
 /// synchronous runs.
 pub fn sync_violation(run: &UserRun) -> Option<Vec<MessageId>> {
-    run.message_graph()
+    run.skeleton_graph()
         .find_cycle()
         .map(|cycle| cycle.into_iter().map(MessageId).collect())
 }

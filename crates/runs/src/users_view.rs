@@ -1,7 +1,7 @@
 //! The user's view: complete runs `(H, ▷)` (§3.3).
 
 use crate::error::RunError;
-use crate::ids::{MessageId, UserEvent, UserEventKind};
+use crate::ids::{MessageId, UserEvent};
 use crate::message::MessageMeta;
 use msgorder_poset::{DiGraph, TransitiveClosure};
 use serde::{Deserialize, Serialize};
@@ -24,6 +24,8 @@ use std::fmt;
 pub struct UserRun {
     messages: Vec<MessageMeta>,
     closure: TransitiveClosure,
+    /// Edges of `skeleton_graph`, sorted and deduplicated.
+    skeleton: Vec<(usize, usize)>,
 }
 
 impl UserRun {
@@ -45,6 +47,7 @@ impl UserRun {
             debug_assert_eq!(meta.id.0, i, "message ids must be dense");
         }
         let mut g = DiGraph::new(2 * m);
+        let mut skeleton = Vec::new();
         for mi in 0..m {
             g.add_edge(
                 UserEvent::send(MessageId(mi)).node(),
@@ -59,13 +62,22 @@ impl UserRun {
                 }
             }
             g.add_edge(a.node(), b.node()).expect("checked above");
+            if a.msg != b.msg {
+                skeleton.push((a.msg.0, b.msg.0));
+            }
         }
-        if g.has_cycle() {
+        // The closure is built from the SCCs of `g`, so its diagonal
+        // already says whether the relation is cyclic.
+        let closure = TransitiveClosure::of_graph(&g);
+        if !closure.is_strict_order() {
             return Err(RunError::CyclicOrder);
         }
+        skeleton.sort_unstable();
+        skeleton.dedup();
         Ok(UserRun {
             messages,
-            closure: TransitiveClosure::of_graph(&g),
+            closure,
+            skeleton,
         })
     }
 
@@ -119,42 +131,57 @@ impl UserRun {
             .collect()
     }
 
-    /// The message-precedence digraph used by the SYNC test: an edge
+    /// The message-precedence digraph `M` of the SYNC test: an edge
     /// `x → y` (for `x ≠ y`) whenever some event of `x` precedes some
     /// event of `y` under `▷`.
     ///
     /// The run is logically synchronous iff this graph is acyclic (§3.4:
     /// acyclicity is exactly the existence of the numbering `T`).
+    ///
+    /// Since `x.s ⊴` every event of `x` and every event of `y ⊴ y.r`,
+    /// `x → y` holds iff `x.s ▷ y.r`: the successors of `x` are the odd
+    /// (delivery) bits of the closure row of `x.s`, read word by word.
+    /// The graph can have `Θ(m²)` edges, so [`crate::limit_sets`]
+    /// decides `X_sync` on the contracted skeleton instead (cyclic exactly
+    /// when this graph is) and its tests keep this one as the oracle.
     pub fn message_graph(&self) -> DiGraph {
+        const ODD: u64 = 0xAAAA_AAAA_AAAA_AAAA;
         let m = self.messages.len();
         let mut g = DiGraph::new(m);
         for x in 0..m {
-            for y in 0..m {
-                if x == y {
-                    continue;
-                }
-                let related = [UserEventKind::Send, UserEventKind::Deliver]
-                    .into_iter()
-                    .any(|h| {
-                        [UserEventKind::Send, UserEventKind::Deliver]
-                            .into_iter()
-                            .any(|f| {
-                                self.before(
-                                    UserEvent {
-                                        msg: MessageId(x),
-                                        kind: h,
-                                    },
-                                    UserEvent {
-                                        msg: MessageId(y),
-                                        kind: f,
-                                    },
-                                )
-                            })
-                    });
-                if related {
-                    g.add_edge(x, y).expect("message nodes in range");
+            let row = self
+                .closure
+                .descendants(UserEvent::send(MessageId(x)).node());
+            for (wi, &word) in row.words().iter().enumerate() {
+                let mut delivered = word & ODD;
+                while delivered != 0 {
+                    let y = (wi * 64 + delivered.trailing_zeros() as usize) / 2;
+                    delivered &= delivered - 1;
+                    if y != x {
+                        g.add_edge(x, y).expect("message nodes in range");
+                    }
                 }
             }
+        }
+        g
+    }
+
+    /// The contracted skeleton of the run: the generating pairs given to
+    /// [`UserRun::new`] (plus `x.s ▷ x.r`) with each message's two events
+    /// merged and self-loops dropped — at most one edge per generating
+    /// pair, where [`message_graph`](Self::message_graph) `M` can have
+    /// `m²`.
+    ///
+    /// Every skeleton edge comes from some `x.h ▷ y.f`, so it is an edge
+    /// of `M`; every edge `x → y` of `M` is a chain of generating pairs
+    /// from `x.s` to `y.r`, which contracts to a non-empty skeleton walk
+    /// from `x` to `y`. Hence the skeleton is cyclic iff `M` is, a
+    /// skeleton cycle is a crown `x_1.s ▷ x_2.r, …, x_k.s ▷ x_1.r`, and a
+    /// topological order of the skeleton is a valid numbering `T`.
+    pub(crate) fn skeleton_graph(&self) -> DiGraph {
+        let mut g = DiGraph::new(self.messages.len());
+        for &(x, y) in &self.skeleton {
+            g.add_edge(x, y).expect("message nodes in range");
         }
         g
     }

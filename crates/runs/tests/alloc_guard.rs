@@ -6,6 +6,9 @@
 //! no allocator. This test pins that property: a regression (a stray
 //! `Vec` push past capacity, a clock built out of line) fails the exact
 //! count, not a benchmark.
+//!
+//! One `#[test]` for the whole file: the counters are process-global, so
+//! a second test on a parallel harness thread would be counted too.
 
 use msgorder_runs::StreamingRun;
 
@@ -14,6 +17,11 @@ static ALLOC: msgorder_testkit::CountingAlloc = msgorder_testkit::CountingAlloc;
 
 #[test]
 fn appending_declared_messages_never_allocates() {
+    one_message_at_a_time();
+    stage_by_stage();
+}
+
+fn one_message_at_a_time() {
     let n = 3;
     let m = 16;
     let mut run = StreamingRun::new(n);
@@ -34,8 +42,7 @@ fn appending_declared_messages_never_allocates() {
     assert!(run.is_quiescent());
 }
 
-#[test]
-fn interleaved_appends_never_allocate() {
+fn stage_by_stage() {
     // Same guarantee under an adversarial interleaving: stage k of every
     // message before stage k+1 of any, maximizing live clock state.
     let n = 4;

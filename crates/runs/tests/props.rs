@@ -1,9 +1,13 @@
 //! Property tests for the run model.
 
 use msgorder_runs::generator::{
-    random_abstract_user_run, random_causal_run, random_sync_run, random_system_run, GenParams,
+    random_abstract_user_run, random_causal_run, random_sync_run, random_system_run,
+    random_user_run, GenParams,
 };
-use msgorder_runs::{construct, limit_sets, realize, EventKind, ProcessId, SystemEvent};
+use msgorder_runs::{
+    construct, limit_sets, realize, EventKind, MessageId, ProcessId, SystemEvent, UserEvent,
+    UserEventKind, UserRun,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -44,7 +48,6 @@ proptest! {
         let run = random_abstract_user_run(GenParams::new(procs, msgs, seed), d);
         prop_assert_eq!(run.len(), msgs);
         for i in 0..msgs {
-            use msgorder_runs::{MessageId, UserEvent};
             prop_assert!(run.before(UserEvent::send(MessageId(i)), UserEvent::deliver(MessageId(i))));
         }
     }
@@ -88,7 +91,6 @@ proptest! {
     /// implies system-view precedence on send/deliver events.
     #[test]
     fn projection_sound(procs in 2usize..4, msgs in 1usize..7, seed in 0u64..10_000) {
-        use msgorder_runs::UserEventKind;
         let run = random_system_run(GenParams::new(procs, msgs, seed));
         let user = run.users_view();
         for (a, b) in user.relation_pairs() {
@@ -102,4 +104,118 @@ proptest! {
             ), "user view invented {a} ▷ {b}");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The word-parallel limit-set kernels against their pairwise definitions.
+// ---------------------------------------------------------------------
+
+const KINDS: [UserEventKind; 2] = [UserEventKind::Send, UserEventKind::Deliver];
+
+/// `x.h ▷ y.f` for some `h, f` — four `before` queries, the definition
+/// of a message-graph edge.
+fn some_event_before(run: &UserRun, x: usize, y: usize) -> bool {
+    let event = |msg, kind| UserEvent {
+        msg: MessageId(msg),
+        kind,
+    };
+    KINDS.into_iter().any(|h| {
+        KINDS
+            .into_iter()
+            .any(|f| run.before(event(x, h), event(y, f)))
+    })
+}
+
+/// The definition of the first `X_co` violation, pair by pair.
+fn pairwise_co_violation(run: &UserRun) -> Option<(MessageId, MessageId)> {
+    let ids = || (0..run.len()).map(MessageId);
+    ids()
+        .flat_map(|x| ids().map(move |y| (x, y)))
+        .find(|&(x, y)| {
+            x != y
+                && run.before(UserEvent::send(x), UserEvent::send(y))
+                && run.before(UserEvent::deliver(y), UserEvent::deliver(x))
+        })
+}
+
+/// Runs on both sides of the 32-message word boundary: executions, and
+/// abstract orders sparse enough that all four verdicts occur.
+fn oracle_corpus() -> Vec<UserRun> {
+    let mut runs = Vec::new();
+    for seed in 0..600u64 {
+        let procs = 2 + (seed % 4) as usize;
+        let msgs = (seed % 71) as usize;
+        runs.push(random_user_run(GenParams::new(procs, msgs, seed)));
+        let density = [0.002, 0.01, 0.04][(seed % 3) as usize];
+        runs.push(random_abstract_user_run(
+            GenParams::new(procs, msgs, seed),
+            density,
+        ));
+    }
+    runs
+}
+
+#[test]
+fn limit_set_kernels_match_their_pairwise_definitions() {
+    // Verdict tallies, indexed by `usize::from(member)`.
+    let (mut co_seen, mut sync_seen) = ([0usize; 2], [0usize; 2]);
+    for run in oracle_corpus() {
+        let m = run.len();
+
+        let violation = limit_sets::co_violation(&run);
+        assert_eq!(
+            violation,
+            pairwise_co_violation(&run),
+            "X_co witness on\n{run}"
+        );
+        assert_eq!(limit_sets::in_x_co(&run), violation.is_none());
+        co_seen[usize::from(violation.is_none())] += 1;
+
+        let graph = run.message_graph();
+        let defined: Vec<(usize, usize)> = (0..m)
+            .flat_map(|x| (0..m).map(move |y| (x, y)))
+            .filter(|&(x, y)| x != y && some_event_before(&run, x, y))
+            .collect();
+        assert_eq!(graph.edges(), &defined[..], "message graph of\n{run}");
+
+        let is_sync = limit_sets::in_x_sync(&run);
+        assert_eq!(is_sync, !graph.has_cycle(), "X_sync verdict on\n{run}");
+        sync_seen[usize::from(is_sync)] += 1;
+
+        match limit_sets::sync_violation(&run) {
+            Some(crown) => {
+                assert!(!is_sync && crown.len() >= 2);
+                for (i, x) in crown.iter().enumerate() {
+                    let y = crown[(i + 1) % crown.len()];
+                    assert!(defined.contains(&(x.0, y.0)), "crown step {x} → {y}");
+                    assert!(run.before(UserEvent::send(*x), UserEvent::deliver(y)));
+                }
+            }
+            None => assert!(is_sync),
+        }
+        let numbering = limit_sets::sync_numbering(&run);
+        // Same ready sets at every step of Kahn's algorithm, so the
+        // skeleton yields the very numbering the message graph would.
+        let on_graph = graph.topo_sort().ok().map(|order| {
+            let mut t = vec![0; m];
+            for (slot, msg) in order.into_iter().enumerate() {
+                t[msg] = slot;
+            }
+            t
+        });
+        assert_eq!(numbering, on_graph, "numbering T on\n{run}");
+        match numbering {
+            Some(t) => {
+                assert!(is_sync);
+                for &(x, y) in &defined {
+                    assert!(t[x] < t[y], "T({x}) < T({y}) on\n{run}");
+                }
+            }
+            None => assert!(!is_sync),
+        }
+    }
+    assert!(
+        co_seen.iter().chain(&sync_seen).all(|&seen| seen >= 100),
+        "one-sided corpus: X_co [out, in] = {co_seen:?}, X_sync = {sync_seen:?}"
+    );
 }

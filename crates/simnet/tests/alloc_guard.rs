@@ -7,6 +7,9 @@
 //! must touch the allocator zero times. The guard snapshots the global
 //! allocation counter at every observed run event and requires the
 //! entire second half of the event stream to be allocation-free.
+//!
+//! One `#[test]` for the whole file: the counter is process-global, so a
+//! second test on a parallel harness thread would be counted too.
 
 use msgorder_runs::{StreamingRun, SystemEvent};
 use msgorder_simnet::{
@@ -71,16 +74,13 @@ fn steady_state_allocs<P: Protocol>(msgs: usize, factory: impl Fn(usize) -> P) -
 }
 
 #[test]
-fn async_dispatch_is_allocation_free_at_steady_state() {
+fn dispatch_is_allocation_free_at_steady_state() {
     let allocs = steady_state_allocs(24, |_| Immediate);
     assert_eq!(
         allocs, 0,
         "second half of an async run must not allocate per delivered message"
     );
-}
 
-#[test]
-fn sorted_slab_protocol_state_reaches_steady_state() {
     // A stateful protocol: per-peer counters in a SortedSlab. After the
     // slab has seen every peer, updates are in-place — the steady-state
     // window stays allocation-free even with per-message bookkeeping.
