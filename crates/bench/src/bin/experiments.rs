@@ -958,7 +958,7 @@ fn exp_s1() -> Value {
 /// counterexample schedule exhibited.
 fn exp_m1() -> Value {
     use msgorder_protocols::{AsyncProtocol, CausalRst, FifoProtocol, SyncProtocol};
-    use msgorder_simnet::{explore_parallel_with, ExploreOptions, SendSpec};
+    use msgorder_simnet::{explore, ExploreOptions, SendSpec};
     use std::sync::atomic::{AtomicBool, Ordering};
     println!("Exhaustive exploration (all frame orderings) of small configurations.\n");
     let opts = ExploreOptions {
@@ -1050,7 +1050,7 @@ fn exp_m1() -> Value {
     {
         let ok = AtomicBool::new(true);
         let prep = eval::Prepared::new(&fifo_spec);
-        let e = explore_parallel_with(
+        let e = explore(
             2,
             same3.clone(),
             |_| FifoProtocol::new(),
@@ -1077,7 +1077,7 @@ fn exp_m1() -> Value {
     {
         let violated = AtomicBool::new(false);
         let prep = eval::Prepared::new(&fifo_spec);
-        let e = explore_parallel_with(
+        let e = explore(
             2,
             same3,
             |_| AsyncProtocol::new(),
@@ -1103,7 +1103,7 @@ fn exp_m1() -> Value {
     }
     {
         let ok = AtomicBool::new(true);
-        let e = explore_parallel_with(
+        let e = explore(
             3,
             triangle.clone(),
             |_| CausalRst::new(3),
@@ -1129,7 +1129,7 @@ fn exp_m1() -> Value {
     }
     {
         let violated = AtomicBool::new(false);
-        let e = explore_parallel_with(
+        let e = explore(
             3,
             triangle,
             |_| AsyncProtocol::new(),
@@ -1155,7 +1155,7 @@ fn exp_m1() -> Value {
     }
     {
         let ok = AtomicBool::new(true);
-        let e = explore_parallel_with(
+        let e = explore(
             2,
             crossing,
             |_| SyncProtocol::new(),

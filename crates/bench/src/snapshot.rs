@@ -1,12 +1,12 @@
 //! The digest-checked exploration the benchmark harness (`benchmark/`)
 //! and the explorer's violation-set pins share: one timed
-//! [`explore_parallel_with`] under the async protocol whose visitor
+//! [`explore()`] under the async protocol whose visitor
 //! folds every violating terminal configuration into a set digest.
 
 use msgorder_predicate::{eval, ForbiddenPredicate};
 use msgorder_protocols::AsyncProtocol;
 use msgorder_runs::{SystemRun, UserRunSnapshot};
-use msgorder_simnet::{explore_parallel_with, Exploration, ExploreOptions, Workload};
+use msgorder_simnet::{explore, Exploration, ExploreOptions, Workload};
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -49,7 +49,7 @@ pub fn timed_explore(
 ) -> ExploreRow {
     let configs: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::new());
     let start = Instant::now();
-    let exploration = explore_parallel_with(
+    let exploration = explore(
         procs,
         w.clone(),
         |_| AsyncProtocol::new(),
@@ -105,8 +105,9 @@ mod tests {
         );
         assert_ne!(full.digest, other.digest);
 
-        // The violation sets the retired BENCH_6/BENCH_8 snapshot bins
-        // held every engine row to (3 processes, seed 3, async vs fifo).
+        // The violation sets every engine configuration must find
+        // (3 processes, seed 3, async vs fifo), first recorded by the
+        // explorer snapshots of PRs 6 and 8.
         for (msgs, configs, digest) in [
             (5, 74, 0x9aa7_3789_c8e1_ba4b_u64),
             (6, 384, 0xbffa_a1ce_4809_3e3c),

@@ -125,10 +125,10 @@ impl ProtocolKind {
     }
 
     /// Instantiates the protocol as a concrete [`ExplorableProtocol`]
-    /// (`Clone + Hash`, as the explorer's deduplicating and reducing
-    /// entry points require), or `None` for kinds whose state cannot be
-    /// canonically hashed (`flush` holds `HashMap` channel state; the
-    /// synthesized kinds carry predicate automata).
+    /// (`Clone + Hash + Send`, as the explorer requires), or `None` for
+    /// kinds whose state cannot be canonically hashed (`flush` holds
+    /// `HashMap` channel state; the synthesized kinds carry predicate
+    /// automata).
     pub fn explorable(&self, n: usize, node: usize) -> Option<ExplorableProtocol> {
         match self {
             ProtocolKind::Async => Some(ExplorableProtocol::Async(AsyncProtocol::new())),

@@ -20,8 +20,8 @@ use std::hash::Hash;
 use msgorder_predicate::{eval, ForbiddenPredicate};
 use msgorder_runs::{EventKind, MessageId, StreamingRun, SystemEvent, SystemRunBuilder, UserRun};
 use msgorder_simnet::{
-    explore_monitored_with, Exploration, ExploreOptions, LivenessVerdict, PrefixMonitor, Protocol,
-    RunObserver, SimConfig, SimError, Simulation, Stats, Workload,
+    explore_monitored, Exploration, ExploreOptions, LivenessVerdict, Protocol, RunObserver,
+    SimConfig, SimError, Simulation, Stats, Workload,
 };
 
 /// Feeds kernel run events into the predicate layer's online
@@ -30,9 +30,9 @@ use msgorder_simnet::{
 ///
 /// As a [`RunObserver`] it records *when* the first violation was
 /// detected (global event index and simulated time) and — in halting
-/// mode — stops the simulation there. As a [`PrefixMonitor`] it
-/// condemns any exploration prefix containing a violation, pruning the
-/// whole schedule sub-tree below it.
+/// mode — stops the simulation there. Under [`explore_monitored`] the
+/// same halt condemns the exploration prefix, pruning the whole
+/// schedule sub-tree below the violation.
 #[derive(Clone)]
 pub struct OnlineMonitor<'p> {
     inner: eval::Monitor<'p>,
@@ -43,7 +43,8 @@ pub struct OnlineMonitor<'p> {
 
 impl<'p> OnlineMonitor<'p> {
     /// A monitor that keeps observing after a violation (the simulation
-    /// runs to drain, so liveness is still decided exactly).
+    /// runs to drain, so liveness is still decided exactly). It never
+    /// halts, so under [`explore_monitored`] it prunes nothing.
     pub fn new(pred: &'p ForbiddenPredicate) -> Self {
         OnlineMonitor {
             inner: eval::Monitor::new(pred),
@@ -53,7 +54,8 @@ impl<'p> OnlineMonitor<'p> {
         }
     }
 
-    /// A monitor that halts the simulation at the violating delivery.
+    /// A monitor that halts the simulation at the violating delivery —
+    /// and so condemns the prefix under [`explore_monitored`].
     pub fn halting(pred: &'p ForbiddenPredicate) -> Self {
         OnlineMonitor {
             halt_on_violation: true,
@@ -96,9 +98,10 @@ impl<'p> OnlineMonitor<'p> {
     pub fn search_timings(&self) -> eval::MonitorTimings {
         self.inner.timings()
     }
+}
 
-    /// Feeds one run event; `true` while the simulation should go on.
-    fn feed(&mut self, view: &StreamingRun, ev: SystemEvent, index: usize, time: u64) -> bool {
+impl RunObserver for OnlineMonitor<'_> {
+    fn on_event(&mut self, view: &StreamingRun, ev: SystemEvent, index: usize, time: u64) -> bool {
         if self.inner.violated() {
             return !self.halt_on_violation;
         }
@@ -110,23 +113,6 @@ impl<'p> OnlineMonitor<'p> {
             }
         }
         true
-    }
-}
-
-impl RunObserver for OnlineMonitor<'_> {
-    fn on_event(&mut self, view: &StreamingRun, ev: SystemEvent, index: usize, time: u64) -> bool {
-        self.feed(view, ev, index, time)
-    }
-}
-
-impl PrefixMonitor for OnlineMonitor<'_> {
-    fn on_event(&mut self, view: &StreamingRun, ev: SystemEvent) -> bool {
-        // Exploration always prunes at the violation, whatever the
-        // halting mode: extending a violating prefix cannot un-violate.
-        if self.inner.violated() {
-            return false;
-        }
-        !(ev.kind == EventKind::Deliver && self.inner.on_complete(view, ev.msg).is_some())
     }
 }
 
@@ -288,9 +274,9 @@ pub struct ExhaustiveOutcome {
 
 /// Model-checks `factory`'s protocol against `spec` over **all**
 /// schedules of `workload`, riding the explorer configured by `opts`
-/// (sleep-set reduction, deduplication, caps).
+/// (sleep-set reduction, deduplication, threads, caps).
 ///
-/// The online monitor condemns every violating prefix, so the whole
+/// The halting online monitor condemns every violating prefix, so the whole
 /// sub-tree below a violation is pruned rather than enumerated;
 /// `safe` holds iff nothing was condemned and no schedule tripped a
 /// kernel invariant. Sleep-set reduction and deduplication preserve
@@ -305,15 +291,15 @@ pub fn verify_exhaustive<P>(
     opts: &ExploreOptions,
 ) -> ExhaustiveOutcome
 where
-    P: Protocol + Clone + Hash,
+    P: Protocol + Clone + Hash + Send,
 {
-    let exploration = explore_monitored_with(
+    let exploration = explore_monitored(
         processes,
         workload,
         factory,
         OnlineMonitor::halting(spec),
         opts,
-        &mut |_| true,
+        &|_| true,
     );
     ExhaustiveOutcome {
         safe: exploration.pruned == 0 && exploration.error.is_none(),
@@ -326,7 +312,8 @@ mod tests {
     use super::*;
     use crate::{AsyncProtocol, CausalRst, FifoProtocol, ProtocolKind};
     use msgorder_predicate::catalog;
-    use msgorder_simnet::{explore_monitored, FaultModel, LatencyModel};
+    use msgorder_simnet::{explore, DedupMode, FaultModel, LatencyModel};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn config(processes: usize, seed: u64) -> SimConfig {
         SimConfig::new(processes, LatencyModel::Uniform { lo: 1, hi: 900 }, seed)
@@ -549,40 +536,33 @@ mod tests {
         let w = Workload {
             sends: vec![send(0), send(1)],
         };
-        let mut plain_total = 0usize;
-        let plain = msgorder_simnet::explore(
-            2,
-            w.clone(),
-            |_| AsyncProtocol::new(),
-            10_000,
-            |_| {
-                plain_total += 1;
-                true
-            },
-        );
+        let opts = ExploreOptions::default();
+        let plain = explore(2, w.clone(), |_| AsyncProtocol::new(), &opts, &|_| true);
         assert!(plain.error.is_none());
-        let mut surviving = 0usize;
+        let surviving = AtomicUsize::new(0);
         let monitored = explore_monitored(
             2,
             w,
             |_| AsyncProtocol::new(),
-            OnlineMonitor::new(&spec),
-            10_000,
-            |run| {
+            OnlineMonitor::halting(&spec),
+            &opts,
+            &|run| {
                 assert!(
                     eval::find_instantiation(&spec, &run.users_view()).is_none(),
                     "a surviving schedule violates FIFO"
                 );
-                surviving += 1;
+                surviving.fetch_add(1, Ordering::Relaxed);
                 true
             },
         );
+        let surviving = surviving.into_inner();
         assert!(monitored.error.is_none());
         assert!(monitored.pruned > 0, "reordered schedules must be pruned");
         assert_eq!(monitored.schedules, surviving);
         assert!(
-            surviving < plain_total,
-            "pruning must remove some of the {plain_total} schedules"
+            surviving < plain.schedules,
+            "pruning must remove some of the {} schedules",
+            plain.schedules
         );
     }
 
@@ -628,10 +608,9 @@ mod tests {
 
     /// Async vs FIFO: some schedule reorders a channel, and the
     /// exhaustive verdict is identical with and without reduction and
-    /// deduplication.
+    /// deduplication, on any number of threads.
     #[test]
     fn exhaustive_verdict_stable_across_reduction_and_dedup() {
-        use msgorder_simnet::DedupMode;
         let spec = catalog::fifo();
         let send = |at| msgorder_simnet::SendSpec {
             at,
@@ -654,12 +633,77 @@ mod tests {
                 ..ExploreOptions::default()
             },
         ];
-        for opts in &variants {
-            let out = verify_exhaustive(2, w.clone(), |_| AsyncProtocol::new(), &spec, opts);
-            assert!(!out.safe, "async must violate FIFO under {opts:?}");
-            assert!(out.exploration.pruned > 0);
-            let fifo = verify_exhaustive(2, w.clone(), |_| FifoProtocol::new(), &spec, opts);
-            assert!(fifo.safe, "FIFO must stay safe under {opts:?}");
+        for variant in &variants {
+            for threads in [1, 2, 4] {
+                let opts = &ExploreOptions {
+                    threads,
+                    ..variant.clone()
+                };
+                let out = verify_exhaustive(2, w.clone(), |_| AsyncProtocol::new(), &spec, opts);
+                assert!(!out.safe, "async must violate FIFO under {opts:?}");
+                assert!(out.exploration.pruned > 0);
+                let fifo = verify_exhaustive(2, w.clone(), |_| FifoProtocol::new(), &spec, opts);
+                assert!(fifo.safe, "FIFO must stay safe under {opts:?}");
+            }
+        }
+    }
+
+    /// The single-thread search is the reference for every other mode,
+    /// so its traversal is pinned: `(schedules, pruned, states,
+    /// sleep_skipped, truncated)` as captured at the commit before the
+    /// sequential and threaded sinks were merged, over reduction ×
+    /// seen-set mode × monitoring, plus the cap gate.
+    #[test]
+    fn single_thread_counters_are_pinned() {
+        let spec = catalog::fifo();
+        let compact = DedupMode::Compact {
+            max_states: 0,
+            spill: None,
+        };
+        type Counters = (usize, usize, usize, usize, bool);
+        let (off, exact, max) = (&DedupMode::Off, &DedupMode::Exact, usize::MAX);
+        #[rustfmt::skip]
+        let table: [(usize, bool, &DedupMode, bool, Counters); 13] = [
+            // cap, por, dedup, monitored, (schedules, pruned, states, sleep_skipped, truncated)
+            (max, false, off,      false, (28350, 0,    0,    0,   false)),
+            (max, false, off,      true,  (18900, 7544, 0,    0,   false)),
+            (max, false, exact,    false, (165,   0,    1359, 0,   false)),
+            (max, false, exact,    true,  (91,    186,  1053, 0,   false)),
+            (max, false, &compact, false, (165,   0,    1359, 0,   false)),
+            (max, false, &compact, true,  (91,    186,  1053, 0,   false)),
+            (max, true,  off,      false, (165,   0,    0,    240, false)),
+            (max, true,  off,      true,  (91,    128,  0,    173, false)),
+            (max, true,  exact,    false, (165,   0,    1359, 240, false)),
+            (max, true,  exact,    true,  (91,    128,  1053, 173, false)),
+            (max, true,  &compact, false, (165,   0,    1359, 240, false)),
+            (max, true,  &compact, true,  (91,    128,  1053, 173, false)),
+            (40,  true,  exact,    true,  (40,    80,   521,  71,  true)),
+        ];
+        for (cap, por, dedup, monitored, want) in table {
+            let opts = ExploreOptions {
+                cap,
+                por,
+                dedup: dedup.clone(),
+                ..ExploreOptions::default()
+            };
+            let w = Workload::uniform_random(3, 5, 3);
+            let e = if monitored {
+                let monitor = OnlineMonitor::halting(&spec);
+                explore_monitored(3, w, |_| AsyncProtocol::new(), monitor, &opts, &|_| true)
+            } else {
+                explore(3, w, |_| AsyncProtocol::new(), &opts, &|_| true)
+            };
+            let got = (
+                e.schedules,
+                e.pruned,
+                e.states,
+                e.sleep_skipped,
+                e.truncated,
+            );
+            assert_eq!(
+                got, want,
+                "cap {cap}, por {por}, {dedup:?}, monitored {monitored}"
+            );
         }
     }
 }

@@ -8,10 +8,11 @@
 //! world at each branch. Every complete schedule's captured run is
 //! handed to the visitor, which typically checks a specification.
 //!
-//! Three layers keep the search tractable beyond toy workloads, all
-//! opt-in through [`ExploreOptions`] ([`explore`] and
-//! [`explore_monitored`] are the all-defaults forms of [`explore_with`]
-//! and [`explore_monitored_with`]):
+//! There are two entries over one engine: [`explore`], and
+//! [`explore_monitored`], which additionally carries a [`RunObserver`]
+//! down every branch and cuts the sub-tree below any prefix the
+//! observer halts. Both take the same [`ExploreOptions`] and every
+//! field means the same thing at both, in every combination:
 //!
 //! 1. **Sleep-set partial-order reduction** ([`ExploreOptions::por`]).
 //!    Two enabled events *commute* iff they dispatch at different
@@ -22,18 +23,23 @@
 //!    dispatches but one, preserving the *set* of terminal
 //!    configurations and therefore the set of distinct runs — and in
 //!    particular every violating configuration.
-//! 2. **A work-stealing frontier** sharded by state fingerprint
-//!    ([`ExploreOptions::threads`]). Workers run depth-first on their
-//!    own deque and donate subtrees whenever the global queue runs low,
-//!    so threads stay busy all the way to the leaves instead of only
-//!    across top-level branches.
-//! 3. **Incremental state keys** ([`ExploreOptions::dedup`]). The
+//! 2. **Incremental state keys** ([`ExploreOptions::dedup`]). The
 //!    canonical configuration key is maintained per dispatch (per-node
 //!    protocol encodings, per-process run chains, a mirrored pool
 //!    encoding) instead of re-hashed from scratch, together with a
 //!    128-bit rolling fingerprint. The seen-set can be exact
 //!    (full keys), or compact (fingerprints only) with an optional
 //!    bound and disk spill so state counts can exceed RAM.
+//! 3. **Threads** ([`ExploreOptions::threads`]). A run is its partial
+//!    order, not its interleaving, so the explorer's contract is the
+//!    *set* of terminal configurations, and the single-thread search —
+//!    one recursive DFS on the caller's thread, deterministic in
+//!    traversal order, visit order and every counter — is the reference
+//!    for every other mode. More threads change scheduling only: the
+//!    same DFS runs in each worker over a work-stealing frontier
+//!    sharded by state fingerprint, workers donating subtrees whenever
+//!    the global queue runs low, so threads stay busy all the way to
+//!    the leaves instead of only across top-level branches.
 //!
 //! Under exploration the clock is frozen at `0`: event times are then
 //! path-independent, which is what makes commuting prefixes reach
@@ -44,7 +50,9 @@
 use crate::error::SimError;
 use crate::faults::FaultModel;
 use crate::host::HostEvent;
-use crate::kernel::{Driver, EventKind, KernelEvent, Protocol, Scheduled, SimConfig, Simulation};
+use crate::kernel::{
+    Driver, EventKind, KernelEvent, Protocol, RunObserver, Scheduled, SimConfig, Simulation,
+};
 use crate::liveness::{self, LivenessVerdict};
 use crate::workload::Workload;
 use msgorder_runs::{StreamingRun, SystemEvent, SystemRun};
@@ -65,8 +73,8 @@ pub struct Exploration {
     /// Whether the cap, the depth bound, or a full bounded seen-set
     /// stopped the search early.
     pub truncated: bool,
-    /// Prefixes condemned by the [`PrefixMonitor`] (and therefore never
-    /// extended). Zero for the unmonitored entry points. Under
+    /// Prefixes at which [`explore_monitored`]'s observer halted (and
+    /// which were therefore never extended). Zero for [`explore`]. Under
     /// partial-order reduction this counts condemned *representatives*,
     /// not every condemned interleaving, so it is ≤ the unreduced
     /// count.
@@ -90,22 +98,6 @@ pub struct Exploration {
     /// Seen-set segments spilled to disk (compact mode with a spill
     /// path).
     pub spilled: usize,
-}
-
-impl Exploration {
-    fn empty() -> Exploration {
-        Exploration {
-            schedules: 0,
-            truncated: false,
-            pruned: 0,
-            error: None,
-            non_live: 0,
-            first_stall: None,
-            states: 0,
-            sleep_skipped: 0,
-            spilled: 0,
-        }
-    }
 }
 
 /// How the explorer's seen-set stores visited configurations.
@@ -139,12 +131,11 @@ pub enum DedupMode {
     },
 }
 
-/// Tuning knobs for [`explore_with`] / [`explore_parallel_with`] /
-/// [`explore_monitored_with`].
+/// Tuning knobs for [`explore`] and [`explore_monitored`].
 ///
 /// Deduplication (either mode) requires a quiet [`FaultModel`]: the
 /// probabilistic fault stream is part of the configuration but cannot
-/// be keyed, so the `_with` entry points panic on that combination.
+/// be keyed, so both entries panic on that combination.
 /// Partial-order reduction with non-quiet faults silently degrades to
 /// the full search instead — fault verdicts make same-channel events
 /// rediscoverable in any order, so no two events are treated as
@@ -155,9 +146,9 @@ pub struct ExploreOptions {
     pub cap: usize,
     /// Enable sleep-set partial-order reduction.
     pub por: bool,
-    /// Worker threads (`<= 1` = sequential). Only
-    /// [`explore_parallel_with`] honours this; the `FnMut` entry points
-    /// are sequential by construction.
+    /// Worker threads. `<= 1` runs the search on the caller's thread,
+    /// deterministically; more spawn that many workers over the
+    /// work-stealing frontier.
     pub threads: usize,
     /// Seen-set mode.
     pub dedup: DedupMode,
@@ -200,159 +191,53 @@ impl ExploreOptions {
     }
 }
 
-/// An online check over growing run prefixes, used by
-/// [`explore_monitored`] to cut schedule sub-trees the moment they are
-/// known bad.
-///
-/// Cloned at every branch point (so implementations should keep their
-/// state small); fed each run event in the order the explored schedule
-/// executes it. Returning `false` *condemns* the prefix: because
-/// forbidden-predicate violations are monotone under run extension,
-/// every schedule extending a condemned prefix would violate too, so
-/// the whole sub-tree is pruned.
-///
-/// Under partial-order reduction the monitor must additionally be
-/// insensitive to the order of *commuting* events (true of any check
-/// over the run's partial order, like [`OnlineMonitor`]): a condemned
-/// representative then implies every sleep-skipped sibling order is
-/// condemned too, so pruning them unseen is sound.
-///
-/// [`OnlineMonitor`]: ../protocols/verify/struct.OnlineMonitor.html
-pub trait PrefixMonitor: Clone {
-    /// Whether the monitor actually inspects events. The explorer skips
-    /// journaling entirely for monitors that never look (the internal
-    /// no-op monitor of the unmonitored entry points).
-    const ACTIVE: bool = true;
-
-    /// Called once per executed run event. Return `false` to condemn.
-    fn on_event(&mut self, view: &StreamingRun, ev: SystemEvent) -> bool;
-}
-
-/// The monitor of the unmonitored entry points: never condemns, and
-/// `ACTIVE = false` keeps run-event journaling off.
+/// The observer of the unmonitored entry: never halts. [`explore`]
+/// passes it with `monitored = false`, which keeps run-event journaling
+/// off, so it is consulted only for the events deduplication journals.
 #[derive(Clone, Copy)]
-struct NoMonitor;
+struct Unobserved;
 
-impl PrefixMonitor for NoMonitor {
-    const ACTIVE: bool = false;
-    fn on_event(&mut self, _view: &StreamingRun, _ev: SystemEvent) -> bool {
+impl RunObserver for Unobserved {
+    fn on_event(&mut self, _: &StreamingRun, _: SystemEvent, _: usize, _: u64) -> bool {
         true
     }
 }
 
 // ---------------------------------------------------------------------------
-// All-defaults entry points
+// Entry points
 // ---------------------------------------------------------------------------
 
 /// Exhaustively explores every schedule of `workload` under the
 /// protocol, invoking `visit` with each complete run. `visit` may
-/// return `false` to stop early (e.g. after finding a violation).
+/// return `false` to stop early (e.g. after finding a violation); with
+/// several [`threads`](ExploreOptions::threads) it runs concurrently.
 ///
 /// Per-process request order is preserved (a user issues its sends in
 /// workload order); everything else — frame arrival order across and
 /// within channels, timer firing order — is fully interleaved.
-///
-/// # Panics
-/// Panics if a protocol livelocks within a schedule (more dispatches
-/// than `10_000` pending at once), which would make exploration
-/// meaningless.
-pub fn explore<P, V>(
-    processes: usize,
-    workload: Workload,
-    factory: impl Fn(usize) -> P,
-    cap: usize,
-    mut visit: V,
-) -> Exploration
-where
-    P: Protocol + Clone,
-    V: FnMut(&SystemRun) -> bool,
-{
-    let opts = ExploreOptions {
-        cap,
-        ..ExploreOptions::default()
-    };
-    let state = initial_state(processes, workload, factory, &opts.faults);
-    run_sequential(state, &opts, NoMonitor, &mut visit)
-}
-
-/// Like [`explore`], but carries a [`PrefixMonitor`] along every branch
-/// and prunes any prefix the monitor condemns — the schedule sub-tree
-/// below a detected violation is never expanded. `visit` receives only
-/// the complete runs of *uncondemned* schedules;
-/// [`Exploration::pruned`] counts the condemned prefixes.
-///
-/// # Panics
-/// Panics if a protocol livelocks within a schedule (see [`explore`]).
-pub fn explore_monitored<P, M, V>(
-    processes: usize,
-    workload: Workload,
-    factory: impl Fn(usize) -> P,
-    monitor: M,
-    cap: usize,
-    mut visit: V,
-) -> Exploration
-where
-    P: Protocol + Clone,
-    M: PrefixMonitor,
-    V: FnMut(&SystemRun) -> bool,
-{
-    let opts = ExploreOptions {
-        cap,
-        ..ExploreOptions::default()
-    };
-    let state = initial_state(processes, workload, factory, &opts.faults);
-    run_sequential(state, &opts, monitor, &mut visit)
-}
-
-// ---------------------------------------------------------------------------
-// Options-driven entry points
-// ---------------------------------------------------------------------------
-
-/// [`explore`] with the full option set: partial-order reduction,
-/// deduplication, a depth bound, and a fault model. Sequential —
-/// [`ExploreOptions::threads`] is ignored here (an `FnMut` visitor
-/// cannot run concurrently); use [`explore_parallel_with`] for the
-/// threaded frontier.
 ///
 /// With reduction on, `visit` sees exactly one schedule per
 /// sleep-set-distinct terminal configuration: the *set* of distinct
 /// runs (and so every violating configuration) matches the full
 /// search's, while `schedules` shrinks to the representative count.
 ///
-/// # Panics
-/// Panics on a livelocking protocol (see [`explore`]) and on
-/// deduplication combined with a non-quiet fault model (see
-/// [`ExploreOptions`]).
-pub fn explore_with<P, V>(
-    processes: usize,
-    workload: Workload,
-    factory: impl Fn(usize) -> P,
-    opts: &ExploreOptions,
-    visit: &mut V,
-) -> Exploration
-where
-    P: Protocol + Clone + Hash,
-    V: FnMut(&SystemRun) -> bool,
-{
-    opts.assert_valid();
-    let mut state = initial_state(processes, workload, factory, &opts.faults);
-    if opts.dedup != DedupMode::Off {
-        attach_cache(&mut state);
-    }
-    run_sequential(state, opts, NoMonitor, visit)
-}
-
-/// [`explore_with`] over the sharded work-stealing frontier. The
-/// visitor runs concurrently. Uncapped and without deduplication, the
-/// counters and the multiset of visited runs equal the sequential
-/// search's for any thread count; with deduplication, the *set* of
-/// distinct runs and the `schedules`/`states` counts still match, but
+/// On one thread the traversal, the order of `visit` calls and every
+/// counter are deterministic. Uncapped and without deduplication, the
+/// counters and the multiset of visited runs are the same for any
+/// thread count; with deduplication, the *set* of distinct runs and the
+/// `schedules`/`states` counts still match, but
 /// `pruned`/`sleep_skipped` can vary with scheduling (workers may race
 /// into a state before its stored sleep set shrinks).
 ///
+/// A protocol bug along some schedule — an invalid kernel action, or
+/// unbounded traffic (`10_000` events pending at once, reported as
+/// [`StepLimit`](crate::SimErrorKind::StepLimit)) — stops the search
+/// and is returned as [`Exploration::error`] with its partial trace.
+///
 /// # Panics
-/// As [`explore_with`]; worker panics propagate.
-pub fn explore_parallel_with<P, V>(
+/// Panics on deduplication combined with a non-quiet fault model (see
+/// [`ExploreOptions`]); worker panics propagate.
+pub fn explore<P, V>(
     processes: usize,
     workload: Workload,
     factory: impl Fn(usize) -> P,
@@ -363,47 +248,45 @@ where
     P: Protocol + Clone + Hash + Send,
     V: Fn(&SystemRun) -> bool + Sync,
 {
-    opts.assert_valid();
-    let mut state = initial_state(processes, workload, factory, &opts.faults);
-    if opts.dedup != DedupMode::Off {
-        attach_cache(&mut state);
-    }
-    if opts.threads <= 1 {
-        return run_sequential(state, opts, NoMonitor, &mut |run: &SystemRun| visit(run));
-    }
-    run_parallel(state, opts, NoMonitor, visit)
+    search(processes, workload, factory, Unobserved, false, opts, visit)
 }
 
-/// [`explore_monitored`] with the full option set (sequential; see
-/// [`explore_with`] for the threading caveat).
+/// Like [`explore`], but carries a clone of `monitor` down every branch,
+/// feeds it each run event in the order the explored schedule executes
+/// it, and prunes any prefix at which it returns `false` — "halt the
+/// run" condemns the prefix, so the schedule sub-tree below a detected
+/// violation is never expanded. This is sound for any check that is
+/// monotone under run extension, as forbidden-predicate violations
+/// are. `visit` receives only the complete runs of *uncondemned*
+/// schedules; [`Exploration::pruned`] counts the condemned prefixes.
 ///
-/// Condemnation composes with sleep sets: a monitor insensitive to the
-/// order of commuting events condemns a representative iff it would
-/// condemn every sleep-skipped sibling order, so the visitor still sees
-/// exactly the uncondemned distinct runs. `pruned` counts condemned
-/// representatives only.
+/// The monitor is cloned at every branch point, so it should keep its
+/// state small. Only run events reach it: wire and fault records are
+/// not journaled under exploration.
+///
+/// Condemnation composes with sleep sets provided the monitor is
+/// insensitive to the order of *commuting* events (true of any check
+/// over the run's partial order, like `OnlineMonitor` in
+/// `msgorder-protocols`): it then condemns a representative iff it
+/// would condemn every sleep-skipped sibling order, so the visitor
+/// still sees exactly the uncondemned distinct runs.
 ///
 /// # Panics
-/// As [`explore_with`].
-pub fn explore_monitored_with<P, M, V>(
+/// As [`explore`].
+pub fn explore_monitored<P, M, V>(
     processes: usize,
     workload: Workload,
     factory: impl Fn(usize) -> P,
     monitor: M,
     opts: &ExploreOptions,
-    visit: &mut V,
+    visit: &V,
 ) -> Exploration
 where
-    P: Protocol + Clone + Hash,
-    M: PrefixMonitor,
-    V: FnMut(&SystemRun) -> bool,
+    P: Protocol + Clone + Hash + Send,
+    M: RunObserver + Clone + Send,
+    V: Fn(&SystemRun) -> bool + Sync,
 {
-    opts.assert_valid();
-    let mut state = initial_state(processes, workload, factory, &opts.faults);
-    if opts.dedup != DedupMode::Off {
-        attach_cache(&mut state);
-    }
-    run_sequential(state, opts, monitor, visit)
+    search(processes, workload, factory, monitor, true, opts, visit)
 }
 
 // ---------------------------------------------------------------------------
@@ -472,6 +355,7 @@ enum Pick {
     Request(usize),
 }
 
+#[derive(Clone)]
 struct State<P> {
     world: crate::kernel::World,
     protocols: Vec<P>,
@@ -481,24 +365,14 @@ struct State<P> {
     requests: Vec<VecDeque<Scheduled>>,
     /// Incrementally maintained canonical key, present iff
     /// deduplication is on.
-    cache: Option<Box<KeyCache<P>>>,
+    cache: Option<Box<KeyCache>>,
 }
 
-impl<P: Protocol + Clone> State<P> {
+impl<P: Protocol + Hash> State<P> {
     /// If the last dispatch poisoned the world, extracts the
     /// counterexample (with the partial trace and stats attached).
     fn take_error(&mut self) -> Option<Box<SimError>> {
         self.world.take_error().map(Box::new)
-    }
-
-    fn clone_state(&self) -> State<P> {
-        State {
-            world: self.world.clone(),
-            protocols: self.protocols.clone(),
-            pool: self.pool.clone(),
-            requests: self.requests.clone(),
-            cache: self.cache.clone(),
-        }
     }
 
     /// Enumerates the enabled transitions in the classic branch order:
@@ -551,52 +425,48 @@ impl<P: Protocol + Clone> State<P> {
         }
     }
 
-    /// Dispatches `ev`, feeds freshly journaled run events to the
-    /// monitor and the key cache, and folds newly scheduled events into
+    /// Dispatches `ev`, feeds freshly journaled run events to the key
+    /// cache and the monitor, and folds newly scheduled events into
     /// the pool. Returns `true` if the monitor condemned the prefix.
     ///
     /// The clock stays frozen at `0`: ordering is the explorer's
     /// choice, and path-independent event times are what make commuting
     /// prefixes reach identical configurations.
-    fn execute<M: PrefixMonitor>(&mut self, ev: Scheduled, mon: &mut M) -> bool {
+    fn execute(&mut self, ev: Scheduled, mon: &mut dyn RunObserver) -> bool {
         let node = ev.node;
         self.world.step(&mut self.protocols, node, ev.kind);
-        let mut condemned = false;
-        if self.world.record {
+        if let Some(c) = &mut self.cache {
             // The explorer never journals wire/fault records
             // (record_wire stays off under exploration), so only run
             // events appear. Every run event journaled during a
             // dispatch at `node` belongs to `node`'s process sequence,
             // so the cache chains stay per-process-ordered.
-            let fresh = std::mem::take(&mut self.world.fresh);
-            for entry in fresh {
+            for entry in &self.world.fresh {
                 if let KernelEvent::Run { ev, .. } = entry {
-                    if let Some(c) = &mut self.cache {
-                        c.chain_append(node, &ev);
-                    }
-                    if M::ACTIVE && !condemned && !mon.on_event(&self.world.builder, ev) {
-                        condemned = true;
-                    }
+                    c.chain_append(node, ev);
                 }
             }
+            c.set_proto(node, encode_hash(&self.protocols[node]));
         }
-        if let Some(c) = &mut self.cache {
-            let enc = c.enc;
-            c.set_proto(node, enc(&self.protocols[node]));
-        }
+        let condemned = !self.world.notify_observer(mon);
         while let Some(Reverse(nev)) = self.world.queue.pop() {
             if let Some(c) = &mut self.cache {
                 c.pool_push(&nev);
             }
             self.pool.push(nev);
         }
-        assert!(
-            self.pool.len() < 10_000,
-            "protocol generates unbounded traffic under exploration"
-        );
+        if self.pool.len() >= POOL_LIMIT {
+            self.world.poison_step_limit(POOL_LIMIT, false, false);
+        }
         condemned
     }
 }
+
+/// Pending events at once beyond which a protocol is taken to generate
+/// unbounded traffic: the world is poisoned with a
+/// [`StepLimit`](crate::SimErrorKind::StepLimit) counterexample and the
+/// search stops, as for any other protocol bug.
+const POOL_LIMIT: usize = 10_000;
 
 /// A [`Hasher`] that records every byte fed to it instead of mixing
 /// them down to 64 bits. Feeding a component's `Hash` impl through it
@@ -621,10 +491,6 @@ fn encode_hash<T: Hash + ?Sized>(value: &T) -> Vec<u8> {
     let mut h = KeyRecorder::default();
     value.hash(&mut h);
     h.bytes
-}
-
-fn encode_protocol<P: Hash>(p: &P) -> Vec<u8> {
-    encode_hash(p)
 }
 
 fn encode_scheduled(ev: &Scheduled) -> Vec<u8> {
@@ -700,8 +566,8 @@ const TAG_REQ: u64 = 0x52;
 /// exact bytes, a 128-bit rolling fingerprint (`fp`) is kept as a
 /// commutative sum of per-component mixes; it shards the seen-set and
 /// *is* the key in compact mode.
-struct KeyCache<P> {
-    enc: fn(&P) -> Vec<u8>,
+#[derive(Clone)]
+struct KeyCache {
     /// Per-process canonical encodings of run events since the root, in
     /// dispatch order.
     chains: Vec<Vec<u8>>,
@@ -720,27 +586,12 @@ struct KeyCache<P> {
     fp: u128,
 }
 
-impl<P> Clone for KeyCache<P> {
-    fn clone(&self) -> Self {
-        KeyCache {
-            enc: self.enc,
-            chains: self.chains.clone(),
-            chain_fp: self.chain_fp.clone(),
-            proto: self.proto.clone(),
-            proto_fp: self.proto_fp.clone(),
-            pool: self.pool.clone(),
-            pool_fp: self.pool_fp.clone(),
-            popped: self.popped.clone(),
-            fp: self.fp,
-        }
-    }
-}
-
-impl<P> KeyCache<P> {
-    fn new(protocols: &[P], pool: &[Scheduled], processes: usize, enc: fn(&P) -> Vec<u8>) -> Self {
+impl KeyCache {
+    fn new<P: Hash>(protocols: &[P], pool: &[Scheduled]) -> Self {
+        let processes = protocols.len();
         let chains = vec![Vec::new(); processes];
         let chain_fp = vec![Fnv128::new(); processes];
-        let proto: Vec<Vec<u8>> = protocols.iter().map(enc).collect();
+        let proto: Vec<Vec<u8>> = protocols.iter().map(|p| encode_hash(p)).collect();
         let proto_fp: Vec<u128> = proto.iter().map(|b| Fnv128::of(b)).collect();
         let pool_enc: Vec<Vec<u8>> = pool.iter().map(encode_scheduled).collect();
         let pool_fp: Vec<u128> = pool_enc.iter().map(|b| Fnv128::of(b)).collect();
@@ -759,7 +610,6 @@ impl<P> KeyCache<P> {
             fp = fp.wrapping_add(mix128(TAG_REQ, p as u64, u128::from(c)));
         }
         KeyCache {
-            enc,
             chains,
             chain_fp,
             proto,
@@ -851,14 +701,8 @@ impl<P> KeyCache<P> {
     }
 }
 
-fn attach_cache<P: Protocol + Clone + Hash>(state: &mut State<P>) {
-    let processes = state.requests.len();
-    state.cache = Some(Box::new(KeyCache::new(
-        &state.protocols,
-        &state.pool,
-        processes,
-        encode_protocol::<P>,
-    )));
+fn attach_cache<P: Hash>(state: &mut State<P>) {
+    state.cache = Some(Box::new(KeyCache::new(&state.protocols, &state.pool)));
 }
 
 // ---------------------------------------------------------------------------
@@ -1150,21 +994,97 @@ struct Env<'e> {
     seen: Option<&'e SeenShards>,
 }
 
-/// Where the engine reports progress: sequential accumulation into an
-/// [`Exploration`], or shared atomics for the threaded frontier.
-trait Sink<P: Protocol + Clone> {
+/// Where the engine reports: the visitor, the cap, and the counters
+/// every worker folds into. Shared by reference — on one thread the
+/// atomics are merely uncontended.
+struct Sink<'a, V> {
+    visit: &'a V,
+    cap: usize,
+    schedules: AtomicUsize,
+    non_live: AtomicUsize,
+    pruned: AtomicUsize,
+    sleep_skipped: AtomicUsize,
+    truncated: AtomicBool,
     /// A cooperative stop was requested (early-stop visitor, error, or
-    /// a worker hitting the cap).
-    fn stopped(&self) -> bool;
-    /// Entry gate, called once per state; `false` aborts the traversal
-    /// (the sequential cap check lives here).
-    fn enter(&mut self) -> bool;
+    /// the cap reached).
+    stopped: AtomicBool,
+    stall: Mutex<Option<Box<LivenessVerdict>>>,
+    error: Mutex<Option<Box<SimError>>>,
+}
+
+impl<V: Fn(&SystemRun) -> bool> Sink<'_, V> {
+    fn stopped(&self) -> bool {
+        self.stopped.load(Ordering::Relaxed)
+    }
+
+    fn stop(&self) {
+        self.stopped.store(true, Ordering::Relaxed);
+    }
+
+    fn truncate(&self) {
+        self.truncated.store(true, Ordering::Relaxed);
+    }
+
+    /// `cap` schedules exist: the search is truncated and winds down.
+    fn cap_reached(&self) -> bool {
+        self.truncate();
+        self.stop();
+        false
+    }
+
+    /// Entry gate, called once per state; `false` aborts the traversal.
+    /// No state is entered once `cap` schedules exist.
+    fn enter(&self) -> bool {
+        if self.stopped() {
+            return false;
+        }
+        if self.schedules.load(Ordering::Relaxed) >= self.cap {
+            return self.cap_reached();
+        }
+        true
+    }
+
     /// A terminal configuration; returns `false` to stop the search.
-    fn leaf(&mut self, state: &mut State<P>) -> bool;
-    fn error(&mut self, e: Box<SimError>);
-    fn condemned(&mut self);
-    fn sleep_skip(&mut self);
-    fn truncate(&mut self);
+    fn leaf<P>(&self, state: &mut State<P>) -> bool {
+        // Claim a schedule slot atomically so the count can never
+        // overshoot the cap, however many workers passed the entry gate
+        // together.
+        let claim = self
+            .schedules
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < self.cap).then_some(n + 1)
+            });
+        if claim.is_err() {
+            return self.cap_reached();
+        }
+        // A leaf whose run is non-quiescent wedged under this
+        // interleaving.
+        if let Some(v) = liveness::analyze(&state.world, false) {
+            self.non_live.fetch_add(1, Ordering::Relaxed);
+            self.stall
+                .lock()
+                .expect("no worker panicked holding the stall slot")
+                .get_or_insert_with(|| Box::new(v));
+        }
+        let run = state
+            .world
+            .builder
+            .build()
+            .expect("explored runs are valid");
+        let go_on = (self.visit)(&run);
+        if !go_on {
+            self.stop();
+        }
+        go_on
+    }
+
+    fn error(&self, e: Box<SimError>) {
+        self.error
+            .lock()
+            .expect("no worker panicked holding the error slot")
+            .get_or_insert(e);
+        self.stop();
+    }
 }
 
 /// One unit of donated work on the threaded frontier.
@@ -1247,23 +1167,23 @@ impl<P, M> Frontier<P, M> {
 
 /// The engine: one recursive DFS shared by every mode. `sleep` is this
 /// state's sleep set (empty without reduction); `frontier` is `Some`
-/// only on the threaded path, where explorable children may be donated
+/// only with several threads, where explorable children may be donated
 /// instead of recursed into. Returns `false` to abort the traversal.
-fn dfs<P, M, S>(
+fn dfs<P, M, V>(
     state: &mut State<P>,
     mut sleep: Vec<TKey>,
     mon: &M,
     depth: usize,
     env: &Env<'_>,
-    sink: &mut S,
+    sink: &Sink<'_, V>,
     frontier: Option<&Frontier<P, M>>,
 ) -> bool
 where
-    P: Protocol + Clone,
-    M: PrefixMonitor,
-    S: Sink<P>,
+    P: Protocol + Clone + Hash,
+    M: RunObserver + Clone,
+    V: Fn(&SystemRun) -> bool,
 {
-    if sink.stopped() || !sink.enter() {
+    if !sink.enter() {
         return false;
     }
     let trans = state.transitions();
@@ -1307,7 +1227,7 @@ where
         (0..trans.len()).collect()
     };
     if explorable.is_empty() {
-        sink.sleep_skip();
+        sink.sleep_skipped.fetch_add(1, Ordering::Relaxed);
         return true;
     }
     let last = explorable.len() - 1;
@@ -1321,7 +1241,7 @@ where
             return false;
         }
         let (t_key, pick) = (&trans[ti].0, trans[ti].1);
-        let mut next = state.clone_state();
+        let mut next = state.clone();
         let ev = next.take_transition(pick);
         let mut child_mon = mon.clone();
         let condemned = next.execute(ev, &mut child_mon);
@@ -1333,7 +1253,7 @@ where
             // Condemnation is monotone and order-insensitive over
             // commuting events, so sleeping `t_key` in later siblings
             // stays sound: those skipped orders would be condemned too.
-            sink.condemned();
+            sink.pruned.fetch_add(1, Ordering::Relaxed);
             if env.por {
                 done.push(t_key.clone());
             }
@@ -1381,312 +1301,106 @@ where
     true
 }
 
-/// Accounts a complete schedule's liveness: a leaf whose run is
-/// non-quiescent wedged under this interleaving.
-fn note_leaf_liveness<P>(state: &State<P>, exp: &mut Exploration) {
-    if let Some(v) = liveness::analyze(&state.world, false) {
-        exp.non_live += 1;
-        if exp.first_stall.is_none() {
-            exp.first_stall = Some(Box::new(v));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sequential driver
-// ---------------------------------------------------------------------------
-
-struct SeqSink<'a, V> {
-    exp: &'a mut Exploration,
-    visit: &'a mut V,
-    cap: usize,
-}
-
-impl<P, V> Sink<P> for SeqSink<'_, V>
-where
-    P: Protocol + Clone,
-    V: FnMut(&SystemRun) -> bool,
-{
-    fn stopped(&self) -> bool {
-        false
-    }
-    fn enter(&mut self) -> bool {
-        if self.exp.schedules >= self.cap {
-            self.exp.truncated = true;
-            return false;
-        }
-        true
-    }
-    fn leaf(&mut self, state: &mut State<P>) -> bool {
-        self.exp.schedules += 1;
-        note_leaf_liveness(state, self.exp);
-        let run = state
-            .world
-            .builder
-            .build()
-            .expect("explored runs are valid");
-        (self.visit)(&run)
-    }
-    fn error(&mut self, e: Box<SimError>) {
-        self.exp.error = Some(e);
-    }
-    fn condemned(&mut self) {
-        self.exp.pruned += 1;
-    }
-    fn sleep_skip(&mut self) {
-        self.exp.sleep_skipped += 1;
-    }
-    fn truncate(&mut self) {
-        self.exp.truncated = true;
-    }
-}
-
-fn run_sequential<P, M, V>(
-    mut state: State<P>,
+/// The one driver behind both entries: builds the root, runs the DFS
+/// inline (`threads <= 1`) or in workers over a [`Frontier`], and folds
+/// the sink and the seen-set into the [`Exploration`]. `monitored`
+/// turns run-event journaling on for `monitor`; deduplication needs it
+/// either way, to key the per-process event chains.
+fn search<P, M, V>(
+    processes: usize,
+    workload: Workload,
+    factory: impl Fn(usize) -> P,
+    monitor: M,
+    monitored: bool,
     opts: &ExploreOptions,
-    mon: M,
-    visit: &mut V,
-) -> Exploration
-where
-    P: Protocol + Clone,
-    M: PrefixMonitor,
-    V: FnMut(&SystemRun) -> bool,
-{
-    state.world.record = M::ACTIVE || state.cache.is_some();
-    let mut exp = Exploration::empty();
-    let seen = SeenShards::new(&opts.dedup, 1);
-    let env = Env {
-        por: opts.por_effective(),
-        max_depth: opts.max_depth,
-        seen: seen.as_ref(),
-    };
-    {
-        let mut sink = SeqSink {
-            exp: &mut exp,
-            visit,
-            cap: opts.cap,
-        };
-        let _ = dfs(
-            &mut state,
-            Vec::new(),
-            &mon,
-            0,
-            &env,
-            &mut sink,
-            None::<&Frontier<P, M>>,
-        );
-    }
-    if let Some(seen) = &seen {
-        let (states, spilled) = seen.totals();
-        exp.states = states;
-        exp.spilled = spilled;
-    }
-    exp
-}
-
-// ---------------------------------------------------------------------------
-// Parallel driver
-// ---------------------------------------------------------------------------
-
-struct SharedCounters {
-    schedules: AtomicUsize,
-    non_live: AtomicUsize,
-    pruned: AtomicUsize,
-    sleep_skipped: AtomicUsize,
-    truncated: AtomicBool,
-    stopped: AtomicBool,
-    stall: Mutex<Option<Box<LivenessVerdict>>>,
-    error: Mutex<Option<Box<SimError>>>,
-}
-
-impl SharedCounters {
-    fn new() -> SharedCounters {
-        SharedCounters {
-            schedules: AtomicUsize::new(0),
-            non_live: AtomicUsize::new(0),
-            pruned: AtomicUsize::new(0),
-            sleep_skipped: AtomicUsize::new(0),
-            truncated: AtomicBool::new(false),
-            stopped: AtomicBool::new(false),
-            stall: Mutex::new(None),
-            error: Mutex::new(None),
-        }
-    }
-
-    fn into_exploration(self) -> Exploration {
-        Exploration {
-            schedules: self.schedules.load(Ordering::Relaxed),
-            truncated: self.truncated.load(Ordering::Relaxed),
-            pruned: self.pruned.load(Ordering::Relaxed),
-            error: self
-                .error
-                .into_inner()
-                .expect("no worker panicked holding the error slot"),
-            non_live: self.non_live.load(Ordering::Relaxed),
-            first_stall: self
-                .stall
-                .into_inner()
-                .expect("no worker panicked holding the stall slot"),
-            states: 0,
-            sleep_skipped: self.sleep_skipped.load(Ordering::Relaxed),
-            spilled: 0,
-        }
-    }
-}
-
-struct ParSink<'a, V> {
-    c: &'a SharedCounters,
-    visit: &'a V,
-    cap: usize,
-}
-
-impl<P, V> Sink<P> for ParSink<'_, V>
-where
-    P: Protocol + Clone,
-    V: Fn(&SystemRun) -> bool + Sync,
-{
-    fn stopped(&self) -> bool {
-        self.c.stopped.load(Ordering::Relaxed)
-    }
-    fn enter(&mut self) -> bool {
-        true
-    }
-    fn leaf(&mut self, state: &mut State<P>) -> bool {
-        // Claim a schedule slot with a compare-exchange loop so the
-        // count can never overshoot the cap.
-        let mut cur = self.c.schedules.load(Ordering::Relaxed);
-        loop {
-            if cur >= self.cap {
-                self.c.truncated.store(true, Ordering::Relaxed);
-                self.c.stopped.store(true, Ordering::Relaxed);
-                return false;
-            }
-            match self.c.schedules.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-        if let Some(v) = liveness::analyze(&state.world, false) {
-            self.c.non_live.fetch_add(1, Ordering::Relaxed);
-            self.c
-                .stall
-                .lock()
-                .expect("no worker panicked holding the stall slot")
-                .get_or_insert_with(|| Box::new(v));
-        }
-        let run = state
-            .world
-            .builder
-            .build()
-            .expect("explored runs are valid");
-        if !(self.visit)(&run) {
-            self.c.stopped.store(true, Ordering::Relaxed);
-            return false;
-        }
-        true
-    }
-    fn error(&mut self, e: Box<SimError>) {
-        self.c
-            .error
-            .lock()
-            .expect("no worker panicked holding the error slot")
-            .get_or_insert(e);
-        self.c.stopped.store(true, Ordering::Relaxed);
-    }
-    fn condemned(&mut self) {
-        self.c.pruned.fetch_add(1, Ordering::Relaxed);
-    }
-    fn sleep_skip(&mut self) {
-        self.c.sleep_skipped.fetch_add(1, Ordering::Relaxed);
-    }
-    fn truncate(&mut self) {
-        self.c.truncated.store(true, Ordering::Relaxed);
-    }
-}
-
-fn run_parallel<P, M, V>(
-    mut root: State<P>,
-    opts: &ExploreOptions,
-    mon: M,
     visit: &V,
 ) -> Exploration
 where
-    P: Protocol + Clone + Send,
-    M: PrefixMonitor + Send,
+    P: Protocol + Clone + Hash + Send,
+    M: RunObserver + Clone + Send,
     V: Fn(&SystemRun) -> bool + Sync,
 {
-    root.world.record = M::ACTIVE || root.cache.is_some();
-    let threads = opts.threads.max(2);
+    opts.assert_valid();
+    let mut root = initial_state(processes, workload, factory, &opts.faults);
+    if opts.dedup != DedupMode::Off {
+        attach_cache(&mut root);
+    }
+    root.world.record = monitored || root.cache.is_some();
+    let threads = opts.threads.max(1);
     let seen = SeenShards::new(&opts.dedup, threads);
     let env = Env {
         por: opts.por_effective(),
         max_depth: opts.max_depth,
         seen: seen.as_ref(),
     };
-    let shared = SharedCounters::new();
-    let frontier: Frontier<P, M> = Frontier::new(threads);
-    frontier.push(Job {
-        state: root,
-        sleep: Vec::new(),
-        mon,
-        depth: 0,
-    });
-    std::thread::scope(|s| {
-        for w in 0..threads {
-            let frontier = &frontier;
-            let shared = &shared;
-            let env = &env;
-            let cap = opts.cap;
-            s.spawn(move || {
-                let mut sink = ParSink {
-                    c: shared,
-                    visit,
-                    cap,
-                };
-                loop {
-                    if shared.stopped.load(Ordering::Relaxed) {
-                        break;
+    let sink = Sink {
+        visit,
+        cap: opts.cap,
+        schedules: AtomicUsize::new(0),
+        non_live: AtomicUsize::new(0),
+        pruned: AtomicUsize::new(0),
+        sleep_skipped: AtomicUsize::new(0),
+        truncated: AtomicBool::new(false),
+        stopped: AtomicBool::new(false),
+        stall: Mutex::new(None),
+        error: Mutex::new(None),
+    };
+    if threads == 1 {
+        dfs(&mut root, Vec::new(), &monitor, 0, &env, &sink, None);
+    } else {
+        let frontier = Frontier::new(threads);
+        frontier.push(Job {
+            state: root,
+            sleep: Vec::new(),
+            mon: monitor,
+            depth: 0,
+        });
+        std::thread::scope(|s| {
+            for w in 0..threads {
+                let (frontier, env, sink) = (&frontier, &env, &sink);
+                s.spawn(move || {
+                    while !sink.stopped() {
+                        let Some(mut job) = frontier.pop(w) else {
+                            if frontier.pending.load(Ordering::SeqCst) == 0 {
+                                break;
+                            }
+                            std::thread::yield_now();
+                            std::thread::sleep(std::time::Duration::from_micros(20));
+                            continue;
+                        };
+                        dfs(
+                            &mut job.state,
+                            job.sleep,
+                            &job.mon,
+                            job.depth,
+                            env,
+                            sink,
+                            Some(frontier),
+                        );
+                        frontier.pending.fetch_sub(1, Ordering::SeqCst);
                     }
-                    let Some(job) = frontier.pop(w) else {
-                        if frontier.pending.load(Ordering::SeqCst) == 0 {
-                            break;
-                        }
-                        std::thread::yield_now();
-                        std::thread::sleep(std::time::Duration::from_micros(20));
-                        continue;
-                    };
-                    let Job {
-                        mut state,
-                        sleep,
-                        mon,
-                        depth,
-                    } = job;
-                    let _ = dfs(
-                        &mut state,
-                        sleep,
-                        &mon,
-                        depth,
-                        env,
-                        &mut sink,
-                        Some(frontier),
-                    );
-                    frontier.pending.fetch_sub(1, Ordering::SeqCst);
-                }
-            });
-        }
-    });
-    let mut exp = shared.into_exploration();
-    if let Some(seen) = &seen {
-        let (states, spilled) = seen.totals();
-        exp.states = states;
-        exp.spilled = spilled;
+                });
+            }
+        });
     }
-    exp
+    let (states, spilled) = seen.as_ref().map_or((0, 0), SeenShards::totals);
+    Exploration {
+        schedules: sink.schedules.into_inner(),
+        truncated: sink.truncated.into_inner(),
+        pruned: sink.pruned.into_inner(),
+        error: sink
+            .error
+            .into_inner()
+            .expect("no worker panicked holding the error slot"),
+        non_live: sink.non_live.into_inner(),
+        first_stall: sink
+            .stall
+            .into_inner()
+            .expect("no worker panicked holding the stall slot"),
+        states,
+        sleep_skipped: sink.sleep_skipped.into_inner(),
+        spilled,
+    }
 }
 
 #[cfg(test)]
@@ -1730,9 +1444,64 @@ mod tests {
         }
     }
 
+    /// Answers every frame with a burst of control frames: pending
+    /// traffic grows without bound along every schedule.
+    #[derive(Clone, Hash)]
+    struct Flood;
+    impl Flood {
+        fn burst(ctx: &mut crate::Ctx<'_>, to: ProcessId) {
+            for _ in 0..POOL_LIMIT / 4 {
+                ctx.send_control(to, Vec::new());
+            }
+        }
+    }
+    impl Protocol for Flood {
+        fn on_send_request(&mut self, ctx: &mut crate::Ctx<'_>, msg: MessageId) {
+            ctx.send_user(msg, Vec::new());
+        }
+        fn on_user_frame(
+            &mut self,
+            ctx: &mut crate::Ctx<'_>,
+            from: ProcessId,
+            _msg: MessageId,
+            _tag: Vec<u8>,
+        ) {
+            Flood::burst(ctx, from);
+        }
+        fn on_control_frame(&mut self, ctx: &mut crate::Ctx<'_>, from: ProcessId, _: Vec<u8>) {
+            Flood::burst(ctx, from);
+        }
+    }
+
+    #[test]
+    fn unbounded_traffic_is_a_counterexample_not_a_panic() {
+        for threads in [1, 2] {
+            let exp = explore(
+                2,
+                two_same_channel(),
+                |_| Flood,
+                &threaded(threads, usize::MAX),
+                &|_| true,
+            );
+            let e = exp.error.expect("the flood poisons the world");
+            assert_eq!(e.kind.discriminant_name(), "step-limit");
+            assert!(e.trace.is_some(), "the partial trace rides along");
+            assert_eq!(
+                exp.schedules, 0,
+                "no schedule of a flooding protocol completes"
+            );
+        }
+    }
+
     #[test]
     fn exploration_counts_non_live_schedules_with_blame() {
-        let exp = explore(2, two_same_channel(), |_| Sink2, 10_000, |_| true);
+        let exp = explore(
+            2,
+            two_same_channel(),
+            |_| Sink2,
+            &ExploreOptions::default(),
+            &|_| true,
+        );
         assert!(exp.error.is_none());
         assert!(exp.schedules > 0);
         assert_eq!(
@@ -1747,17 +1516,23 @@ mod tests {
         );
 
         // A live protocol reports none.
-        let exp = explore(2, two_same_channel(), |_| Immediate, 10_000, |_| true);
+        let exp = explore(
+            2,
+            two_same_channel(),
+            |_| Immediate,
+            &ExploreOptions::default(),
+            &|_| true,
+        );
         assert_eq!(exp.non_live, 0);
         assert!(exp.first_stall.is_none());
 
-        // The parallel front end aggregates the same counts.
-        let par = explore_parallel_with(
+        // Several workers aggregate the same counts.
+        let par = explore(
             2,
             two_same_channel(),
             |_| Sink2,
-            &threaded(4, 10_000),
-            &|_: &SystemRun| true,
+            &threaded(4, usize::MAX),
+            &|_| true,
         );
         assert_eq!(par.non_live, par.schedules);
         assert!(par.first_stall.is_some());
@@ -1773,12 +1548,12 @@ mod tests {
     }
 
     /// The fan-out workload under exact deduplication.
-    fn exact_dedup_fan_out(mut visit: impl FnMut(&SystemRun) -> bool) -> Exploration {
+    fn exact_dedup_fan_out(visit: &(impl Fn(&SystemRun) -> bool + Sync)) -> Exploration {
         let opts = ExploreOptions {
             dedup: DedupMode::Exact,
             ..ExploreOptions::default()
         };
-        explore_with(3, fan_out(), |_| Immediate, &opts, &mut visit)
+        explore(3, fan_out(), |_| Immediate, &opts, visit)
     }
 
     fn two_same_channel() -> Workload {
@@ -1808,30 +1583,33 @@ mod tests {
         // [a0] and [a1] relative to req order... enumerate and check a
         // known property instead of an exact count: both delivery
         // orders must occur.
-        let mut saw_in_order = false;
-        let mut saw_inverted = false;
+        let saw_in_order = AtomicBool::new(false);
+        let saw_inverted = AtomicBool::new(false);
         let exp = explore(
             2,
             two_same_channel(),
             |_| Immediate,
-            10_000,
-            |run| {
+            &ExploreOptions::default(),
+            &|run| {
                 let user = run.users_view();
                 use msgorder_runs::UserEvent;
                 if user.before(
                     UserEvent::deliver(MessageId(0)),
                     UserEvent::deliver(MessageId(1)),
                 ) {
-                    saw_in_order = true;
+                    saw_in_order.store(true, Ordering::Relaxed);
                 } else {
-                    saw_inverted = true;
+                    saw_inverted.store(true, Ordering::Relaxed);
                 }
                 true
             },
         );
         assert!(!exp.truncated);
         assert!(exp.schedules >= 2);
-        assert!(saw_in_order && saw_inverted, "explorer must reorder frames");
+        assert!(
+            saw_in_order.into_inner() && saw_inverted.into_inner(),
+            "explorer must reorder frames"
+        );
     }
 
     #[test]
@@ -1840,8 +1618,8 @@ mod tests {
             2,
             two_same_channel(),
             |_| Immediate,
-            10_000,
-            |run| {
+            &ExploreOptions::default(),
+            &|run| {
                 assert!(run.is_quiescent());
                 true
             },
@@ -1851,12 +1629,18 @@ mod tests {
 
     #[test]
     fn early_stop_works() {
-        let exp = explore(2, two_same_channel(), |_| Immediate, 10_000, |_| false);
+        let exp = explore(
+            2,
+            two_same_channel(),
+            |_| Immediate,
+            &ExploreOptions::default(),
+            &|_| false,
+        );
         assert_eq!(exp.schedules, 1);
     }
 
     #[test]
-    fn cap_truncates() {
+    fn cap_truncates_and_never_overshoots() {
         let w = Workload {
             sends: (0..4)
                 .map(|i| SendSpec {
@@ -1867,9 +1651,13 @@ mod tests {
                 })
                 .collect(),
         };
-        let exp = explore(2, w, |_| Immediate, 3, |_| true);
-        assert!(exp.truncated);
-        assert_eq!(exp.schedules, 3);
+        for threads in [1, 4] {
+            let exp = explore(2, w.clone(), |_| Immediate, &threaded(threads, 3), &|_| {
+                true
+            });
+            assert!(exp.truncated, "threads = {threads}");
+            assert_eq!(exp.schedules, 3, "threads = {threads}");
+        }
     }
 
     /// A workload whose messages fan out to different destinations, so
@@ -1901,8 +1689,8 @@ mod tests {
 
     /// Canonical fingerprint of a run for set comparison across
     /// exploration strategies.
-    fn fingerprint(run: &SystemRun) -> Vec<(String, String)> {
-        let mut pairs: Vec<(String, String)> = run
+    fn fingerprint(run: &SystemRun) -> Fingerprint {
+        let mut pairs: Fingerprint = run
             .users_view()
             .relation_pairs()
             .into_iter()
@@ -1912,28 +1700,42 @@ mod tests {
         pairs
     }
 
-    fn run_set(exp_runs: &BTreeSet<Vec<(String, String)>>) -> usize {
-        exp_runs.len()
+    type Fingerprint = Vec<(String, String)>;
+
+    /// Visitor body collecting the *set* of visited runs.
+    fn note(runs: &Mutex<BTreeSet<Fingerprint>>, run: &SystemRun) -> bool {
+        runs.lock()
+            .expect("no visitor panicked")
+            .insert(fingerprint(run));
+        true
+    }
+
+    /// Visitor body collecting the *multiset* of visited runs.
+    fn tally(runs: &Mutex<BTreeMap<Fingerprint, usize>>, run: &SystemRun) -> bool {
+        *runs
+            .lock()
+            .expect("no visitor panicked")
+            .entry(fingerprint(run))
+            .or_default() += 1;
+        true
     }
 
     #[test]
     fn dedup_visits_same_distinct_runs_with_fewer_configurations() {
-        let mut plain_runs = BTreeSet::new();
+        let plain_runs = Mutex::new(BTreeSet::new());
         let plain = explore(
             3,
             fan_out(),
             |_| Immediate,
-            usize::MAX,
-            |run| {
-                plain_runs.insert(fingerprint(run));
-                true
-            },
+            &ExploreOptions::default(),
+            &|run| note(&plain_runs, run),
         );
-        let mut dedup_runs = BTreeSet::new();
-        let dedup = exact_dedup_fan_out(|run| {
-            dedup_runs.insert(fingerprint(run));
-            true
-        });
+        let dedup_runs = Mutex::new(BTreeSet::new());
+        let dedup = exact_dedup_fan_out(&|run| note(&dedup_runs, run));
+        let (plain_runs, dedup_runs) = (
+            plain_runs.into_inner().expect("final read"),
+            dedup_runs.into_inner().expect("final read"),
+        );
         assert_eq!(plain_runs, dedup_runs, "dedup must not lose runs");
         assert!(
             dedup.schedules < plain.schedules,
@@ -1942,17 +1744,16 @@ mod tests {
             plain.schedules
         );
         assert!(dedup.states > 0, "dedup reports the state count");
-        assert!(run_set(&dedup_runs) > 0);
+        assert!(!dedup_runs.is_empty());
     }
 
     /// One successor state per enabled branch, in the engine's order.
-    fn branch_states<P: Protocol + Clone>(state: &State<P>) -> Vec<State<P>> {
+    fn branch_states<P: Protocol + Clone + Hash>(state: &State<P>) -> Vec<State<P>> {
         let mut out = Vec::new();
         for (_, pick) in state.transitions() {
-            let mut next = state.clone_state();
+            let mut next = state.clone();
             let ev = next.take_transition(pick);
-            let mut mon = NoMonitor;
-            next.execute(ev, &mut mon);
+            next.execute(ev, &mut Unobserved);
             out.push(next);
         }
         out
@@ -2056,14 +1857,20 @@ mod tests {
 
     #[test]
     fn parallel_counts_match_sequential() {
-        let seq = explore(3, fan_out(), |_| Immediate, usize::MAX, |_| true);
+        let seq = explore(
+            3,
+            fan_out(),
+            |_| Immediate,
+            &ExploreOptions::default(),
+            &|_| true,
+        );
         for threads in [1, 2, 4] {
-            let par = explore_parallel_with(
+            let par = explore(
                 3,
                 fan_out(),
                 |_| Immediate,
                 &threaded(threads, usize::MAX),
-                &|_: &SystemRun| true,
+                &|_| true,
             );
             assert_eq!(par.schedules, seq.schedules, "threads = {threads}");
             assert!(!par.truncated);
@@ -2072,41 +1879,34 @@ mod tests {
 
     #[test]
     fn parallel_visits_same_run_multiset() {
-        let mut seq_runs: BTreeMap<Vec<(String, String)>, usize> = BTreeMap::new();
+        let seq_runs = Mutex::new(BTreeMap::new());
         explore(
             3,
             fan_out(),
             |_| Immediate,
-            usize::MAX,
-            |run| {
-                *seq_runs.entry(fingerprint(run)).or_default() += 1;
-                true
-            },
+            &ExploreOptions::default(),
+            &|run| tally(&seq_runs, run),
         );
-        let par_runs = Mutex::new(BTreeMap::<Vec<(String, String)>, usize>::new());
-        explore_parallel_with(
+        let par_runs = Mutex::new(BTreeMap::new());
+        explore(
             3,
             fan_out(),
             |_| Immediate,
             &threaded(4, usize::MAX),
-            &|run: &SystemRun| {
-                *par_runs
-                    .lock()
-                    .expect("no visitor panicked")
-                    .entry(fingerprint(run))
-                    .or_default() += 1;
-                true
-            },
+            &|run| tally(&par_runs, run),
         );
-        assert_eq!(seq_runs, par_runs.into_inner().expect("final read"));
+        assert_eq!(
+            seq_runs.into_inner().expect("final read"),
+            par_runs.into_inner().expect("final read")
+        );
     }
 
     /// Condemns any prefix whose deliveries on the (0 → 1) channel are
     /// out of send order — an online FIFO check via the live `▷`.
     #[derive(Clone)]
     struct FifoCheck;
-    impl PrefixMonitor for FifoCheck {
-        fn on_event(&mut self, view: &StreamingRun, ev: SystemEvent) -> bool {
+    impl RunObserver for FifoCheck {
+        fn on_event(&mut self, view: &StreamingRun, ev: SystemEvent, _: usize, _: u64) -> bool {
             use msgorder_runs::{EventKind, UserEvent};
             if ev.kind != EventKind::Deliver {
                 return true;
@@ -2127,34 +1927,32 @@ mod tests {
 
     #[test]
     fn monitored_exploration_prunes_condemned_prefixes() {
-        let mut plain_total = 0usize;
-        let mut plain_fifo = 0usize;
-        explore(
+        let plain_fifo = AtomicUsize::new(0);
+        let plain = explore(
             2,
             two_same_channel(),
             |_| Immediate,
-            usize::MAX,
-            |run| {
-                plain_total += 1;
+            &ExploreOptions::default(),
+            &|run| {
                 let user = run.users_view();
                 if user.before(
                     msgorder_runs::UserEvent::deliver(MessageId(0)),
                     msgorder_runs::UserEvent::deliver(MessageId(1)),
                 ) {
-                    plain_fifo += 1;
+                    plain_fifo.fetch_add(1, Ordering::Relaxed);
                 }
                 true
             },
         );
-        let mut visited = 0usize;
+        let visited = AtomicUsize::new(0);
         let exp = explore_monitored(
             2,
             two_same_channel(),
             |_| Immediate,
             FifoCheck,
-            usize::MAX,
-            |run| {
-                visited += 1;
+            &ExploreOptions::default(),
+            &|run| {
+                visited.fetch_add(1, Ordering::Relaxed);
                 let user = run.users_view();
                 assert!(
                     user.before(
@@ -2166,32 +1964,19 @@ mod tests {
                 true
             },
         );
+        let visited = visited.into_inner();
         assert!(exp.error.is_none());
         assert_eq!(exp.schedules, visited);
-        assert_eq!(visited, plain_fifo, "every FIFO schedule still visited");
+        assert_eq!(
+            visited,
+            plain_fifo.into_inner(),
+            "every FIFO schedule still visited"
+        );
         assert!(exp.pruned > 0, "violating prefixes were cut");
         assert!(
-            exp.schedules < plain_total,
+            exp.schedules < plain.schedules,
             "pruning must reduce the visited count"
         );
-    }
-
-    #[test]
-    fn parallel_cap_never_overshoots() {
-        let w = Workload {
-            sends: (0..4)
-                .map(|i| SendSpec {
-                    at: i,
-                    src: 0,
-                    dst: 1,
-                    color: None,
-                })
-                .collect(),
-        };
-        let exp =
-            explore_parallel_with(2, w, |_| Immediate, &threaded(4, 3), &|_: &SystemRun| true);
-        assert!(exp.truncated);
-        assert_eq!(exp.schedules, 3);
     }
 
     // ------------------------------------------------------------------
@@ -2207,29 +1992,23 @@ mod tests {
 
     #[test]
     fn por_visits_same_run_set_with_fewer_schedules() {
-        let mut plain_runs = BTreeSet::new();
+        let plain_runs = Mutex::new(BTreeSet::new());
         let plain = explore(
             3,
             fan_out(),
             |_| Immediate,
-            usize::MAX,
-            |run| {
-                plain_runs.insert(fingerprint(run));
-                true
-            },
+            &ExploreOptions::default(),
+            &|run| note(&plain_runs, run),
         );
-        let mut por_runs = BTreeSet::new();
-        let por = explore_with(
-            3,
-            fan_out(),
-            |_| Immediate,
-            &por_opts(),
-            &mut |run: &SystemRun| {
-                por_runs.insert(fingerprint(run));
-                true
-            },
+        let por_runs = Mutex::new(BTreeSet::new());
+        let por = explore(3, fan_out(), |_| Immediate, &por_opts(), &|run| {
+            note(&por_runs, run)
+        });
+        assert_eq!(
+            plain_runs.into_inner().expect("final read"),
+            por_runs.into_inner().expect("final read"),
+            "reduction must not lose runs"
         );
-        assert_eq!(plain_runs, por_runs, "reduction must not lose runs");
         assert!(
             por.schedules < plain.schedules,
             "commuting interleavings must be skipped: {} !< {}",
@@ -2241,28 +2020,22 @@ mod tests {
 
     #[test]
     fn por_with_dedup_agrees_with_exact_dedup() {
-        let mut exact_runs = BTreeSet::new();
-        let exact = exact_dedup_fan_out(|run| {
-            exact_runs.insert(fingerprint(run));
-            true
-        });
-        let mut both_runs = BTreeSet::new();
+        let exact_runs = Mutex::new(BTreeSet::new());
+        let exact = exact_dedup_fan_out(&|run| note(&exact_runs, run));
+        let both_runs = Mutex::new(BTreeSet::new());
         let opts = ExploreOptions {
             por: true,
             dedup: DedupMode::Exact,
             ..ExploreOptions::default()
         };
-        let both = explore_with(
-            3,
-            fan_out(),
-            |_| Immediate,
-            &opts,
-            &mut |run: &SystemRun| {
-                both_runs.insert(fingerprint(run));
-                true
-            },
+        let both = explore(3, fan_out(), |_| Immediate, &opts, &|run| {
+            note(&both_runs, run)
+        });
+        assert_eq!(
+            exact_runs.into_inner().expect("final read"),
+            both_runs.into_inner().expect("final read"),
+            "POR over dedup must not lose runs"
         );
-        assert_eq!(exact_runs, both_runs, "POR over dedup must not lose runs");
         assert_eq!(
             both.schedules, exact.schedules,
             "terminal configurations are counted once either way"
@@ -2272,7 +2045,7 @@ mod tests {
 
     #[test]
     fn compact_dedup_matches_exact_counts() {
-        let exact = exact_dedup_fan_out(|_| true);
+        let exact = exact_dedup_fan_out(&|_| true);
         let opts = ExploreOptions {
             dedup: DedupMode::Compact {
                 max_states: 0,
@@ -2280,9 +2053,7 @@ mod tests {
             },
             ..ExploreOptions::default()
         };
-        let compact = explore_with(3, fan_out(), |_| Immediate, &opts, &mut |_: &SystemRun| {
-            true
-        });
+        let compact = explore(3, fan_out(), |_| Immediate, &opts, &|_| true);
         assert_eq!(compact.schedules, exact.schedules);
         assert_eq!(compact.states, exact.states);
         assert!(!compact.truncated);
@@ -2297,9 +2068,7 @@ mod tests {
             },
             ..ExploreOptions::default()
         };
-        let exp = explore_with(3, fan_out(), |_| Immediate, &opts, &mut |_: &SystemRun| {
-            true
-        });
+        let exp = explore(3, fan_out(), |_| Immediate, &opts, &|_| true);
         assert!(exp.truncated, "a full bounded table must truncate");
         assert!(
             exp.states <= 8,
@@ -2312,7 +2081,7 @@ mod tests {
     fn spilling_seen_set_completes_the_search() {
         let dir = std::env::temp_dir().join(format!("msgorder-spill-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let exact = exact_dedup_fan_out(|_| true);
+        let exact = exact_dedup_fan_out(&|_| true);
         let opts = ExploreOptions {
             dedup: DedupMode::Compact {
                 max_states: 8,
@@ -2320,9 +2089,7 @@ mod tests {
             },
             ..ExploreOptions::default()
         };
-        let spilled = explore_with(3, fan_out(), |_| Immediate, &opts, &mut |_: &SystemRun| {
-            true
-        });
+        let spilled = explore(3, fan_out(), |_| Immediate, &opts, &|_| true);
         assert!(!spilled.truncated, "spilling must keep the search complete");
         assert_eq!(spilled.schedules, exact.schedules);
         assert_eq!(spilled.states, exact.states);
@@ -2362,9 +2129,7 @@ mod tests {
             ..ExploreOptions::default()
         };
         for _ in 0..2 {
-            let exp = explore_with(3, fan_out(), |_| Immediate, &opts, &mut |_: &SystemRun| {
-                true
-            });
+            let exp = explore(3, fan_out(), |_| Immediate, &opts, &|_| true);
             assert!(exp.spilled > 0, "the tiny bound must force segments out");
         }
         let leftovers: Vec<String> = std::fs::read_dir(&dir)
@@ -2382,7 +2147,8 @@ mod tests {
     fn monitored_por_preserves_the_uncondemned_run_set() {
         // The satellite edge case: the monitor halts inside a branch
         // whose commuting siblings were sleep-skipped. The visitor-
-        // observed run set must still match plain monitored search.
+        // observed run set must still match plain monitored search —
+        // on one thread and across the frontier.
         let w = Workload {
             sends: vec![
                 SendSpec {
@@ -2405,35 +2171,36 @@ mod tests {
                 },
             ],
         };
-        let mut plain_runs = BTreeSet::new();
+        let plain_runs = Mutex::new(BTreeSet::new());
         explore_monitored(
             3,
             w.clone(),
             |_| Immediate,
             FifoCheck,
-            usize::MAX,
-            |run| {
-                plain_runs.insert(fingerprint(run));
-                true
-            },
+            &ExploreOptions::default(),
+            &|run| note(&plain_runs, run),
         );
-        let mut por_runs = BTreeSet::new();
-        let exp = explore_monitored_with(
-            3,
-            w,
-            |_| Immediate,
-            FifoCheck,
-            &por_opts(),
-            &mut |run: &SystemRun| {
-                por_runs.insert(fingerprint(run));
-                true
-            },
-        );
-        assert_eq!(
-            plain_runs, por_runs,
-            "sleep sets must not change what the monitor lets through"
-        );
-        assert!(exp.pruned > 0, "the monitor still condemns representatives");
+        let plain_runs = plain_runs.into_inner().expect("final read");
+        for threads in [1, 2, 4] {
+            let opts = ExploreOptions {
+                threads,
+                ..por_opts()
+            };
+            let por_runs = Mutex::new(BTreeSet::new());
+            let exp = explore_monitored(3, w.clone(), |_| Immediate, FifoCheck, &opts, &|run| {
+                note(&por_runs, run)
+            });
+            assert_eq!(
+                plain_runs,
+                por_runs.into_inner().expect("final read"),
+                "sleep sets must not change what the monitor lets through \
+                 (threads = {threads})"
+            );
+            assert!(
+                exp.pruned > 0,
+                "the monitor still condemns representatives (threads = {threads})"
+            );
+        }
     }
 
     #[test]
@@ -2450,16 +2217,8 @@ mod tests {
             faults,
             ..ExploreOptions::default()
         };
-        let a = explore_with(3, fan_out(), |_| Immediate, &full, &mut |_: &SystemRun| {
-            true
-        });
-        let b = explore_with(
-            3,
-            fan_out(),
-            |_| Immediate,
-            &with_por,
-            &mut |_: &SystemRun| true,
-        );
+        let a = explore(3, fan_out(), |_| Immediate, &full, &|_| true);
+        let b = explore(3, fan_out(), |_| Immediate, &with_por, &|_| true);
         assert_eq!(a.schedules, b.schedules, "POR must be inert under faults");
         assert_eq!(b.sleep_skipped, 0);
     }
@@ -2472,13 +2231,7 @@ mod tests {
             faults: FaultModel::none().with_crash(0, 1, None),
             ..ExploreOptions::default()
         };
-        let _ = explore_with(
-            2,
-            two_same_channel(),
-            |_| Immediate,
-            &opts,
-            &mut |_: &SystemRun| true,
-        );
+        let _ = explore(2, two_same_channel(), |_| Immediate, &opts, &|_| true);
     }
 
     #[test]
@@ -2489,9 +2242,7 @@ mod tests {
             por: true,
             ..ExploreOptions::default()
         };
-        let exp = explore_with(3, fan_out(), |_| Immediate, &opts, &mut |_: &SystemRun| {
-            true
-        });
+        let exp = explore(3, fan_out(), |_| Immediate, &opts, &|_| true);
         assert!(exp.truncated);
         assert_eq!(exp.schedules, 0);
         // max_depth = 1: no schedule of this workload completes in one
@@ -2501,13 +2252,7 @@ mod tests {
             por: true,
             ..ExploreOptions::default()
         };
-        let exp = explore_with(
-            3,
-            fan_out(),
-            |_| Immediate,
-            &shallow,
-            &mut |_: &SystemRun| true,
-        );
+        let exp = explore(3, fan_out(), |_| Immediate, &shallow, &|_| true);
         assert!(exp.truncated);
         assert_eq!(exp.schedules, 0);
         let deep = ExploreOptions {
@@ -2515,42 +2260,27 @@ mod tests {
             por: true,
             ..ExploreOptions::default()
         };
-        let exp = explore_with(3, fan_out(), |_| Immediate, &deep, &mut |_: &SystemRun| {
-            true
-        });
+        let exp = explore(3, fan_out(), |_| Immediate, &deep, &|_| true);
         assert!(!exp.truncated);
         assert!(exp.schedules > 0);
     }
 
     #[test]
     fn threaded_por_matches_sequential_por() {
-        let mut seq_runs: BTreeMap<Vec<(String, String)>, usize> = BTreeMap::new();
-        let seq = explore_with(
-            3,
-            fan_out(),
-            |_| Immediate,
-            &por_opts(),
-            &mut |run: &SystemRun| {
-                *seq_runs.entry(fingerprint(run)).or_default() += 1;
-                true
-            },
-        );
+        let seq_runs = Mutex::new(BTreeMap::new());
+        let seq = explore(3, fan_out(), |_| Immediate, &por_opts(), &|run| {
+            tally(&seq_runs, run)
+        });
+        let seq_runs = seq_runs.into_inner().expect("final read");
         for threads in [2, 4] {
             let opts = ExploreOptions {
-                por: true,
                 threads,
-                ..ExploreOptions::default()
+                ..por_opts()
             };
-            let par_runs = Mutex::new(BTreeMap::<Vec<(String, String)>, usize>::new());
-            let par =
-                explore_parallel_with(3, fan_out(), |_| Immediate, &opts, &|run: &SystemRun| {
-                    *par_runs
-                        .lock()
-                        .expect("no visitor panicked")
-                        .entry(fingerprint(run))
-                        .or_default() += 1;
-                    true
-                });
+            let par_runs = Mutex::new(BTreeMap::new());
+            let par = explore(3, fan_out(), |_| Immediate, &opts, &|run| {
+                tally(&par_runs, run)
+            });
             assert_eq!(par.schedules, seq.schedules, "threads = {threads}");
             assert_eq!(
                 seq_runs,
@@ -2562,14 +2292,14 @@ mod tests {
 
     #[test]
     fn threaded_dedup_counts_terminal_configurations_once() {
-        let exact = exact_dedup_fan_out(|_| true);
+        let exact = exact_dedup_fan_out(&|_| true);
         let opts = ExploreOptions {
             por: true,
             threads: 4,
             dedup: DedupMode::Exact,
             ..ExploreOptions::default()
         };
-        let par = explore_parallel_with(3, fan_out(), |_| Immediate, &opts, &|_: &SystemRun| true);
+        let par = explore(3, fan_out(), |_| Immediate, &opts, &|_| true);
         assert_eq!(par.schedules, exact.schedules);
         assert!(par.states <= exact.states);
     }

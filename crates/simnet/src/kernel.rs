@@ -1170,7 +1170,7 @@ impl World {
     /// [`SimErrorKind::StepLimit`] counterexample, carrying the blame
     /// analysis of whatever was still pending when the limit tripped.
     /// Observer halts are deliberate and never poisoned.
-    fn poison_step_limit(&mut self, step_limit: usize, completed: bool, halted: bool) {
+    pub(crate) fn poison_step_limit(&mut self, step_limit: usize, completed: bool, halted: bool) {
         if completed || halted || self.error.is_some() {
             return;
         }
@@ -1477,7 +1477,8 @@ pub struct SimResult {
 /// the global appended order (0-based) and `time` the simulated time it
 /// executed at. Returning `false` halts the simulation after the
 /// current dispatch — the early-exit used by online violation
-/// detection.
+/// detection. Under [`explore_monitored`](crate::explore_monitored) the
+/// same `false` condemns the explored prefix.
 pub trait RunObserver {
     /// Called once per executed run event. Return `false` to halt.
     fn on_event(&mut self, view: &StreamingRun, ev: SystemEvent, index: usize, time: u64) -> bool;

@@ -64,10 +64,10 @@ mod stats;
 mod workload;
 
 pub use error::{SimError, SimErrorKind, SimOutcome};
-pub use explore::{
-    explore, explore_monitored, explore_monitored_with, explore_parallel_with, explore_with,
-    DedupMode, Exploration, ExploreOptions, PrefixMonitor,
-};
+/// [`explore()`] under its pre-merge name, which the frozen `benchmark/`
+/// package imports.
+pub use explore::explore as explore_parallel_with;
+pub use explore::{explore, explore_monitored, DedupMode, Exploration, ExploreOptions};
 pub use faults::{AdversarialModel, CrashSchedule, FaultConfigError, FaultModel, Partition};
 pub use frame::Frame;
 pub use host::{HostAction, HostEnv, HostEvent, ProtocolHost};

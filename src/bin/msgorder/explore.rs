@@ -6,7 +6,7 @@
 use crate::args::{Args, Faults, Session};
 use msgorder::predicate::eval;
 use msgorder::runs::UserRunSnapshot;
-use msgorder::simnet::{explore_parallel_with, DedupMode, ExploreOptions, Workload};
+use msgorder::simnet::{explore, DedupMode, ExploreOptions, Workload};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -103,7 +103,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     // how many schedules reach each configuration — so the summary line
     // is comparable across explorer settings (the CI smoke pins it).
     let violating_configs: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::new());
-    let out = explore_parallel_with(
+    let out = explore(
         processes,
         Workload::uniform_random(processes, messages, seed),
         |node| {
