@@ -10,14 +10,17 @@
 //! injective. See [`ForbiddenPredicate`] for why this is the semantics
 //! the paper's theorems require.
 //!
-//! The search core is generic over [`OrderView`], so the same code
-//! evaluates post-hoc against a materialized [`UserRun`] and *online*
-//! against a live `StreamingRun` prefix — the latter through
-//! [`Monitor`], which finds the first violating instantiation at the
-//! exact delivery event completing it.
+//! Two searches share the consistency check ([`OrderView`] is all it
+//! needs): [`Prepared`] evaluates post-hoc against a materialized
+//! [`UserRun`], narrowing its last variable with closure rows, and
+//! [`Monitor`] evaluates *online* against a live `StreamingRun` prefix,
+//! narrowing every variable with vector-clock cuts — it finds the first
+//! violating instantiation at the exact delivery event completing it.
 
 use crate::ast::{Constraint, EventTerm, ForbiddenPredicate, Var};
 use msgorder_runs::{MessageId, OrderView, UserEvent, UserEventKind, UserRun};
+use std::ops::Range;
+use std::sync::Arc;
 
 fn term_event(term: EventTerm, assignment: &[Option<MessageId>]) -> Option<UserEvent> {
     let msg = assignment[term.var.0]?;
@@ -27,21 +30,23 @@ fn term_event(term: EventTerm, assignment: &[Option<MessageId>]) -> Option<UserE
     })
 }
 
-fn term_process<V: OrderView>(term: EventTerm, m: MessageId, view: &V) -> usize {
-    let meta = view.meta(m);
-    match term.kind {
-        UserEventKind::Send => meta.src.0,
-        UserEventKind::Deliver => meta.dst.0,
+/// The process hosting user event `e`.
+fn event_process<V: OrderView>(view: &V, e: UserEvent) -> usize {
+    match e.kind {
+        UserEventKind::Send => view.src(e.msg).0,
+        UserEventKind::Deliver => view.dst(e.msg).0,
     }
 }
 
 /// Checks every conjunct/constraint whose variables are all assigned and
-/// involve `just_set` (incremental consistency check).
+/// involve `just_set`, which the caller has just bound to `msg`
+/// (incremental consistency check).
 fn consistent<V: OrderView>(
     pred: &ForbiddenPredicate,
     view: &V,
     assignment: &[Option<MessageId>],
     just_set: Var,
+    msg: MessageId,
 ) -> bool {
     for c in pred.conjuncts() {
         if c.lhs.var != just_set && c.rhs.var != just_set {
@@ -59,8 +64,10 @@ fn consistent<V: OrderView>(
                 if a.var != just_set && b.var != just_set {
                     continue;
                 }
-                if let (Some(ma), Some(mb)) = (assignment[a.var.0], assignment[b.var.0]) {
-                    let same = term_process(*a, ma, view) == term_process(*b, mb, view);
+                if let (Some(ea), Some(eb)) =
+                    (term_event(*a, assignment), term_event(*b, assignment))
+                {
+                    let same = event_process(view, ea) == event_process(view, eb);
                     let want_same = matches!(c, Constraint::SameProcess(_, _));
                     if same != want_same {
                         return false;
@@ -68,19 +75,13 @@ fn consistent<V: OrderView>(
                 }
             }
             Constraint::Color(v, color) => {
-                if *v == just_set {
-                    let m = assignment[v.0].expect("just set");
-                    if !view.meta(m).has_color(color) {
-                        return false;
-                    }
+                if *v == just_set && !view.meta(msg).has_color(color) {
+                    return false;
                 }
             }
             Constraint::NotColor(v, color) => {
-                if *v == just_set {
-                    let m = assignment[v.0].expect("just set");
-                    if view.meta(m).has_color(color) {
-                        return false;
-                    }
+                if *v == just_set && view.meta(msg).has_color(color) {
+                    return false;
                 }
             }
         }
@@ -283,10 +284,11 @@ impl<'p> Prepared<'p> {
         }
     }
 
-    /// [`search`] specialized to a materialized [`UserRun`]: identical
-    /// recursion until the last variable, where closure rows narrow the
-    /// candidate set word-parallel before [`consistent`] re-checks the
-    /// survivors (see [`LastStep`]).
+    /// Backtracking search over a materialized [`UserRun`], assigning
+    /// the variables in `order` from `candidates` (indexed by variable,
+    /// not order position) until the last one, where closure rows narrow
+    /// the candidate set word-parallel before [`consistent`] re-checks
+    /// the survivors (see [`LastStep`]).
     fn search_user(
         &self,
         run: &UserRun,
@@ -296,22 +298,21 @@ impl<'p> Prepared<'p> {
         scratch: &mut WordScratch,
         found: &mut dyn FnMut(&[MessageId]) -> bool,
     ) -> bool {
+        let Some(last) = &self.last else {
+            // Arity 0 — degenerate: the empty instantiation.
+            return found(&[]);
+        };
         if depth + 1 == self.order.len() {
-            let last = self.last.as_ref().expect("non-empty order has a plan");
             return self.last_leaf(run, assignment, last, scratch, found);
-        }
-        if depth == self.order.len() {
-            // Arity 0 — degenerate, kept for parity with `search`.
-            let full: Vec<MessageId> = assignment.iter().map(|a| a.expect("complete")).collect();
-            return found(&full);
         }
         let var = self.order[depth];
         for &msg in &candidates[var] {
+            // Injective instantiation: variables bind distinct messages.
             if assignment.contains(&Some(msg)) {
                 continue;
             }
             assignment[var] = Some(msg);
-            if consistent(self.pred, run, assignment, Var(var))
+            if consistent(self.pred, run, assignment, Var(var), msg)
                 && self.search_user(run, candidates, assignment, depth + 1, scratch, found)
             {
                 return true;
@@ -324,7 +325,7 @@ impl<'p> Prepared<'p> {
     /// The last-variable step: intersect the closure rows pinned by the
     /// bound variables, align each onto send-bit positions, and walk
     /// only the surviving candidates (in increasing message order, so
-    /// witnesses match the generic search exactly).
+    /// witnesses match a plain scan of the candidate list exactly).
     fn last_leaf(
         &self,
         run: &UserRun,
@@ -357,9 +358,9 @@ impl<'p> Prepared<'p> {
                 let msg = MessageId((i * 64 + word.trailing_zeros() as usize) / 2);
                 word &= word - 1;
                 assignment[last.var] = Some(msg);
-                if consistent(self.pred, run, assignment, Var(last.var)) {
-                    let full: Vec<MessageId> =
-                        assignment.iter().map(|a| a.expect("complete")).collect();
+                if consistent(self.pred, run, assignment, Var(last.var), msg) {
+                    // Every variable is bound here, so nothing is dropped.
+                    let full: Vec<MessageId> = assignment.iter().flatten().copied().collect();
                     if found(&full) {
                         return true;
                     }
@@ -369,41 +370,6 @@ impl<'p> Prepared<'p> {
         }
         false
     }
-}
-
-/// Backtracking search assigning the variables in `order` from
-/// `candidates` (indexed by variable, not order position). Variables
-/// already bound in `assignment` before the call are left untouched —
-/// the [`Monitor`] uses this to pin its freshly completed message at one
-/// position and search only the rest.
-fn search<V: OrderView>(
-    pred: &ForbiddenPredicate,
-    view: &V,
-    order: &[usize],
-    candidates: &[Vec<MessageId>],
-    assignment: &mut Vec<Option<MessageId>>,
-    depth: usize,
-    found: &mut dyn FnMut(&[MessageId]) -> bool,
-) -> bool {
-    if depth == order.len() {
-        let full: Vec<MessageId> = assignment.iter().map(|a| a.expect("complete")).collect();
-        return found(&full);
-    }
-    let var = order[depth];
-    for &msg in &candidates[var] {
-        // Injective instantiation: variables bind distinct messages.
-        if assignment.contains(&Some(msg)) {
-            continue;
-        }
-        assignment[var] = Some(msg);
-        if consistent(pred, view, assignment, Var(var))
-            && search(pred, view, order, candidates, assignment, depth + 1, found)
-        {
-            return true;
-        }
-        assignment[var] = None;
-    }
-    false
 }
 
 /// Wall-clock accounting of a [`Monitor`]'s delta searches — the timing
@@ -459,48 +425,109 @@ impl MonitorTimings {
 ///    over earlier-completed messages therefore finds every violation
 ///    exactly once, at its completion event.
 ///
-/// Per completed message the monitor stores only its id in the
-/// candidate list of each variable whose color constraints it passes —
-/// the partial-match state is those lists plus one in-flight assignment
-/// of size `var_count()`, so memory grows with *arity × completed
-/// messages*, never with the event count, and the delta search touches
-/// each candidate combination at most once across the whole run.
+/// The remaining positions are not searched by scanning every
+/// earlier-completed message. Under vector clocks the causal past of an
+/// event is a consistent cut — a prefix of every process — and its
+/// causal future a suffix of every process, so a conjunct between the
+/// variable being bound and an already bound one confines the candidates
+/// to index ranges of a per-process, clock-ordered index of the *fed*
+/// messages' events. The ranges over-approximate, every survivor is
+/// re-checked by the full consistency test, and survivors are tried in
+/// completion order, so the first witness is the one a plain scan of
+/// the candidate lists finds. The view must therefore stamp clocks
+/// ([`OrderView::event_clock`]).
+///
+/// The index holds fed messages only, never whatever else the view
+/// already contains: the kernel reports deliveries in batches and a
+/// replayed verdict feeds from a fully reconstructed run, and a message
+/// the monitor has not been told about must not be bound. It lives here
+/// and not in the run because the explorer clones the run at every
+/// transition and most runs are never monitored.
+///
+/// Per completed message the monitor stores its id in the candidate
+/// list of each variable whose color constraints it passes and two
+/// index entries, so memory grows with *arity × completed messages*,
+/// never with the event count. Both are reserved when the view's
+/// messages are first seen, and the in-flight assignment and the pool
+/// of narrowed candidates are reused, so feeding a declared message
+/// does not allocate once the pool has grown to the run's in-flight
+/// window. The explorer clones its monitor at every transition: the
+/// compiled predicate is shared between clones and the working memory
+/// is not copied.
 #[derive(Clone)]
 pub struct Monitor<'p> {
-    prep: Prepared<'p>,
-    /// For each variable `v`: the assignment order of the *other*
-    /// variables (most-connected first), used when `v` is pinned to the
-    /// freshly completed message.
-    order_without: Vec<Vec<usize>>,
-    /// Per-variable candidates among completed messages (color-filtered).
+    prep: Arc<Prepared<'p>>,
+    /// Per-variable candidates among completed messages (color-filtered,
+    /// in completion order) — what a variable no bound conjunct touches
+    /// falls back to.
     candidates: Vec<Vec<MessageId>>,
+    /// Per process, the user events of fed messages it hosts.
+    index: Vec<ProcessIndex>,
+    /// How many of the view's declared messages `index` has reserved
+    /// room for.
+    declared: usize,
     /// Completed messages seen so far (monotone; for diagnostics).
     fed: usize,
     witness: Option<Vec<MessageId>>,
     timings: MonitorTimings,
+    scratch: Scratch,
+}
+
+/// One process's sequence of user events, restricted to fed messages.
+#[derive(Clone, Default)]
+struct ProcessIndex {
+    /// The sends and deliveries of fed messages, in process order.
+    events: Vec<Indexed>,
+    /// How long `events` gets once every declared message is fed — the
+    /// reservation target.
+    planned: usize,
+    /// Working memory of [`Monitor::narrow`]: by
+    /// [`UserEventKind::index`], the part of `events` where that event
+    /// of the variable being narrowed can still lie.
+    admissible: [Range<usize>; 2],
+}
+
+/// One indexed user event of a fed message.
+#[derive(Clone, Copy)]
+struct Indexed {
+    /// The event's own component of its clock, `V(e)[proc(e)]` — its
+    /// position among the user events of its process.
+    clock: u64,
+    /// The message's completion rank: its position in the feed.
+    rank: usize,
+    event: UserEvent,
+}
+
+/// Working memory of one delta search, kept between searches so the
+/// steady state never allocates. Not monitor state: a clone starts with
+/// empty scratch instead of a copy.
+#[derive(Default)]
+struct Scratch {
+    /// The in-flight assignment, one slot per variable.
+    assignment: Vec<Option<MessageId>>,
+    /// A stack of narrowed candidate lists, one per variable being
+    /// walked, the deepest on top; each in completion order.
+    pool: Vec<Indexed>,
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
 }
 
 impl<'p> Monitor<'p> {
     /// Compiles `pred` into an online monitor.
     pub fn new(pred: &'p ForbiddenPredicate) -> Self {
-        let prep = Prepared::new(pred);
-        let order_without = (0..pred.var_count())
-            .map(|v| {
-                prep.order
-                    .iter()
-                    .copied()
-                    .filter(|&o| o != v)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let candidates = vec![Vec::new(); pred.var_count()];
         Monitor {
-            prep,
-            order_without,
-            candidates,
+            prep: Arc::new(Prepared::new(pred)),
+            candidates: vec![Vec::new(); pred.var_count()],
+            index: Vec::new(),
+            declared: 0,
             fed: 0,
             witness: None,
             timings: MonitorTimings::default(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -521,37 +548,32 @@ impl<'p> Monitor<'p> {
     /// numbering.
     ///
     /// Calling order must follow completion order; after the first
-    /// witness the monitor stops searching and keeps reporting it.
+    /// witness the monitor stops searching and keeps reporting it. A
+    /// message whose send or delivery `view` has no clock for is not
+    /// complete in that view: the call changes nothing.
     pub fn on_complete<V: OrderView>(&mut self, view: &V, m: MessageId) -> Option<&[MessageId]> {
+        let (Some(sent), Some(delivered)) = (
+            view.event_clock(UserEvent::send(m)),
+            view.event_clock(UserEvent::deliver(m)),
+        ) else {
+            return self.witness.as_deref();
+        };
         if self.witness.is_none() {
             let started = std::time::Instant::now();
-            self.fed += 1;
+            self.reserve(view, sent.len());
             let vars = self.prep.pred.var_count();
-            let mut assignment = vec![None; vars];
             for v in 0..vars {
                 if !self.passes_filters(view, v, m) {
                     continue;
                 }
-                assignment[v] = Some(m);
-                let mut result = None;
-                if consistent(self.prep.pred, view, &assignment, Var(v))
-                    && search(
-                        self.prep.pred,
-                        view,
-                        &self.order_without[v],
-                        &self.candidates,
-                        &mut assignment,
-                        0,
-                        &mut |a| {
-                            result = Some(a.to_vec());
-                            true
-                        },
-                    )
+                // Pin `m` at `v` and search the other positions.
+                self.scratch.assignment[v] = Some(m);
+                if consistent(self.prep.pred, view, &self.scratch.assignment, Var(v), m)
+                    && self.search(view, v, 0)
                 {
-                    self.witness = result;
                     break;
                 }
-                assignment[v] = None;
+                self.scratch.assignment[v] = None;
             }
             if self.witness.is_none() {
                 for v in 0..vars {
@@ -559,11 +581,189 @@ impl<'p> Monitor<'p> {
                         self.candidates[v].push(m);
                     }
                 }
+                for (event, clock) in [
+                    (UserEvent::send(m), sent),
+                    (UserEvent::deliver(m), delivered),
+                ] {
+                    let p = event_process(view, event);
+                    let entry = Indexed {
+                        clock: clock[p],
+                        rank: self.fed,
+                        event,
+                    };
+                    // A delivery lands at the end; a send as far from it
+                    // as events after it belong to messages fed earlier.
+                    let list = &mut self.index[p].events;
+                    let at = list.partition_point(|e| e.clock < entry.clock);
+                    list.insert(at, entry);
+                }
             }
+            self.fed += 1;
             self.timings
                 .record(started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         }
         self.witness.as_deref()
+    }
+
+    /// Sizes the assignment for this predicate and the index for `n`
+    /// processes and, when `view` has declared messages since the last
+    /// call, reserves index and candidate room for all of them, so that
+    /// feeding them allocates nothing.
+    fn reserve<V: OrderView>(&mut self, view: &V, n: usize) {
+        self.scratch
+            .assignment
+            .resize(self.prep.pred.var_count(), None);
+        if self.index.len() < n {
+            self.index.resize_with(n, ProcessIndex::default);
+        }
+        let declared = view.message_count();
+        if self.declared >= declared {
+            return;
+        }
+        for id in (self.declared..declared).map(MessageId) {
+            self.index[view.src(id).0].planned += 1;
+            self.index[view.dst(id).0].planned += 1;
+        }
+        self.declared = declared;
+        for process in &mut self.index {
+            let room = process.planned.saturating_sub(process.events.len());
+            process.events.reserve(room);
+        }
+        for list in &mut self.candidates {
+            list.reserve(declared.saturating_sub(list.len()));
+        }
+    }
+
+    /// Binds the variables from position `depth` of the assignment order
+    /// on, skipping `pinned`; at the leaf the full assignment becomes
+    /// the witness.
+    fn search<V: OrderView>(&mut self, view: &V, pinned: usize, depth: usize) -> bool {
+        let Some(&var) = self.prep.order.get(depth) else {
+            // Every variable is bound here, so nothing is dropped.
+            self.witness = Some(self.scratch.assignment.iter().flatten().copied().collect());
+            return true;
+        };
+        if var == pinned {
+            return self.search(view, pinned, depth + 1);
+        }
+        if let Some(narrowed) = self.narrow(view, var) {
+            // Deeper levels push their own lists above this one and pop
+            // them again, so it stays put while it is walked.
+            let found = narrowed
+                .clone()
+                .any(|i| self.bind(view, pinned, depth, var, self.scratch.pool[i].event.msg));
+            self.scratch.pool.truncate(narrowed.start);
+            found
+        } else {
+            // Lent out for the walk: deeper levels bind other variables.
+            let all = std::mem::take(&mut self.candidates[var]);
+            let found = all
+                .iter()
+                .any(|&msg| self.bind(view, pinned, depth, var, msg));
+            self.candidates[var] = all;
+            found
+        }
+    }
+
+    /// Tries `msg` for the variable at `depth` and, if consistent, the
+    /// rest of the order below it.
+    fn bind<V: OrderView>(
+        &mut self,
+        view: &V,
+        pinned: usize,
+        depth: usize,
+        var: usize,
+        msg: MessageId,
+    ) -> bool {
+        // Injective instantiation: variables bind distinct messages.
+        if self.scratch.assignment.contains(&Some(msg)) {
+            return false;
+        }
+        self.scratch.assignment[var] = Some(msg);
+        if consistent(
+            self.prep.pred,
+            view,
+            &self.scratch.assignment,
+            Var(var),
+            msg,
+        ) && self.search(view, pinned, depth + 1)
+        {
+            return true;
+        }
+        self.scratch.assignment[var] = None;
+        false
+    }
+
+    /// Pushes a superset of the fed messages that can still bind `var`
+    /// on the pool, in completion order, and returns where. Returns
+    /// `None` — pool untouched — if no conjunct relates `var` to a bound
+    /// variable.
+    ///
+    /// Each conjunct with `var` on one side and a bound event `b` on
+    /// the other confines one event of `var` on every process `p`:
+    /// `var.e ▷ b` to the prefix of `p` with local clock `≤ V(b)[p]`
+    /// (the cut below `b`), `b ▷ var.e` to the suffix of `p` starting
+    /// at the first event whose clock has seen `b`,
+    /// `V(e)[proc(b)] ≥ V(b)[proc(b)]` — clocks only grow along a
+    /// process, so both bounds are binary searches. Of `var`'s send and
+    /// delivery, the one left with the shorter stretch of index is
+    /// enumerated.
+    fn narrow<V: OrderView>(&mut self, view: &V, var: usize) -> Option<Range<usize>> {
+        let mut confined = [false; 2];
+        for c in self.prep.pred.conjuncts() {
+            let (kind, other, var_first) = match (c.lhs.var.0 == var, c.rhs.var.0 == var) {
+                (true, false) => (c.lhs.kind, c.rhs, true),
+                (false, true) => (c.rhs.kind, c.lhs, false),
+                _ => continue,
+            };
+            let Some(bound) = term_event(other, &self.scratch.assignment) else {
+                continue;
+            };
+            let Some(clock) = view.event_clock(bound) else {
+                continue;
+            };
+            let k = kind.index();
+            if !confined[k] {
+                confined[k] = true;
+                for process in &mut self.index {
+                    process.admissible[k] = 0..process.events.len();
+                }
+            }
+            let at = event_process(view, bound);
+            for (process, &cut) in self.index.iter_mut().zip(clock) {
+                let (range, list) = (&mut process.admissible[k], &process.events);
+                if var_first {
+                    range.end = range.end.min(list.partition_point(|e| e.clock <= cut));
+                } else {
+                    let seen = |e: &Indexed| {
+                        view.event_clock(e.event)
+                            .is_some_and(|v| v[at] >= clock[at])
+                    };
+                    range.start = range.start.max(list.partition_point(|e| !seen(e)));
+                }
+            }
+        }
+        let left = |k: usize| {
+            self.index
+                .iter()
+                .map(|p| p.admissible[k].len())
+                .sum::<usize>()
+        };
+        let k = match confined {
+            [false, false] => return None,
+            [true, false] => 0,
+            [false, true] => 1,
+            [true, true] => usize::from(left(1) < left(0)),
+        };
+        let pool = &mut self.scratch.pool;
+        let from = pool.len();
+        for process in &self.index {
+            if let Some(stretch) = process.events.get(process.admissible[k].clone()) {
+                pool.extend(stretch.iter().filter(|e| e.event.kind.index() == k));
+            }
+        }
+        pool[from..].sort_unstable_by_key(|e| e.rank);
+        Some(from..pool.len())
     }
 
     /// Wall-clock accounting of the delta searches run so far.
@@ -636,7 +836,7 @@ pub fn check_instantiation<V: OrderView>(
     assignment
         .iter()
         .enumerate()
-        .all(|(v, m)| !assignment[..v].contains(m) && consistent(pred, view, &slots, Var(v)))
+        .all(|(v, m)| !assignment[..v].contains(m) && consistent(pred, view, &slots, Var(v), *m))
 }
 
 /// Semantic implication over a family of runs: `stronger ⇒ weaker` holds
@@ -1050,6 +1250,279 @@ mod tests {
                 assert!(mon.live_state() <= pred.var_count() * m);
             }
         }
+    }
+
+    /// Backtracking search assigning the variables in `order` from
+    /// `candidates` (indexed by variable, not order position). Variables
+    /// already bound in `assignment` before the call are left untouched —
+    /// [`ScanMonitor`] uses this to pin its freshly completed message at
+    /// one position and search only the rest. The reference both
+    /// narrowed searches must match.
+    fn search<V: OrderView>(
+        pred: &ForbiddenPredicate,
+        view: &V,
+        order: &[usize],
+        candidates: &[Vec<MessageId>],
+        assignment: &mut Vec<Option<MessageId>>,
+        depth: usize,
+        found: &mut dyn FnMut(&[MessageId]) -> bool,
+    ) -> bool {
+        if depth == order.len() {
+            let full: Vec<MessageId> = assignment.iter().map(|a| a.expect("complete")).collect();
+            return found(&full);
+        }
+        let var = order[depth];
+        for &msg in &candidates[var] {
+            // Injective instantiation: variables bind distinct messages.
+            if assignment.contains(&Some(msg)) {
+                continue;
+            }
+            assignment[var] = Some(msg);
+            if consistent(pred, view, assignment, Var(var), msg)
+                && search(pred, view, order, candidates, assignment, depth + 1, found)
+            {
+                return true;
+            }
+            assignment[var] = None;
+        }
+        false
+    }
+
+    /// The monitor as it was before the clock index: the freshly
+    /// completed message pinned at each variable, every other variable
+    /// scanned over all earlier-completed candidates with [`search`].
+    /// Kept as the oracle [`Monitor`]'s witnesses are compared against.
+    struct ScanMonitor<'p> {
+        prep: Prepared<'p>,
+        /// For each variable `v`: the assignment order of the *other*
+        /// variables (most-connected first), used when `v` is pinned to
+        /// the freshly completed message.
+        order_without: Vec<Vec<usize>>,
+        candidates: Vec<Vec<MessageId>>,
+        witness: Option<Vec<MessageId>>,
+    }
+
+    impl<'p> ScanMonitor<'p> {
+        fn new(pred: &'p ForbiddenPredicate) -> Self {
+            let prep = Prepared::new(pred);
+            let order_without = (0..pred.var_count())
+                .map(|v| {
+                    prep.order
+                        .iter()
+                        .copied()
+                        .filter(|&o| o != v)
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            let candidates = vec![Vec::new(); pred.var_count()];
+            ScanMonitor {
+                prep,
+                order_without,
+                candidates,
+                witness: None,
+            }
+        }
+
+        fn passes_filters<V: OrderView>(&self, view: &V, var: usize, m: MessageId) -> bool {
+            self.prep.color_filters[var]
+                .iter()
+                .all(|&(color, want)| view.meta(m).has_color(color) == want)
+        }
+
+        fn on_complete<V: OrderView>(&mut self, view: &V, m: MessageId) -> Option<&[MessageId]> {
+            if self.witness.is_none() {
+                let vars = self.prep.pred.var_count();
+                let mut assignment = vec![None; vars];
+                for v in 0..vars {
+                    if !self.passes_filters(view, v, m) {
+                        continue;
+                    }
+                    assignment[v] = Some(m);
+                    let mut result = None;
+                    if consistent(self.prep.pred, view, &assignment, Var(v), m)
+                        && search(
+                            self.prep.pred,
+                            view,
+                            &self.order_without[v],
+                            &self.candidates,
+                            &mut assignment,
+                            0,
+                            &mut |a| {
+                                result = Some(a.to_vec());
+                                true
+                            },
+                        )
+                    {
+                        self.witness = result;
+                        break;
+                    }
+                    assignment[v] = None;
+                }
+                if self.witness.is_none() {
+                    for v in 0..vars {
+                        if self.passes_filters(view, v, m) {
+                            self.candidates[v].push(m);
+                        }
+                    }
+                }
+            }
+            self.witness.as_deref()
+        }
+    }
+
+    /// A random schedule of `m` messages started in id order with at
+    /// most `window` of them in flight: `(message, stage)` steps, stage
+    /// `0..4` = `s*`, `s`, `r*`, `r`.
+    fn windowed_schedule(rng: &mut Rng, m: usize, window: usize) -> Vec<(usize, usize)> {
+        let mut stage = vec![0usize; m];
+        let mut started = 0;
+        let mut steps = Vec::with_capacity(4 * m);
+        loop {
+            let mut enabled: Vec<usize> = (0..started).filter(|&i| stage[i] < 4).collect();
+            if enabled.len() < window && started < m {
+                enabled.push(started);
+            }
+            if enabled.is_empty() {
+                return steps;
+            }
+            let i = enabled[rng.below(enabled.len())];
+            started = started.max(i + 1);
+            steps.push((i, stage[i]));
+            stage[i] += 1;
+        }
+    }
+
+    /// Replays `steps` into `run`, handing each completion to `feed`
+    /// only once `lag()` further completions are in the view, and the
+    /// rest — everything, if `lag()` is never reached — in completion
+    /// order after the last step.
+    fn replay_feeding(
+        run: &mut msgorder_runs::StreamingRun,
+        steps: &[(usize, usize)],
+        mut lag: impl FnMut() -> usize,
+        mut feed: impl FnMut(&msgorder_runs::StreamingRun, MessageId),
+    ) {
+        let mut fed = 0usize;
+        let mut hold = lag();
+        for &(i, stage) in steps {
+            let msg = MessageId(i);
+            match stage {
+                0 => run.invoke(msg).unwrap(),
+                1 => run.send(msg).unwrap(),
+                2 => run.receive(msg).unwrap(),
+                _ => run.deliver(msg).unwrap(),
+            };
+            if run.completed().len() > fed.saturating_add(hold) {
+                for &done in &run.completed()[fed..] {
+                    feed(run, done);
+                }
+                fed = run.completed().len();
+                hold = lag();
+            }
+        }
+        for &done in &run.completed()[fed..] {
+            feed(run, done);
+        }
+    }
+
+    /// The clock-index monitor finds, after *every* completion, exactly
+    /// the witness the full scan finds — fed one completion at a time,
+    /// in batches with the view ahead of the feed (how the kernel
+    /// notifies observers), and late from the finished run (how a
+    /// recorded trace is re-verified) — and the three feeds agree.
+    #[test]
+    fn monitor_witness_is_the_full_scan_witness_on_every_feed() {
+        use msgorder_runs::StreamingRun;
+        let preds = [
+            "forbid x, y: x.s < y.s & y.r < x.r",
+            "forbid x, y: x.s < y.s & y.r < x.r \
+             where proc(x.s) = proc(y.s), proc(x.r) = proc(y.r)",
+            "forbid x1, x2, x3: x1.s < x2.s & x2.s < x3.s & x3.r < x1.r",
+            "forbid x, y: x.s < y.r & y.s < x.r",
+            "forbid x, y: x.s < y.s & y.r < x.r where color(y) = red",
+            // `z` touches nothing bound when it is reached: the
+            // full-candidate-list fallback.
+            "forbid x, y, z: x.s < y.s & z.r < x.r",
+            "forbid x, y: x.r < y.s",
+        ]
+        .map(|p| ForbiddenPredicate::parse(p).unwrap());
+        let (mut violating, mut clean) = (0, 0);
+        for seed in 0..400u64 {
+            let mut rng = Rng(0xd1ff_0bad ^ (seed << 1) | 1);
+            let n = 2 + rng.below(3);
+            let m = 4 + rng.below(40);
+            let window = 1 + rng.below(6);
+            let mut declared = StreamingRun::new(n);
+            for i in 0..m {
+                let (src, dst) = (rng.below(n), rng.below(n));
+                if i % 5 == 4 {
+                    declared.message_colored(src, dst, "red");
+                } else {
+                    declared.message(src, dst);
+                }
+            }
+            let steps = windowed_schedule(&mut rng, m, window);
+            for pred in &preds {
+                let mut witnesses = Vec::new();
+                for feed in ["live", "batched", "late"] {
+                    let mut run = declared.clone();
+                    let (mut indexed, mut scan) = (Monitor::new(pred), ScanMonitor::new(pred));
+                    let lag = || match feed {
+                        "live" => 0,
+                        "batched" => 1 + rng.below(3),
+                        _ => usize::MAX,
+                    };
+                    replay_feeding(&mut run, &steps, lag, |view, done| {
+                        assert_eq!(
+                            indexed.on_complete(view, done),
+                            scan.on_complete(view, done),
+                            "seed {seed}, {pred}, {feed} feed: witness after {done:?}"
+                        );
+                    });
+                    let scanned: usize = scan.candidates.iter().map(Vec::len).sum();
+                    assert_eq!(indexed.live_state(), scanned);
+                    witnesses.push(indexed.witness().map(<[_]>::to_vec));
+                }
+                assert_eq!(witnesses[0], witnesses[1], "seed {seed}, {pred}: batched");
+                assert_eq!(witnesses[0], witnesses[2], "seed {seed}, {pred}: late");
+                match witnesses[0] {
+                    Some(_) => violating += 1,
+                    None => clean += 1,
+                }
+            }
+        }
+        assert!(
+            violating >= 200 && clean >= 200,
+            "one verdict is vacuous: {violating} violating, {clean} clean"
+        );
+    }
+
+    #[test]
+    fn monitor_ignores_a_message_the_view_has_not_completed() {
+        use msgorder_runs::StreamingRun;
+        let pred = causal();
+        let mut mon = Monitor::new(&pred);
+        let mut s = StreamingRun::new(2);
+        let x = s.message(0, 1);
+        let y = s.message(0, 1);
+        s.invoke(x).unwrap().send(x).unwrap();
+        s.transmit(y).unwrap();
+        // `x` is sent but not delivered, `MessageId(7)` was never
+        // declared: neither has both clocks, neither is fed.
+        assert_eq!(mon.on_complete(&s, x), None);
+        assert_eq!(mon.on_complete(&s, MessageId(7)), None);
+        assert_eq!((mon.completed_seen(), mon.live_state()), (0, 0));
+        assert_eq!(mon.timings().searches, 0);
+        // A view without clocks completes nothing.
+        assert_eq!(mon.on_complete(&overtaking_run(), MessageId(0)), None);
+        assert_eq!(mon.completed_seen(), 0);
+        // Properly fed, the overtaking is found — and then reported even
+        // for a message that is not in the view.
+        assert_eq!(mon.on_complete(&s, y), None);
+        s.receive(x).unwrap().deliver(x).unwrap();
+        assert_eq!(mon.on_complete(&s, x), Some(&[x, y][..]));
+        assert_eq!(mon.on_complete(&s, MessageId(7)), Some(&[x, y][..]));
+        assert_eq!(mon.completed_seen(), 2);
     }
 
     /// The generic [`search`] driven directly over the run as an

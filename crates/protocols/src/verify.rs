@@ -18,7 +18,7 @@
 use std::hash::Hash;
 
 use msgorder_predicate::{eval, ForbiddenPredicate};
-use msgorder_runs::{EventKind, MessageId, StreamingRun, SystemEvent, SystemRunBuilder, UserRun};
+use msgorder_runs::{EventKind, MessageId, StreamingRun, SystemEvent, UserRun};
 use msgorder_simnet::{
     explore_monitored, Exploration, ExploreOptions, LivenessVerdict, Protocol, RunObserver,
     SimConfig, SimError, Simulation, Stats, Workload,
@@ -137,8 +137,6 @@ pub struct VerifyOutcome {
     pub detection_event: Option<usize>,
     /// Simulated time of the detecting delivery.
     pub detection_time: Option<u64>,
-    /// The captured user's view.
-    pub user_run: UserRun,
     /// Overhead counters.
     pub stats: Stats,
     /// If the protocol itself misbehaved (double delivery, send from a
@@ -149,9 +147,31 @@ pub struct VerifyOutcome {
     /// kernel's blame analysis of the pending frontier: which messages
     /// are stuck at which system event, and why.
     pub liveness: Option<LivenessVerdict>,
+    captured: Captured,
+}
+
+/// What a verified simulation leaves behind to project the user's view
+/// from.
+#[derive(Debug)]
+enum Captured {
+    /// The run as the kernel handed it back.
+    Run(StreamingRun),
+    /// After a protocol bug the kernel keeps only its partial trace,
+    /// already projected to re-decide safety on.
+    PostMortem(UserRun),
 }
 
 impl VerifyOutcome {
+    /// The captured user's view (§3.3), projected when asked for: the
+    /// verdict never needs it, so a verified run does not pay for its
+    /// transitive closure.
+    pub fn user_run(&self) -> UserRun {
+        match &self.captured {
+            Captured::Run(run) => run.users_view(),
+            Captured::PostMortem(user) => user.clone(),
+        }
+    }
+
     /// Safety and liveness both hold and the protocol never tripped a
     /// kernel invariant.
     pub fn ok(&self) -> bool {
@@ -179,7 +199,8 @@ pub fn run_and_verify<P: Protocol>(
 /// Like [`run_and_verify`], but halts the simulation at the violating
 /// delivery — the early-exit online pipeline. On a violation,
 /// [`live`](VerifyOutcome::live) is reported `false` (undecided) and
-/// [`user_run`](VerifyOutcome::user_run) is the prefix up to detection.
+/// [`user_run`](VerifyOutcome::user_run) projects the prefix up to
+/// detection.
 pub fn verify_online<P: Protocol>(
     config: SimConfig,
     workload: Workload,
@@ -204,40 +225,29 @@ fn verify_with<P: Protocol>(
 ) -> VerifyOutcome {
     let processes = config.processes;
     match Simulation::new(config, workload, factory).run_streaming(&mut monitor) {
-        Ok(result) => {
-            let violation = monitor.witness().map(|w| {
-                w.iter()
-                    .map(|&m| {
-                        result
-                            .run
-                            .dense_id(m)
-                            .expect("witness messages are complete")
-                    })
-                    .collect()
-            });
-            VerifyOutcome {
-                safe: violation.is_none(),
-                live: result.completed && result.run.is_quiescent(),
-                violation,
-                detection_event: monitor.detection_event(),
-                detection_time: monitor.detection_time(),
-                user_run: result.run.users_view(),
-                stats: result.stats,
-                counterexample: None,
-                liveness: result.liveness,
-            }
-        }
+        Ok(result) => VerifyOutcome {
+            safe: !monitor.violated(),
+            live: result.completed && result.run.is_quiescent(),
+            // Witness messages are complete, so each has a dense id.
+            violation: monitor
+                .witness()
+                .and_then(|w| w.iter().map(|&m| result.run.dense_id(m)).collect()),
+            detection_event: monitor.detection_event(),
+            detection_time: monitor.detection_time(),
+            stats: result.stats,
+            counterexample: None,
+            liveness: result.liveness,
+            captured: Captured::Run(result.run),
+        },
         Err(e) => {
             // The monitor's witness ids cannot be remapped without the
             // live builder (consumed by the error), so safety on the
             // partial trace is re-decided post hoc — same verdict, per
             // the online/post-hoc equivalence.
-            let user_run = e.trace.as_ref().map(|t| t.users_view()).unwrap_or_else(|| {
-                SystemRunBuilder::new(processes)
-                    .build()
-                    .expect("empty run is valid")
-                    .users_view()
-            });
+            let user_run = match &e.trace {
+                Some(trace) => trace.users_view(),
+                None => StreamingRun::new(processes).users_view(),
+            };
             let violation = eval::find_instantiation(spec, &user_run);
             let liveness = e.kind.liveness().cloned();
             VerifyOutcome {
@@ -246,10 +256,10 @@ fn verify_with<P: Protocol>(
                 violation,
                 detection_event: monitor.detection_event(),
                 detection_time: monitor.detection_time(),
-                user_run,
                 stats: e.stats.clone(),
                 counterexample: Some(e),
                 liveness,
+                captured: Captured::PostMortem(user_run),
             }
         }
     }
@@ -413,7 +423,8 @@ mod tests {
                             spec,
                         );
                         // Post-hoc ground truth on the same captured view.
-                        let posthoc = eval::find_instantiation(spec, &out.user_run);
+                        let user_run = out.user_run();
+                        let posthoc = eval::find_instantiation(spec, &user_run);
                         assert_eq!(
                             out.safe,
                             posthoc.is_none(),
@@ -437,7 +448,7 @@ mod tests {
                         }
                         if let Some(w) = &out.violation {
                             assert!(
-                                eval::check_instantiation(spec, &out.user_run, w),
+                                eval::check_instantiation(spec, &user_run, w),
                                 "{} / {spec} / fault {fi} / seed {seed}: reported \
                                  witness does not satisfy the predicate",
                                 kind.name()
@@ -498,7 +509,7 @@ mod tests {
                 continue;
             }
             assert!(full.live, "async drains");
-            let total_events = 4 * full.user_run.len();
+            let total_events = 4 * full.user_run().len();
             let at = full.detection_event.expect("violation found online");
             assert!(
                 at < total_events - 1,
@@ -512,7 +523,7 @@ mod tests {
             assert_eq!(early.detection_event, full.detection_event);
             assert_eq!(early.detection_time, full.detection_time);
             assert!(
-                early.user_run.len() < full.user_run.len(),
+                early.user_run().len() < full.user_run().len(),
                 "seed {seed}: halting before drain must leave messages incomplete"
             );
             checked = true;

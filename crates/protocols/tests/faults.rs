@@ -49,7 +49,7 @@ fn reliable_causal_rst_delivers_everything_at_twenty_percent_loss() {
             out.stats.delivered, 20,
             "seed {seed}: every message delivered"
         );
-        assert!(limit_sets::in_x_co(&out.user_run));
+        assert!(limit_sets::in_x_co(&out.user_run()));
     }
 }
 
@@ -89,7 +89,7 @@ fn reliable_sync_survives_control_frame_loss() {
             out.ok(),
             "seed {seed}: reliable sync must verify under loss"
         );
-        assert!(limit_sets::in_x_sync(&out.user_run), "seed {seed}");
+        assert!(limit_sets::in_x_sync(&out.user_run()), "seed {seed}");
         assert!(out.stats.retransmitted_frames > 0 || out.stats.dropped_frames == 0);
     }
 }

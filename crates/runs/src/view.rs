@@ -1,13 +1,16 @@
 //! [`OrderView`] — the causality interface shared by materialized and
 //! streaming runs.
 //!
-//! The forbidden-predicate evaluator only ever asks two questions about
-//! a run: *does user event `a` precede user event `b` under `▷`?* and
-//! *what are message `m`'s endpoints and color?* Abstracting those
-//! queries lets the same evaluation core run post-hoc against a
+//! Deciding a forbidden predicate takes two questions about a run:
+//! *does user event `a` precede user event `b` under `▷`?* and *what
+//! are message `m`'s endpoints and color?* Abstracting those queries
+//! lets the same consistency check run post-hoc against a
 //! [`UserRun`](crate::UserRun) (bitset transitive closure) and online
 //! against a [`StreamingRun`](crate::StreamingRun) (vector clocks on the
-//! live prefix) without materializing the full poset.
+//! live prefix) without materializing the full poset. The online
+//! monitor additionally reads the clocks themselves
+//! ([`event_clock`](OrderView::event_clock)) to look only where a match
+//! can be.
 
 use crate::ids::{MessageId, ProcessId, UserEvent};
 use crate::message::MessageMeta;
@@ -49,6 +52,16 @@ pub trait OrderView {
     fn has_color(&self, m: MessageId, color: &str) -> bool {
         self.meta(m).has_color(color)
     }
+
+    /// The Fidge/Mattern clock stamped on user event `e` — one word per
+    /// process, `V(e)[p]` counting the user events of `p` in `e`'s
+    /// causal past (`e` included) — or `None` if `e` has not occurred.
+    /// Views that answer [`before`](OrderView::before) from a closure
+    /// keep no clocks and leave this at its default, `None` for every
+    /// event.
+    fn event_clock(&self, _e: UserEvent) -> Option<&[u64]> {
+        None
+    }
 }
 
 impl OrderView for crate::UserRun {
@@ -88,5 +101,9 @@ impl<V: OrderView + ?Sized> OrderView for &V {
 
     fn has_color(&self, m: MessageId, color: &str) -> bool {
         (**self).has_color(m, color)
+    }
+
+    fn event_clock(&self, e: UserEvent) -> Option<&[u64]> {
+        (**self).event_clock(e)
     }
 }
