@@ -208,6 +208,23 @@ impl HostEnv {
         self.epoch = epoch;
     }
 
+    /// Whether every message and process id `ev` names exists in this
+    /// environment. Events can arrive off a socket and protocol
+    /// callbacks index by these ids, so a host whose events are not its
+    /// own checks them here before
+    /// [`process_event`](ProtocolHost::process_event) — the mirror of
+    /// the kernel's range check on inbound actions.
+    pub fn admits(&self, ev: &HostEvent) -> bool {
+        match ev {
+            HostEvent::Init | HostEvent::Timer { .. } => true,
+            HostEvent::Request { msg } => msg.0 < self.metas.len(),
+            HostEvent::UserFrame { from, msg, .. } => {
+                from.0 < self.processes && msg.0 < self.metas.len()
+            }
+            HostEvent::ControlFrame { from, .. } => from.0 < self.processes,
+        }
+    }
+
     /// Drains the actions the protocol emitted since the last call, in
     /// emission order.
     pub fn take_actions(&mut self) -> Vec<HostAction> {
@@ -294,6 +311,37 @@ mod tests {
             ]
         );
         assert!(env.take_actions().is_empty(), "drained");
+    }
+
+    #[test]
+    fn env_admits_only_events_naming_known_ids() {
+        let env = HostEnv::new(0, 2, &workload());
+        let frame = |from, msg| HostEvent::UserFrame {
+            from: ProcessId(from),
+            msg: MessageId(msg),
+            tag: vec![],
+        };
+        let control = |from| HostEvent::ControlFrame {
+            from: ProcessId(from),
+            bytes: vec![],
+        };
+        for ok in [
+            HostEvent::Init,
+            HostEvent::Timer { id: u64::MAX },
+            HostEvent::Request { msg: MessageId(0) },
+            frame(1, 0),
+            control(1),
+        ] {
+            assert!(env.admits(&ok), "{ok:?}");
+        }
+        for bad in [
+            HostEvent::Request { msg: MessageId(1) },
+            frame(1, 1_000_000),
+            frame(2, 0),
+            control(usize::MAX),
+        ] {
+            assert!(!env.admits(&bad), "{bad:?}");
+        }
     }
 
     #[test]

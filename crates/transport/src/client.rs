@@ -210,6 +210,14 @@ fn serve_events(
                         format!("duplicate event seq {} without a cached reply", msg.seq),
                     ));
                 }
+                // Protocol callbacks index by the ids an event names;
+                // one this run does not have is a malformed payload.
+                if !instance.env.admits(&msg.ev) {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("event names an unknown message or process: {:?}", msg.ev),
+                    ));
+                }
                 instance.env.set_now(msg.now);
                 instance.protocol.process_event(&mut instance.env, msg.ev);
                 let reply = ActionMsg {

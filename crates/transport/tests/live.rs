@@ -303,6 +303,54 @@ fn wire_chaos_frames_are_rejected_counted_and_replay_survives() {
     );
 }
 
+/// An event naming a message or process the run does not have is a
+/// malformed payload like any other: the client fails the connection
+/// with `InvalidData`. Unchecked, the first reached `Ctx::meta` and the
+/// second `delivered_from[from]` inside `causal-rst`, and the client
+/// died of an index out of bounds.
+#[test]
+fn client_refuses_events_naming_unknown_ids() {
+    use msgorder_runs::{MessageId, ProcessId};
+    use msgorder_simnet::HostEvent;
+    use msgorder_transport::wire::{CH_CONTROL, CH_EVENT};
+    use msgorder_transport::TransportError;
+
+    let unknown_message = HostEvent::Request {
+        msg: MessageId(1_000_000),
+    };
+    let unknown_sender = HostEvent::UserFrame {
+        from: ProcessId(7),
+        msg: MessageId(0),
+        tag: br#"{"sent":[[0,0,0],[0,0,0],[0,0,0]]}"#.to_vec(),
+    };
+    for ev in [unknown_message, unknown_sender] {
+        let listener = Endpoint::Unix(sock_path()).listen().expect("binds");
+        let copts = ClientOptions::new(listener.local_endpoint().expect("has an address"), 0);
+        let client = std::thread::spawn(move || run_client(&copts));
+        // A server that welcomes the client, then sends the one event.
+        let mut framed = FramedConn::new(listener.accept().expect("client dials"));
+        let hello: ControlMsg = framed.recv_on(CH_CONTROL).expect("hello");
+        assert!(matches!(hello, ControlMsg::Hello { node: 0, .. }));
+        let welcome = ControlMsg::Welcome {
+            setup: live_setup("causal-rst", false, 3, None),
+            version: 1,
+        };
+        framed.send(CH_CONTROL, &welcome).expect("welcome");
+        let event = EventMsg {
+            seq: 0,
+            now: 0,
+            ev: ev.clone(),
+        };
+        framed.send(CH_EVENT, &event).expect("event");
+        match client.join().expect("the client must not panic") {
+            Err(TransportError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{ev:?}: {e}");
+            }
+            other => panic!("{ev:?}: expected an InvalidData failure, got {other:?}"),
+        }
+    }
+}
+
 /// A client whose connection dies mid-run redials through the
 /// supervisor, resumes at the in-flight event, and the session still
 /// produces a bit-exact replayable trace: the wire protocol's sequence

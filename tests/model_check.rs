@@ -5,7 +5,7 @@
 use msgorder::predicate::{catalog, eval};
 use msgorder::protocols::{AsyncProtocol, CausalRst, FifoProtocol, SyncProtocol};
 use msgorder::runs::limit_sets;
-use msgorder::simnet::{explore, ExploreOptions, SendSpec, Workload};
+use msgorder::simnet::{explore, DedupMode, ExploreOptions, SendSpec, Workload};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Stop after `cap` schedules; everything else at its default.
@@ -132,6 +132,34 @@ fn causal_rst_exhaustively_causal_on_the_triangle() {
         checked >= 2,
         "triangle has multiple schedules, got {checked}"
     );
+}
+
+/// `CausalRst`'s `Hash` is the per-node key material of the explorer's
+/// seen-set, so its state must map one-to-one onto what gets hashed: a
+/// representation that merged two states (or split one) would move
+/// these counts. Captured at the commit before the matrix went flat.
+#[test]
+fn causal_rst_exact_dedup_counts_are_pinned_on_the_triangle() {
+    for threads in [1, 2] {
+        let violating = AtomicUsize::new(0);
+        let opts = ExploreOptions {
+            dedup: DedupMode::Exact,
+            threads,
+            ..ExploreOptions::default()
+        };
+        let exp = explore(3, triangle(), |_| CausalRst::new(3), &opts, &|run| {
+            if !limit_sets::in_x_co(&run.users_view()) {
+                violating.fetch_add(1, Ordering::Relaxed);
+            }
+            true
+        });
+        assert!(!exp.truncated, "threads {threads}");
+        assert_eq!(
+            (exp.schedules, exp.states, violating.into_inner()),
+            (4, 29, 0),
+            "threads {threads}"
+        );
+    }
 }
 
 #[test]
