@@ -10,13 +10,12 @@
 //! is answered from cache instead of reprocessed.
 //!
 //! [`ProtocolHost`]: msgorder_simnet::ProtocolHost
+//! [`EventMsg`]: crate::wire::EventMsg
 
 use crate::endpoint::Endpoint;
 use crate::server::TransportError;
 use crate::supervisor::{connect_with_retry, Backoff};
-use crate::wire::{
-    ActionMsg, ControlMsg, EventMsg, FramedConn, CH_CONTROL, CH_EVENT, WIRE_VERSION,
-};
+use crate::wire::{bad_data, ActionMsg, ControlMsg, FramedConn, Incoming, WIRE_VERSION};
 use msgorder_protocols::ProtocolKind;
 use msgorder_simnet::{HostEnv, Protocol, ProtocolHost};
 use std::io;
@@ -35,8 +34,7 @@ pub struct ClientOptions {
     pub io_timeout: Duration,
     /// When set, this client's outgoing frames inject deterministic
     /// CRC-corrupt copies (seeded per node), so the *server* exercises
-    /// and counts its reject-and-resync path. Only takes effect when
-    /// the handshake negotiates wire version ≥ 2.
+    /// and counts its reject-and-resync path.
     pub wire_chaos: Option<u64>,
 }
 
@@ -93,25 +91,25 @@ pub fn run_client(opts: &ClientOptions) -> Result<ClientReport, TransportError> 
         conn.set_read_timeout(Some(opts.io_timeout))?;
         report.connects += 1;
         let mut framed = FramedConn::new(conn);
-        framed.send(
-            CH_CONTROL,
-            &ControlMsg::Hello {
-                node: opts.node,
-                resume: next_seq,
-                version: WIRE_VERSION,
-            },
-        )?;
-        let welcome: ControlMsg = framed.recv_on(CH_CONTROL)?;
-        let ControlMsg::Welcome { setup, version } = welcome else {
+        framed.send_control(&ControlMsg::Hello {
+            node: opts.node,
+            resume: next_seq,
+            version: WIRE_VERSION,
+        })?;
+        let welcome = framed.recv()?;
+        let Incoming::Control(ControlMsg::Welcome { setup, version }) = welcome else {
             return Err(TransportError::Handshake(format!(
                 "expected Welcome, got {welcome:?}"
             )));
         };
-        if version >= 2 {
-            framed.enable_crc();
-            if let Some(seed) = opts.wire_chaos {
-                framed.enable_chaos(seed ^ opts.node as u64);
-            }
+        if version != WIRE_VERSION {
+            return Err(TransportError::Handshake(format!(
+                "server speaks wire version {version}, this build only {WIRE_VERSION}"
+            )));
+        }
+        framed.enable_crc();
+        if let Some(seed) = opts.wire_chaos {
+            framed.enable_chaos(seed ^ opts.node as u64);
         }
         if instance.is_none() {
             let spec = setup.spec_predicate()?;
@@ -180,61 +178,48 @@ fn serve_events(
     processed: &mut u64,
 ) -> io::Result<()> {
     loop {
-        let frame = framed.recv()?;
-        match frame.channel {
-            CH_CONTROL => {
-                let msg: ControlMsg = serde_json::from_slice(&frame.payload)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                match msg {
-                    ControlMsg::Bye => return Ok(()),
-                    other => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("unexpected control message mid-run: {other:?}"),
-                        ))
-                    }
-                }
+        let msg = match framed.recv()? {
+            Incoming::Control(ControlMsg::Bye) => return Ok(()),
+            Incoming::Event(msg) => msg,
+            other => return Err(bad_data(format!("unexpected message mid-run: {other:?}"))),
+        };
+        if msg.seq < *next_seq {
+            // The reply to this event was lost in a reconnect: answer
+            // from the cache, never reprocess.
+            if let Some(reply) = cache.as_ref().filter(|c| c.seq == msg.seq) {
+                framed.send_actions(reply)?;
+                continue;
             }
-            CH_EVENT => {
-                let msg: EventMsg = serde_json::from_slice(&frame.payload)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                if msg.seq < *next_seq {
-                    // The reply to this event was lost in a reconnect:
-                    // answer from the cache, never reprocess.
-                    if let Some(reply) = cache.as_ref().filter(|c| c.seq == msg.seq) {
-                        framed.send(crate::wire::CH_ACTION, reply)?;
-                        continue;
-                    }
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("duplicate event seq {} without a cached reply", msg.seq),
-                    ));
-                }
-                // Protocol callbacks index by the ids an event names;
-                // one this run does not have is a malformed payload.
-                if !instance.env.admits(&msg.ev) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("event names an unknown message or process: {:?}", msg.ev),
-                    ));
-                }
-                instance.env.set_now(msg.now);
-                instance.protocol.process_event(&mut instance.env, msg.ev);
-                let reply = ActionMsg {
-                    seq: msg.seq,
-                    actions: instance.env.take_actions(),
-                };
-                *next_seq = msg.seq + 1;
-                *processed += 1;
-                framed.send(crate::wire::CH_ACTION, &reply)?;
-                *cache = Some(reply);
-            }
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unexpected channel {other}"),
-                ))
-            }
+            return Err(bad_data(format!(
+                "duplicate event seq {} without a cached reply",
+                msg.seq
+            )));
         }
+        // The server sends the next event or resends the last one; a
+        // gap means events this instance never saw.
+        if msg.seq > *next_seq {
+            return Err(bad_data(format!(
+                "event seq {} skips past {}",
+                msg.seq, *next_seq
+            )));
+        }
+        // Protocol callbacks index by the ids an event names; one this
+        // run does not have is a malformed payload.
+        if !instance.env.admits(&msg.ev) {
+            return Err(bad_data(format!(
+                "event names an unknown message or process: {:?}",
+                msg.ev
+            )));
+        }
+        instance.env.set_now(msg.now);
+        instance.protocol.process_event(&mut instance.env, msg.ev);
+        let reply = ActionMsg {
+            seq: msg.seq,
+            actions: instance.env.take_actions(),
+        };
+        *next_seq = msg.seq + 1;
+        *processed += 1;
+        framed.send_actions(&reply)?;
+        *cache = Some(reply);
     }
 }

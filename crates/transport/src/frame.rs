@@ -3,43 +3,48 @@
 //! Wire format of one frame:
 //!
 //! ```text
-//! [len: u32 LE][channel: u8][payload: len-1 bytes]
-//! ```
-//!
-//! `len` counts the channel byte plus the payload, so a well-formed
-//! frame occupies `4 + len` bytes and `len >= 1` always. The channel
-//! byte multiplexes independent message streams (control, events,
-//! actions) over one connection; see [`crate::wire`] for the channel
-//! assignments.
-//!
-//! Decoding is incremental: a [`Decoder`] accepts bytes in arbitrary
-//! split positions (as TCP delivers them) and yields complete frames as
-//! they materialize, rejecting oversized or malformed length prefixes
-//! *before* buffering their payload.
-//!
-//! # Wire version 2: checksummed frames
-//!
-//! Version 2 of the handshake (see [`crate::wire`]) appends a CRC-32
-//! (IEEE) of `channel ‖ payload` to every frame:
-//!
-//! ```text
 //! [len: u32 LE][channel: u8][payload][crc: u32 LE]
 //! ```
 //!
-//! with `len` counting channel byte + payload + checksum. Corruption
-//! *inside* a frame leaves the length prefix intact, so — unlike a
-//! framing violation — a checksum mismatch is recoverable: the decoder
-//! skips the damaged frame, counts it, and resynchronizes at the next
-//! length prefix instead of killing the connection. CRC-32 detects
-//! every single-bit flip (and any burst ≤ 32 bits) by construction.
+//! `len` counts everything after itself — channel byte, payload and
+//! checksum — so a well-formed frame occupies `4 + len` bytes. The
+//! channel byte multiplexes independent message streams (control,
+//! events, actions) over one connection; see [`crate::wire`] for the
+//! channel assignments and the payload encodings. The trailing CRC-32
+//! (IEEE) covers `channel ‖ payload`. Corruption *inside* a frame
+//! leaves the length prefix intact, so — unlike a framing violation — a
+//! checksum mismatch is recoverable: the decoder skips the damaged
+//! frame, counts it, and resynchronizes at the next length prefix
+//! instead of killing the connection. CRC-32 detects every single-bit
+//! flip (and any burst ≤ 32 bits) by construction.
+//!
+//! The handshake alone (see [`crate::wire`]) travels in *plain*
+//! framing — the same layout without the checksum, `len >= 1` —
+//! written by [`finish`] / [`encode`] and read by a [`Decoder`] before
+//! [`enable_crc`](Decoder::enable_crc).
+//!
+//! Both directions work in place. A sender opens a frame in a buffer it
+//! keeps ([`begin`]), appends the payload, and closes it
+//! ([`finish_crc`]: checksum appended, length patched) — no second
+//! buffer, one write. A [`Decoder`] accepts bytes in arbitrary split
+//! positions (as TCP delivers them), rejects oversized or malformed
+//! length prefixes *before* buffering their payload, and lends each
+//! complete frame's payload out of its own buffer
+//! ([`Decoder::next_frame`]). [`encode_crc`] and [`Decoder::try_next`]
+//! are the same code returning owned values.
 
-/// Upper bound on `len` (channel byte + payload). A peer announcing a
-/// larger frame is faulty or hostile; the decoder rejects the length
-/// prefix without allocating.
+use std::ops::Range;
+
+/// Upper bound on `len` (channel byte + payload + checksum). A peer
+/// announcing a larger frame is faulty or hostile; the decoder rejects
+/// the length prefix without allocating.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
-/// Bytes of the trailing CRC-32 in a version-2 frame.
+/// Bytes of the trailing CRC-32 in a checksummed frame.
 pub const CRC_LEN: usize = 4;
+
+/// Bytes of the length prefix.
+const PREFIX_LEN: usize = 4;
 
 /// The CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup
 /// table, built at compile time so the crate stays dependency-free.
@@ -81,6 +86,16 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
+/// One decoded frame whose payload still lies in the [`Decoder`]'s
+/// buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameRef<'a> {
+    /// Which multiplexed stream the payload belongs to.
+    pub channel: u8,
+    /// The payload bytes (everything after the channel byte).
+    pub payload: &'a [u8],
+}
+
 /// A malformed byte stream. Framing errors are not recoverable: the
 /// stream position is lost, so the connection must be dropped.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,42 +122,72 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Encodes one frame.
+/// Opens a frame on `channel` at the end of `out`: a length placeholder
+/// and the channel byte. Append the payload, then close the frame with
+/// [`finish_crc`] (or [`finish`]), handing back the returned offset.
+pub fn begin(out: &mut Vec<u8>, channel: u8) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; PREFIX_LEN]);
+    out.push(channel);
+    start
+}
+
+/// Closes the plain frame [`begin`] opened at `start` (the offset it
+/// returned): patches its length prefix.
+///
+/// # Errors
+/// [`FrameError::Oversized`] if channel byte + payload exceeds
+/// [`MAX_FRAME`]; the unfinished frame is removed from `out`.
+pub fn finish(out: &mut Vec<u8>, start: usize) -> Result<(), FrameError> {
+    let len = out.len() - start - PREFIX_LEN;
+    match u32::try_from(len) {
+        Ok(prefix) if len <= MAX_FRAME => {
+            out[start..start + PREFIX_LEN].copy_from_slice(&prefix.to_le_bytes());
+            Ok(())
+        }
+        _ => {
+            out.truncate(start);
+            Err(FrameError::Oversized { len })
+        }
+    }
+}
+
+/// Closes the checksummed frame [`begin`] opened at `start` (the
+/// offset it returned): appends the CRC-32 of `channel ‖ payload` and
+/// patches the length prefix, which counts it.
+///
+/// # Errors
+/// [`FrameError::Oversized`] if channel byte + payload + checksum
+/// exceeds [`MAX_FRAME`]; the unfinished frame is removed from `out`.
+pub fn finish_crc(out: &mut Vec<u8>, start: usize) -> Result<(), FrameError> {
+    let crc = crc32(&out[start + PREFIX_LEN..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    finish(out, start)
+}
+
+/// Encodes one plain frame into a fresh buffer.
 ///
 /// # Errors
 /// [`FrameError::Oversized`] if the payload (plus channel byte) exceeds
 /// [`MAX_FRAME`].
 pub fn encode(channel: u8, payload: &[u8]) -> Result<Vec<u8>, FrameError> {
-    let len = payload.len() + 1;
-    let prefix = match u32::try_from(len) {
-        Ok(prefix) if len <= MAX_FRAME => prefix,
-        _ => return Err(FrameError::Oversized { len }),
-    };
-    let mut out = Vec::with_capacity(4 + len);
-    out.extend_from_slice(&prefix.to_le_bytes());
-    out.push(channel);
+    let mut out = Vec::with_capacity(PREFIX_LEN + 1 + payload.len());
+    let start = begin(&mut out, channel);
     out.extend_from_slice(payload);
+    finish(&mut out, start)?;
     Ok(out)
 }
 
-/// Encodes one version-2 (checksummed) frame: the CRC-32 of
-/// `channel ‖ payload` is appended and counted in the length prefix.
+/// Encodes one checksummed frame into a fresh buffer.
 ///
 /// # Errors
 /// [`FrameError::Oversized`] if channel byte + payload + checksum
 /// exceeds [`MAX_FRAME`].
 pub fn encode_crc(channel: u8, payload: &[u8]) -> Result<Vec<u8>, FrameError> {
-    let len = payload.len() + 1 + CRC_LEN;
-    let prefix = match u32::try_from(len) {
-        Ok(prefix) if len <= MAX_FRAME => prefix,
-        _ => return Err(FrameError::Oversized { len }),
-    };
-    let mut out = Vec::with_capacity(4 + len);
-    out.extend_from_slice(&prefix.to_le_bytes());
-    out.push(channel);
+    let mut out = Vec::with_capacity(PREFIX_LEN + 1 + payload.len() + CRC_LEN);
+    let start = begin(&mut out, channel);
     out.extend_from_slice(payload);
-    let crc = crc32(&out[4..]);
-    out.extend_from_slice(&crc.to_le_bytes());
+    finish_crc(&mut out, start)?;
     Ok(out)
 }
 
@@ -175,7 +220,7 @@ impl Decoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Switches the decoder to wire-version-2 mode: every frame must
+    /// Switches the decoder to checksummed framing: every frame must
     /// carry a trailing CRC-32 over `channel ‖ payload`. Frames whose
     /// checksum does not verify are skipped and counted, not fatal.
     pub fn enable_crc(&mut self) {
@@ -192,7 +237,49 @@ impl Decoder {
         self.rejected
     }
 
-    /// Yields the next complete frame, `None` if more bytes are needed.
+    /// Consumes the next complete frame and returns its channel and
+    /// where in `buf` its payload lies; `None` if more bytes are needed.
+    fn advance(&mut self) -> Result<Option<(u8, Range<usize>)>, FrameError> {
+        loop {
+            let Some((prefix, rest)) = self.buf[self.start..].split_first_chunk() else {
+                return Ok(None);
+            };
+            let len = u32::from_le_bytes(*prefix) as usize;
+            if len == 0 {
+                return Err(FrameError::Empty);
+            }
+            if len > MAX_FRAME {
+                return Err(FrameError::Oversized { len });
+            }
+            if rest.len() < len {
+                return Ok(None);
+            }
+            let at = self.start + PREFIX_LEN;
+            self.start = at + len;
+            let covered = if self.crc {
+                // A checksummed frame needs room for the channel byte
+                // and the checksum; anything shorter is corrupt by
+                // definition.
+                match rest[..len].split_last_chunk() {
+                    Some((body, tail))
+                        if !body.is_empty() && crc32(body) == u32::from_le_bytes(*tail) =>
+                    {
+                        body.len()
+                    }
+                    _ => {
+                        self.rejected += 1;
+                        continue;
+                    }
+                }
+            } else {
+                len
+            };
+            return Ok(Some((self.buf[at], at + 1..at + covered)));
+        }
+    }
+
+    /// Yields the next complete frame, its payload borrowed from the
+    /// decoder's buffer; `None` if more bytes are needed.
     ///
     /// In CRC mode a frame whose checksum fails verification is
     /// silently skipped (and counted via [`Decoder::crc_rejected`]);
@@ -201,48 +288,22 @@ impl Decoder {
     /// # Errors
     /// A [`FrameError`] on a malformed length prefix; the stream is
     /// unrecoverable afterwards and the connection should be dropped.
+    pub fn next_frame(&mut self) -> Result<Option<FrameRef<'_>>, FrameError> {
+        Ok(self.advance()?.map(|(channel, at)| FrameRef {
+            channel,
+            payload: &self.buf[at],
+        }))
+    }
+
+    /// [`next_frame`](Decoder::next_frame) with the payload copied out.
+    ///
+    /// # Errors
+    /// As [`next_frame`](Decoder::next_frame).
     pub fn try_next(&mut self) -> Result<Option<Frame>, FrameError> {
-        loop {
-            let avail = &self.buf[self.start..];
-            if avail.len() < 4 {
-                return Ok(None);
-            }
-            let len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
-            if len == 0 {
-                return Err(FrameError::Empty);
-            }
-            if len > MAX_FRAME {
-                return Err(FrameError::Oversized { len });
-            }
-            if avail.len() < 4 + len {
-                return Ok(None);
-            }
-            if self.crc {
-                // A v2 frame needs room for the channel byte and the
-                // checksum; anything shorter is corrupt by definition.
-                if len <= CRC_LEN {
-                    self.rejected += 1;
-                    self.start += 4 + len;
-                    continue;
-                }
-                let body = &avail[4..4 + len - CRC_LEN];
-                let tail = &avail[4 + len - CRC_LEN..4 + len];
-                let want = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]);
-                if crc32(body) != want {
-                    self.rejected += 1;
-                    self.start += 4 + len;
-                    continue;
-                }
-                let channel = body[0];
-                let payload = body[1..].to_vec();
-                self.start += 4 + len;
-                return Ok(Some(Frame { channel, payload }));
-            }
-            let channel = avail[4];
-            let payload = avail[5..4 + len].to_vec();
-            self.start += 4 + len;
-            return Ok(Some(Frame { channel, payload }));
-        }
+        Ok(self.next_frame()?.map(|f| Frame {
+            channel: f.channel,
+            payload: f.payload.to_vec(),
+        }))
     }
 
     /// Bytes buffered but not yet consumed as frames.
@@ -292,6 +353,34 @@ mod tests {
             Err(FrameError::Oversized { len: MAX_FRAME + 1 })
         );
         assert!(encode(0, &vec![0u8; MAX_FRAME]).is_err(), "encode agrees");
+    }
+
+    #[test]
+    fn frames_append_in_place_and_an_oversized_one_is_taken_back() {
+        let mut out = Vec::new();
+        for payload in [&b"first"[..], b"", b"third"] {
+            let start = begin(&mut out, 4);
+            out.extend_from_slice(payload);
+            finish_crc(&mut out, start).expect("fits");
+        }
+        let stream = out.clone();
+        let start = begin(&mut out, 4);
+        out.resize(out.len() + MAX_FRAME, 0);
+        assert!(matches!(
+            finish_crc(&mut out, start),
+            Err(FrameError::Oversized { .. })
+        ));
+        assert_eq!(out, stream, "the refused frame left nothing behind");
+
+        let mut dec = Decoder::new();
+        dec.enable_crc();
+        dec.push(&out);
+        for payload in [&b"first"[..], b"", b"third"] {
+            let f = dec.next_frame().expect("well-formed").expect("complete");
+            assert_eq!((f.channel, f.payload), (4, payload));
+        }
+        assert_eq!(dec.next_frame(), Ok(None));
+        assert_eq!(dec.crc_rejected(), 0);
     }
 
     #[test]
@@ -360,13 +449,13 @@ mod tests {
 
     #[test]
     fn crc_frame_too_short_for_checksum_is_skipped() {
-        // A v1-style 5-byte frame (len = 1) read by a v2 decoder: no
-        // room for the checksum, so it is counted and skipped.
-        let v1 = encode(7, b"").expect("fits");
+        // A plain 5-byte frame (len = 1) read by a checksumming decoder:
+        // no room for the checksum, so it is counted and skipped.
+        let plain = encode(7, b"").expect("fits");
         let clean = encode_crc(7, b"ok").expect("fits");
         let mut dec = Decoder::new();
         dec.enable_crc();
-        dec.push(&v1);
+        dec.push(&plain);
         dec.push(&clean);
         let f = dec.try_next().expect("recoverable").expect("complete");
         assert_eq!(f.payload, b"ok".to_vec());

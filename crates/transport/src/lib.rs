@@ -6,13 +6,15 @@
 //! actions plus delivery decisions out. This crate supplies the *real*
 //! host for that boundary:
 //!
-//! - [`frame`] — length-prefixed framing with per-channel multiplexing,
-//!   decoded incrementally from arbitrary read splits;
+//! - [`frame`] — length-prefixed, CRC-32-checked framing with
+//!   per-channel multiplexing, written in place into a reused buffer
+//!   and decoded incrementally, in place, from arbitrary read splits;
 //! - [`endpoint`] — TCP and Unix-domain sockets behind one address
 //!   syntax (`tcp:HOST:PORT`, `unix:PATH`);
-//! - [`wire`] — the JSON message protocol: `Hello`/`Welcome`/`Bye`
-//!   handshake, sequence-numbered [`EventMsg`](wire::EventMsg) /
-//!   [`ActionMsg`](wire::ActionMsg) round-trips;
+//! - [`wire`] — the message protocol: a JSON `Hello`/`Welcome`/`Bye`
+//!   handshake, then sequence-numbered [`EventMsg`](wire::EventMsg) /
+//!   [`ActionMsg`](wire::ActionMsg) round-trips in a fixed-width binary
+//!   encoding;
 //! - [`supervisor`] — dialing with the reliable-link exponential
 //!   backoff curve;
 //! - [`server`] — [`SocketHost`], a
@@ -50,10 +52,10 @@ pub mod wire;
 
 pub use client::{run_client, ClientOptions, ClientReport};
 pub use endpoint::{Conn, Endpoint, Listener};
-pub use frame::{crc32, Decoder, Frame, FrameError, CRC_LEN, MAX_FRAME};
+pub use frame::{crc32, Decoder, Frame, FrameError, FrameRef, CRC_LEN, MAX_FRAME};
 pub use metrics_http::{scrape, MetricsExporter};
 pub use server::{
     serve, serve_on, serve_on_observed, ServeOptions, ServeOutcome, SocketHost, TransportError,
 };
 pub use supervisor::{connect_with_retry, Backoff};
-pub use wire::{FramedConn, WIRE_VERSION};
+pub use wire::{FramedConn, Incoming, WIRE_VERSION};

@@ -19,16 +19,16 @@
 //! rejected.
 //!
 //! [`ProtocolHost`]: msgorder_simnet::ProtocolHost
+//! [`ActionMsg`]: crate::wire::ActionMsg
 
 use crate::endpoint::{Endpoint, Listener};
-use crate::wire::{
-    ActionMsg, ControlMsg, EventMsg, FramedConn, CH_ACTION, CH_CONTROL, WIRE_VERSION,
-};
+use crate::wire::{bad_data, ControlMsg, EventMsg, FramedConn, Incoming, WIRE_VERSION};
 use msgorder_simnet::{
     DriftStats, HostAction, HostDriver, HostError, HostEvent, RealtimeKernel, SimError,
     StreamResult,
 };
 use msgorder_trace::{assemble_trace, Recorder, Setup, Trace, TraceError};
+use std::cmp::Ordering;
 use std::io;
 use std::time::{Duration, Instant};
 
@@ -86,7 +86,7 @@ pub struct ServeOptions {
     /// When set, the server's outgoing links inject deterministic
     /// CRC-corrupt frame copies (seeded per node from this value) so a
     /// loopback run exercises the reject-and-resync path over real
-    /// sockets. Requires the peers to negotiate wire version ≥ 2.
+    /// sockets.
     pub wire_chaos: Option<u64>,
 }
 
@@ -185,7 +185,8 @@ impl SocketHost {
     ///
     /// # Errors
     /// [`TransportError::Handshake`] when the timeout passes first or a
-    /// peer announces an out-of-range node or a stale resume point.
+    /// peer announces another wire version, an out-of-range node or a
+    /// stale resume point.
     pub fn await_peers(&mut self) -> Result<(), TransportError> {
         let deadline = Instant::now() + self.handshake_timeout;
         while self.links.iter().any(Option::is_none) {
@@ -219,20 +220,20 @@ impl SocketHost {
         };
         conn.set_read_timeout(Some(self.io_timeout))?;
         let mut framed = FramedConn::new(conn);
-        let hello: ControlMsg = framed.recv_on(CH_CONTROL)?;
-        let ControlMsg::Hello {
+        let hello = framed.recv()?;
+        let Incoming::Control(ControlMsg::Hello {
             node,
             resume,
             version,
-        } = hello
+        }) = hello
         else {
             return Err(TransportError::Handshake(format!(
                 "expected Hello, got {hello:?}"
             )));
         };
-        if version == 0 {
+        if version != WIRE_VERSION {
             return Err(TransportError::Handshake(format!(
-                "process {node} announced wire version 0"
+                "process {node} speaks wire version {version}, this build only {WIRE_VERSION}"
             )));
         }
         if node >= self.links.len() {
@@ -250,21 +251,15 @@ impl SocketHost {
                 self.seqs[node]
             )));
         }
-        // The handshake runs in version-1 framing; only frames after
-        // the Welcome use the negotiated version.
-        let negotiated = version.min(WIRE_VERSION);
-        framed.send(
-            CH_CONTROL,
-            &ControlMsg::Welcome {
-                setup: self.setup.clone(),
-                version: negotiated,
-            },
-        )?;
-        if negotiated >= 2 {
-            framed.enable_crc();
-            if let Some(seed) = self.wire_chaos {
-                framed.enable_chaos(seed ^ node as u64);
-            }
+        // The handshake runs in plain framing; every frame after the
+        // Welcome is checksummed.
+        framed.send_control(&ControlMsg::Welcome {
+            setup: self.setup.clone(),
+            version: WIRE_VERSION,
+        })?;
+        framed.enable_crc();
+        if let Some(seed) = self.wire_chaos {
+            framed.enable_chaos(seed ^ node as u64);
         }
         self.links[node] = Some(framed);
         Ok(())
@@ -273,19 +268,30 @@ impl SocketHost {
     /// Tells every connected peer the run is over.
     pub fn farewell(&mut self) {
         for link in self.links.iter_mut().flatten() {
-            let _ = link.send(CH_CONTROL, &ControlMsg::Bye);
+            let _ = link.send_control(&ControlMsg::Bye);
         }
     }
 
     /// One blocking round-trip on an established link.
     fn round_trip(link: &mut FramedConn, msg: &EventMsg) -> io::Result<Vec<HostAction>> {
-        link.send(crate::wire::CH_EVENT, msg)?;
+        link.send_event(msg)?;
         loop {
-            let reply: ActionMsg = link.recv_on(CH_ACTION)?;
-            if reply.seq == msg.seq {
-                return Ok(reply.actions);
+            let reply = match link.recv()? {
+                Incoming::Actions(reply) => reply,
+                other => return Err(bad_data(format!("expected an action batch, got {other:?}"))),
+            };
+            match reply.seq.cmp(&msg.seq) {
+                Ordering::Equal => return Ok(reply.actions),
+                // A stale reply from before a reconnect: drain and re-read.
+                Ordering::Less => {}
+                // Nothing past the in-flight event has been sent yet.
+                Ordering::Greater => {
+                    return Err(bad_data(format!(
+                        "reply seq {} is ahead of the in-flight event {}",
+                        reply.seq, msg.seq
+                    )))
+                }
             }
-            // A stale reply from before a reconnect: drain and re-read.
         }
     }
 }

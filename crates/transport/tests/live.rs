@@ -4,22 +4,47 @@
 //! bit-exact in the discrete-event simulator: same fingerprint, same
 //! event stream, same verdict.
 
-use msgorder_simnet::{FaultModel, InProcessHost, LatencyModel, RealtimeKernel, Workload};
+use msgorder_simnet::{
+    FaultModel, HostDriver, HostEvent, InProcessHost, LatencyModel, RealtimeKernel, Workload,
+};
 use msgorder_trace::{assemble_trace, replay, Recorder, Setup, Trace};
-use msgorder_transport::wire::{ActionMsg, ControlMsg, EventMsg, FramedConn};
+use msgorder_transport::wire::{ActionMsg, ControlMsg, EventMsg, FramedConn, Incoming};
 use msgorder_transport::{
-    run_client, serve_on, ClientOptions, Decoder, Endpoint, Frame, ServeOptions,
+    frame, run_client, serve_on, Backoff, ClientOptions, ClientReport, Decoder, Endpoint,
+    ServeOptions, SocketHost, TransportError, WIRE_VERSION,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-fn encode_all(frames: &[(u8, Vec<u8>)]) -> Vec<u8> {
+/// The frames one after another, each from the by-value encoder.
+fn encode_all(frames: &[(u8, Vec<u8>)], crc: bool) -> Vec<u8> {
+    let encode = if crc {
+        frame::encode_crc
+    } else {
+        frame::encode
+    };
     frames
         .iter()
-        .flat_map(|(ch, p)| msgorder_transport::frame::encode(*ch, p).expect("fits"))
+        .flat_map(|(ch, p)| encode(*ch, p).expect("fits"))
         .collect()
+}
+
+/// The same stream written in place, frame after frame into one buffer.
+fn encode_in_place(frames: &[(u8, Vec<u8>)], crc: bool) -> Vec<u8> {
+    let finish = if crc {
+        frame::finish_crc
+    } else {
+        frame::finish
+    };
+    let mut out = Vec::new();
+    for (ch, p) in frames {
+        let start = frame::begin(&mut out, *ch);
+        out.extend_from_slice(p);
+        finish(&mut out, start).expect("fits");
+    }
+    out
 }
 
 proptest! {
@@ -27,7 +52,9 @@ proptest! {
 
     /// The decoder reassembles any frame sequence from any split of the
     /// byte stream — TCP may deliver one byte at a time or everything
-    /// at once.
+    /// at once — lending the payloads or copying them out, with and
+    /// without checksums; and the in-place encoder writes the by-value
+    /// encoder's bytes.
     #[test]
     fn frame_codec_survives_arbitrary_split_reads(
         frames in proptest::collection::vec(
@@ -35,22 +62,30 @@ proptest! {
             1..8,
         ),
         chunk in 1usize..40,
+        crc in any::<bool>(),
     ) {
-        let stream = encode_all(&frames);
-        let mut dec = Decoder::new();
-        let mut got: Vec<Frame> = Vec::new();
+        let stream = encode_in_place(&frames, crc);
+        prop_assert_eq!(&stream, &encode_all(&frames, crc));
+        let (mut lending, mut copying) = (Decoder::new(), Decoder::new());
+        if crc {
+            lending.enable_crc();
+            copying.enable_crc();
+        }
+        let mut expected = frames.iter();
         for piece in stream.chunks(chunk) {
-            dec.push(piece);
-            while let Some(f) = dec.try_next().expect("well-formed stream") {
-                got.push(f);
+            lending.push(piece);
+            copying.push(piece);
+            while let Some(f) = lending.next_frame().expect("well-formed stream") {
+                let (ch, p) = expected.next().expect("no frame out of thin air");
+                prop_assert_eq!((f.channel, f.payload), (*ch, &p[..]));
+                let copy = copying.try_next().expect("well-formed stream").expect("same frame");
+                prop_assert_eq!((copy.channel, &copy.payload), (*ch, p));
             }
+            prop_assert_eq!(copying.try_next(), Ok(None));
         }
-        prop_assert_eq!(got.len(), frames.len());
-        for (g, (ch, p)) in got.iter().zip(&frames) {
-            prop_assert_eq!(g.channel, *ch);
-            prop_assert_eq!(&g.payload, p);
-        }
-        prop_assert_eq!(dec.pending(), 0, "no bytes left over");
+        prop_assert!(expected.next().is_none(), "every frame arrived");
+        prop_assert_eq!(lending.pending(), 0, "no bytes left over");
+        prop_assert_eq!(lending.crc_rejected() + copying.crc_rejected(), 0);
     }
 
     /// A truncated frame stays pending (never yields a partial frame),
@@ -60,7 +95,7 @@ proptest! {
         payload in proptest::collection::vec(0u8..=255, 1..100),
         cut in 1usize..100,
     ) {
-        let bytes = msgorder_transport::frame::encode(5, &payload).expect("fits");
+        let bytes = frame::encode(5, &payload).expect("fits");
         let cut = cut.min(bytes.len() - 1);
         let mut dec = Decoder::new();
         dec.push(&bytes[..cut]);
@@ -97,7 +132,7 @@ proptest! {
         'outer: for piece in junk.chunks(chunk) {
             dec.push(piece);
             loop {
-                match dec.try_next() {
+                match dec.next_frame() {
                     Ok(Some(_)) => {}
                     Ok(None) => break,
                     Err(_) => break 'outer, // framing violation: stream dead
@@ -107,23 +142,29 @@ proptest! {
     }
 
     /// Flipping any single bit in the body of a checksummed frame makes
-    /// the decoder reject it — CRC-32 detects all 1-bit errors.
+    /// the decoder reject it — CRC-32 detects all 1-bit errors — however
+    /// the frame was written and however it is read; a clean frame
+    /// behind the dirty one still arrives.
     #[test]
     fn any_single_bit_flip_in_a_crc_frame_is_rejected(
         channel in 0u8..=255,
         payload in proptest::collection::vec(0u8..=255, 0..100),
         flip in 0usize..1_000_000,
     ) {
-        let clean = msgorder_transport::frame::encode_crc(channel, &payload).expect("fits");
-        let body_bits = (clean.len() - 4) * 8;
+        let body_bits = (1 + payload.len() + msgorder_transport::CRC_LEN) * 8;
+        let mut dirty = encode_in_place(&[(channel, payload), (channel, b"clean".to_vec())], true);
         let bit = flip % body_bits;
-        let mut dirty = clean;
         dirty[4 + bit / 8] ^= 1 << (bit % 8);
-        let mut dec = Decoder::new();
-        dec.enable_crc();
-        dec.push(&dirty);
-        prop_assert_eq!(dec.try_next(), Ok(None), "corrupt frame must not surface");
-        prop_assert_eq!(dec.crc_rejected(), 1);
+        let (mut lending, mut copying) = (Decoder::new(), Decoder::new());
+        lending.enable_crc();
+        copying.enable_crc();
+        lending.push(&dirty);
+        copying.push(&dirty);
+        let f = lending.next_frame().expect("recoverable").expect("the clean frame");
+        prop_assert_eq!(f.payload, b"clean", "corrupt frame must not surface");
+        let f = copying.try_next().expect("recoverable").expect("the clean frame");
+        prop_assert_eq!(f.payload, b"clean", "corrupt frame must not surface");
+        prop_assert_eq!((lending.crc_rejected(), copying.crc_rejected()), (1, 1));
     }
 }
 
@@ -250,7 +291,7 @@ fn every_registry_protocol_replays_from_the_realtime_kernel() {
 }
 
 /// The adversarial acceptance criterion, over a real loopback socket:
-/// with wire chaos armed on both sides of a version-2 session, every
+/// with wire chaos armed on both sides of a session, every
 /// injected CRC-corrupt frame is rejected and counted at the receiving
 /// end, the connection resyncs instead of dying, the run completes,
 /// and the recorded trace still replays bit-exact with the same
@@ -303,6 +344,47 @@ fn wire_chaos_frames_are_rejected_counted_and_replay_survives() {
     );
 }
 
+/// How `run_client` ends against a hand-rolled server that answers its
+/// `Hello` with a `Welcome` announcing `version`, sends it `event`, and
+/// reads no reply.
+fn client_outcome(version: u16, event: &EventMsg) -> Result<ClientReport, TransportError> {
+    let listener = Endpoint::Unix(sock_path()).listen().expect("binds");
+    let mut copts = ClientOptions::new(listener.local_endpoint().expect("has an address"), 0);
+    // A client that wrongly answers the event then waits for the next
+    // one, which never comes: fail that wait early.
+    copts.io_timeout = Duration::from_secs(2);
+    let client = std::thread::spawn(move || run_client(&copts));
+    let mut framed = FramedConn::new(listener.accept().expect("client dials"));
+    let hello = framed.recv().expect("hello");
+    assert_eq!(
+        hello,
+        Incoming::Control(ControlMsg::Hello {
+            node: 0,
+            resume: 0,
+            version: WIRE_VERSION
+        })
+    );
+    let welcome = ControlMsg::Welcome {
+        setup: live_setup("causal-rst", false, 3, None),
+        version,
+    };
+    framed.send_control(&welcome).expect("welcome");
+    framed.enable_crc();
+    // A client that refused the Welcome has hung up by now; whether this
+    // write still lands is beside the point.
+    let _ = framed.send_event(event);
+    client.join().expect("the client must not panic")
+}
+
+fn assert_invalid_data(outcome: Result<ClientReport, TransportError>, needle: &str) {
+    match outcome {
+        Err(TransportError::Io(e)) if e.kind() == std::io::ErrorKind::InvalidData => {
+            assert!(e.to_string().contains(needle), "{e}");
+        }
+        other => panic!("expected an InvalidData failure saying {needle:?}, got {other:?}"),
+    }
+}
+
 /// An event naming a message or process the run does not have is a
 /// malformed payload like any other: the client fails the connection
 /// with `InvalidData`. Unchecked, the first reached `Ctx::meta` and the
@@ -311,9 +393,6 @@ fn wire_chaos_frames_are_rejected_counted_and_replay_survives() {
 #[test]
 fn client_refuses_events_naming_unknown_ids() {
     use msgorder_runs::{MessageId, ProcessId};
-    use msgorder_simnet::HostEvent;
-    use msgorder_transport::wire::{CH_CONTROL, CH_EVENT};
-    use msgorder_transport::TransportError;
 
     let unknown_message = HostEvent::Request {
         msg: MessageId(1_000_000),
@@ -324,31 +403,159 @@ fn client_refuses_events_naming_unknown_ids() {
         tag: br#"{"sent":[[0,0,0],[0,0,0],[0,0,0]]}"#.to_vec(),
     };
     for ev in [unknown_message, unknown_sender] {
-        let listener = Endpoint::Unix(sock_path()).listen().expect("binds");
-        let copts = ClientOptions::new(listener.local_endpoint().expect("has an address"), 0);
-        let client = std::thread::spawn(move || run_client(&copts));
-        // A server that welcomes the client, then sends the one event.
-        let mut framed = FramedConn::new(listener.accept().expect("client dials"));
-        let hello: ControlMsg = framed.recv_on(CH_CONTROL).expect("hello");
-        assert!(matches!(hello, ControlMsg::Hello { node: 0, .. }));
-        let welcome = ControlMsg::Welcome {
-            setup: live_setup("causal-rst", false, 3, None),
-            version: 1,
-        };
-        framed.send(CH_CONTROL, &welcome).expect("welcome");
-        let event = EventMsg {
-            seq: 0,
-            now: 0,
-            ev: ev.clone(),
-        };
-        framed.send(CH_EVENT, &event).expect("event");
-        match client.join().expect("the client must not panic") {
-            Err(TransportError::Io(e)) => {
-                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{ev:?}: {e}");
-            }
-            other => panic!("{ev:?}: expected an InvalidData failure, got {other:?}"),
+        let event = EventMsg { seq: 0, now: 0, ev };
+        assert_invalid_data(
+            client_outcome(WIRE_VERSION, &event),
+            "unknown message or process",
+        );
+    }
+}
+
+/// The server sends event `next_seq`, or resends `next_seq - 1` after a
+/// reconnect; anything further on means events were lost, and a client
+/// that processed it would silently skip them.
+#[test]
+fn client_refuses_an_event_that_skips_a_sequence_number() {
+    let event = EventMsg {
+        seq: 1,
+        now: 0,
+        ev: HostEvent::Init,
+    };
+    assert_invalid_data(
+        client_outcome(WIRE_VERSION, &event),
+        "event seq 1 skips past 0",
+    );
+}
+
+/// There is one wire version: a `Welcome` announcing another is refused
+/// with both numbers named, before any event is read.
+#[test]
+fn client_refuses_a_welcome_of_another_version() {
+    let event = EventMsg {
+        seq: 0,
+        now: 0,
+        ev: HostEvent::Init,
+    };
+    for version in [2, 4] {
+        match client_outcome(version, &event) {
+            Err(TransportError::Handshake(why)) => assert!(
+                why.contains(&format!("version {version},"))
+                    && why.contains(&format!("only {WIRE_VERSION}")),
+                "{why}"
+            ),
+            other => panic!("version {version}: expected a handshake refusal, got {other:?}"),
         }
     }
+}
+
+/// Dials `endpoint` and says `hello`: the opening of a hand-rolled
+/// client.
+fn dial(endpoint: &Endpoint, hello: &ControlMsg) -> FramedConn {
+    let backoff = Backoff::new(Duration::from_millis(10), 10);
+    let conn = msgorder_transport::connect_with_retry(endpoint, &backoff).expect("dials");
+    let mut framed = FramedConn::new(conn);
+    framed.send_control(hello).expect("hello");
+    framed
+}
+
+/// The rest of a hand-rolled client's handshake: the server's `Welcome`
+/// arrives and both directions switch to checksummed framing.
+fn welcomed(framed: &mut FramedConn) -> Setup {
+    let Incoming::Control(ControlMsg::Welcome { setup, version }) = framed.recv().expect("welcome")
+    else {
+        panic!("expected Welcome");
+    };
+    assert_eq!(version, WIRE_VERSION);
+    framed.enable_crc();
+    setup
+}
+
+/// Every way the server turns a `Hello` away, by what the error names.
+#[test]
+fn server_refuses_hellos_it_cannot_serve() {
+    let hello = |node, resume, version| ControlMsg::Hello {
+        node,
+        resume,
+        version,
+    };
+    let only = format!("only {WIRE_VERSION}");
+    let cases = [
+        (hello(0, 0, 0), vec!["version 0,", &only]),
+        (hello(0, 0, 1), vec!["version 1,", &only]),
+        (hello(0, 0, 2), vec!["version 2,", &only]),
+        (hello(0, 0, 4), vec!["version 4,", &only]),
+        (hello(3, 0, WIRE_VERSION), vec!["process id 3 out of range"]),
+        (
+            hello(0, 2, WIRE_VERSION),
+            vec!["seq 2", "protocol state lost"],
+        ),
+    ];
+    for (hello, needles) in cases {
+        let opts = ServeOptions::new(
+            Endpoint::Unix(sock_path()),
+            live_setup("fifo", false, 3, None),
+        );
+        let listener = opts.endpoint.listen().expect("binds");
+        // A Unix connect completes against the listen backlog, so the
+        // Hello is already waiting when the host starts accepting.
+        let _peer = dial(&listener.local_endpoint().expect("has an address"), &hello);
+        let mut host = SocketHost::new(listener, &opts).expect("host");
+        match host.await_peers() {
+            Err(TransportError::Handshake(why)) => {
+                for needle in needles {
+                    assert!(why.contains(needle), "{hello:?}: {why}");
+                }
+            }
+            other => panic!("{hello:?}: expected a handshake refusal, got {other:?}"),
+        }
+    }
+}
+
+/// Only a reply *behind* the in-flight event can be a leftover from
+/// before a reconnect. One ahead of it answers an event the server has
+/// not sent: the link fails instead of being drained forever, even
+/// though the right reply follows.
+#[test]
+fn server_refuses_a_reply_ahead_of_the_in_flight_event() {
+    let mut setup = live_setup("async", false, 3, None);
+    setup.processes = 1; // one link to handshake; no kernel runs this setup
+    let mut opts = ServeOptions::new(Endpoint::Unix(sock_path()), setup);
+    opts.handshake_timeout = Duration::from_millis(100); // nobody redials
+    let listener = opts.endpoint.listen().expect("binds");
+    let endpoint = listener.local_endpoint().expect("has an address");
+    let peer = std::thread::spawn(move || {
+        let hello = ControlMsg::Hello {
+            node: 0,
+            resume: 0,
+            version: WIRE_VERSION,
+        };
+        let mut framed = dial(&endpoint, &hello);
+        welcomed(&mut framed);
+        let Incoming::Event(event) = framed.recv().expect("event") else {
+            panic!("expected an event");
+        };
+        let reply = |seq| ActionMsg {
+            seq,
+            actions: Vec::new(),
+        };
+        framed
+            .send_actions(&reply(event.seq + 1))
+            .expect("early reply");
+        // The server may hang up on the first before the second lands.
+        let _ = framed.send_actions(&reply(event.seq));
+        framed.recv().expect_err("the server hangs up")
+    });
+    let mut host = SocketHost::new(listener, &opts).expect("host");
+    host.await_peers().expect("handshake");
+    let e = host
+        .dispatch(0, HostEvent::Init, 0)
+        .expect_err("the early reply fails the link");
+    assert!(
+        e.detail
+            .contains("reply seq 1 is ahead of the in-flight event 0"),
+        "{e}"
+    );
+    peer.join().expect("peer thread");
 }
 
 /// A client whose connection dies mid-run redials through the
@@ -393,37 +600,20 @@ fn client_reconnects_after_a_dropped_connection() {
 /// finishes normally. Returns the number of connections it made.
 fn flaky_client(endpoint: &Endpoint, node: usize) -> u32 {
     use msgorder_simnet::{HostEnv, Protocol, ProtocolHost};
-    use msgorder_transport::wire::{CH_ACTION, CH_CONTROL, CH_EVENT};
 
     let mut connects = 0u32;
     let mut state: Option<(Box<dyn Protocol>, HostEnv)> = None;
     let mut cache: Option<ActionMsg> = None;
     let mut next_seq = 0u64;
     loop {
-        let conn = msgorder_transport::connect_with_retry(
-            endpoint,
-            &msgorder_transport::Backoff::new(Duration::from_millis(10), 10),
-        )
-        .expect("dials");
-        connects += 1;
-        let mut framed = FramedConn::new(conn);
-        framed
-            .send(
-                CH_CONTROL,
-                &ControlMsg::Hello {
-                    node,
-                    resume: next_seq,
-                    // This hand-rolled client never enables CRC framing,
-                    // so it must pin the connection at wire version 1.
-                    version: 1,
-                },
-            )
-            .expect("hello");
-        let ControlMsg::Welcome { setup, version } = framed.recv_on(CH_CONTROL).expect("welcome")
-        else {
-            panic!("expected Welcome");
+        let hello = ControlMsg::Hello {
+            node,
+            resume: next_seq,
+            version: WIRE_VERSION,
         };
-        assert_eq!(version, 1, "server must honor a v1-only peer");
+        let mut framed = dial(endpoint, &hello);
+        connects += 1;
+        let setup = welcomed(&mut framed);
         if state.is_none() {
             let kind = msgorder_protocols::ProtocolKind::by_name(&setup.protocol, None)
                 .expect("known protocol");
@@ -436,38 +626,33 @@ fn flaky_client(endpoint: &Endpoint, node: usize) -> u32 {
         // Not `while let`: the mid-run hang-up moves `framed` out of the loop.
         #[allow(clippy::while_let_loop)]
         loop {
-            let frame = match framed.recv() {
-                Ok(f) => f,
+            let msg = match framed.recv() {
+                Ok(Incoming::Event(msg)) => msg,
+                Ok(Incoming::Control(ControlMsg::Bye)) => return connects,
+                Ok(other) => panic!("unexpected message {other:?}"),
                 Err(_) => break, // server closed or timed out: redial
             };
-            match frame.channel {
-                CH_CONTROL => return connects, // Bye
-                CH_EVENT => {
-                    let msg: EventMsg = serde_json::from_slice(&frame.payload).expect("decodes");
-                    if msg.seq < next_seq {
-                        let reply = cache.clone().expect("cached reply for duplicate");
-                        framed.send(CH_ACTION, &reply).expect("resend");
-                        continue;
-                    }
-                    let (proto, env) = state.as_mut().expect("instantiated");
-                    env.set_now(msg.now);
-                    proto.process_event(env, msg.ev);
-                    let reply = ActionMsg {
-                        seq: msg.seq,
-                        actions: env.take_actions(),
-                    };
-                    next_seq = msg.seq + 1;
-                    framed.send(CH_ACTION, &reply).expect("reply");
-                    cache = Some(reply);
-                    handled_this_conn += 1;
-                    // First connection only: hang up mid-run to force
-                    // the supervisor's resume path.
-                    if connects == 1 && handled_this_conn == 5 {
-                        drop(framed);
-                        break;
-                    }
-                }
-                other => panic!("unexpected channel {other}"),
+            if msg.seq < next_seq {
+                let reply = cache.as_ref().expect("cached reply for duplicate");
+                framed.send_actions(reply).expect("resend");
+                continue;
+            }
+            let (proto, env) = state.as_mut().expect("instantiated");
+            env.set_now(msg.now);
+            proto.process_event(env, msg.ev);
+            let reply = ActionMsg {
+                seq: msg.seq,
+                actions: env.take_actions(),
+            };
+            next_seq = msg.seq + 1;
+            framed.send_actions(&reply).expect("reply");
+            cache = Some(reply);
+            handled_this_conn += 1;
+            // First connection only: hang up mid-run to force the
+            // supervisor's resume path.
+            if connects == 1 && handled_this_conn == 5 {
+                drop(framed);
+                break;
             }
         }
     }

@@ -88,7 +88,7 @@ USAGE:
                       the session runs (port 0 picks a free port)
       --metrics-out PATH         write a metrics snapshot file every second
       --wire-chaos SEED          inject CRC-corrupt frame copies on every link
-                      (rejected, counted, resynced — requires wire version 2)
+                      (rejected, counted, resynced)
   msgorder client --connect tcp:HOST:PORT|unix:PATH --node N [--wire-chaos SEED]
                                            host one protocol instance for a
                                            `msgorder serve` session (protocol and
