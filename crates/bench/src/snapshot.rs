@@ -1,14 +1,12 @@
 //! The digest-checked exploration the benchmark harness (`benchmark/`)
 //! and the explorer's violation-set pins share: one timed
-//! [`explore()`] under the async protocol whose visitor
-//! folds every violating terminal configuration into a set digest.
+//! [`explore_violations`] under the async protocol — the function
+//! `msgorder explore --spec` calls.
 
-use msgorder_predicate::{eval, ForbiddenPredicate};
-use msgorder_protocols::AsyncProtocol;
+use msgorder_predicate::ForbiddenPredicate;
+use msgorder_protocols::{explore_violations, AsyncProtocol};
 use msgorder_runs::{SystemRun, UserRunSnapshot};
-use msgorder_simnet::{explore, Exploration, ExploreOptions, Workload};
-use std::collections::BTreeSet;
-use std::sync::Mutex;
+use msgorder_simnet::{Exploration, ExploreOptions, Workload};
 use std::time::Instant;
 
 /// FNV-1a over the terminal run's user-view partial order: identical
@@ -47,30 +45,14 @@ pub fn timed_explore(
     spec: &ForbiddenPredicate,
     opts: &ExploreOptions,
 ) -> ExploreRow {
-    let configs: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::new());
     let start = Instant::now();
-    let exploration = explore(
-        procs,
-        w.clone(),
-        |_| AsyncProtocol::new(),
-        opts,
-        &|run: &SystemRun| {
-            if eval::find_instantiation(spec, &run.users_view()).is_some() {
-                configs
-                    .lock()
-                    .expect("no visitor panicked")
-                    .insert(run_digest(run));
-            }
-            true
-        },
-    );
+    let found = explore_violations(procs, w.clone(), |_| AsyncProtocol::new(), spec, opts);
     let wall_s = start.elapsed().as_secs_f64();
-    let configs = configs.into_inner().expect("no visitor panicked");
     ExploreRow {
         wall_s,
-        exploration,
-        violating_configs: configs.len(),
-        digest: configs.iter().fold(0u64, |acc, d| acc.wrapping_add(*d)),
+        digest: found.digest(),
+        violating_configs: found.configs.len(),
+        exploration: found.exploration,
     }
 }
 

@@ -63,8 +63,15 @@ impl BitSet {
     /// # Panics
     /// Panics if `i >= capacity`.
     pub fn contains(&self, i: usize) -> bool {
-        assert!(i < self.capacity, "bit {i} out of range {}", self.capacity);
-        self.words[i / WORD_BITS] & (1 << (i % WORD_BITS)) != 0
+        self.as_row().contains(i)
+    }
+
+    /// The set as a borrowed row: the read-only queries live there.
+    fn as_row(&self) -> BitRow<'_> {
+        BitRow {
+            words: &self.words,
+            capacity: self.capacity,
+        }
     }
 
     /// The backing words, least-significant bit first: element `i` is
@@ -76,12 +83,12 @@ impl BitSet {
 
     /// Number of elements currently in the set.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.as_row().len()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.as_row().is_empty()
     }
 
     /// Removes all elements.
@@ -140,6 +147,72 @@ impl BitSet {
     /// # Panics
     /// Panics if capacities differ.
     pub fn is_subset(&self, other: &BitSet) -> bool {
+        self.as_row().is_subset(other)
+    }
+
+    /// Iterates over the elements in increasing order.
+    pub fn iter(&self) -> Iter<'_> {
+        self.as_row().iter()
+    }
+}
+
+/// One row of a flat bit matrix, borrowed: a read-only set over the
+/// universe `0..capacity` whose words live in the matrix (see
+/// [`TransitiveClosure`](crate::TransitiveClosure), which hands these
+/// out instead of owning one [`BitSet`] per node). `Copy`; the accessors
+/// return data borrowed from the matrix, not from the row value.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct BitRow<'a> {
+    words: &'a [u64],
+    capacity: usize,
+}
+
+impl<'a> BitRow<'a> {
+    /// A row over `0..capacity` backed by `words` (`⌈capacity/64⌉` of
+    /// them, no bit set at or beyond `capacity`).
+    pub(crate) fn new(words: &'a [u64], capacity: usize) -> Self {
+        debug_assert_eq!(words.len(), capacity.div_ceil(WORD_BITS));
+        BitRow { words, capacity }
+    }
+
+    /// The backing words, laid out as [`BitSet::words`].
+    pub fn words(&self) -> &'a [u64] {
+        self.words
+    }
+
+    /// Tests membership of `i`.
+    ///
+    /// # Panics
+    /// Panics if `i >= capacity`.
+    pub fn contains(&self, i: usize) -> bool {
+        assert!(i < self.capacity, "bit {i} out of range {}", self.capacity);
+        self.words[i / WORD_BITS] & (1 << (i % WORD_BITS)) != 0
+    }
+
+    /// Iterates over the elements in increasing order.
+    pub fn iter(&self) -> Iter<'a> {
+        Iter {
+            words: self.words,
+            word_idx: 0,
+            current: self.words.first().copied().unwrap_or(0),
+        }
+    }
+
+    /// Number of elements in the row.
+    pub fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether the row is empty.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Whether every element of the row is in `other`.
+    ///
+    /// # Panics
+    /// Panics if capacities differ.
+    pub fn is_subset(&self, other: &BitSet) -> bool {
         assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
         self.words
             .iter()
@@ -147,19 +220,25 @@ impl BitSet {
             .all(|(a, b)| a & !b == 0)
     }
 
-    /// Iterates over the elements in increasing order.
-    pub fn iter(&self) -> Iter<'_> {
-        Iter {
-            set: self,
-            word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
+    /// An owned copy of the row.
+    pub fn to_bitset(&self) -> BitSet {
+        BitSet {
+            words: self.words.to_vec(),
+            capacity: self.capacity,
         }
     }
 }
 
-/// Iterator over the elements of a [`BitSet`] in increasing order.
+impl fmt::Debug for BitRow<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over the elements of a [`BitSet`] or [`BitRow`] in
+/// increasing order.
 pub struct Iter<'a> {
-    set: &'a BitSet,
+    words: &'a [u64],
     word_idx: usize,
     current: u64,
 }
@@ -170,10 +249,10 @@ impl Iterator for Iter<'_> {
     fn next(&mut self) -> Option<usize> {
         while self.current == 0 {
             self.word_idx += 1;
-            if self.word_idx >= self.set.words.len() {
+            if self.word_idx >= self.words.len() {
                 return None;
             }
-            self.current = self.set.words[self.word_idx];
+            self.current = self.words[self.word_idx];
         }
         let bit = self.current.trailing_zeros() as usize;
         self.current &= self.current - 1;

@@ -1,7 +1,13 @@
 //! Transitive closure and transitive reduction.
+//!
+//! The closure is two flat bit matrices — `rows` (descendants) and its
+//! transpose `cols` (ancestors) — of `n` rows by `⌈n/64⌉` words each,
+//! row `u` at `[u * stride..][..stride]`, bit `v % 64` of word `v / 64`
+//! for node `v`. Building one costs a constant number of allocations
+//! whatever `n` is, and a row is handed out as a borrowed [`BitRow`].
 
-use crate::bitset::BitSet;
-use crate::graph::{DiGraph, NodeId};
+use crate::bitset::BitRow;
+use crate::graph::{Components, Csr, DiGraph, NodeId};
 
 /// The reachability matrix of a directed graph.
 ///
@@ -11,51 +17,130 @@ use crate::graph::{DiGraph, NodeId};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransitiveClosure {
     n: usize,
-    rows: Vec<BitSet>,
-    /// Transposed rows: `cols[v]` is the ancestor set of `v`. Kept
+    /// Words per matrix row: `⌈n/64⌉`.
+    stride: usize,
+    /// `n × stride` words: row `u` is the descendant set of `u`.
+    rows: Vec<u64>,
+    /// The transposed matrix: row `v` is the ancestor set of `v`. Kept
     /// alongside `rows` so [`TransitiveClosure::ancestors`] is a lookup
     /// instead of an `O(n)` column scan.
-    cols: Vec<BitSet>,
+    cols: Vec<u64>,
+}
+
+fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] & (1 << (i % 64)) != 0
+}
+
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
+fn union_into(dst: &mut [u64], src: &[u64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d |= s;
+    }
 }
 
 impl TransitiveClosure {
-    /// Computes the closure of `g`.
+    /// Computes the closure of the graph on nodes `0..n` with the given
+    /// edges (parallel edges and self-loops allowed).
     ///
-    /// One pass over Tarjan's component order per matrix: a component's
-    /// row is the union, over the out-edges of its members, of the edge's
-    /// target and the target's (already complete) row, plus the members
-    /// themselves when the component is cyclic; every member gets a copy.
-    /// `cols` is the mirrored predecessor-first pass. Cyclic inputs are
-    /// therefore handled correctly (every node of a non-trivial SCC, and
-    /// every node with a self-loop, reaches itself). Each edge costs one
-    /// row union and each node one row copy: `O((n + m) * n / 64)` word
-    /// operations, no per-bit work.
-    pub fn of_graph(g: &DiGraph) -> Self {
-        let n = g.node_count();
-        let comps = g.sccs();
-        let mut comp_of = vec![0usize; n];
-        for (ci, comp) in comps.iter().enumerate() {
-            for &v in comp {
-                comp_of[v] = ci;
+    /// One pass over Tarjan's component order per matrix. `rows` walks
+    /// it forwards (successors first): a component's row is the union,
+    /// over the out-edges of its members, of the edge's target and the
+    /// target's (already complete) row, plus the members themselves when
+    /// the component is cyclic; every member gets a copy. `cols` walks it
+    /// backwards (predecessors first) over the same out-edges: a
+    /// component's column is whatever its predecessors pushed into its
+    /// members, plus the members when cyclic, and it pushes that and the
+    /// edge's source along each edge leaving the component. Cyclic
+    /// inputs are therefore handled correctly (every node of a
+    /// non-trivial SCC, and every node with a self-loop, reaches
+    /// itself). Each edge costs one row union per matrix and each node
+    /// three row passes: `O((n + m) * n / 64)` word operations, no
+    /// per-bit work.
+    ///
+    /// # Panics
+    /// Panics if an edge endpoint is `>= n`.
+    pub fn of_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Self {
+        let g = Csr::new(n, edges);
+        let comps = Components::of(&g);
+        let stride = n.div_ceil(64);
+        let row = |u: NodeId| u * stride..(u + 1) * stride;
+        let mut rows = vec![0u64; n * stride];
+        let mut cols = vec![0u64; n * stride];
+        let mut acc = vec![0u64; stride];
+        for ci in 0..comps.len() {
+            let members = comps.members(ci);
+            let mut cyclic = members.len() > 1;
+            acc.fill(0);
+            for &u in members {
+                for &v in g.successors(u) {
+                    if comps.of_node(v) == ci {
+                        cyclic = true; // covers self-loops
+                    } else {
+                        set_bit(&mut acc, v);
+                        union_into(&mut acc, &rows[row(v)]);
+                    }
+                }
+            }
+            if cyclic {
+                for &u in members {
+                    set_bit(&mut acc, u);
+                }
+            }
+            for &u in members {
+                rows[row(u)].copy_from_slice(&acc);
             }
         }
-        // Tarjan emits components successors-first, so rows walk `comps`
-        // forwards and columns walk it backwards.
-        let rows = reach_sets(n, comps.iter(), &comp_of, |v| g.successors(v));
-        let cols = reach_sets(n, comps.iter().rev(), &comp_of, |v| g.predecessors(v));
-        TransitiveClosure { n, rows, cols }
+        for ci in (0..comps.len()).rev() {
+            let members = comps.members(ci);
+            acc.fill(0);
+            for &u in members {
+                union_into(&mut acc, &cols[row(u)]);
+            }
+            // `rows` is complete: its diagonal says whether `ci` is cyclic.
+            if bit(&rows[row(members[0])], members[0]) {
+                for &u in members {
+                    set_bit(&mut acc, u);
+                }
+            }
+            for &u in members {
+                cols[row(u)].copy_from_slice(&acc);
+            }
+            for &u in members {
+                for &v in g.successors(u) {
+                    if comps.of_node(v) != ci {
+                        let col = &mut cols[row(v)];
+                        union_into(col, &acc);
+                        set_bit(col, u);
+                    }
+                }
+            }
+        }
+        TransitiveClosure {
+            n,
+            stride,
+            rows,
+            cols,
+        }
+    }
+
+    /// Computes the closure of `g`.
+    pub fn of_graph(g: &DiGraph) -> Self {
+        Self::of_edges(g.node_count(), g.edges())
     }
 
     /// Builds a closure directly from `n` nodes and an edge list.
+    ///
+    /// # Panics
+    /// Panics if an edge endpoint is `>= n`.
     pub fn from_pairs<I>(n: usize, pairs: I) -> Self
     where
         I: IntoIterator<Item = (NodeId, NodeId)>,
     {
-        let mut g = DiGraph::new(n);
-        for (u, v) in pairs {
-            g.add_edge(u, v).expect("edge endpoints must be < n");
-        }
-        Self::of_graph(&g)
+        let edges: Vec<(NodeId, NodeId)> = pairs.into_iter().collect();
+        Self::of_edges(n, &edges)
     }
 
     /// Number of nodes in the universe.
@@ -68,36 +153,47 @@ impl TransitiveClosure {
         self.n == 0
     }
 
+    fn row<'a>(&self, matrix: &'a [u64], u: NodeId) -> BitRow<'a> {
+        assert!(u < self.n, "node {u} out of range {}", self.n);
+        BitRow::new(&matrix[u * self.stride..(u + 1) * self.stride], self.n)
+    }
+
     /// Whether there is a non-empty path `u -> ... -> v`.
     ///
     /// # Panics
     /// Panics if `u` or `v` is out of range.
     pub fn reaches(&self, u: NodeId, v: NodeId) -> bool {
-        self.rows[u].contains(v)
+        self.descendants(u).contains(v)
     }
 
     /// Whether the underlying relation is a strict partial order, i.e.
     /// irreflexive after closure (no node lies on a cycle).
     pub fn is_strict_order(&self) -> bool {
-        (0..self.n).all(|v| !self.rows[v].contains(v))
+        (0..self.n).all(|v| !self.reaches(v, v))
     }
 
     /// The full descendant set of `u` (everything reachable from it).
-    pub fn descendants(&self, u: NodeId) -> &BitSet {
-        &self.rows[u]
+    ///
+    /// # Panics
+    /// Panics if `u` is out of range.
+    pub fn descendants(&self, u: NodeId) -> BitRow<'_> {
+        self.row(&self.rows, u)
     }
 
     /// The ancestor set of `v` (everything that reaches it). `O(1)` —
     /// served from the transposed matrix built at construction.
-    pub fn ancestors(&self, v: NodeId) -> &BitSet {
-        &self.cols[v]
+    ///
+    /// # Panics
+    /// Panics if `v` is out of range.
+    pub fn ancestors(&self, v: NodeId) -> BitRow<'_> {
+        self.row(&self.cols, v)
     }
 
     /// All ordered pairs `(u, v)` with `u` reaching `v`.
     pub fn pairs(&self) -> Vec<(NodeId, NodeId)> {
         let mut out = Vec::new();
         for u in 0..self.n {
-            for v in self.rows[u].iter() {
+            for v in self.descendants(u).iter() {
                 out.push((u, v));
             }
         }
@@ -119,64 +215,28 @@ impl TransitiveClosure {
             "transitive reduction requires an acyclic relation"
         );
         // Word-parallel cover extraction: v is mediated from u exactly
-        // when some w in rows[u] reaches v, so
-        //   covers_u = rows[u] & !(⋃_{w ∈ rows[u]} rows[w]).
+        // when some w in row(u) reaches v, so
+        //   covers_u = row(u) & !(⋃_{w ∈ row(u)} row(w)).
         // Acyclicity makes the usual `w != v` guard unnecessary: v never
-        // lies in its own row, so unioning rows[v] cannot mark v itself.
+        // lies in its own row, so unioning row(v) cannot mark v itself.
         let mut covers = Vec::new();
-        let mut mediated = BitSet::new(self.n);
+        let mut mediated = vec![0u64; self.stride];
         for u in 0..self.n {
-            mediated.clear();
-            for w in self.rows[u].iter() {
-                mediated.union_with(&self.rows[w]);
+            let row = self.descendants(u);
+            mediated.fill(0);
+            for w in row.iter() {
+                union_into(&mut mediated, self.descendants(w).words());
             }
-            let mut row_covers = self.rows[u].clone();
-            row_covers.difference_with(&mediated);
-            for v in row_covers.iter() {
-                covers.push((u, v));
+            for (wi, (&r, &m)) in row.words().iter().zip(&mediated).enumerate() {
+                let mut word = r & !m;
+                while word != 0 {
+                    covers.push((u, wi * 64 + word.trailing_zeros() as usize));
+                    word &= word - 1;
+                }
             }
         }
         covers
     }
-}
-
-/// For every node, the set reached by a non-empty walk along `next`.
-///
-/// `comps` must list the strongly connected components so that every
-/// `next`-neighbour outside a component belongs to an earlier one.
-fn reach_sets<'a, I>(
-    n: usize,
-    comps: impl Iterator<Item = &'a Vec<NodeId>>,
-    comp_of: &[usize],
-    next: impl Fn(NodeId) -> I,
-) -> Vec<BitSet>
-where
-    I: Iterator<Item = NodeId>,
-{
-    let mut sets = vec![BitSet::new(n); n];
-    let mut acc = BitSet::new(n);
-    for comp in comps {
-        let ci = comp_of[comp[0]];
-        let mut cyclic = comp.len() > 1;
-        acc.clear();
-        for &u in comp {
-            for v in next(u) {
-                if comp_of[v] == ci {
-                    cyclic = true; // covers self-loops
-                } else {
-                    acc.insert(v);
-                    acc.union_with(&sets[v]);
-                }
-            }
-        }
-        if cyclic {
-            acc.extend(comp.iter().copied());
-        }
-        for &u in comp {
-            sets[u].union_with(&acc); // still empty, so this is a copy
-        }
-    }
-    sets
 }
 
 #[cfg(test)]

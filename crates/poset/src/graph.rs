@@ -201,63 +201,10 @@ impl DiGraph {
     /// condensation (standard Tarjan output order); every node appears in
     /// exactly one component.
     pub fn sccs(&self) -> Vec<Vec<NodeId>> {
-        const UNSET: usize = usize::MAX;
-        let n = self.n;
-        let mut index = vec![UNSET; n];
-        let mut low = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<NodeId> = Vec::new();
-        let mut next_index = 0usize;
-        let mut comps: Vec<Vec<NodeId>> = Vec::new();
-
-        for root in 0..n {
-            if index[root] != UNSET {
-                continue;
-            }
-            // Iterative Tarjan: call stack of (node, next successor pos).
-            let mut call: Vec<(NodeId, usize)> = vec![(root, 0)];
-            index[root] = next_index;
-            low[root] = next_index;
-            next_index += 1;
-            stack.push(root);
-            on_stack[root] = true;
-
-            while let Some(&mut (u, ref mut pos)) = call.last_mut() {
-                if *pos < self.out[u].len() {
-                    let e = self.out[u][*pos];
-                    *pos += 1;
-                    let v = self.edges[e].1;
-                    if index[v] == UNSET {
-                        index[v] = next_index;
-                        low[v] = next_index;
-                        next_index += 1;
-                        stack.push(v);
-                        on_stack[v] = true;
-                        call.push((v, 0));
-                    } else if on_stack[v] {
-                        low[u] = low[u].min(index[v]);
-                    }
-                } else {
-                    call.pop();
-                    if let Some(&(p, _)) = call.last() {
-                        low[p] = low[p].min(low[u]);
-                    }
-                    if low[u] == index[u] {
-                        let mut comp = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack[w] = false;
-                            comp.push(w);
-                            if w == u {
-                                break;
-                            }
-                        }
-                        comps.push(comp);
-                    }
-                }
-            }
-        }
-        comps
+        let comps = Components::of(&Csr::new(self.n, &self.edges));
+        (0..comps.len())
+            .map(|ci| comps.members(ci).to_vec())
+            .collect()
     }
 
     /// The subgraph induced by `keep`, with nodes renumbered densely.
@@ -284,6 +231,142 @@ impl DiGraph {
             g.add_edge(v, u).expect("same node universe");
         }
         g
+    }
+}
+
+/// Compressed sparse rows over an edge slice: the targets of `u`'s
+/// out-edges, in insertion order, are
+/// `targets[starts[u]..starts[u + 1]]` — two flat arrays however many
+/// nodes there are, where [`DiGraph`] keeps one list per node.
+pub(crate) struct Csr {
+    starts: Vec<usize>,
+    targets: Vec<NodeId>,
+}
+
+impl Csr {
+    /// # Panics
+    /// Panics if an endpoint is `>= n`.
+    pub(crate) fn new(n: usize, edges: &[(NodeId, NodeId)]) -> Csr {
+        let mut starts = vec![0usize; n + 1];
+        for &(u, v) in edges {
+            assert!(u < n && v < n, "edge endpoints must be < n");
+            starts[u + 1] += 1;
+        }
+        for u in 0..n {
+            starts[u + 1] += starts[u];
+        }
+        // Stable counting sort by source: `starts[u]` doubles as `u`'s
+        // write cursor and ends up one slot to the right, i.e. holding
+        // `starts[u + 1]`; shifting back restores it.
+        let mut targets = vec![0; edges.len()];
+        for &(u, v) in edges {
+            targets[starts[u]] = v;
+            starts[u] += 1;
+        }
+        starts.copy_within(0..n, 1);
+        starts[0] = 0;
+        Csr { starts, targets }
+    }
+
+    pub(crate) fn node_count(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    pub(crate) fn successors(&self, u: NodeId) -> &[NodeId] {
+        &self.targets[self.starts[u]..self.starts[u + 1]]
+    }
+}
+
+/// The strongly connected components of a graph, flat: component `ci`
+/// is `order[starts[ci]..starts[ci + 1]]`. Components come in Tarjan's
+/// emission order — every edge leaving a component points into an
+/// earlier one — and members in the order they left Tarjan's stack.
+pub(crate) struct Components {
+    order: Vec<NodeId>,
+    starts: Vec<usize>,
+    comp_of: Vec<usize>,
+}
+
+impl Components {
+    /// Tarjan's algorithm, iterative — the crate's one SCC routine.
+    pub(crate) fn of(g: &Csr) -> Components {
+        const UNSET: usize = usize::MAX;
+        let n = g.node_count();
+        let mut index = vec![UNSET; n];
+        let mut low = vec![0usize; n];
+        // A visited node is on Tarjan's stack until it has a component.
+        let mut comp_of = vec![UNSET; n];
+        let mut stack: Vec<NodeId> = Vec::new();
+        // Call stack of (node, cursor into `g.targets`).
+        let mut call: Vec<(NodeId, usize)> = Vec::new();
+        let mut order = Vec::with_capacity(n);
+        let mut starts = Vec::with_capacity(n + 1);
+        starts.push(0);
+        let mut next_index = 0usize;
+
+        for root in 0..n {
+            if index[root] != UNSET {
+                continue;
+            }
+            index[root] = next_index;
+            low[root] = next_index;
+            next_index += 1;
+            stack.push(root);
+            call.push((root, g.starts[root]));
+
+            while let Some(&mut (u, ref mut pos)) = call.last_mut() {
+                if *pos < g.starts[u + 1] {
+                    let v = g.targets[*pos];
+                    *pos += 1;
+                    if index[v] == UNSET {
+                        index[v] = next_index;
+                        low[v] = next_index;
+                        next_index += 1;
+                        stack.push(v);
+                        call.push((v, g.starts[v]));
+                    } else if comp_of[v] == UNSET {
+                        low[u] = low[u].min(index[v]);
+                    }
+                } else {
+                    call.pop();
+                    if let Some(&(p, _)) = call.last() {
+                        low[p] = low[p].min(low[u]);
+                    }
+                    if low[u] == index[u] {
+                        let ci = starts.len() - 1;
+                        loop {
+                            let w = stack.pop().expect("tarjan stack underflow");
+                            comp_of[w] = ci;
+                            order.push(w);
+                            if w == u {
+                                break;
+                            }
+                        }
+                        starts.push(order.len());
+                    }
+                }
+            }
+        }
+        Components {
+            order,
+            starts,
+            comp_of,
+        }
+    }
+
+    /// Number of components.
+    pub(crate) fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The nodes of component `ci`.
+    pub(crate) fn members(&self, ci: usize) -> &[NodeId] {
+        &self.order[self.starts[ci]..self.starts[ci + 1]]
+    }
+
+    /// The component `v` belongs to.
+    pub(crate) fn of_node(&self, v: NodeId) -> usize {
+        self.comp_of[v]
     }
 }
 

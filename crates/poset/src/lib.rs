@@ -4,10 +4,12 @@
 //! of finite partial orders ("runs are decomposed posets"). This crate
 //! provides the machinery every other crate builds on:
 //!
-//! - [`BitSet`] — dense fixed-capacity bitsets used for closure rows.
+//! - [`BitSet`] — dense fixed-capacity bitsets; [`BitRow`] — one
+//!   borrowed row of a flat bit matrix with the same read-only queries.
 //! - [`DiGraph`] — a small adjacency-list directed multigraph with cycle
 //!   detection, topological sorting and strongly-connected components.
-//! - [`TransitiveClosure`] — reachability matrices, built from a graph.
+//! - [`TransitiveClosure`] — reachability as two flat `n × ⌈n/64⌉` word
+//!   matrices (descendants and ancestors), built from an edge slice.
 //! - [`Poset`] — a validated strict partial order with comparability
 //!   queries, covers, down-sets, minimal/maximal elements.
 //! - [`linear`] — linear extensions: existence, enumeration, counting and
@@ -43,7 +45,7 @@ mod poset;
 mod vclock;
 pub mod words;
 
-pub use bitset::BitSet;
+pub use bitset::{BitRow, BitSet};
 pub use closure::TransitiveClosure;
 pub use error::PosetError;
 pub use graph::{DiGraph, EdgeId, NodeId};

@@ -105,12 +105,12 @@ impl Poset {
 
     /// The principal down-set of `v`: `{u : u < v}`.
     pub fn down_set(&self, v: NodeId) -> BitSet {
-        self.closure.ancestors(v).clone()
+        self.closure.ancestors(v).to_bitset()
     }
 
     /// The principal up-set of `u`: `{v : u < v}`.
     pub fn up_set(&self, u: NodeId) -> BitSet {
-        self.closure.descendants(u).clone()
+        self.closure.descendants(u).to_bitset()
     }
 
     /// Whether `ideal` is downward closed (an order ideal): if it contains

@@ -36,6 +36,88 @@ fn dfs_reach(n: usize, edges: &[(usize, usize)], from: usize) -> Vec<usize> {
     (0..n).filter(|&v| seen[v]).collect()
 }
 
+/// Multigraphs on both sides of every word boundary of the closure's
+/// `n × ⌈n/64⌉` matrices: anything from no edge to about two per node
+/// (so acyclic draws and giant components both occur), the first edge
+/// sometimes doubled and sometimes followed by a self-loop.
+fn word_boundary_multigraphs() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
+    const SIZES: [usize; 7] = [0, 1, 2, 63, 64, 65, 130];
+    (0..SIZES.len()).prop_flat_map(|i| {
+        let n = SIZES[i];
+        let node = 0..n.max(1);
+        let edges = proptest::collection::vec((node.clone(), node), 0..2 * n + 1).prop_map(
+            move |mut es| {
+                if n == 0 {
+                    es.clear();
+                }
+                if let Some(&(u, v)) = es.first() {
+                    if (u + v) % 2 == 0 {
+                        es.push((u, v));
+                    }
+                    if (u + v) % 3 == 0 {
+                        es.push((v, v));
+                    }
+                }
+                es
+            },
+        );
+        (Just(n), edges)
+    })
+}
+
+/// `reach[u][v]` iff a non-empty path leads from `u` to `v`: one DFS
+/// per node over adjacency lists built here, sharing nothing with the
+/// crate's CSR, Tarjan or matrices.
+fn reach_oracle(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<bool>> {
+    let mut adj = vec![Vec::new(); n];
+    for &(u, v) in edges {
+        adj[u].push(v);
+    }
+    (0..n)
+        .map(|from| {
+            let mut seen = vec![false; n];
+            let mut stack = vec![from];
+            while let Some(u) = stack.pop() {
+                for &v in &adj[u] {
+                    if !seen[v] {
+                        seen[v] = true;
+                        stack.push(v);
+                    }
+                }
+            }
+            seen
+        })
+        .collect()
+}
+
+/// `DiGraph::sccs` is a wrapper over the closure's Tarjan since the
+/// closure went flat; these are the components, in component and member
+/// order, that the per-node-list Tarjan it replaced returned.
+#[test]
+fn sccs_keep_their_component_and_member_order() {
+    type Case<'a> = (usize, &'a [(usize, usize)], &'a [&'a [usize]]);
+    #[rustfmt::skip]
+    let cases: [Case; 7] = [
+        (4, &[(0, 1), (1, 0), (2, 3), (3, 2), (1, 2)], &[&[3, 2], &[1, 0]]),
+        (4, &[(0, 1), (0, 2), (1, 3), (2, 3)], &[&[3], &[1], &[2], &[0]]),
+        (5, &[(1, 1), (0, 2), (0, 2), (2, 0), (3, 4)], &[&[2, 0], &[1], &[4], &[3]]),
+        (6, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 1)],
+         &[&[5, 4, 3, 2, 1, 0]]),
+        (7, &[(6, 5), (5, 4), (4, 6), (3, 4), (0, 3), (3, 0), (1, 1), (2, 1)],
+         &[&[5, 6, 4], &[3, 0], &[1], &[2]]),
+        (3, &[], &[&[0], &[1], &[2]]),
+        (8, &[(7, 0), (0, 7), (7, 3), (3, 5), (5, 3), (2, 6), (6, 4), (4, 2), (4, 5), (1, 2)],
+         &[&[5, 3], &[7, 0], &[4, 6, 2], &[1]]),
+    ];
+    for (n, edges, want) in cases {
+        let mut g = DiGraph::new(n);
+        for &(u, v) in edges {
+            g.add_edge(u, v).unwrap();
+        }
+        assert_eq!(g.sccs(), want, "{edges:?}");
+    }
+}
+
 #[test]
 fn closure_matches_dfs_on_nested_sccs() {
     // {0,1,2} -> {3,4}, a self-loop on 5 fed by 4, and 6 isolated.
@@ -74,6 +156,42 @@ proptest! {
             prop_assert_eq!(c.descendants(v).iter().collect::<Vec<_>>(), reach, "row {}", v);
         }
         prop_assert_eq!(c.is_strict_order(), !on_cycle);
+    }
+
+    #[test]
+    fn flat_closure_matches_the_oracle_across_word_boundaries(
+        (n, edges) in word_boundary_multigraphs()
+    ) {
+        let c = TransitiveClosure::of_edges(n, &edges);
+        let reach = reach_oracle(n, &edges);
+        let reach = |u: usize, v: usize| reach[u][v];
+        for u in 0..n {
+            let (down, up) = (c.descendants(u), c.ancestors(u));
+            for v in 0..n {
+                prop_assert_eq!(c.reaches(u, v), reach(u, v), "{} -> {}", u, v);
+                prop_assert_eq!(down.contains(v), reach(u, v), "row {} bit {}", u, v);
+                prop_assert_eq!(up.contains(v), reach(v, u), "column {} bit {}", u, v);
+            }
+            // One row, four readings.
+            let members: Vec<usize> = (0..n).filter(|&v| down.contains(v)).collect();
+            prop_assert_eq!(down.iter().collect::<Vec<_>>(), members.clone());
+            prop_assert_eq!(down.len(), members.len());
+            prop_assert_eq!(down.is_empty(), members.is_empty());
+            prop_assert_eq!(down.words().len(), n.div_ceil(64));
+            let owned = down.to_bitset();
+            prop_assert_eq!(owned.capacity(), n);
+            prop_assert_eq!(owned.iter().collect::<Vec<_>>(), members);
+            prop_assert!(down.is_subset(&owned));
+        }
+        prop_assert_eq!(c.is_strict_order(), (0..n).all(|v| !reach(v, v)));
+
+        // Three constructors, one matrix.
+        prop_assert_eq!(&TransitiveClosure::from_pairs(n, edges.iter().copied()), &c);
+        let mut g = DiGraph::new(n);
+        for &(u, v) in &edges {
+            g.add_edge(u, v).unwrap();
+        }
+        prop_assert_eq!(&TransitiveClosure::of_graph(&g), &c);
     }
 
     #[test]

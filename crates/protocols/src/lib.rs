@@ -46,6 +46,6 @@ pub use reliable::{ControlEvent, ReliableLink, RetryConfig};
 pub use sync::SyncProtocol;
 pub use synthesis::SynthesizedTagged;
 pub use verify::{
-    run_and_verify, verify_exhaustive, verify_online, ExhaustiveOutcome, OnlineMonitor,
-    VerifyOutcome,
+    explore_violations, run_and_verify, verify_exhaustive, verify_online, ExhaustiveOutcome,
+    OnlineMonitor, VerifyOutcome, Violations,
 };

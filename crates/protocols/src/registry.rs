@@ -148,7 +148,7 @@ impl ProtocolKind {
 
 /// A concrete (non-boxed) protocol instance for the schedule explorer:
 /// unlike `Box<dyn Protocol>`, this is `Clone` (the explorer clones the
-/// world at every branch) and `Hash` (configuration deduplication keys
+/// world where a state branches) and `Hash` (configuration deduplication keys
 /// protocol state). Obtained via [`ProtocolKind::explorable`].
 #[derive(Debug, Clone, Hash)]
 pub enum ExplorableProtocol {

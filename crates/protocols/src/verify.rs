@@ -15,13 +15,16 @@
 //! completes it — no post-hoc transitive closure, no second search.
 //! [`verify_online`] additionally halts the simulation at that delivery.
 
+use std::collections::BTreeSet;
 use std::hash::Hash;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use msgorder_predicate::{eval, ForbiddenPredicate};
-use msgorder_runs::{EventKind, MessageId, StreamingRun, SystemEvent, UserRun};
+use msgorder_runs::{EventKind, MessageId, StreamingRun, SystemEvent, UserRun, UserRunSnapshot};
 use msgorder_simnet::{
-    explore_monitored, Exploration, ExploreOptions, LivenessVerdict, Protocol, RunObserver,
-    SimConfig, SimError, Simulation, Stats, Workload,
+    explore, explore_monitored, Exploration, ExploreOptions, LivenessVerdict, Protocol,
+    RunObserver, SimConfig, SimError, Simulation, Stats, Workload,
 };
 
 /// Feeds kernel run events into the predicate layer's online
@@ -317,13 +320,79 @@ where
     }
 }
 
+/// What an exhaustive search found outside the spec — the *set*
+/// `X_P ∖ Y` on one workload, where [`verify_exhaustive`] stops at
+/// "non-empty".
+#[derive(Debug)]
+pub struct Violations {
+    /// The explorer's counters.
+    pub exploration: Exploration,
+    /// Complete schedules whose user's view violates the spec.
+    pub schedules: usize,
+    /// The distinct violating configurations (user-view partial orders),
+    /// each by its [`UserRunSnapshot::digest`]. Invariant under
+    /// reduction, deduplication and threads, which only change how many
+    /// schedules reach each configuration.
+    pub configs: BTreeSet<u64>,
+}
+
+impl Violations {
+    /// A commutative digest of the violating configuration set: equal
+    /// digests across explorer settings witness that they found the
+    /// same violations.
+    pub fn digest(&self) -> u64 {
+        self.configs
+            .iter()
+            .fold(0u64, |acc, d| acc.wrapping_add(*d))
+    }
+}
+
+/// Explores **all** schedules of `workload` under `factory`'s protocol
+/// and collects every terminal configuration that violates `spec` —
+/// what `msgorder explore --spec` prints and the benchmark's `explore-*`
+/// workloads time. Unlike [`verify_exhaustive`] nothing is pruned: each
+/// complete schedule's user's view is projected once, checked against
+/// the predicate prepared once for the whole search, and digested if it
+/// violates.
+pub fn explore_violations<P>(
+    processes: usize,
+    workload: Workload,
+    factory: impl Fn(usize) -> P,
+    spec: &ForbiddenPredicate,
+    opts: &ExploreOptions,
+) -> Violations
+where
+    P: Protocol + Clone + Hash + Send,
+{
+    let prepared = eval::Prepared::new(spec);
+    let schedules = AtomicUsize::new(0);
+    let configs: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::new());
+    let exploration = explore(processes, workload, factory, opts, &|run| {
+        let user = run.users_view();
+        if prepared.holds(&user) {
+            schedules.fetch_add(1, Ordering::Relaxed);
+            configs
+                .lock()
+                .expect("no visitor panicked holding the digest set")
+                .insert(UserRunSnapshot::from(&user).digest());
+        }
+        true
+    });
+    Violations {
+        exploration,
+        schedules: schedules.into_inner(),
+        configs: configs
+            .into_inner()
+            .expect("no visitor panicked holding the digest set"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{AsyncProtocol, CausalRst, FifoProtocol, ProtocolKind};
     use msgorder_predicate::catalog;
-    use msgorder_simnet::{explore, DedupMode, FaultModel, LatencyModel};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use msgorder_simnet::{DedupMode, FaultModel, LatencyModel};
 
     fn config(processes: usize, seed: u64) -> SimConfig {
         SimConfig::new(processes, LatencyModel::Uniform { lo: 1, hi: 900 }, seed)

@@ -46,14 +46,15 @@ impl UserRun {
         for (i, meta) in messages.iter().enumerate() {
             debug_assert_eq!(meta.id.0, i, "message ids must be dense");
         }
-        let mut g = DiGraph::new(2 * m);
-        let mut skeleton = Vec::new();
+        let order = order.into_iter();
+        let hint = order.size_hint().0;
+        let mut edges = Vec::with_capacity(m + hint);
+        let mut skeleton = Vec::with_capacity(hint);
         for mi in 0..m {
-            g.add_edge(
+            edges.push((
                 UserEvent::send(MessageId(mi)).node(),
                 UserEvent::deliver(MessageId(mi)).node(),
-            )
-            .expect("nodes in range");
+            ));
         }
         for (a, b) in order {
             for e in [a, b] {
@@ -61,14 +62,14 @@ impl UserRun {
                     return Err(RunError::UnknownMessage(e.msg));
                 }
             }
-            g.add_edge(a.node(), b.node()).expect("checked above");
+            edges.push((a.node(), b.node()));
             if a.msg != b.msg {
                 skeleton.push((a.msg.0, b.msg.0));
             }
         }
-        // The closure is built from the SCCs of `g`, so its diagonal
-        // already says whether the relation is cyclic.
-        let closure = TransitiveClosure::of_graph(&g);
+        // The closure is built from the SCCs of these edges, so its
+        // diagonal already says whether the relation is cyclic.
+        let closure = TransitiveClosure::of_edges(2 * m, &edges);
         if !closure.is_strict_order() {
             return Err(RunError::CyclicOrder);
         }

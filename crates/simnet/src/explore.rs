@@ -4,9 +4,15 @@
 //! The timed kernel resolves nondeterminism with sampled latencies; the
 //! explorer instead branches on **which pending event fires next** —
 //! any in-flight frame or timer, or each process's next unissued
-//! request — and DFS-enumerates all interleavings, cloning the whole
-//! world at each branch. Every complete schedule's captured run is
-//! handed to the visitor, which typically checks a specification.
+//! request — and DFS-enumerates all interleavings, branching in place:
+//! a state is dead the moment its last explorable child has been
+//! dispatched, so that child runs on the state (and the monitor) it
+//! inherits, and only a child with a later sibling — the one kind that
+//! can also be donated to another worker — clones the world first. The
+//! traversal, the visit order and every counter are those of cloning at
+//! each branch: which child pays for the copy is not observable. Every
+//! complete schedule's captured run is handed to the visitor, which
+//! typically checks a specification.
 //!
 //! There are two entries over one engine: [`explore`], and
 //! [`explore_monitored`], which additionally carries a [`RunObserver`]
@@ -260,9 +266,10 @@ where
 /// are. `visit` receives only the complete runs of *uncondemned*
 /// schedules; [`Exploration::pruned`] counts the condemned prefixes.
 ///
-/// The monitor is cloned at every branch point, so it should keep its
-/// state small. Only run events reach it: wire and fault records are
-/// not journaled under exploration.
+/// The monitor is cloned wherever the state is — for every child but the
+/// last of each state — so it should keep its state small. Only run
+/// events reach it: wire and fault records are not journaled under
+/// exploration.
 ///
 /// Condemnation composes with sleep sets provided the monitor is
 /// insensitive to the order of *commuting* events (true of any check
@@ -1165,6 +1172,19 @@ impl<P, M> Frontier<P, M> {
     }
 }
 
+/// The state and monitor a child is dispatched on: its own clones, or —
+/// for the child that has none — its parent's.
+fn own_or_parent<'a, P, M>(
+    own: &'a mut Option<(State<P>, M)>,
+    state: &'a mut State<P>,
+    mon: &'a mut M,
+) -> (&'a mut State<P>, &'a mut M) {
+    match own {
+        Some((state, mon)) => (state, mon),
+        None => (state, mon),
+    }
+}
+
 /// The engine: one recursive DFS shared by every mode. `sleep` is this
 /// state's sleep set (empty without reduction); `frontier` is `Some`
 /// only with several threads, where explorable children may be donated
@@ -1172,7 +1192,7 @@ impl<P, M> Frontier<P, M> {
 fn dfs<P, M, V>(
     state: &mut State<P>,
     mut sleep: Vec<TKey>,
-    mon: &M,
+    mon: &mut M,
     depth: usize,
     env: &Env<'_>,
     sink: &Sink<'_, V>,
@@ -1241,10 +1261,13 @@ where
             return false;
         }
         let (t_key, pick) = (&trans[ti].0, trans[ti].1);
-        let mut next = state.clone();
+        // Nothing reads this state or its monitor once the last child
+        // is dispatched, so that child runs on them in place; only a
+        // child with a later sibling branches off clones of its own.
+        let mut own = (j < last).then(|| (state.clone(), mon.clone()));
+        let (next, child_mon) = own_or_parent(&mut own, state, mon);
         let ev = next.take_transition(pick);
-        let mut child_mon = mon.clone();
-        let condemned = next.execute(ev, &mut child_mon);
+        let condemned = next.execute(ev, child_mon);
         if let Some(e) = next.take_error() {
             sink.error(e);
             return false;
@@ -1269,12 +1292,14 @@ where
         } else {
             Vec::new()
         };
-        if let Some(f) = frontier {
-            if j < last && f.hungry() {
+        if let Some(f) = frontier.filter(|f| f.hungry()) {
+            // Only a clone can be given away: the last child *is* this
+            // worker's state.
+            if let Some((state, mon)) = own.take() {
                 f.push(Job {
-                    state: next,
+                    state,
                     sleep: child_sleep,
-                    mon: child_mon,
+                    mon,
                     depth: depth + 1,
                 });
                 if env.por {
@@ -1283,15 +1308,8 @@ where
                 continue;
             }
         }
-        if !dfs(
-            &mut next,
-            child_sleep,
-            &child_mon,
-            depth + 1,
-            env,
-            sink,
-            frontier,
-        ) {
+        let (next, child_mon) = own_or_parent(&mut own, state, mon);
+        if !dfs(next, child_sleep, child_mon, depth + 1, env, sink, frontier) {
             return false;
         }
         if env.por {
@@ -1310,7 +1328,7 @@ fn search<P, M, V>(
     processes: usize,
     workload: Workload,
     factory: impl Fn(usize) -> P,
-    monitor: M,
+    mut monitor: M,
     monitored: bool,
     opts: &ExploreOptions,
     visit: &V,
@@ -1346,7 +1364,7 @@ where
         error: Mutex::new(None),
     };
     if threads == 1 {
-        dfs(&mut root, Vec::new(), &monitor, 0, &env, &sink, None);
+        dfs(&mut root, Vec::new(), &mut monitor, 0, &env, &sink, None);
     } else {
         let frontier = Frontier::new(threads);
         frontier.push(Job {
@@ -1371,7 +1389,7 @@ where
                         dfs(
                             &mut job.state,
                             job.sleep,
-                            &job.mon,
+                            &mut job.mon,
                             job.depth,
                             env,
                             sink,
@@ -1899,6 +1917,97 @@ mod tests {
             seq_runs.into_inner().expect("final read"),
             par_runs.into_inner().expect("final read")
         );
+    }
+
+    /// [`Immediate`], counting its clones: every `State::clone` makes
+    /// one per process.
+    #[derive(Hash)]
+    struct Counted(CloneCount);
+
+    #[derive(Clone, Default)]
+    struct CloneCount(std::sync::Arc<AtomicUsize>);
+
+    impl Hash for CloneCount {
+        fn hash<H: Hasher>(&self, _: &mut H) {}
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Counted {
+            self.0 .0.fetch_add(1, Ordering::Relaxed);
+            Counted(self.0.clone())
+        }
+    }
+
+    impl Protocol for Counted {
+        fn on_send_request(&mut self, ctx: &mut crate::Ctx<'_>, msg: MessageId) {
+            ctx.send_user(msg, Vec::new());
+        }
+        fn on_user_frame(
+            &mut self,
+            ctx: &mut crate::Ctx<'_>,
+            _from: ProcessId,
+            msg: MessageId,
+            _tag: Vec<u8>,
+        ) {
+            ctx.deliver(msg);
+        }
+    }
+
+    /// Explores `w` over 3 processes under [`Counted`]: the counters,
+    /// the multiset of visited runs and the number of `State` clones.
+    fn counted(
+        w: Workload,
+        opts: &ExploreOptions,
+    ) -> (Exploration, BTreeMap<Fingerprint, usize>, usize) {
+        let clones = CloneCount::default();
+        let runs = Mutex::new(BTreeMap::new());
+        let exp = explore(3, w, |_| Counted(clones.clone()), opts, &|run| {
+            tally(&runs, run)
+        });
+        let protocol_clones = clones.0.load(Ordering::Relaxed);
+        assert_eq!(protocol_clones % 3, 0, "a state clones all its processes");
+        (
+            exp,
+            runs.into_inner().expect("final read"),
+            protocol_clones / 3,
+        )
+    }
+
+    #[test]
+    fn only_a_child_with_a_later_sibling_clones_the_state() {
+        // A chain — one enabled event at every state — never branches,
+        // so the whole schedule runs on the root state.
+        let chain = Workload {
+            sends: vec![SendSpec {
+                at: 0,
+                src: 0,
+                dst: 1,
+                color: None,
+            }],
+        };
+        let (exp, _, clones) = counted(chain, &ExploreOptions::default());
+        assert_eq!((exp.schedules, clones), (1, 0));
+
+        // The benchmark's pool shape 0: one clone per child that has a
+        // later sibling, pinned. Every dispatch used to pay one.
+        let shape = || Workload::uniform_random(3, 7, 3);
+        let (seq, seq_runs, seq_clones) = counted(shape(), &por_opts());
+        assert_eq!(
+            (seq.schedules, seq.sleep_skipped, seq_clones),
+            (6_070, 9_979, 16_048)
+        );
+
+        // A donated job is such a clone — the last child is never given
+        // away — so donation neither aliases the parent's state (same
+        // run multiset) nor adds or saves a clone.
+        let opts = ExploreOptions {
+            threads: 2,
+            ..por_opts()
+        };
+        let (par, par_runs, par_clones) = counted(shape(), &opts);
+        assert_eq!(par.schedules, seq.schedules);
+        assert_eq!(par_runs, seq_runs);
+        assert_eq!(par_clones, seq_clones);
     }
 
     /// Condemns any prefix whose deliveries on the (0 → 1) channel are

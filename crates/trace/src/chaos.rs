@@ -259,6 +259,9 @@ fn sample_setup(
     adversarial: bool,
 ) -> Result<Setup, TraceError> {
     let protocol = rng.pick(protocols).clone();
+    // The other kinds ignore the flag; a header must not claim it.
+    let retransmits =
+        ProtocolKind::by_name(&protocol, None).is_some_and(|k| k.supports_retransmission());
     let processes = rng.range(2, 4) as usize;
     let messages = rng.range(4, 16) as usize;
     let workload = Workload::uniform_random(processes, messages, rng.next());
@@ -292,7 +295,7 @@ fn sample_setup(
         faults,
         workload,
         protocol,
-        reliable: rng.chance(0.6),
+        reliable: rng.chance(0.6) && retransmits,
         spec,
         step_limit: 0, // filled by the sweep from the config
     })

@@ -58,8 +58,9 @@ use msgorder_predicate::{catalog, eval, ForbiddenPredicate};
 use msgorder_protocols::ProtocolKind;
 use msgorder_runs::{EventKind, StreamingRun};
 use msgorder_simnet::{
-    FaultModel, FaultRecord, KernelEvent, LatencyModel, LivenessVerdict, Protocol, RunObserver,
-    SimConfig, SimError, Simulation, Stats, StreamResult, TransmitDecision, WireRecord, Workload,
+    FaultConfigError, FaultModel, FaultRecord, KernelEvent, LatencyModel, LivenessVerdict,
+    Protocol, RunObserver, SimConfig, SimError, Simulation, Stats, StreamResult, TransmitDecision,
+    WireRecord, Workload,
 };
 use serde::{Deserialize, Serialize};
 
@@ -95,7 +96,108 @@ pub struct Setup {
     pub step_limit: usize,
 }
 
+/// Why a [`Setup`] cannot be run: the first check of
+/// [`Setup::validate`] it fails.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SetupError {
+    /// More than [`Setup::MAX_PROCESSES`] processes.
+    TooManyProcesses(usize),
+    /// Send `index` of the workload names a process outside
+    /// `0..processes`.
+    SendOutOfRange {
+        /// Position in [`Workload::sends`].
+        index: usize,
+        /// Its source process.
+        src: usize,
+        /// Its destination process.
+        dst: usize,
+    },
+    /// The latency model's range is empty (`lo > hi`).
+    EmptyLatencyRange {
+        /// Minimum latency.
+        lo: u64,
+        /// Maximum latency.
+        hi: u64,
+    },
+    /// The fault model does not fit the process count.
+    Faults(FaultConfigError),
+    /// `reliable` is set for a registry protocol that has no
+    /// ack/retransmission variant.
+    ReliableUnsupported(String),
+}
+
+impl std::fmt::Display for SetupError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SetupError::TooManyProcesses(n) => {
+                write!(f, "{n} processes (at most {})", Setup::MAX_PROCESSES)
+            }
+            SetupError::SendOutOfRange { index, src, dst } => write!(
+                f,
+                "send {index} (P{src} -> P{dst}) names a process out of range"
+            ),
+            SetupError::EmptyLatencyRange { lo, hi } => {
+                write!(f, "latency range [{lo}, {hi}] is empty")
+            }
+            SetupError::Faults(e) => write!(f, "{e}"),
+            SetupError::ReliableUnsupported(p) => {
+                write!(f, "protocol `{p}` has no reliable variant")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SetupError {}
+
 impl Setup {
+    /// The most processes a setup may name. Registry state grows as
+    /// fast as `n³` words (`causal-rst` keeps an `n × n` matrix per
+    /// process — 128 MiB at this cap), so a larger count in a trace
+    /// header is a typo or an attack, not a run.
+    pub const MAX_PROCESSES: usize = 256;
+
+    /// Checks everything the kernel would otherwise index, allocate or
+    /// sample on trust: the process count against
+    /// [`MAX_PROCESSES`](Setup::MAX_PROCESSES), every workload, crash and
+    /// partition process id against the process count, the latency
+    /// range, the fault probabilities, and `reliable` against the
+    /// protocol (names outside the registry are not this check's
+    /// business). Trace headers ([`Trace::from_jsonl`]) and CLI flags
+    /// both pass through here before a kernel is built.
+    pub fn validate(&self) -> Result<(), SetupError> {
+        let n = self.processes;
+        if n > Setup::MAX_PROCESSES {
+            return Err(SetupError::TooManyProcesses(n));
+        }
+        for (index, s) in self.workload.sends.iter().enumerate() {
+            if s.src >= n || s.dst >= n {
+                return Err(SetupError::SendOutOfRange {
+                    index,
+                    src: s.src,
+                    dst: s.dst,
+                });
+            }
+        }
+        match self.latency {
+            LatencyModel::Uniform { lo, hi } | LatencyModel::Straggler { lo, hi, .. }
+                if lo > hi =>
+            {
+                return Err(SetupError::EmptyLatencyRange { lo, hi });
+            }
+            _ => {}
+        }
+        self.faults.validate_for(n).map_err(SetupError::Faults)?;
+        if self.reliable {
+            // A spec that does not parse is reported by whoever runs it.
+            let spec = self.spec_predicate().ok().flatten();
+            let kind = ProtocolKind::by_name(&self.protocol, spec.as_ref());
+            if kind.is_some_and(|k| !k.supports_retransmission()) {
+                return Err(SetupError::ReliableUnsupported(self.protocol.clone()));
+            }
+        }
+        Ok(())
+    }
+
     /// The kernel configuration this setup describes — shared by the
     /// recorder, the replayer, and live-transport hosts.
     pub fn config(&self) -> SimConfig {
@@ -266,7 +368,8 @@ impl Trace {
         Ok(out)
     }
 
-    /// Parses a JSONL trace, validating framing and schema version.
+    /// Parses a JSONL trace, validating framing, schema version and the
+    /// header's [`Setup`].
     pub fn from_jsonl(text: &str) -> Result<Trace, TraceError> {
         let mut header = None;
         let mut footer = None;
@@ -289,6 +392,7 @@ impl Trace {
                             h.version, TRACE_VERSION
                         )));
                     }
+                    h.setup.validate()?;
                     header = Some(h);
                 }
                 Line::Event(ev) => {
@@ -941,6 +1045,8 @@ pub enum TraceError {
     UnknownProtocol(String),
     /// The setup's spec string parses to nothing.
     Spec(String),
+    /// The setup describes no runnable simulation.
+    Setup(SetupError),
     /// Re-recording/replay did not reproduce the recorded run.
     Divergence(String),
     /// An internal invariant failed (serialization, sampled-parameter
@@ -959,6 +1065,7 @@ impl std::fmt::Display for TraceError {
                 write!(f, "protocol {p:?} is not in the registry")
             }
             TraceError::Spec(m) => write!(f, "spec: {m}"),
+            TraceError::Setup(e) => write!(f, "invalid setup: {e}"),
             TraceError::Divergence(m) => write!(f, "replay divergence: {m}"),
             TraceError::Internal(m) => write!(f, "internal invariant failed: {m}"),
         }
@@ -966,3 +1073,9 @@ impl std::fmt::Display for TraceError {
 }
 
 impl std::error::Error for TraceError {}
+
+impl From<SetupError> for TraceError {
+    fn from(e: SetupError) -> TraceError {
+        TraceError::Setup(e)
+    }
+}

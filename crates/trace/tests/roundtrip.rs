@@ -18,7 +18,9 @@ fn setup(protocol: &str, reliable: bool, faults: FaultModel, seed: u64, msgs: us
         faults,
         workload: Workload::uniform_random(3, msgs, seed),
         protocol: protocol.into(),
-        reliable,
+        // `async` has no reliable variant, and a trace header may not
+        // claim one (`Setup::validate`).
+        reliable: reliable && protocol != "async",
         spec: Some("fifo".into()),
         step_limit: 1_000_000,
     }

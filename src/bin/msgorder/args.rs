@@ -9,7 +9,7 @@
 use msgorder::predicate::ForbiddenPredicate;
 use msgorder::protocols::ProtocolKind;
 use msgorder::simnet::{CrashSchedule, FaultModel, LatencyModel, Partition, Workload};
-use msgorder::trace::{parse_spec, FileExporter, Setup, SharedRegistry};
+use msgorder::trace::{parse_spec, FileExporter, Setup, SharedRegistry, TraceError};
 use msgorder::transport::{Endpoint, MetricsExporter};
 use std::fmt::Display;
 use std::str::FromStr;
@@ -163,9 +163,10 @@ impl Session {
         Ok((kind, spec))
     }
 
-    /// The `Setup` of this session under `latency` and `faults`.
-    pub fn into_setup(self, latency: LatencyModel, faults: FaultModel) -> Setup {
-        Setup {
+    /// The `Setup` of this session under `latency` and `faults`, held to
+    /// the checks a trace header is ([`Setup::validate`]).
+    pub fn into_setup(self, latency: LatencyModel, faults: FaultModel) -> Result<Setup, String> {
+        let setup = Setup {
             processes: self.processes,
             latency,
             seed: self.seed,
@@ -175,7 +176,11 @@ impl Session {
             reliable: self.reliable,
             spec: self.spec,
             step_limit: self.step_limit,
-        }
+        };
+        setup
+            .validate()
+            .map_err(|e| TraceError::Setup(e).to_string())?;
+        Ok(setup)
     }
 }
 

@@ -4,12 +4,8 @@
 //! `--threads`, and an optional bounded/disk-spillable seen-set.
 
 use crate::args::{Args, Faults, Session};
-use msgorder::predicate::eval;
-use msgorder::runs::UserRunSnapshot;
+use msgorder::protocols::{explore_violations, Violations};
 use msgorder::simnet::{explore, DedupMode, ExploreOptions, Workload};
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 pub fn run(args: &[String]) -> Result<(), String> {
     let mut session = Session::new("async", 3, 6, 1);
@@ -97,34 +93,23 @@ pub fn run(args: &[String]) -> Result<(), String> {
         max_depth: max_depth.unwrap_or(ExploreOptions::default().max_depth),
         faults,
     };
-    let violations = AtomicUsize::new(0);
-    // Distinct violating *configurations* (user-view partial orders) by
-    // digest: invariant under --por/--threads/--dedup, which only change
-    // how many schedules reach each configuration — so the summary line
-    // is comparable across explorer settings (the CI smoke pins it).
-    let violating_configs: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::new());
-    let out = explore(
-        processes,
-        Workload::uniform_random(processes, messages, seed),
-        |node| {
-            kind.explorable(processes, node)
-                .expect("explorability was checked above")
+    let workload = Workload::uniform_random(processes, messages, seed);
+    let factory = |node| {
+        kind.explorable(processes, node)
+            .expect("explorability was checked above")
+    };
+    // The violating *configurations* are invariant under
+    // --por/--threads/--dedup, so the summary line is comparable across
+    // explorer settings (the CI smoke pins it).
+    let found = match &spec_pred {
+        Some(p) => explore_violations(processes, workload, factory, p, &opts),
+        None => Violations {
+            exploration: explore(processes, workload, factory, &opts, &|_| true),
+            schedules: 0,
+            configs: Default::default(),
         },
-        &opts,
-        &|run| {
-            if let Some(p) = &spec_pred {
-                let user = run.users_view();
-                if eval::find_instantiation(p, &user).is_some() {
-                    violations.fetch_add(1, Ordering::Relaxed);
-                    violating_configs
-                        .lock()
-                        .expect("no panics hold the digest lock")
-                        .insert(UserRunSnapshot::from(&user).digest());
-                }
-            }
-            true
-        },
-    );
+    };
+    let out = &found.exploration;
     println!("protocol      : {}", kind.name());
     println!("workload      : {processes} processes, {messages} messages, seed {seed}");
     println!(
@@ -168,16 +153,12 @@ pub fn run(args: &[String]) -> Result<(), String> {
         return Err("exploration found a protocol bug".into());
     }
     if let Some(p) = &spec_pred {
-        let configs = violating_configs
-            .lock()
-            .expect("no panics hold the digest lock");
-        let digest = configs.iter().fold(0u64, |acc, d| acc.wrapping_add(*d));
         println!(
             "violations    : {} schedule(s), {} distinct configuration(s) violate {p}",
-            violations.load(Ordering::Relaxed),
-            configs.len()
+            found.schedules,
+            found.configs.len()
         );
-        println!("digest        : {digest:#018x}");
+        println!("digest        : {:#018x}", found.digest());
     }
     Ok(())
 }

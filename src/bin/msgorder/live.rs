@@ -38,7 +38,7 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     }
     let (kind, spec_pred) = session.resolve(&FaultModel::none())?;
     let endpoint = Endpoint::parse(transport)?;
-    let setup = session.into_setup(LatencyModel::Fixed(1), FaultModel::none());
+    let setup = session.into_setup(LatencyModel::Fixed(1), FaultModel::none())?;
     let mut opts = ServeOptions::new(endpoint, setup);
     opts.tick = Duration::from_micros(tick_us);
     opts.wire_chaos = wire_chaos;

@@ -32,7 +32,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     if online && spec.is_none() {
         return Err("--online requires --spec".into());
     }
-    let setup = session.into_setup(LatencyModel::Uniform { lo: 1, hi: 800 }, faults.model);
+    let setup = session.into_setup(LatencyModel::Uniform { lo: 1, hi: 800 }, faults.model)?;
 
     // The flags choose observers, not pipelines: `--metrics` feeds the
     // registry, `--online` halts at the violating delivery.

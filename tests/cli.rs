@@ -390,6 +390,80 @@ fn golden_shrunk_trace_replays_and_reshrinks_to_itself() {
     );
 }
 
+/// `line` with the value of the first `"key":` replaced by `value`: a
+/// scalar runs to the next `,` or `}`, an array to its `]`.
+fn with_field(line: &str, key: &str, value: &str) -> String {
+    let at = line.find(&format!("\"{key}\":")).expect("key present") + key.len() + 3;
+    let rest = &line[at..];
+    let len = match rest.strip_prefix('[') {
+        Some(inner) => inner.find(']').expect("flat array") + 2,
+        None => rest.find([',', '}']).expect("scalar ends"),
+    };
+    format!("{}{value}{}", &line[..at], &rest[len..])
+}
+
+#[test]
+fn hand_edited_trace_headers_are_errors_not_panics() {
+    use msgorder::trace::{Trace, TraceError};
+    type Edit = fn(&str) -> String;
+    let edits: [(&str, Edit); 8] = [
+        ("no processes", |h| with_field(h, "processes", "0")),
+        ("absurd process count", |h| {
+            with_field(h, "processes", "4000000000")
+        }),
+        ("send to a stranger", |h| with_field(h, "dst", "7")),
+        ("send from a stranger", |h| with_field(h, "src", "7")),
+        ("empty latency range", |h| {
+            with_field(&with_field(h, "lo", "900"), "hi", "800")
+        }),
+        ("crash of a stranger", |h| {
+            with_field(h, "crashes", r#"[{"process":9,"at":1,"restart":null}]"#)
+        }),
+        ("partition from a stranger", |h| {
+            with_field(h, "partitions", r#"[{"a":0,"b":9,"from":1,"until":5}]"#)
+        }),
+        ("reliable without a reliable variant", |h| {
+            with_field(
+                &with_field(h, "protocol", r#""causal-ses""#),
+                "reliable",
+                "true",
+            )
+        }),
+    ];
+    let dir = std::env::temp_dir().join(format!("msgorder-cli-headers-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for golden in ["trace-v1", "shrunk-v1", "shrunk-adversarial-v1"] {
+        let path = format!("{}/tests/golden/{golden}.jsonl", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap();
+        Trace::from_jsonl(&text).expect("the untouched golden loads");
+        let (ok, stdout, stderr) = msgorder(&["replay", &path]);
+        assert!(
+            ok && stdout.contains("REPLAY OK"),
+            "{golden}: {stdout}{stderr}"
+        );
+        let (header, events) = text.split_once('\n').expect("header line");
+        for (what, edit) in edits {
+            let edited = format!("{}\n{events}", edit(header));
+            assert!(
+                matches!(Trace::from_jsonl(&edited), Err(TraceError::Setup(_))),
+                "{golden}, {what}: from_jsonl must reject the header"
+            );
+            let file = dir.join(format!("{golden}.jsonl"));
+            std::fs::write(&file, &edited).unwrap();
+            let file = file.to_str().unwrap();
+            for sub in ["replay", "shrink"] {
+                let (ok, _, stderr) = msgorder(&[sub, file]);
+                assert!(!ok, "{golden}, {what}: {sub} must fail");
+                assert!(
+                    stderr.contains("error: invalid setup:") && !stderr.contains("panicked"),
+                    "{golden}, {what}: {sub}: {stderr}"
+                );
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn chaos_sweep_reports_shrunk_findings() {
     let (ok, stdout, stderr) = msgorder(&["chaos", "--trials", "12", "--seed", "7"]);
@@ -427,6 +501,11 @@ fn fault_flags_are_validated() {
         ),
         (&["simulate", "--drop", "1.5"], "not in [0, 1]"),
         (&["simulate", "--dup", "-0.1"], "not in [0, 1]"),
+        // Flags and trace headers share `Setup::validate`.
+        (
+            &["simulate", "--processes", "300"],
+            "error: invalid setup: 300 processes (at most 256)",
+        ),
         // Every subcommand with fault flags rejects them the same way.
         (&["explore", "--dup", "-0.1"], "--dup: probability -0.1 not"),
         (
