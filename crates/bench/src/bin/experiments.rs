@@ -19,7 +19,7 @@ use msgorder_predicate::{catalog, eval};
 use msgorder_protocols::ProtocolKind;
 use msgorder_runs::generator::{distinct_user_views, random_user_run, GenParams};
 use msgorder_runs::{construct, limit_sets};
-use msgorder_runs::{EventKind, MessageId, ProcessId, SystemEvent, SystemRunBuilder, UserEvent};
+use msgorder_runs::{EventKind, MessageId, ProcessId, SystemEvent, SystemRun, UserEvent};
 use msgorder_simnet::{LatencyModel, SimConfig, Simulation, Workload};
 use serde_json::{json, Value};
 
@@ -231,17 +231,16 @@ fn exp_f1() -> Value {
     println!("Figure 1: causal past of a 3-process run with respect to process 2 (and others).\n");
     // Reconstruct a figure-1-like run: P0 -> P1 (m0), P2 -> P0 (m1),
     // P1 -> P2 (m2), with P2 not yet influenced by m1.
-    let mut b = SystemRunBuilder::new(3);
-    let m0 = b.message(0, 1);
-    let m1 = b.message(2, 0);
-    let m2 = b.message(1, 2);
-    b.invoke(m0).unwrap().send(m0).unwrap();
-    b.receive(m0).unwrap().deliver(m0).unwrap();
-    b.invoke(m2).unwrap().send(m2).unwrap();
-    b.invoke(m1).unwrap().send(m1).unwrap();
-    b.receive(m1).unwrap().deliver(m1).unwrap();
-    b.receive(m2).unwrap().deliver(m2).unwrap();
-    let run = b.build().unwrap();
+    let mut run = SystemRun::new(3);
+    let m0 = run.message(0, 1);
+    let m1 = run.message(2, 0);
+    let m2 = run.message(1, 2);
+    run.invoke(m0).unwrap().send(m0).unwrap();
+    run.receive(m0).unwrap().deliver(m0).unwrap();
+    run.invoke(m2).unwrap().send(m2).unwrap();
+    run.invoke(m1).unwrap().send(m1).unwrap();
+    run.receive(m1).unwrap().deliver(m1).unwrap();
+    run.receive(m2).unwrap().deliver(m2).unwrap();
     let mut t = Table::new([
         "process",
         "events in causal past",
@@ -392,14 +391,13 @@ fn exp_f3() -> Value {
 /// EXP-F4 — Figure 4: system view vs user's view under FIFO.
 fn exp_f4() -> Value {
     println!("Figure 4: s2 → r1 in the system view, but s2 ⋫ r1 in the user's view.\n");
-    let mut b = SystemRunBuilder::new(2);
-    let x = b.message(0, 1);
-    let y = b.message(0, 1);
-    b.invoke(x).unwrap().send(x).unwrap();
-    b.invoke(y).unwrap().send(y).unwrap();
-    b.receive(y).unwrap().receive(x).unwrap(); // y overtakes in transit
-    b.deliver(x).unwrap().deliver(y).unwrap(); // FIFO delivery
-    let run = b.build().unwrap();
+    let mut run = SystemRun::new(2);
+    let x = run.message(0, 1);
+    let y = run.message(0, 1);
+    run.invoke(x).unwrap().send(x).unwrap();
+    run.invoke(y).unwrap().send(y).unwrap();
+    run.receive(y).unwrap().receive(x).unwrap(); // y overtakes in transit
+    run.deliver(x).unwrap().deliver(y).unwrap(); // FIFO delivery
     let sys_edge = run.happens_before(
         SystemEvent::new(y, EventKind::Send),
         SystemEvent::new(x, EventKind::Deliver),
@@ -464,12 +462,12 @@ fn exp_f7() -> Value {
         .count();
     println!("X_gn runs with a singleton-pending prefix series : {ok}/{total}");
     // and one concrete series rendered:
-    let mut b = msgorder_runs::SystemRunBuilder::new(2);
+    let mut b = SystemRun::new(2);
     let m0 = b.message(0, 1);
     let m1 = b.message(1, 0);
     b.transmit(m0).unwrap();
     b.transmit(m1).unwrap();
-    let series = lemma2::gn_prefix_series(&b.build().unwrap()).unwrap();
+    let series = lemma2::gn_prefix_series(&b).unwrap();
     println!("\nexample series (2 messages): pending sizes after each prefix:");
     println!("  {:?}", series.pending_sizes);
     assert_eq!(ok, total);

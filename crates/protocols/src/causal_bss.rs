@@ -136,9 +136,9 @@ mod tests {
     use super::*;
     use msgorder_predicate::{catalog, eval};
     use msgorder_runs::limit_sets;
-    use msgorder_simnet::{LatencyModel, SimConfig, SimResult, Simulation, Workload};
+    use msgorder_simnet::{LatencyModel, SimConfig, Simulation, StreamResult, Workload};
 
-    fn sim(n: usize, rounds: usize, seed: u64) -> SimResult {
+    fn sim(n: usize, rounds: usize, seed: u64) -> StreamResult {
         let w = Workload::broadcast_rounds(n, rounds, seed);
         Simulation::run_uniform(
             SimConfig::new(n, LatencyModel::Uniform { lo: 1, hi: 900 }, seed),

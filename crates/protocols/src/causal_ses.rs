@@ -122,9 +122,9 @@ mod tests {
     use super::*;
     use crate::causal_rst::CausalRst;
     use msgorder_runs::limit_sets;
-    use msgorder_simnet::{LatencyModel, SimConfig, SimResult, Simulation, Workload};
+    use msgorder_simnet::{LatencyModel, SimConfig, Simulation, StreamResult, Workload};
 
-    fn sim(processes: usize, seed: u64, w: Workload) -> SimResult {
+    fn sim(processes: usize, seed: u64, w: Workload) -> StreamResult {
         Simulation::run_uniform(
             SimConfig::new(processes, LatencyModel::Uniform { lo: 1, hi: 900 }, seed),
             w,

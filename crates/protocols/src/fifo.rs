@@ -99,7 +99,7 @@ mod tests {
     use msgorder_predicate::{catalog, eval};
     use msgorder_simnet::{LatencyModel, SimConfig, Simulation, Workload};
 
-    fn sim(seed: u64, msgs: usize) -> msgorder_simnet::SimResult {
+    fn sim(seed: u64, msgs: usize) -> msgorder_simnet::StreamResult {
         let w = Workload::uniform_random(3, msgs, seed);
         Simulation::run_uniform(
             SimConfig::new(3, LatencyModel::Uniform { lo: 1, hi: 800 }, seed),

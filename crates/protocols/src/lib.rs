@@ -12,6 +12,12 @@
 //! | [`SyncProtocol`] | general | logically synchronous | **control messages** (lock rendezvous) |
 //! | [`SynthesizedTagged`] | tagged | any order-≤1 forbidden predicate | causal-history tag |
 //!
+//! [`CausalBss`] is an example protocol outside the [`registry`]: it
+//! orders *broadcasts* (the multicast shape of the paper's closing
+//! remark), which no `ProtocolKind`, CLI name or recorded trace can
+//! ask for; `examples/broadcast.rs` and a property test drive it
+//! directly. Everything else in the table is a [`ProtocolKind`].
+//!
 //! Every protocol is verified by simulating adversarial workloads and
 //! monitoring the corresponding forbidden predicate *online* while the
 //! run executes ([`verify`]) — safety *and* liveness, per the paper's

@@ -5,6 +5,7 @@ use crate::{
     AsyncProtocol, CausalRst, CausalSes, FifoProtocol, FlushChannels, SyncProtocol,
     SynthesizedTagged,
 };
+use msgorder_predicate::catalog::PaperClass;
 use msgorder_predicate::ForbiddenPredicate;
 use msgorder_simnet::Protocol;
 
@@ -45,6 +46,23 @@ impl ProtocolKind {
             ProtocolKind::SyncBatched => "sync-batched",
             ProtocolKind::Synthesized(_) => "synthesized",
             ProtocolKind::SynthesizedSet(_) => "synthesized-set",
+        }
+    }
+
+    /// The class of the paper's taxonomy (§4.3) this protocol belongs
+    /// to — a bound on the machinery it may use: a tagless protocol
+    /// adds nothing to the user's messages, a tagged one tags them but
+    /// sends none of its own, a general one may send control messages.
+    pub fn class(&self) -> PaperClass {
+        match self {
+            ProtocolKind::Async => PaperClass::Tagless,
+            ProtocolKind::Fifo
+            | ProtocolKind::CausalRst
+            | ProtocolKind::CausalSes
+            | ProtocolKind::Flush
+            | ProtocolKind::Synthesized(_)
+            | ProtocolKind::SynthesizedSet(_) => PaperClass::Tagged,
+            ProtocolKind::Sync | ProtocolKind::SyncBatched => PaperClass::General,
         }
     }
 
@@ -230,6 +248,7 @@ impl Protocol for ExplorableProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msgorder_predicate::catalog;
     use msgorder_runs::limit_sets;
     use msgorder_simnet::{LatencyModel, SimConfig, Simulation, Workload};
 
@@ -252,12 +271,15 @@ mod tests {
         }
     }
 
+    /// Class conformance, registry-wide: no protocol uses more
+    /// machinery than its class allows, and the general ones are the
+    /// only ones that need control messages.
     #[test]
-    fn overhead_ordering_matches_taxonomy() {
-        // async: nothing; tagged: tags but no control; sync: control.
+    fn overhead_stays_within_the_class() {
         let n = 3;
         let run = |kind: &ProtocolKind, seed| {
-            let w = Workload::uniform_random(n, 15, seed);
+            // Every third message a red marker, so `flush` runs barriers.
+            let w = Workload::with_markers(n, 15, 3, "red", seed);
             Simulation::run_uniform(
                 SimConfig::new(n, LatencyModel::Uniform { lo: 1, hi: 400 }, seed),
                 w,
@@ -266,16 +288,30 @@ mod tests {
             .expect("no protocol bug")
             .stats
         };
-        let a = run(&ProtocolKind::Async, 1);
-        assert_eq!((a.tag_bytes, a.control_messages), (0, 0));
-        let f = run(&ProtocolKind::Fifo, 1);
-        assert!(f.tag_bytes > 0);
-        assert_eq!(f.control_messages, 0);
-        let c = run(&ProtocolKind::CausalRst, 1);
-        assert!(c.tag_bytes > f.tag_bytes, "matrix beats a seq number");
-        assert_eq!(c.control_messages, 0);
-        let s = run(&ProtocolKind::Sync, 1);
-        assert!(s.control_messages > 0);
+        let mut kinds = ProtocolKind::fixed();
+        kinds.push(ProtocolKind::Synthesized(catalog::causal()));
+        for kind in &kinds {
+            for seed in 1..=3 {
+                let s = run(kind, seed);
+                let row = format!("{} (seed {seed})", kind.name());
+                match kind.class() {
+                    PaperClass::Tagless => {
+                        assert_eq!((s.tag_bytes, s.control_messages), (0, 0), "{row}")
+                    }
+                    PaperClass::Tagged => assert_eq!(s.control_messages, 0, "{row}"),
+                    PaperClass::General => assert!(s.control_messages > 0, "{row}"),
+                    PaperClass::Unimplementable => panic!("{row}: nothing implements it"),
+                }
+            }
+        }
+        let (f, c) = (
+            run(&ProtocolKind::Fifo, 1),
+            run(&ProtocolKind::CausalRst, 1),
+        );
+        assert!(
+            0 < f.tag_bytes && f.tag_bytes < c.tag_bytes,
+            "matrix beats a seq number"
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! reliable control frames are suppressed at the receiver. Duplicate
 //! *user* frames need no receiver-side bookkeeping — the kernel absorbs
 //! re-sent copies of an already-received message, so retransmission can
-//! never trip the run builder's double-delivery check.
+//! never trip the run's double-delivery check.
 //!
 //! Wire format: reliable-link control frames start with the magic byte
 //! `0xAB` (no serde_json payload can start with it), followed by a

@@ -270,14 +270,14 @@ impl Protocol for SyncProtocol {
 mod tests {
     use super::*;
     use msgorder_runs::limit_sets;
-    use msgorder_simnet::{LatencyModel, SimConfig, SimResult, Simulation, Workload};
+    use msgorder_simnet::{LatencyModel, SimConfig, Simulation, StreamResult, Workload};
 
     fn sim_with(
         processes: usize,
         seed: u64,
         w: Workload,
         factory: impl Fn(usize) -> SyncProtocol,
-    ) -> SimResult {
+    ) -> StreamResult {
         Simulation::run_uniform(
             SimConfig::new(processes, LatencyModel::Uniform { lo: 1, hi: 600 }, seed),
             w,
@@ -286,7 +286,7 @@ mod tests {
         .expect("no protocol bug")
     }
 
-    fn sim(processes: usize, seed: u64, w: Workload) -> SimResult {
+    fn sim(processes: usize, seed: u64, w: Workload) -> StreamResult {
         sim_with(processes, seed, w, |_| SyncProtocol::new())
     }
 

@@ -280,9 +280,9 @@ impl Protocol for SynthesizedTagged {
 mod tests {
     use super::*;
     use msgorder_predicate::catalog;
-    use msgorder_simnet::{LatencyModel, SimConfig, SimResult, Simulation, Workload};
+    use msgorder_simnet::{LatencyModel, SimConfig, Simulation, StreamResult, Workload};
 
-    fn sim(pred: &ForbiddenPredicate, processes: usize, seed: u64, w: Workload) -> SimResult {
+    fn sim(pred: &ForbiddenPredicate, processes: usize, seed: u64, w: Workload) -> StreamResult {
         let p = pred.clone();
         Simulation::run_uniform(
             SimConfig::new(processes, LatencyModel::Uniform { lo: 1, hi: 800 }, seed),

@@ -73,7 +73,7 @@ impl<'p> OnlineMonitor<'p> {
 
     /// The first satisfying instantiation, in the *simulation's*
     /// (workload-order) message numbering — remap through
-    /// [`StreamingRun::dense_id`] before comparing against a
+    /// [`SystemRun::dense_id`](msgorder_runs::SystemRun::dense_id) before comparing against a
     /// [`UserRun`].
     pub fn witness(&self) -> Option<&[MessageId]> {
         self.inner.witness()
@@ -243,10 +243,9 @@ fn verify_with<P: Protocol>(
             captured: Captured::Run(result.run),
         },
         Err(e) => {
-            // The monitor's witness ids cannot be remapped without the
-            // live builder (consumed by the error), so safety on the
-            // partial trace is re-decided post hoc — same verdict, per
-            // the online/post-hoc equivalence.
+            // Safety on the partial trace is re-decided post hoc, on the
+            // projection `user_run` hands out — same verdict, per the
+            // online/post-hoc equivalence.
             let user_run = match &e.trace {
                 Some(trace) => trace.users_view(),
                 None => StreamingRun::new(processes).users_view(),

@@ -13,7 +13,7 @@ fn run(
     w: Workload,
     seed: u64,
     hi: u64,
-) -> msgorder_simnet::SimResult {
+) -> msgorder_simnet::StreamResult {
     Simulation::run_uniform(
         SimConfig::new(procs, LatencyModel::Uniform { lo: 1, hi }, seed),
         w,

@@ -13,7 +13,7 @@
 
 use crate::error::RunError;
 use crate::ids::{MessageId, UserEvent, UserEventKind};
-use crate::system::{SystemRun, SystemRunBuilder};
+use crate::system::SystemRun;
 use crate::users_view::UserRun;
 use msgorder_poset::{DiGraph, Poset};
 
@@ -41,15 +41,11 @@ pub fn gn_system_from_sync_user(user: &UserRun) -> Option<SystemRun> {
     let t = crate::limit_sets::sync_numbering(user)?;
     let mut msgs: Vec<MessageId> = (0..user.len()).map(MessageId).collect();
     msgs.sort_by_key(|m| t[m.0]);
-    let mut b = SystemRunBuilder::new(process_count(user));
-    for meta in user.messages() {
-        let id = b.message_meta_like(meta);
-        debug_assert_eq!(id, meta.id);
-    }
+    let mut b = SystemRun::with_messages(process_count(user), user.messages());
     for m in msgs {
         b.transmit(m).ok()?;
     }
-    b.build().ok()
+    Some(b)
 }
 
 /// The number of processes mentioned by a user run (max id + 1).
@@ -77,11 +73,7 @@ fn linearize(user: &UserRun) -> Vec<UserEvent> {
 }
 
 fn build_along(user: &UserRun, order: &[UserEvent]) -> Result<SystemRun, RunError> {
-    let mut b = SystemRunBuilder::new(process_count(user));
-    for meta in user.messages() {
-        let id = b.message_meta_like(meta);
-        debug_assert_eq!(id, meta.id);
-    }
+    let mut b = SystemRun::with_messages(process_count(user), user.messages());
     for ev in order {
         match ev.kind {
             UserEventKind::Send => {
@@ -92,18 +84,7 @@ fn build_along(user: &UserRun, order: &[UserEvent]) -> Result<SystemRun, RunErro
             }
         }
     }
-    b.build()
-}
-
-impl SystemRunBuilder {
-    /// Declares a message copying the metadata of `meta` (id order must
-    /// match declaration order).
-    pub fn message_meta_like(&mut self, meta: &crate::message::MessageMeta) -> MessageId {
-        match &meta.color {
-            Some(c) => self.message_colored(meta.src.0, meta.dst.0, c),
-            None => self.message(meta.src.0, meta.dst.0),
-        }
-    }
+    Ok(b)
 }
 
 /// Whether `UsersView(system_from_user(user))` has exactly the same
@@ -164,12 +145,12 @@ mod tests {
     fn roundtrip_exact_for_execution_derived_runs() {
         // A run extracted from a real execution totally orders
         // same-process events, so the round trip is exact.
-        let mut b = crate::system::SystemRunBuilder::new(2);
+        let mut b = SystemRun::new(2);
         let x = b.message(0, 1);
         let y = b.message(1, 0);
         b.transmit(x).unwrap();
         b.transmit(y).unwrap();
-        let user = b.build().unwrap().users_view();
+        let user = b.users_view();
         assert!(roundtrips_exactly(&user));
     }
 

@@ -154,16 +154,15 @@ pub fn earliest_consistent_including(run: &SystemRun, targets: &[SystemEvent]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::SystemRunBuilder;
 
     /// P0 sends m0 to P1; P1 replies m1 to P0.
     fn ping_pong() -> SystemRun {
-        let mut b = SystemRunBuilder::new(2);
+        let mut b = SystemRun::new(2);
         let m0 = b.message(0, 1);
         let m1 = b.message(1, 0);
         b.transmit(m0).unwrap();
         b.transmit(m1).unwrap();
-        b.build().unwrap()
+        b
     }
 
     #[test]
@@ -208,10 +207,9 @@ mod tests {
         // one message: P0 has s*, s ; P1 has r*, r. Consistent cuts:
         // (0,0) (1,0) (2,0) (2,1) (2,2) and (0..2 with r* needs s):
         // (0,1)x (0,2)x (1,1)x (1,2)x -> 5 consistent cuts.
-        let mut b = SystemRunBuilder::new(2);
-        let m = b.message(0, 1);
-        b.transmit(m).unwrap();
-        let run = b.build().unwrap();
+        let mut run = SystemRun::new(2);
+        let m = run.message(0, 1);
+        run.transmit(m).unwrap();
         assert_eq!(count_consistent(&run), 5);
     }
 
@@ -239,14 +237,13 @@ mod tests {
     fn cut_count_equals_ideal_count_of_event_poset() {
         // cross-check with the poset substrate on a concurrent run
         use msgorder_poset::{ideals, DiGraph, Poset};
-        let mut b = SystemRunBuilder::new(2);
-        let m0 = b.message(0, 1);
-        let m1 = b.message(1, 0);
-        b.invoke(m0).unwrap().send(m0).unwrap();
-        b.invoke(m1).unwrap().send(m1).unwrap();
-        b.receive(m0).unwrap().deliver(m0).unwrap();
-        b.receive(m1).unwrap().deliver(m1).unwrap();
-        let run = b.build().unwrap();
+        let mut run = SystemRun::new(2);
+        let m0 = run.message(0, 1);
+        let m1 = run.message(1, 0);
+        run.invoke(m0).unwrap().send(m0).unwrap();
+        run.invoke(m1).unwrap().send(m1).unwrap();
+        run.receive(m0).unwrap().deliver(m0).unwrap();
+        run.receive(m1).unwrap().deliver(m1).unwrap();
         // build the event poset: nodes in (process, position) order
         let mut idx = Vec::new();
         for p in 0..2 {

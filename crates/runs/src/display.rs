@@ -71,16 +71,14 @@ pub fn render_timeline(run: &SystemRun) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::SystemRunBuilder;
 
     #[test]
     fn timeline_contains_every_event_once() {
-        let mut b = SystemRunBuilder::new(2);
-        let x = b.message(0, 1);
-        let y = b.message(1, 0);
-        b.transmit(x).unwrap();
-        b.transmit(y).unwrap();
-        let run = b.build().unwrap();
+        let mut run = SystemRun::new(2);
+        let x = run.message(0, 1);
+        let y = run.message(1, 0);
+        run.transmit(x).unwrap();
+        run.transmit(y).unwrap();
         let text = render_timeline(&run);
         assert_eq!(text.lines().count(), 2);
         for ev in [
@@ -97,10 +95,9 @@ mod tests {
 
     #[test]
     fn rows_follow_process_order() {
-        let mut b = SystemRunBuilder::new(2);
-        let x = b.message(0, 1);
-        b.transmit(x).unwrap();
-        let run = b.build().unwrap();
+        let mut run = SystemRun::new(2);
+        let x = run.message(0, 1);
+        run.transmit(x).unwrap();
         let text = render_timeline(&run);
         let p0 = text.lines().next().unwrap();
         let p1 = text.lines().nth(1).unwrap();
@@ -114,8 +111,7 @@ mod tests {
 
     #[test]
     fn empty_run_renders_rows_only() {
-        let b = SystemRunBuilder::new(3);
-        let run = b.build().unwrap();
+        let run = SystemRun::new(3);
         let text = render_timeline(&run);
         assert_eq!(text.lines().count(), 3);
     }

@@ -5,7 +5,7 @@ use std::error::Error;
 use std::fmt;
 
 /// Why a (would-be) run violates the paper's run conditions (§3.1) or the
-/// builder's sequencing rules.
+/// feed's sequencing rules.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// A process index was `>= n`.

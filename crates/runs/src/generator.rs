@@ -13,9 +13,9 @@
 //!   ([`for_each_schedule`]) used to check set equalities such as
 //!   Lemma 3's `B1 ⇔ B2 ⇔ B3` without sampling bias.
 
-use crate::ids::{MessageId, ProcessId, UserEvent};
+use crate::ids::{EventKind, MessageId, ProcessId, SystemEvent, UserEvent};
 use crate::message::MessageMeta;
-use crate::system::{SystemRun, SystemRunBuilder};
+use crate::system::SystemRun;
 use crate::users_view::UserRun;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -62,7 +62,7 @@ fn random_endpoints(rng: &mut StdRng, n: usize) -> (usize, usize) {
 /// Panics if `params.processes == 0` while `params.messages > 0`.
 pub fn random_system_run(params: GenParams) -> SystemRun {
     let mut rng = StdRng::seed_from_u64(params.seed);
-    let mut b = SystemRunBuilder::new(params.processes);
+    let mut b = SystemRun::new(params.processes);
     let msgs: Vec<MessageId> = (0..params.messages)
         .map(|_| {
             let (src, dst) = random_endpoints(&mut rng, params.processes);
@@ -77,24 +77,12 @@ pub fn random_system_run(params: GenParams) -> SystemRun {
             break;
         }
         let &i = enabled.choose(&mut rng).expect("nonempty");
-        let m = msgs[i];
-        match stage[i] {
-            0 => {
-                b.invoke(m).expect("fresh invoke");
-            }
-            1 => {
-                b.send(m).expect("invoked");
-            }
-            2 => {
-                b.receive(m).expect("sent");
-            }
-            _ => {
-                b.deliver(m).expect("received");
-            }
-        }
+        let kind = EventKind::ALL[usize::from(stage[i])];
+        b.append(SystemEvent::new(msgs[i], kind))
+            .expect("stages feed in order");
         stage[i] += 1;
     }
-    b.build().expect("schedule-generated runs are valid")
+    b
 }
 
 /// The user's view of a [`random_system_run`].
@@ -158,18 +146,14 @@ pub fn random_abstract_user_run(params: GenParams, density: f64) -> UserRun {
 /// not a timestamp approximation).
 pub fn random_causal_run(params: GenParams) -> UserRun {
     let mut rng = StdRng::seed_from_u64(params.seed);
-    let mut b = SystemRunBuilder::new(params.processes);
+    let mut b = SystemRun::new(params.processes);
     let msgs: Vec<MessageId> = (0..params.messages)
         .map(|_| {
             let (src, dst) = random_endpoints(&mut rng, params.processes);
             b.message(src, dst)
         })
         .collect();
-    // Endpoint list as declared (recovered from the still-empty run).
-    let metas: Vec<(usize, usize)> = {
-        let run = b.build().expect("empty run valid");
-        run.messages().iter().map(|m| (m.src.0, m.dst.0)).collect()
-    };
+    let metas: Vec<(usize, usize)> = b.messages().iter().map(|m| (m.src.0, m.dst.0)).collect();
     // knowledge[p] = set of message indices whose SEND is in causal past
     // of process p's next event.
     let mut knowledge: Vec<Vec<bool>> = vec![vec![false; msgs.len()]; params.processes];
@@ -227,7 +211,7 @@ pub fn random_causal_run(params: GenParams) -> UserRun {
         }
         stage[i] += 1;
     }
-    b.build().expect("valid by construction").users_view()
+    b.users_view()
 }
 
 /// Generates a random *logically synchronous* run (an element of
@@ -235,7 +219,7 @@ pub fn random_causal_run(params: GenParams) -> UserRun {
 /// random order, so all arrows are vertical.
 pub fn random_sync_run(params: GenParams) -> UserRun {
     let mut rng = StdRng::seed_from_u64(params.seed);
-    let mut b = SystemRunBuilder::new(params.processes);
+    let mut b = SystemRun::new(params.processes);
     let mut msgs: Vec<MessageId> = (0..params.messages)
         .map(|_| {
             let (src, dst) = random_endpoints(&mut rng, params.processes);
@@ -246,7 +230,7 @@ pub fn random_sync_run(params: GenParams) -> UserRun {
     for m in msgs {
         b.transmit(m).expect("block transmission");
     }
-    b.build().expect("valid").users_view()
+    b.users_view()
 }
 
 /// Exhaustively enumerates every schedule (interleaving of the four
@@ -261,7 +245,7 @@ where
     F: FnMut(&SystemRun),
 {
     fn rec<F: FnMut(&SystemRun)>(
-        b: &mut SystemRunBuilder,
+        b: &mut SystemRun,
         stage: &mut [u8],
         visit: &mut F,
         count: &mut usize,
@@ -269,24 +253,20 @@ where
         let pending: Vec<usize> = (0..stage.len()).filter(|&i| stage[i] < 4).collect();
         if pending.is_empty() {
             *count += 1;
-            visit(&b.build().expect("valid schedule"));
+            visit(b);
             return;
         }
         for i in pending {
-            let m = MessageId(i);
+            let kind = EventKind::ALL[usize::from(stage[i])];
             let mut next = b.clone();
-            match stage[i] {
-                0 => next.invoke(m).expect("fresh"),
-                1 => next.send(m).expect("invoked"),
-                2 => next.receive(m).expect("sent"),
-                _ => next.deliver(m).expect("received"),
-            };
+            next.append(SystemEvent::new(MessageId(i), kind))
+                .expect("stages feed in order");
             stage[i] += 1;
             rec(&mut next, stage, visit, count);
             stage[i] -= 1;
         }
     }
-    let mut b = SystemRunBuilder::new(processes);
+    let mut b = SystemRun::new(processes);
     for &(src, dst) in endpoints {
         b.message(src, dst);
     }

@@ -71,21 +71,12 @@ pub fn gn_prefix_series(run: &SystemRun) -> Option<PrefixSeries> {
         }
     }
     // replay the series and record pending sizes
-    let mut b = crate::system::SystemRunBuilder::new(run.process_count());
-    for meta in run.messages() {
-        let id = b.message_meta_like(meta);
-        debug_assert_eq!(id, meta.id);
-    }
+    let mut b = SystemRun::with_messages(run.process_count(), run.messages());
     let mut pending_sizes = Vec::with_capacity(event_order.len() + 1);
-    pending_sizes.push(pending_union_size(&b.build().ok()?));
+    pending_sizes.push(pending_union_size(&b));
     for ev in &event_order {
-        match ev.kind {
-            EventKind::Invoke => b.invoke(ev.msg).ok()?,
-            EventKind::Send => b.send(ev.msg).ok()?,
-            EventKind::Receive => b.receive(ev.msg).ok()?,
-            EventKind::Deliver => b.deliver(ev.msg).ok()?,
-        };
-        pending_sizes.push(pending_union_size(&b.build().ok()?));
+        b.append(*ev).ok()?;
+        pending_sizes.push(pending_union_size(&b));
     }
     Some(PrefixSeries {
         event_order,
@@ -96,17 +87,16 @@ pub fn gn_prefix_series(run: &SystemRun) -> Option<PrefixSeries> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::SystemRunBuilder;
 
     fn gn_run() -> SystemRun {
-        let mut b = SystemRunBuilder::new(3);
+        let mut b = SystemRun::new(3);
         let m0 = b.message(0, 1);
         let m1 = b.message(1, 2);
         let m2 = b.message(2, 0);
         b.transmit(m0).unwrap();
         b.transmit(m1).unwrap();
         b.transmit(m2).unwrap();
-        b.build().unwrap()
+        b
     }
 
     #[test]
@@ -130,34 +120,31 @@ mod tests {
     fn no_series_for_crossing_run() {
         // the crossing pair (x: P0->P1, y: P1->P0 sent concurrently) is
         // not in X_gn, so the construction must refuse.
-        let mut b = SystemRunBuilder::new(2);
-        let x = b.message(0, 1);
-        let y = b.message(1, 0);
-        b.invoke(x).unwrap().send(x).unwrap();
-        b.invoke(y).unwrap().send(y).unwrap();
-        b.receive(x).unwrap().deliver(x).unwrap();
-        b.receive(y).unwrap().deliver(y).unwrap();
-        let run = b.build().unwrap();
+        let mut run = SystemRun::new(2);
+        let x = run.message(0, 1);
+        let y = run.message(1, 0);
+        run.invoke(x).unwrap().send(x).unwrap();
+        run.invoke(y).unwrap().send(y).unwrap();
+        run.receive(x).unwrap().deliver(x).unwrap();
+        run.receive(y).unwrap().deliver(y).unwrap();
         assert!(gn_prefix_series(&run).is_none());
     }
 
     #[test]
     fn no_series_for_incomplete_runs() {
-        let mut b = SystemRunBuilder::new(2);
-        let x = b.message(0, 1);
-        b.invoke(x).unwrap().send(x).unwrap();
-        let run = b.build().unwrap();
+        let mut run = SystemRun::new(2);
+        let x = run.message(0, 1);
+        run.invoke(x).unwrap().send(x).unwrap();
         assert!(gn_prefix_series(&run).is_none());
     }
 
     #[test]
     fn pending_union_size_counts_all_kinds() {
-        let mut b = SystemRunBuilder::new(2);
-        let x = b.message(0, 1);
-        let y = b.message(0, 1);
-        b.invoke(x).unwrap(); // S = {x.s}
-        b.invoke(y).unwrap().send(y).unwrap(); // R = {y.r*}
-        let run = b.build().unwrap();
+        let mut run = SystemRun::new(2);
+        let x = run.message(0, 1);
+        let y = run.message(0, 1);
+        run.invoke(x).unwrap(); // S = {x.s}
+        run.invoke(y).unwrap().send(y).unwrap(); // R = {y.r*}
         assert_eq!(pending_union_size(&run), 2);
     }
 

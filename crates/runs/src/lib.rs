@@ -10,9 +10,12 @@
 //!
 //! The crate provides:
 //!
-//! - [`SystemRun`] / [`SystemRunBuilder`] — validated system runs
-//!   enforcing the paper's three run conditions, with the pending-event
-//!   sets `I/S/R/D` of §3.1 and causal pasts (Figure 1).
+//! - [`SystemRun`] — the run: declared messages plus the events fed so
+//!   far, every prefix satisfying the paper's three run conditions,
+//!   with the pending-event sets `I/S/R/D` of §3.1, causal pasts
+//!   (Figure 1) and the user's-view projection.
+//! - [`StreamingRun`] — that run plus a vector-clock index answering
+//!   `▷` on the live prefix in O(1) (online monitoring).
 //! - [`UserRun`] — the user's view: complete runs `(H, ▷)`, the
 //!   elements of the paper's specification universe `X`.
 //! - [`limit_sets`] — membership tests for `X_async ⊇ X_co ⊇ X_sync`
@@ -25,16 +28,15 @@
 //! # Example
 //!
 //! ```
-//! use msgorder_runs::{SystemRunBuilder, limit_sets};
+//! use msgorder_runs::{SystemRun, limit_sets};
 //!
 //! # fn main() -> Result<(), msgorder_runs::RunError> {
 //! // Two processes; message a then b from P0 to P1, delivered in order.
-//! let mut b = SystemRunBuilder::new(2);
-//! let a = b.message(0, 1);
-//! let m = b.message(0, 1);
-//! b.invoke(a)?.send(a)?.invoke(m)?.send(m)?;
-//! b.receive(a)?.deliver(a)?.receive(m)?.deliver(m)?;
-//! let run = b.build()?;
+//! let mut run = SystemRun::new(2);
+//! let a = run.message(0, 1);
+//! let m = run.message(0, 1);
+//! run.invoke(a)?.send(a)?.invoke(m)?.send(m)?;
+//! run.receive(a)?.deliver(a)?.receive(m)?.deliver(m)?;
 //! let user = run.users_view();
 //! assert!(limit_sets::in_x_co(&user));   // causally ordered
 //! assert!(limit_sets::in_x_sync(&user)); // even logically synchronous
@@ -64,6 +66,6 @@ pub use error::RunError;
 pub use ids::{EventKind, MessageId, ProcessId, SystemEvent, UserEvent, UserEventKind};
 pub use message::MessageMeta;
 pub use streaming::StreamingRun;
-pub use system::{PendingSets, SystemRun, SystemRunBuilder};
+pub use system::{PendingSets, SystemRun};
 pub use users_view::{UserRun, UserRunSnapshot};
 pub use view::OrderView;

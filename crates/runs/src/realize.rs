@@ -21,7 +21,7 @@
 
 use crate::error::RunError;
 use crate::ids::{MessageId, UserEvent, UserEventKind};
-use crate::system::{SystemRun, SystemRunBuilder};
+use crate::system::SystemRun;
 use crate::users_view::UserRun;
 use msgorder_poset::{DiGraph, Poset};
 
@@ -95,11 +95,7 @@ pub fn realize(user: &UserRun) -> Result<Realization, RunError> {
         event_process(user, u) != event_process(user, v)
     };
 
-    let mut b = SystemRunBuilder::new(processes.max(1));
-    for meta in user.messages() {
-        let id = b.message_meta_like(meta);
-        debug_assert_eq!(id, meta.id);
-    }
+    let mut b = SystemRun::with_messages(processes.max(1), user.messages());
     // carriers[target-node] = list of carrier ids to receive just before
     // the target event executes.
     let mut incoming: Vec<Vec<MessageId>> = vec![Vec::new(); 2 * m];
@@ -132,7 +128,7 @@ pub fn realize(user: &UserRun) -> Result<Realization, RunError> {
         }
     }
     Ok(Realization {
-        run: b.build()?,
+        run: b,
         original_count: m,
         aux_count,
     })
@@ -196,12 +192,12 @@ mod tests {
     fn no_carriers_needed_for_execution_derived_runs() {
         // ping-pong: user view's covers are all process-order or message
         // edges.
-        let mut b = SystemRunBuilder::new(2);
+        let mut b = SystemRun::new(2);
         let m0 = b.message(0, 1);
         let m1 = b.message(1, 0);
         b.transmit(m0).unwrap();
         b.transmit(m1).unwrap();
-        let user = b.build().unwrap().users_view();
+        let user = b.users_view();
         let r = realize(&user).unwrap();
         assert_eq!(r.aux_count, 0);
         assert_eq!(

@@ -5,10 +5,11 @@ use msgorder_runs::generator::{
     random_user_run, GenParams,
 };
 use msgorder_runs::{
-    construct, limit_sets, realize, EventKind, MessageId, ProcessId, SystemEvent, UserEvent,
-    UserEventKind, UserRun,
+    construct, limit_sets, realize, EventKind, MessageId, ProcessId, SystemEvent, SystemRun,
+    UserEvent, UserEventKind, UserRun,
 };
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -103,6 +104,47 @@ proptest! {
                 SystemEvent::new(b.msg, kind(b.kind)),
             ), "user view invented {a} ▷ {b}");
         }
+    }
+
+    /// At every prefix of a randomly fed run, the validating constructor
+    /// accepts the same sequences and agrees with the fed run on `→` for
+    /// every event pair. Each prefix is queried before the next append,
+    /// so a closure that outlived the append would answer for the
+    /// shorter run and be caught.
+    #[test]
+    fn fed_prefixes_agree_with_from_sequences(procs in 2usize..4, msgs in 1usize..5, seed in 0u64..10_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut run = SystemRun::new(procs);
+        for _ in 0..msgs {
+            run.message(rng.gen_range(0..procs), rng.gen_range(0..procs));
+        }
+        let events: Vec<SystemEvent> = (0..msgs)
+            .flat_map(|m| EventKind::ALL.map(|k| SystemEvent::new(MessageId(m), k)))
+            .collect();
+        let mut stage = vec![0usize; msgs];
+        loop {
+            let seqs = (0..procs).map(|p| run.sequence(ProcessId(p)).to_vec()).collect();
+            let reference = SystemRun::from_sequences(procs, run.messages().to_vec(), seqs);
+            let reference = reference.expect("a fed prefix satisfies the run conditions");
+            for &a in &events {
+                for &b in &events {
+                    prop_assert_eq!(
+                        run.happens_before(a, b),
+                        reference.happens_before(a, b),
+                        "{} → {} after {} events", a, b, run.event_count()
+                    );
+                }
+            }
+            let pending: Vec<usize> = (0..msgs).filter(|&i| stage[i] < 4).collect();
+            if pending.is_empty() {
+                break;
+            }
+            let i = pending[rng.gen_range(0..pending.len())];
+            run.append(SystemEvent::new(MessageId(i), EventKind::ALL[stage[i]]))
+                .expect("stages feed in order");
+            stage[i] += 1;
+        }
+        prop_assert_eq!(run.event_count(), 4 * msgs);
     }
 }
 

@@ -12,11 +12,11 @@ use crate::liveness::LivenessVerdict;
 use crate::stats::Stats;
 use msgorder_runs::{MessageId, ProcessId, RunError, SystemRun};
 
-/// The result of running a simulation: a completed [`SimResult`] or a
+/// The result of running a simulation: a [`StreamResult`] or a
 /// structured counterexample.
 ///
-/// [`SimResult`]: crate::SimResult
-pub type SimOutcome = Result<crate::SimResult, SimError>;
+/// [`StreamResult`]: crate::StreamResult
+pub type SimOutcome = Result<crate::StreamResult, SimError>;
 
 /// What kind of protocol (or kernel-capture) bug was detected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,10 +33,10 @@ pub enum SimErrorKind {
         /// The message's true destination.
         destination: ProcessId,
     },
-    /// `Ctx::send_user` rejected by the run builder (double send, send
+    /// `Ctx::send_user` rejected by the run's feed (double send, send
     /// before request, …).
     InvalidSend(RunError),
-    /// `Ctx::deliver` rejected by the run builder (double delivery,
+    /// `Ctx::deliver` rejected by the run's feed (double delivery,
     /// delivery before receive, …).
     InvalidDelivery(RunError),
     /// A workload send request could not be recorded (kernel/workload
@@ -48,8 +48,6 @@ pub enum SimErrorKind {
     /// `Ctx::resend_user` called for a message that was never sent (or
     /// by a non-owner).
     ResendBeforeSend,
-    /// The captured run failed final validation.
-    InvalidRun(RunError),
     /// A latency sample overflowed `u64` — the frame could never be
     /// dispatched and would have wedged the event queue.
     LatencyOverflow(LatencyOverflow),
@@ -95,7 +93,6 @@ impl SimErrorKind {
             SimErrorKind::InvalidRequest(_) => "invalid-request",
             SimErrorKind::InvalidReceive(_) => "invalid-receive",
             SimErrorKind::ResendBeforeSend => "resend-before-send",
-            SimErrorKind::InvalidRun(_) => "invalid-run",
             SimErrorKind::LatencyOverflow(_) => "latency-overflow",
             SimErrorKind::TimeOverflow { .. } => "time-overflow",
             SimErrorKind::ReplayExhausted => "replay-exhausted",
@@ -130,7 +127,6 @@ impl std::fmt::Display for SimErrorKind {
             SimErrorKind::ResendBeforeSend => {
                 write!(f, "resend of a message that was never sent")
             }
-            SimErrorKind::InvalidRun(e) => write!(f, "captured run failed validation: {e}"),
             SimErrorKind::LatencyOverflow(o) => write!(f, "{o}"),
             SimErrorKind::TimeOverflow { delay } => {
                 write!(
@@ -174,8 +170,8 @@ pub struct SimError {
     /// Simulated time at which the error occurred.
     pub time: u64,
     /// The partial run captured up to (but excluding) the invalid
-    /// action — the counterexample trace. `None` only if even the
-    /// partial run failed to build.
+    /// action — the counterexample trace. `None` only on an error that
+    /// never ran (one built by hand).
     pub trace: Option<SystemRun>,
     /// Stats accumulated up to the error.
     pub stats: Stats,

@@ -1073,12 +1073,7 @@ impl<V: Fn(&SystemRun) -> bool> Sink<'_, V> {
                 .expect("no worker panicked holding the stall slot")
                 .get_or_insert_with(|| Box::new(v));
         }
-        let run = state
-            .world
-            .builder
-            .build()
-            .expect("explored runs are valid");
-        let go_on = (self.visit)(&run);
+        let go_on = (self.visit)(&state.world.builder);
         if !go_on {
             self.stop();
         }
@@ -1363,7 +1358,10 @@ where
         stall: Mutex::new(None),
         error: Mutex::new(None),
     };
-    if threads == 1 {
+    if let Some(e) = root.take_error() {
+        // Poisoned before the first transition (a bad workload request).
+        sink.error(e);
+    } else if threads == 1 {
         dfs(&mut root, Vec::new(), &mut monitor, 0, &env, &sink, None);
     } else {
         let frontier = Frontier::new(threads);
@@ -1509,6 +1507,16 @@ mod tests {
                 "no schedule of a flooding protocol completes"
             );
         }
+    }
+
+    #[test]
+    fn out_of_range_workload_process_is_a_counterexample_not_a_panic() {
+        let mut w = two_same_channel();
+        w.sends[1].dst = 7;
+        let exp = explore(2, w, |_| Immediate, &ExploreOptions::default(), &|_| true);
+        let e = exp.error.expect("the bad request poisons the root");
+        assert_eq!(e.kind.discriminant_name(), "invalid-request");
+        assert_eq!(exp.schedules, 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::liveness::{self, FrameFate, LivenessVerdict};
 use crate::stats::Stats;
 use crate::workload::Workload;
 use msgorder_runs::{
-    EventKind as RunEventKind, MessageId, ProcessId, StreamingRun, SystemEvent, SystemRun,
+    EventKind as RunEventKind, MessageId, ProcessId, RunError, StreamingRun, SystemEvent,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -59,7 +59,8 @@ impl SimConfig {
 ///
 /// The host applies the emitted batch, in emission order, at the
 /// dispatch's logical time, and records run events in the same order,
-/// so the captured [`SystemRun`] is exactly what happened.
+/// so the captured [`SystemRun`](msgorder_runs::SystemRun) is exactly
+/// what happened.
 ///
 /// Invalid actions (sending a message one does not own, delivering
 /// twice, …) do not panic: applying them *poisons* the run with a
@@ -930,28 +931,26 @@ impl World {
     /// `at` time (shared between [`Simulation::new`] and the realtime
     /// kernel, so both number messages and sequence events identically).
     ///
-    /// # Panics
-    /// Panics if a workload request references a process out of range.
+    /// A request naming a process out of range poisons the world
+    /// ([`SimErrorKind::InvalidRequest`]): declaration stops there and
+    /// every kernel returns the counterexample before dispatching.
     pub(crate) fn build(config: SimConfig, workload: &Workload) -> World {
         let mut builder = StreamingRun::new(config.processes);
-        let mut metas = Vec::new();
         let mut queue = BinaryHeap::new();
         let mut seq = 0u64;
+        let mut out_of_range = None;
         for spec in &workload.sends {
-            assert!(
-                spec.src < config.processes && spec.dst < config.processes,
-                "workload process out of range"
-            );
+            if let Some(&p) = [spec.src, spec.dst]
+                .iter()
+                .find(|&&p| p >= config.processes)
+            {
+                out_of_range = Some(ProcessId(p));
+                break;
+            }
             let id = match &spec.color {
                 Some(c) => builder.message_colored(spec.src, spec.dst, c),
                 None => builder.message(spec.src, spec.dst),
             };
-            metas.push(msgorder_runs::MessageMeta {
-                id,
-                src: ProcessId(spec.src),
-                dst: ProcessId(spec.dst),
-                color: spec.color.clone(),
-            });
             queue.push(Reverse(Scheduled {
                 time: spec.at,
                 seq,
@@ -960,8 +959,9 @@ impl World {
             }));
             seq += 1;
         }
+        let metas = builder.messages().to_vec();
         let n_msgs = metas.len();
-        World {
+        let mut world = World {
             processes: config.processes,
             latency: config.latency,
             faults: std::sync::Arc::new(config.faults),
@@ -986,7 +986,18 @@ impl World {
             spare: Vec::new(),
             decisions: DecisionSource::Sample,
             scratch: Vec::new(),
+        };
+        if let Some(process) = out_of_range {
+            // The id the bad request would have been declared under.
+            let msg = MessageId(n_msgs);
+            let n = world.processes;
+            world.fail(
+                0,
+                Some(msg),
+                SimErrorKind::InvalidRequest(RunError::ProcessOutOfRange { process, n }),
+            );
         }
+        world
     }
 
     /// Applies the crash schedule to a due event: returns the event
@@ -1161,7 +1172,8 @@ impl World {
     /// partial captured run and the stats so far attached.
     pub(crate) fn take_error(&mut self) -> Option<SimError> {
         let mut e = self.error.take()?;
-        e.trace = self.builder.build().ok();
+        let run = std::mem::replace(&mut self.builder, StreamingRun::new(0));
+        e.trace = Some(run.into_run());
         e.stats = self.stats.clone();
         Some(e)
     }
@@ -1450,25 +1462,6 @@ impl World {
     }
 }
 
-/// The outcome of a simulation.
-#[derive(Debug)]
-pub struct SimResult {
-    /// The captured system run (feed its
-    /// [`users_view`](SystemRun::users_view) to the spec checkers).
-    pub run: SystemRun,
-    /// Overhead counters.
-    pub stats: Stats,
-    /// `true` iff the event queue drained. Step-limit exhaustion now
-    /// surfaces as [`SimErrorKind::StepLimit`], so an `Ok` result always
-    /// has `completed == true`; the field is kept for the streaming
-    /// path's halted runs and for symmetry.
-    pub completed: bool,
-    /// `Some` when the run ended non-quiescent: the structured blame
-    /// analysis of the pending frontier (which messages are stuck at
-    /// which system event, and why).
-    pub liveness: Option<LivenessVerdict>,
-}
-
 /// A hook fed every run event (`s*`, `s`, `r*`, `r`) the moment the
 /// kernel executes it, together with the live [`StreamingRun`] prefix —
 /// the entry point of the streaming verdict pipeline.
@@ -1499,17 +1492,18 @@ pub trait RunObserver {
     }
 }
 
-/// The outcome of [`Simulation::run_streaming`]: the live run is handed
-/// back as-is — no post-hoc transitive closure is ever built on this
-/// path.
+/// The outcome of a simulation: the kernel's own run, handed back by
+/// move (feed its [`users_view`](msgorder_runs::SystemRun::users_view)
+/// to the spec checkers; the `→` closure is built only if queried).
 #[derive(Debug)]
 pub struct StreamResult {
-    /// The streaming run at the moment the simulation stopped.
+    /// The run at the moment the simulation stopped.
     pub run: StreamingRun,
     /// Overhead counters.
     pub stats: Stats,
-    /// `true` iff the event queue drained (no step-limit hit, no
-    /// observer halt).
+    /// `true` iff the event queue drained. Step-limit exhaustion
+    /// surfaces as [`SimErrorKind::StepLimit`], so an `Ok` result is
+    /// incomplete only when an observer halted it.
     pub completed: bool,
     /// `true` iff the observer requested the halt.
     pub halted: bool,
@@ -1529,10 +1523,9 @@ pub struct Simulation<P> {
 
 impl<P: Protocol> Simulation<P> {
     /// Builds a simulation with one protocol instance per process from
-    /// `factory(process_id)`.
-    ///
-    /// # Panics
-    /// Panics if a workload request references a process out of range.
+    /// `factory(process_id)`. A workload request naming a process out of
+    /// range is not refused here: the run returns it as a
+    /// [`SimErrorKind::InvalidRequest`] counterexample.
     pub fn new(config: SimConfig, workload: Workload, factory: impl Fn(usize) -> P) -> Self {
         let processes = config.processes;
         let world = World::build(config, &workload);
@@ -1572,30 +1565,11 @@ impl<P: Protocol> Simulation<P> {
     // would not shrink the Result.
     #[allow(clippy::result_large_err)]
     pub fn run(mut self) -> SimOutcome {
-        let r = self.world.run(self.step_limit, &mut self.protocols, None)?;
-        match r.run.build() {
-            Ok(run) => Ok(SimResult {
-                run,
-                stats: r.stats,
-                completed: r.completed,
-                liveness: r.liveness,
-            }),
-            Err(re) => Err(SimError {
-                kind: SimErrorKind::InvalidRun(re),
-                node: ProcessId(0),
-                msg: None,
-                time: r.stats.end_time,
-                trace: None,
-                stats: r.stats,
-            }),
-        }
+        self.world.run(self.step_limit, &mut self.protocols, None)
     }
 
     /// Runs the simulation while feeding every run event to `obs` as it
-    /// executes. Unlike [`run`](Simulation::run), the captured run is
-    /// returned as the live [`StreamingRun`] — no transitive closure is
-    /// built, so the cost is O(events · n) total regardless of run
-    /// length.
+    /// executes.
     ///
     /// The observer may halt the simulation by returning `false`
     /// (reflected in [`StreamResult::halted`]); a protocol bug still
@@ -1662,6 +1636,24 @@ mod tests {
         assert_eq!(r.stats.tag_bytes, 0);
         assert_eq!(r.stats.dropped_frames, 0);
         assert_eq!(r.stats.duplicated_frames, 0);
+    }
+
+    #[test]
+    fn out_of_range_workload_process_is_a_counterexample_not_a_panic() {
+        let mut w = Workload::uniform_random(2, 3, 7);
+        w.sends[1].dst = 7;
+        let two = SimConfig::new(2, LatencyModel::Fixed(1), 1);
+        let e = Simulation::run_uniform(two, w, |_| Immediate).unwrap_err();
+        assert_eq!(
+            e.kind,
+            SimErrorKind::InvalidRequest(RunError::ProcessOutOfRange {
+                process: ProcessId(7),
+                n: 2,
+            })
+        );
+        assert_eq!(e.msg, Some(MessageId(1)), "the second request");
+        let trace = e.trace.expect("the run declared so far rides along");
+        assert_eq!((trace.messages().len(), trace.event_count()), (1, 0));
     }
 
     #[test]
@@ -1865,7 +1857,7 @@ mod tests {
     fn captured_run_respects_wall_clock_causality() {
         let w = Workload::uniform_random(3, 30, 17);
         let r = Simulation::run_uniform(config(8), w, |_| Immediate).expect("ok");
-        // The captured run passed SystemRun validation (no cycles, no
+        // Every captured event passed the run's feed validation (no
         // spurious receives) — spot-check an invariant: every message
         // was received after it was sent.
         for m in r.run.messages() {

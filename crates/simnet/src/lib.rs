@@ -11,11 +11,10 @@
 //!   (counted and costed, invisible in the user's view);
 //! - **full run capture** — the kernel logs `x.s*`, `x.s`, `x.r*`,
 //!   `x.r` into a live [`StreamingRun`](msgorder_runs::StreamingRun) as
-//!   the simulation executes; [`Simulation::run`] materializes it into
-//!   a [`SystemRun`](msgorder_runs::SystemRun) afterwards, while
-//!   [`Simulation::run_streaming`] feeds every event to a
-//!   [`RunObserver`] the moment it executes (online monitoring,
-//!   early-exit on violation) and never builds the closure at all;
+//!   the simulation executes and [`Simulation::run`] hands that run
+//!   back; [`Simulation::run_streaming`] additionally feeds every event
+//!   to a [`RunObserver`] the moment it executes (online monitoring,
+//!   early-exit on violation);
 //! - **determinism** — all randomness flows from one seed; event ties
 //!   break on a monotone sequence number.
 //!
@@ -73,7 +72,7 @@ pub use frame::Frame;
 pub use host::{HostAction, HostEnv, HostEvent, ProtocolHost};
 pub use kernel::{
     Ctx, DropReason, FaultRecord, ForgedFrame, KernelEvent, PayloadKind, Protocol, RejectReason,
-    RunObserver, SimConfig, SimResult, Simulation, StreamResult, TransmitDecision, WireRecord,
+    RunObserver, SimConfig, Simulation, StreamResult, TransmitDecision, WireRecord,
 };
 pub use latency::{LatencyModel, LatencyOverflow};
 pub use liveness::{Blame, LivenessVerdict, StuckCause, StuckMessage, StuckStage};

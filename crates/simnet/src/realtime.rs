@@ -223,10 +223,10 @@ struct Pacer {
 }
 
 impl RealtimeKernel {
-    /// Builds a realtime kernel for `config` and `workload`.
-    ///
-    /// # Panics
-    /// Panics if a workload request references a process out of range.
+    /// Builds a realtime kernel for `config` and `workload`. A workload
+    /// request naming a process out of range comes back from
+    /// [`run`](RealtimeKernel::run) as a `SimErrorKind::InvalidRequest`
+    /// counterexample.
     pub fn new(config: SimConfig, workload: &Workload) -> RealtimeKernel {
         RealtimeKernel {
             world: World::build(config, workload),
@@ -470,6 +470,17 @@ mod tests {
             "+init"
         );
         assert_eq!(out.drift.late, 0, "free-run never lags");
+    }
+
+    #[test]
+    fn out_of_range_workload_process_is_a_counterexample_not_a_panic() {
+        let mut w = Workload::uniform_random(2, 3, 7);
+        w.sends[0].dst = 7;
+        let mut host = InProcessHost::new(2, &w, |_| Box::new(Immediate));
+        let out = RealtimeKernel::new(config(2), &w).run(&mut host, &mut Sink);
+        let e = out.outcome.unwrap_err();
+        assert_eq!(e.kind.discriminant_name(), "invalid-request");
+        assert_eq!(out.drift.dispatches, 0, "nothing reaches the host");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Zero-allocation guard for the steady-state simulate path.
+//! Allocation guards for the steady-state simulate path and the
+//! explorer's leaf.
 //!
 //! `World::build` declares every workload message in the arena up
 //! front, so once the scheduler heap and the double-buffered journal
@@ -8,12 +9,16 @@
 //! allocation counter at every observed run event and requires the
 //! entire second half of the event stream to be allocation-free.
 //!
+//! The same test bounds the explorer's allocator calls per schedule, so
+//! a per-leaf copy of the run cannot come back unnoticed.
+//!
 //! One `#[test]` for the whole file: the counter is process-global, so a
 //! second test on a parallel harness thread would be counted too.
 
 use msgorder_runs::{StreamingRun, SystemEvent};
 use msgorder_simnet::{
-    LatencyModel, Protocol, RunObserver, SimConfig, Simulation, SortedSlab, Workload,
+    explore, ExploreOptions, LatencyModel, Protocol, RunObserver, SendSpec, SimConfig, Simulation,
+    SortedSlab, Workload,
 };
 
 #[global_allocator]
@@ -21,6 +26,7 @@ static ALLOC: msgorder_testkit::CountingAlloc = msgorder_testkit::CountingAlloc;
 
 /// Tagless protocol: send and deliver immediately (X_async semantics),
 /// the baseline for the kernel's own per-message cost.
+#[derive(Clone, Hash)]
 struct Immediate;
 
 impl Protocol for Immediate {
@@ -110,4 +116,34 @@ fn dispatch_is_allocation_free_at_steady_state() {
         seen: SortedSlab::new(),
     });
     assert_eq!(allocs, 0, "slab-backed state must settle to zero allocs");
+
+    // The explorer hands its visitor the world's own run: 425 allocator
+    // calls for the 15 schedules of three same-channel messages (28.3
+    // per schedule). Materializing a run per leaf — messages, event
+    // flags and one sequence per process cloned — costs 5 or 6 more per
+    // schedule (515 in all when it did).
+    let same_channel = Workload {
+        sends: (0..3)
+            .map(|_| SendSpec {
+                at: 0,
+                src: 0,
+                dst: 1,
+                color: None,
+            })
+            .collect(),
+    };
+    let (exp, calls) = msgorder_testkit::counting(|| {
+        explore(
+            2,
+            same_channel,
+            |_| Immediate,
+            &ExploreOptions::default(),
+            &|_| true,
+        )
+    });
+    assert_eq!(exp.schedules, 15);
+    assert!(
+        calls <= 29 * 15,
+        "{calls} allocator calls for 15 schedules: is a run cloned per leaf again?"
+    );
 }

@@ -831,7 +831,14 @@ fn registry_factory<'k>(
 pub fn reconstruct(trace: &Trace) -> Result<StreamingRun, TraceError> {
     let setup = &trace.header.setup;
     let mut run = StreamingRun::new(setup.processes);
-    for spec in &setup.workload.sends {
+    for (index, spec) in setup.workload.sends.iter().enumerate() {
+        if spec.src >= setup.processes || spec.dst >= setup.processes {
+            return Err(TraceError::Setup(SetupError::SendOutOfRange {
+                index,
+                src: spec.src,
+                dst: spec.dst,
+            }));
+        }
         match &spec.color {
             Some(c) => {
                 run.message_colored(spec.src, spec.dst, c);
@@ -842,13 +849,8 @@ pub fn reconstruct(trace: &Trace) -> Result<StreamingRun, TraceError> {
         }
     }
     for (ev, _time) in trace.run_events() {
-        let step = match ev.kind {
-            EventKind::Invoke => run.invoke(ev.msg),
-            EventKind::Send => run.send(ev.msg),
-            EventKind::Receive => run.receive(ev.msg),
-            EventKind::Deliver => run.deliver(ev.msg),
-        };
-        step.map_err(|e| TraceError::Schema(format!("trace encodes an invalid run: {e}")))?;
+        run.append(ev)
+            .map_err(|e| TraceError::Schema(format!("trace encodes an invalid run: {e}")))?;
     }
     Ok(run)
 }

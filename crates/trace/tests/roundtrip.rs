@@ -413,6 +413,27 @@ fn unknown_protocol_is_a_structured_error() {
     assert!(matches!(record(&s), Err(TraceError::UnknownProtocol(_))));
 }
 
+#[test]
+fn out_of_range_workload_process_is_a_counterexample_not_a_panic() {
+    let mut s = setup("fifo", false, FaultModel::none(), 1, 4);
+    s.processes = 2;
+    s.workload = Workload::uniform_random(2, 4, 1);
+    s.workload.sends[2].dst = 7;
+    // With a spec the verdict needs the run rebuilt from the header,
+    // which names the bad request itself.
+    assert!(matches!(record(&s), Err(TraceError::Setup(_))));
+    s.spec = None;
+    let recorded = record(&s).expect("a bad request is an outcome, not a refusal");
+    let e = recorded.outcome.unwrap_err();
+    assert_eq!(e.kind.discriminant_name(), "invalid-request");
+    assert_eq!(e.msg, Some(MessageId(2)));
+    let footer = recorded.trace.footer.error.expect("the footer carries it");
+    assert_eq!(
+        footer.kind,
+        "invalid send request: P7 out of range for 2 processes"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -80,11 +80,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
         print!("{report}");
     }
     if let (true, Ok(r)) = (timeline, &recorded.outcome) {
-        if let Ok(run) = r.run.build() {
-            let prefix = if r.halted { " (prefix at halt)" } else { "" };
-            println!("\ntime diagram{prefix}:");
-            print!("{}", render_timeline(&run));
-        }
+        let prefix = if r.halted { " (prefix at halt)" } else { "" };
+        println!("\ntime diagram{prefix}:");
+        print!("{}", render_timeline(&r.run));
     }
     if recorded.outcome.is_err() {
         return Err("simulation hit a protocol bug".into());
