@@ -146,7 +146,7 @@ impl AdversarialModel {
 /// The default model is *quiet*: no loss, no duplication, no partitions,
 /// no crashes — the kernel behaves exactly as it would without any fault
 /// layer.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultModel {
     /// Per-frame drop probability in `[0, 1]`, applied to every user and
     /// control frame independently.
@@ -162,39 +162,6 @@ pub struct FaultModel {
     /// Adversarial wire faults (corruption, forgery, stale replay,
     /// reordering bursts).
     pub adversarial: AdversarialModel,
-}
-
-// Hand-written (de)serialization: the `adversarial` field is emitted
-// only when noisy, so every trace recorded before the adversarial layer
-// existed — and every quiet-model trace after it, including the pinned
-// golden artifacts — keeps byte-identical JSON.
-impl Serialize for FaultModel {
-    fn to_json_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("drop", self.drop.to_json_value());
-        m.insert("duplicate", self.duplicate.to_json_value());
-        m.insert("partitions", self.partitions.to_json_value());
-        m.insert("crashes", self.crashes.to_json_value());
-        if !self.adversarial.is_quiet() {
-            m.insert("adversarial", self.adversarial.to_json_value());
-        }
-        serde::Value::Object(m)
-    }
-}
-
-impl Deserialize for FaultModel {
-    fn from_json_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(FaultModel {
-            drop: Deserialize::from_json_value(&v["drop"])?,
-            duplicate: Deserialize::from_json_value(&v["duplicate"])?,
-            partitions: Deserialize::from_json_value(&v["partitions"])?,
-            crashes: Deserialize::from_json_value(&v["crashes"])?,
-            adversarial: match v.get_object_key("adversarial") {
-                Some(a) => Deserialize::from_json_value(a)?,
-                None => AdversarialModel::default(),
-            },
-        })
-    }
 }
 
 impl FaultModel {
@@ -540,18 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn quiet_model_serializes_without_adversarial_key() {
-        let quiet = FaultModel::none().with_drop(0.15).unwrap();
-        let json = serde_json::to_string(&quiet).unwrap();
-        assert!(!json.contains("adversarial"), "{json}");
-        // Legacy JSON (no adversarial key) deserializes to a quiet
-        // adversarial sub-model.
-        let back: FaultModel = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, quiet);
-        assert!(back.adversarial.is_quiet());
-    }
-
-    #[test]
     fn noisy_adversarial_round_trips() {
         let noisy = FaultModel::none()
             .with_corruption(0.25)
@@ -559,10 +514,13 @@ mod tests {
             .with_stale_replay(0.1)
             .unwrap()
             .with_crash(1, 100, Some(500));
-        let json = serde_json::to_string(&noisy).unwrap();
-        assert!(json.contains("adversarial"), "{json}");
-        let back: FaultModel = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, noisy);
+        let quiet = FaultModel::none().with_drop(0.15).unwrap();
+        for model in [noisy, quiet] {
+            let json = serde_json::to_string(&model).unwrap();
+            assert!(json.contains("\"adversarial\":{"), "{json}");
+            let back: FaultModel = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, model);
+        }
     }
 
     #[test]

@@ -491,7 +491,7 @@ impl RejectReason {
 
 /// One `transmit` call, with everything the kernel's RNGs decided about
 /// it: the journal entry that makes the network layer replayable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WireRecord {
     /// Sending process.
     pub from: usize,
@@ -501,91 +501,8 @@ pub struct WireRecord {
     pub time: u64,
     /// What was on the frame.
     pub payload: PayloadKind,
-    /// Sampled in-transit latency. Always drawn — even for dropped
-    /// frames — so the RNG stream stays aligned with the fault-free
-    /// kernel.
-    pub delay: u64,
-    /// `Some` if the fault layer ate the frame.
-    pub dropped: Option<DropReason>,
-    /// Latency of the duplicated copy, if network duplication fired.
-    pub dup_delay: Option<u64>,
-    /// Seed of the payload bit-flip, if adversarial corruption fired.
-    pub corrupt: Option<u64>,
-    /// The forged copy's mutation seed and latency, if control-frame
-    /// forgery fired.
-    pub forge: Option<ForgedFrame>,
-    /// Latency of the stale replayed copy, if adversarial replay fired.
-    pub replay_delay: Option<u64>,
-    /// Extra latency piled onto the original frame by a reordering
-    /// burst (`0` when reordering did not fire).
-    pub reorder_extra: u64,
-}
-
-impl WireRecord {
-    /// The network decision this record captures (the replayable part).
-    pub fn decision(&self) -> TransmitDecision {
-        TransmitDecision {
-            delay: self.delay,
-            dropped: self.dropped,
-            dup_delay: self.dup_delay,
-            corrupt: self.corrupt,
-            forge: self.forge,
-            replay_delay: self.replay_delay,
-            reorder_extra: self.reorder_extra,
-        }
-    }
-}
-
-// Hand-written (de)serialization: the four adversarial fields are
-// emitted only when non-default, so quiet-model traces — including the
-// byte-pinned golden artifacts — serialize exactly as they did before
-// the adversarial layer existed, and legacy traces (no such keys) read
-// back as unperturbed records.
-impl Serialize for WireRecord {
-    fn to_json_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("from", self.from.to_json_value());
-        m.insert("to", self.to.to_json_value());
-        m.insert("time", self.time.to_json_value());
-        m.insert("payload", self.payload.to_json_value());
-        m.insert("delay", self.delay.to_json_value());
-        m.insert("dropped", self.dropped.to_json_value());
-        m.insert("dup_delay", self.dup_delay.to_json_value());
-        if self.corrupt.is_some() {
-            m.insert("corrupt", self.corrupt.to_json_value());
-        }
-        if self.forge.is_some() {
-            m.insert("forge", self.forge.to_json_value());
-        }
-        if self.replay_delay.is_some() {
-            m.insert("replay_delay", self.replay_delay.to_json_value());
-        }
-        if self.reorder_extra != 0 {
-            m.insert("reorder_extra", self.reorder_extra.to_json_value());
-        }
-        serde::Value::Object(m)
-    }
-}
-
-impl Deserialize for WireRecord {
-    fn from_json_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(WireRecord {
-            from: Deserialize::from_json_value(&v["from"])?,
-            to: Deserialize::from_json_value(&v["to"])?,
-            time: Deserialize::from_json_value(&v["time"])?,
-            payload: Deserialize::from_json_value(&v["payload"])?,
-            delay: Deserialize::from_json_value(&v["delay"])?,
-            dropped: Deserialize::from_json_value(&v["dropped"])?,
-            dup_delay: Deserialize::from_json_value(&v["dup_delay"])?,
-            corrupt: Deserialize::from_json_value(&v["corrupt"])?,
-            forge: Deserialize::from_json_value(&v["forge"])?,
-            replay_delay: Deserialize::from_json_value(&v["replay_delay"])?,
-            reorder_extra: match v.get_object_key("reorder_extra") {
-                Some(x) => Deserialize::from_json_value(x)?,
-                None => 0,
-            },
-        })
-    }
+    /// The network's decision about the frame (the replayable part).
+    pub decision: TransmitDecision,
 }
 
 /// A crash-schedule effect applied by the kernel event loop.
@@ -652,10 +569,13 @@ pub enum KernelEvent {
 /// One recorded network decision: the latency draw plus the fault
 /// layer's verdict for a single `transmit` call. A replayed run consumes
 /// these in order instead of sampling its RNGs, which is what makes
-/// replay bit-exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// replay bit-exact. The default is a zero-latency frame no fault
+/// touched.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransmitDecision {
-    /// In-transit latency of the (original) frame.
+    /// In-transit latency of the (original) frame. Always drawn — even
+    /// for dropped frames — so the RNG stream stays aligned with the
+    /// fault-free kernel.
     pub delay: u64,
     /// `Some` if the fault layer ate the frame.
     pub dropped: Option<DropReason>,
@@ -667,7 +587,8 @@ pub struct TransmitDecision {
     pub forge: Option<ForgedFrame>,
     /// Latency of the stale replayed copy, if adversarial replay fired.
     pub replay_delay: Option<u64>,
-    /// Extra latency added to the original frame by a reordering burst.
+    /// Extra latency added to the original frame by a reordering burst
+    /// (`0` when reordering did not fire).
     pub reorder_extra: u64,
 }
 
@@ -1348,13 +1269,7 @@ impl World {
                 to,
                 time: self.now,
                 payload: PayloadKind::of(&kind, retransmit),
-                delay: decision.delay,
-                dropped: decision.dropped,
-                dup_delay: decision.dup_delay,
-                corrupt: decision.corrupt,
-                forge: decision.forge,
-                replay_delay: decision.replay_delay,
-                reorder_extra: decision.reorder_extra,
+                decision,
             }));
         }
         if let EventKind::UserArrival { msg, .. } = &kind {

@@ -6,9 +6,10 @@
 //!
 //! - **non-FIFO channels** — per-message latency drawn from a pluggable
 //!   [`LatencyModel`], so messages reorder freely in transit;
-//! - **user vs control traffic** — protocol [`Frame`]s are either user
-//!   messages (whose four events are recorded) or control messages
-//!   (counted and costed, invisible in the user's view);
+//! - **user vs control traffic** — a protocol sends either user frames
+//!   (whose four events are recorded) or control frames (counted and
+//!   costed, invisible in the user's view), and every frame on the wire
+//!   is journaled as a [`WireRecord`];
 //! - **full run capture** — the kernel logs `x.s*`, `x.s`, `x.r*`,
 //!   `x.r` into a live [`StreamingRun`](msgorder_runs::StreamingRun) as
 //!   the simulation executes and [`Simulation::run`] hands that run
@@ -21,7 +22,7 @@
 //! # Example
 //!
 //! ```
-//! use msgorder_simnet::{Simulation, SimConfig, LatencyModel, Workload, Protocol, Ctx, Frame};
+//! use msgorder_simnet::{Simulation, SimConfig, LatencyModel, Workload, Protocol, Ctx};
 //! use msgorder_runs::{MessageId, ProcessId};
 //!
 //! /// The do-nothing (tagless, asynchronous) protocol.
@@ -52,7 +53,6 @@
 mod error;
 pub mod explore;
 mod faults;
-mod frame;
 mod host;
 mod kernel;
 mod latency;
@@ -68,7 +68,6 @@ pub use error::{SimError, SimErrorKind, SimOutcome};
 pub use explore::explore as explore_parallel_with;
 pub use explore::{explore, explore_monitored, DedupMode, Exploration, ExploreOptions};
 pub use faults::{AdversarialModel, CrashSchedule, FaultConfigError, FaultModel, Partition};
-pub use frame::Frame;
 pub use host::{HostAction, HostEnv, HostEvent, ProtocolHost};
 pub use kernel::{
     Ctx, DropReason, FaultRecord, ForgedFrame, KernelEvent, PayloadKind, Protocol, RejectReason,

@@ -355,12 +355,7 @@ impl Driver for Live<'_> {
             let delay = (wall.saturating_add(1).saturating_sub_unsigned(now)).max(1);
             let decision = TransmitDecision {
                 delay: u64::try_from(delay).unwrap_or(1).max(1),
-                dropped: None,
-                dup_delay: None,
-                corrupt: None,
-                forge: None,
-                replay_delay: None,
-                reorder_extra: 0,
+                ..TransmitDecision::default()
             };
             if let DecisionSource::Replay(log) = &mut world.decisions {
                 log.extend(std::iter::repeat_n(decision, transmits));

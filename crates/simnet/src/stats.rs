@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 /// Cost counters collected during a simulation — the raw material of the
 /// EXP-P1 protocol-comparison table.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Stats {
     /// User messages put on the wire.
     pub user_messages: usize,
@@ -48,80 +48,6 @@ pub struct Stats {
     pub reordered_frames: usize,
     /// Frames refused by a protocol layer via `Ctx::reject_frame`.
     pub rejected_frames: usize,
-}
-
-// Hand-written (de)serialization: the five adversarial counters are
-// emitted only when non-zero, so quiet-model runs — including the
-// byte-pinned golden trace footers — serialize exactly the 14 legacy
-// keys they always did, and legacy JSON reads back with zeros.
-impl Serialize for Stats {
-    fn to_json_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("user_messages", self.user_messages.to_json_value());
-        m.insert("control_messages", self.control_messages.to_json_value());
-        m.insert("control_bytes", self.control_bytes.to_json_value());
-        m.insert("tag_bytes", self.tag_bytes.to_json_value());
-        m.insert("total_inhibition", self.total_inhibition.to_json_value());
-        m.insert("total_latency", self.total_latency.to_json_value());
-        m.insert("delivered", self.delivered.to_json_value());
-        m.insert("end_time", self.end_time.to_json_value());
-        m.insert("dropped_frames", self.dropped_frames.to_json_value());
-        m.insert("duplicated_frames", self.duplicated_frames.to_json_value());
-        m.insert(
-            "suppressed_duplicates",
-            self.suppressed_duplicates.to_json_value(),
-        );
-        m.insert(
-            "retransmitted_frames",
-            self.retransmitted_frames.to_json_value(),
-        );
-        m.insert("dispatched_events", self.dispatched_events.to_json_value());
-        m.insert("max_queue_depth", self.max_queue_depth.to_json_value());
-        for (key, value) in [
-            ("corrupted_frames", self.corrupted_frames),
-            ("forged_frames", self.forged_frames),
-            ("replayed_frames", self.replayed_frames),
-            ("reordered_frames", self.reordered_frames),
-            ("rejected_frames", self.rejected_frames),
-        ] {
-            if value != 0 {
-                m.insert(key, value.to_json_value());
-            }
-        }
-        serde::Value::Object(m)
-    }
-}
-
-impl Deserialize for Stats {
-    fn from_json_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let counter = |key: &str| -> Result<usize, serde::Error> {
-            match v.get_object_key(key) {
-                Some(x) => Deserialize::from_json_value(x),
-                None => Ok(0),
-            }
-        };
-        Ok(Stats {
-            user_messages: Deserialize::from_json_value(&v["user_messages"])?,
-            control_messages: Deserialize::from_json_value(&v["control_messages"])?,
-            control_bytes: Deserialize::from_json_value(&v["control_bytes"])?,
-            tag_bytes: Deserialize::from_json_value(&v["tag_bytes"])?,
-            total_inhibition: Deserialize::from_json_value(&v["total_inhibition"])?,
-            total_latency: Deserialize::from_json_value(&v["total_latency"])?,
-            delivered: Deserialize::from_json_value(&v["delivered"])?,
-            end_time: Deserialize::from_json_value(&v["end_time"])?,
-            dropped_frames: Deserialize::from_json_value(&v["dropped_frames"])?,
-            duplicated_frames: Deserialize::from_json_value(&v["duplicated_frames"])?,
-            suppressed_duplicates: Deserialize::from_json_value(&v["suppressed_duplicates"])?,
-            retransmitted_frames: Deserialize::from_json_value(&v["retransmitted_frames"])?,
-            dispatched_events: Deserialize::from_json_value(&v["dispatched_events"])?,
-            max_queue_depth: Deserialize::from_json_value(&v["max_queue_depth"])?,
-            corrupted_frames: counter("corrupted_frames")?,
-            forged_frames: counter("forged_frames")?,
-            replayed_frames: counter("replayed_frames")?,
-            reordered_frames: counter("reordered_frames")?,
-            rejected_frames: counter("rejected_frames")?,
-        })
-    }
 }
 
 impl Stats {
@@ -185,30 +111,6 @@ mod tests {
         assert_eq!(s.tag_bytes_per_user(), 0.0);
         assert_eq!(s.mean_inhibition(), 0.0);
         assert_eq!(s.mean_latency(), 0.0);
-    }
-
-    #[test]
-    fn adversarial_counters_serialize_only_when_nonzero() {
-        let quiet = Stats {
-            user_messages: 3,
-            delivered: 3,
-            ..Stats::default()
-        };
-        let json = serde_json::to_string(&quiet).unwrap();
-        assert!(!json.contains("corrupted_frames"), "{json}");
-        assert!(!json.contains("rejected_frames"), "{json}");
-        let back: Stats = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, quiet);
-
-        let noisy = Stats {
-            corrupted_frames: 2,
-            rejected_frames: 5,
-            ..quiet
-        };
-        let json = serde_json::to_string(&noisy).unwrap();
-        assert!(json.contains("corrupted_frames"), "{json}");
-        let back: Stats = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, noisy);
     }
 
     #[test]

@@ -66,7 +66,7 @@ use serde::{Deserialize, Serialize};
 
 /// Version stamp of the JSONL trace schema. Bump on any incompatible
 /// change to [`Setup`], [`KernelEvent`], or the framing.
-pub const TRACE_VERSION: u32 = 1;
+pub const TRACE_VERSION: u32 = 2;
 
 /// Everything needed to re-create the simulation a trace was recorded
 /// from: feed it to [`record`] to (re-)run, and carry it in the trace
@@ -306,8 +306,7 @@ pub struct Footer {
     pub error: Option<ErrorSummary>,
     /// The spec verdict at record time, when the setup names a spec.
     pub verdict: Option<Verdict>,
-    /// Blame digest when the recorded run ended non-quiescent (absent
-    /// in pre-liveness traces, which deserialize to `None`).
+    /// Blame digest when the recorded run ended non-quiescent.
     pub liveness: Option<LivenessSummary>,
 }
 
@@ -379,18 +378,24 @@ impl Trace {
             if line.is_empty() {
                 continue;
             }
-            let parsed: Line = serde_json::from_str(line)
-                .map_err(|e| TraceError::Parse(format!("line {}: {e:?}", i + 1)))?;
-            match parsed {
+            let parse_error = |e| TraceError::Parse(format!("line {}: {e:?}", i + 1));
+            // Until the header is read, its version is checked before the
+            // rest of the line, so a file of another schema is refused by
+            // its number, not by the first field whose shape differs.
+            if header.is_none() {
+                let value: serde_json::Value = serde_json::from_str(line).map_err(parse_error)?;
+                if let Some(version) = value["Header"]["version"].as_u64() {
+                    if version != u64::from(TRACE_VERSION) {
+                        return Err(TraceError::Schema(format!(
+                            "trace version {version} (this build reads {TRACE_VERSION})"
+                        )));
+                    }
+                }
+            }
+            match serde_json::from_str(line).map_err(parse_error)? {
                 Line::Header(h) => {
                     if header.is_some() {
                         return Err(TraceError::Schema("duplicate header line".into()));
-                    }
-                    if h.version != TRACE_VERSION {
-                        return Err(TraceError::Schema(format!(
-                            "trace version {} (this build reads {})",
-                            h.version, TRACE_VERSION
-                        )));
                     }
                     h.setup.validate()?;
                     header = Some(h);
@@ -440,7 +445,7 @@ impl Trace {
         self.events
             .iter()
             .filter_map(|e| match e {
-                KernelEvent::Wire(w) => Some(w.decision()),
+                KernelEvent::Wire(w) => Some(w.decision),
                 _ => None,
             })
             .collect()
@@ -504,16 +509,16 @@ fn mix_event(h: &mut u64, ev: &KernelEvent) {
                     mix(h, retransmit as u64);
                 }
             }
-            mix(h, w.delay);
+            mix(h, w.decision.delay);
             mix(
                 h,
-                match w.dropped {
+                match w.decision.dropped {
                     None => 0,
                     Some(msgorder_simnet::DropReason::Partition) => 1,
                     Some(msgorder_simnet::DropReason::Loss) => 2,
                 },
             );
-            match w.dup_delay {
+            match w.decision.dup_delay {
                 None => mix(h, 0),
                 Some(d) => {
                     mix(h, 1);
@@ -523,22 +528,22 @@ fn mix_event(h: &mut u64, ev: &KernelEvent) {
             // Adversarial decisions mix *only* when present, so every
             // pre-adversarial trace — and every run under a quiet model
             // — keeps its historical fingerprint bit-for-bit.
-            if let Some(seed) = w.corrupt {
+            if let Some(seed) = w.decision.corrupt {
                 mix(h, 3);
                 mix(h, seed);
             }
-            if let Some(forge) = w.forge {
+            if let Some(forge) = w.decision.forge {
                 mix(h, 4);
                 mix(h, forge.seed);
                 mix(h, forge.delay);
             }
-            if let Some(d) = w.replay_delay {
+            if let Some(d) = w.decision.replay_delay {
                 mix(h, 5);
                 mix(h, d);
             }
-            if w.reorder_extra != 0 {
+            if w.decision.reorder_extra != 0 {
                 mix(h, 6);
-                mix(h, w.reorder_extra);
+                mix(h, w.decision.reorder_extra);
             }
         }
         KernelEvent::Fault(f) => {
@@ -588,7 +593,8 @@ fn mix_event(h: &mut u64, ev: &KernelEvent) {
 /// FNV-1a 64 over the process count and every field of every kernel
 /// event, in order (a direct binary mix — no serialization on the
 /// recording path). Two traces fingerprint equal iff their event
-/// streams are identical.
+/// streams are identical; the file format is not hashed, so the same
+/// events written in another schema version keep their fingerprint.
 pub fn fingerprint(processes: usize, events: &[KernelEvent]) -> u64 {
     let mut h = FNV_OFFSET;
     mix(&mut h, processes as u64);

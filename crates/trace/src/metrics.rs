@@ -365,9 +365,10 @@ impl LiveMetrics {
         let PayloadKind::User { msg, .. } = wire.payload else {
             return;
         };
-        let terminal_drop =
-            self.evict_on_drop && wire.dropped.is_some() && wire.dup_delay.is_none();
-        let arrival = wire.time.saturating_add(wire.delay);
+        let terminal_drop = self.evict_on_drop
+            && wire.decision.dropped.is_some()
+            && wire.decision.dup_delay.is_none();
+        let arrival = wire.time.saturating_add(wire.decision.delay);
         let dead_destination = self
             .faults
             .as_ref()
@@ -406,10 +407,10 @@ impl RunObserver for LiveMetrics {
                 d.retransmissions += u64::from(retransmit);
             }
         }
-        match wire.dropped {
+        match wire.decision.dropped {
             Some(DropReason::Partition) => d.partition_drops += 1,
             Some(DropReason::Loss) => d.loss_drops += 1,
-            None => d.duplicates += u64::from(wire.dup_delay.is_some()),
+            None => d.duplicates += u64::from(wire.decision.dup_delay.is_some()),
         }
         self.observe_terminal_wire(wire);
         self.bump();

@@ -253,7 +253,7 @@ impl Shrinker<'_> {
                     {
                         None
                     }
-                    _ => Some(w.decision()),
+                    _ => Some(w.decision),
                 },
                 _ => None,
             })

@@ -159,7 +159,7 @@ fn adversarial_runs_replay_bit_exact() {
 #[test]
 fn golden_adversarial_trace_replays() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/golden/shrunk-adversarial-v1.jsonl");
+        .join("../../tests/golden/shrunk-adversarial-v2.jsonl");
     let trace = Trace::read(path.to_str().expect("utf-8 path")).expect("reads");
     assert!(
         !trace.header.setup.faults.adversarial.is_quiet(),

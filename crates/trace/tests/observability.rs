@@ -5,7 +5,9 @@
 //! loss — the property behind the soak harness's multi-hour honesty.
 
 use msgorder_runs::{EventKind, MessageId, SystemEvent};
-use msgorder_simnet::{DropReason, FaultModel, KernelEvent, PayloadKind, WireRecord};
+use msgorder_simnet::{
+    DropReason, FaultModel, KernelEvent, PayloadKind, TransmitDecision, WireRecord,
+};
 use msgorder_trace::registry::{names, parse_samples, Scope, FAMILIES};
 use msgorder_trace::{Histogram, LiveMetrics, MetricsRegistry, SharedRegistry};
 use proptest::prelude::*;
@@ -157,20 +159,19 @@ fn synthetic_stream(seed: u64, msgs: usize) -> Vec<KernelEvent> {
                 bytes: (r % 32) as usize,
                 retransmit: r.is_multiple_of(7),
             },
-            delay: 1 + r % 50,
-            dropped: lost.then_some(if r.is_multiple_of(2) {
-                DropReason::Loss
-            } else {
-                DropReason::Partition
-            }),
-            // Duplicates only on surviving frames: a lost frame with a
-            // surviving copy would stay pending, and this stream keeps
-            // every message terminal.
-            dup_delay: (!lost && r.is_multiple_of(5)).then_some(2),
-            corrupt: None,
-            forge: None,
-            replay_delay: None,
-            reorder_extra: 0,
+            decision: TransmitDecision {
+                delay: 1 + r % 50,
+                dropped: lost.then_some(if r.is_multiple_of(2) {
+                    DropReason::Loss
+                } else {
+                    DropReason::Partition
+                }),
+                // Duplicates only on surviving frames: a lost frame with
+                // a surviving copy would stay pending, and this stream
+                // keeps every message terminal.
+                dup_delay: (!lost && r.is_multiple_of(5)).then_some(2),
+                ..TransmitDecision::default()
+            },
         }));
         if m.is_multiple_of(6) {
             out.push(KernelEvent::Wire(WireRecord {
@@ -181,13 +182,10 @@ fn synthetic_stream(seed: u64, msgs: usize) -> Vec<KernelEvent> {
                     bytes: 4,
                     retransmit: false,
                 },
-                delay: 2,
-                dropped: None,
-                dup_delay: None,
-                corrupt: None,
-                forge: None,
-                replay_delay: None,
-                reorder_extra: 0,
+                decision: TransmitDecision {
+                    delay: 2,
+                    ..TransmitDecision::default()
+                },
             }));
         }
         if !lost {
@@ -233,13 +231,11 @@ fn latency_tracker_memory_stays_bounded_over_a_million_messages() {
                         bytes: 8,
                         retransmit: false,
                     },
-                    delay: 3,
-                    dropped: lost(i).then_some(DropReason::Loss),
-                    dup_delay: None,
-                    corrupt: None,
-                    forge: None,
-                    replay_delay: None,
-                    reorder_extra: 0,
+                    decision: TransmitDecision {
+                        delay: 3,
+                        dropped: lost(i).then_some(DropReason::Loss),
+                        ..TransmitDecision::default()
+                    },
                 }),
             ]);
             if lost(i) {

@@ -7,7 +7,9 @@ use msgorder_runs::{MessageId, ProcessId};
 use msgorder_simnet::{
     Ctx, FaultModel, KernelEvent, LatencyModel, PayloadKind, Protocol, Workload,
 };
-use msgorder_trace::{record, record_with, replay, Setup, SimErrorExt, Trace, TraceError};
+use msgorder_trace::{
+    fingerprint, record, record_with, replay, Setup, SimErrorExt, Trace, TraceError, TRACE_VERSION,
+};
 use proptest::prelude::*;
 
 fn setup(protocol: &str, reliable: bool, faults: FaultModel, seed: u64, msgs: usize) -> Setup {
@@ -87,7 +89,7 @@ fn tampered_trace_fails_fingerprint() {
         .position(|e| matches!(e, KernelEvent::Wire(_)))
         .expect("some wire record");
     if let KernelEvent::Wire(w) = &mut trace.events[pos] {
-        w.delay += 1;
+        w.decision.delay += 1;
     }
     let report = replay(&trace).expect("replay runs");
     assert!(
@@ -214,7 +216,7 @@ fn no_retransmissions_after_the_attempt_budget() {
         "exactly the attempt budget, not one frame more"
     );
     assert!(
-        user_frames.iter().all(|w| w.dropped.is_some()),
+        user_frames.iter().all(|w| w.decision.dropped.is_some()),
         "the partition ate every attempt"
     );
 }
@@ -400,11 +402,64 @@ fn malformed_jsonl_is_rejected_with_structure() {
         Err(TraceError::Schema(_))
     ));
     // Future schema versions are refused, not misread.
-    let bumped = good.replacen("\"version\":1", "\"version\":999", 1);
+    let bumped = good.replacen(
+        &format!("\"version\":{TRACE_VERSION}"),
+        "\"version\":999",
+        1,
+    );
+    assert_ne!(bumped, good);
     assert!(matches!(
         Trace::from_jsonl(&bumped),
         Err(TraceError::Schema(_))
     ));
+}
+
+fn golden(name: &str) -> String {
+    let path = format!("{}/../../tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(path).expect("golden reads")
+}
+
+/// The goldens were rewritten from schema v1 to v2 without moving an
+/// event: the fingerprint hashes events, not bytes, so each footer
+/// carries — and each event stream recomputes — its v1 value, and the
+/// derived schema writes each file back byte for byte.
+#[test]
+fn v2_goldens_keep_their_v1_fingerprints() {
+    for (name, pin) in [
+        ("trace-v2.jsonl", 15041617536091139050),
+        ("shrunk-v2.jsonl", 7224746513626374873),
+        ("shrunk-adversarial-v2.jsonl", 10760362535232550892),
+    ] {
+        let text = golden(name);
+        let trace = Trace::from_jsonl(&text).expect("golden parses");
+        assert_eq!(trace.header.version, TRACE_VERSION, "{name}");
+        assert_eq!(trace.footer.fingerprint, pin, "{name}");
+        assert_eq!(
+            fingerprint(trace.header.setup.processes, &trace.events),
+            pin,
+            "{name}"
+        );
+        assert_eq!(trace.to_jsonl().expect("serializes"), text, "{name}");
+    }
+}
+
+/// A v1 header is refused by its version even though its fault model
+/// lacks a key v2 requires: the number is read before the fields.
+#[test]
+fn a_v1_header_is_refused_by_its_version() {
+    let v1 = golden("trace-v2.jsonl")
+        .replacen("\"version\":2", "\"version\":1", 1)
+        .replacen(
+            ",\"adversarial\":{\"corrupt\":0.0,\"forge\":0.0,\"replay_stale\":0.0,\"reorder\":0.0}",
+            "",
+            1,
+        );
+    match Trace::from_jsonl(&v1) {
+        Err(TraceError::Schema(why)) => {
+            assert_eq!(why, "trace version 1 (this build reads 2)");
+        }
+        other => panic!("expected a version refusal, got {other:?}"),
+    }
 }
 
 #[test]

@@ -75,8 +75,10 @@ struct Instance {
 /// says `Bye`.
 ///
 /// # Errors
-/// Dial/handshake failures, an unknown protocol in the announced setup,
-/// or a connection loss the backoff budget could not outlast.
+/// Dial/handshake failures, an announced setup that fails
+/// [`Setup::validate`](msgorder_trace::Setup::validate) or names an
+/// unknown protocol, or a connection loss the backoff budget could not
+/// outlast.
 pub fn run_client(opts: &ClientOptions) -> Result<ClientReport, TransportError> {
     let mut instance: Option<Instance> = None;
     let mut cache: Option<ActionMsg> = None;
@@ -107,6 +109,12 @@ pub fn run_client(opts: &ClientOptions) -> Result<ClientReport, TransportError> 
                 "server speaks wire version {version}, this build only {WIRE_VERSION}"
             )));
         }
+        // The setup sizes and indexes everything below (the protocol's
+        // per-process state, the workload the environment admits events
+        // against), so a malformed one is refused before it is trusted.
+        setup
+            .validate()
+            .map_err(|e| TransportError::Handshake(format!("invalid setup: {e}")))?;
         framed.enable_crc();
         if let Some(seed) = opts.wire_chaos {
             framed.enable_chaos(seed ^ opts.node as u64);

@@ -77,13 +77,17 @@ pub const CH_ACTION: u8 = 2;
 ///   skipped and counted instead of killing the connection;
 /// - `3` — [`EventMsg`] and [`ActionMsg`] travel in the fixed-width
 ///   binary encoding described in the [module docs](self) instead of
-///   JSON.
+///   JSON;
+/// - `4` — the `Welcome`'s [`Setup`] is written in trace schema v2
+///   ([`msgorder_trace::TRACE_VERSION`]): every [`FaultModel`] key is
+///   always present.
 ///
+/// [`FaultModel`]: msgorder_simnet::FaultModel
 /// Both handshake messages state the speaker's version and either side
 /// refuses a peer announcing any other: there is nothing to negotiate.
 /// The handshake itself is JSON in plain framing; every frame after the
 /// `Welcome` is checksummed.
-pub const WIRE_VERSION: u16 = 3;
+pub const WIRE_VERSION: u16 = 4;
 
 /// Handshake and lifecycle messages on [`CH_CONTROL`].
 // `Welcome` dwarfs the other variants because it carries the full run

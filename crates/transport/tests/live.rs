@@ -5,7 +5,8 @@
 //! event stream, same verdict.
 
 use msgorder_simnet::{
-    FaultModel, HostDriver, HostEvent, InProcessHost, LatencyModel, RealtimeKernel, Workload,
+    FaultModel, HostDriver, HostEvent, InProcessHost, LatencyModel, RealtimeKernel, SendSpec,
+    Workload,
 };
 use msgorder_trace::{assemble_trace, replay, Recorder, Setup, Trace};
 use msgorder_transport::wire::{ActionMsg, ControlMsg, EventMsg, FramedConn, Incoming};
@@ -192,6 +193,11 @@ fn live_setup(protocol: &str, reliable: bool, messages: usize, spec: Option<&str
     }
 }
 
+/// The setup the hand-rolled servers below announce.
+fn causal_rst_setup() -> Setup {
+    live_setup("causal-rst", false, 3, None)
+}
+
 /// Runs `setup` live over real sockets: a serving thread and one client
 /// thread per process, all speaking the framed wire protocol.
 fn run_live(endpoint: Endpoint, setup: Setup) -> Trace {
@@ -345,9 +351,13 @@ fn wire_chaos_frames_are_rejected_counted_and_replay_survives() {
 }
 
 /// How `run_client` ends against a hand-rolled server that answers its
-/// `Hello` with a `Welcome` announcing `version`, sends it `event`, and
-/// reads no reply.
-fn client_outcome(version: u16, event: &EventMsg) -> Result<ClientReport, TransportError> {
+/// `Hello` with a `Welcome` announcing `setup` and `version`, sends it
+/// `event`, and reads no reply.
+fn client_outcome(
+    setup: Setup,
+    version: u16,
+    event: &EventMsg,
+) -> Result<ClientReport, TransportError> {
     let listener = Endpoint::Unix(sock_path()).listen().expect("binds");
     let mut copts = ClientOptions::new(listener.local_endpoint().expect("has an address"), 0);
     // A client that wrongly answers the event then waits for the next
@@ -364,10 +374,7 @@ fn client_outcome(version: u16, event: &EventMsg) -> Result<ClientReport, Transp
             version: WIRE_VERSION
         })
     );
-    let welcome = ControlMsg::Welcome {
-        setup: live_setup("causal-rst", false, 3, None),
-        version,
-    };
+    let welcome = ControlMsg::Welcome { setup, version };
     framed.send_control(&welcome).expect("welcome");
     framed.enable_crc();
     // A client that refused the Welcome has hung up by now; whether this
@@ -405,7 +412,7 @@ fn client_refuses_events_naming_unknown_ids() {
     for ev in [unknown_message, unknown_sender] {
         let event = EventMsg { seq: 0, now: 0, ev };
         assert_invalid_data(
-            client_outcome(WIRE_VERSION, &event),
+            client_outcome(causal_rst_setup(), WIRE_VERSION, &event),
             "unknown message or process",
         );
     }
@@ -422,7 +429,7 @@ fn client_refuses_an_event_that_skips_a_sequence_number() {
         ev: HostEvent::Init,
     };
     assert_invalid_data(
-        client_outcome(WIRE_VERSION, &event),
+        client_outcome(causal_rst_setup(), WIRE_VERSION, &event),
         "event seq 1 skips past 0",
     );
 }
@@ -436,14 +443,58 @@ fn client_refuses_a_welcome_of_another_version() {
         now: 0,
         ev: HostEvent::Init,
     };
-    for version in [2, 4] {
-        match client_outcome(version, &event) {
+    for version in [WIRE_VERSION - 1, WIRE_VERSION + 1] {
+        match client_outcome(causal_rst_setup(), version, &event) {
             Err(TransportError::Handshake(why)) => assert!(
                 why.contains(&format!("version {version},"))
                     && why.contains(&format!("only {WIRE_VERSION}")),
                 "{why}"
             ),
             other => panic!("version {version}: expected a handshake refusal, got {other:?}"),
+        }
+    }
+}
+
+/// The `Setup` a `Welcome` carries sizes the client's protocol and
+/// indexes its workload, so the client checks it before building
+/// anything from it. Unchecked, a `causal-rst` send to a process the run
+/// does not have passed `HostEnv::admits` (the message exists) and the
+/// protocol indexed its `n × n` matrix out of bounds on the first
+/// request; a huge process count would have sized that matrix.
+#[test]
+fn client_refuses_a_welcome_with_an_invalid_setup() {
+    let request = EventMsg {
+        seq: 0,
+        now: 0,
+        ev: HostEvent::Request {
+            msg: msgorder_runs::MessageId(0),
+        },
+    };
+    let mut out_of_range = causal_rst_setup();
+    out_of_range.processes = 2;
+    out_of_range.workload = Workload {
+        sends: vec![SendSpec {
+            at: 0,
+            src: 0,
+            dst: 7,
+            color: None,
+        }],
+    };
+    let mut huge = causal_rst_setup();
+    huge.processes = 4_000_000_000;
+    for (setup, needle) in [
+        (
+            out_of_range,
+            "send 0 (P0 -> P7) names a process out of range",
+        ),
+        (huge, "4000000000 processes (at most 256)"),
+    ] {
+        match client_outcome(setup, WIRE_VERSION, &request) {
+            Err(TransportError::Handshake(why)) => assert!(
+                why.starts_with("invalid setup: ") && why.contains(needle),
+                "{why}"
+            ),
+            other => panic!("expected a handshake refusal naming {needle:?}, got {other:?}"),
         }
     }
 }
@@ -479,11 +530,13 @@ fn server_refuses_hellos_it_cannot_serve() {
         version,
     };
     let only = format!("only {WIRE_VERSION}");
+    let below = format!("version {},", WIRE_VERSION - 1);
+    let above = format!("version {},", WIRE_VERSION + 1);
     let cases = [
         (hello(0, 0, 0), vec!["version 0,", &only]),
         (hello(0, 0, 1), vec!["version 1,", &only]),
-        (hello(0, 0, 2), vec!["version 2,", &only]),
-        (hello(0, 0, 4), vec!["version 4,", &only]),
+        (hello(0, 0, WIRE_VERSION - 1), vec![&below, &only]),
+        (hello(0, 0, WIRE_VERSION + 1), vec![&above, &only]),
         (hello(3, 0, WIRE_VERSION), vec!["process id 3 out of range"]),
         (
             hello(0, 2, WIRE_VERSION),

@@ -318,7 +318,7 @@ fn replay_metrics_from_recorded_events() {
 
 #[test]
 fn golden_trace_replays() {
-    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/trace-v1.jsonl");
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/trace-v2.jsonl");
     let (ok, stdout, stderr) = msgorder(&["replay", golden]);
     assert!(ok, "golden trace must keep replaying: {stdout}{stderr}");
     assert!(stdout.contains("REPLAY OK"), "{stdout}");
@@ -367,7 +367,7 @@ fn shrink_minimizes_a_stalled_trace_end_to_end() {
 
 #[test]
 fn golden_shrunk_trace_replays_and_reshrinks_to_itself() {
-    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/shrunk-v1.jsonl");
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/shrunk-v2.jsonl");
     let (ok, stdout, stderr) = msgorder(&["replay", golden]);
     assert!(
         ok,
@@ -432,7 +432,7 @@ fn hand_edited_trace_headers_are_errors_not_panics() {
     ];
     let dir = std::env::temp_dir().join(format!("msgorder-cli-headers-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for golden in ["trace-v1", "shrunk-v1", "shrunk-adversarial-v1"] {
+    for golden in ["trace-v2", "shrunk-v2", "shrunk-adversarial-v2"] {
         let path = format!("{}/tests/golden/{golden}.jsonl", env!("CARGO_MANIFEST_DIR"));
         let text = std::fs::read_to_string(&path).unwrap();
         Trace::from_jsonl(&text).expect("the untouched golden loads");
@@ -460,6 +460,20 @@ fn hand_edited_trace_headers_are_errors_not_panics() {
                 );
             }
         }
+        // A header of another schema version is refused by its number.
+        let edited = format!("{}\n{events}", with_field(header, "version", "1"));
+        assert!(
+            matches!(Trace::from_jsonl(&edited), Err(TraceError::Schema(_))),
+            "{golden}: from_jsonl must refuse version 1"
+        );
+        let file = dir.join(format!("{golden}.jsonl"));
+        std::fs::write(&file, &edited).unwrap();
+        let (ok, _, stderr) = msgorder(&["replay", file.to_str().unwrap()]);
+        assert!(
+            !ok && stderr.contains("trace version 1 (this build reads 2)")
+                && !stderr.contains("panicked"),
+            "{golden}: {stderr}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

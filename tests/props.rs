@@ -8,7 +8,10 @@ use msgorder::poset::{Poset, TransitiveClosure};
 use msgorder::predicate::{eval, ForbiddenPredicate, Var};
 use msgorder::runs::generator::{random_causal_run, random_user_run, GenParams};
 use msgorder::runs::limit_sets;
+use msgorder::trace::{replay, shrink, Trace};
 use proptest::prelude::*;
+use serde_json::Value;
+use std::panic::catch_unwind;
 
 /// Strategy: a random predicate over `n ∈ [2, 5]` variables with
 /// `e ∈ [1, 8]` conjuncts between distinct variables.
@@ -28,6 +31,75 @@ fn arb_predicate() -> impl Strategy<Value = ForbiddenPredicate> {
             }
             b.finish()
         })
+}
+
+/// The checked-in traces whose event lines the edit property mutates.
+const GOLDENS: [&str; 3] = [
+    include_str!("golden/trace-v2.jsonl"),
+    include_str!("golden/shrunk-v2.jsonl"),
+    include_str!("golden/shrunk-adversarial-v2.jsonl"),
+];
+
+/// The enum tags an event line can carry, each with its siblings.
+const VARIANTS: [&[&str]; 6] = [
+    &["Run", "Wire", "Fault"],
+    &["Invoke", "Send", "Receive", "Deliver"],
+    &["User", "Control"],
+    &["Partition", "Loss"],
+    &[
+        "ArrivalAtCrashed",
+        "DeferredToRestart",
+        "LostToCrash",
+        "Rejected",
+    ],
+    &["Malformed", "StaleEpoch", "Replayed", "Unexpected"],
+];
+
+/// `tag`'s sibling variant number `pick` (never `tag` itself).
+fn sibling(tag: &str, pick: u64) -> Option<&'static str> {
+    let group = VARIANTS.iter().find(|g| g.contains(&tag))?;
+    let at = group.iter().position(|t| *t == tag)?;
+    let step = 1 + pick as usize % (group.len() - 1);
+    Some(group[(at + step) % group.len()])
+}
+
+/// Rebuilds `v` with one edit at the site numbered `target`, counting
+/// sites depth-first into `seen`: every object key (deleted), every
+/// variant tag (swapped for a sibling) and every integer (set to 0,
+/// moved by ±1 or set to `u64::MAX`). `pick` chooses among the edits.
+fn edit_site(v: &Value, target: usize, pick: u64, seen: &mut usize) -> Value {
+    let hit = |seen: &mut usize| {
+        *seen += 1;
+        *seen - 1 == target
+    };
+    match v {
+        Value::Object(m) => {
+            let single = m.len() == 1;
+            let mut out = serde_json::Map::new();
+            for (key, inner) in m.iter() {
+                if hit(seen) {
+                    continue; // the key is deleted
+                }
+                let key = match sibling(key, pick).filter(|_| single) {
+                    Some(swapped) if hit(seen) => swapped.to_owned(),
+                    _ => key.clone(),
+                };
+                out.insert(key, edit_site(inner, target, pick, seen));
+            }
+            Value::Object(out)
+        }
+        Value::Str(s) => match sibling(s, pick) {
+            Some(swapped) if hit(seen) => Value::Str(swapped.to_owned()),
+            _ => v.clone(),
+        },
+        Value::Int(i) if hit(seen) => Value::Int(match pick % 4 {
+            0 => 0,
+            1 => i + 1,
+            2 => i - 1,
+            _ => i128::from(u64::MAX),
+        }),
+        _ => v.clone(),
+    }
 }
 
 proptest! {
@@ -157,6 +229,50 @@ proptest! {
     #[test]
     fn parser_never_panics(input in ".{0,80}") {
         let _ = msgorder::predicate::ForbiddenPredicate::parse(&input);
+    }
+
+    /// One edit to one field of one event line of a golden trace never
+    /// causes a panic: the edited file fails to parse, or it parses and
+    /// replay refuses it (an error, or a report that is not `ok()` —
+    /// the fingerprint covers every field of every event), while
+    /// classifying and shrinking it return whatever they return.
+    #[test]
+    fn edited_event_lines_never_panic(
+        golden in 0usize..GOLDENS.len(),
+        line in any::<u64>(),
+        site in any::<u64>(),
+        pick in any::<u64>(),
+    ) {
+        let text = GOLDENS[golden];
+        let original = Trace::from_jsonl(text).expect("golden parses");
+        let lines: Vec<&str> = text.lines().collect();
+        let events: Vec<usize> =
+            (0..lines.len()).filter(|&i| lines[i].starts_with("{\"Event\"")).collect();
+        let at = events[line as usize % events.len()];
+        let value: Value = serde_json::from_str(lines[at]).expect("event line is JSON");
+        let mut sites = 0;
+        edit_site(&value, usize::MAX, pick, &mut sites);
+        let edited = edit_site(&value, site as usize % sites, pick, &mut 0);
+        let mut edited_lines = lines.clone();
+        let edited_line = serde_json::to_string(&edited).expect("writes");
+        edited_lines[at] = &edited_line;
+        let edited_text = edited_lines.join("\n");
+
+        let outcome = catch_unwind(|| {
+            let trace = Trace::from_jsonl(&edited_text).ok()?;
+            let replayed = replay(&trace).map(|report| report.ok());
+            let _ = shrink::classify_trace(&trace);
+            let _ = shrink::shrink(&trace);
+            Some((trace, replayed))
+        });
+        prop_assert!(outcome.is_ok(), "panicked on edited line {}", edited_line);
+        if let Ok(Some((trace, replayed))) = outcome {
+            // An edit may leave the parsed trace as it was (a deleted
+            // `null`, a 0 set to 0); any other must not replay clean.
+            if trace != original {
+                prop_assert!(!matches!(replayed, Ok(true)), "edited line {} replayed OK", edited_line);
+            }
+        }
     }
 
     /// Realization preserves the abstract order and its violations.
