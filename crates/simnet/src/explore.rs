@@ -29,13 +29,17 @@
 //!    dispatches but one, preserving the *set* of terminal
 //!    configurations and therefore the set of distinct runs — and in
 //!    particular every violating configuration.
-//! 2. **Incremental state keys** ([`ExploreOptions::dedup`]). The
-//!    canonical configuration key is maintained per dispatch (per-node
-//!    protocol encodings, per-process run chains, a mirrored pool
-//!    encoding) instead of re-hashed from scratch, together with a
-//!    128-bit rolling fingerprint. The seen-set can be exact
-//!    (full keys), or compact (fingerprints only) with an optional
-//!    bound and disk spill so state counts can exceed RAM.
+//! 2. **Incremental state keys** ([`ExploreOptions::dedup`]). A
+//!    configuration is a handful of components — per-process run-event
+//!    chains, per-node protocol states, the pending pool, and each
+//!    process's issued-request count — updated per dispatch together
+//!    with a 128-bit rolling fingerprint, never re-hashed from scratch.
+//!    The exact seen-set hash-conses every component value once per
+//!    exploration (SPIN's collapse compression) and keys a state by the
+//!    short vector of its component ids, so two states merge iff every
+//!    component is byte-identical. The compact seen-set keeps
+//!    fingerprints only, with an optional bound and disk spill so state
+//!    counts can exceed RAM.
 //! 3. **Threads** ([`ExploreOptions::threads`]). A run is its partial
 //!    order, not its interleaving, so the explorer's contract is the
 //!    *set* of terminal configurations, and the single-thread search —
@@ -63,9 +67,10 @@ use crate::liveness::{self, LivenessVerdict};
 use crate::workload::Workload;
 use msgorder_runs::{StreamingRun, SystemEvent, SystemRun};
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -139,13 +144,14 @@ pub enum DedupMode {
 
 /// Tuning knobs for [`explore`] and [`explore_monitored`].
 ///
-/// Deduplication (either mode) requires a quiet [`FaultModel`]: the
-/// probabilistic fault stream is part of the configuration but cannot
-/// be keyed, so both entries panic on that combination.
-/// Partial-order reduction with non-quiet faults silently degrades to
-/// the full search instead — fault verdicts make same-channel events
+/// Two knobs take effect only under a quiet [`FaultModel`], and both
+/// silently degrade under any other. Deduplication (either mode)
+/// becomes [`DedupMode::Off`]: the probabilistic fault stream is part
+/// of the configuration but cannot be keyed. Partial-order reduction
+/// becomes the full search: fault verdicts make same-channel events
 /// rediscoverable in any order, so no two events are treated as
-/// independent.
+/// independent. [`ExploreOptions::validate`] reports the first case for
+/// callers that would rather refuse it.
 #[derive(Debug, Clone)]
 pub struct ExploreOptions {
     /// Stop after this many completed schedules (`usize::MAX` = never).
@@ -182,18 +188,35 @@ impl Default for ExploreOptions {
 }
 
 impl ExploreOptions {
-    fn assert_valid(&self) {
-        assert!(
-            self.dedup == DedupMode::Off || self.faults.is_quiet(),
-            "configuration deduplication requires a quiet fault model: \
-             the probabilistic fault stream is part of the configuration \
-             but cannot be keyed"
-        );
+    /// Checks that the seen-set takes effect as set.
+    ///
+    /// # Errors
+    /// A [`dedup`](ExploreOptions::dedup) other than [`DedupMode::Off`]
+    /// under a non-quiet fault model, which the search would run without
+    /// a seen-set. The message starts with the field's name.
+    pub fn validate(&self) -> Result<(), String> {
+        if *self.dedup_effective() != self.dedup {
+            return Err(
+                "dedup requires a quiet fault model: the probabilistic fault \
+                        stream is part of the configuration but cannot be keyed"
+                    .into(),
+            );
+        }
+        Ok(())
     }
 
     /// Whether partial-order reduction is actually in force.
     fn por_effective(&self) -> bool {
         self.por && self.faults.is_quiet()
+    }
+
+    /// The seen-set actually in force.
+    fn dedup_effective(&self) -> &DedupMode {
+        if self.faults.is_quiet() {
+            &self.dedup
+        } else {
+            &DedupMode::Off
+        }
     }
 }
 
@@ -241,8 +264,9 @@ impl RunObserver for Unobserved {
 /// and is returned as [`Exploration::error`] with its partial trace.
 ///
 /// # Panics
-/// Panics on deduplication combined with a non-quiet fault model (see
-/// [`ExploreOptions`]); worker panics propagate.
+/// Only by propagating a panic of the protocol, the visitor or a
+/// worker thread. Every [`ExploreOptions`] value is accepted; knobs a
+/// noisy fault model disables degrade (see there).
 pub fn explore<P, V>(
     processes: usize,
     workload: Workload,
@@ -279,7 +303,7 @@ where
 /// still sees exactly the uncondemned distinct runs.
 ///
 /// # Panics
-/// As [`explore`].
+/// As [`explore`], and by propagating a panic of the monitor.
 pub fn explore_monitored<P, M, V>(
     processes: usize,
     workload: Workload,
@@ -432,17 +456,29 @@ impl<P: Protocol + Hash> State<P> {
         }
     }
 
-    /// Dispatches `ev`, feeds freshly journaled run events to the key
-    /// cache and the monitor, and folds newly scheduled events into
-    /// the pool. Returns `true` if the monitor condemned the prefix.
+    /// Dispatches `ev`, folds newly scheduled events into the pool, and
+    /// feeds the dispatch's effects to the key cache (interning its
+    /// components in `interner`, in exact mode) and its freshly
+    /// journaled run events to the monitor. Returns `true` if the
+    /// monitor condemned the prefix.
     ///
     /// The clock stays frozen at `0`: ordering is the explorer's
     /// choice, and path-independent event times are what make commuting
     /// prefixes reach identical configurations.
-    fn execute(&mut self, ev: Scheduled, mon: &mut dyn RunObserver) -> bool {
+    fn execute(
+        &mut self,
+        ev: Scheduled,
+        mon: &mut dyn RunObserver,
+        interner: Option<&Mutex<Interner>>,
+    ) -> bool {
         let node = ev.node;
         self.world.step(&mut self.protocols, node, ev.kind);
+        let first_new = self.pool.len();
+        while let Some(Reverse(nev)) = self.world.queue.pop() {
+            self.pool.push(nev);
+        }
         if let Some(c) = &mut self.cache {
+            let mut table = interner.map(|t| t.lock().expect("no worker panicked interning"));
             // The explorer never journals wire/fault records
             // (record_wire stays off under exploration), so only run
             // events appear. Every run event journaled during a
@@ -450,18 +486,15 @@ impl<P: Protocol + Hash> State<P> {
             // so the cache chains stay per-process-ordered.
             for entry in &self.world.fresh {
                 if let KernelEvent::Run { ev, .. } = entry {
-                    c.chain_append(node, ev);
+                    c.chain_append(node, ev, table.as_deref_mut());
                 }
             }
-            c.set_proto(node, encode_hash(&self.protocols[node]));
+            c.set_proto(node, &self.protocols[node], table.as_deref_mut());
+            for nev in &self.pool[first_new..] {
+                c.pool_push(nev, table.as_deref_mut());
+            }
         }
         let condemned = !self.world.notify_observer(mon);
-        while let Some(Reverse(nev)) = self.world.queue.pop() {
-            if let Some(c) = &mut self.cache {
-                c.pool_push(&nev);
-            }
-            self.pool.push(nev);
-        }
         if self.pool.len() >= POOL_LIMIT {
             self.world.poison_step_limit(POOL_LIMIT, false, false);
         }
@@ -475,36 +508,51 @@ impl<P: Protocol + Hash> State<P> {
 /// search stops, as for any other protocol bug.
 const POOL_LIMIT: usize = 10_000;
 
-/// A [`Hasher`] that records every byte fed to it instead of mixing
-/// them down to 64 bits. Feeding a component's `Hash` impl through it
-/// yields the component's full canonical encoding, so two states key
-/// equal iff their hash material is identical — no truncation, no
-/// collisions beyond what `Hash` itself conflates.
-#[derive(Default)]
-struct KeyRecorder {
-    bytes: Vec<u8>,
+/// A [`Hasher`] that streams a component's `Hash` material into its
+/// FNV-1a digest and, when `bytes` is given, appends it there too: the
+/// component's full canonical encoding, the very bytes the digest read.
+/// Two components encode equal iff their hash material is identical —
+/// no truncation, no collisions beyond what `Hash` itself conflates.
+struct Encoder<'a> {
+    fnv: Fnv128,
+    bytes: Option<&'a mut Vec<u8>>,
 }
 
-impl Hasher for KeyRecorder {
+impl Hasher for Encoder<'_> {
     fn write(&mut self, bytes: &[u8]) {
-        self.bytes.extend_from_slice(bytes);
+        self.fnv.write(bytes);
+        if let Some(buf) = &mut self.bytes {
+            buf.extend_from_slice(bytes);
+        }
     }
     fn finish(&self) -> u64 {
-        unreachable!("KeyRecorder keys are the recorded bytes, never a u64")
+        self.fnv.0 as u64
     }
 }
 
-fn encode_hash<T: Hash + ?Sized>(value: &T) -> Vec<u8> {
-    let mut h = KeyRecorder::default();
-    value.hash(&mut h);
-    h.bytes
+/// The digest of `value`'s encoding, continued from `start`, and — when
+/// `interner` is given — the value's id in `space`.
+fn encode(
+    interner: Option<&mut Interner>,
+    space: Space,
+    start: Fnv128,
+    value: &(impl Hash + ?Sized),
+) -> (Fnv128, Option<u32>) {
+    if let Some(table) = interner {
+        let (fnv, id) = table.intern(space, start, value);
+        return (fnv, Some(id));
+    }
+    let mut enc = Encoder {
+        fnv: start,
+        bytes: None,
+    };
+    value.hash(&mut enc);
+    (enc.fnv, None)
 }
 
-fn encode_scheduled(ev: &Scheduled) -> Vec<u8> {
-    let mut h = KeyRecorder::default();
-    (ev.time, ev.node).hash(&mut h);
-    ev.kind.hash(&mut h);
-    h.bytes
+/// A pool event's component: everything but its tie-breaking `seq`.
+fn pool_component(ev: &Scheduled) -> (u64, usize, &EventKind) {
+    (ev.time, ev.node, &ev.kind)
 }
 
 /// 128-bit FNV-1a, used as a running digest over byte chains and as
@@ -525,12 +573,6 @@ impl Fnv128 {
             self.0 ^= u128::from(b);
             self.0 = self.0.wrapping_mul(FNV128_PRIME);
         }
-    }
-
-    fn of(bytes: &[u8]) -> u128 {
-        let mut f = Fnv128::new();
-        f.write(bytes);
-        f.0
     }
 }
 
@@ -554,115 +596,131 @@ const TAG_PROTO: u64 = 0x50;
 const TAG_POOL: u64 = 0x4f;
 const TAG_REQ: u64 = 0x52;
 
-/// The incrementally maintained canonical configuration key.
+/// The incrementally maintained configuration key.
 ///
 /// A configuration is determined (within one exploration, whose root is
 /// fixed) by: the per-process chains of run events journaled since the
 /// root (the captured run is an order-independent function of them),
 /// the per-node protocol states, the multiset of pending pool events,
 /// and how many requests each process has issued. Kernel bookkeeping is
-/// excluded on the same grounds as before: sequence labels only break
-/// heap ties the explorer ignores, stats are not visitor-observable,
-/// the latency RNG is never consulted under `Fixed` latency, and the
-/// fault RNG is behaviourally inert under the quiet fault models
-/// deduplication is restricted to.
+/// excluded: sequence labels only break heap ties the explorer ignores,
+/// stats are not visitor-observable, the latency RNG is never consulted
+/// under `Fixed` latency, and the fault RNG is behaviourally inert under
+/// the quiet fault models deduplication is restricted to.
 ///
-/// Each dispatch updates only the dispatching node's protocol encoding,
+/// Each dispatch re-encodes only the dispatching node's protocol state,
 /// appends to one chain, and mirrors pool pushes/removals — O(changed)
-/// instead of re-encoding every `BTreeMap` from scratch. Alongside the
-/// exact bytes, a 128-bit rolling fingerprint (`fp`) is kept as a
-/// commutative sum of per-component mixes; it shards the seen-set and
-/// *is* the key in compact mode.
+/// instead of re-encoding every `BTreeMap` from scratch. Every component
+/// keeps its FNV-1a digest, and a 128-bit rolling fingerprint (`fp`) is
+/// kept as a commutative sum of per-component mixes; it shards the
+/// seen-set and *is* the key in compact mode. In exact mode every
+/// component is also interned, and the key is the vector of their ids
+/// ([`KeyCache::exact_key`]); in compact mode the id vectors stay empty.
 #[derive(Clone)]
 struct KeyCache {
-    /// Per-process canonical encodings of run events since the root, in
-    /// dispatch order.
-    chains: Vec<Vec<u8>>,
-    /// Running digest over each chain.
+    /// Per-process [`Interner`] id of the run-event chain since the
+    /// root (exact mode).
+    chain: Vec<u32>,
+    /// Running digest over each chain's encoding.
     chain_fp: Vec<Fnv128>,
-    /// Per-node protocol encodings.
-    proto: Vec<Vec<u8>>,
+    /// Per-node id of the protocol state's encoding (exact mode).
+    proto: Vec<u32>,
     proto_fp: Vec<u128>,
-    /// Mirrors `State::pool` index-for-index.
-    pool: Vec<Vec<u8>>,
+    /// Per pool event id (exact mode); like `pool_fp`, mirrors
+    /// `State::pool` index for index.
+    pool: Vec<u32>,
     pool_fp: Vec<u128>,
     /// Requests issued per process (with the fixed root workload, this
     /// pins the remaining queue).
-    popped: Vec<u64>,
+    popped: Vec<u32>,
     /// The rolling fingerprint.
     fp: u128,
 }
 
 impl KeyCache {
-    fn new<P: Hash>(protocols: &[P], pool: &[Scheduled]) -> Self {
+    /// The root's key; `interner` is given iff deduplication is exact.
+    fn new<P: Hash>(
+        protocols: &[P],
+        pool: &[Scheduled],
+        mut interner: Option<&mut Interner>,
+    ) -> Self {
         let processes = protocols.len();
-        let chains = vec![Vec::new(); processes];
-        let chain_fp = vec![Fnv128::new(); processes];
-        let proto: Vec<Vec<u8>> = protocols.iter().map(|p| encode_hash(p)).collect();
-        let proto_fp: Vec<u128> = proto.iter().map(|b| Fnv128::of(b)).collect();
-        let pool_enc: Vec<Vec<u8>> = pool.iter().map(encode_scheduled).collect();
-        let pool_fp: Vec<u128> = pool_enc.iter().map(|b| Fnv128::of(b)).collect();
-        let popped = vec![0u64; processes];
-        let mut fp = 0u128;
-        for (p, cf) in chain_fp.iter().enumerate() {
-            fp = fp.wrapping_add(mix128(TAG_CHAIN, p as u64, cf.0));
+        let exact = interner.is_some();
+        let mut cache = KeyCache {
+            chain: if exact {
+                vec![0; processes]
+            } else {
+                Vec::new()
+            },
+            chain_fp: vec![Fnv128::new(); processes],
+            proto: Vec::new(),
+            proto_fp: Vec::with_capacity(processes),
+            pool: Vec::new(),
+            pool_fp: Vec::new(),
+            popped: vec![0; processes],
+            fp: 0,
+        };
+        for (i, p) in protocols.iter().enumerate() {
+            let (fnv, id) = encode(interner.as_deref_mut(), Space::Proto, Fnv128::new(), p);
+            cache.proto_fp.push(fnv.0);
+            cache.proto.extend(id);
+            cache.fp = cache.fp.wrapping_add(mix128(TAG_PROTO, i as u64, fnv.0));
         }
-        for (i, &pf) in proto_fp.iter().enumerate() {
-            fp = fp.wrapping_add(mix128(TAG_PROTO, i as u64, pf));
+        for ev in pool {
+            cache.pool_push(ev, interner.as_deref_mut());
         }
-        for &ef in &pool_fp {
-            fp = fp.wrapping_add(mix128(TAG_POOL, 0, ef));
+        for p in 0..processes {
+            cache.fp = cache
+                .fp
+                .wrapping_add(mix128(TAG_CHAIN, p as u64, cache.chain_fp[p].0))
+                .wrapping_add(mix128(TAG_REQ, p as u64, 0));
         }
-        for (p, &c) in popped.iter().enumerate() {
-            fp = fp.wrapping_add(mix128(TAG_REQ, p as u64, u128::from(c)));
-        }
-        KeyCache {
-            chains,
-            chain_fp,
-            proto,
-            proto_fp,
-            pool: pool_enc,
-            pool_fp,
-            popped,
-            fp,
-        }
+        cache
     }
 
-    fn chain_append(&mut self, p: usize, ev: &SystemEvent) {
-        let bytes = encode_hash(ev);
+    fn chain_append(&mut self, p: usize, ev: &SystemEvent, interner: Option<&mut Interner>) {
         self.fp = self
             .fp
             .wrapping_sub(mix128(TAG_CHAIN, p as u64, self.chain_fp[p].0));
-        self.chains[p].extend_from_slice(&bytes);
-        self.chain_fp[p].write(&bytes);
+        // Compact mode keeps no ids; its space is never read.
+        let parent = self.chain.get(p).copied().unwrap_or_default();
+        let (fnv, id) = encode(interner, Space::Chain(parent), self.chain_fp[p], ev);
+        self.chain_fp[p] = fnv;
+        if let Some(id) = id {
+            self.chain[p] = id;
+        }
         self.fp = self
             .fp
             .wrapping_add(mix128(TAG_CHAIN, p as u64, self.chain_fp[p].0));
     }
 
-    fn set_proto(&mut self, node: usize, bytes: Vec<u8>) {
+    fn set_proto(&mut self, node: usize, proto: &impl Hash, interner: Option<&mut Interner>) {
         self.fp = self
             .fp
             .wrapping_sub(mix128(TAG_PROTO, node as u64, self.proto_fp[node]));
-        self.proto_fp[node] = Fnv128::of(&bytes);
-        self.proto[node] = bytes;
+        let (fnv, id) = encode(interner, Space::Proto, Fnv128::new(), proto);
+        self.proto_fp[node] = fnv.0;
+        if let Some(id) = id {
+            self.proto[node] = id;
+        }
         self.fp = self
             .fp
             .wrapping_add(mix128(TAG_PROTO, node as u64, self.proto_fp[node]));
     }
 
-    fn pool_push(&mut self, ev: &Scheduled) {
-        let bytes = encode_scheduled(ev);
-        let f = Fnv128::of(&bytes);
-        self.fp = self.fp.wrapping_add(mix128(TAG_POOL, 0, f));
-        self.pool.push(bytes);
-        self.pool_fp.push(f);
+    fn pool_push(&mut self, ev: &Scheduled, interner: Option<&mut Interner>) {
+        let (fnv, id) = encode(interner, Space::Pool, Fnv128::new(), &pool_component(ev));
+        self.fp = self.fp.wrapping_add(mix128(TAG_POOL, 0, fnv.0));
+        self.pool_fp.push(fnv.0);
+        self.pool.extend(id);
     }
 
     fn pool_remove(&mut self, i: usize) {
         self.fp = self.fp.wrapping_sub(mix128(TAG_POOL, 0, self.pool_fp[i]));
-        self.pool.swap_remove(i);
         self.pool_fp.swap_remove(i);
+        if !self.pool.is_empty() {
+            self.pool.swap_remove(i);
+        }
     }
 
     fn request_pop(&mut self, p: usize) {
@@ -675,41 +733,157 @@ impl KeyCache {
             .wrapping_add(mix128(TAG_REQ, p as u64, u128::from(self.popped[p])));
     }
 
-    /// The full canonical key. Like the original dedup key it is the
-    /// complete hash material, not a digest: a digest collision would
+    /// Writes the exact key into `out`: `[chain; n] ++ [proto; n] ++
+    /// pool count ++ sorted pool ids ++ [popped; n]`. It is the complete
+    /// component material, not a digest: a digest collision would
     /// silently merge two *distinct* configurations and could prune a
     /// reachable violating schedule, which is unacceptable for a model
-    /// checker. All components are length-prefixed so the encoding is
-    /// injective; the pool is canonicalized by sorting its per-event
-    /// encodings (it is an unordered multiset, and commuting prefixes
-    /// produce it in different orders).
-    fn full_key(&self) -> Vec<u8> {
-        let mut h = KeyRecorder::default();
-        self.chains.len().hash(&mut h);
-        for c in &self.chains {
-            c.len().hash(&mut h);
-            h.bytes.extend_from_slice(c);
-        }
-        for b in &self.proto {
-            b.len().hash(&mut h);
-            h.bytes.extend_from_slice(b);
-        }
-        let mut pool_keys: Vec<&Vec<u8>> = self.pool.iter().collect();
-        pool_keys.sort_unstable();
-        pool_keys.len().hash(&mut h);
-        for k in pool_keys {
-            k.len().hash(&mut h);
-            h.bytes.extend_from_slice(k);
-        }
-        for &c in &self.popped {
-            c.hash(&mut h);
-        }
-        h.bytes
+    /// checker. Every id names one encoding, `n` is fixed per
+    /// exploration and the pool is counted, so the vector is injective;
+    /// the pool is an unordered multiset (commuting prefixes produce it
+    /// in different orders), canonicalized by sorting its ids.
+    fn exact_key(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend_from_slice(&self.chain);
+        out.extend_from_slice(&self.proto);
+        let pool_len = u32::try_from(self.pool.len());
+        out.push(pool_len.expect("a pool past POOL_LIMIT poisons the world before any check"));
+        let start = out.len();
+        out.extend_from_slice(&self.pool);
+        out[start..].sort_unstable();
+        out.extend_from_slice(&self.popped);
     }
 }
 
-fn attach_cache<P: Hash>(state: &mut State<P>) {
-    state.cache = Some(Box::new(KeyCache::new(&state.protocols, &state.pool)));
+/// Attaches the root's key cache; `interner` is given iff deduplication
+/// is exact.
+fn attach_cache<P: Hash>(state: &mut State<P>, interner: Option<&Mutex<Interner>>) {
+    let mut table = interner.map(|t| t.lock().expect("no worker panicked interning"));
+    state.cache = Some(Box::new(KeyCache::new(
+        &state.protocols,
+        &state.pool,
+        table.as_deref_mut(),
+    )));
+}
+
+/// Which table of the [`Interner`] a component belongs to.
+enum Space {
+    /// A run-event chain, named by its parent chain's id and the event
+    /// appended to it.
+    Chain(u32),
+    /// A node's protocol state.
+    Proto,
+    /// A pending pool event.
+    Pool,
+}
+
+/// The hash-consing table behind exact keys (collapse compression):
+/// every distinct component value is stored once, as its canonical
+/// bytes, and named by a dense `u32` id. A chain is a trie path — its
+/// id is that of (parent chain id, appended event encoding) — so an
+/// append costs one lookup, and two chains share an id iff their event
+/// sequences are equal. Ids are stable within one exploration; `0` is
+/// the empty chain.
+#[derive(Default)]
+struct Interner {
+    chains: DigestMap<u8, u32>,
+    protos: DigestMap<u8, u32>,
+    pool: DigestMap<u8, u32>,
+    /// Where a component is encoded; its bytes are copied into a table
+    /// only when they are new.
+    scratch: Vec<u8>,
+}
+
+impl Interner {
+    /// Encodes `value` into `space`, continuing the digest from `start`;
+    /// returns the digest and the value's id. A chain's digest runs over
+    /// the whole chain, so it is a function of (parent, event) and finds
+    /// the entry like any other component's.
+    fn intern(
+        &mut self,
+        space: Space,
+        start: Fnv128,
+        value: &(impl Hash + ?Sized),
+    ) -> (Fnv128, u32) {
+        self.scratch.clear();
+        let table = match space {
+            Space::Chain(parent) => {
+                self.scratch.extend_from_slice(&parent.to_le_bytes());
+                &mut self.chains
+            }
+            Space::Proto => &mut self.protos,
+            Space::Pool => &mut self.pool,
+        };
+        let mut enc = Encoder {
+            fnv: start,
+            bytes: Some(&mut self.scratch),
+        };
+        value.hash(&mut enc);
+        let fnv = enc.fnv;
+        if let Some(&mut id) = table.get_mut(fnv.0, &self.scratch) {
+            return (fnv, id);
+        }
+        // Each entry holds its bytes: memory runs out long before 2³²
+        // distinct components.
+        let id = u32::try_from(table.len() + 1).expect("fewer than 2^32 distinct components");
+        table.insert(fnv.0, &self.scratch, id);
+        (fnv, id)
+    }
+}
+
+/// A map found by a precomputed 128-bit digest of its key and verified
+/// against the key itself: the first key seen with a digest sits in
+/// `first`, any other key with that digest in `collided`. A digest
+/// collision therefore costs a second lookup and never merges two keys.
+#[derive(Default)]
+struct DigestMap<T, V> {
+    first: HashMap<u128, (Box<[T]>, V), BuildHasherDefault<Folded>>,
+    collided: HashMap<Box<[T]>, V>,
+}
+
+impl<T: Copy + Eq + Hash, V> DigestMap<T, V> {
+    fn get_mut(&mut self, digest: u128, key: &[T]) -> Option<&mut V> {
+        match self.first.get_mut(&digest) {
+            Some((k, v)) if **k == *key => Some(v),
+            Some(_) => self.collided.get_mut(key),
+            None => None,
+        }
+    }
+
+    /// Inserts a key [`DigestMap::get_mut`] did not find; the boxed copy
+    /// of `key` is the one allocation.
+    fn insert(&mut self, digest: u128, key: &[T], value: V) {
+        match self.first.entry(digest) {
+            Entry::Vacant(slot) => {
+                slot.insert((key.into(), value));
+            }
+            Entry::Occupied(_) => {
+                self.collided.insert(key.into(), value);
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.first.len() + self.collided.len()
+    }
+}
+
+/// Hashes a key that already is a digest: folds its words through
+/// [`mix64`] instead of running SipHash over them.
+#[derive(Default)]
+struct Folded(u64);
+
+impl Hasher for Folded {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = mix64(self.0 ^ u64::from_le_bytes(word));
+        }
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -738,7 +912,9 @@ static SPILL_RUN: AtomicU64 = AtomicU64::new(0);
 struct SeenShards {
     shards: Vec<Mutex<Shard>>,
     mask: usize,
-    exact: bool,
+    /// Exact mode's component table, shared by every worker; `None` in
+    /// compact mode, whose key is the fingerprint alone.
+    interner: Option<Mutex<Interner>>,
     /// Per-shard live-entry bound (`usize::MAX` = unbounded).
     shard_cap: usize,
     /// This run's private spill subdirectory (`<spill>/run-<pid>-<n>`),
@@ -757,14 +933,13 @@ impl Drop for SeenShards {
     }
 }
 
-/// One exact-mode bucket: the full configuration key plus the stored
-/// sleep set the subset rule compares against.
-type ExactEntry = (Vec<u8>, Vec<TKey>);
-
 #[derive(Default)]
 struct Shard {
-    /// Exact mode: fingerprint buckets of (full key, stored sleep set).
-    exact: HashMap<u128, Vec<ExactEntry>>,
+    /// Exact mode: exact key → stored sleep set, found by fingerprint.
+    exact: DigestMap<u32, Vec<TKey>>,
+    /// Exact mode: the probed key, built under the shard lock so that a
+    /// revisit allocates nothing.
+    probe: Vec<u32>,
     /// Compact mode: fingerprint → stored sleep set.
     compact: HashMap<u128, Vec<TKey>>,
     /// Distinct states ever inserted (spilling does not decrement).
@@ -792,7 +967,7 @@ impl SeenShards {
     fn new(dedup: &DedupMode, threads: usize) -> Option<SeenShards> {
         let (exact, max_states, spill) = match dedup {
             DedupMode::Off => return None,
-            DedupMode::Exact => (true, 0usize, None),
+            DedupMode::Exact => (true, 0, None),
             DedupMode::Compact { max_states, spill } => {
                 let run_dir = spill.as_ref().map(|dir| {
                     dir.join(format!(
@@ -817,7 +992,7 @@ impl SeenShards {
         Some(SeenShards {
             shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
             mask: n - 1,
-            exact,
+            interner: exact.then(Mutex::default),
             shard_cap,
             spill,
         })
@@ -833,14 +1008,19 @@ impl SeenShards {
         let mut shard = self.shards[idx]
             .lock()
             .expect("no worker panicked in the seen-set");
-        if self.exact {
-            let key = cache.full_key();
-            let bucket = shard.exact.entry(fp).or_default();
-            if let Some((_, stored)) = bucket.iter_mut().find(|(k, _)| *k == key) {
+        if self.interner.is_some() {
+            let Shard {
+                exact,
+                probe,
+                inserted,
+                ..
+            } = &mut *shard;
+            cache.exact_key(probe);
+            if let Some(stored) = exact.get_mut(fp, probe) {
                 return por_rule(stored, sleep, por);
             }
-            bucket.push((key, sleep.to_vec()));
-            shard.inserted += 1;
+            exact.insert(fp, probe, sleep.to_vec());
+            *inserted += 1;
             return SeenVerdict::Enter;
         }
         // Compact: spilled segments hold only fully-explored states
@@ -1262,7 +1442,8 @@ where
         let mut own = (j < last).then(|| (state.clone(), mon.clone()));
         let (next, child_mon) = own_or_parent(&mut own, state, mon);
         let ev = next.take_transition(pick);
-        let condemned = next.execute(ev, child_mon);
+        let interner = env.seen.and_then(|s| s.interner.as_ref());
+        let condemned = next.execute(ev, child_mon, interner);
         if let Some(e) = next.take_error() {
             sink.error(e);
             return false;
@@ -1333,14 +1514,13 @@ where
     M: RunObserver + Clone + Send,
     V: Fn(&SystemRun) -> bool + Sync,
 {
-    opts.assert_valid();
+    let threads = opts.threads.max(1);
+    let seen = SeenShards::new(opts.dedup_effective(), threads);
     let mut root = initial_state(processes, workload, factory, &opts.faults);
-    if opts.dedup != DedupMode::Off {
-        attach_cache(&mut root);
+    if let Some(seen) = &seen {
+        attach_cache(&mut root, seen.interner.as_ref());
     }
     root.world.record = monitored || root.cache.is_some();
-    let threads = opts.threads.max(1);
-    let seen = SeenShards::new(&opts.dedup, threads);
     let env = Env {
         por: opts.por_effective(),
         max_depth: opts.max_depth,
@@ -1774,32 +1954,249 @@ mod tests {
     }
 
     /// One successor state per enabled branch, in the engine's order.
-    fn branch_states<P: Protocol + Clone + Hash>(state: &State<P>) -> Vec<State<P>> {
+    fn branch_states<P: Protocol + Clone + Hash>(
+        state: &State<P>,
+        interner: &Mutex<Interner>,
+    ) -> Vec<State<P>> {
         let mut out = Vec::new();
         for (_, pick) in state.transitions() {
             let mut next = state.clone();
             let ev = next.take_transition(pick);
-            next.execute(ev, &mut Unobserved);
+            next.execute(ev, &mut Unobserved, Some(interner));
             out.push(next);
         }
         out
     }
 
-    fn canonical_key<P>(state: &State<P>) -> Vec<u8> {
-        state
-            .cache
-            .as_ref()
-            .expect("cache attached at the root")
-            .full_key()
+    /// A stateful protocol: tags each frame with its sender's send
+    /// count, counts per peer the frames it delivered (in a
+    /// `SortedSlab`), and echoes each tag back in a control frame. The
+    /// sender logs odd echoes in arrival order — state the run does not
+    /// determine — and drops even ones, which only the pool then tells
+    /// apart from echoes still in flight.
+    #[derive(Clone, Hash, Default)]
+    struct Tally {
+        sent: u64,
+        seen: crate::SortedSlab<usize, u64>,
+        echoes: Vec<u8>,
+    }
+    impl Protocol for Tally {
+        fn on_send_request(&mut self, ctx: &mut crate::Ctx<'_>, msg: MessageId) {
+            self.sent += 1;
+            ctx.send_user(msg, self.sent.to_le_bytes().to_vec());
+        }
+        fn on_user_frame(
+            &mut self,
+            ctx: &mut crate::Ctx<'_>,
+            from: ProcessId,
+            msg: MessageId,
+            tag: Vec<u8>,
+        ) {
+            *self.seen.get_or_insert_with(from.0, || 0) += 1;
+            ctx.deliver(msg);
+            ctx.send_control(from, tag);
+        }
+        fn on_control_frame(&mut self, _: &mut crate::Ctx<'_>, _: ProcessId, echo: Vec<u8>) {
+            if echo[0] % 2 == 1 {
+                self.echoes.extend(echo);
+            }
+        }
     }
 
-    /// Walks the whole configuration graph, collecting the canonical
-    /// key of every distinct configuration reached.
-    fn collect_keys(state: &State<Immediate>, seen: &mut HashSet<Vec<u8>>) {
-        for next in branch_states(state) {
-            if seen.insert(canonical_key(&next)) {
-                collect_keys(&next, seen);
+    fn fnv(bytes: &[u8]) -> u128 {
+        let mut f = Fnv128::new();
+        f.write(bytes);
+        f.0
+    }
+
+    /// `value`'s canonical encoding, copied out.
+    fn bytes_of(value: &(impl Hash + ?Sized)) -> Vec<u8> {
+        let mut out = Vec::new();
+        value.hash(&mut Encoder {
+            fnv: Fnv128::new(),
+            bytes: Some(&mut out),
+        });
+        out
+    }
+
+    /// The reference oracle: the byte key exact deduplication kept
+    /// before components were interned — every component's encoding
+    /// copied out, length-prefixed and concatenated, the pool sorted by
+    /// encoding — and the fingerprint formula over those bytes. Both
+    /// are recomputed from the state itself, so they also check the
+    /// incremental cache.
+    struct Oracle {
+        /// Run events per process at the root (not part of any chain).
+        root_events: Vec<usize>,
+        /// Unissued requests per process at the root.
+        root_requests: Vec<usize>,
+    }
+
+    impl Oracle {
+        fn new<P>(root: &State<P>) -> Oracle {
+            let processes = root.requests.len();
+            Oracle {
+                root_events: (0..processes)
+                    .map(|p| root.world.builder.sequence(ProcessId(p)).len())
+                    .collect(),
+                root_requests: root.requests.iter().map(VecDeque::len).collect(),
             }
+        }
+
+        /// `(byte key, fingerprint)` of `state`.
+        fn key<P: Hash>(&self, state: &State<P>) -> (Vec<u8>, u128) {
+            let chains: Vec<Vec<u8>> = (0..self.root_events.len())
+                .map(|p| {
+                    let seq = state.world.builder.sequence(ProcessId(p));
+                    seq[self.root_events[p]..]
+                        .iter()
+                        .flat_map(bytes_of)
+                        .collect()
+                })
+                .collect();
+            let proto: Vec<Vec<u8>> = state.protocols.iter().map(bytes_of).collect();
+            let mut pool: Vec<Vec<u8>> = state
+                .pool
+                .iter()
+                .map(|ev| bytes_of(&pool_component(ev)))
+                .collect();
+            let popped: Vec<u64> = (0..self.root_requests.len())
+                .map(|p| (self.root_requests[p] - state.requests[p].len()) as u64)
+                .collect();
+            let mut fp = 0u128;
+            for (p, c) in chains.iter().enumerate() {
+                fp = fp.wrapping_add(mix128(TAG_CHAIN, p as u64, fnv(c)));
+            }
+            for (i, b) in proto.iter().enumerate() {
+                fp = fp.wrapping_add(mix128(TAG_PROTO, i as u64, fnv(b)));
+            }
+            for e in &pool {
+                fp = fp.wrapping_add(mix128(TAG_POOL, 0, fnv(e)));
+            }
+            for (p, &c) in popped.iter().enumerate() {
+                fp = fp.wrapping_add(mix128(TAG_REQ, p as u64, u128::from(c)));
+            }
+            let mut bytes = Vec::new();
+            let mut h = Encoder {
+                fnv: Fnv128::new(),
+                bytes: Some(&mut bytes),
+            };
+            chains.len().hash(&mut h);
+            for c in chains.iter().chain(&proto) {
+                c.len().hash(&mut h);
+                h.write(c);
+            }
+            pool.sort_unstable();
+            pool.len().hash(&mut h);
+            for k in &pool {
+                k.len().hash(&mut h);
+                h.write(k);
+            }
+            for c in popped {
+                c.hash(&mut h);
+            }
+            (bytes, fp)
+        }
+    }
+
+    /// One arrival at a configuration: the oracle's byte key and
+    /// fingerprint, then the cache's interned key and fingerprint.
+    struct Arrival {
+        bytes: Vec<u8>,
+        bytes_fp: u128,
+        ids: Vec<u32>,
+        fp: u128,
+    }
+
+    /// Walks the whole configuration graph of `w` under exact keys and
+    /// returns every arrival — one per edge, plus the root — expanding
+    /// each configuration at its first arrival only.
+    fn arrivals<P: Protocol + Clone + Hash>(
+        processes: usize,
+        w: Workload,
+        factory: impl Fn(usize) -> P,
+    ) -> Vec<Arrival> {
+        let interner = Mutex::default();
+        let mut root = initial_state(processes, w, factory, &FaultModel::none());
+        attach_cache(&mut root, Some(&interner));
+        root.world.record = true;
+        let oracle = Oracle::new(&root);
+        let arrive = |state: &State<P>| {
+            let (bytes, bytes_fp) = oracle.key(state);
+            let cache = state.cache.as_ref().expect("cache attached at the root");
+            let mut ids = Vec::new();
+            cache.exact_key(&mut ids);
+            Arrival {
+                bytes,
+                bytes_fp,
+                ids,
+                fp: cache.fp,
+            }
+        };
+        let mut out = vec![arrive(&root)];
+        let mut expanded: HashSet<Vec<u8>> = HashSet::from([out[0].bytes.clone()]);
+        let mut stack = vec![root];
+        while let Some(state) = stack.pop() {
+            for next in branch_states(&state, &interner) {
+                let a = arrive(&next);
+                if expanded.insert(a.bytes.clone()) {
+                    stack.push(next);
+                }
+                out.push(a);
+            }
+        }
+        out
+    }
+
+    /// Distinct byte keys, distinct interned keys, distinct pairs: all
+    /// three are equal iff interned keys are equal exactly when byte
+    /// keys are.
+    fn distinct_keys(arrivals: &[Arrival]) -> (usize, usize, usize) {
+        let bytes: HashSet<&[u8]> = arrivals.iter().map(|a| &a.bytes[..]).collect();
+        let ids: HashSet<&[u32]> = arrivals.iter().map(|a| &a.ids[..]).collect();
+        let pairs: HashSet<(&[u8], &[u32])> = arrivals
+            .iter()
+            .map(|a| (&a.bytes[..], &a.ids[..]))
+            .collect();
+        (bytes.len(), ids.len(), pairs.len())
+    }
+
+    #[test]
+    fn digest_collisions_never_share_an_id() {
+        // Two chains with different parents, appending the same event
+        // from the same running digest, collide on the digest: their
+        // bytes still name two chains.
+        let mut interner = Interner::default();
+        let ev = SystemEvent::new(MessageId(0), msgorder_runs::EventKind::Send);
+        let (d1, a) = interner.intern(Space::Chain(1), Fnv128::new(), &ev);
+        let (d2, b) = interner.intern(Space::Chain(2), Fnv128::new(), &ev);
+        assert_eq!(d1, d2);
+        assert_ne!(a, b, "a digest collision merged two chains");
+        assert_eq!(interner.intern(Space::Chain(2), Fnv128::new(), &ev).1, b);
+        // The seen-set's table, every key under one fingerprint.
+        let mut seen: DigestMap<u32, usize> = DigestMap::default();
+        seen.insert(7, &[1, 2], 0);
+        seen.insert(7, &[1, 3], 1);
+        assert_eq!(seen.get_mut(7, &[1, 2]), Some(&mut 0));
+        assert_eq!(seen.get_mut(7, &[1, 3]), Some(&mut 1));
+        assert_eq!(seen.get_mut(7, &[1, 4]), None);
+        assert_eq!(seen.len(), 2);
+    }
+
+    #[test]
+    fn interned_keys_are_exactly_as_fine_as_byte_keys() {
+        for arrivals in [
+            arrivals(3, fan_out(), |_| Immediate),
+            arrivals(3, fan_out(), |_| Tally::default()),
+        ] {
+            let (bytes, ids, pairs) = distinct_keys(&arrivals);
+            assert_eq!((ids, pairs), (bytes, bytes), "keys split or merged");
+            assert!(bytes > 10);
+            assert!(
+                arrivals.len() > bytes,
+                "commuting prefixes must revisit configurations: {} arrivals, {bytes} keys",
+                arrivals.len()
+            );
         }
     }
 
@@ -1808,11 +2205,12 @@ mod tests {
         // Regression for the 64-bit-digest dedup key: a digest collision
         // silently merges two distinct configurations, and in a model
         // checker that can prune a reachable *violating* schedule. The
-        // canonical key is the full hash material, so distinct
+        // exact key is the full component material, so distinct
         // configurations always key distinct — demonstrated here by
-        // pigeonhole: over an 8-bit truncation of the same material,
+        // pigeonhole: over an 8-bit truncation of the same key,
         // collisions are guaranteed once we have > 256 distinct
-        // configurations, yet every full key stays unique.
+        // configurations, yet the interned keys stay as distinct as the
+        // byte keys.
         let w = Workload {
             sends: (0..5)
                 .map(|i| SendSpec {
@@ -1823,62 +2221,55 @@ mod tests {
                 })
                 .collect(),
         };
-        let mut root = initial_state(3, w, |_| Immediate, &FaultModel::none());
-        attach_cache(&mut root);
-        root.world.record = true;
-        let mut keys = HashSet::new();
-        keys.insert(canonical_key(&root));
-        collect_keys(&root, &mut keys);
+        let arrivals = arrivals(3, w, |_| Immediate);
+        let (bytes, ids, pairs) = distinct_keys(&arrivals);
+        assert_eq!((ids, pairs), (bytes, bytes));
         assert!(
-            keys.len() > 256,
+            ids > 256,
             "need > 256 distinct configurations for the pigeonhole \
-             argument, got {}",
-            keys.len()
+             argument, got {ids}"
         );
-        // Truncate each canonical key to 8 bits the way any fixed-width
-        // digest would: distinct configurations now collide...
-        let truncated: HashSet<u8> = keys
+        // Truncate each exact key to 8 bits the way any fixed-width
+        // digest would: distinct configurations now collide.
+        let truncated: HashSet<u8> = arrivals
             .iter()
-            .map(|k| {
+            .map(|a| {
                 use std::collections::hash_map::DefaultHasher;
                 let mut h = DefaultHasher::new();
-                k.hash(&mut h);
+                a.ids.hash(&mut h);
                 h.finish() as u8
             })
             .collect();
         assert!(
-            truncated.len() < keys.len(),
+            truncated.len() < ids,
             "a truncated digest must collide on this many configurations"
         );
-        // ...while the full canonical keys are all distinct by
-        // construction (they are the deduplicating set itself).
     }
 
     #[test]
     fn incremental_fingerprint_is_path_independent() {
-        // Two commuting prefixes must reach byte-identical keys and the
-        // same rolling fingerprint; distinct configurations must not.
-        let mut root = initial_state(3, fan_out(), |_| Immediate, &FaultModel::none());
-        attach_cache(&mut root);
-        root.world.record = true;
-        let mut by_key: HashMap<Vec<u8>, u128> = HashMap::new();
-        fn walk(state: &State<Immediate>, by_key: &mut HashMap<Vec<u8>, u128>) {
-            let key = canonical_key(state);
-            let fp = state.cache.as_ref().expect("cache").fp;
-            if let Some(prev) = by_key.insert(key, fp) {
-                assert_eq!(prev, fp, "same key must imply same fingerprint");
-                return;
+        // Two commuting prefixes must reach identical keys and the same
+        // rolling fingerprint — the formula over the oracle's bytes;
+        // distinct configurations must not.
+        for arrivals in [
+            arrivals(3, fan_out(), |_| Immediate),
+            arrivals(3, fan_out(), |_| Tally::default()),
+        ] {
+            let mut by_key: HashMap<&[u32], u128> = HashMap::new();
+            for a in &arrivals {
+                assert_eq!(a.fp, a.bytes_fp, "fingerprint drifted from the formula");
+                let prev = by_key.insert(&a.ids, a.fp);
+                assert!(
+                    prev.is_none_or(|f| f == a.fp),
+                    "same key must imply same fingerprint"
+                );
             }
-            for next in branch_states(state) {
-                walk(&next, by_key);
-            }
+            // Many distinct configurations, and (with ~2^128 space) no
+            // fingerprint collisions among them at this scale.
+            let fps: HashSet<u128> = by_key.values().copied().collect();
+            assert!(by_key.len() > 10);
+            assert_eq!(fps.len(), by_key.len(), "unexpected fingerprint collision");
         }
-        walk(&root, &mut by_key);
-        // Many distinct configurations, and (with ~2^128 space) no
-        // fingerprint collisions among them at this scale.
-        let fps: HashSet<u128> = by_key.values().copied().collect();
-        assert!(by_key.len() > 10);
-        assert_eq!(fps.len(), by_key.len(), "unexpected fingerprint collision");
     }
 
     #[test]
@@ -2341,14 +2732,38 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "quiet fault model")]
-    fn dedup_with_faults_panics() {
-        let opts = ExploreOptions {
-            dedup: DedupMode::Exact,
-            faults: FaultModel::none().with_crash(0, 1, None),
+    fn noisy_faults_degrade_dedup_to_off() {
+        // The fault stream cannot be keyed, so the seen-set is dropped —
+        // as reduction is — instead of panicking, and `validate` names
+        // the combination for callers that refuse it.
+        let faults = FaultModel::none().with_drop(0.2).expect("a probability");
+        let off = ExploreOptions {
+            faults,
             ..ExploreOptions::default()
         };
-        let _ = explore(2, two_same_channel(), |_| Immediate, &opts, &|_| true);
+        let exact = ExploreOptions {
+            dedup: DedupMode::Exact,
+            ..off.clone()
+        };
+        let (off_runs, exact_runs) = (Mutex::new(BTreeMap::new()), Mutex::new(BTreeMap::new()));
+        let a = explore(3, fan_out(), |_| Immediate, &off, &|run| {
+            tally(&off_runs, run)
+        });
+        let b = explore(3, fan_out(), |_| Immediate, &exact, &|run| {
+            tally(&exact_runs, run)
+        });
+        assert_eq!((b.schedules, b.states), (a.schedules, 0));
+        assert_eq!(
+            off_runs.into_inner().expect("final read"),
+            exact_runs.into_inner().expect("final read")
+        );
+        assert!(a.schedules > 0);
+        assert_eq!(off.validate(), Ok(()));
+        let err = exact.validate().expect_err("exact dedup under drops");
+        assert!(
+            err.starts_with("dedup requires a quiet fault model"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! [`SortedSlab`] — a flat ordered map for hashable protocol state.
 //!
-//! The deduplicating explorer fingerprints protocol state through
-//! `std::hash::Hash` ([`encode_protocol`](crate::explore)); a
-//! `BTreeMap` there means the hasher pointer-chases tree nodes on every
+//! The deduplicating explorer ([`crate::explore`]) encodes protocol
+//! state through `std::hash::Hash` after every dispatch; a `BTreeMap`
+//! there means the hasher pointer-chases tree nodes on every
 //! canonicalization. `SortedSlab` keeps the same canonical semantics —
 //! entries ordered by key, order-independent equality and hashing — in
-//! one contiguous `Vec<(K, V)>`, so the KeyCache walks (and hashes)
+//! one contiguous `Vec<(K, V)>`, so the encoder walks (and hashes)
 //! adjacent words instead of a tree. Protocol maps are tiny (per-peer
 //! sequence counters, a handful of in-flight frames), which makes the
 //! `O(n)` shifts of sorted-vector insertion cheaper in practice than

@@ -10,15 +10,16 @@
 //! entire second half of the event stream to be allocation-free.
 //!
 //! The same test bounds the explorer's allocator calls per schedule, so
-//! a per-leaf copy of the run cannot come back unnoticed.
+//! a per-leaf copy of the run cannot come back unnoticed, and under
+//! exact deduplication, so a per-state byte key cannot either.
 //!
 //! One `#[test]` for the whole file: the counter is process-global, so a
 //! second test on a parallel harness thread would be counted too.
 
 use msgorder_runs::{StreamingRun, SystemEvent};
 use msgorder_simnet::{
-    explore, ExploreOptions, LatencyModel, Protocol, RunObserver, SendSpec, SimConfig, Simulation,
-    SortedSlab, Workload,
+    explore, DedupMode, ExploreOptions, LatencyModel, Protocol, RunObserver, SendSpec, SimConfig,
+    Simulation, SortedSlab, Workload,
 };
 
 #[global_allocator]
@@ -135,7 +136,7 @@ fn dispatch_is_allocation_free_at_steady_state() {
     let (exp, calls) = msgorder_testkit::counting(|| {
         explore(
             2,
-            same_channel,
+            same_channel.clone(),
             |_| Immediate,
             &ExploreOptions::default(),
             &|_| true,
@@ -145,5 +146,21 @@ fn dispatch_is_allocation_free_at_steady_state() {
     assert!(
         calls <= 29 * 15,
         "{calls} allocator calls for 15 schedules: is a run cloned per leaf again?"
+    );
+
+    // Exact deduplication merges the same space into 6 schedules over
+    // 24 states: 484 allocator calls with interned components and one
+    // id-vector key per state. Copying every component's bytes into
+    // each state and into a fresh key per insert cost 807.
+    let exact = ExploreOptions {
+        dedup: DedupMode::Exact,
+        ..ExploreOptions::default()
+    };
+    let (exp, calls) =
+        msgorder_testkit::counting(|| explore(2, same_channel, |_| Immediate, &exact, &|_| true));
+    assert_eq!((exp.schedules, exp.states), (6, 24));
+    assert!(
+        calls <= 484,
+        "{calls} allocator calls for 24 exact states: is a byte key built per state again?"
     );
 }

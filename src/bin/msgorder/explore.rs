@@ -69,13 +69,17 @@ pub fn run(args: &[String]) -> Result<(), String> {
     } else {
         DedupMode::Off
     };
-    if dedup_mode != DedupMode::Off && !faults.is_quiet() {
-        return Err(
-            "--dedup requires a quiet fault model: the probabilistic fault stream is part \
-             of the configuration but cannot be keyed (remove --drop/--dup)"
-                .into(),
-        );
-    }
+    let opts = ExploreOptions {
+        cap: cap.unwrap_or(usize::MAX),
+        por,
+        threads,
+        dedup: dedup_mode,
+        max_depth: max_depth.unwrap_or(ExploreOptions::default().max_depth),
+        faults,
+    };
+    // The message starts with the field's name, which is the flag's.
+    opts.validate()
+        .map_err(|e| format!("--{e} (remove --drop/--dup)"))?;
     let (processes, messages, seed) = (session.processes, session.messages, session.seed);
     if kind.explorable(processes, 0).is_none() {
         return Err(format!(
@@ -84,15 +88,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             session.protocol
         ));
     }
-    let por_effective = por && faults.is_quiet();
-    let opts = ExploreOptions {
-        cap: cap.unwrap_or(usize::MAX),
-        por,
-        threads,
-        dedup: dedup_mode.clone(),
-        max_depth: max_depth.unwrap_or(ExploreOptions::default().max_depth),
-        faults,
-    };
+    let por_effective = por && opts.faults.is_quiet();
     let workload = Workload::uniform_random(processes, messages, seed);
     let factory = |node| {
         kind.explorable(processes, node)
@@ -123,7 +119,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     println!("threads       : {threads}");
     println!(
         "dedup         : {}",
-        match &dedup_mode {
+        match &opts.dedup {
             DedupMode::Off => "off".to_owned(),
             DedupMode::Exact => "exact".to_owned(),
             DedupMode::Compact {
