@@ -17,7 +17,7 @@ fn bench_protocol_comparison(c: &mut Criterion) {
     let n = 4;
     let w = Workload::uniform_random(n, 30, 17);
     let mut kinds = ProtocolKind::fixed();
-    kinds.push(ProtocolKind::Synthesized(catalog::causal()));
+    kinds.push(ProtocolKind::Synthesized(vec![catalog::causal()]));
     for kind in kinds {
         g.bench_with_input(
             BenchmarkId::from_parameter(kind.name()),
@@ -67,7 +67,7 @@ fn bench_synthesized_scaling(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(msgs), &w, |b, w| {
             b.iter(|| {
                 Simulation::run_uniform(config(n, 29), w.clone(), |_| {
-                    ProtocolKind::Synthesized(catalog::causal()).instantiate(n, 0)
+                    ProtocolKind::Synthesized(vec![catalog::causal()]).instantiate(n, 0)
                 })
                 .expect("no protocol bug")
                 .stats

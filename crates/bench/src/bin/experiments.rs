@@ -628,7 +628,7 @@ fn exp_p1() -> Value {
     let fifo = catalog::fifo();
     let mut rows = Vec::new();
     let mut kinds = ProtocolKind::fixed();
-    kinds.push(ProtocolKind::Synthesized(catalog::causal()));
+    kinds.push(ProtocolKind::Synthesized(vec![catalog::causal()]));
     for kind in kinds {
         let mut agg = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
         let (mut fifo_ok, mut co_ok, mut sync_ok) = (0u32, 0u32, 0u32);
@@ -702,7 +702,7 @@ fn exp_p2() -> Value {
             let out = msgorder_protocols::run_and_verify(
                 SimConfig::new(n, LatencyModel::Uniform { lo: 1, hi: 600 }, seed),
                 w,
-                |_| ProtocolKind::Synthesized(entry.predicate.clone()).instantiate(n, 0),
+                |_| ProtocolKind::Synthesized(vec![entry.predicate.clone()]).instantiate(n, 0),
                 &entry.predicate,
             );
             live += u32::from(out.live);

@@ -93,7 +93,7 @@ impl AnalysisReport {
         match &self.classify.classification {
             Classification::TaglessSufficient { .. } => ProtocolKind::Async,
             Classification::TaggedSufficient { .. } => {
-                ProtocolKind::Synthesized(self.spec.predicate().clone())
+                ProtocolKind::Synthesized(vec![self.spec.predicate().clone()])
             }
             Classification::RequiresControlMessages { .. } => ProtocolKind::Sync,
             Classification::NotImplementable => ProtocolKind::Async,

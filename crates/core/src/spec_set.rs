@@ -113,7 +113,7 @@ impl SpecSet {
     pub fn recommendation(&self) -> ProtocolKind {
         match self.combined_class() {
             PaperClass::Tagless => ProtocolKind::Async,
-            PaperClass::Tagged => ProtocolKind::SynthesizedSet(self.members.clone()),
+            PaperClass::Tagged => ProtocolKind::Synthesized(self.members.clone()),
             PaperClass::General => ProtocolKind::Sync,
             PaperClass::Unimplementable => ProtocolKind::Async,
         }
@@ -173,7 +173,7 @@ mod tests {
             [catalog::fifo(), catalog::global_forward_flush()],
         );
         assert_eq!(s.combined_class(), PaperClass::Tagged);
-        assert_eq!(s.recommendation().name(), "synthesized-set");
+        assert_eq!(s.recommendation().name(), "synthesized");
     }
 
     #[test]

@@ -21,10 +21,10 @@
 use msgorder_runs::{MessageId, ProcessId};
 use msgorder_simnet::{Ctx, Protocol, RejectReason};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Send kinds, decoded from message colors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 enum Kind {
     Ordinary,
     Forward,
@@ -51,7 +51,7 @@ impl Kind {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Hash, Serialize, Deserialize)]
 struct Tag {
     seq: u64,
     kind: Kind,
@@ -60,7 +60,7 @@ struct Tag {
     barriers: Vec<u64>,
 }
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, Hash)]
 struct ChannelIn {
     delivered: BTreeSet<u64>,
     pending: Vec<(Tag, MessageId)>,
@@ -80,17 +80,19 @@ impl ChannelIn {
     }
 }
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, Hash)]
 struct ChannelOut {
     next_seq: u64,
     barriers: Vec<u64>,
 }
 
-/// The flush-channel protocol (one instance per process).
-#[derive(Debug, Default, Clone)]
+/// The flush-channel protocol (one instance per process). Channels are
+/// kept in ordered maps so that `Hash` — the explorer's key for the
+/// state — does not depend on insertion order.
+#[derive(Debug, Default, Clone, Hash)]
 pub struct FlushChannels {
-    outgoing: HashMap<usize, ChannelOut>,
-    incoming: HashMap<usize, ChannelIn>,
+    outgoing: BTreeMap<usize, ChannelOut>,
+    incoming: BTreeMap<usize, ChannelIn>,
 }
 
 impl FlushChannels {

@@ -16,7 +16,9 @@
 //! orders *broadcasts* (the multicast shape of the paper's closing
 //! remark), which no `ProtocolKind`, CLI name or recorded trace can
 //! ask for; `examples/broadcast.rs` and a property test drive it
-//! directly. Everything else in the table is a [`ProtocolKind`].
+//! directly. Everything else in the table is a [`ProtocolKind`], built
+//! as a variant of [`ExplorableProtocol`]: the one value the simulator,
+//! the live hosts and the schedule explorer all run.
 //!
 //! Every protocol is verified by simulating adversarial workloads and
 //! monitoring the corresponding forbidden predicate *online* while the

@@ -1,13 +1,18 @@
-//! A uniform handle over every shipped protocol, for the experiment
-//! harness and benches.
+//! Every shipped protocol by name. [`ProtocolKind::explorable`] is the
+//! one place that decides how each kind is built, and what it builds is
+//! one concrete type, [`ExplorableProtocol`]: `Clone + Hash + Send`, as
+//! the schedule explorer requires. The simulator, the live hosts and
+//! the experiment harness run the same value behind a box
+//! ([`ProtocolKind::instantiate_with`]).
 
 use crate::{
-    AsyncProtocol, CausalRst, CausalSes, FifoProtocol, FlushChannels, SyncProtocol,
+    synthesis, AsyncProtocol, CausalRst, CausalSes, FifoProtocol, FlushChannels, SyncProtocol,
     SynthesizedTagged,
 };
 use msgorder_predicate::catalog::PaperClass;
 use msgorder_predicate::ForbiddenPredicate;
-use msgorder_simnet::Protocol;
+use msgorder_runs::{MessageId, ProcessId};
+use msgorder_simnet::{Ctx, Protocol};
 
 /// Which protocol to instantiate.
 #[derive(Debug, Clone)]
@@ -26,11 +31,47 @@ pub enum ProtocolKind {
     Sync,
     /// Logically synchronous with batched lock windows (EXP-P3 ablation).
     SyncBatched,
-    /// Synthesized tagged protocol for the given predicate.
-    Synthesized(ForbiddenPredicate),
-    /// Synthesized tagged protocol enforcing every predicate of a set
-    /// (the intersection specification).
-    SynthesizedSet(Vec<ForbiddenPredicate>),
+    /// Synthesized tagged protocol enforcing every predicate of the set:
+    /// one predicate's `X_B`, or the intersection of several.
+    Synthesized(Vec<ForbiddenPredicate>),
+}
+
+/// A concrete (non-boxed) protocol instance: unlike `Box<dyn Protocol>`,
+/// this is `Clone` (the explorer clones the world where a state
+/// branches) and `Hash` (configuration deduplication keys protocol
+/// state). Obtained via [`ProtocolKind::explorable`].
+#[derive(Debug, Clone, Hash)]
+pub enum ExplorableProtocol {
+    /// [`AsyncProtocol`].
+    Async(AsyncProtocol),
+    /// [`FifoProtocol`].
+    Fifo(FifoProtocol),
+    /// [`CausalRst`].
+    CausalRst(CausalRst),
+    /// [`CausalSes`].
+    CausalSes(CausalSes),
+    /// [`FlushChannels`].
+    Flush(FlushChannels),
+    /// [`SyncProtocol`] (per-message or batched).
+    Sync(SyncProtocol),
+    /// [`SynthesizedTagged`].
+    Synthesized(SynthesizedTagged),
+}
+
+/// Evaluates `$body` with `$p` bound to the protocol inside whichever
+/// variant `$value` is.
+macro_rules! each_variant {
+    ($value:expr, $p:ident => $body:expr) => {
+        match $value {
+            ExplorableProtocol::Async($p) => $body,
+            ExplorableProtocol::Fifo($p) => $body,
+            ExplorableProtocol::CausalRst($p) => $body,
+            ExplorableProtocol::CausalSes($p) => $body,
+            ExplorableProtocol::Flush($p) => $body,
+            ExplorableProtocol::Sync($p) => $body,
+            ExplorableProtocol::Synthesized($p) => $body,
+        }
+    };
 }
 
 impl ProtocolKind {
@@ -45,7 +86,6 @@ impl ProtocolKind {
             ProtocolKind::Sync => "sync",
             ProtocolKind::SyncBatched => "sync-batched",
             ProtocolKind::Synthesized(_) => "synthesized",
-            ProtocolKind::SynthesizedSet(_) => "synthesized-set",
         }
     }
 
@@ -60,29 +100,20 @@ impl ProtocolKind {
             | ProtocolKind::CausalRst
             | ProtocolKind::CausalSes
             | ProtocolKind::Flush
-            | ProtocolKind::Synthesized(_)
-            | ProtocolKind::SynthesizedSet(_) => PaperClass::Tagged,
+            | ProtocolKind::Synthesized(_) => PaperClass::Tagged,
             ProtocolKind::Sync | ProtocolKind::SyncBatched => PaperClass::General,
         }
     }
 
     /// Resolves a display name back to its kind — the inverse of
-    /// [`name`](ProtocolKind::name) for the fixed protocols, used by
-    /// trace replay to re-instantiate the recorded protocol. The
-    /// parameterized kinds (`synthesized`, `synthesized-set`) need their
-    /// predicate: pass it via `spec`, which is ignored otherwise.
+    /// [`name`](ProtocolKind::name), used by trace replay to
+    /// re-instantiate the recorded protocol. `synthesized` is built from
+    /// `spec` (and is `None` without one); the fixed kinds ignore it.
     pub fn by_name(name: &str, spec: Option<&ForbiddenPredicate>) -> Option<ProtocolKind> {
-        match name {
-            "async" => Some(ProtocolKind::Async),
-            "fifo" => Some(ProtocolKind::Fifo),
-            "causal-rst" => Some(ProtocolKind::CausalRst),
-            "causal-ses" => Some(ProtocolKind::CausalSes),
-            "flush" => Some(ProtocolKind::Flush),
-            "sync" => Some(ProtocolKind::Sync),
-            "sync-batched" => Some(ProtocolKind::SyncBatched),
-            "synthesized" => spec.map(|p| ProtocolKind::Synthesized(p.clone())),
-            _ => None,
+        if name == "synthesized" {
+            return spec.map(|p| ProtocolKind::Synthesized(vec![p.clone()]));
         }
+        ProtocolKind::fixed().into_iter().find(|k| k.name() == name)
     }
 
     /// All fixed (non-parameterized) protocols.
@@ -98,40 +129,34 @@ impl ProtocolKind {
         ]
     }
 
+    /// The class of the first member of a `synthesized` kind's set that
+    /// tagging cannot enforce (order ≥ 2, or not implementable):
+    /// building such a kind would panic, so `Setup::validate` and the
+    /// CLI refuse it first. `None` for every other kind.
+    pub fn untaggable_spec(&self) -> Option<PaperClass> {
+        match self {
+            ProtocolKind::Synthesized(preds) => {
+                synthesis::untaggable(preds).map(|(_, class)| class)
+            }
+            _ => None,
+        }
+    }
+
     /// Instantiates the protocol for process `node` of an `n`-process
     /// system (no retransmission layer).
     pub fn instantiate(&self, n: usize, node: usize) -> Box<dyn Protocol> {
         self.instantiate_with(n, node, false)
     }
 
-    /// Like [`instantiate`](ProtocolKind::instantiate), optionally with
-    /// the ack/retransmission layer for lossy networks. Retransmission
-    /// is available for the FIFO, RST-causal, and sync protocols; the
-    /// other kinds ignore the flag (they have no reliable variant yet).
+    /// [`explorable`](ProtocolKind::explorable)'s protocol, boxed. The
+    /// box holds the variant's own protocol, not the enum, so a callback
+    /// is one virtual call with no match under it.
     pub fn instantiate_with(&self, n: usize, node: usize, reliable: bool) -> Box<dyn Protocol> {
-        match self {
-            ProtocolKind::Async => Box::new(AsyncProtocol::new()),
-            ProtocolKind::Fifo if reliable => Box::new(FifoProtocol::reliable()),
-            ProtocolKind::Fifo => Box::new(FifoProtocol::new()),
-            ProtocolKind::CausalRst if reliable => Box::new(CausalRst::reliable(n)),
-            ProtocolKind::CausalRst => Box::new(CausalRst::new(n)),
-            ProtocolKind::CausalSes => Box::new(CausalSes::new(n, node)),
-            ProtocolKind::Flush => Box::new(FlushChannels::new()),
-            ProtocolKind::Sync if reliable => Box::new(SyncProtocol::new().with_retransmission()),
-            ProtocolKind::Sync => Box::new(SyncProtocol::new()),
-            ProtocolKind::SyncBatched if reliable => {
-                Box::new(SyncProtocol::new_batched().with_retransmission())
-            }
-            ProtocolKind::SyncBatched => Box::new(SyncProtocol::new_batched()),
-            ProtocolKind::Synthesized(pred) => Box::new(SynthesizedTagged::new(pred.clone())),
-            ProtocolKind::SynthesizedSet(preds) => {
-                Box::new(SynthesizedTagged::for_all(preds.clone()))
-            }
-        }
+        each_variant!(self.explorable(n, node, reliable), p => Box::new(p))
     }
 
-    /// Whether [`instantiate_with`](ProtocolKind::instantiate_with)
-    /// honors `reliable = true` for this kind.
+    /// Whether [`explorable`](ProtocolKind::explorable) honors
+    /// `reliable = true` for this kind.
     pub fn supports_retransmission(&self) -> bool {
         matches!(
             self,
@@ -142,106 +167,53 @@ impl ProtocolKind {
         )
     }
 
-    /// Instantiates the protocol as a concrete [`ExplorableProtocol`]
-    /// (`Clone + Hash + Send`, as the explorer requires), or `None` for
-    /// kinds whose state cannot be canonically hashed (`flush` holds
-    /// `HashMap` channel state; the synthesized kinds carry predicate
-    /// automata).
-    pub fn explorable(&self, n: usize, node: usize) -> Option<ExplorableProtocol> {
+    /// Instantiates the protocol for process `node` of an `n`-process
+    /// system, optionally with the ack/retransmission layer for lossy
+    /// networks. Retransmission is available for the FIFO, RST-causal
+    /// and sync protocols; the other kinds ignore the flag (they have no
+    /// reliable variant).
+    ///
+    /// # Panics
+    /// Panics if a `synthesized` kind holds a predicate tagging cannot
+    /// enforce ([`untaggable_spec`](ProtocolKind::untaggable_spec)).
+    pub fn explorable(&self, n: usize, node: usize, reliable: bool) -> ExplorableProtocol {
+        use ExplorableProtocol as E;
         match self {
-            ProtocolKind::Async => Some(ExplorableProtocol::Async(AsyncProtocol::new())),
-            ProtocolKind::Fifo => Some(ExplorableProtocol::Fifo(FifoProtocol::new())),
-            ProtocolKind::CausalRst => Some(ExplorableProtocol::CausalRst(CausalRst::new(n))),
-            ProtocolKind::CausalSes => Some(ExplorableProtocol::CausalSes(CausalSes::new(n, node))),
-            ProtocolKind::Sync => Some(ExplorableProtocol::Sync(SyncProtocol::new())),
-            ProtocolKind::SyncBatched => {
-                Some(ExplorableProtocol::Sync(SyncProtocol::new_batched()))
+            ProtocolKind::Async => E::Async(AsyncProtocol::new()),
+            ProtocolKind::Fifo if reliable => E::Fifo(FifoProtocol::reliable()),
+            ProtocolKind::Fifo => E::Fifo(FifoProtocol::new()),
+            ProtocolKind::CausalRst if reliable => E::CausalRst(CausalRst::reliable(n)),
+            ProtocolKind::CausalRst => E::CausalRst(CausalRst::new(n)),
+            ProtocolKind::CausalSes => E::CausalSes(CausalSes::new(n, node)),
+            ProtocolKind::Flush => E::Flush(FlushChannels::new()),
+            ProtocolKind::Sync if reliable => E::Sync(SyncProtocol::new().with_retransmission()),
+            ProtocolKind::Sync => E::Sync(SyncProtocol::new()),
+            ProtocolKind::SyncBatched if reliable => {
+                E::Sync(SyncProtocol::new_batched().with_retransmission())
             }
-            ProtocolKind::Flush
-            | ProtocolKind::Synthesized(_)
-            | ProtocolKind::SynthesizedSet(_) => None,
+            ProtocolKind::SyncBatched => E::Sync(SyncProtocol::new_batched()),
+            ProtocolKind::Synthesized(preds) => {
+                E::Synthesized(SynthesizedTagged::for_all(preds.clone()))
+            }
         }
     }
-}
-
-/// A concrete (non-boxed) protocol instance for the schedule explorer:
-/// unlike `Box<dyn Protocol>`, this is `Clone` (the explorer clones the
-/// world where a state branches) and `Hash` (configuration deduplication keys
-/// protocol state). Obtained via [`ProtocolKind::explorable`].
-#[derive(Debug, Clone, Hash)]
-pub enum ExplorableProtocol {
-    /// [`AsyncProtocol`].
-    Async(AsyncProtocol),
-    /// [`FifoProtocol`].
-    Fifo(FifoProtocol),
-    /// [`CausalRst`].
-    CausalRst(CausalRst),
-    /// [`CausalSes`].
-    CausalSes(CausalSes),
-    /// [`SyncProtocol`] (per-message or batched).
-    Sync(SyncProtocol),
 }
 
 impl Protocol for ExplorableProtocol {
-    fn on_init(&mut self, ctx: &mut msgorder_simnet::Ctx<'_>) {
-        match self {
-            ExplorableProtocol::Async(p) => p.on_init(ctx),
-            ExplorableProtocol::Fifo(p) => p.on_init(ctx),
-            ExplorableProtocol::CausalRst(p) => p.on_init(ctx),
-            ExplorableProtocol::CausalSes(p) => p.on_init(ctx),
-            ExplorableProtocol::Sync(p) => p.on_init(ctx),
-        }
+    fn on_init(&mut self, ctx: &mut Ctx<'_>) {
+        each_variant!(self, p => p.on_init(ctx))
     }
-    fn on_send_request(
-        &mut self,
-        ctx: &mut msgorder_simnet::Ctx<'_>,
-        msg: msgorder_runs::MessageId,
-    ) {
-        match self {
-            ExplorableProtocol::Async(p) => p.on_send_request(ctx, msg),
-            ExplorableProtocol::Fifo(p) => p.on_send_request(ctx, msg),
-            ExplorableProtocol::CausalRst(p) => p.on_send_request(ctx, msg),
-            ExplorableProtocol::CausalSes(p) => p.on_send_request(ctx, msg),
-            ExplorableProtocol::Sync(p) => p.on_send_request(ctx, msg),
-        }
+    fn on_send_request(&mut self, ctx: &mut Ctx<'_>, msg: MessageId) {
+        each_variant!(self, p => p.on_send_request(ctx, msg))
     }
-    fn on_user_frame(
-        &mut self,
-        ctx: &mut msgorder_simnet::Ctx<'_>,
-        from: msgorder_runs::ProcessId,
-        msg: msgorder_runs::MessageId,
-        tag: Vec<u8>,
-    ) {
-        match self {
-            ExplorableProtocol::Async(p) => p.on_user_frame(ctx, from, msg, tag),
-            ExplorableProtocol::Fifo(p) => p.on_user_frame(ctx, from, msg, tag),
-            ExplorableProtocol::CausalRst(p) => p.on_user_frame(ctx, from, msg, tag),
-            ExplorableProtocol::CausalSes(p) => p.on_user_frame(ctx, from, msg, tag),
-            ExplorableProtocol::Sync(p) => p.on_user_frame(ctx, from, msg, tag),
-        }
+    fn on_user_frame(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, msg: MessageId, tag: Vec<u8>) {
+        each_variant!(self, p => p.on_user_frame(ctx, from, msg, tag))
     }
-    fn on_control_frame(
-        &mut self,
-        ctx: &mut msgorder_simnet::Ctx<'_>,
-        from: msgorder_runs::ProcessId,
-        bytes: Vec<u8>,
-    ) {
-        match self {
-            ExplorableProtocol::Async(p) => p.on_control_frame(ctx, from, bytes),
-            ExplorableProtocol::Fifo(p) => p.on_control_frame(ctx, from, bytes),
-            ExplorableProtocol::CausalRst(p) => p.on_control_frame(ctx, from, bytes),
-            ExplorableProtocol::CausalSes(p) => p.on_control_frame(ctx, from, bytes),
-            ExplorableProtocol::Sync(p) => p.on_control_frame(ctx, from, bytes),
-        }
+    fn on_control_frame(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, bytes: Vec<u8>) {
+        each_variant!(self, p => p.on_control_frame(ctx, from, bytes))
     }
-    fn on_timer(&mut self, ctx: &mut msgorder_simnet::Ctx<'_>, id: u64) {
-        match self {
-            ExplorableProtocol::Async(p) => p.on_timer(ctx, id),
-            ExplorableProtocol::Fifo(p) => p.on_timer(ctx, id),
-            ExplorableProtocol::CausalRst(p) => p.on_timer(ctx, id),
-            ExplorableProtocol::CausalSes(p) => p.on_timer(ctx, id),
-            ExplorableProtocol::Sync(p) => p.on_timer(ctx, id),
-        }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, id: u64) {
+        each_variant!(self, p => p.on_timer(ctx, id))
     }
 }
 
@@ -251,6 +223,19 @@ mod tests {
     use msgorder_predicate::catalog;
     use msgorder_runs::limit_sets;
     use msgorder_simnet::{LatencyModel, SimConfig, Simulation, Workload};
+
+    #[test]
+    fn every_kind_resolves_by_its_name() {
+        let causal = catalog::causal();
+        let mut kinds = ProtocolKind::fixed();
+        kinds.push(ProtocolKind::Synthesized(vec![causal.clone()]));
+        for kind in &kinds {
+            let found = ProtocolKind::by_name(kind.name(), Some(&causal));
+            assert_eq!(found.map(|k| k.name()), Some(kind.name()));
+        }
+        assert!(ProtocolKind::by_name("synthesized", None).is_none());
+        assert!(ProtocolKind::by_name("nope", Some(&causal)).is_none());
+    }
 
     #[test]
     fn every_fixed_protocol_is_live_on_a_common_workload() {
@@ -289,7 +274,7 @@ mod tests {
             .stats
         };
         let mut kinds = ProtocolKind::fixed();
-        kinds.push(ProtocolKind::Synthesized(catalog::causal()));
+        kinds.push(ProtocolKind::Synthesized(vec![catalog::causal()]));
         for kind in &kinds {
             for seed in 1..=3 {
                 let s = run(kind, seed);

@@ -29,12 +29,14 @@
 //! production variant would prune events that can no longer participate
 //! in any instantiation.
 
-use msgorder_classifier::classify::{classify, Classification};
+use msgorder_classifier::classify::classify;
+use msgorder_predicate::catalog::PaperClass;
 use msgorder_predicate::{eval, ForbiddenPredicate};
 use msgorder_runs::{MessageId, MessageMeta, ProcessId, UserEvent, UserEventKind, UserRun};
 use msgorder_simnet::{Ctx, Protocol, RejectReason};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
 
 /// A user event in wire form: (message id, 0 = send / 1 = deliver).
 type WireEvent = (usize, u8);
@@ -44,7 +46,7 @@ fn wire(e: UserEvent) -> WireEvent {
 }
 
 /// A process's knowledge: its causal past as an event graph.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Hash, Serialize, Deserialize)]
 struct Knowledge {
     /// Metadata of every known message: id → (src, dst, color).
     metas: BTreeMap<usize, (usize, usize, Option<String>)>,
@@ -178,6 +180,19 @@ impl Knowledge {
     }
 }
 
+/// The first member of `preds` that tagging cannot enforce (order ≥ 2,
+/// or not implementable), with the class the classifier puts it in —
+/// `None` when every member is tagless or tagged class. These are
+/// exactly the sets [`SynthesizedTagged::for_all`] refuses.
+pub(crate) fn untaggable(
+    preds: &[ForbiddenPredicate],
+) -> Option<(&ForbiddenPredicate, PaperClass)> {
+    preds.iter().find_map(|pred| {
+        let verdict = classify(pred).classification;
+        (!verdict.is_tagged_sufficient()).then(|| (pred, verdict.protocol_class()))
+    })
+}
+
 /// The synthesized tagged protocol for a *set* of order-≤1 forbidden
 /// predicates (the specification is the intersection of their `X_B`s; a
 /// delivery is delayed if it would complete an instantiation of **any**
@@ -188,6 +203,17 @@ pub struct SynthesizedTagged {
     knowledge: Knowledge,
     /// Buffered arrivals: (message, tag).
     pending: Vec<(MessageId, Knowledge)>,
+}
+
+/// The explorer's key for the state: `knowledge` and `pending`, which
+/// are ordered maps and arrival order. `preds` is left out — every
+/// instance of one exploration enforces the same set, so it would add
+/// the same bytes to every key.
+impl Hash for SynthesizedTagged {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.knowledge.hash(state);
+        self.pending.hash(state);
+    }
 }
 
 impl SynthesizedTagged {
@@ -208,19 +234,12 @@ impl SynthesizedTagged {
     /// (deliver causally-minimal is always allowed) carries over.
     ///
     /// # Panics
-    /// Panics if any member needs more than tagging.
+    /// Panics if any member needs more than tagging
+    /// ([`ProtocolKind::untaggable_spec`](crate::ProtocolKind::untaggable_spec)
+    /// names it without panicking).
     pub fn for_all(preds: Vec<ForbiddenPredicate>) -> Self {
-        for pred in &preds {
-            let report = classify(pred);
-            assert!(
-                matches!(
-                    report.classification,
-                    Classification::TaggedSufficient { .. }
-                        | Classification::TaglessSufficient { .. }
-                ),
-                "cannot synthesize a tagged protocol for {pred}: {}",
-                report.classification
-            );
+        if let Some((pred, class)) = untaggable(&preds) {
+            panic!("cannot synthesize a tagged protocol for {pred}: {class}");
         }
         SynthesizedTagged {
             preds,

@@ -91,7 +91,7 @@ proptest! {
     fn synthesized_causal_safe_live(msgs in 1usize..9, seed in 0u64..10_000) {
         let pred = catalog::causal();
         let w = Workload::uniform_random(3, msgs, seed);
-        let r = run(&ProtocolKind::Synthesized(pred.clone()), 3, w, seed, 800);
+        let r = run(&ProtocolKind::Synthesized(vec![pred.clone()]), 3, w, seed, 800);
         prop_assert!(r.completed && r.run.is_quiescent());
         prop_assert!(eval::satisfies_spec(&pred, &r.run.users_view()));
         prop_assert_eq!(r.stats.control_messages, 0);

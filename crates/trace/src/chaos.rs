@@ -305,9 +305,10 @@ fn sample_setup(
 /// *some* schedule of the same protocol/workload violate the spec with
 /// no faults injected at all? Rides the sleep-set-reduced, deduplicated
 /// explorer with a schedule cap so a single confirmation stays cheap;
-/// returns `None` when the scenario cannot be checked (no catalog
-/// predicate, protocol not explorable, workload too large, or the
-/// capped search truncated without finding a violation).
+/// returns `None` when the scenario cannot be checked (no spec, a
+/// protocol outside the registry or one that cannot enforce the spec,
+/// a workload too large, or the capped search truncated without
+/// finding a violation).
 pub fn confirm_ordering_inherent(setup: &Setup) -> Option<bool> {
     // Best effort: beyond ~10 messages even the reduced fault-free
     // state space dwarfs the schedule cap, so the check could only ever
@@ -316,11 +317,9 @@ pub fn confirm_ordering_inherent(setup: &Setup) -> Option<bool> {
         return None;
     }
     let spec = setup.spec_predicate().ok().flatten()?;
-    let kind = ProtocolKind::by_name(&setup.protocol, Some(&spec))?;
+    let kind = ProtocolKind::by_name(&setup.protocol, Some(&spec))
+        .filter(|k| k.untaggable_spec().is_none())?;
     let n = setup.processes;
-    let protos: Vec<_> = (0..n)
-        .map(|node| kind.explorable(n, node))
-        .collect::<Option<Vec<_>>>()?;
     let opts = ExploreOptions {
         cap: 25_000,
         por: true,
@@ -330,7 +329,7 @@ pub fn confirm_ordering_inherent(setup: &Setup) -> Option<bool> {
     let out = verify_exhaustive(
         n,
         setup.workload.clone(),
-        |node| protos[node].clone(),
+        |node| kind.explorable(n, node, false),
         &spec,
         &opts,
     );

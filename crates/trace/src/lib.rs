@@ -54,7 +54,8 @@ pub mod soak;
 pub use metrics::{Histogram, LiveMetrics};
 pub use registry::{FileExporter, MetricsRegistry, SharedRegistry};
 
-use msgorder_predicate::{catalog, eval, ForbiddenPredicate};
+use msgorder_predicate::catalog::{self, PaperClass};
+use msgorder_predicate::{eval, ForbiddenPredicate};
 use msgorder_protocols::ProtocolKind;
 use msgorder_runs::{EventKind, StreamingRun};
 use msgorder_simnet::{
@@ -124,6 +125,14 @@ pub enum SetupError {
     /// `reliable` is set for a registry protocol that has no
     /// ack/retransmission variant.
     ReliableUnsupported(String),
+    /// `synthesized` is asked to enforce a spec that tagging cannot
+    /// (order ≥ 2, or not implementable).
+    UntaggableSpec {
+        /// The spec as the setup names it.
+        spec: String,
+        /// The class the classifier puts it in.
+        class: PaperClass,
+    },
 }
 
 impl std::fmt::Display for SetupError {
@@ -143,6 +152,11 @@ impl std::fmt::Display for SetupError {
             SetupError::ReliableUnsupported(p) => {
                 write!(f, "protocol `{p}` has no reliable variant")
             }
+            SetupError::UntaggableSpec { spec, class } => write!(
+                f,
+                "protocol `synthesized` cannot enforce spec `{spec}` ({class}); \
+                 it needs a tagless or tagged spec"
+            ),
         }
     }
 }
@@ -160,10 +174,11 @@ impl Setup {
     /// sample on trust: the process count against
     /// [`MAX_PROCESSES`](Setup::MAX_PROCESSES), every workload, crash and
     /// partition process id against the process count, the latency
-    /// range, the fault probabilities, and `reliable` against the
-    /// protocol (names outside the registry are not this check's
-    /// business). Trace headers ([`Trace::from_jsonl`]) and CLI flags
-    /// both pass through here before a kernel is built.
+    /// range, the fault probabilities, `reliable` against the protocol,
+    /// and the spec against `synthesized` (names outside the registry
+    /// are not this check's business). Trace headers
+    /// ([`Trace::from_jsonl`]) and CLI flags both pass through here
+    /// before a kernel is built.
     pub fn validate(&self) -> Result<(), SetupError> {
         let n = self.processes;
         if n > Setup::MAX_PROCESSES {
@@ -187,13 +202,22 @@ impl Setup {
             _ => {}
         }
         self.faults.validate_for(n).map_err(SetupError::Faults)?;
-        if self.reliable {
-            // A spec that does not parse is reported by whoever runs it.
+        // Only `synthesized` is built from the spec, so only a name the
+        // fixed kinds do not cover needs it parsed. A spec that does not
+        // parse is reported by whoever runs it.
+        let kind = ProtocolKind::by_name(&self.protocol, None).or_else(|| {
             let spec = self.spec_predicate().ok().flatten();
-            let kind = ProtocolKind::by_name(&self.protocol, spec.as_ref());
-            if kind.is_some_and(|k| !k.supports_retransmission()) {
-                return Err(SetupError::ReliableUnsupported(self.protocol.clone()));
-            }
+            ProtocolKind::by_name(&self.protocol, spec.as_ref())
+        });
+        let Some(kind) = kind else { return Ok(()) };
+        if self.reliable && !kind.supports_retransmission() {
+            return Err(SetupError::ReliableUnsupported(self.protocol.clone()));
+        }
+        if let Some(class) = kind.untaggable_spec() {
+            return Err(SetupError::UntaggableSpec {
+                spec: self.spec.clone().unwrap_or_default(),
+                class,
+            });
         }
         Ok(())
     }

@@ -482,12 +482,19 @@ fn client_refuses_a_welcome_with_an_invalid_setup() {
     };
     let mut huge = causal_rst_setup();
     huge.processes = 4_000_000_000;
+    let mut untaggable = causal_rst_setup();
+    untaggable.protocol = "synthesized".into();
+    untaggable.spec = Some("sync-crown-2".into());
     for (setup, needle) in [
         (
             out_of_range,
             "send 0 (P0 -> P7) names a process out of range",
         ),
         (huge, "4000000000 processes (at most 256)"),
+        (
+            untaggable,
+            "`synthesized` cannot enforce spec `sync-crown-2`",
+        ),
     ] {
         match client_outcome(setup, WIRE_VERSION, &request) {
             Err(TransportError::Handshake(why)) => assert!(

@@ -9,7 +9,7 @@
 use msgorder::predicate::ForbiddenPredicate;
 use msgorder::protocols::ProtocolKind;
 use msgorder::simnet::{CrashSchedule, FaultModel, LatencyModel, Partition, Workload};
-use msgorder::trace::{parse_spec, FileExporter, Setup, SharedRegistry, TraceError};
+use msgorder::trace::{parse_spec, FileExporter, Setup, SetupError, SharedRegistry, TraceError};
 use msgorder::transport::{Endpoint, MetricsExporter};
 use std::fmt::Display;
 use std::str::FromStr;
@@ -124,7 +124,8 @@ impl Session {
 
     /// Validates the session against `faults` and resolves its protocol
     /// and spec (a catalog name or a `forbid …` DSL predicate;
-    /// `synthesized` is built from the spec).
+    /// `synthesized` is built from the spec, which must be one tagging
+    /// can enforce).
     pub fn resolve(
         &self,
         faults: &FaultModel,
@@ -153,6 +154,10 @@ impl Session {
                 "--reliable is not supported for `{}` (use fifo, causal-rst, sync or sync-batched)",
                 kind.name()
             ));
+        }
+        if let Some(class) = kind.untaggable_spec() {
+            let spec = self.spec.clone().unwrap_or_default();
+            return Err(SetupError::UntaggableSpec { spec, class }.to_string());
         }
         // Structurally nonsensical schedules fail here instead of
         // silently doing nothing (out-of-range endpoints never match a

@@ -1,5 +1,5 @@
 //! `msgorder explore`: exhaustive schedule exploration (model checking)
-//! of an explorable protocol on a seeded workload — sleep-set
+//! of any registry protocol on a seeded workload — sleep-set
 //! partial-order reduction, a sharded work-stealing frontier for
 //! `--threads`, and an optional bounded/disk-spillable seen-set.
 
@@ -81,19 +81,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
     opts.validate()
         .map_err(|e| format!("--{e} (remove --drop/--dup)"))?;
     let (processes, messages, seed) = (session.processes, session.messages, session.seed);
-    if kind.explorable(processes, 0).is_none() {
-        return Err(format!(
-            "--protocol `{}` is not explorable (its state cannot be fingerprinted); \
-             use async, fifo, causal-rst, causal-ses, sync or sync-batched",
-            session.protocol
-        ));
-    }
     let por_effective = por && opts.faults.is_quiet();
     let workload = Workload::uniform_random(processes, messages, seed);
-    let factory = |node| {
-        kind.explorable(processes, node)
-            .expect("explorability was checked above")
-    };
+    let factory = |node| kind.explorable(processes, node, false);
     // The violating *configurations* are invariant under
     // --por/--threads/--dedup, so the summary line is comparable across
     // explorer settings (the CI smoke pins it).

@@ -33,8 +33,10 @@ USAGE:
       --metrics       print the run's metrics report (latency histograms, wire counters)
   msgorder explore [options]               exhaustively explore every schedule of a
                                            seeded workload (model checking)
-      --protocol  async|fifo|causal-rst|causal-ses|sync|sync-batched   (default async)
-      --spec      \"<predicate>\"  count schedules violating the spec
+      --protocol  async|fifo|causal-rst|causal-ses|flush|sync|sync-batched|synthesized
+                      (default async)
+      --spec      \"<predicate>\"  (required for synthesized; otherwise count
+                      schedules violating the spec)
       --processes N   (default 3)
       --messages  N   (default 6)
       --seed      N   (default 1)

@@ -406,7 +406,7 @@ fn with_field(line: &str, key: &str, value: &str) -> String {
 fn hand_edited_trace_headers_are_errors_not_panics() {
     use msgorder::trace::{Trace, TraceError};
     type Edit = fn(&str) -> String;
-    let edits: [(&str, Edit); 8] = [
+    let edits: [(&str, Edit); 9] = [
         ("no processes", |h| with_field(h, "processes", "0")),
         ("absurd process count", |h| {
             with_field(h, "processes", "4000000000")
@@ -427,6 +427,14 @@ fn hand_edited_trace_headers_are_errors_not_panics() {
                 &with_field(h, "protocol", r#""causal-ses""#),
                 "reliable",
                 "true",
+            )
+        }),
+        ("synthesized for a spec tagging cannot enforce", |h| {
+            let h = with_field(h, "protocol", r#""synthesized""#);
+            with_field(
+                &with_field(&h, "reliable", "false"),
+                "spec",
+                r#""sync-crown-2""#,
             )
         }),
     ];
@@ -645,7 +653,26 @@ fn explore_flags_are_validated() {
             "quiet fault model",
         ),
         (&["explore", "--drop", "1.5"], "not in [0, 1]"),
-        (&["explore", "--protocol", "flush"], "not explorable"),
+        (
+            &[
+                "explore",
+                "--protocol",
+                "synthesized",
+                "--spec",
+                "sync-crown-2",
+            ],
+            "cannot enforce spec `sync-crown-2` (control messages required)",
+        ),
+        (
+            &[
+                "simulate",
+                "--protocol",
+                "synthesized",
+                "--spec",
+                "sync-crown-2",
+            ],
+            "cannot enforce spec `sync-crown-2` (control messages required)",
+        ),
         (
             &["explore", "--threads", "0"],
             "--threads must be at least 1",

@@ -225,16 +225,24 @@ fn sync_protocol_exhaustively_synchronous_on_crossing_pair() {
     assert!(checked >= 2, "got {checked}");
 }
 
-/// Safety of the whole explorable registry against each kind's own
-/// spec (ROADMAP item 1(a)): over every schedule of the file's three
-/// shapes, by full search and under sleep-set reduction, and of one
-/// seeded five-message workload under reduction, `verify_exhaustive`
-/// finds nothing to condemn, every schedule drains, and
-/// `(schedules, sleep_skipped)` is pinned per row. `flush` and the
-/// synthesized kinds are missing because they are not explorable: their
-/// state cannot be hashed (`ProtocolKind::explorable`).
+/// The workload with its last send coloured `red`: a forward flush for
+/// `flush`, and the message `local_forward_flush` constrains.
+fn red_last(mut w: Workload) -> Workload {
+    if let Some(last) = w.sends.last_mut() {
+        last.color = Some("red".into());
+    }
+    w
+}
+
+/// Safety of the whole registry against each kind's own spec (ROADMAP
+/// item 1(a)): over every schedule of the file's three shapes, by full
+/// search and under sleep-set reduction, and of one seeded five-message
+/// workload under reduction, `verify_exhaustive` finds nothing to
+/// condemn, every schedule drains, and `(schedules, sleep_skipped)` is
+/// pinned per row. `flush` runs each shape with its last send marked
+/// `red`, so that its spec constrains something.
 #[test]
-fn every_explorable_kind_is_exhaustively_safe_for_its_own_spec() {
+fn every_registry_kind_is_exhaustively_safe_for_its_own_spec() {
     use msgorder::protocols::{verify_exhaustive, ProtocolKind};
     let rows = [
         ("same-channel triple", 2, same_channel(3), false),
@@ -251,30 +259,37 @@ fn every_explorable_kind_is_exhaustively_safe_for_its_own_spec() {
         ),
     ];
     // (schedules, sleep_skipped) per row. A tagged kind sends no frame
-    // of its own, so all three see one schedule space.
+    // of its own, so all five see one schedule space.
     type Pins = [(usize, usize); 7];
     #[rustfmt::skip]
     const TAGGED: Pins = [(15, 0), (6, 0), (45, 0), (4, 5), (6, 0), (3, 1), (165, 240)];
     #[rustfmt::skip]
-    let kinds: [(ProtocolKind, _, Pins); 5] = [
-        (ProtocolKind::Fifo, catalog::fifo(), TAGGED),
-        (ProtocolKind::CausalRst, catalog::causal(), TAGGED),
-        (ProtocolKind::CausalSes, catalog::causal(), TAGGED),
-        (ProtocolKind::Sync, catalog::sync_crown(2),
+    let kinds: [(ProtocolKind, _, bool, Pins); 7] = [
+        (ProtocolKind::Fifo, catalog::fifo(), false, TAGGED),
+        (ProtocolKind::CausalRst, catalog::causal(), false, TAGGED),
+        (ProtocolKind::CausalSes, catalog::causal(), false, TAGGED),
+        (ProtocolKind::Synthesized(vec![catalog::causal()]), catalog::causal(), false, TAGGED),
+        (ProtocolKind::Flush, catalog::local_forward_flush(), true, TAGGED),
+        (ProtocolKind::Sync, catalog::sync_crown(2), false,
          [(231, 0), (73, 42), (1605, 0), (126, 53), (36, 0), (14, 2), (300_711, 62_315)]),
-        (ProtocolKind::SyncBatched, catalog::sync_crown(2),
+        (ProtocolKind::SyncBatched, catalog::sync_crown(2), false,
          [(53, 0), (38, 9), (1253, 0), (112, 40), (50, 0), (16, 3), (132_355, 40_838)]),
     ];
-    for (kind, spec, pins) in &kinds {
+    for (kind, spec, marked, pins) in &kinds {
         for ((shape, procs, w, por), want) in rows.iter().zip(pins) {
             let opts = ExploreOptions {
                 por: *por,
                 ..ExploreOptions::default()
             };
+            let w = if *marked {
+                red_last(w.clone())
+            } else {
+                w.clone()
+            };
             let out = verify_exhaustive(
                 *procs,
-                w.clone(),
-                |node| kind.explorable(*procs, node).expect("explorable kind"),
+                w,
+                |node| kind.explorable(*procs, node, false),
                 spec,
                 &opts,
             );
@@ -286,6 +301,93 @@ fn every_explorable_kind_is_exhaustively_safe_for_its_own_spec() {
             assert_eq!((e.schedules, e.sleep_skipped), *want, "{row}");
         }
     }
+}
+
+/// An unmarked flush channel is asynchronous: on a workload with no
+/// colours, `flush` violates causal ordering in exactly the
+/// configurations `async` does.
+#[test]
+fn unmarked_flush_finds_exactly_the_async_violations() {
+    use msgorder::protocols::{explore_violations, ProtocolKind};
+    let opts = ExploreOptions {
+        por: true,
+        ..ExploreOptions::default()
+    };
+    let found = [ProtocolKind::Async, ProtocolKind::Flush].map(|kind| {
+        let v = explore_violations(
+            3,
+            Workload::uniform_random(3, 5, 3),
+            |node| kind.explorable(3, node, false),
+            &catalog::causal(),
+            &opts,
+        );
+        (v.configs.len(), v.digest())
+    });
+    assert_eq!(found, [(89, 0x5aa9_4abe_5108_1a13); 2]);
+}
+
+/// Sleep-set reduction on reached views, registry-wide: for every kind
+/// on the three small shapes, full search and POR reach the same *set*
+/// of user views (by `UserRunSnapshot::digest`), not only the same
+/// violations. This is the executable form of the Mazurkiewicz-trace
+/// argument (Bollig & Gastin) that the sleep sets rest on: schedules
+/// that differ by commuting independent steps end in one configuration,
+/// so pruning all but one of them loses no view. The pinned set sizes
+/// are what a permissiveness oracle compares against.
+#[test]
+fn full_and_reduced_search_reach_the_same_views_for_every_kind() {
+    use msgorder::protocols::ProtocolKind;
+    use msgorder::runs::UserRunSnapshot;
+    use std::collections::BTreeSet;
+    use std::sync::Mutex;
+    let shapes = [(2, same_channel(3)), (3, triangle()), (2, crossing_pair())];
+    let mut kinds = ProtocolKind::fixed();
+    kinds.push(ProtocolKind::Synthesized(vec![catalog::causal()]));
+    let mut sizes = Vec::new();
+    for kind in &kinds {
+        let mut row = Vec::new();
+        for (procs, w) in &shapes {
+            let [full, por] = [false, true].map(|por| {
+                let views = Mutex::new(BTreeSet::new());
+                let opts = ExploreOptions {
+                    por,
+                    ..ExploreOptions::default()
+                };
+                let e = explore(
+                    *procs,
+                    w.clone(),
+                    |node| kind.explorable(*procs, node, false),
+                    &opts,
+                    &|run| {
+                        let digest = UserRunSnapshot::from(&run.users_view()).digest();
+                        views.lock().expect("no visitor panicked").insert(digest);
+                        true
+                    },
+                );
+                assert!(!e.truncated && e.error.is_none(), "{}", kind.name());
+                views.into_inner().expect("no visitor panicked")
+            });
+            assert_eq!(
+                full,
+                por,
+                "{}: reduction changed the reached views",
+                kind.name()
+            );
+            row.push(full.len());
+        }
+        sizes.push((kind.name(), row));
+    }
+    let want: Vec<(&str, Vec<usize>)> = vec![
+        ("async", vec![6, 4, 3]),
+        ("fifo", vec![1, 4, 3]),
+        ("causal-rst", vec![1, 3, 3]),
+        ("causal-ses", vec![1, 3, 3]),
+        ("flush", vec![6, 4, 3]),
+        ("sync", vec![1, 3, 2]),
+        ("sync-batched", vec![1, 3, 2]),
+        ("synthesized", vec![1, 3, 3]),
+    ];
+    assert_eq!(sizes, want);
 }
 
 #[test]
@@ -319,7 +421,7 @@ fn violation_set(
     let e = explore(
         procs,
         w.clone(),
-        |node| kind.explorable(procs, node).expect("explorable protocol"),
+        |node| kind.explorable(procs, node, false),
         opts,
         &|run| {
             let view = run.users_view();
