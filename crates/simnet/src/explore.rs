@@ -325,9 +325,9 @@ where
 // ---------------------------------------------------------------------------
 
 /// Builds the explorer's root state: the initial world via the normal
-/// constructor (declares all messages), with the request events pulled
-/// out into per-process queues so their relative order per process is
-/// preserved.
+/// constructor (declares all messages), with the kernel's request
+/// cursor drained into per-process queues so their relative order per
+/// process is preserved.
 fn initial_state<P: Protocol + Clone>(
     processes: usize,
     workload: Workload,
@@ -339,23 +339,26 @@ fn initial_state<P: Protocol + Clone>(
     let sim = Simulation::new(config, workload, factory);
     let (mut world, mut protocols) = sim.into_parts();
     let mut requests: Vec<VecDeque<Scheduled>> = vec![VecDeque::new(); processes];
-    let mut initial: Vec<Scheduled> = Vec::new();
-    while let Some(Reverse(ev)) = world.queue.pop() {
-        match ev.kind {
-            EventKind::Request { .. } => requests[ev.node].push_back(ev),
-            _ => initial.push(ev),
-        }
+    // `World::build` schedules nothing: every pending event is a request.
+    while let Some(ev) = world.pop_next() {
+        requests[ev.node].push_back(ev);
     }
     for node in 0..processes {
         protocols.react(&mut world, node, HostEvent::Init);
     }
+    // The emptied cursor's buffer becomes the pool's (collected in
+    // place), so the root adds no allocation of its own.
+    let mut pool: Vec<Scheduled> = std::mem::take(&mut world.requests)
+        .into_iter()
+        .map(|Reverse(ev)| ev)
+        .collect();
     while let Some(Reverse(ev)) = world.queue.pop() {
-        initial.push(ev);
+        pool.push(ev);
     }
     State {
         world,
         protocols,
-        pool: initial,
+        pool,
         requests,
         cache: None,
     }

@@ -771,7 +771,14 @@ pub(crate) struct World {
     /// Immutable after construction (see `faults`).
     pub(crate) metas: std::sync::Arc<Vec<msgorder_runs::MessageMeta>>,
     pub(crate) builder: StreamingRun,
+    /// What dispatches schedule: in-flight frames, timers, and requests
+    /// a crash deferred to a restart.
     pub(crate) queue: BinaryHeap<Reverse<Scheduled>>,
+    /// The workload's unissued requests, sorted once at build so that
+    /// `pop()` yields the earliest under `(time, seq)`. Requests are the
+    /// environment's input (the pending sets `I_i`): no dispatch can add,
+    /// disable or delay one, so they never enter the heap.
+    pub(crate) requests: Vec<Reverse<Scheduled>>,
     pub(crate) rng: StdRng,
     /// Independent stream for fault decisions (see [`FAULT_RNG_SALT`]).
     pub(crate) fault_rng: StdRng,
@@ -844,20 +851,37 @@ impl World {
             node,
             kind,
         }));
-        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len());
+        let pending = self.queue.len() + self.requests.len();
+        self.stats.max_queue_depth = self.stats.max_queue_depth.max(pending);
+    }
+
+    /// Removes the next pending event under `(time, seq)`: the earlier
+    /// of the request cursor's head and the heap's top.
+    pub(crate) fn pop_next(&mut self) -> Option<Scheduled> {
+        let from_requests = match (self.requests.last(), self.queue.peek()) {
+            (Some(Reverse(r)), Some(Reverse(q))) => r < q,
+            (r, _) => r.is_some(),
+        };
+        let Reverse(ev) = if from_requests {
+            self.requests.pop()
+        } else {
+            self.queue.pop()
+        }?;
+        Some(ev)
     }
 
     /// Builds a fresh world for `config` and `workload`: message ids are
-    /// assigned in workload order and every request is pre-queued at its
-    /// `at` time (shared between [`Simulation::new`] and the realtime
-    /// kernel, so both number messages and sequence events identically).
+    /// assigned in workload order, and request `i` gets seq `i` and
+    /// enters the request cursor at its `at` time (shared between
+    /// [`Simulation::new`] and the realtime kernel, so both number
+    /// messages and sequence events identically).
     ///
     /// A request naming a process out of range poisons the world
     /// ([`SimErrorKind::InvalidRequest`]): declaration stops there and
     /// every kernel returns the counterexample before dispatching.
     pub(crate) fn build(config: SimConfig, workload: &Workload) -> World {
         let mut builder = StreamingRun::new(config.processes);
-        let mut queue = BinaryHeap::new();
+        let mut requests = Vec::with_capacity(workload.sends.len());
         let mut seq = 0u64;
         let mut out_of_range = None;
         for spec in &workload.sends {
@@ -872,7 +896,7 @@ impl World {
                 Some(c) => builder.message_colored(spec.src, spec.dst, c),
                 None => builder.message(spec.src, spec.dst),
             };
-            queue.push(Reverse(Scheduled {
+            requests.push(Reverse(Scheduled {
                 time: spec.at,
                 seq,
                 node: spec.src,
@@ -880,6 +904,9 @@ impl World {
             }));
             seq += 1;
         }
+        // Ascending under `Reverse` is latest first: the earliest
+        // request ends up last, where `pop` takes it.
+        requests.sort_unstable();
         let metas = builder.messages().to_vec();
         let n_msgs = metas.len();
         let mut world = World {
@@ -888,7 +915,10 @@ impl World {
             faults: std::sync::Arc::new(config.faults),
             metas: std::sync::Arc::new(metas),
             builder,
-            queue,
+            // Sized as a heap holding every request would be, so a run
+            // grows it only where such a heap would have grown.
+            queue: BinaryHeap::with_capacity(n_msgs),
+            requests,
             rng: StdRng::seed_from_u64(config.seed),
             fault_rng: StdRng::seed_from_u64(config.seed ^ FAULT_RNG_SALT),
             seq,
@@ -1007,8 +1037,9 @@ impl World {
         !halted
     }
 
-    /// The event loop of every timed kernel: dispatches until the queue
-    /// drains, the step limit is hit, the world is poisoned, or the
+    /// The event loop of every timed kernel: merges the request cursor
+    /// with the heap ([`World::pop_next`]) and dispatches until both
+    /// drain, the step limit is hit, the world is poisoned, or the
     /// observer (if any) requests a halt, then packages the outcome
     /// ([`World::finish`]).
     #[allow(clippy::result_large_err)] // see `Simulation::run`
@@ -1040,7 +1071,7 @@ impl World {
             if self.error.is_some() {
                 break;
             }
-            let Some(Reverse(ev)) = self.queue.pop() else {
+            let Some(ev) = self.pop_next() else {
                 break;
             };
             steps += 1;
@@ -1983,5 +2014,115 @@ mod tests {
             b.run.users_view().relation_pairs()
         );
         assert_eq!(a.stats.end_time, 1, "everything resolves on tick 1");
+    }
+
+    fn send(at: u64, src: usize, dst: usize) -> SendSpec {
+        SendSpec {
+            at,
+            src,
+            dst,
+            color: None,
+        }
+    }
+
+    fn ev(m: usize, kind: RunEventKind) -> SystemEvent {
+        SystemEvent::new(MessageId(m), kind)
+    }
+
+    /// Runs `sends` under [`Immediate`], returning the result and every
+    /// run event with its time, in the order the kernel journaled them.
+    fn journaled(
+        config: SimConfig,
+        sends: Vec<SendSpec>,
+    ) -> (StreamResult, Vec<(SystemEvent, u64)>) {
+        let mut obs = Recorder {
+            events: Vec::new(),
+            halt_on_deliver: false,
+            wire: false,
+        };
+        let r = Simulation::new(config, Workload { sends }, |_| Immediate)
+            .run_streaming(&mut obs)
+            .expect("no protocol bug");
+        let events = obs.events.into_iter().map(|(ev, _, t)| (ev, t)).collect();
+        (r, events)
+    }
+
+    /// The `Stats` of an `Immediate` run that every frame reached.
+    fn immediate_stats(msgs: usize, total_latency: u64, end_time: u64, depth: usize) -> Stats {
+        Stats {
+            user_messages: msgs,
+            delivered: msgs,
+            dispatched_events: 2 * msgs,
+            total_latency,
+            end_time,
+            max_queue_depth: depth,
+            ..Stats::default()
+        }
+    }
+
+    #[test]
+    fn a_request_precedes_a_frame_due_at_the_same_tick() {
+        use RunEventKind::{Deliver, Invoke, Receive, Send};
+        // m1's request carries seq 1 from build; m0's frame, scheduled
+        // when m0 sends at t=0, carries a later seq and also falls due
+        // at t=5.
+        let (r, _) = journaled(
+            SimConfig::new(2, LatencyModel::Fixed(5), 0),
+            vec![send(0, 0, 1), send(5, 1, 0)],
+        );
+        assert_eq!(
+            r.run.sequence(ProcessId(1)),
+            [ev(1, Invoke), ev(1, Send), ev(0, Receive), ev(0, Deliver)]
+        );
+        assert_eq!(r.stats, immediate_stats(2, 10, 10, 2));
+    }
+
+    #[test]
+    fn a_crash_deferred_request_follows_an_original_request_at_the_restart_tick() {
+        use RunEventKind::{Deliver, Invoke, Receive, Send};
+        // P1 is down over [3, 10): its request at t=5 is rescheduled to
+        // t=10 with a fresh seq, after P0's original request due at t=10.
+        let faults = FaultModel::none().with_crash(1, 3, Some(10));
+        let (r, events) = journaled(
+            SimConfig::new(3, LatencyModel::Fixed(5), 0).with_faults(faults),
+            vec![send(5, 1, 2), send(10, 0, 2)],
+        );
+        assert_eq!(
+            events,
+            [
+                (ev(1, Invoke), 10),
+                (ev(1, Send), 10),
+                (ev(0, Invoke), 10),
+                (ev(0, Send), 10),
+                (ev(1, Receive), 15),
+                (ev(1, Deliver), 15),
+                (ev(0, Receive), 15),
+                (ev(0, Deliver), 15),
+            ]
+        );
+        assert_eq!(r.stats, immediate_stats(2, 10, 15, 2));
+    }
+
+    #[test]
+    fn requests_dispatch_by_time_then_workload_index() {
+        // Listed out of time order, with equal times on different
+        // processes; every frame lands after the last request.
+        let (r, events) = journaled(
+            SimConfig::new(3, LatencyModel::Fixed(100), 0),
+            vec![
+                send(7, 0, 1),
+                send(2, 1, 2),
+                send(7, 2, 0),
+                send(2, 0, 2),
+                send(7, 1, 0),
+            ],
+        );
+        let invokes: Vec<(usize, u64)> = events
+            .iter()
+            .filter(|(e, _)| e.kind == RunEventKind::Invoke)
+            .map(|&(e, t)| (e.msg.0, t))
+            .collect();
+        assert_eq!(invokes, [(1, 2), (3, 2), (0, 7), (2, 7), (4, 7)]);
+        assert_eq!(r.stats, immediate_stats(5, 500, 107, 5));
     }
 }

@@ -5,7 +5,8 @@
 //! # Why live runs replay bit-exact
 //!
 //! The kernel is a *sequencer*: it runs the one event loop of the
-//! discrete-event simulator over the same `(time, seq)` binary heap and
+//! discrete-event simulator over the same `(time, seq)` order (the
+//! sorted request cursor merged with the heap of frames and timers) and
 //! dispatches one event at a time, blocking on the host's reply before
 //! touching the next event.
 //! Three invariants make the recorded trace indistinguishable from a
@@ -198,11 +199,11 @@ pub struct RealtimeOutcome {
 
 /// The wall-clock-paced kernel. Construction mirrors
 /// [`Simulation::new`](crate::Simulation::new) — same message
-/// numbering, same pre-queued requests, same tie-breaking — and the
-/// event loop is the simulator's own; events are answered by a
-/// [`HostDriver`] instead of in-process protocol instances, and the
-/// loop sleeps until each event's wall deadline (`ev.time × tick`)
-/// before dispatching it.
+/// numbering, same sorted request cursor, same `(time, seq)`
+/// tie-breaking — and the event loop is the simulator's own; events are
+/// answered by a [`HostDriver`] instead of in-process protocol
+/// instances, and the loop sleeps until each event's wall deadline
+/// (`ev.time × tick`) before dispatching it.
 pub struct RealtimeKernel {
     world: World,
     step_limit: usize,

@@ -36,7 +36,9 @@ pub struct Stats {
     /// Events dispatched to protocol instances by the kernel loop
     /// (excludes crash-window drops/deferrals).
     pub dispatched_events: usize,
-    /// High-water mark of the kernel event queue.
+    /// High-water mark of pending kernel events: unissued requests plus
+    /// in-flight frames and timers, sampled whenever a dispatch
+    /// schedules one. Trace footers store it.
     pub max_queue_depth: usize,
     /// Frames whose payload the adversary bit-flipped in transit.
     pub corrupted_frames: usize,

@@ -20,7 +20,8 @@ pub struct SendSpec {
 /// A batch of user send requests driven into the simulation.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Workload {
-    /// The requests; the kernel sorts them by time.
+    /// The requests, in any order: the kernel sorts them by `(at,
+    /// index)`, so equal times dispatch in list order.
     pub sends: Vec<SendSpec>,
 }
 
