@@ -1,19 +1,22 @@
-//! Transitive closure and transitive reduction.
+//! Transitive closure and transitive reduction of a DAG.
 //!
 //! The closure is two flat bit matrices — `rows` (descendants) and its
 //! transpose `cols` (ancestors) — of `n` rows by `⌈n/64⌉` words each,
 //! row `u` at `[u * stride..][..stride]`, bit `v % 64` of word `v / 64`
-//! for node `v`. Building one costs a constant number of allocations
-//! whatever `n` is, and a row is handed out as a borrowed [`BitRow`].
+//! for node `v`. Every closure the workspace builds is of a strict
+//! partial order (§3.3's `▷`, §3.1's `→`, a [`crate::Poset`]), so a
+//! cyclic edge set has no closure: construction takes one Kahn order
+//! and gives up before allocating either matrix. Building one costs a
+//! constant number of allocations whatever `n` is, and a row is handed
+//! out as a borrowed [`BitRow`].
 
 use crate::bitset::BitRow;
-use crate::graph::{Components, Csr, DiGraph, NodeId};
+use crate::graph::{Csr, DiGraph, NodeId};
 
-/// The reachability matrix of a directed graph.
+/// The reachability matrix of a directed acyclic graph.
 ///
 /// `reaches(u, v)` answers "is there a non-empty directed path from `u` to
-/// `v`?" — i.e. this is the closure of the *strict* relation: a node does
-/// not reach itself unless it lies on a cycle.
+/// `v`?" — the closure of a *strict* order: no node reaches itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransitiveClosure {
     n: usize,
@@ -27,10 +30,6 @@ pub struct TransitiveClosure {
     cols: Vec<u64>,
 }
 
-fn bit(words: &[u64], i: usize) -> bool {
-    words[i / 64] & (1 << (i % 64)) != 0
-}
-
 fn set_bit(words: &mut [u64], i: usize) {
     words[i / 64] |= 1 << (i % 64);
 }
@@ -41,101 +40,84 @@ fn union_into(dst: &mut [u64], src: &[u64]) {
     }
 }
 
+/// Row `dst` of a flat `stride`-word matrix, writable, beside row `src`
+/// (`dst != src`), readable.
+fn row_pair(matrix: &mut [u64], stride: usize, dst: NodeId, src: NodeId) -> (&mut [u64], &[u64]) {
+    if dst < src {
+        let (lo, hi) = matrix.split_at_mut(src * stride);
+        (&mut lo[dst * stride..][..stride], &hi[..stride])
+    } else {
+        let (lo, hi) = matrix.split_at_mut(dst * stride);
+        (&mut hi[..stride], &lo[src * stride..][..stride])
+    }
+}
+
+/// Fills `matrix` with the descendant sets of `g`, visiting `nodes` in
+/// an order where every edge's target comes first: `row[u]` is the
+/// union over `u → v` of `row[v] ∪ {v}`, each `row[v]` already final.
+///
+/// `row[u]` is zero until its first out-edge, so that edge copies
+/// instead of OR-ing: the first touch of a freshly mapped page is then a
+/// store, which faults it in once, where a load maps the zero page and
+/// the store after it faults again.
+fn close(matrix: &mut [u64], stride: usize, g: &Csr, nodes: impl Iterator<Item = NodeId>) {
+    for u in nodes {
+        for (i, &v) in g.successors(u).iter().enumerate() {
+            let (row, done) = row_pair(matrix, stride, u, v);
+            if i == 0 {
+                row.copy_from_slice(done);
+            } else {
+                union_into(row, done);
+            }
+            set_bit(row, v);
+        }
+    }
+}
+
 impl TransitiveClosure {
     /// Computes the closure of the graph on nodes `0..n` with the given
-    /// edges (parallel edges and self-loops allowed).
+    /// edges (parallel edges allowed), or `None` if the edges contain a
+    /// cycle — self-loops included.
     ///
-    /// One pass over Tarjan's component order per matrix. `rows` walks
-    /// it forwards (successors first): a component's row is the union,
-    /// over the out-edges of its members, of the edge's target and the
-    /// target's (already complete) row, plus the members themselves when
-    /// the component is cyclic; every member gets a copy. `cols` walks it
-    /// backwards (predecessors first) over the same out-edges: a
-    /// component's column is whatever its predecessors pushed into its
-    /// members, plus the members when cyclic, and it pushes that and the
-    /// edge's source along each edge leaving the component. Cyclic
-    /// inputs are therefore handled correctly (every node of a
-    /// non-trivial SCC, and every node with a self-loop, reaches
-    /// itself). Each edge costs one row union per matrix and each node
-    /// three row passes: `O((n + m) * n / 64)` word operations, no
-    /// per-bit work.
+    /// One Kahn order over a CSR adjacency decides acyclicity before
+    /// either matrix exists. Every edge `u → v` points forward in that
+    /// order, so walking it backwards completes `row[v]` before
+    /// `row[u] |= row[v]; set v`, and walking it forwards over the
+    /// reversed edges completes `col[u]` before `col[v] |= col[u]; set
+    /// u` — the columns are the rows of the reversed graph. Both passes
+    /// write in place: one row union per edge and matrix, `O(m · n / 64)`
+    /// word operations, no per-node scratch row.
     ///
     /// # Panics
     /// Panics if an edge endpoint is `>= n`.
-    pub fn of_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Self {
-        let g = Csr::new(n, edges);
-        let comps = Components::of(&g);
+    pub fn of_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Option<Self> {
+        let g = Csr::new(n, edges.iter().copied());
+        let order = g.kahn_order()?;
         let stride = n.div_ceil(64);
-        let row = |u: NodeId| u * stride..(u + 1) * stride;
         let mut rows = vec![0u64; n * stride];
         let mut cols = vec![0u64; n * stride];
-        let mut acc = vec![0u64; stride];
-        for ci in 0..comps.len() {
-            let members = comps.members(ci);
-            let mut cyclic = members.len() > 1;
-            acc.fill(0);
-            for &u in members {
-                for &v in g.successors(u) {
-                    if comps.of_node(v) == ci {
-                        cyclic = true; // covers self-loops
-                    } else {
-                        set_bit(&mut acc, v);
-                        union_into(&mut acc, &rows[row(v)]);
-                    }
-                }
-            }
-            if cyclic {
-                for &u in members {
-                    set_bit(&mut acc, u);
-                }
-            }
-            for &u in members {
-                rows[row(u)].copy_from_slice(&acc);
-            }
-        }
-        for ci in (0..comps.len()).rev() {
-            let members = comps.members(ci);
-            acc.fill(0);
-            for &u in members {
-                union_into(&mut acc, &cols[row(u)]);
-            }
-            // `rows` is complete: its diagonal says whether `ci` is cyclic.
-            if bit(&rows[row(members[0])], members[0]) {
-                for &u in members {
-                    set_bit(&mut acc, u);
-                }
-            }
-            for &u in members {
-                cols[row(u)].copy_from_slice(&acc);
-            }
-            for &u in members {
-                for &v in g.successors(u) {
-                    if comps.of_node(v) != ci {
-                        let col = &mut cols[row(v)];
-                        union_into(col, &acc);
-                        set_bit(col, u);
-                    }
-                }
-            }
-        }
-        TransitiveClosure {
+        close(&mut rows, stride, &g, order.iter().rev().copied());
+        let reversed = Csr::new(n, edges.iter().map(|&(u, v)| (v, u)));
+        close(&mut cols, stride, &reversed, order.iter().copied());
+        Some(TransitiveClosure {
             n,
             stride,
             rows,
             cols,
-        }
+        })
     }
 
-    /// Computes the closure of `g`.
-    pub fn of_graph(g: &DiGraph) -> Self {
+    /// Computes the closure of `g`, or `None` if `g` has a cycle.
+    pub fn of_graph(g: &DiGraph) -> Option<Self> {
         Self::of_edges(g.node_count(), g.edges())
     }
 
-    /// Builds a closure directly from `n` nodes and an edge list.
+    /// Builds a closure directly from `n` nodes and an edge list, or
+    /// `None` if the pairs contain a cycle.
     ///
     /// # Panics
     /// Panics if an edge endpoint is `>= n`.
-    pub fn from_pairs<I>(n: usize, pairs: I) -> Self
+    pub fn from_pairs<I>(n: usize, pairs: I) -> Option<Self>
     where
         I: IntoIterator<Item = (NodeId, NodeId)>,
     {
@@ -166,12 +148,6 @@ impl TransitiveClosure {
         self.descendants(u).contains(v)
     }
 
-    /// Whether the underlying relation is a strict partial order, i.e.
-    /// irreflexive after closure (no node lies on a cycle).
-    pub fn is_strict_order(&self) -> bool {
-        (0..self.n).all(|v| !self.reaches(v, v))
-    }
-
     /// The full descendant set of `u` (everything reachable from it).
     ///
     /// # Panics
@@ -200,20 +176,12 @@ impl TransitiveClosure {
         out
     }
 
-    /// The transitive reduction (Hasse diagram) of an **acyclic** closure:
-    /// the unique minimal edge set with the same closure.
+    /// The transitive reduction (Hasse diagram): the unique minimal edge
+    /// set with the same closure.
     ///
     /// `u -> v` is a cover iff `u` reaches `v` and no `w` has
     /// `u -> w -> v`.
-    ///
-    /// # Panics
-    /// Panics if the relation is cyclic (a Hasse diagram is only defined
-    /// for partial orders).
     pub fn reduction(&self) -> Vec<(NodeId, NodeId)> {
-        assert!(
-            self.is_strict_order(),
-            "transitive reduction requires an acyclic relation"
-        );
         // Word-parallel cover extraction: v is mediated from u exactly
         // when some w in row(u) reaches v, so
         //   covers_u = row(u) & !(⋃_{w ∈ row(u)} row(w)).
@@ -243,44 +211,40 @@ impl TransitiveClosure {
 mod tests {
     use super::*;
 
+    fn closure(n: usize, pairs: &[(NodeId, NodeId)]) -> TransitiveClosure {
+        TransitiveClosure::from_pairs(n, pairs.iter().copied()).expect("acyclic")
+    }
+
     #[test]
     fn chain_closure() {
-        let c = TransitiveClosure::from_pairs(4, [(0, 1), (1, 2), (2, 3)]);
+        let c = closure(4, &[(0, 1), (1, 2), (2, 3)]);
         assert!(c.reaches(0, 3));
         assert!(c.reaches(1, 3));
         assert!(!c.reaches(3, 0));
         assert!(!c.reaches(0, 0));
-        assert!(c.is_strict_order());
     }
 
     #[test]
-    fn cycle_closure_is_reflexive_on_cycle() {
-        let c = TransitiveClosure::from_pairs(3, [(0, 1), (1, 0)]);
-        assert!(c.reaches(0, 0));
-        assert!(c.reaches(1, 1));
-        assert!(!c.reaches(2, 2));
-        assert!(!c.is_strict_order());
-    }
-
-    #[test]
-    fn self_loop_detected() {
-        let c = TransitiveClosure::from_pairs(2, [(0, 0)]);
-        assert!(c.reaches(0, 0));
-        assert!(!c.is_strict_order());
-    }
-
-    #[test]
-    fn cycle_reaching_out() {
-        // 0 <-> 1 -> 2
-        let c = TransitiveClosure::from_pairs(3, [(0, 1), (1, 0), (1, 2)]);
-        assert!(c.reaches(0, 2));
-        assert!(c.reaches(1, 2));
-        assert!(!c.reaches(2, 0));
+    fn cyclic_edges_have_no_closure() {
+        for (n, pairs) in [
+            (3, &[(0, 1), (1, 0)][..]),
+            (2, &[(0, 0)]),
+            // 0 <-> 1 -> 2
+            (3, &[(0, 1), (1, 0), (1, 2)]),
+            // acyclic prefix, then a self-loop on the last node
+            (4, &[(0, 1), (1, 2), (2, 3), (3, 3)]),
+        ] {
+            assert_eq!(
+                TransitiveClosure::from_pairs(n, pairs.iter().copied()),
+                None
+            );
+            assert_eq!(TransitiveClosure::of_edges(n, pairs), None);
+        }
     }
 
     #[test]
     fn ancestors_and_descendants() {
-        let c = TransitiveClosure::from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)]);
+        let c = closure(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
         let d0: Vec<_> = c.descendants(0).iter().collect();
         assert_eq!(d0, vec![1, 2, 3]);
         let a3: Vec<_> = c.ancestors(3).iter().collect();
@@ -290,7 +254,7 @@ mod tests {
     #[test]
     fn reduction_of_diamond_with_shortcut() {
         // diamond plus the redundant edge 0 -> 3
-        let c = TransitiveClosure::from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)]);
+        let c = closure(4, &[(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)]);
         let mut red = c.reduction();
         red.sort_unstable();
         assert_eq!(red, vec![(0, 1), (0, 2), (1, 3), (2, 3)]);
@@ -298,31 +262,21 @@ mod tests {
 
     #[test]
     fn reduction_closure_roundtrip() {
-        let pairs = [(0, 1), (1, 2), (0, 2), (2, 4), (1, 4), (3, 4)];
-        let c = TransitiveClosure::from_pairs(5, pairs);
+        let c = closure(5, &[(0, 1), (1, 2), (0, 2), (2, 4), (1, 4), (3, 4)]);
         let red = c.reduction();
-        let c2 = TransitiveClosure::from_pairs(5, red.iter().copied());
-        assert_eq!(c.pairs(), c2.pairs());
-    }
-
-    #[test]
-    #[should_panic(expected = "acyclic")]
-    fn reduction_panics_on_cycle() {
-        let c = TransitiveClosure::from_pairs(2, [(0, 1), (1, 0)]);
-        let _ = c.reduction();
+        assert_eq!(c.pairs(), closure(5, &red).pairs());
     }
 
     #[test]
     fn empty_universe() {
-        let c = TransitiveClosure::from_pairs(0, []);
+        let c = closure(0, &[]);
         assert!(c.is_empty());
-        assert!(c.is_strict_order());
         assert!(c.pairs().is_empty());
     }
 
     #[test]
     fn pairs_enumerates_all() {
-        let c = TransitiveClosure::from_pairs(3, [(0, 1), (1, 2)]);
+        let c = closure(3, &[(0, 1), (1, 2)]);
         let mut p = c.pairs();
         p.sort_unstable();
         assert_eq!(p, vec![(0, 1), (0, 2), (1, 2)]);
@@ -331,9 +285,10 @@ mod tests {
     #[test]
     fn large_chain_scales() {
         let n = 500;
-        let c = TransitiveClosure::from_pairs(n, (0..n - 1).map(|i| (i, i + 1)));
+        let chain: Vec<_> = (0..n - 1).map(|i| (i, i + 1)).collect();
+        let c = closure(n, &chain);
         assert!(c.reaches(0, n - 1));
-        assert!(c.is_strict_order());
+        assert!((0..n).all(|v| !c.reaches(v, v)));
         assert_eq!(c.descendants(0).len(), n - 1);
     }
 }

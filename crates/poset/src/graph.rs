@@ -195,18 +195,6 @@ impl DiGraph {
         None
     }
 
-    /// Strongly connected components (Tarjan, iterative).
-    ///
-    /// Returns the components in reverse topological order of the
-    /// condensation (standard Tarjan output order); every node appears in
-    /// exactly one component.
-    pub fn sccs(&self) -> Vec<Vec<NodeId>> {
-        let comps = Components::of(&Csr::new(self.n, &self.edges));
-        (0..comps.len())
-            .map(|ci| comps.members(ci).to_vec())
-            .collect()
-    }
-
     /// The subgraph induced by `keep`, with nodes renumbered densely.
     ///
     /// Returns the new graph and the mapping from old node id to new.
@@ -246,11 +234,16 @@ pub(crate) struct Csr {
 impl Csr {
     /// # Panics
     /// Panics if an endpoint is `>= n`.
-    pub(crate) fn new(n: usize, edges: &[(NodeId, NodeId)]) -> Csr {
+    pub(crate) fn new<I>(n: usize, edges: I) -> Csr
+    where
+        I: Iterator<Item = (NodeId, NodeId)> + Clone,
+    {
         let mut starts = vec![0usize; n + 1];
-        for &(u, v) in edges {
+        let mut m = 0;
+        for (u, v) in edges.clone() {
             assert!(u < n && v < n, "edge endpoints must be < n");
             starts[u + 1] += 1;
+            m += 1;
         }
         for u in 0..n {
             starts[u + 1] += starts[u];
@@ -258,8 +251,8 @@ impl Csr {
         // Stable counting sort by source: `starts[u]` doubles as `u`'s
         // write cursor and ends up one slot to the right, i.e. holding
         // `starts[u + 1]`; shifting back restores it.
-        let mut targets = vec![0; edges.len()];
-        for &(u, v) in edges {
+        let mut targets = vec![0; m];
+        for (u, v) in edges {
             targets[starts[u]] = v;
             starts[u] += 1;
         }
@@ -268,106 +261,48 @@ impl Csr {
         Csr { starts, targets }
     }
 
-    pub(crate) fn node_count(&self) -> usize {
-        self.starts.len() - 1
-    }
-
     pub(crate) fn successors(&self, u: NodeId) -> &[NodeId] {
         &self.targets[self.starts[u]..self.starts[u + 1]]
     }
-}
 
-/// The strongly connected components of a graph, flat: component `ci`
-/// is `order[starts[ci]..starts[ci + 1]]`. Components come in Tarjan's
-/// emission order — every edge leaving a component points into an
-/// earlier one — and members in the order they left Tarjan's stack.
-pub(crate) struct Components {
-    order: Vec<NodeId>,
-    starts: Vec<usize>,
-    comp_of: Vec<usize>,
-}
-
-impl Components {
-    /// Tarjan's algorithm, iterative — the crate's one SCC routine.
-    pub(crate) fn of(g: &Csr) -> Components {
-        const UNSET: usize = usize::MAX;
-        let n = g.node_count();
-        let mut index = vec![UNSET; n];
-        let mut low = vec![0usize; n];
-        // A visited node is on Tarjan's stack until it has a component.
-        let mut comp_of = vec![UNSET; n];
-        let mut stack: Vec<NodeId> = Vec::new();
-        // Call stack of (node, cursor into `g.targets`).
-        let mut call: Vec<(NodeId, usize)> = Vec::new();
+    /// A topological order of the nodes (Kahn's algorithm, FIFO), or
+    /// `None` if the graph has a cycle — self-loops included. The order
+    /// vector doubles as the queue: `order[head..]` are the nodes whose
+    /// in-degree has dropped to zero but whose out-edges are not yet
+    /// retired.
+    pub(crate) fn kahn_order(&self) -> Option<Vec<NodeId>> {
+        let n = self.starts.len() - 1;
+        let mut indeg = vec![0usize; n];
+        for &v in &self.targets {
+            indeg[v] += 1;
+        }
         let mut order = Vec::with_capacity(n);
-        let mut starts = Vec::with_capacity(n + 1);
-        starts.push(0);
-        let mut next_index = 0usize;
-
-        for root in 0..n {
-            if index[root] != UNSET {
-                continue;
-            }
-            index[root] = next_index;
-            low[root] = next_index;
-            next_index += 1;
-            stack.push(root);
-            call.push((root, g.starts[root]));
-
-            while let Some(&mut (u, ref mut pos)) = call.last_mut() {
-                if *pos < g.starts[u + 1] {
-                    let v = g.targets[*pos];
-                    *pos += 1;
-                    if index[v] == UNSET {
-                        index[v] = next_index;
-                        low[v] = next_index;
-                        next_index += 1;
-                        stack.push(v);
-                        call.push((v, g.starts[v]));
-                    } else if comp_of[v] == UNSET {
-                        low[u] = low[u].min(index[v]);
-                    }
-                } else {
-                    call.pop();
-                    if let Some(&(p, _)) = call.last() {
-                        low[p] = low[p].min(low[u]);
-                    }
-                    if low[u] == index[u] {
-                        let ci = starts.len() - 1;
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            comp_of[w] = ci;
-                            order.push(w);
-                            if w == u {
-                                break;
-                            }
-                        }
-                        starts.push(order.len());
-                    }
+        order.extend((0..n).filter(|&v| indeg[v] == 0));
+        let mut head = 0;
+        while let Some(&u) = order.get(head) {
+            head += 1;
+            for &v in self.successors(u) {
+                indeg[v] -= 1;
+                if indeg[v] == 0 {
+                    order.push(v);
                 }
             }
         }
-        Components {
-            order,
-            starts,
-            comp_of,
-        }
+        (order.len() == n).then_some(order)
     }
+}
 
-    /// Number of components.
-    pub(crate) fn len(&self) -> usize {
-        self.starts.len() - 1
-    }
-
-    /// The nodes of component `ci`.
-    pub(crate) fn members(&self, ci: usize) -> &[NodeId] {
-        &self.order[self.starts[ci]..self.starts[ci + 1]]
-    }
-
-    /// The component `v` belongs to.
-    pub(crate) fn of_node(&self, v: NodeId) -> usize {
-        self.comp_of[v]
-    }
+/// Whether the graph on nodes `0..n` with the given edges has no
+/// directed cycle (a self-loop is one). Parallel edges are allowed.
+///
+/// One CSR plus one Kahn pass: at most four allocations however many
+/// nodes or edges there are, where building a [`DiGraph`] for
+/// [`DiGraph::has_cycle`] makes two per node.
+///
+/// # Panics
+/// Panics if an edge endpoint is `>= n`.
+pub fn is_acyclic(n: usize, edges: &[(NodeId, NodeId)]) -> bool {
+    Csr::new(n, edges.iter().copied()).kahn_order().is_some()
 }
 
 #[cfg(test)]
@@ -441,34 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn sccs_of_two_cycles() {
-        // 0 <-> 1, 2 <-> 3, 1 -> 2
-        let mut g = DiGraph::new(4);
-        g.add_edge(0, 1).unwrap();
-        g.add_edge(1, 0).unwrap();
-        g.add_edge(2, 3).unwrap();
-        g.add_edge(3, 2).unwrap();
-        g.add_edge(1, 2).unwrap();
-        let mut comps: Vec<Vec<NodeId>> = g
-            .sccs()
-            .into_iter()
-            .map(|mut c| {
-                c.sort_unstable();
-                c
-            })
-            .collect();
-        comps.sort();
-        assert_eq!(comps, vec![vec![0, 1], vec![2, 3]]);
-    }
-
-    #[test]
-    fn sccs_singletons_for_dag() {
-        let comps = diamond().sccs();
-        assert_eq!(comps.len(), 4);
-        assert!(comps.iter().all(|c| c.len() == 1));
-    }
-
-    #[test]
     fn induced_subgraph_renumbers() {
         let g = diamond();
         let (sub, map) = g.induced_subgraph(&[1, 3]);
@@ -502,6 +409,5 @@ mod tests {
         let g = DiGraph::new(0);
         assert_eq!(g.topo_sort().unwrap(), Vec::<usize>::new());
         assert!(!g.has_cycle());
-        assert!(g.sccs().is_empty());
     }
 }

@@ -7,9 +7,11 @@
 //! - [`BitSet`] — dense fixed-capacity bitsets; [`BitRow`] — one
 //!   borrowed row of a flat bit matrix with the same read-only queries.
 //! - [`DiGraph`] — a small adjacency-list directed multigraph with cycle
-//!   detection, topological sorting and strongly-connected components.
-//! - [`TransitiveClosure`] — reachability as two flat `n × ⌈n/64⌉` word
-//!   matrices (descendants and ancestors), built from an edge slice.
+//!   detection (with a witness) and topological sorting;
+//!   [`is_acyclic`] — the same verdict over a flat edge slice.
+//! - [`TransitiveClosure`] — reachability of a DAG as two flat
+//!   `n × ⌈n/64⌉` word matrices (descendants and ancestors), built from
+//!   an edge slice in one topological pass.
 //! - [`Poset`] — a validated strict partial order with comparability
 //!   queries, covers, down-sets, minimal/maximal elements.
 //! - [`linear`] — linear extensions: existence, enumeration, counting and
@@ -48,6 +50,6 @@ pub mod words;
 pub use bitset::{BitRow, BitSet};
 pub use closure::TransitiveClosure;
 pub use error::PosetError;
-pub use graph::{DiGraph, EdgeId, NodeId};
+pub use graph::{is_acyclic, DiGraph, EdgeId, NodeId};
 pub use poset::Poset;
 pub use vclock::VectorClock;

@@ -36,12 +36,12 @@ impl Poset {
     /// # Errors
     /// Returns [`PosetError::Cyclic`] if the graph has a directed cycle.
     pub fn from_graph(g: &DiGraph) -> Result<Self, PosetError> {
-        if let Some(cycle) = g.find_cycle() {
-            return Err(PosetError::Cyclic { cycle });
+        match TransitiveClosure::of_graph(g) {
+            Some(closure) => Ok(Poset { closure }),
+            None => Err(PosetError::Cyclic {
+                cycle: g.find_cycle().expect("a graph with no closure has a cycle"),
+            }),
         }
-        Ok(Poset {
-            closure: TransitiveClosure::of_graph(g),
-        })
     }
 
     /// Number of elements.

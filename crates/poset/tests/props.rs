@@ -1,6 +1,6 @@
 //! Property tests for the partial-order substrate.
 
-use msgorder_poset::{linear, BitSet, DiGraph, Poset, TransitiveClosure, VectorClock};
+use msgorder_poset::{is_acyclic, linear, BitSet, DiGraph, Poset, TransitiveClosure, VectorClock};
 use proptest::prelude::*;
 
 fn forward_edges() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
@@ -37,12 +37,15 @@ fn dfs_reach(n: usize, edges: &[(usize, usize)], from: usize) -> Vec<usize> {
 }
 
 /// Multigraphs on both sides of every word boundary of the closure's
-/// `n × ⌈n/64⌉` matrices: anything from no edge to about two per node
-/// (so acyclic draws and giant components both occur), the first edge
-/// sometimes doubled and sometimes followed by a self-loop.
+/// `n × ⌈n/64⌉` matrices: anything from no edge to about two per node,
+/// the first edge sometimes doubled. A third of the draws keep every
+/// edge as drawn (cycles and self-loops, so nearly always cyclic at 63
+/// nodes and up), a third orient every edge upwards and a third
+/// downwards (DAGs whose topological order runs with, or against, the
+/// node numbering).
 fn word_boundary_multigraphs() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
     const SIZES: [usize; 7] = [0, 1, 2, 63, 64, 65, 130];
-    (0..SIZES.len()).prop_flat_map(|i| {
+    (0..SIZES.len(), 0..3u8).prop_flat_map(|(i, orient)| {
         let n = SIZES[i];
         let node = 0..n.max(1);
         let edges = proptest::collection::vec((node.clone(), node), 0..2 * n + 1).prop_map(
@@ -50,11 +53,18 @@ fn word_boundary_multigraphs() -> impl Strategy<Value = (usize, Vec<(usize, usiz
                 if n == 0 {
                     es.clear();
                 }
+                if orient > 0 {
+                    es.retain(|&(u, v)| u != v);
+                    for e in &mut es {
+                        let (lo, hi) = (e.0.min(e.1), e.0.max(e.1));
+                        *e = if orient == 1 { (lo, hi) } else { (hi, lo) };
+                    }
+                }
                 if let Some(&(u, v)) = es.first() {
                     if (u + v) % 2 == 0 {
                         es.push((u, v));
                     }
-                    if (u + v) % 3 == 0 {
+                    if orient == 0 && (u + v) % 3 == 0 {
                         es.push((v, v));
                     }
                 }
@@ -67,7 +77,7 @@ fn word_boundary_multigraphs() -> impl Strategy<Value = (usize, Vec<(usize, usiz
 
 /// `reach[u][v]` iff a non-empty path leads from `u` to `v`: one DFS
 /// per node over adjacency lists built here, sharing nothing with the
-/// crate's CSR, Tarjan or matrices.
+/// crate's CSR, Kahn pass or matrices.
 fn reach_oracle(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<bool>> {
     let mut adj = vec![Vec::new(); n];
     for &(u, v) in edges {
@@ -90,38 +100,10 @@ fn reach_oracle(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<bool>> {
         .collect()
 }
 
-/// `DiGraph::sccs` is a wrapper over the closure's Tarjan since the
-/// closure went flat; these are the components, in component and member
-/// order, that the per-node-list Tarjan it replaced returned.
 #[test]
-fn sccs_keep_their_component_and_member_order() {
-    type Case<'a> = (usize, &'a [(usize, usize)], &'a [&'a [usize]]);
-    #[rustfmt::skip]
-    let cases: [Case; 7] = [
-        (4, &[(0, 1), (1, 0), (2, 3), (3, 2), (1, 2)], &[&[3, 2], &[1, 0]]),
-        (4, &[(0, 1), (0, 2), (1, 3), (2, 3)], &[&[3], &[1], &[2], &[0]]),
-        (5, &[(1, 1), (0, 2), (0, 2), (2, 0), (3, 4)], &[&[2, 0], &[1], &[4], &[3]]),
-        (6, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (5, 1)],
-         &[&[5, 4, 3, 2, 1, 0]]),
-        (7, &[(6, 5), (5, 4), (4, 6), (3, 4), (0, 3), (3, 0), (1, 1), (2, 1)],
-         &[&[5, 6, 4], &[3, 0], &[1], &[2]]),
-        (3, &[], &[&[0], &[1], &[2]]),
-        (8, &[(7, 0), (0, 7), (7, 3), (3, 5), (5, 3), (2, 6), (6, 4), (4, 2), (4, 5), (1, 2)],
-         &[&[5, 3], &[7, 0], &[4, 6, 2], &[1]]),
-    ];
-    for (n, edges, want) in cases {
-        let mut g = DiGraph::new(n);
-        for &(u, v) in edges {
-            g.add_edge(u, v).unwrap();
-        }
-        assert_eq!(g.sccs(), want, "{edges:?}");
-    }
-}
-
-#[test]
-fn closure_matches_dfs_on_nested_sccs() {
+fn nested_cycles_have_no_closure() {
     // {0,1,2} -> {3,4}, a self-loop on 5 fed by 4, and 6 isolated.
-    let edges = [
+    let mut edges = vec![
         (0, 1),
         (1, 2),
         (2, 0),
@@ -131,14 +113,17 @@ fn closure_matches_dfs_on_nested_sccs() {
         (4, 5),
         (5, 5),
     ];
-    let c = TransitiveClosure::from_pairs(7, edges);
+    assert_eq!(TransitiveClosure::of_edges(7, &edges), None);
+    // Dropping the back edges leaves a DAG with the same forward paths.
+    edges.retain(|&(u, v)| u < v);
+    let c = TransitiveClosure::of_edges(7, &edges).expect("forward edges are acyclic");
     for v in 0..7 {
         let row: Vec<usize> = c.descendants(v).iter().collect();
         assert_eq!(row, dfs_reach(7, &edges, v), "row {v}");
     }
     assert_eq!(
         c.ancestors(5).iter().collect::<Vec<_>>(),
-        vec![0, 1, 2, 3, 4, 5]
+        vec![0, 1, 2, 3, 4]
     );
     assert!(c.ancestors(6).is_empty() && c.descendants(6).is_empty());
 }
@@ -148,23 +133,39 @@ proptest! {
 
     #[test]
     fn closure_matches_dfs_on_any_digraph((n, edges) in any_edges()) {
-        let c = TransitiveClosure::from_pairs(n, edges.iter().copied());
-        let mut on_cycle = false;
-        for v in 0..n {
-            let reach = dfs_reach(n, &edges, v);
-            on_cycle |= reach.contains(&v);
-            prop_assert_eq!(c.descendants(v).iter().collect::<Vec<_>>(), reach, "row {}", v);
+        let c = TransitiveClosure::of_edges(n, &edges);
+        let reach: Vec<Vec<usize>> = (0..n).map(|v| dfs_reach(n, &edges, v)).collect();
+        let on_cycle = (0..n).any(|v| reach[v].contains(&v));
+        prop_assert_eq!(c.is_none(), on_cycle);
+        prop_assert_eq!(is_acyclic(n, &edges), !on_cycle);
+        if let Some(c) = &c {
+            for (v, want) in reach.iter().enumerate() {
+                let row: Vec<usize> = c.descendants(v).iter().collect();
+                prop_assert_eq!(&row, want, "row {}", v);
+            }
         }
-        prop_assert_eq!(c.is_strict_order(), !on_cycle);
+        prop_assert_eq!(&TransitiveClosure::from_pairs(n, edges.iter().copied()), &c);
     }
 
     #[test]
     fn flat_closure_matches_the_oracle_across_word_boundaries(
         (n, edges) in word_boundary_multigraphs()
     ) {
-        let c = TransitiveClosure::of_edges(n, &edges);
+        let closure = TransitiveClosure::of_edges(n, &edges);
         let reach = reach_oracle(n, &edges);
         let reach = |u: usize, v: usize| reach[u][v];
+        prop_assert_eq!(closure.is_none(), (0..n).any(|v| reach(v, v)));
+        let mut g = DiGraph::new(n);
+        for &(u, v) in &edges {
+            g.add_edge(u, v).unwrap();
+        }
+        prop_assert_eq!(is_acyclic(n, &edges), !g.has_cycle());
+
+        // Three constructors, one matrix (or none).
+        prop_assert_eq!(&TransitiveClosure::from_pairs(n, edges.iter().copied()), &closure);
+        prop_assert_eq!(&TransitiveClosure::of_graph(&g), &closure);
+
+        let Some(c) = closure else { return Ok(()); };
         for u in 0..n {
             let (down, up) = (c.descendants(u), c.ancestors(u));
             for v in 0..n {
@@ -183,40 +184,31 @@ proptest! {
             prop_assert_eq!(owned.iter().collect::<Vec<_>>(), members);
             prop_assert!(down.is_subset(&owned));
         }
-        prop_assert_eq!(c.is_strict_order(), (0..n).all(|v| !reach(v, v)));
-
-        // Three constructors, one matrix.
-        prop_assert_eq!(&TransitiveClosure::from_pairs(n, edges.iter().copied()), &c);
-        let mut g = DiGraph::new(n);
-        for &(u, v) in &edges {
-            g.add_edge(u, v).unwrap();
-        }
-        prop_assert_eq!(&TransitiveClosure::of_graph(&g), &c);
     }
 
     #[test]
     fn closure_is_idempotent((n, edges) in forward_edges()) {
-        let c1 = TransitiveClosure::from_pairs(n, edges);
-        let c2 = TransitiveClosure::from_pairs(n, c1.pairs());
+        let c1 = TransitiveClosure::from_pairs(n, edges).unwrap();
+        let c2 = TransitiveClosure::from_pairs(n, c1.pairs()).unwrap();
         prop_assert_eq!(c1.pairs(), c2.pairs());
     }
 
     #[test]
     fn reduction_is_minimal((n, edges) in forward_edges()) {
-        let c = TransitiveClosure::from_pairs(n, edges);
+        let c = TransitiveClosure::from_pairs(n, edges).unwrap();
         let red = c.reduction();
         // removing any cover changes the closure
         for skip in 0..red.len() {
             let mut fewer = red.clone();
             fewer.remove(skip);
-            let c2 = TransitiveClosure::from_pairs(n, fewer);
+            let c2 = TransitiveClosure::from_pairs(n, fewer).unwrap();
             prop_assert_ne!(c.pairs(), c2.pairs(), "cover {:?} was redundant", red[skip]);
         }
     }
 
     #[test]
     fn closure_transitive((n, edges) in forward_edges()) {
-        let c = TransitiveClosure::from_pairs(n, edges);
+        let c = TransitiveClosure::from_pairs(n, edges).unwrap();
         for a in 0..n {
             for b in 0..n {
                 for d in 0..n {
@@ -307,7 +299,7 @@ proptest! {
     fn reduction_matches_naive_definition((n, edges) in forward_edges()) {
         // The word-parallel kernel must agree with the textbook cover
         // definition: u ⋖ v iff u < v and no w has u < w < v.
-        let c = TransitiveClosure::from_pairs(n, edges);
+        let c = TransitiveClosure::from_pairs(n, edges).unwrap();
         let mut naive = Vec::new();
         for (u, v) in c.pairs() {
             let mediated = (0..n).any(|w| w != u && w != v && c.reaches(u, w) && c.reaches(w, v));
@@ -319,10 +311,10 @@ proptest! {
     }
 
     #[test]
-    fn ancestors_cache_matches_column_scan((n, edges) in any_edges()) {
+    fn ancestors_cache_matches_column_scan((n, edges) in forward_edges()) {
         // The transposed-rows cache must agree with scanning the row
-        // matrix column-wise, cycles and self-loops included.
-        let c = TransitiveClosure::from_pairs(n, edges);
+        // matrix column-wise.
+        let c = TransitiveClosure::from_pairs(n, edges).unwrap();
         for v in 0..n {
             let cached: Vec<usize> = c.ancestors(v).iter().collect();
             let scanned: Vec<usize> = (0..n).filter(|&u| c.reaches(u, v)).collect();

@@ -134,15 +134,25 @@ const SEND_BITS: u64 = 0x5555_5555_5555_5555;
 
 /// `dst &= src >> shift` across word boundaries (`shift < 64`). Aligns a
 /// closure row keyed by event node onto send-bit (`2m`) positions.
+///
+/// Both slices are `⌈2·|M|/64⌉` words. Each arm is one branch-free
+/// loop the compiler vectorises: a word takes its low bits from itself
+/// and its high bits from the next word, and the last word has no next.
 fn and_shifted(dst: &mut [u64], src: &[u64], shift: usize) {
-    for (i, d) in dst.iter_mut().enumerate() {
-        let lo = src.get(i).copied().unwrap_or(0) >> shift;
-        let hi = if shift == 0 {
-            0
-        } else {
-            src.get(i + 1).copied().unwrap_or(0) << (64 - shift)
-        };
-        *d &= lo | hi;
+    debug_assert_eq!(dst.len(), src.len());
+    if shift == 0 {
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d &= s;
+        }
+        return;
+    }
+    let (Some(d_last), Some(&s_last)) = (dst.last_mut(), src.last()) else {
+        return;
+    };
+    *d_last &= s_last >> shift;
+    let n = dst.len() - 1;
+    for (d, w) in dst[..n].iter_mut().zip(src.windows(2)) {
+        *d &= (w[0] >> shift) | (w[1] << (64 - shift));
     }
 }
 
@@ -1555,6 +1565,36 @@ mod tests {
     }
 
     #[test]
+    fn and_shifted_is_a_right_shift_across_words() {
+        let src = [
+            0x8000_0000_0000_0001u64,
+            0xdead_beef_0123_4567,
+            0xffff_0000_ffff_0000,
+            0x0000_0000_0000_0003,
+        ];
+        const DST: u64 = 0xf0f0_f0f0_ffff_ffff;
+        for len in 0..=src.len() {
+            let src = &src[..len];
+            for shift in 0..64 {
+                let mut dst = vec![DST; len];
+                and_shifted(&mut dst, src, shift);
+                for (i, &d) in dst.iter().enumerate() {
+                    let next = if shift == 0 {
+                        0
+                    } else {
+                        src.get(i + 1).map_or(0, |w| w << (64 - shift))
+                    };
+                    assert_eq!(
+                        d,
+                        DST & ((src[i] >> shift) | next),
+                        "len {len} shift {shift} word {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn word_mask_leaf_matches_generic_search() {
         use msgorder_runs::generator::{random_user_run, GenParams};
         let preds = [
@@ -1572,7 +1612,9 @@ mod tests {
                 .unwrap(),
         ];
         for seed in 0..40u64 {
-            let mut run = random_user_run(GenParams::new(3, 8, seed));
+            // Every fourth run spans two closure words per row.
+            let msgs = if seed % 4 == 3 { 40 } else { 8 };
+            let mut run = random_user_run(GenParams::new(3, msgs, seed));
             if seed % 2 == 0 && !run.is_empty() {
                 // Exercise the color-filtered candidate mask too.
                 let mut metas = run.messages().to_vec();

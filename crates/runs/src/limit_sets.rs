@@ -51,11 +51,15 @@ pub fn co_violation(run: &UserRun) -> Option<(MessageId, MessageId)> {
 
 /// Membership in `X_sync` (logically synchronous ordering): the message
 /// precedence digraph is acyclic, equivalently a numbering
-/// `T : M → N` with `x.h ▷ y.f ⇒ T(x) < T(y)` exists. Decided on the
-/// contracted skeleton, which is cyclic exactly when the message graph
-/// is.
+/// `T : M → N` with `x.h ▷ y.f ⇒ T(x) < T(y)` exists.
+///
+/// Decided by one Kahn pass ([`msgorder_poset::is_acyclic`]) over the
+/// contracted skeleton's flat edge list — the generating pairs between
+/// distinct messages, one edge each — which is cyclic exactly when the
+/// message graph is (see [`UserRun::message_graph`]). Neither the
+/// closure nor a per-node adjacency list is read.
 pub fn in_x_sync(run: &UserRun) -> bool {
-    !run.skeleton_graph().has_cycle()
+    msgorder_poset::is_acyclic(run.len(), run.skeleton())
 }
 
 /// The numbering `T` witnessing logical synchrony (one slot per message,

@@ -24,7 +24,9 @@ use std::fmt;
 pub struct UserRun {
     messages: Vec<MessageMeta>,
     closure: TransitiveClosure,
-    /// Edges of `skeleton_graph`, sorted and deduplicated.
+    /// The generating pairs between distinct messages, contracted to
+    /// message ids, in the order given (repeats kept): the edges of
+    /// [`skeleton_graph`](Self::skeleton_graph).
     skeleton: Vec<(usize, usize)>,
 }
 
@@ -36,7 +38,8 @@ impl UserRun {
     ///
     /// # Errors
     /// [`RunError::CyclicOrder`] if the relation is cyclic;
-    /// [`RunError::UnknownMessage`] if a pair references a message id
+    /// [`RunError::UnknownMessage`] if `messages[i].id` is not `i` (the
+    /// first misplaced id) or a pair references a message id
     /// `>= messages.len()`.
     pub fn new<I>(messages: Vec<MessageMeta>, order: I) -> Result<Self, RunError>
     where
@@ -44,7 +47,9 @@ impl UserRun {
     {
         let m = messages.len();
         for (i, meta) in messages.iter().enumerate() {
-            debug_assert_eq!(meta.id.0, i, "message ids must be dense");
+            if meta.id.0 != i {
+                return Err(RunError::UnknownMessage(meta.id));
+            }
         }
         let order = order.into_iter();
         let hint = order.size_hint().0;
@@ -67,14 +72,7 @@ impl UserRun {
                 skeleton.push((a.msg.0, b.msg.0));
             }
         }
-        // The closure is built from the SCCs of these edges, so its
-        // diagonal already says whether the relation is cyclic.
-        let closure = TransitiveClosure::of_edges(2 * m, &edges);
-        if !closure.is_strict_order() {
-            return Err(RunError::CyclicOrder);
-        }
-        skeleton.sort_unstable();
-        skeleton.dedup();
+        let closure = TransitiveClosure::of_edges(2 * m, &edges).ok_or(RunError::CyclicOrder)?;
         Ok(UserRun {
             messages,
             closure,
@@ -179,12 +177,26 @@ impl UserRun {
     /// from `x` to `y`. Hence the skeleton is cyclic iff `M` is, a
     /// skeleton cycle is a crown `x_1.s ▷ x_2.r, …, x_k.s ▷ x_1.r`, and a
     /// topological order of the skeleton is a valid numbering `T`.
+    ///
+    /// Edges are added sorted and deduplicated, which fixes the witness
+    /// [`crate::limit_sets::sync_numbering`] and
+    /// [`crate::limit_sets::sync_violation`] read off the graph whatever
+    /// order the pairs were given in.
     pub(crate) fn skeleton_graph(&self) -> DiGraph {
+        let mut edges = self.skeleton.clone();
+        edges.sort_unstable();
+        edges.dedup();
         let mut g = DiGraph::new(self.messages.len());
-        for &(x, y) in &self.skeleton {
+        for (x, y) in edges {
             g.add_edge(x, y).expect("message nodes in range");
         }
         g
+    }
+
+    /// The skeleton's edges as given: [`crate::limit_sets::in_x_sync`]
+    /// needs only their acyclicity, which order and repeats do not move.
+    pub(crate) fn skeleton(&self) -> &[(usize, usize)] {
+        &self.skeleton
     }
 
     /// A compact multi-line rendering, one message per line plus the
@@ -314,6 +326,18 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, RunError::UnknownMessage(MessageId(5)));
+    }
+
+    #[test]
+    fn non_dense_message_ids_rejected() {
+        let mut messages = meta(2);
+        messages[1].id = MessageId(2);
+        let snap = UserRunSnapshot {
+            messages,
+            covers: vec![],
+        };
+        let err = UserRun::try_from(snap).unwrap_err();
+        assert_eq!(err, RunError::UnknownMessage(MessageId(2)));
     }
 
     #[test]
