@@ -735,27 +735,19 @@ mod tests {
     #[test]
     fn single_thread_counters_are_pinned() {
         let spec = catalog::fifo();
-        let compact = DedupMode::Compact {
-            max_states: 0,
-            spill: None,
-        };
         type Counters = (usize, usize, usize, usize, bool);
         let (off, exact, max) = (&DedupMode::Off, &DedupMode::Exact, usize::MAX);
         #[rustfmt::skip]
-        let table: [(usize, bool, &DedupMode, bool, Counters); 13] = [
+        let table: [(usize, bool, &DedupMode, bool, Counters); 9] = [
             // cap, por, dedup, monitored, (schedules, pruned, states, sleep_skipped, truncated)
             (max, false, off,      false, (28350, 0,    0,    0,   false)),
             (max, false, off,      true,  (18900, 7544, 0,    0,   false)),
             (max, false, exact,    false, (165,   0,    1359, 0,   false)),
             (max, false, exact,    true,  (91,    186,  1053, 0,   false)),
-            (max, false, &compact, false, (165,   0,    1359, 0,   false)),
-            (max, false, &compact, true,  (91,    186,  1053, 0,   false)),
             (max, true,  off,      false, (165,   0,    0,    240, false)),
             (max, true,  off,      true,  (91,    128,  0,    173, false)),
             (max, true,  exact,    false, (165,   0,    1359, 240, false)),
             (max, true,  exact,    true,  (91,    128,  1053, 173, false)),
-            (max, true,  &compact, false, (165,   0,    1359, 240, false)),
-            (max, true,  &compact, true,  (91,    128,  1053, 173, false)),
             (40,  true,  exact,    true,  (40,    80,   521,  71,  true)),
         ];
         for (cap, por, dedup, monitored, want) in table {

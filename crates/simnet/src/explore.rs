@@ -34,12 +34,10 @@
 //!    chains, per-node protocol states, the pending pool, and each
 //!    process's issued-request count — updated per dispatch together
 //!    with a 128-bit rolling fingerprint, never re-hashed from scratch.
-//!    The exact seen-set hash-conses every component value once per
+//!    The seen-set hash-conses every component value once per
 //!    exploration (SPIN's collapse compression) and keys a state by the
 //!    short vector of its component ids, so two states merge iff every
-//!    component is byte-identical. The compact seen-set keeps
-//!    fingerprints only, with an optional bound and disk spill so state
-//!    counts can exceed RAM.
+//!    component is byte-identical.
 //! 3. **Threads** ([`ExploreOptions::threads`]). A run is its partial
 //!    order, not its interleaving, so the explorer's contract is the
 //!    *set* of terminal configurations, and the single-thread search —
@@ -69,20 +67,21 @@ use msgorder_runs::{StreamingRun, SystemEvent, SystemRun};
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::fs::File;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+/// The most worker threads one exploration runs. A larger
+/// [`ExploreOptions::threads`] is clamped to it, and
+/// [`ExploreOptions::validate`] reports it.
+const MAX_THREADS: usize = 256;
 
 /// The outcome of an exploration.
 #[derive(Debug, Clone)]
 pub struct Exploration {
     /// Complete schedules visited.
     pub schedules: usize,
-    /// Whether the cap, the depth bound, or a full bounded seen-set
-    /// stopped the search early.
+    /// Whether the cap or the depth bound stopped the search early.
     pub truncated: bool,
     /// Prefixes at which [`explore_monitored`]'s observer halted (and
     /// which were therefore never extended). Zero for [`explore`]. Under
@@ -106,12 +105,9 @@ pub struct Exploration {
     /// Interior states whose every enabled event was slept — the
     /// branches partial-order reduction never expanded.
     pub sleep_skipped: usize,
-    /// Seen-set segments spilled to disk (compact mode with a spill
-    /// path).
-    pub spilled: usize,
 }
 
-/// How the explorer's seen-set stores visited configurations.
+/// Whether the explorer keeps a seen-set of visited configurations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DedupMode {
     /// No seen-set: a pure (possibly sleep-set-reduced) DFS.
@@ -120,38 +116,19 @@ pub enum DedupMode {
     /// material is byte-identical, so a merge can never lose a
     /// reachable schedule. Unbounded memory.
     Exact,
-    /// 128-bit fingerprints only. A fingerprint collision could merge
-    /// two distinct configurations (probability ~`n²/2¹²⁸`), so this
-    /// mode trades a vanishing soundness risk for a fraction of the
-    /// memory — and can be bounded and spilled to disk.
-    Compact {
-        /// Maximum fingerprints held in RAM across all shards;
-        /// `0` means unlimited. When a shard fills and no spill path is
-        /// set (or nothing in it can be flushed), the search marks
-        /// itself `truncated` and stops entering *new* states.
-        max_states: usize,
-        /// Directory for overflow segment files. On overflow,
-        /// fully-explored fingerprints are flushed as sorted segments
-        /// and membership checks fall back to a seek-and-scan with an
-        /// in-memory sparse index. Each exploration writes into its own
-        /// `run-<pid>-<n>` subdirectory of this path (concurrent runs
-        /// sharing a spill directory can never collide) and removes the
-        /// subdirectory when the search ends — even when it aborts
-        /// mid-way, since cleanup rides the seen-set's `Drop`.
-        spill: Option<PathBuf>,
-    },
 }
 
 /// Tuning knobs for [`explore`] and [`explore_monitored`].
 ///
 /// Two knobs take effect only under a quiet [`FaultModel`], and both
-/// silently degrade under any other. Deduplication (either mode)
-/// becomes [`DedupMode::Off`]: the probabilistic fault stream is part
+/// silently degrade under any other. Deduplication becomes
+/// [`DedupMode::Off`]: the probabilistic fault stream is part
 /// of the configuration but cannot be keyed. Partial-order reduction
 /// becomes the full search: fault verdicts make same-channel events
 /// rediscoverable in any order, so no two events are treated as
-/// independent. [`ExploreOptions::validate`] reports the first case for
-/// callers that would rather refuse it.
+/// independent. [`ExploreOptions::validate`] reports the first case,
+/// and a thread count past the worker ceiling, for callers that would
+/// rather refuse them.
 #[derive(Debug, Clone)]
 pub struct ExploreOptions {
     /// Stop after this many completed schedules (`usize::MAX` = never).
@@ -160,7 +137,8 @@ pub struct ExploreOptions {
     pub por: bool,
     /// Worker threads. `<= 1` runs the search on the caller's thread,
     /// deterministically; more spawn that many workers over the
-    /// work-stealing frontier.
+    /// work-stealing frontier, up to a ceiling of 256 (a larger value
+    /// runs 256).
     pub threads: usize,
     /// Seen-set mode.
     pub dedup: DedupMode,
@@ -188,13 +166,21 @@ impl Default for ExploreOptions {
 }
 
 impl ExploreOptions {
-    /// Checks that the seen-set takes effect as set.
+    /// Checks that the seen-set and the thread count take effect as set.
     ///
     /// # Errors
-    /// A [`dedup`](ExploreOptions::dedup) other than [`DedupMode::Off`]
+    /// [`threads`](ExploreOptions::threads) past the worker ceiling,
+    /// which the search would clamp; or a
+    /// [`dedup`](ExploreOptions::dedup) other than [`DedupMode::Off`]
     /// under a non-quiet fault model, which the search would run without
     /// a seen-set. The message starts with the field's name.
     pub fn validate(&self) -> Result<(), String> {
+        if self.threads > MAX_THREADS {
+            return Err(format!(
+                "threads must be at most {MAX_THREADS} (the explorer's worker ceiling), got {}",
+                self.threads
+            ));
+        }
         if *self.dedup_effective() != self.dedup {
             return Err(
                 "dedup requires a quiet fault model: the probabilistic fault \
@@ -266,7 +252,8 @@ impl RunObserver for Unobserved {
 /// # Panics
 /// Only by propagating a panic of the protocol, the visitor or a
 /// worker thread. Every [`ExploreOptions`] value is accepted; knobs a
-/// noisy fault model disables degrade (see there).
+/// noisy fault model disables degrade, and a thread count past the
+/// worker ceiling is clamped (see there).
 pub fn explore<P, V>(
     processes: usize,
     workload: Workload,
@@ -461,9 +448,9 @@ impl<P: Protocol + Hash> State<P> {
 
     /// Dispatches `ev`, folds newly scheduled events into the pool, and
     /// feeds the dispatch's effects to the key cache (interning its
-    /// components in `interner`, in exact mode) and its freshly
-    /// journaled run events to the monitor. Returns `true` if the
-    /// monitor condemned the prefix.
+    /// components in `interner`) and its freshly journaled run events
+    /// to the monitor. Returns `true` if the monitor condemned the
+    /// prefix.
     ///
     /// The clock stays frozen at `0`: ordering is the explorer's
     /// choice, and path-independent event times are what make commuting
@@ -480,8 +467,8 @@ impl<P: Protocol + Hash> State<P> {
         while let Some(Reverse(nev)) = self.world.queue.pop() {
             self.pool.push(nev);
         }
-        if let Some(c) = &mut self.cache {
-            let mut table = interner.map(|t| t.lock().expect("no worker panicked interning"));
+        if let (Some(c), Some(interner)) = (&mut self.cache, interner) {
+            let mut table = interner.lock().expect("no worker panicked interning");
             // The explorer never journals wire/fault records
             // (record_wire stays off under exploration), so only run
             // events appear. Every run event journaled during a
@@ -489,12 +476,12 @@ impl<P: Protocol + Hash> State<P> {
             // so the cache chains stay per-process-ordered.
             for entry in &self.world.fresh {
                 if let KernelEvent::Run { ev, .. } = entry {
-                    c.chain_append(node, ev, table.as_deref_mut());
+                    c.chain_append(node, ev, &mut table);
                 }
             }
-            c.set_proto(node, &self.protocols[node], table.as_deref_mut());
+            c.set_proto(node, &self.protocols[node], &mut table);
             for nev in &self.pool[first_new..] {
-                c.pool_push(nev, table.as_deref_mut());
+                c.pool_push(nev, &mut table);
             }
         }
         let condemned = !self.world.notify_observer(mon);
@@ -512,45 +499,23 @@ impl<P: Protocol + Hash> State<P> {
 const POOL_LIMIT: usize = 10_000;
 
 /// A [`Hasher`] that streams a component's `Hash` material into its
-/// FNV-1a digest and, when `bytes` is given, appends it there too: the
-/// component's full canonical encoding, the very bytes the digest read.
-/// Two components encode equal iff their hash material is identical —
-/// no truncation, no collisions beyond what `Hash` itself conflates.
+/// FNV-1a digest and appends it to `bytes`: the component's full
+/// canonical encoding, the very bytes the digest read. Two components
+/// encode equal iff their hash material is identical — no truncation,
+/// no collisions beyond what `Hash` itself conflates.
 struct Encoder<'a> {
     fnv: Fnv128,
-    bytes: Option<&'a mut Vec<u8>>,
+    bytes: &'a mut Vec<u8>,
 }
 
 impl Hasher for Encoder<'_> {
     fn write(&mut self, bytes: &[u8]) {
         self.fnv.write(bytes);
-        if let Some(buf) = &mut self.bytes {
-            buf.extend_from_slice(bytes);
-        }
+        self.bytes.extend_from_slice(bytes);
     }
     fn finish(&self) -> u64 {
         self.fnv.0 as u64
     }
-}
-
-/// The digest of `value`'s encoding, continued from `start`, and — when
-/// `interner` is given — the value's id in `space`.
-fn encode(
-    interner: Option<&mut Interner>,
-    space: Space,
-    start: Fnv128,
-    value: &(impl Hash + ?Sized),
-) -> (Fnv128, Option<u32>) {
-    if let Some(table) = interner {
-        let (fnv, id) = table.intern(space, start, value);
-        return (fnv, Some(id));
-    }
-    let mut enc = Encoder {
-        fnv: start,
-        bytes: None,
-    };
-    value.hash(&mut enc);
-    (enc.fnv, None)
 }
 
 /// A pool event's component: everything but its tie-breaking `seq`.
@@ -615,22 +580,22 @@ const TAG_REQ: u64 = 0x52;
 /// appends to one chain, and mirrors pool pushes/removals — O(changed)
 /// instead of re-encoding every `BTreeMap` from scratch. Every component
 /// keeps its FNV-1a digest, and a 128-bit rolling fingerprint (`fp`) is
-/// kept as a commutative sum of per-component mixes; it shards the
-/// seen-set and *is* the key in compact mode. In exact mode every
-/// component is also interned, and the key is the vector of their ids
-/// ([`KeyCache::exact_key`]); in compact mode the id vectors stay empty.
+/// kept as a commutative sum of per-component mixes; it picks the
+/// seen-set and frontier shards and is the digest the seen-set finds a
+/// key by. Every component is also interned, and the key is the vector
+/// of their ids ([`KeyCache::exact_key`]).
 #[derive(Clone)]
 struct KeyCache {
     /// Per-process [`Interner`] id of the run-event chain since the
-    /// root (exact mode).
+    /// root.
     chain: Vec<u32>,
     /// Running digest over each chain's encoding.
     chain_fp: Vec<Fnv128>,
-    /// Per-node id of the protocol state's encoding (exact mode).
+    /// Per-node id of the protocol state's encoding.
     proto: Vec<u32>,
     proto_fp: Vec<u128>,
-    /// Per pool event id (exact mode); like `pool_fp`, mirrors
-    /// `State::pool` index for index.
+    /// Per pool event id; like `pool_fp`, mirrors `State::pool` index
+    /// for index.
     pool: Vec<u32>,
     pool_fp: Vec<u128>,
     /// Requests issued per process (with the fixed root workload, this
@@ -641,22 +606,13 @@ struct KeyCache {
 }
 
 impl KeyCache {
-    /// The root's key; `interner` is given iff deduplication is exact.
-    fn new<P: Hash>(
-        protocols: &[P],
-        pool: &[Scheduled],
-        mut interner: Option<&mut Interner>,
-    ) -> Self {
+    /// The root's key.
+    fn new<P: Hash>(protocols: &[P], pool: &[Scheduled], interner: &mut Interner) -> Self {
         let processes = protocols.len();
-        let exact = interner.is_some();
         let mut cache = KeyCache {
-            chain: if exact {
-                vec![0; processes]
-            } else {
-                Vec::new()
-            },
+            chain: vec![0; processes],
             chain_fp: vec![Fnv128::new(); processes],
-            proto: Vec::new(),
+            proto: Vec::with_capacity(processes),
             proto_fp: Vec::with_capacity(processes),
             pool: Vec::new(),
             pool_fp: Vec::new(),
@@ -664,13 +620,13 @@ impl KeyCache {
             fp: 0,
         };
         for (i, p) in protocols.iter().enumerate() {
-            let (fnv, id) = encode(interner.as_deref_mut(), Space::Proto, Fnv128::new(), p);
+            let (fnv, id) = interner.intern(Space::Proto, Fnv128::new(), p);
             cache.proto_fp.push(fnv.0);
-            cache.proto.extend(id);
+            cache.proto.push(id);
             cache.fp = cache.fp.wrapping_add(mix128(TAG_PROTO, i as u64, fnv.0));
         }
         for ev in pool {
-            cache.pool_push(ev, interner.as_deref_mut());
+            cache.pool_push(ev, interner);
         }
         for p in 0..processes {
             cache.fp = cache
@@ -681,49 +637,41 @@ impl KeyCache {
         cache
     }
 
-    fn chain_append(&mut self, p: usize, ev: &SystemEvent, interner: Option<&mut Interner>) {
+    fn chain_append(&mut self, p: usize, ev: &SystemEvent, interner: &mut Interner) {
         self.fp = self
             .fp
             .wrapping_sub(mix128(TAG_CHAIN, p as u64, self.chain_fp[p].0));
-        // Compact mode keeps no ids; its space is never read.
-        let parent = self.chain.get(p).copied().unwrap_or_default();
-        let (fnv, id) = encode(interner, Space::Chain(parent), self.chain_fp[p], ev);
+        let (fnv, id) = interner.intern(Space::Chain(self.chain[p]), self.chain_fp[p], ev);
         self.chain_fp[p] = fnv;
-        if let Some(id) = id {
-            self.chain[p] = id;
-        }
+        self.chain[p] = id;
         self.fp = self
             .fp
             .wrapping_add(mix128(TAG_CHAIN, p as u64, self.chain_fp[p].0));
     }
 
-    fn set_proto(&mut self, node: usize, proto: &impl Hash, interner: Option<&mut Interner>) {
+    fn set_proto(&mut self, node: usize, proto: &impl Hash, interner: &mut Interner) {
         self.fp = self
             .fp
             .wrapping_sub(mix128(TAG_PROTO, node as u64, self.proto_fp[node]));
-        let (fnv, id) = encode(interner, Space::Proto, Fnv128::new(), proto);
+        let (fnv, id) = interner.intern(Space::Proto, Fnv128::new(), proto);
         self.proto_fp[node] = fnv.0;
-        if let Some(id) = id {
-            self.proto[node] = id;
-        }
+        self.proto[node] = id;
         self.fp = self
             .fp
             .wrapping_add(mix128(TAG_PROTO, node as u64, self.proto_fp[node]));
     }
 
-    fn pool_push(&mut self, ev: &Scheduled, interner: Option<&mut Interner>) {
-        let (fnv, id) = encode(interner, Space::Pool, Fnv128::new(), &pool_component(ev));
+    fn pool_push(&mut self, ev: &Scheduled, interner: &mut Interner) {
+        let (fnv, id) = interner.intern(Space::Pool, Fnv128::new(), &pool_component(ev));
         self.fp = self.fp.wrapping_add(mix128(TAG_POOL, 0, fnv.0));
         self.pool_fp.push(fnv.0);
-        self.pool.extend(id);
+        self.pool.push(id);
     }
 
     fn pool_remove(&mut self, i: usize) {
         self.fp = self.fp.wrapping_sub(mix128(TAG_POOL, 0, self.pool_fp[i]));
         self.pool_fp.swap_remove(i);
-        if !self.pool.is_empty() {
-            self.pool.swap_remove(i);
-        }
+        self.pool.swap_remove(i);
     }
 
     fn request_pop(&mut self, p: usize) {
@@ -737,20 +685,20 @@ impl KeyCache {
     }
 
     /// Writes the exact key into `out`: `[chain; n] ++ [proto; n] ++
-    /// pool count ++ sorted pool ids ++ [popped; n]`. It is the complete
-    /// component material, not a digest: a digest collision would
-    /// silently merge two *distinct* configurations and could prune a
-    /// reachable violating schedule, which is unacceptable for a model
-    /// checker. Every id names one encoding, `n` is fixed per
-    /// exploration and the pool is counted, so the vector is injective;
-    /// the pool is an unordered multiset (commuting prefixes produce it
-    /// in different orders), canonicalized by sorting its ids.
+    /// sorted pool ids ++ [popped; n]`. It is the complete component
+    /// material, not a digest: a digest collision would silently merge
+    /// two *distinct* configurations and could prune a reachable
+    /// violating schedule, which is unacceptable for a model checker.
+    /// Every id names one encoding and `n` is fixed per exploration, so
+    /// the pool's ids are the key less its first `2n` and last `n`
+    /// entries, and keys compare equal only at equal lengths: the
+    /// vector is injective with no pool count to convert. The pool is
+    /// an unordered multiset (commuting prefixes produce it in
+    /// different orders), canonicalized by sorting its ids.
     fn exact_key(&self, out: &mut Vec<u32>) {
         out.clear();
         out.extend_from_slice(&self.chain);
         out.extend_from_slice(&self.proto);
-        let pool_len = u32::try_from(self.pool.len());
-        out.push(pool_len.expect("a pool past POOL_LIMIT poisons the world before any check"));
         let start = out.len();
         out.extend_from_slice(&self.pool);
         out[start..].sort_unstable();
@@ -758,14 +706,13 @@ impl KeyCache {
     }
 }
 
-/// Attaches the root's key cache; `interner` is given iff deduplication
-/// is exact.
-fn attach_cache<P: Hash>(state: &mut State<P>, interner: Option<&Mutex<Interner>>) {
-    let mut table = interner.map(|t| t.lock().expect("no worker panicked interning"));
+/// Attaches the root's key cache.
+fn attach_cache<P: Hash>(state: &mut State<P>, interner: &Mutex<Interner>) {
+    let mut table = interner.lock().expect("no worker panicked interning");
     state.cache = Some(Box::new(KeyCache::new(
         &state.protocols,
         &state.pool,
-        table.as_deref_mut(),
+        &mut table,
     )));
 }
 
@@ -819,7 +766,7 @@ impl Interner {
         };
         let mut enc = Encoder {
             fnv: start,
-            bytes: Some(&mut self.scratch),
+            bytes: &mut self.scratch,
         };
         value.hash(&mut enc);
         let fnv = enc.fnv;
@@ -890,7 +837,7 @@ impl Hasher for Folded {
 }
 
 // ---------------------------------------------------------------------------
-// Seen-set: sharded, exact or compact, optionally bounded + spillable
+// Seen-set: sharded, exact
 // ---------------------------------------------------------------------------
 
 enum SeenVerdict {
@@ -902,53 +849,22 @@ enum SeenVerdict {
     EnterWith(Vec<TKey>),
     /// Already explored at least as permissively: prune.
     Prune,
-    /// The bounded table is full and nothing could be spilled.
-    Full,
 }
-
-/// Distinguishes concurrent explorations inside one process; combined
-/// with the pid it makes every run's spill subdirectory unique, so two
-/// searches (or an aborted search and its retry) sharing a spill path
-/// can never collide on segment file names.
-static SPILL_RUN: AtomicU64 = AtomicU64::new(0);
 
 struct SeenShards {
     shards: Vec<Mutex<Shard>>,
     mask: usize,
-    /// Exact mode's component table, shared by every worker; `None` in
-    /// compact mode, whose key is the fingerprint alone.
-    interner: Option<Mutex<Interner>>,
-    /// Per-shard live-entry bound (`usize::MAX` = unbounded).
-    shard_cap: usize,
-    /// This run's private spill subdirectory (`<spill>/run-<pid>-<n>`),
-    /// created lazily by the first segment write and removed on drop.
-    spill: Option<PathBuf>,
-}
-
-impl Drop for SeenShards {
-    fn drop(&mut self) {
-        // Segments keep their files open — on Unix, unlinking while open
-        // is fine, and the handles die with `self.shards` right after.
-        // Removal failure only leaks a temp directory; nothing to report.
-        if let Some(dir) = &self.spill {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
+    /// The component table, shared by every worker.
+    interner: Mutex<Interner>,
 }
 
 #[derive(Default)]
 struct Shard {
-    /// Exact mode: exact key → stored sleep set, found by fingerprint.
-    exact: DigestMap<u32, Vec<TKey>>,
-    /// Exact mode: the probed key, built under the shard lock so that a
-    /// revisit allocates nothing.
+    /// Exact key → stored sleep set, found by fingerprint.
+    states: DigestMap<u32, Vec<TKey>>,
+    /// The probed key, built under the shard lock so that a revisit
+    /// allocates nothing.
     probe: Vec<u32>,
-    /// Compact mode: fingerprint → stored sleep set.
-    compact: HashMap<u128, Vec<TKey>>,
-    /// Distinct states ever inserted (spilling does not decrement).
-    inserted: usize,
-    segments: Vec<Segment>,
-    spill_failed: bool,
 }
 
 /// Applies the sleep-set subset rule to a revisited state. With
@@ -968,209 +884,51 @@ fn por_rule(stored: &mut Vec<TKey>, sleep: &[TKey], por: bool) -> SeenVerdict {
 
 impl SeenShards {
     fn new(dedup: &DedupMode, threads: usize) -> Option<SeenShards> {
-        let (exact, max_states, spill) = match dedup {
-            DedupMode::Off => return None,
-            DedupMode::Exact => (true, 0, None),
-            DedupMode::Compact { max_states, spill } => {
-                let run_dir = spill.as_ref().map(|dir| {
-                    dir.join(format!(
-                        "run-{}-{}",
-                        std::process::id(),
-                        SPILL_RUN.fetch_add(1, Ordering::Relaxed)
-                    ))
-                });
-                (false, *max_states, run_dir)
-            }
-        };
+        if *dedup == DedupMode::Off {
+            return None;
+        }
         let n = if threads <= 1 {
             1
         } else {
             (threads * 4).next_power_of_two()
         };
-        let shard_cap = if max_states == 0 {
-            usize::MAX
-        } else {
-            max_states.div_ceil(n)
-        };
         Some(SeenShards {
             shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
             mask: n - 1,
-            interner: exact.then(Mutex::default),
-            shard_cap,
-            spill,
+            interner: Mutex::default(),
         })
     }
 
-    fn check<P>(&self, state: &State<P>, sleep: &[TKey], por: bool) -> SeenVerdict {
-        let cache = state
-            .cache
-            .as_ref()
-            .expect("deduplication requires the key cache");
+    fn check(&self, cache: &KeyCache, sleep: &[TKey], por: bool) -> SeenVerdict {
         let fp = cache.fp;
-        let idx = fold_fp(fp) & self.mask;
-        let mut shard = self.shards[idx]
+        let mut shard = self.shards[fold_fp(fp) & self.mask]
             .lock()
             .expect("no worker panicked in the seen-set");
-        if self.interner.is_some() {
-            let Shard {
-                exact,
-                probe,
-                inserted,
-                ..
-            } = &mut *shard;
-            cache.exact_key(probe);
-            if let Some(stored) = exact.get_mut(fp, probe) {
-                return por_rule(stored, sleep, por);
-            }
-            exact.insert(fp, probe, sleep.to_vec());
-            *inserted += 1;
-            return SeenVerdict::Enter;
-        }
-        // Compact: spilled segments hold only fully-explored states
-        // (stored sleep ∅ ⊆ anything), so a segment hit always prunes.
-        if shard.segments.iter_mut().any(|s| s.contains(fp)) {
-            return SeenVerdict::Prune;
-        }
-        if let Some(stored) = shard.compact.get_mut(&fp) {
+        let Shard { states, probe } = &mut *shard;
+        cache.exact_key(probe);
+        if let Some(stored) = states.get_mut(fp, probe) {
             return por_rule(stored, sleep, por);
         }
-        if shard.compact.len() >= self.shard_cap {
-            if self.spill.is_none()
-                || shard.spill_failed
-                || !shard.flush(self.spill.as_ref().expect("checked"), idx)
-            {
-                return SeenVerdict::Full;
-            }
-            if shard.compact.len() >= self.shard_cap {
-                // Nothing was flushable: every live entry still carries
-                // a sleep set the subset rule may need.
-                return SeenVerdict::Full;
-            }
-        }
-        shard.compact.insert(fp, sleep.to_vec());
-        shard.inserted += 1;
+        states.insert(fp, probe, sleep.to_vec());
         SeenVerdict::Enter
     }
 
-    /// `(distinct states inserted, segments spilled)`.
-    fn totals(&self) -> (usize, usize) {
+    /// Distinct states inserted.
+    fn states(&self) -> usize {
         self.shards
             .iter()
             .map(|s| {
-                let s = s.lock().expect("no worker panicked in the seen-set");
-                (s.inserted, s.segments.len())
+                s.lock()
+                    .expect("no worker panicked in the seen-set")
+                    .states
+                    .len()
             })
-            .fold((0, 0), |(a, b), (x, y)| (a + x, b + y))
+            .sum()
     }
 }
 
 fn fold_fp(fp: u128) -> usize {
     ((fp as u64) ^ ((fp >> 64) as u64)) as usize
-}
-
-impl Shard {
-    /// Flushes every fully-explored (empty-sleep) fingerprint to a new
-    /// sorted segment file. Returns `false` (and poisons spilling) on
-    /// any I/O failure — the caller then treats the table as full,
-    /// which only truncates, never unsoundly prunes.
-    fn flush(&mut self, dir: &Path, shard_idx: usize) -> bool {
-        let flushable: Vec<u128> = self
-            .compact
-            .iter()
-            .filter(|(_, sleep)| sleep.is_empty())
-            .map(|(&fp, _)| fp)
-            .collect();
-        if flushable.is_empty() {
-            return true; // nothing to do; caller re-checks occupancy
-        }
-        let mut fps = flushable;
-        fps.sort_unstable();
-        let path = dir.join(format!(
-            "seen-{shard_idx:03}-{:04}.seg",
-            self.segments.len()
-        ));
-        match Segment::write(&path, &fps) {
-            Ok(seg) => {
-                for fp in &fps {
-                    self.compact.remove(fp);
-                }
-                self.segments.push(seg);
-                true
-            }
-            Err(_) => {
-                self.spill_failed = true;
-                false
-            }
-        }
-    }
-}
-
-/// One spilled sorted run of fingerprints with a sparse in-memory
-/// index (every [`SEG_STRIDE`]-th key), looked up by seek-and-scan.
-struct Segment {
-    file: File,
-    index: Vec<u128>,
-    len: usize,
-    first: u128,
-    last: u128,
-}
-
-const SEG_STRIDE: usize = 256;
-
-impl Segment {
-    fn write(path: &std::path::Path, fps: &[u128]) -> std::io::Result<Segment> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        let mut buf = Vec::with_capacity(fps.len() * 16);
-        for fp in fps {
-            buf.extend_from_slice(&fp.to_le_bytes());
-        }
-        file.write_all(&buf)?;
-        file.flush()?;
-        let index: Vec<u128> = fps.iter().step_by(SEG_STRIDE).copied().collect();
-        Ok(Segment {
-            file,
-            index,
-            len: fps.len(),
-            first: fps[0],
-            last: *fps.last().expect("nonempty segment"),
-        })
-    }
-
-    /// Membership test. An I/O error reads as "absent", which merely
-    /// re-explores a subtree — sound, never unsound.
-    fn contains(&mut self, fp: u128) -> bool {
-        if self.len == 0 || fp < self.first || fp > self.last {
-            return false;
-        }
-        let block = match self.index.binary_search(&fp) {
-            Ok(_) => return true,
-            Err(0) => return false,
-            Err(i) => i - 1,
-        };
-        let start = block * SEG_STRIDE;
-        let count = SEG_STRIDE.min(self.len - start);
-        if self
-            .file
-            .seek(SeekFrom::Start((start * 16) as u64))
-            .is_err()
-        {
-            return false;
-        }
-        let mut buf = vec![0u8; count * 16];
-        if self.file.read_exact(&mut buf).is_err() {
-            return false;
-        }
-        buf.chunks_exact(16)
-            .any(|c| u128::from_le_bytes(c.try_into().expect("16-byte chunk")) == fp)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1390,14 +1148,9 @@ where
         // (sleep members stay enabled, and nothing is enabled here), so
         // it is stored fully explored and every revisit prunes: leaves
         // are counted once per distinct terminal configuration.
-        if let Some(seen) = env.seen {
-            match seen.check(state, &[], env.por) {
-                SeenVerdict::Enter | SeenVerdict::EnterWith(_) => {}
-                SeenVerdict::Prune => return true,
-                SeenVerdict::Full => {
-                    sink.truncate();
-                    return true;
-                }
+        if let Some((seen, cache)) = env.seen.zip(state.cache.as_deref()) {
+            if let SeenVerdict::Prune = seen.check(cache, &[], env.por) {
+                return true;
             }
         }
         return sink.leaf(state);
@@ -1406,15 +1159,11 @@ where
         sink.truncate();
         return true;
     }
-    if let Some(seen) = env.seen {
-        match seen.check(state, &sleep, env.por) {
+    if let Some((seen, cache)) = env.seen.zip(state.cache.as_deref()) {
+        match seen.check(cache, &sleep, env.por) {
             SeenVerdict::Enter => {}
             SeenVerdict::EnterWith(s) => sleep = s,
             SeenVerdict::Prune => return true,
-            SeenVerdict::Full => {
-                sink.truncate();
-                return true;
-            }
         }
     }
     let explorable: Vec<usize> = if env.por && !sleep.is_empty() {
@@ -1445,7 +1194,7 @@ where
         let mut own = (j < last).then(|| (state.clone(), mon.clone()));
         let (next, child_mon) = own_or_parent(&mut own, state, mon);
         let ev = next.take_transition(pick);
-        let interner = env.seen.and_then(|s| s.interner.as_ref());
+        let interner = env.seen.map(|s| &s.interner);
         let condemned = next.execute(ev, child_mon, interner);
         if let Some(e) = next.take_error() {
             sink.error(e);
@@ -1517,11 +1266,11 @@ where
     M: RunObserver + Clone + Send,
     V: Fn(&SystemRun) -> bool + Sync,
 {
-    let threads = opts.threads.max(1);
+    let threads = opts.threads.clamp(1, MAX_THREADS);
     let seen = SeenShards::new(opts.dedup_effective(), threads);
     let mut root = initial_state(processes, workload, factory, &opts.faults);
     if let Some(seen) = &seen {
-        attach_cache(&mut root, seen.interner.as_ref());
+        attach_cache(&mut root, &seen.interner);
     }
     root.world.record = monitored || root.cache.is_some();
     let env = Env {
@@ -1582,7 +1331,7 @@ where
             }
         });
     }
-    let (states, spilled) = seen.as_ref().map_or((0, 0), SeenShards::totals);
+    let states = seen.as_ref().map_or(0, SeenShards::states);
     Exploration {
         schedules: sink.schedules.into_inner(),
         truncated: sink.truncated.into_inner(),
@@ -1598,7 +1347,6 @@ where
             .expect("no worker panicked holding the stall slot"),
         states,
         sleep_skipped: sink.sleep_skipped.into_inner(),
-        spilled,
     }
 }
 
@@ -2017,7 +1765,7 @@ mod tests {
         let mut out = Vec::new();
         value.hash(&mut Encoder {
             fnv: Fnv128::new(),
-            bytes: Some(&mut out),
+            bytes: &mut out,
         });
         out
     }
@@ -2082,7 +1830,7 @@ mod tests {
             let mut bytes = Vec::new();
             let mut h = Encoder {
                 fnv: Fnv128::new(),
-                bytes: Some(&mut bytes),
+                bytes: &mut bytes,
             };
             chains.len().hash(&mut h);
             for c in chains.iter().chain(&proto) {
@@ -2121,7 +1869,7 @@ mod tests {
     ) -> Vec<Arrival> {
         let interner = Mutex::default();
         let mut root = initial_state(processes, w, factory, &FaultModel::none());
-        attach_cache(&mut root, Some(&interner));
+        attach_cache(&mut root, &interner);
         root.world.record = true;
         let oracle = Oracle::new(&root);
         let arrive = |state: &State<P>| {
@@ -2284,7 +2032,9 @@ mod tests {
             &ExploreOptions::default(),
             &|_| true,
         );
-        for threads in [1, 2, 4] {
+        // `usize::MAX` runs at the worker ceiling: nothing is allocated
+        // per requested thread.
+        for threads in [1, 2, 4, usize::MAX] {
             let par = explore(
                 3,
                 fan_out(),
@@ -2295,6 +2045,13 @@ mod tests {
             assert_eq!(par.schedules, seq.schedules, "threads = {threads}");
             assert!(!par.truncated);
         }
+        assert_eq!(threaded(MAX_THREADS, usize::MAX).validate(), Ok(()));
+        let err = threaded(MAX_THREADS + 1, usize::MAX).validate();
+        assert!(
+            err.as_ref()
+                .is_err_and(|e| e.starts_with("threads must be at most 256")),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -2552,106 +2309,6 @@ mod tests {
             "terminal configurations are counted once either way"
         );
         assert!(both.states <= exact.states);
-    }
-
-    #[test]
-    fn compact_dedup_matches_exact_counts() {
-        let exact = exact_dedup_fan_out(&|_| true);
-        let opts = ExploreOptions {
-            dedup: DedupMode::Compact {
-                max_states: 0,
-                spill: None,
-            },
-            ..ExploreOptions::default()
-        };
-        let compact = explore(3, fan_out(), |_| Immediate, &opts, &|_| true);
-        assert_eq!(compact.schedules, exact.schedules);
-        assert_eq!(compact.states, exact.states);
-        assert!(!compact.truncated);
-    }
-
-    #[test]
-    fn bounded_seen_set_without_spill_truncates() {
-        let opts = ExploreOptions {
-            dedup: DedupMode::Compact {
-                max_states: 4,
-                spill: None,
-            },
-            ..ExploreOptions::default()
-        };
-        let exp = explore(3, fan_out(), |_| Immediate, &opts, &|_| true);
-        assert!(exp.truncated, "a full bounded table must truncate");
-        assert!(
-            exp.states <= 8,
-            "inserts stop at the bound, got {}",
-            exp.states
-        );
-    }
-
-    #[test]
-    fn spilling_seen_set_completes_the_search() {
-        let dir = std::env::temp_dir().join(format!("msgorder-spill-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let exact = exact_dedup_fan_out(&|_| true);
-        let opts = ExploreOptions {
-            dedup: DedupMode::Compact {
-                max_states: 8,
-                spill: Some(dir.clone()),
-            },
-            ..ExploreOptions::default()
-        };
-        let spilled = explore(3, fan_out(), |_| Immediate, &opts, &|_| true);
-        assert!(!spilled.truncated, "spilling must keep the search complete");
-        assert_eq!(spilled.schedules, exact.schedules);
-        assert_eq!(spilled.states, exact.states);
-        assert!(
-            spilled.spilled > 0,
-            "the tiny bound must force segments out"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn concurrent_seen_sets_get_distinct_spill_dirs() {
-        // Regression: segment files used to be written straight into the
-        // user-supplied directory with non-unique names, so two live (or
-        // one aborted + one retried) explorations collided.
-        let mode = DedupMode::Compact {
-            max_states: 8,
-            spill: Some(std::env::temp_dir().join("msgorder-spill-shared")),
-        };
-        let a = SeenShards::new(&mode, 1).expect("compact mode has a seen-set");
-        let b = SeenShards::new(&mode, 1).expect("compact mode has a seen-set");
-        assert_ne!(
-            a.spill, b.spill,
-            "two runs sharing a spill path must not share segment files"
-        );
-    }
-
-    #[test]
-    fn spill_run_directories_are_cleaned_up_on_drop() {
-        let dir = std::env::temp_dir().join(format!("msgorder-spill-drop-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = ExploreOptions {
-            dedup: DedupMode::Compact {
-                max_states: 8,
-                spill: Some(dir.clone()),
-            },
-            ..ExploreOptions::default()
-        };
-        for _ in 0..2 {
-            let exp = explore(3, fan_out(), |_| Immediate, &opts, &|_| true);
-            assert!(exp.spilled > 0, "the tiny bound must force segments out");
-        }
-        let leftovers: Vec<String> = std::fs::read_dir(&dir)
-            .map(|it| {
-                it.filter_map(|e| e.ok())
-                    .map(|e| e.file_name().to_string_lossy().into_owned())
-                    .collect()
-            })
-            .unwrap_or_default();
-        assert!(leftovers.is_empty(), "segment dirs leaked: {leftovers:?}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

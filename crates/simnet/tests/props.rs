@@ -207,27 +207,4 @@ proptest! {
         prop_assert_eq!(a.1.sleep_skipped, b.1.sleep_skipped);
         prop_assert_eq!(a.1.non_live, b.1.non_live);
     }
-
-    /// Bounded-compact deduplication agrees with exact deduplication
-    /// whenever the bound is not hit, and a bound with a spill path
-    /// still completes the search unreduced.
-    #[test]
-    fn compact_dedup_agrees_with_exact(msgs in 1usize..5, seed in 0u64..500) {
-        use msgorder_simnet::DedupMode;
-        let procs = 2;
-        let w = Workload::uniform_random(procs, msgs, seed);
-        let exact = explore_runs(procs, &w, |_| FifoLocal::new(procs), &ExploreOptions {
-            por: true,
-            dedup: DedupMode::Exact,
-            ..ExploreOptions::default()
-        });
-        let compact = explore_runs(procs, &w, |_| FifoLocal::new(procs), &ExploreOptions {
-            por: true,
-            dedup: DedupMode::Compact { max_states: 0, spill: None },
-            ..ExploreOptions::default()
-        });
-        prop_assert_eq!(&exact.0, &compact.0);
-        prop_assert_eq!(exact.1.schedules, compact.1.schedules);
-        prop_assert_eq!(exact.1.states, compact.1.states);
-    }
 }

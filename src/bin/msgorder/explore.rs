@@ -1,7 +1,7 @@
 //! `msgorder explore`: exhaustive schedule exploration (model checking)
 //! of any registry protocol on a seeded workload — sleep-set
 //! partial-order reduction, a sharded work-stealing frontier for
-//! `--threads`, and an optional bounded/disk-spillable seen-set.
+//! `--threads`, and an optional exact seen-set (`--dedup exact`).
 
 use crate::args::{Args, Faults, Session};
 use msgorder::protocols::{explore_violations, Violations};
@@ -12,9 +12,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let mut faults = Faults::default();
     let mut por = true;
     let mut threads = 1usize;
-    let mut dedup: Option<&str> = None;
-    let mut max_states: Option<usize> = None;
-    let mut spill: Option<&str> = None;
+    let mut dedup = DedupMode::Off;
     let mut cap: Option<usize> = None;
     let mut max_depth: Option<usize> = None;
     let mut args = Args::new(args);
@@ -30,16 +28,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
             "--threads" => threads = args.parse()?,
             "--dedup" => {
                 dedup = match args.value()? {
-                    v @ ("off" | "exact" | "compact") => Some(v),
+                    "off" => DedupMode::Off,
+                    "exact" => DedupMode::Exact,
                     other => {
-                        return Err(format!(
-                            "--dedup: expected `off`, `exact` or `compact`, got `{other}`"
-                        ))
+                        return Err(format!("--dedup: expected `off` or `exact`, got `{other}`"))
                     }
                 }
             }
-            "--max-states" => max_states = Some(args.parse()?),
-            "--spill" => spill = Some(args.value()?),
             "--cap" => cap = Some(args.parse()?),
             "--max-depth" => max_depth = Some(args.parse()?),
             _ if session.take(&mut args)? || faults.take(&mut args)? => {}
@@ -51,35 +46,23 @@ pub fn run(args: &[String]) -> Result<(), String> {
     if threads < 1 {
         return Err("--threads must be at least 1".into());
     }
-    if spill.is_some() && max_states.is_none() {
-        return Err("--spill requires --max-states (nothing overflows an unbounded set)".into());
-    }
-    if max_states.is_some() && dedup.is_some_and(|d| d != "compact") {
-        return Err(
-            "--max-states requires --dedup compact (its seen-set is the bounded one)".into(),
-        );
-    }
-    let dedup_mode = if max_states.is_some() || dedup == Some("compact") {
-        DedupMode::Compact {
-            max_states: max_states.unwrap_or(0),
-            spill: spill.map(std::path::PathBuf::from),
-        }
-    } else if dedup == Some("exact") {
-        DedupMode::Exact
-    } else {
-        DedupMode::Off
-    };
     let opts = ExploreOptions {
         cap: cap.unwrap_or(usize::MAX),
         por,
         threads,
-        dedup: dedup_mode,
+        dedup,
         max_depth: max_depth.unwrap_or(ExploreOptions::default().max_depth),
         faults,
     };
-    // The message starts with the field's name, which is the flag's.
-    opts.validate()
-        .map_err(|e| format!("--{e} (remove --drop/--dup)"))?;
+    // The message starts with the field's name, which is the flag's;
+    // only the seen-set's is cured by removing a fault flag.
+    opts.validate().map_err(|e| {
+        if e.starts_with("dedup") {
+            format!("--{e} (remove --drop/--dup)")
+        } else {
+            format!("--{e}")
+        }
+    })?;
     let (processes, messages, seed) = (session.processes, session.messages, session.seed);
     let por_effective = por && opts.faults.is_quiet();
     let workload = Workload::uniform_random(processes, messages, seed);
@@ -109,26 +92,14 @@ pub fn run(args: &[String]) -> Result<(), String> {
     println!("threads       : {threads}");
     println!(
         "dedup         : {}",
-        match &opts.dedup {
-            DedupMode::Off => "off".to_owned(),
-            DedupMode::Exact => "exact".to_owned(),
-            DedupMode::Compact {
-                max_states: 0,
-                spill: None,
-            } => "compact".to_owned(),
-            DedupMode::Compact { max_states, spill } => format!(
-                "compact (max {max_states} states{})",
-                spill
-                    .as_ref()
-                    .map(|p| format!(", spill {}", p.display()))
-                    .unwrap_or_default()
-            ),
+        match opts.dedup {
+            DedupMode::Off => "off",
+            DedupMode::Exact => "exact",
         }
     );
     println!("schedules     : {}", out.schedules);
     println!("states        : {}", out.states);
     println!("sleep-skipped : {}", out.sleep_skipped);
-    println!("spilled       : {} segment(s)", out.spilled);
     println!("non-live      : {}", out.non_live);
     println!(
         "truncated     : {}",

@@ -42,9 +42,7 @@ USAGE:
       --seed      N   (default 1)
       --por       on|off   sleep-set partial-order reduction (default on)
       --threads   N   worker threads over the sharded frontier (default 1)
-      --dedup     off|exact|compact   configuration deduplication (default off)
-      --max-states N  bound the seen-set (implies --dedup compact)
-      --spill DIR     spill seen-set overflow to DIR (requires --max-states)
+      --dedup     off|exact   configuration deduplication (default off)
       --cap       N   stop after N complete schedules
       --max-depth N   truncate schedules deeper than N dispatches
       --drop      P   drop each frame with probability P (incompatible with --dedup,

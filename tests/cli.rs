@@ -595,62 +595,23 @@ fn explore_reduction_preserves_the_violation_set() {
 }
 
 #[test]
-fn explore_bounded_seen_set_spills_and_completes() {
-    let dir = std::env::temp_dir().join(format!("msgorder-cli-spill-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp spill dir");
-    let (ok, stdout, stderr) = msgorder(&[
-        "explore",
-        "--protocol",
-        "fifo",
-        "--processes",
-        "3",
-        "--messages",
-        "5",
-        "--seed",
-        "2",
-        // Reduction off: only fully-explored states spill, and with POR
-        // every live entry may carry a sleep set the subset rule still
-        // needs — full search makes everything flushable.
-        "--por",
-        "off",
-        "--max-states",
-        "64",
-        "--spill",
-        dir.to_str().expect("utf-8 temp path"),
-    ]);
-    std::fs::remove_dir_all(&dir).ok();
-    assert!(ok, "{stdout}{stderr}");
-    assert!(
-        stdout.contains("dedup         : compact (max 64 states"),
-        "{stdout}"
-    );
-    assert!(stdout.contains("truncated     : no"), "{stdout}");
-    let spilled = stdout
-        .lines()
-        .find(|l| l.starts_with("spilled"))
-        .expect("spilled line");
-    assert!(!spilled.contains(" 0 segment"), "nothing spilled: {stdout}");
-}
-
-#[test]
 fn explore_flags_are_validated() {
     let cases: &[(&[&str], &str)] = &[
         (&["explore", "--por", "maybe"], "expected `on` or `off`"),
+        (&["explore", "--dedup", "huge"], "expected `off` or `exact`"),
         (
-            &["explore", "--dedup", "huge"],
-            "expected `off`, `exact` or `compact`",
+            &["explore", "--dedup", "compact"],
+            "expected `off` or `exact`",
         ),
         (
-            &["explore", "--spill", "/tmp"],
-            "--spill requires --max-states",
+            &["explore", "--max-states", "10"],
+            "unknown flag `--max-states`",
         ),
-        (
-            &["explore", "--dedup", "exact", "--max-states", "10"],
-            "--max-states requires --dedup compact",
-        ),
+        (&["explore", "--spill", "/tmp"], "unknown flag `--spill`"),
         (
             &["explore", "--dedup", "exact", "--drop", "0.1"],
-            "quiet fault model",
+            "quiet fault model: the probabilistic fault stream is part of the configuration \
+             but cannot be keyed (remove --drop/--dup)",
         ),
         (&["explore", "--drop", "1.5"], "not in [0, 1]"),
         (
@@ -676,6 +637,11 @@ fn explore_flags_are_validated() {
         (
             &["explore", "--threads", "0"],
             "--threads must be at least 1",
+        ),
+        (
+            &["explore", "--threads", "100000000000"],
+            "error: --threads must be at most 256 (the explorer's worker ceiling), \
+             got 100000000000\n",
         ),
         (
             &["explore", "--processes", "1"],
@@ -779,8 +745,6 @@ const FLAGS: &[(&str, &[&str], &[&str])] = &[
             "--por",
             "--threads",
             "--dedup",
-            "--max-states",
-            "--spill",
             "--cap",
             "--max-depth",
             "--drop",
