@@ -6,7 +6,9 @@
 //! cargo run -p msgorder-bench --bin experiments -- t1 p1   # a subset
 //! ```
 //!
-//! A JSON digest of all results is written to `target/experiments.json`.
+//! A JSON digest of all results is written to `target/experiments.json`
+//! when `target/` exists in the working directory. A filter that matches
+//! no experiment id exits with status 2 and writes nothing.
 
 use msgorder_bench::{f1, f2, Engine, Table};
 use msgorder_classifier::classify::classify;
@@ -30,7 +32,6 @@ fn main() {
     let filters: Vec<String> = std::env::args().skip(1).map(|s| s.to_lowercase()).collect();
     let want = |id: &str| filters.is_empty() || filters.iter().any(|f| id.contains(f.as_str()));
 
-    let mut digest = serde_json::Map::new();
     let experiments: Vec<(&str, Experiment)> = vec![
         ("EXP-T1", exp_t1),
         ("EXP-L3", exp_l3),
@@ -54,8 +55,23 @@ fn main() {
         ("EXP-M1", exp_m1),
         ("EXP-N1", exp_n1),
         ("EXP-O1", exp_o1),
-        ("EXP-TR1", exp_tr1),
     ];
+    // A filter that names no experiment is a typo: refuse before running
+    // anything, so a stale digest is never overwritten by an empty one.
+    let matches_none = |f: &&String| {
+        !experiments
+            .iter()
+            .any(|(id, _)| id.to_lowercase().contains(f.as_str()))
+    };
+    if let Some(bad) = filters.iter().find(matches_none) {
+        let valid: Vec<&str> = experiments.iter().map(|(id, _)| *id).collect();
+        eprintln!(
+            "error: filter `{bad}` matches no experiment; valid ids: {}",
+            valid.join(", ")
+        );
+        std::process::exit(2);
+    }
+    let mut digest = serde_json::Map::new();
     let engine = engine();
     println!(
         "[batch engine: {} thread(s); set MSGORDER_THREADS to override]",
@@ -1364,175 +1380,6 @@ fn exp_o1() -> Value {
     println!("state stays linear in the completed-message count (arity x messages");
     println!("candidates + one clock per stamped user event).");
     json!({ "rows": rows })
-}
-
-/// EXP-TR1 — tracing and metrics overhead on the EXP-O1 workload: the
-/// kernel wall time of plain streaming runs vs the same runs with the
-/// trace recorder (wire journal + event buffering), recorder + JSONL
-/// serialization, and the metrics collector riding along. The
-/// acceptance bar for the tracing layer is recorder overhead under 10%
-/// of kernel wall time.
-fn exp_tr1() -> Value {
-    println!("The trace recorder taps the kernel's observer hook; wire records are");
-    println!("journaled only when an observer opts in, so a plain streaming run pays");
-    println!("nothing. This measures what opting in costs, on EXP-O1's workload grid");
-    println!("(n=3, seeds 0..12, 20/40/80 messages, async protocol).\n");
-    let n = 3;
-    let seeds = 12u64;
-    let reps = 5;
-    let grid: Vec<(usize, u64)> = [20usize, 40, 80]
-        .iter()
-        .flat_map(|&m| (0..seeds).map(move |s| (m, s)))
-        .collect();
-    let config = |seed| SimConfig::new(n, LatencyModel::Uniform { lo: 1, hi: 500 }, seed);
-
-    // Each variant runs the identical grid; reported time is the best of
-    // `reps` sweeps (minimum filters scheduler noise).
-    let time_sweep = |run_one: &dyn Fn(usize, u64)| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let started = std::time::Instant::now();
-            for &(msgs, seed) in &grid {
-                run_one(msgs, seed);
-            }
-            best = best.min(started.elapsed().as_secs_f64() * 1e3);
-        }
-        best
-    };
-
-    struct Noop;
-    impl msgorder_simnet::RunObserver for Noop {
-        fn on_event(
-            &mut self,
-            _view: &msgorder_runs::StreamingRun,
-            _ev: SystemEvent,
-            _index: usize,
-            _time: u64,
-        ) -> bool {
-            true
-        }
-    }
-
-    let baseline = time_sweep(&|msgs, seed| {
-        let w = Workload::uniform_random(n, msgs, seed);
-        let mut obs = Noop;
-        Simulation::new(config(seed), w, |_| {
-            msgorder_protocols::AsyncProtocol::new()
-        })
-        .run_streaming(&mut obs)
-        .expect("async has no protocol bugs");
-    });
-
-    // The in-run recording overhead: same kernel run, with the recorder
-    // journaling wire records and buffering the event stream. This is
-    // the number the < 10% acceptance bar governs — everything below the
-    // kernel runs identically, only the observer differs.
-    let recorder_hook = time_sweep(&|msgs, seed| {
-        let w = Workload::uniform_random(n, msgs, seed);
-        let mut obs = msgorder_trace::Recorder::with_capacity(msgs * 8);
-        Simulation::new(config(seed), w, |_| {
-            msgorder_protocols::AsyncProtocol::new()
-        })
-        .run_streaming(&mut obs)
-        .expect("async has no protocol bugs");
-        assert!(!obs.events.is_empty());
-    });
-
-    let setup = |msgs: usize, seed: u64| msgorder_trace::Setup {
-        processes: n,
-        latency: LatencyModel::Uniform { lo: 1, hi: 500 },
-        seed,
-        faults: msgorder_simnet::FaultModel::none(),
-        workload: Workload::uniform_random(n, msgs, seed),
-        protocol: "async".to_owned(),
-        reliable: false,
-        spec: None,
-        step_limit: 1_000_000,
-    };
-
-    let recorded = time_sweep(&|msgs, seed| {
-        let r = msgorder_trace::record(&setup(msgs, seed)).expect("records");
-        assert!(r.outcome.is_ok());
-    });
-
-    let recorded_jsonl = time_sweep(&|msgs, seed| {
-        let r = msgorder_trace::record(&setup(msgs, seed)).expect("records");
-        assert!(!r.trace.to_jsonl().expect("serializes").is_empty());
-    });
-
-    let with_metrics = time_sweep(&|msgs, seed| {
-        let w = Workload::uniform_random(n, msgs, seed);
-        let registry = msgorder_trace::SharedRegistry::new();
-        let mut obs = msgorder_trace::LiveMetrics::new(registry.clone());
-        Simulation::new(config(seed), w, |_| {
-            msgorder_protocols::AsyncProtocol::new()
-        })
-        .run_streaming(&mut obs)
-        .expect("async has no protocol bugs");
-        obs.finish();
-        let deliveries =
-            registry.with(|reg| reg.counter(msgorder_trace::registry::names::DELIVERIES, &[]));
-        assert!(deliveries > 0);
-    });
-
-    let replayed = time_sweep(&|msgs, seed| {
-        // Record once per call so the sweep stays self-contained; only
-        // the replay half is the number of interest, but the comparison
-        // to `recorded` isolates it.
-        let r = msgorder_trace::record(&setup(msgs, seed)).expect("records");
-        let report = msgorder_trace::replay(&r.trace).expect("replays");
-        assert!(report.ok());
-    });
-
-    let pct = |t: f64| 100.0 * (t - baseline) / baseline;
-    let mut t = Table::new(["pipeline", "wall ms", "vs baseline"]);
-    t.row([
-        "streaming run (no tracing)".to_owned(),
-        format!("{baseline:.2}"),
-        "—".to_owned(),
-    ]);
-    t.row([
-        "+ recorder hook (in-run)".to_owned(),
-        format!("{recorder_hook:.2}"),
-        format!("{:+.1}%", pct(recorder_hook)),
-    ]);
-    t.row([
-        "record() incl. trace assembly".to_owned(),
-        format!("{recorded:.2}"),
-        format!("{:+.1}%", pct(recorded)),
-    ]);
-    t.row([
-        "+ recorder + JSONL encode".to_owned(),
-        format!("{recorded_jsonl:.2}"),
-        format!("{:+.1}%", pct(recorded_jsonl)),
-    ]);
-    t.row([
-        "+ metrics collector".to_owned(),
-        format!("{with_metrics:.2}"),
-        format!("{:+.1}%", pct(with_metrics)),
-    ]);
-    t.row([
-        "record + full replay check".to_owned(),
-        format!("{replayed:.2}"),
-        format!("{:+.1}%", pct(replayed)),
-    ]);
-    println!("{}", t.render());
-    println!(
-        "in-run recording overhead {:.1}% (bar: < 10%); fingerprint + trace",
-        pct(recorder_hook)
-    );
-    println!("assembly and JSONL encoding happen after the kernel stops.");
-    json!({
-        "baseline_ms": baseline,
-        "recorder_hook_ms": recorder_hook,
-        "recorder_hook_overhead_pct": pct(recorder_hook),
-        "recorder_ms": recorded,
-        "recorder_jsonl_ms": recorded_jsonl,
-        "metrics_ms": with_metrics,
-        "record_replay_ms": replayed,
-        "recorder_full_overhead_pct": pct(recorded),
-        "bar_pct": 10.0,
-    })
 }
 
 fn yn(b: bool) -> String {

@@ -1,4 +1,7 @@
-//! Shared helpers for the experiment runner and benches.
+//! Shared helpers for the experiment runner (`experiments`): the batch
+//! [`Engine`], the plain-text [`Table`], and the [`snapshot`] exploration
+//! the benchmark harness under `benchmark/` times. Every speed number
+//! comes from that harness; this crate measures nothing itself.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

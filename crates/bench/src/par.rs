@@ -1,7 +1,7 @@
 //! The batch-evaluation engine: fan independent work units across a
 //! scoped worker pool.
 //!
-//! Experiments and benchmarks in this workspace are dominated by
+//! The experiments in this workspace are dominated by
 //! embarrassingly parallel batches — evaluating one predicate against a
 //! corpus of runs, generating runs across a seed range, classifying a
 //! catalog of specifications. The [`Engine`] distributes such batches

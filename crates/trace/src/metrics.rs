@@ -203,7 +203,8 @@ struct Deltas {
 }
 
 /// Kernel events between registry flushes: keeps the registry lock off
-/// the per-event path (the EXP-TR1 <10% observer-overhead bar).
+/// the per-event path (the benchmark harness's
+/// `trace.live_metrics_overhead_pct` row).
 const FLUSH_EVERY: usize = 1024;
 
 /// The one metrics observer: a [`RunObserver`] that folds the kernel
