@@ -32,22 +32,21 @@
 //! 2. **Incremental state keys** ([`ExploreOptions::dedup`]). A
 //!    configuration is a handful of components — per-process run-event
 //!    chains, per-node protocol states, the pending pool, and each
-//!    process's issued-request count — updated per dispatch together
-//!    with a 128-bit rolling fingerprint, never re-hashed from scratch.
-//!    The seen-set hash-conses every component value once per
-//!    exploration (SPIN's collapse compression) and keys a state by the
-//!    short vector of its component ids, so two states merge iff every
-//!    component is byte-identical.
+//!    process's issued-request count — updated per dispatch, never
+//!    re-encoded from scratch. The seen-set hash-conses every component
+//!    value once per exploration (SPIN's collapse compression) and keys
+//!    a state by the short vector of its component ids, so two states
+//!    merge iff every component is byte-identical.
 //! 3. **Threads** ([`ExploreOptions::threads`]). A run is its partial
 //!    order, not its interleaving, so the explorer's contract is the
 //!    *set* of terminal configurations, and the single-thread search —
 //!    one recursive DFS on the caller's thread, deterministic in
 //!    traversal order, visit order and every counter — is the reference
 //!    for every other mode. More threads change scheduling only: the
-//!    same DFS runs in each worker over a work-stealing frontier
-//!    sharded by state fingerprint, workers donating subtrees whenever
-//!    the global queue runs low, so threads stay busy all the way to
-//!    the leaves instead of only across top-level branches.
+//!    same DFS runs in each worker over a work-stealing frontier, workers
+//!    donating subtrees round-robin whenever the global queue runs low,
+//!    so threads stay busy all the way to the leaves instead of only
+//!    across top-level branches.
 //!
 //! Under exploration the clock is frozen at `0`: event times are then
 //! path-independent, which is what makes commuting prefixes reach
@@ -65,9 +64,9 @@ use crate::liveness::{self, LivenessVerdict};
 use crate::workload::Workload;
 use msgorder_runs::{StreamingRun, SystemEvent, SystemRun};
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -431,13 +430,13 @@ impl<P: Protocol + Hash> State<P> {
         match pick {
             Pick::Pool(i) => {
                 if let Some(c) = &mut self.cache {
-                    c.pool_remove(i);
+                    c.pool.swap_remove(i);
                 }
                 self.pool.swap_remove(i)
             }
             Pick::Request(p) => {
                 if let Some(c) = &mut self.cache {
-                    c.request_pop(p);
+                    c.popped[p] += 1;
                 }
                 self.requests[p]
                     .pop_front()
@@ -498,23 +497,19 @@ impl<P: Protocol + Hash> State<P> {
 /// search stops, as for any other protocol bug.
 const POOL_LIMIT: usize = 10_000;
 
-/// A [`Hasher`] that streams a component's `Hash` material into its
-/// FNV-1a digest and appends it to `bytes`: the component's full
-/// canonical encoding, the very bytes the digest read. Two components
+/// A [`Hasher`] that appends a component's `Hash` material to a byte
+/// buffer: the component's full canonical encoding. Two components
 /// encode equal iff their hash material is identical — no truncation,
-/// no collisions beyond what `Hash` itself conflates.
-struct Encoder<'a> {
-    fnv: Fnv128,
-    bytes: &'a mut Vec<u8>,
-}
+/// no collisions beyond what `Hash` itself conflates. It keeps no
+/// digest, so [`Hasher::finish`] is never read.
+struct Encoder<'a>(&'a mut Vec<u8>);
 
 impl Hasher for Encoder<'_> {
     fn write(&mut self, bytes: &[u8]) {
-        self.fnv.write(bytes);
-        self.bytes.extend_from_slice(bytes);
+        self.0.extend_from_slice(bytes);
     }
     fn finish(&self) -> u64 {
-        self.fnv.0 as u64
+        0
     }
 }
 
@@ -522,47 +517,6 @@ impl Hasher for Encoder<'_> {
 fn pool_component(ev: &Scheduled) -> (u64, usize, &EventKind) {
     (ev.time, ev.node, &ev.kind)
 }
-
-/// 128-bit FNV-1a, used as a running digest over byte chains and as
-/// the per-component mixer behind the rolling state fingerprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Fnv128(u128);
-
-const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
-
-impl Fnv128 {
-    fn new() -> Fnv128 {
-        Fnv128(FNV128_OFFSET)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u128::from(b);
-            self.0 = self.0.wrapping_mul(FNV128_PRIME);
-        }
-    }
-}
-
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Mixes one component digest into a fingerprint contribution. The
-/// fingerprint is the wrapping *sum* of contributions, so unordered
-/// components (the pool multiset) commute and removals subtract.
-fn mix128(tag: u64, idx: u64, v: u128) -> u128 {
-    let lo = mix64((v as u64) ^ tag.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ idx.rotate_left(32));
-    let hi = mix64(((v >> 64) as u64) ^ tag ^ idx.wrapping_mul(0xd134_2543_de82_ef95));
-    (u128::from(hi) << 64) | u128::from(lo)
-}
-
-const TAG_CHAIN: u64 = 0x43;
-const TAG_PROTO: u64 = 0x50;
-const TAG_POOL: u64 = 0x4f;
-const TAG_REQ: u64 = 0x52;
 
 /// The incrementally maintained configuration key.
 ///
@@ -579,30 +533,20 @@ const TAG_REQ: u64 = 0x52;
 /// Each dispatch re-encodes only the dispatching node's protocol state,
 /// appends to one chain, and mirrors pool pushes/removals — O(changed)
 /// instead of re-encoding every `BTreeMap` from scratch. Every component
-/// keeps its FNV-1a digest, and a 128-bit rolling fingerprint (`fp`) is
-/// kept as a commutative sum of per-component mixes; it picks the
-/// seen-set and frontier shards and is the digest the seen-set finds a
-/// key by. Every component is also interned, and the key is the vector
-/// of their ids ([`KeyCache::exact_key`]).
+/// is interned, and the key is the vector of their ids
+/// ([`KeyCache::exact_key`]).
 #[derive(Clone)]
 struct KeyCache {
     /// Per-process [`Interner`] id of the run-event chain since the
     /// root.
     chain: Vec<u32>,
-    /// Running digest over each chain's encoding.
-    chain_fp: Vec<Fnv128>,
     /// Per-node id of the protocol state's encoding.
     proto: Vec<u32>,
-    proto_fp: Vec<u128>,
-    /// Per pool event id; like `pool_fp`, mirrors `State::pool` index
-    /// for index.
+    /// Per pool event id; mirrors `State::pool` index for index.
     pool: Vec<u32>,
-    pool_fp: Vec<u128>,
     /// Requests issued per process (with the fixed root workload, this
     /// pins the remaining queue).
     popped: Vec<u32>,
-    /// The rolling fingerprint.
-    fp: u128,
 }
 
 impl KeyCache {
@@ -611,77 +555,30 @@ impl KeyCache {
         let processes = protocols.len();
         let mut cache = KeyCache {
             chain: vec![0; processes],
-            chain_fp: vec![Fnv128::new(); processes],
-            proto: Vec::with_capacity(processes),
-            proto_fp: Vec::with_capacity(processes),
+            proto: protocols
+                .iter()
+                .map(|p| interner.intern(Space::Proto, p))
+                .collect(),
             pool: Vec::new(),
-            pool_fp: Vec::new(),
             popped: vec![0; processes],
-            fp: 0,
         };
-        for (i, p) in protocols.iter().enumerate() {
-            let (fnv, id) = interner.intern(Space::Proto, Fnv128::new(), p);
-            cache.proto_fp.push(fnv.0);
-            cache.proto.push(id);
-            cache.fp = cache.fp.wrapping_add(mix128(TAG_PROTO, i as u64, fnv.0));
-        }
         for ev in pool {
             cache.pool_push(ev, interner);
-        }
-        for p in 0..processes {
-            cache.fp = cache
-                .fp
-                .wrapping_add(mix128(TAG_CHAIN, p as u64, cache.chain_fp[p].0))
-                .wrapping_add(mix128(TAG_REQ, p as u64, 0));
         }
         cache
     }
 
     fn chain_append(&mut self, p: usize, ev: &SystemEvent, interner: &mut Interner) {
-        self.fp = self
-            .fp
-            .wrapping_sub(mix128(TAG_CHAIN, p as u64, self.chain_fp[p].0));
-        let (fnv, id) = interner.intern(Space::Chain(self.chain[p]), self.chain_fp[p], ev);
-        self.chain_fp[p] = fnv;
-        self.chain[p] = id;
-        self.fp = self
-            .fp
-            .wrapping_add(mix128(TAG_CHAIN, p as u64, self.chain_fp[p].0));
+        self.chain[p] = interner.intern(Space::Chain(self.chain[p]), ev);
     }
 
     fn set_proto(&mut self, node: usize, proto: &impl Hash, interner: &mut Interner) {
-        self.fp = self
-            .fp
-            .wrapping_sub(mix128(TAG_PROTO, node as u64, self.proto_fp[node]));
-        let (fnv, id) = interner.intern(Space::Proto, Fnv128::new(), proto);
-        self.proto_fp[node] = fnv.0;
-        self.proto[node] = id;
-        self.fp = self
-            .fp
-            .wrapping_add(mix128(TAG_PROTO, node as u64, self.proto_fp[node]));
+        self.proto[node] = interner.intern(Space::Proto, proto);
     }
 
     fn pool_push(&mut self, ev: &Scheduled, interner: &mut Interner) {
-        let (fnv, id) = interner.intern(Space::Pool, Fnv128::new(), &pool_component(ev));
-        self.fp = self.fp.wrapping_add(mix128(TAG_POOL, 0, fnv.0));
-        self.pool_fp.push(fnv.0);
-        self.pool.push(id);
-    }
-
-    fn pool_remove(&mut self, i: usize) {
-        self.fp = self.fp.wrapping_sub(mix128(TAG_POOL, 0, self.pool_fp[i]));
-        self.pool_fp.swap_remove(i);
-        self.pool.swap_remove(i);
-    }
-
-    fn request_pop(&mut self, p: usize) {
-        self.fp = self
-            .fp
-            .wrapping_sub(mix128(TAG_REQ, p as u64, u128::from(self.popped[p])));
-        self.popped[p] += 1;
-        self.fp = self
-            .fp
-            .wrapping_add(mix128(TAG_REQ, p as u64, u128::from(self.popped[p])));
+        self.pool
+            .push(interner.intern(Space::Pool, &pool_component(ev)));
     }
 
     /// Writes the exact key into `out`: `[chain; n] ++ [proto; n] ++
@@ -736,25 +633,18 @@ enum Space {
 /// the empty chain.
 #[derive(Default)]
 struct Interner {
-    chains: DigestMap<u8, u32>,
-    protos: DigestMap<u8, u32>,
-    pool: DigestMap<u8, u32>,
+    chains: HashMap<Box<[u8]>, u32>,
+    protos: HashMap<Box<[u8]>, u32>,
+    pool: HashMap<Box<[u8]>, u32>,
     /// Where a component is encoded; its bytes are copied into a table
     /// only when they are new.
     scratch: Vec<u8>,
 }
 
 impl Interner {
-    /// Encodes `value` into `space`, continuing the digest from `start`;
-    /// returns the digest and the value's id. A chain's digest runs over
-    /// the whole chain, so it is a function of (parent, event) and finds
-    /// the entry like any other component's.
-    fn intern(
-        &mut self,
-        space: Space,
-        start: Fnv128,
-        value: &(impl Hash + ?Sized),
-    ) -> (Fnv128, u32) {
+    /// Encodes `value` into `space` and returns its id. The table
+    /// compares whole encodings, so one id names one byte string.
+    fn intern(&mut self, space: Space, value: &(impl Hash + ?Sized)) -> u32 {
         self.scratch.clear();
         let table = match space {
             Space::Chain(parent) => {
@@ -764,75 +654,15 @@ impl Interner {
             Space::Proto => &mut self.protos,
             Space::Pool => &mut self.pool,
         };
-        let mut enc = Encoder {
-            fnv: start,
-            bytes: &mut self.scratch,
-        };
-        value.hash(&mut enc);
-        let fnv = enc.fnv;
-        if let Some(&mut id) = table.get_mut(fnv.0, &self.scratch) {
-            return (fnv, id);
+        value.hash(&mut Encoder(&mut self.scratch));
+        if let Some(&id) = table.get(&self.scratch[..]) {
+            return id;
         }
         // Each entry holds its bytes: memory runs out long before 2³²
         // distinct components.
         let id = u32::try_from(table.len() + 1).expect("fewer than 2^32 distinct components");
-        table.insert(fnv.0, &self.scratch, id);
-        (fnv, id)
-    }
-}
-
-/// A map found by a precomputed 128-bit digest of its key and verified
-/// against the key itself: the first key seen with a digest sits in
-/// `first`, any other key with that digest in `collided`. A digest
-/// collision therefore costs a second lookup and never merges two keys.
-#[derive(Default)]
-struct DigestMap<T, V> {
-    first: HashMap<u128, (Box<[T]>, V), BuildHasherDefault<Folded>>,
-    collided: HashMap<Box<[T]>, V>,
-}
-
-impl<T: Copy + Eq + Hash, V> DigestMap<T, V> {
-    fn get_mut(&mut self, digest: u128, key: &[T]) -> Option<&mut V> {
-        match self.first.get_mut(&digest) {
-            Some((k, v)) if **k == *key => Some(v),
-            Some(_) => self.collided.get_mut(key),
-            None => None,
-        }
-    }
-
-    /// Inserts a key [`DigestMap::get_mut`] did not find; the boxed copy
-    /// of `key` is the one allocation.
-    fn insert(&mut self, digest: u128, key: &[T], value: V) {
-        match self.first.entry(digest) {
-            Entry::Vacant(slot) => {
-                slot.insert((key.into(), value));
-            }
-            Entry::Occupied(_) => {
-                self.collided.insert(key.into(), value);
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.first.len() + self.collided.len()
-    }
-}
-
-/// Hashes a key that already is a digest: folds its words through
-/// [`mix64`] instead of running SipHash over them.
-#[derive(Default)]
-struct Folded(u64);
-
-impl Hasher for Folded {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.0 = mix64(self.0 ^ u64::from_le_bytes(word));
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
+        table.insert(self.scratch.as_slice().into(), id);
+        id
     }
 }
 
@@ -854,14 +684,16 @@ enum SeenVerdict {
 struct SeenShards {
     shards: Vec<Mutex<Shard>>,
     mask: usize,
+    /// Picks a state's shard when there is more than one.
+    hasher: RandomState,
     /// The component table, shared by every worker.
     interner: Mutex<Interner>,
 }
 
 #[derive(Default)]
 struct Shard {
-    /// Exact key → stored sleep set, found by fingerprint.
-    states: DigestMap<u32, Vec<TKey>>,
+    /// Exact key → stored sleep set.
+    states: HashMap<Box<[u32]>, Vec<TKey>>,
     /// The probed key, built under the shard lock so that a revisit
     /// allocates nothing.
     probe: Vec<u32>,
@@ -895,21 +727,28 @@ impl SeenShards {
         Some(SeenShards {
             shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
             mask: n - 1,
+            hasher: RandomState::new(),
             interner: Mutex::default(),
         })
     }
 
     fn check(&self, cache: &KeyCache, sleep: &[TKey], por: bool) -> SeenVerdict {
-        let fp = cache.fp;
-        let mut shard = self.shards[fold_fp(fp) & self.mask]
+        // The key's per-process prefix is already canonical (only the
+        // pool needs sorting), so equal keys pick the same shard.
+        let i = if self.mask == 0 {
+            0
+        } else {
+            self.hasher.hash_one((&cache.chain, &cache.proto)) as usize & self.mask
+        };
+        let mut shard = self.shards[i]
             .lock()
             .expect("no worker panicked in the seen-set");
         let Shard { states, probe } = &mut *shard;
         cache.exact_key(probe);
-        if let Some(stored) = states.get_mut(fp, probe) {
+        if let Some(stored) = states.get_mut(&probe[..]) {
             return por_rule(stored, sleep, por);
         }
-        states.insert(fp, probe, sleep.to_vec());
+        states.insert(probe.as_slice().into(), sleep.to_vec());
         SeenVerdict::Enter
     }
 
@@ -925,10 +764,6 @@ impl SeenShards {
             })
             .sum()
     }
-}
-
-fn fold_fp(fp: u128) -> usize {
-    ((fp as u64) ^ ((fp >> 64) as u64)) as usize
 }
 
 // ---------------------------------------------------------------------------
@@ -1068,14 +903,9 @@ impl<P, M> Frontier<P, M> {
         self.queued.load(Ordering::Relaxed) < self.low_water
     }
 
+    /// Queues `job` on the next shard, round-robin.
     fn push(&self, job: Job<P, M>) {
-        let shard = job
-            .state
-            .cache
-            .as_ref()
-            .map(|c| fold_fp(c.fp))
-            .unwrap_or_else(|| self.rr.fetch_add(1, Ordering::Relaxed))
-            % self.shards.len();
+        let shard = self.rr.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         self.pending.fetch_add(1, Ordering::SeqCst);
         self.queued.fetch_add(1, Ordering::SeqCst);
         self.shards[shard]
@@ -1754,28 +1584,18 @@ mod tests {
         }
     }
 
-    fn fnv(bytes: &[u8]) -> u128 {
-        let mut f = Fnv128::new();
-        f.write(bytes);
-        f.0
-    }
-
     /// `value`'s canonical encoding, copied out.
     fn bytes_of(value: &(impl Hash + ?Sized)) -> Vec<u8> {
         let mut out = Vec::new();
-        value.hash(&mut Encoder {
-            fnv: Fnv128::new(),
-            bytes: &mut out,
-        });
+        value.hash(&mut Encoder(&mut out));
         out
     }
 
     /// The reference oracle: the byte key exact deduplication kept
     /// before components were interned — every component's encoding
     /// copied out, length-prefixed and concatenated, the pool sorted by
-    /// encoding — and the fingerprint formula over those bytes. Both
-    /// are recomputed from the state itself, so they also check the
-    /// incremental cache.
+    /// encoding. It is recomputed from the state itself, so it also
+    /// checks the incremental cache.
     struct Oracle {
         /// Run events per process at the root (not part of any chain).
         root_events: Vec<usize>,
@@ -1794,8 +1614,8 @@ mod tests {
             }
         }
 
-        /// `(byte key, fingerprint)` of `state`.
-        fn key<P: Hash>(&self, state: &State<P>) -> (Vec<u8>, u128) {
+        /// The byte key of `state`.
+        fn key<P: Hash>(&self, state: &State<P>) -> Vec<u8> {
             let chains: Vec<Vec<u8>> = (0..self.root_events.len())
                 .map(|p| {
                     let seq = state.world.builder.sequence(ProcessId(p));
@@ -1814,24 +1634,8 @@ mod tests {
             let popped: Vec<u64> = (0..self.root_requests.len())
                 .map(|p| (self.root_requests[p] - state.requests[p].len()) as u64)
                 .collect();
-            let mut fp = 0u128;
-            for (p, c) in chains.iter().enumerate() {
-                fp = fp.wrapping_add(mix128(TAG_CHAIN, p as u64, fnv(c)));
-            }
-            for (i, b) in proto.iter().enumerate() {
-                fp = fp.wrapping_add(mix128(TAG_PROTO, i as u64, fnv(b)));
-            }
-            for e in &pool {
-                fp = fp.wrapping_add(mix128(TAG_POOL, 0, fnv(e)));
-            }
-            for (p, &c) in popped.iter().enumerate() {
-                fp = fp.wrapping_add(mix128(TAG_REQ, p as u64, u128::from(c)));
-            }
             let mut bytes = Vec::new();
-            let mut h = Encoder {
-                fnv: Fnv128::new(),
-                bytes: &mut bytes,
-            };
+            let mut h = Encoder(&mut bytes);
             chains.len().hash(&mut h);
             for c in chains.iter().chain(&proto) {
                 c.len().hash(&mut h);
@@ -1846,17 +1650,15 @@ mod tests {
             for c in popped {
                 c.hash(&mut h);
             }
-            (bytes, fp)
+            bytes
         }
     }
 
-    /// One arrival at a configuration: the oracle's byte key and
-    /// fingerprint, then the cache's interned key and fingerprint.
+    /// One arrival at a configuration: the oracle's byte key, then the
+    /// cache's interned key.
     struct Arrival {
         bytes: Vec<u8>,
-        bytes_fp: u128,
         ids: Vec<u32>,
-        fp: u128,
     }
 
     /// Walks the whole configuration graph of `w` under exact keys and
@@ -1873,15 +1675,12 @@ mod tests {
         root.world.record = true;
         let oracle = Oracle::new(&root);
         let arrive = |state: &State<P>| {
-            let (bytes, bytes_fp) = oracle.key(state);
             let cache = state.cache.as_ref().expect("cache attached at the root");
             let mut ids = Vec::new();
             cache.exact_key(&mut ids);
             Arrival {
-                bytes,
-                bytes_fp,
+                bytes: oracle.key(state),
                 ids,
-                fp: cache.fp,
             }
         };
         let mut out = vec![arrive(&root)];
@@ -1913,25 +1712,15 @@ mod tests {
     }
 
     #[test]
-    fn digest_collisions_never_share_an_id() {
-        // Two chains with different parents, appending the same event
-        // from the same running digest, collide on the digest: their
-        // bytes still name two chains.
+    fn chains_with_different_parents_never_share_an_id() {
+        // The same event appended to two different chains names two
+        // chains; appending it again finds the one already interned.
         let mut interner = Interner::default();
         let ev = SystemEvent::new(MessageId(0), msgorder_runs::EventKind::Send);
-        let (d1, a) = interner.intern(Space::Chain(1), Fnv128::new(), &ev);
-        let (d2, b) = interner.intern(Space::Chain(2), Fnv128::new(), &ev);
-        assert_eq!(d1, d2);
-        assert_ne!(a, b, "a digest collision merged two chains");
-        assert_eq!(interner.intern(Space::Chain(2), Fnv128::new(), &ev).1, b);
-        // The seen-set's table, every key under one fingerprint.
-        let mut seen: DigestMap<u32, usize> = DigestMap::default();
-        seen.insert(7, &[1, 2], 0);
-        seen.insert(7, &[1, 3], 1);
-        assert_eq!(seen.get_mut(7, &[1, 2]), Some(&mut 0));
-        assert_eq!(seen.get_mut(7, &[1, 3]), Some(&mut 1));
-        assert_eq!(seen.get_mut(7, &[1, 4]), None);
-        assert_eq!(seen.len(), 2);
+        let a = interner.intern(Space::Chain(1), &ev);
+        let b = interner.intern(Space::Chain(2), &ev);
+        assert_ne!(a, b, "two chains merged");
+        assert_eq!(interner.intern(Space::Chain(2), &ev), b);
     }
 
     #[test]
@@ -1995,32 +1784,6 @@ mod tests {
             truncated.len() < ids,
             "a truncated digest must collide on this many configurations"
         );
-    }
-
-    #[test]
-    fn incremental_fingerprint_is_path_independent() {
-        // Two commuting prefixes must reach identical keys and the same
-        // rolling fingerprint — the formula over the oracle's bytes;
-        // distinct configurations must not.
-        for arrivals in [
-            arrivals(3, fan_out(), |_| Immediate),
-            arrivals(3, fan_out(), |_| Tally::default()),
-        ] {
-            let mut by_key: HashMap<&[u32], u128> = HashMap::new();
-            for a in &arrivals {
-                assert_eq!(a.fp, a.bytes_fp, "fingerprint drifted from the formula");
-                let prev = by_key.insert(&a.ids, a.fp);
-                assert!(
-                    prev.is_none_or(|f| f == a.fp),
-                    "same key must imply same fingerprint"
-                );
-            }
-            // Many distinct configurations, and (with ~2^128 space) no
-            // fingerprint collisions among them at this scale.
-            let fps: HashSet<u128> = by_key.values().copied().collect();
-            assert!(by_key.len() > 10);
-            assert_eq!(fps.len(), by_key.len(), "unexpected fingerprint collision");
-        }
     }
 
     #[test]
@@ -2494,5 +2257,24 @@ mod tests {
         let par = explore(3, fan_out(), |_| Immediate, &opts, &|_| true);
         assert_eq!(par.schedules, exact.schedules);
         assert!(par.states <= exact.states);
+    }
+
+    #[test]
+    fn a_state_lands_in_exactly_one_shard() {
+        // Without reduction a revisit always prunes, so every thread
+        // count stores each reachable configuration once — unless two
+        // arrivals at one configuration look in two different shards.
+        let counts = |threads| {
+            let opts = ExploreOptions {
+                dedup: DedupMode::Exact,
+                ..threaded(threads, usize::MAX)
+            };
+            let exp = explore(3, fan_out(), |_| Immediate, &opts, &|_| true);
+            (exp.schedules, exp.states)
+        };
+        let seq = counts(1);
+        for threads in [2, 4, 8] {
+            assert_eq!(counts(threads), seq, "threads = {threads}");
+        }
     }
 }

@@ -146,6 +146,12 @@ impl Session {
         if self.processes < 2 {
             return Err("--processes must be at least 2".into());
         }
+        // The trace header's ceiling, checked before any subcommand
+        // allocates per process.
+        if self.processes > Setup::MAX_PROCESSES {
+            let e = SetupError::TooManyProcesses(self.processes);
+            return Err(TraceError::Setup(e).to_string());
+        }
         if self.step_limit == 0 {
             return Err("--step-limit must be positive".into());
         }

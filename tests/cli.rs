@@ -367,27 +367,30 @@ fn shrink_minimizes_a_stalled_trace_end_to_end() {
 
 #[test]
 fn golden_shrunk_trace_replays_and_reshrinks_to_itself() {
-    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/shrunk-v2.jsonl");
-    let (ok, stdout, stderr) = msgorder(&["replay", golden]);
-    assert!(
-        ok,
-        "golden minimized trace must keep replaying: {stdout}{stderr}"
-    );
-    assert!(stdout.contains("REPLAY OK"), "{stdout}");
-    assert!(stdout.contains("events identical"), "{stdout}");
-    // Shrinking a fixpoint is a byte-stable no-op.
-    let dir = std::env::temp_dir().join("msgorder-cli-test");
+    let dir = std::env::temp_dir().join(format!("msgorder-cli-reshrink-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let out = dir.join("golden-reshrunk.jsonl");
-    let out = out.to_str().unwrap();
-    let (ok, stdout, stderr) = msgorder(&["shrink", golden, "--out", out]);
-    assert!(ok, "{stdout}{stderr}");
-    assert!(stdout.contains("(0% reduction)"), "{stdout}");
-    assert_eq!(
-        std::fs::read(golden).unwrap(),
-        std::fs::read(out).unwrap(),
-        "re-shrinking the golden minimized trace must reproduce it byte-for-byte"
-    );
+    for name in ["shrunk-v2", "shrunk-adversarial-v2"] {
+        let golden = format!("{}/tests/golden/{name}.jsonl", env!("CARGO_MANIFEST_DIR"));
+        let (ok, stdout, stderr) = msgorder(&["replay", &golden]);
+        assert!(
+            ok,
+            "golden minimized trace {name} must keep replaying: {stdout}{stderr}"
+        );
+        assert!(stdout.contains("REPLAY OK"), "{name}: {stdout}");
+        assert!(stdout.contains("events identical"), "{name}: {stdout}");
+        // Shrinking a fixpoint is a byte-stable no-op.
+        let out = dir.join(format!("{name}.jsonl"));
+        let out = out.to_str().unwrap();
+        let (ok, stdout, stderr) = msgorder(&["shrink", &golden, "--out", out]);
+        assert!(ok, "{name}: {stdout}{stderr}");
+        assert!(stdout.contains("(0% reduction)"), "{name}: {stdout}");
+        assert_eq!(
+            std::fs::read(&golden).unwrap(),
+            std::fs::read(out).unwrap(),
+            "re-shrinking the golden minimized trace {name} must reproduce it byte-for-byte"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `line` with the value of the first `"key":` replaced by `value`: a
@@ -647,6 +650,15 @@ fn explore_flags_are_validated() {
             &["explore", "--processes", "1"],
             "--processes must be at least 2",
         ),
+        // Refused before the world allocates per process.
+        (
+            &["explore", "--processes", "100000000", "--messages", "2"],
+            "error: invalid setup: 100000000 processes (at most 256)",
+        ),
+        (
+            &["soak", "--processes", "100000000", "--duration", "1s"],
+            "error: invalid setup: 100000000 processes (at most 256)",
+        ),
     ];
     for (args, needle) in cases {
         let (ok, _, stderr) = msgorder(args);
@@ -702,13 +714,174 @@ fn simulate_witness_is_the_same_through_every_observer() {
             .to_owned();
         (verdict, stdout)
     };
+    // The witness itself is pinned in `PINS`.
     let (bare, bare_stdout) = run(&[]);
-    assert_eq!(bare, "spec          : VIOLATED by [3, 9]");
+    assert!(bare.contains("VIOLATED by ["), "{bare}");
     assert!(!bare_stdout.contains("detected at"), "only --online halts");
     assert_eq!(run(&["--metrics"]).0, bare);
     let (online, stdout) = run(&["--online"]);
     assert_eq!(online, bare);
     assert!(stdout.contains("detected at   : event "), "{stdout}");
+}
+
+/// Every pinned output of the binary: `(command line, lines stdout
+/// contains, lines the recorded trace contains)`. `TRACE` stands for a
+/// fresh trace path; a recorded trace must also replay with `REPLAY OK`.
+/// The explorer rows print one configuration set whatever the thread
+/// count, reduction or seen-set: one engine behind every mode.
+const PINS: &[(&str, &[&str], &[&str])] = &[
+    // Record/replay round trip under drops and retransmission.
+    (
+        "simulate --protocol causal-rst --processes 3 --messages 12 --seed 11 --spec causal \
+         --reliable --drop 0.2 --record TRACE",
+        &[],
+        &[],
+    ),
+    // A crash-deferred request re-enters the event heap.
+    (
+        "simulate --protocol causal-rst --processes 3 --messages 20 --seed 4 --spec causal \
+         --crash 1:40:150 --record TRACE",
+        &["fingerprint e2fcaa8795271739"],
+        &["DeferredToRestart"],
+    ),
+    // Post-hoc limit sets at episode scale.
+    (
+        "simulate --protocol causal-rst --processes 4 --messages 2000 --seed 3 --spec causal",
+        &[
+            "in X_co       : true",
+            "in X_sync     : false",
+            "spec          : satisfied",
+        ],
+        &[],
+    ),
+    // `--online` stops at the violating delivery; the halted run replays.
+    (
+        "simulate --protocol async --spec fifo --processes 3 --messages 10 --seed 3 --online \
+         --record TRACE",
+        &["spec          : VIOLATED by [3, 9]", "detected at"],
+        &[],
+    ),
+    // The metrics report is rendered from the registry.
+    (
+        "simulate --protocol causal-rst --spec causal --corrupt 0.3 --reliable --seed 1 --metrics",
+        &["rejected frames     6 (malformed 6)", "delivery latency"],
+        &[],
+    ),
+    // Chaos sweeps, seeded and bounded.
+    (
+        "chaos --trials 25 --seed 7 --step-limit 100000",
+        &["25 trial(s)"],
+        &[],
+    ),
+    (
+        "chaos --trials 25 --seed 7 --step-limit 100000 --adversarial",
+        &["25 trial(s)", "adversarial"],
+        &[],
+    ),
+    // The explorer, POR on 2 threads.
+    (
+        "explore --protocol async --spec fifo --processes 3 --messages 5 --seed 3 --por on \
+         --threads 2",
+        &[
+            "schedules     : 165",
+            "violations    : 74 schedule(s), 74 distinct configuration(s)",
+            "digest        : 0x9aa73789c8e1ba4b",
+        ],
+        &[],
+    ),
+    // The benchmark's pool shape 0, from the function the harness times.
+    (
+        "explore --protocol async --spec fifo --processes 3 --messages 7 --seed 3 --por on",
+        &[
+            "schedules     : 6070",
+            "sleep-skipped : 9979",
+            "4192 distinct configuration(s)",
+            "digest        : 0x9206c673991a7254",
+        ],
+        &[],
+    ),
+    // An unmarked flush channel is asynchronous: the `async` pin.
+    (
+        "explore --protocol flush --spec fifo --processes 3 --messages 7 --seed 3 --por on",
+        &[
+            "schedules     : 6070",
+            "4192 distinct configuration(s)",
+            "digest        : 0x9206c673991a7254",
+        ],
+        &[],
+    ),
+    // `synthesized(causal)` is safe on the same space.
+    (
+        "explore --protocol synthesized --spec causal --processes 3 --messages 7 --seed 3 \
+         --por on",
+        &[
+            "schedules     : 6070",
+            "0 schedule(s), 0 distinct configuration(s)",
+        ],
+        &[],
+    ),
+    // The exact seen-set on 1 and 2 threads: same counts and digest.
+    (
+        "explore --protocol async --spec fifo --processes 3 --messages 7 --seed 3 --dedup exact",
+        &[
+            "schedules     : 6070",
+            "states        : 49318",
+            "4192 distinct configuration(s)",
+            "digest        : 0x9206c673991a7254",
+        ],
+        &[],
+    ),
+    (
+        "explore --protocol async --spec fifo --processes 3 --messages 7 --seed 3 --dedup exact \
+         --threads 2",
+        &[
+            "schedules     : 6070",
+            "states        : 49318",
+            "4192 distinct configuration(s)",
+            "digest        : 0x9206c673991a7254",
+        ],
+        &[],
+    ),
+    (
+        "explore --protocol async --spec fifo --processes 3 --messages 8 --seed 3 --dedup exact",
+        &[
+            "schedules     : 39915",
+            "states        : 368191",
+            "digest        : 0xe75afed4965824d7",
+        ],
+        &[],
+    ),
+];
+
+#[test]
+fn every_pinned_output_holds() {
+    let dir = std::env::temp_dir().join(format!("msgorder-cli-pins-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, (line, stdout_has, trace_has)) in PINS.iter().enumerate() {
+        let trace = dir.join(format!("pin-{i}.jsonl"));
+        let trace = trace.to_str().unwrap();
+        let args: Vec<&str> = line
+            .split_whitespace()
+            .map(|a| if a == "TRACE" { trace } else { a })
+            .collect();
+        let (ok, stdout, stderr) = msgorder(&args);
+        assert!(ok, "{line}: {stdout}{stderr}");
+        for needle in *stdout_has {
+            assert!(stdout.contains(needle), "{line}: no `{needle}` in {stdout}");
+        }
+        if args.contains(&trace) {
+            let text = std::fs::read_to_string(trace).unwrap();
+            for needle in *trace_has {
+                assert!(text.contains(needle), "{line}: no `{needle}` in the trace");
+            }
+            let (ok, stdout, stderr) = msgorder(&["replay", trace]);
+            assert!(
+                ok && stdout.contains("REPLAY OK"),
+                "{line}: replay: {stdout}{stderr}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `(subcommand, flags that take a value, boolean flags)` — everything
