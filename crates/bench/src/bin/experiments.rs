@@ -1069,7 +1069,7 @@ fn exp_m1() -> Value {
             same3.clone(),
             |_| FifoProtocol::new(),
             &opts,
-            &|run: &msgorder_runs::SystemRun| {
+            &|run: &msgorder_runs::StreamingRun| {
                 if !(run.is_quiescent() && prep.satisfies_spec(&run.users_view())) {
                     ok.store(false, Ordering::Relaxed);
                 }
@@ -1096,7 +1096,7 @@ fn exp_m1() -> Value {
             same3,
             |_| AsyncProtocol::new(),
             &opts,
-            &|run: &msgorder_runs::SystemRun| {
+            &|run: &msgorder_runs::StreamingRun| {
                 if !prep.satisfies_spec(&run.users_view()) {
                     violated.store(true, Ordering::Relaxed);
                 }
@@ -1122,7 +1122,7 @@ fn exp_m1() -> Value {
             triangle.clone(),
             |_| CausalRst::new(3),
             &opts,
-            &|run: &msgorder_runs::SystemRun| {
+            &|run: &msgorder_runs::StreamingRun| {
                 if !(run.is_quiescent() && limit_sets::in_x_co(&run.users_view())) {
                     ok.store(false, Ordering::Relaxed);
                 }
@@ -1148,7 +1148,7 @@ fn exp_m1() -> Value {
             triangle,
             |_| AsyncProtocol::new(),
             &opts,
-            &|run: &msgorder_runs::SystemRun| {
+            &|run: &msgorder_runs::StreamingRun| {
                 if !limit_sets::in_x_co(&run.users_view()) {
                     violated.store(true, Ordering::Relaxed);
                 }
@@ -1174,7 +1174,7 @@ fn exp_m1() -> Value {
             crossing,
             |_| SyncProtocol::new(),
             &opts,
-            &|run: &msgorder_runs::SystemRun| {
+            &|run: &msgorder_runs::StreamingRun| {
                 if !(run.is_quiescent() && limit_sets::in_x_sync(&run.users_view())) {
                     ok.store(false, Ordering::Relaxed);
                 }

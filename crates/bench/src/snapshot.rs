@@ -5,14 +5,14 @@
 
 use msgorder_predicate::ForbiddenPredicate;
 use msgorder_protocols::{explore_violations, AsyncProtocol};
-use msgorder_runs::{SystemRun, UserRunSnapshot};
+use msgorder_runs::SystemRun;
 use msgorder_simnet::{Exploration, ExploreOptions, Workload};
 use std::time::Instant;
 
 /// FNV-1a over the terminal run's user-view partial order: identical
 /// for identical configurations whatever schedule produced them.
 pub fn run_digest(run: &SystemRun) -> u64 {
-    UserRunSnapshot::from(&run.users_view()).digest()
+    run.users_view().digest()
 }
 
 /// One timed, digest-checked exploration: statistics plus a commutative

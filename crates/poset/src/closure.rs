@@ -16,8 +16,9 @@ use crate::graph::{Csr, DiGraph, NodeId};
 /// The reachability matrix of a directed acyclic graph.
 ///
 /// `reaches(u, v)` answers "is there a non-empty directed path from `u` to
-/// `v`?" — the closure of a *strict* order: no node reaches itself.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// `v`?" — the closure of a *strict* order: no node reaches itself. The
+/// default value is the closure of the empty universe.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TransitiveClosure {
     n: usize,
     /// Words per matrix row: `⌈n/64⌉`.
@@ -107,6 +108,37 @@ impl TransitiveClosure {
         })
     }
 
+    /// Overwrites this closure with an order on nodes `0..n` that the
+    /// caller already knows is a strict partial order (irreflexive and
+    /// transitive), given row by row: `fill(u, words)` sets in the
+    /// zeroed `words` — `⌈n/64⌉` of them, laid out as
+    /// [`descendants`](Self::descendants) — the bit of every `v` with
+    /// `u` before `v`, and never `u`'s own. No edge list, no Kahn pass,
+    /// and no allocation once the matrices have held `n` nodes; each set
+    /// bit is mirrored into the transposed matrix as it is read back.
+    pub fn assign_rows(&mut self, n: usize, mut fill: impl FnMut(NodeId, &mut [u64])) {
+        let stride = n.div_ceil(64);
+        self.n = n;
+        self.stride = stride;
+        self.rows.clear();
+        self.rows.resize(n * stride, 0);
+        self.cols.clear();
+        self.cols.resize(n * stride, 0);
+        for u in 0..n {
+            let row = &mut self.rows[u * stride..][..stride];
+            fill(u, row);
+            debug_assert_eq!(row[u / 64] >> (u % 64) & 1, 0, "node {u} before itself");
+            for (wi, &word) in row.iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    let v = wi * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    self.cols[v * stride + u / 64] |= 1 << (u % 64);
+                }
+            }
+        }
+    }
+
     /// Computes the closure of `g`, or `None` if `g` has a cycle.
     pub fn of_graph(g: &DiGraph) -> Option<Self> {
         Self::of_edges(g.node_count(), g.edges())
@@ -177,33 +209,37 @@ impl TransitiveClosure {
     }
 
     /// The transitive reduction (Hasse diagram): the unique minimal edge
-    /// set with the same closure.
-    ///
-    /// `u -> v` is a cover iff `u` reaches `v` and no `w` has
-    /// `u -> w -> v`.
+    /// set with the same closure, in
+    /// [`for_each_cover`](Self::for_each_cover) order.
     pub fn reduction(&self) -> Vec<(NodeId, NodeId)> {
-        // Word-parallel cover extraction: v is mediated from u exactly
-        // when some w in row(u) reaches v, so
-        //   covers_u = row(u) & !(⋃_{w ∈ row(u)} row(w)).
-        // Acyclicity makes the usual `w != v` guard unnecessary: v never
-        // lies in its own row, so unioning row(v) cannot mark v itself.
         let mut covers = Vec::new();
-        let mut mediated = vec![0u64; self.stride];
+        self.for_each_cover(|u, v| covers.push((u, v)));
+        covers
+    }
+
+    /// Calls `f(u, v)` for every covering pair of the order — `u`
+    /// reaches `v` and no `w` has `u -> w -> v` — by `u` and then `v`
+    /// ascending, without allocating.
+    ///
+    /// Word-parallel: `v` is mediated from `u` exactly when some `w` in
+    /// row(u) reaches it, so word `i` of `u`'s covers is
+    /// `row(u)[i] & !⋃_{w ∈ row(u)} row(w)[i]`, built one word at a
+    /// time. Acyclicity makes the usual `w != v` guard unnecessary: `v`
+    /// never lies in its own row, so unioning row(v) cannot mark `v`.
+    pub fn for_each_cover(&self, mut f: impl FnMut(NodeId, NodeId)) {
         for u in 0..self.n {
             let row = self.descendants(u);
-            mediated.fill(0);
-            for w in row.iter() {
-                union_into(&mut mediated, self.descendants(w).words());
-            }
-            for (wi, (&r, &m)) in row.words().iter().zip(&mediated).enumerate() {
-                let mut word = r & !m;
+            for (wi, &word) in row.words().iter().enumerate() {
+                let mediated = row
+                    .iter()
+                    .fold(0, |acc, w| acc | self.rows[w * self.stride + wi]);
+                let mut word = word & !mediated;
                 while word != 0 {
-                    covers.push((u, wi * 64 + word.trailing_zeros() as usize));
+                    f(u, wi * 64 + word.trailing_zeros() as usize);
                     word &= word - 1;
                 }
             }
         }
-        covers
     }
 }
 
@@ -265,6 +301,20 @@ mod tests {
         let c = closure(5, &[(0, 1), (1, 2), (0, 2), (2, 4), (1, 4), (3, 4)]);
         let red = c.reduction();
         assert_eq!(c.pairs(), closure(5, &red).pairs());
+    }
+
+    #[test]
+    fn assigned_rows_are_the_closure_of_their_edges() {
+        let edges = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (5, 4)];
+        let reference = closure(70, &edges);
+        // Reused from a larger universe, so stale words would show.
+        let mut c = closure(130, &[(0, 129), (64, 65)]);
+        c.assign_rows(70, |u, row| {
+            row.copy_from_slice(reference.descendants(u).words())
+        });
+        assert_eq!(c, reference);
+        c.assign_rows(0, |_, _| unreachable!("no rows in an empty universe"));
+        assert_eq!(c, TransitiveClosure::default());
     }
 
     #[test]

@@ -156,14 +156,30 @@ fn and_shifted(dst: &mut [u64], src: &[u64], shift: usize) {
     }
 }
 
-/// Reusable word buffers for [`search_user`] — one pair per evaluation
-/// call, so the per-leaf narrowing never touches the allocator.
-struct WordScratch {
+/// Reusable buffers for [`Prepared`]'s search: the candidate lists,
+/// the assignment, the last variable's word masks and the witness. One
+/// per evaluating thread makes a repeated evaluation — the explorer
+/// checks every leaf — allocation-free once the buffers have seen a run
+/// of the size at hand; [`Prepared::holds`] and its siblings use a fresh
+/// one per call.
+#[derive(Debug, Clone, Default)]
+pub struct EvalScratch {
+    /// Per-variable candidates, color-filtered (indexed by variable).
+    candidates: Vec<Vec<MessageId>>,
+    search: SearchState,
+}
+
+/// The part of [`EvalScratch`] the backtracking writes to.
+#[derive(Debug, Clone, Default)]
+struct SearchState {
+    assignment: Vec<Option<MessageId>>,
     /// Send-bit-aligned mask of the last variable's color-passing
     /// candidates (bit `2m` set iff `m` is a candidate).
     cand: Vec<u64>,
     /// Per-leaf working mask.
     combined: Vec<u64>,
+    /// The instantiation handed to the caller, in variable order.
+    witness: Vec<MessageId>,
 }
 
 impl<'p> Prepared<'p> {
@@ -207,26 +223,22 @@ impl<'p> Prepared<'p> {
     }
 
     /// The run-dependent half of plan construction: candidate lists
-    /// filtered through the precomputed color filters.
-    fn candidates_for(&self, run: &UserRun) -> Vec<Vec<MessageId>> {
-        self.color_filters
-            .iter()
-            .map(|filters| {
-                (0..run.len())
-                    .map(MessageId)
-                    .filter(|&msg| {
-                        filters
-                            .iter()
-                            .all(|&(color, want)| run.message(msg).has_color(color) == want)
-                    })
-                    .collect()
-            })
-            .collect()
+    /// filtered through the precomputed color filters, into `out`.
+    fn fill_candidates(&self, run: &UserRun, out: &mut Vec<Vec<MessageId>>) {
+        out.resize_with(self.color_filters.len(), Vec::new);
+        for (list, filters) in out.iter_mut().zip(&self.color_filters) {
+            list.clear();
+            list.extend((0..run.len()).map(MessageId).filter(|&msg| {
+                filters
+                    .iter()
+                    .all(|&(color, want)| run.message(msg).has_color(color) == want)
+            }));
+        }
     }
 
     /// See [`holds`].
     pub fn holds(&self, run: &UserRun) -> bool {
-        self.find_instantiation(run).is_some()
+        self.find_with(run, &mut EvalScratch::default()).is_some()
     }
 
     /// See [`satisfies_spec`].
@@ -236,22 +248,19 @@ impl<'p> Prepared<'p> {
 
     /// See [`find_instantiation`].
     pub fn find_instantiation(&self, run: &UserRun) -> Option<Vec<MessageId>> {
-        let candidates = self.candidates_for(run);
-        let mut assignment = vec![None; self.pred.var_count()];
-        let mut scratch = self.word_scratch(run, &candidates);
-        let mut result = None;
-        self.search_user(
-            run,
-            &candidates,
-            &mut assignment,
-            0,
-            &mut scratch,
-            &mut |a| {
-                result = Some(a.to_vec());
-                true
-            },
-        );
-        result
+        self.find_with(run, &mut EvalScratch::default())
+            .map(<[MessageId]>::to_vec)
+    }
+
+    /// [`find_instantiation`](Self::find_instantiation) in `scratch`'s
+    /// buffers: the witness is borrowed from them.
+    pub fn find_with<'s>(
+        &self,
+        run: &UserRun,
+        scratch: &'s mut EvalScratch,
+    ) -> Option<&'s [MessageId]> {
+        let found = self.search(run, scratch, &mut |_| true);
+        found.then_some(&scratch.search.witness[..])
     }
 
     /// See [`count_instantiations`].
@@ -259,39 +268,41 @@ impl<'p> Prepared<'p> {
         if cap == 0 {
             return 0;
         }
-        let candidates = self.candidates_for(run);
-        let mut assignment = vec![None; self.pred.var_count()];
-        let mut scratch = self.word_scratch(run, &candidates);
         let mut count = 0usize;
-        self.search_user(
-            run,
-            &candidates,
-            &mut assignment,
-            0,
-            &mut scratch,
-            &mut |_| {
-                count += 1;
-                count >= cap
-            },
-        );
+        self.search(run, &mut EvalScratch::default(), &mut |_| {
+            count += 1;
+            count >= cap
+        });
         count
     }
 
-    /// Builds the word buffers for one evaluation: the candidate mask of
-    /// the last variable (send-bit aligned) plus a same-width working
-    /// buffer, sized to the closure's `2·|M|` node space.
-    fn word_scratch(&self, run: &UserRun, candidates: &[Vec<MessageId>]) -> WordScratch {
+    /// The one search behind every entry: fills `scratch` for `run` —
+    /// the candidate lists, an empty assignment, and the last
+    /// variable's candidate mask (send-bit aligned) beside a same-width
+    /// working mask, sized to the closure's `2·|M|` node space — then
+    /// backtracks, handing each instantiation to `found` until it
+    /// returns `true`. Returns whether it did.
+    fn search(
+        &self,
+        run: &UserRun,
+        scratch: &mut EvalScratch,
+        found: &mut dyn FnMut(&[MessageId]) -> bool,
+    ) -> bool {
+        self.fill_candidates(run, &mut scratch.candidates);
+        let st = &mut scratch.search;
+        st.assignment.clear();
+        st.assignment.resize(self.pred.var_count(), None);
         let words = (2 * run.len()).div_ceil(64);
-        let mut cand = vec![0u64; words];
+        st.cand.clear();
+        st.cand.resize(words, 0);
+        st.combined.clear();
+        st.combined.resize(words, 0);
         if let Some(last) = &self.last {
-            for &m in &candidates[last.var] {
-                cand[(2 * m.0) / 64] |= 1 << ((2 * m.0) % 64);
+            for &m in &scratch.candidates[last.var] {
+                st.cand[(2 * m.0) / 64] |= 1 << ((2 * m.0) % 64);
             }
         }
-        WordScratch {
-            combined: vec![0; words],
-            cand,
-        }
+        self.search_user(run, &scratch.candidates, st, 0, found)
     }
 
     /// Backtracking search over a materialized [`UserRun`], assigning
@@ -303,31 +314,31 @@ impl<'p> Prepared<'p> {
         &self,
         run: &UserRun,
         candidates: &[Vec<MessageId>],
-        assignment: &mut Vec<Option<MessageId>>,
+        st: &mut SearchState,
         depth: usize,
-        scratch: &mut WordScratch,
         found: &mut dyn FnMut(&[MessageId]) -> bool,
     ) -> bool {
         let Some(last) = &self.last else {
             // Arity 0 — degenerate: the empty instantiation.
+            st.witness.clear();
             return found(&[]);
         };
         if depth + 1 == self.order.len() {
-            return self.last_leaf(run, assignment, last, scratch, found);
+            return self.last_leaf(run, last, st, found);
         }
         let var = self.order[depth];
         for &msg in &candidates[var] {
             // Injective instantiation: variables bind distinct messages.
-            if assignment.contains(&Some(msg)) {
+            if st.assignment.contains(&Some(msg)) {
                 continue;
             }
-            assignment[var] = Some(msg);
-            if consistent(self.pred, run, assignment, Var(var), msg)
-                && self.search_user(run, candidates, assignment, depth + 1, scratch, found)
+            st.assignment[var] = Some(msg);
+            if consistent(self.pred, run, &st.assignment, Var(var), msg)
+                && self.search_user(run, candidates, st, depth + 1, found)
             {
                 return true;
             }
-            assignment[var] = None;
+            st.assignment[var] = None;
         }
         false
     }
@@ -339,13 +350,17 @@ impl<'p> Prepared<'p> {
     fn last_leaf(
         &self,
         run: &UserRun,
-        assignment: &mut [Option<MessageId>],
         last: &LastStep,
-        scratch: &mut WordScratch,
+        st: &mut SearchState,
         found: &mut dyn FnMut(&[MessageId]) -> bool,
     ) -> bool {
-        let combined = &mut scratch.combined;
-        combined.copy_from_slice(&scratch.cand);
+        let SearchState {
+            assignment,
+            cand,
+            combined,
+            witness,
+        } = st;
+        combined.copy_from_slice(cand);
         for &(shift, other, last_is_lhs) in &last.narrowing {
             let Some(ev) = term_event(other, assignment) else {
                 continue;
@@ -370,8 +385,9 @@ impl<'p> Prepared<'p> {
                 assignment[last.var] = Some(msg);
                 if consistent(self.pred, run, assignment, Var(last.var), msg) {
                     // Every variable is bound here, so nothing is dropped.
-                    let full: Vec<MessageId> = assignment.iter().flatten().copied().collect();
-                    if found(&full) {
+                    witness.clear();
+                    witness.extend(assignment.iter().flatten());
+                    if found(witness) {
                         return true;
                     }
                 }
@@ -1542,7 +1558,8 @@ mod tests {
         run: &UserRun,
         cap: usize,
     ) -> (Option<Vec<MessageId>>, usize) {
-        let candidates = prep.candidates_for(run);
+        let mut candidates = Vec::new();
+        prep.fill_candidates(run, &mut candidates);
         let mut assignment = vec![None; prep.pred.var_count()];
         let mut first = None;
         let mut count = 0usize;
@@ -1611,6 +1628,8 @@ mod tests {
             ForbiddenPredicate::parse("forbid x, y: x.s < y.s & y.r < x.r where color(y) = red")
                 .unwrap(),
         ];
+        // One scratch for every run and predicate, so a stale buffer shows.
+        let mut scratch = EvalScratch::default();
         for seed in 0..40u64 {
             // Every fourth run spans two closure words per row.
             let msgs = if seed % 4 == 3 { 40 } else { 8 };
@@ -1629,6 +1648,12 @@ mod tests {
                     prep.find_instantiation(&run),
                     want_first,
                     "witness diverges on seed {seed} / {pred}"
+                );
+                assert_eq!(
+                    prep.find_with(&run, &mut scratch)
+                        .map(<[MessageId]>::to_vec),
+                    want_first,
+                    "reused scratch diverges on seed {seed} / {pred}"
                 );
                 assert_eq!(
                     prep.count_instantiations(&run, usize::MAX),

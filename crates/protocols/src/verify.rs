@@ -15,13 +15,14 @@
 //! completes it — no post-hoc transitive closure, no second search.
 //! [`verify_online`] additionally halts the simulation at that delivery.
 
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use msgorder_predicate::{eval, ForbiddenPredicate};
-use msgorder_runs::{EventKind, MessageId, StreamingRun, SystemEvent, UserRun, UserRunSnapshot};
+use msgorder_runs::{EventKind, MessageId, StreamingRun, SystemEvent, UserRun};
 use msgorder_simnet::{
     explore, explore_monitored, Exploration, ExploreOptions, LivenessVerdict, Protocol,
     RunObserver, SimConfig, SimError, Simulation, Stats, Workload,
@@ -329,7 +330,7 @@ pub struct Violations {
     /// Complete schedules whose user's view violates the spec.
     pub schedules: usize,
     /// The distinct violating configurations (user-view partial orders),
-    /// each by its [`UserRunSnapshot::digest`]. Invariant under
+    /// each by its [`UserRun::digest`]. Invariant under
     /// reduction, deduplication and threads, which only change how many
     /// schedules reach each configuration.
     pub configs: BTreeSet<u64>,
@@ -350,9 +351,12 @@ impl Violations {
 /// and collects every terminal configuration that violates `spec` —
 /// what `msgorder explore --spec` prints and the benchmark's `explore-*`
 /// workloads time. Unlike [`verify_exhaustive`] nothing is pruned: each
-/// complete schedule's user's view is projected once, checked against
-/// the predicate prepared once for the whole search, and digested if it
-/// violates.
+/// complete schedule's user's view is read off the run's vector clocks
+/// ([`UserRun::assign_from_clocks`]), checked against the predicate
+/// prepared once for the whole search, and digested if it violates. The
+/// view and the search buffers are kept per worker thread and refilled
+/// at every leaf, so a leaf touches the allocator only to record a new
+/// violating configuration.
 pub fn explore_violations<P>(
     processes: usize,
     workload: Workload,
@@ -366,15 +370,23 @@ where
     let prepared = eval::Prepared::new(spec);
     let schedules = AtomicUsize::new(0);
     let configs: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::new());
+    thread_local! {
+        /// This worker's view and search buffers: the visitor is one
+        /// `Fn` shared by every worker, so they cannot live in it.
+        static LEAF: RefCell<(UserRun, eval::EvalScratch)> = RefCell::default();
+    }
     let exploration = explore(processes, workload, factory, opts, &|run| {
-        let user = run.users_view();
-        if prepared.holds(&user) {
-            schedules.fetch_add(1, Ordering::Relaxed);
-            configs
-                .lock()
-                .expect("no visitor panicked holding the digest set")
-                .insert(UserRunSnapshot::from(&user).digest());
-        }
+        LEAF.with(|leaf| {
+            let (user, scratch) = &mut *leaf.borrow_mut();
+            user.assign_from_clocks(run);
+            if prepared.find_with(user, scratch).is_some() {
+                schedules.fetch_add(1, Ordering::Relaxed);
+                configs
+                    .lock()
+                    .expect("no visitor panicked holding the digest set")
+                    .insert(user.digest());
+            }
+        });
         true
     });
     Violations {

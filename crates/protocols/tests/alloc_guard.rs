@@ -1,4 +1,5 @@
-//! Allocation guard for `causal-rst` dispatch.
+//! Allocation guards for `causal-rst` dispatch and for the explorer's
+//! per-leaf specification check.
 //!
 //! The matrix, the pending queue and the parked matrices live in flat
 //! slabs that stop growing once they have seen their high-water mark,
@@ -11,15 +12,22 @@
 //! stream. A matrix of nested `Vec`s behind a value-tree tag codec reads
 //! 47 here.
 //!
-//! One `#[test]` for the whole file: the counter is process-global, so a
-//! second test on a parallel harness thread would be counted too.
+//! The counter is process-global, so every test holds [`SERIAL`]: a
+//! test on a parallel harness thread would be counted too.
 
-use msgorder_protocols::CausalRst;
+use msgorder_predicate::catalog;
+use msgorder_protocols::{explore_violations, AsyncProtocol, CausalRst};
 use msgorder_runs::{EventKind, StreamingRun, SystemEvent};
-use msgorder_simnet::{LatencyModel, RunObserver, SimConfig, Simulation, Workload};
+use msgorder_simnet::{
+    explore, ExploreOptions, LatencyModel, RunObserver, SimConfig, Simulation, Workload,
+};
+use std::sync::Mutex;
 
 #[global_allocator]
 static ALLOC: msgorder_testkit::CountingAlloc = msgorder_testkit::CountingAlloc;
+
+/// Held by each test for its whole run.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Records the allocation counter and whether the event is a user send
 /// at each run event, into a buffer sized ahead of the run, so observing
@@ -39,6 +47,7 @@ impl RunObserver for AllocProbe {
 
 #[test]
 fn causal_rst_allocates_only_the_tag_buffer_at_steady_state() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (n, msgs) = (4, 400);
     let w = Workload::uniform_random(n, msgs, 7);
     let mut probe = AllocProbe {
@@ -67,5 +76,41 @@ fn causal_rst_allocates_only_the_tag_buffer_at_steady_state() {
     assert!(
         per_send <= 1.05,
         "{allocs} allocator calls over {sends} user sends = {per_send:.2} per send"
+    );
+}
+
+/// `explore_violations` reads each leaf's user view off the run's
+/// clocks into a per-worker view, and checks and digests it in
+/// per-worker buffers: beyond the search itself (`explore` with a
+/// visitor that looks at nothing), a leaf costs an allocator call only
+/// when the violating-configuration set grows. Projecting a fresh view,
+/// searching in fresh buffers and digesting a snapshot cost 26.1 per
+/// leaf on this shape.
+#[test]
+fn a_checked_leaf_allocates_at_most_once() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // The benchmark's pool shape 0, as `explore-por` explores it.
+    let w = Workload::uniform_random(3, 7, 3);
+    let opts = ExploreOptions {
+        por: true,
+        ..ExploreOptions::default()
+    };
+    let spec = catalog::fifo();
+    // Warm this thread's buffers, which live as long as it does.
+    explore_violations(3, w.clone(), |_| AsyncProtocol::new(), &spec, &opts);
+    let (bare, engine) = msgorder_testkit::counting(|| {
+        explore(3, w.clone(), |_| AsyncProtocol::new(), &opts, &|_| true)
+    });
+    let (found, checked) = msgorder_testkit::counting(|| {
+        explore_violations(3, w, |_| AsyncProtocol::new(), &spec, &opts)
+    });
+    let leaves = found.exploration.schedules;
+    assert_eq!((leaves, found.configs.len()), (6070, 4192));
+    assert_eq!(bare.schedules, leaves);
+    let per_leaf = checked.saturating_sub(engine) as f64 / leaves as f64;
+    assert!(
+        per_leaf <= 1.0,
+        "{checked} allocator calls against the bare search's {engine} over {leaves} leaves \
+         = {per_leaf:.2} per leaf: is a view built or a snapshot digested per leaf again?"
     );
 }

@@ -11,8 +11,11 @@
 //! can also be donated to another worker — clones the world first. The
 //! traversal, the visit order and every counter are those of cloning at
 //! each branch: which child pays for the copy is not observable. Every
-//! complete schedule's captured run is handed to the visitor, which
-//! typically checks a specification.
+//! complete schedule's captured run is handed to the visitor as the
+//! kernel's own [`StreamingRun`] — the run plus the vector clock it
+//! stamped on each user event, from which the visitor can read the
+//! user's view without rebuilding it — and the visitor typically checks
+//! a specification.
 //!
 //! There are two entries over one engine: [`explore`], and
 //! [`explore_monitored`], which additionally carries a [`RunObserver`]
@@ -62,7 +65,7 @@ use crate::kernel::{
 };
 use crate::liveness::{self, LivenessVerdict};
 use crate::workload::Workload;
-use msgorder_runs::{StreamingRun, SystemEvent, SystemRun};
+use msgorder_runs::{StreamingRun, SystemEvent};
 use std::cmp::Reverse;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
@@ -222,7 +225,9 @@ impl RunObserver for Unobserved {
 // ---------------------------------------------------------------------------
 
 /// Exhaustively explores every schedule of `workload` under the
-/// protocol, invoking `visit` with each complete run. `visit` may
+/// protocol, invoking `visit` with each complete run — the kernel's
+/// [`StreamingRun`], which derefs to its
+/// [`SystemRun`](msgorder_runs::SystemRun). `visit` may
 /// return `false` to stop early (e.g. after finding a violation); with
 /// several [`threads`](ExploreOptions::threads) it runs concurrently.
 ///
@@ -262,7 +267,7 @@ pub fn explore<P, V>(
 ) -> Exploration
 where
     P: Protocol + Clone + Hash + Send,
-    V: Fn(&SystemRun) -> bool + Sync,
+    V: Fn(&StreamingRun) -> bool + Sync,
 {
     search(processes, workload, factory, Unobserved, false, opts, visit)
 }
@@ -301,7 +306,7 @@ pub fn explore_monitored<P, M, V>(
 where
     P: Protocol + Clone + Hash + Send,
     M: RunObserver + Clone + Send,
-    V: Fn(&SystemRun) -> bool + Sync,
+    V: Fn(&StreamingRun) -> bool + Sync,
 {
     search(processes, workload, factory, monitor, true, opts, visit)
 }
@@ -795,7 +800,7 @@ struct Sink<'a, V> {
     error: Mutex<Option<Box<SimError>>>,
 }
 
-impl<V: Fn(&SystemRun) -> bool> Sink<'_, V> {
+impl<V: Fn(&StreamingRun) -> bool> Sink<'_, V> {
     fn stopped(&self) -> bool {
         self.stopped.load(Ordering::Relaxed)
     }
@@ -967,7 +972,7 @@ fn dfs<P, M, V>(
 where
     P: Protocol + Clone + Hash,
     M: RunObserver + Clone,
-    V: Fn(&SystemRun) -> bool,
+    V: Fn(&StreamingRun) -> bool,
 {
     if !sink.enter() {
         return false;
@@ -1094,7 +1099,7 @@ fn search<P, M, V>(
 where
     P: Protocol + Clone + Hash + Send,
     M: RunObserver + Clone + Send,
-    V: Fn(&SystemRun) -> bool + Sync,
+    V: Fn(&StreamingRun) -> bool + Sync,
 {
     let threads = opts.threads.clamp(1, MAX_THREADS);
     let seen = SeenShards::new(opts.dedup_effective(), threads);
@@ -1184,7 +1189,7 @@ where
 mod tests {
     use super::*;
     use crate::workload::SendSpec;
-    use msgorder_runs::{MessageId, ProcessId};
+    use msgorder_runs::{MessageId, ProcessId, SystemRun};
     use std::collections::{BTreeMap, BTreeSet, HashSet};
 
     #[derive(Clone, Hash)]
@@ -1335,7 +1340,7 @@ mod tests {
     }
 
     /// The fan-out workload under exact deduplication.
-    fn exact_dedup_fan_out(visit: &(impl Fn(&SystemRun) -> bool + Sync)) -> Exploration {
+    fn exact_dedup_fan_out(visit: &(impl Fn(&StreamingRun) -> bool + Sync)) -> Exploration {
         let opts = ExploreOptions {
             dedup: DedupMode::Exact,
             ..ExploreOptions::default()

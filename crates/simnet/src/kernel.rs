@@ -185,7 +185,7 @@ impl World {
         if self.error.is_some() {
             return;
         }
-        let owner = self.metas[msg.0].src;
+        let owner = self.builder.src(msg);
         if owner.0 != node {
             self.fail(node, Some(msg), SimErrorKind::SendFromNonOwner { owner });
             return;
@@ -197,8 +197,8 @@ impl World {
         self.journal(msg, RunEventKind::Send);
         self.stats.user_messages += 1;
         self.stats.tag_bytes += tag.len();
-        self.sent[msg.0] = true;
-        let dst = self.metas[msg.0].dst.0;
+        self.messages[msg.0].sent = true;
+        let dst = self.builder.dst(msg).0;
         self.transmit(
             node,
             dst,
@@ -216,13 +216,13 @@ impl World {
         if self.error.is_some() {
             return;
         }
-        if self.metas[msg.0].src.0 != node || !self.sent[msg.0] {
+        if self.builder.src(msg).0 != node || !self.messages[msg.0].sent {
             self.fail(node, Some(msg), SimErrorKind::ResendBeforeSend);
             return;
         }
         self.stats.retransmitted_frames += 1;
         self.stats.tag_bytes += tag.len();
-        let dst = self.metas[msg.0].dst.0;
+        let dst = self.builder.dst(msg).0;
         self.transmit(
             node,
             dst,
@@ -240,7 +240,7 @@ impl World {
         if self.error.is_some() {
             return;
         }
-        let destination = self.metas[msg.0].dst;
+        let destination = self.builder.dst(msg);
         if destination.0 != node {
             self.fail(
                 node,
@@ -254,8 +254,9 @@ impl World {
             return;
         }
         self.journal(msg, RunEventKind::Deliver);
-        let received = self.receive_time[msg.0].expect("received before delivery");
-        let invoked = self.invoke_time[msg.0].expect("invoked before delivery");
+        let track = &self.messages[msg.0];
+        let received = track.received_at.expect("received before delivery");
+        let invoked = track.invoked_at.expect("invoked before delivery");
         self.stats.delivered += 1;
         self.stats.total_inhibition += self.now - received;
         self.stats.total_latency += self.now - invoked;
@@ -297,7 +298,7 @@ impl World {
             return;
         }
         self.stats.rejected_frames += 1;
-        self.rejected_at[node] += 1;
+        self.nodes[node].rejected += 1;
         self.journal_fault(FaultRecord::Rejected {
             node,
             from: from.0,
@@ -325,7 +326,7 @@ impl World {
             let in_range = match &action {
                 HostAction::SendUser { msg, .. }
                 | HostAction::ResendUser { msg, .. }
-                | HostAction::Deliver { msg } => msg.0 < self.metas.len(),
+                | HostAction::Deliver { msg } => msg.0 < self.messages.len(),
                 HostAction::SendControl { to: peer, .. }
                 | HostAction::ResendControl { to: peer, .. }
                 | HostAction::RejectFrame { from: peer, .. } => peer.0 < self.processes,
@@ -649,11 +650,11 @@ impl World {
                     return None;
                 }
                 self.journal(msg, RunEventKind::Invoke);
-                self.invoke_time[msg.0] = Some(self.now);
+                self.messages[msg.0].invoked_at = Some(self.now);
                 Some(HostEvent::Request { msg })
             }
             EventKind::UserArrival { from, msg, tag } => {
-                if self.receive_time[msg.0].is_some() {
+                if self.messages[msg.0].received_at.is_some() {
                     // A duplicated or retransmitted frame whose original
                     // already arrived: the network-level receive `x.r*`
                     // happened once; the extra copy is absorbed by the
@@ -666,7 +667,7 @@ impl World {
                     return None;
                 }
                 self.journal(msg, RunEventKind::Receive);
-                self.receive_time[msg.0] = Some(self.now);
+                self.messages[msg.0].received_at = Some(self.now);
                 Some(HostEvent::UserFrame {
                     from: ProcessId(from),
                     msg,
@@ -727,7 +728,7 @@ impl<P: Protocol> Driver for Vec<P> {
             now: world.now,
             processes: world.processes,
             epoch: world.epoch(node),
-            metas: &world.metas,
+            metas: world.builder.messages(),
             actions: &mut actions,
         };
         ctx.feed(&mut self[node], ev);
@@ -761,15 +762,38 @@ impl Ord for Scheduled {
     }
 }
 
+/// What the kernel tracks per workload message beyond the run itself.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct MessageTrack {
+    /// When the send was requested (`x.s*`).
+    pub(crate) invoked_at: Option<u64>,
+    /// When the first frame copy arrived (`x.r*`).
+    pub(crate) received_at: Option<u64>,
+    /// Whether the send `x.s` executed (gates resends).
+    pub(crate) sent: bool,
+    /// Wire accounting (copies out, copies eaten, why) for the liveness
+    /// blame analysis.
+    pub(crate) fate: FrameFate,
+}
+
+/// A process's adversarial history, for the liveness blame analysis.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct NodeTrack {
+    /// Forged control frames delivered *to* the process (fed forged
+    /// control state, it may wedge in ways no benign cause explains).
+    pub(crate) forged: u32,
+    /// Frames the process rejected (via [`Ctx::reject_frame`]).
+    pub(crate) rejected: u32,
+}
+
 #[derive(Clone)]
 pub(crate) struct World {
     pub(crate) processes: usize,
     pub(crate) latency: LatencyModel,
     /// Immutable after construction; shared by reference so the
-    /// explorer's per-transition world clone is a pointer bump.
+    /// explorer's per-transition world clone is a pointer bump. (The
+    /// declared messages are shared the same way, inside `builder`.)
     pub(crate) faults: std::sync::Arc<FaultModel>,
-    /// Immutable after construction (see `faults`).
-    pub(crate) metas: std::sync::Arc<Vec<msgorder_runs::MessageMeta>>,
     pub(crate) builder: StreamingRun,
     /// What dispatches schedule: in-flight frames, timers, and requests
     /// a crash deferred to a restart.
@@ -785,20 +809,10 @@ pub(crate) struct World {
     pub(crate) seq: u64,
     pub(crate) now: u64,
     pub(crate) stats: Stats,
-    pub(crate) invoke_time: Vec<Option<u64>>,
-    pub(crate) receive_time: Vec<Option<u64>>,
-    /// Which messages have executed their send `x.s` (gates resends).
-    pub(crate) sent: Vec<bool>,
-    /// Per-message wire accounting (copies out, copies eaten, why) for
-    /// the liveness blame analysis.
-    pub(crate) frame_fate: Vec<FrameFate>,
-    /// Forged control frames delivered *to* each process, for the
-    /// liveness blame analysis (a process fed forged control state may
-    /// wedge in ways no benign cause explains).
-    pub(crate) forged_to: Vec<u32>,
-    /// Frames rejected *by* each process (via [`Ctx::reject_frame`]),
-    /// for the liveness blame analysis.
-    pub(crate) rejected_at: Vec<u32>,
+    /// One record per workload message, by id.
+    pub(crate) messages: Vec<MessageTrack>,
+    /// One record per process.
+    pub(crate) nodes: Vec<NodeTrack>,
     /// The first protocol bug detected, if any; once set, the world is
     /// poisoned and all further protocol actions are no-ops.
     pub(crate) error: Option<SimError>,
@@ -907,13 +921,11 @@ impl World {
         // Ascending under `Reverse` is latest first: the earliest
         // request ends up last, where `pop` takes it.
         requests.sort_unstable();
-        let metas = builder.messages().to_vec();
-        let n_msgs = metas.len();
+        let n_msgs = builder.messages().len();
         let mut world = World {
             processes: config.processes,
             latency: config.latency,
             faults: std::sync::Arc::new(config.faults),
-            metas: std::sync::Arc::new(metas),
             builder,
             // Sized as a heap holding every request would be, so a run
             // grows it only where such a heap would have grown.
@@ -924,12 +936,8 @@ impl World {
             seq,
             now: 0,
             stats: Stats::default(),
-            invoke_time: vec![None; n_msgs],
-            receive_time: vec![None; n_msgs],
-            sent: vec![false; n_msgs],
-            frame_fate: vec![FrameFate::default(); n_msgs],
-            forged_to: vec![0; config.processes],
-            rejected_at: vec![0; config.processes],
+            messages: vec![MessageTrack::default(); n_msgs],
+            nodes: vec![NodeTrack::default(); config.processes],
             error: None,
             record: false,
             record_wire: false,
@@ -963,7 +971,7 @@ impl World {
         match ev.kind {
             // Frames arriving at a crashed process are lost.
             EventKind::UserArrival { msg, .. } => {
-                self.frame_fate[msg.0].crashed_arrivals += 1;
+                self.messages[msg.0].fate.crashed_arrivals += 1;
                 self.stats.dropped_frames += 1;
                 self.journal_fault(FaultRecord::ArrivalAtCrashed {
                     node: ev.node,
@@ -989,7 +997,7 @@ impl World {
                     });
                 } else {
                     if let EventKind::Request { msg } = kind {
-                        self.frame_fate[msg.0].request_lost = true;
+                        self.messages[msg.0].fate.request_lost = true;
                     }
                     self.journal_fault(FaultRecord::LostToCrash {
                         node: ev.node,
@@ -1304,7 +1312,7 @@ impl World {
             }));
         }
         if let EventKind::UserArrival { msg, .. } = &kind {
-            let fate = &mut self.frame_fate[msg.0];
+            let fate = &mut self.messages[msg.0].fate;
             fate.attempts += 1;
             if let Some(reason) = decision.dropped {
                 fate.dropped += 1;
@@ -1388,7 +1396,7 @@ impl World {
                 return;
             };
             self.stats.forged_frames += 1;
-            self.forged_to[to] += 1;
+            self.nodes[to].forged += 1;
             self.schedule(forge_at, to, copy);
         }
         if let Some((replay_delay, copy)) = replay {

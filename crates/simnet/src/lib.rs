@@ -63,9 +63,6 @@ mod stats;
 mod workload;
 
 pub use error::{SimError, SimErrorKind, SimOutcome};
-/// [`explore()`] under its pre-merge name, which the frozen `benchmark/`
-/// package imports.
-pub use explore::explore as explore_parallel_with;
 pub use explore::{explore, explore_monitored, DedupMode, Exploration, ExploreOptions};
 pub use faults::{AdversarialModel, CrashSchedule, FaultConfigError, FaultModel, Partition};
 pub use host::{HostAction, HostEnv, HostEvent, ProtocolHost};
@@ -82,3 +79,21 @@ pub use realtime::{
 pub use slab_map::SortedSlab;
 pub use stats::Stats;
 pub use workload::{SendSpec, Workload};
+
+/// [`explore()`] under its pre-merge name, with the pre-merge visitor
+/// type: `visit` sees each complete run as a
+/// [`SystemRun`](msgorder_runs::SystemRun), without the clock index.
+/// The frozen `benchmark/` package imports it.
+pub fn explore_parallel_with<P, V>(
+    processes: usize,
+    workload: Workload,
+    factory: impl Fn(usize) -> P,
+    opts: &ExploreOptions,
+    visit: &V,
+) -> Exploration
+where
+    P: Protocol + Clone + std::hash::Hash + Send,
+    V: Fn(&msgorder_runs::SystemRun) -> bool + Sync,
+{
+    explore(processes, workload, factory, opts, &|run| visit(run))
+}

@@ -328,13 +328,14 @@ pub(crate) fn analyze(world: &crate::kernel::World, step_limited: bool) -> Optio
     // is the more proximate cause: it either refused frames (and lost
     // the state they carried) or was fed forged control input.
     let inhibited = |p: ProcessId| {
-        if world.rejected_at[p.0] > 0 {
+        let track = &world.nodes[p.0];
+        if track.rejected > 0 {
             StuckCause::RejectedFrames {
-                rejections: world.rejected_at[p.0],
+                rejections: track.rejected,
             }
-        } else if world.forged_to[p.0] > 0 {
+        } else if track.forged > 0 {
             StuckCause::ForgedControl {
-                forged: world.forged_to[p.0],
+                forged: track.forged,
             }
         } else {
             StuckCause::ProtocolInhibited
@@ -349,10 +350,11 @@ pub(crate) fn analyze(world: &crate::kernel::World, step_limited: bool) -> Optio
         )) {
             continue;
         }
-        let invoked = world.invoke_time[m.0].is_some();
-        let sent = world.sent[m.0];
-        let received = world.receive_time[m.0].is_some();
-        let fate = &world.frame_fate[m.0];
+        let track = &world.messages[m.0];
+        let invoked = track.invoked_at.is_some();
+        let sent = track.sent;
+        let received = track.received_at.is_some();
+        let fate = &track.fate;
         let (src, dst) = (meta.src, meta.dst);
         let (stage, blame, cause) = if !invoked {
             let cause = if fate.request_lost || gone(src.0) {

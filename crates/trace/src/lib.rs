@@ -103,6 +103,14 @@ pub struct Setup {
 pub enum SetupError {
     /// More than [`Setup::MAX_PROCESSES`] processes.
     TooManyProcesses(usize),
+    /// More messages than [`Setup::max_messages`] allows over the
+    /// setup's processes.
+    TooManyMessages {
+        /// Messages in the workload.
+        messages: usize,
+        /// The setup's process count.
+        processes: usize,
+    },
     /// Send `index` of the workload names a process outside
     /// `0..processes`.
     SendOutOfRange {
@@ -141,6 +149,16 @@ impl std::fmt::Display for SetupError {
             SetupError::TooManyProcesses(n) => {
                 write!(f, "{n} processes (at most {})", Setup::MAX_PROCESSES)
             }
+            SetupError::TooManyMessages {
+                messages,
+                processes,
+            } => write!(
+                f,
+                "{messages} messages (at most {} over {processes} processes: \
+                 a run stamps 2·n clock words per message, at most {} in all)",
+                Setup::max_messages(*processes),
+                Setup::MAX_CLOCK_WORDS
+            ),
             SetupError::SendOutOfRange { index, src, dst } => write!(
                 f,
                 "send {index} (P{src} -> P{dst}) names a process out of range"
@@ -170,9 +188,24 @@ impl Setup {
     /// header is a typo or an attack, not a run.
     pub const MAX_PROCESSES: usize = 256;
 
+    /// The most vector-clock words a setup's run may stamp. Every run
+    /// keeps a clock of `n` words at each message's send and delivery,
+    /// so a workload costs at least `2·n` words (and its own send
+    /// records) per message before anything runs; this caps that at
+    /// 128 MiB. [`max_messages`](Setup::max_messages) is the ceiling it
+    /// puts on the message count.
+    pub const MAX_CLOCK_WORDS: usize = 1 << 24;
+
+    /// The most messages a setup over `processes` processes may name:
+    /// [`MAX_CLOCK_WORDS`](Setup::MAX_CLOCK_WORDS) over `2·n` words each.
+    pub fn max_messages(processes: usize) -> usize {
+        Setup::MAX_CLOCK_WORDS / (2 * processes.max(1))
+    }
+
     /// Checks everything the kernel would otherwise index, allocate or
     /// sample on trust: the process count against
-    /// [`MAX_PROCESSES`](Setup::MAX_PROCESSES), every workload, crash and
+    /// [`MAX_PROCESSES`](Setup::MAX_PROCESSES), the message count against
+    /// [`max_messages`](Setup::max_messages), every workload, crash and
     /// partition process id against the process count, the latency
     /// range, the fault probabilities, `reliable` against the protocol,
     /// and the spec against `synthesized` (names outside the registry
@@ -183,6 +216,13 @@ impl Setup {
         let n = self.processes;
         if n > Setup::MAX_PROCESSES {
             return Err(SetupError::TooManyProcesses(n));
+        }
+        let messages = self.workload.sends.len();
+        if messages > Setup::max_messages(n) {
+            return Err(SetupError::TooManyMessages {
+                messages,
+                processes: n,
+            });
         }
         for (index, s) in self.workload.sends.iter().enumerate() {
             if s.src >= n || s.dst >= n {

@@ -8,7 +8,8 @@ use msgorder_simnet::{
     Ctx, FaultModel, KernelEvent, LatencyModel, PayloadKind, Protocol, Workload,
 };
 use msgorder_trace::{
-    fingerprint, record, record_with, replay, Setup, SimErrorExt, Trace, TraceError, TRACE_VERSION,
+    fingerprint, record, record_with, replay, Setup, SetupError, SimErrorExt, Trace, TraceError,
+    TRACE_VERSION,
 };
 use proptest::prelude::*;
 
@@ -375,6 +376,32 @@ fn halted_recording_replays_as_a_prefix() {
         msgorder_trace::shrink::classify_trace(&trace).expect("re-executes"),
         Some(msgorder_trace::shrink::VerdictClass::SpecViolated)
     );
+}
+
+/// A header may name at most `Setup::max_messages(n)` sends: the
+/// flags' ceiling holds for trace headers too.
+#[test]
+fn a_setup_past_the_clock_ceiling_is_refused() {
+    let n = Setup::MAX_PROCESSES;
+    let at = |messages: usize| Setup {
+        processes: n,
+        workload: Workload::uniform_random(n, messages, 1),
+        ..setup("fifo", false, FaultModel::none(), 1, 0)
+    };
+    let max = Setup::max_messages(n);
+    assert_eq!(max * 2 * n, Setup::MAX_CLOCK_WORDS);
+    assert_eq!(at(max).validate(), Ok(()));
+    let err = at(max + 1).validate().unwrap_err();
+    assert_eq!(
+        err,
+        SetupError::TooManyMessages {
+            messages: max + 1,
+            processes: n
+        }
+    );
+    assert!(err
+        .to_string()
+        .contains("(at most 32768 over 256 processes"));
 }
 
 /// Malformed trace files are structured errors, not panics.

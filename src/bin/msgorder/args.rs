@@ -146,10 +146,17 @@ impl Session {
         if self.processes < 2 {
             return Err("--processes must be at least 2".into());
         }
-        // The trace header's ceiling, checked before any subcommand
-        // allocates per process.
+        // The trace header's ceilings, checked before any subcommand
+        // allocates per process or per message.
         if self.processes > Setup::MAX_PROCESSES {
             let e = SetupError::TooManyProcesses(self.processes);
+            return Err(TraceError::Setup(e).to_string());
+        }
+        if self.messages > Setup::max_messages(self.processes) {
+            let e = SetupError::TooManyMessages {
+                messages: self.messages,
+                processes: self.processes,
+            };
             return Err(TraceError::Setup(e).to_string());
         }
         if self.step_limit == 0 {

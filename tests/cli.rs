@@ -659,6 +659,15 @@ fn explore_flags_are_validated() {
             &["soak", "--processes", "100000000", "--duration", "1s"],
             "error: invalid setup: 100000000 processes (at most 256)",
         ),
+        // Refused before the workload allocates per message.
+        (
+            &["explore", "--processes", "2", "--messages", "1000000000"],
+            "error: invalid setup: 1000000000 messages (at most 4194304 over 2 processes",
+        ),
+        (
+            &["simulate", "--messages", "1000000000"],
+            "error: invalid setup: 1000000000 messages (at most 2097152 over 4 processes",
+        ),
     ];
     for (args, needle) in cases {
         let (ok, _, stderr) = msgorder(args);
@@ -797,6 +806,39 @@ const PINS: &[(&str, &[&str], &[&str])] = &[
             "sleep-skipped : 9979",
             "4192 distinct configuration(s)",
             "digest        : 0x9206c673991a7254",
+        ],
+        &[],
+    ),
+    // The benchmark's pool shapes 1 and 2.
+    (
+        "explore --protocol async --spec fifo --processes 3 --messages 7 --seed 4 --por on",
+        &[
+            "schedules     : 3600",
+            "sleep-skipped : 1584",
+            "3525 distinct configuration(s)",
+            "digest        : 0xd31060853d77c111",
+        ],
+        &[],
+    ),
+    (
+        "explore --protocol async --spec fifo --processes 3 --messages 7 --seed 5 --por on",
+        &[
+            "schedules     : 3492",
+            "sleep-skipped : 8156",
+            "2826 distinct configuration(s)",
+            "digest        : 0xec266c459dea379e",
+        ],
+        &[],
+    ),
+    // Every leaf has an undelivered message: the user's view renumbers
+    // the complete ones densely.
+    (
+        "explore --protocol fifo --spec causal --messages 4 --drop 0.3",
+        &[
+            "schedules     : 288",
+            "non-live      : 288",
+            "3 schedule(s), 1 distinct configuration(s)",
+            "digest        : 0x807d2665aee358c4",
         ],
         &[],
     ),

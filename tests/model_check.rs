@@ -328,7 +328,7 @@ fn unmarked_flush_finds_exactly_the_async_violations() {
 
 /// Sleep-set reduction on reached views, registry-wide: for every kind
 /// on the three small shapes, full search and POR reach the same *set*
-/// of user views (by `UserRunSnapshot::digest`), not only the same
+/// of user views (by `UserRun::digest`), not only the same
 /// violations. This is the executable form of the Mazurkiewicz-trace
 /// argument (Bollig & Gastin) that the sleep sets rest on: schedules
 /// that differ by commuting independent steps end in one configuration,
@@ -337,7 +337,6 @@ fn unmarked_flush_finds_exactly_the_async_violations() {
 #[test]
 fn full_and_reduced_search_reach_the_same_views_for_every_kind() {
     use msgorder::protocols::ProtocolKind;
-    use msgorder::runs::UserRunSnapshot;
     use std::collections::BTreeSet;
     use std::sync::Mutex;
     let shapes = [(2, same_channel(3)), (3, triangle()), (2, crossing_pair())];
@@ -359,7 +358,7 @@ fn full_and_reduced_search_reach_the_same_views_for_every_kind() {
                     |node| kind.explorable(*procs, node, false),
                     &opts,
                     &|run| {
-                        let digest = UserRunSnapshot::from(&run.users_view()).digest();
+                        let digest = run.users_view().digest();
                         views.lock().expect("no visitor panicked").insert(digest);
                         true
                     },
