@@ -37,7 +37,7 @@ pub enum ProtocolKind {
 }
 
 /// A concrete (non-boxed) protocol instance: unlike `Box<dyn Protocol>`,
-/// this is `Clone` (the explorer clones the world where a state
+/// this is `Clone` (the explorer copies the world where a state
 /// branches) and `Hash` (configuration deduplication keys protocol
 /// state). Obtained via [`ProtocolKind::explorable`].
 #[derive(Debug, Clone, Hash)]

@@ -5,8 +5,8 @@ use msgorder_runs::generator::{
     random_user_run, GenParams,
 };
 use msgorder_runs::{
-    construct, limit_sets, realize, EventKind, MessageId, ProcessId, SystemEvent, SystemRun,
-    UserEvent, UserEventKind, UserRun,
+    construct, limit_sets, realize, EventKind, MessageId, ProcessId, StreamingRun, SystemEvent,
+    SystemRun, UserEvent, UserEventKind, UserRun,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -145,6 +145,129 @@ proptest! {
             stage[i] += 1;
         }
         prop_assert_eq!(run.event_count(), 4 * msgs);
+    }
+}
+
+// ---------------------------------------------------------------------
+// `clone_from` into a run of another shape is a clone.
+// ---------------------------------------------------------------------
+
+/// A run over `procs` processes declaring `msgs` random messages (the
+/// first one colored) and fed up to `steps` random valid events.
+fn fed_run(procs: usize, msgs: usize, steps: usize, rng: &mut StdRng) -> StreamingRun {
+    let mut run = StreamingRun::new(procs);
+    for i in 0..msgs {
+        let (src, dst) = (rng.gen_range(0..procs), rng.gen_range(0..procs));
+        if i == 0 {
+            run.message_colored(src, dst, "red");
+        } else {
+            run.message(src, dst);
+        }
+    }
+    let mut stage = vec![0usize; msgs];
+    for _ in 0..steps {
+        let open: Vec<usize> = (0..msgs).filter(|&i| stage[i] < 4).collect();
+        if open.is_empty() {
+            break;
+        }
+        let i = open[rng.gen_range(0..open.len())];
+        run.append(SystemEvent::new(MessageId(i), EventKind::ALL[stage[i]]))
+            .expect("stages feed in order");
+        stage[i] += 1;
+    }
+    run
+}
+
+/// Every event of every declared message of `run`.
+fn all_events(run: &SystemRun) -> Vec<SystemEvent> {
+    (0..run.messages().len())
+        .flat_map(|m| EventKind::ALL.map(|k| SystemEvent::new(MessageId(m), k)))
+        .collect()
+}
+
+/// `copy` holds what `run` holds: messages, sequences, event flags and
+/// `→`, and every field as `Debug` prints it.
+fn same_system_run(copy: &SystemRun, run: &SystemRun) -> Result<(), String> {
+    prop_assert_eq!(copy.process_count(), run.process_count());
+    prop_assert_eq!(copy.messages(), run.messages());
+    for p in 0..run.process_count() {
+        prop_assert_eq!(copy.sequence(ProcessId(p)), run.sequence(ProcessId(p)));
+    }
+    let events = all_events(run);
+    for &a in &events {
+        prop_assert_eq!(copy.contains(a), run.contains(a));
+    }
+    prop_assert_eq!(copy.event_count(), run.event_count());
+    prop_assert_eq!(format!("{copy:?}"), format!("{run:?}"));
+    for &a in &events {
+        for &b in &events {
+            prop_assert_eq!(copy.happens_before(a, b), run.happens_before(a, b));
+        }
+    }
+    Ok(())
+}
+
+/// `copy` holds what `run` holds, the clock index included: completion
+/// order, every `▷` answer, and the view read off the clocks.
+fn same_streaming_run(copy: &StreamingRun, run: &StreamingRun) -> Result<(), String> {
+    prop_assert_eq!(format!("{copy:?}"), format!("{run:?}"));
+    prop_assert_eq!(copy.completed(), run.completed());
+    let users: Vec<UserEvent> = (0..run.messages().len())
+        .flat_map(|m| {
+            [
+                UserEvent::send(MessageId(m)),
+                UserEvent::deliver(MessageId(m)),
+            ]
+        })
+        .collect();
+    for &a in &users {
+        for &b in &users {
+            prop_assert_eq!(copy.before(a, b), run.before(a, b));
+        }
+    }
+    let (mut copied, mut reference) = (UserRun::default(), UserRun::default());
+    copied.assign_from_clocks(copy);
+    reference.assign_from_clocks(run);
+    prop_assert_eq!(copied.digest(), reference.digest());
+    same_system_run(copy, run)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `clone_from` into a run with more processes, messages and events,
+    /// and into one with fewer, leaves a copy equal to a fresh clone —
+    /// for a `StreamingRun` and for a `SystemRun`, whether the target's
+    /// `→` closure was built and whether the source's is.
+    #[test]
+    fn clone_from_any_run_is_a_clone(
+        procs in 1usize..5,
+        msgs in 0usize..8,
+        steps in 0usize..40,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let run = fed_run(procs, msgs, steps, &mut rng);
+        let system = run.clone().into_run();
+        let first = |kind| SystemEvent::new(MessageId(0), kind);
+        if seed % 2 == 0 {
+            // The source's `→` closure built, so that it is copied too.
+            system.happens_before(first(EventKind::Invoke), first(EventKind::Deliver));
+        }
+        let longer = fed_run(procs + 1, msgs + 3, usize::MAX, &mut rng);
+        let shorter = fed_run(procs.max(2) - 1, msgs / 2, steps / 2, &mut rng);
+        prop_assert!(longer.event_count() > run.event_count());
+        prop_assert!(shorter.event_count() <= run.event_count());
+        for mut target in [longer, shorter] {
+            let mut target_system = target.clone().into_run();
+            // Built, so that a copy keeping it would answer for the
+            // target's events.
+            target_system.happens_before(first(EventKind::Invoke), first(EventKind::Send));
+            target.clone_from(&run);
+            same_streaming_run(&target, &run.clone())?;
+            target_system.clone_from(&system);
+            same_system_run(&target_system, &system.clone())?;
+        }
     }
 }
 

@@ -8,9 +8,14 @@
 //! a state is dead the moment its last explorable child has been
 //! dispatched, so that child runs on the state (and the monitor) it
 //! inherits, and only a child with a later sibling — the one kind that
-//! can also be donated to another worker — clones the world first. The
-//! traversal, the visit order and every counter are those of cloning at
-//! each branch: which child pays for the copy is not observable. Every
+//! can also be donated to another worker — is first copied into its
+//! depth's spare state with `clone_from`. Each worker keeps one frame
+//! of reusable buffers per DFS depth (the enabled transitions, the
+//! sleep and done sets, that spare), so once every depth has been
+//! reached a branch costs copies into warm buffers and no allocator
+//! calls. The traversal, the visit order and every counter are those of
+//! cloning at each branch: which child pays for the copy, and where the
+//! copy lives, is not observable. Every
 //! complete schedule's captured run is handed to the visitor as the
 //! kernel's own [`StreamingRun`] — the run plus the vector clock it
 //! stamped on each user event, from which the visitor can read the
@@ -35,7 +40,7 @@
 //! 2. **Incremental state keys** ([`ExploreOptions::dedup`]). A
 //!    configuration is a handful of components — per-process run-event
 //!    chains, per-node protocol states, the pending pool, and each
-//!    process's issued-request count — updated per dispatch, never
+//!    process's request cursor — updated per dispatch, never
 //!    re-encoded from scratch. The seen-set hash-conses every component
 //!    value once per exploration (SPIN's collapse compression) and keys
 //!    a state by the short vector of its component ids, so two states
@@ -71,7 +76,7 @@ use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The most worker threads one exploration runs. A larger
 /// [`ExploreOptions::threads`] is clamped to it, and
@@ -281,8 +286,10 @@ where
 /// are. `visit` receives only the complete runs of *uncondemned*
 /// schedules; [`Exploration::pruned`] counts the condemned prefixes.
 ///
-/// The monitor is cloned wherever the state is — for every child but the
-/// last of each state — so it should keep its state small. Only run
+/// The monitor is copied wherever the state is — for every child but the
+/// last of each state, into that depth's spare with
+/// [`Clone::clone_from`] — so it should keep its state small, or
+/// implement `clone_from` to reuse its buffers. Only run
 /// events reach it: wire and fault records are not journaled under
 /// exploration.
 ///
@@ -318,7 +325,8 @@ where
 /// Builds the explorer's root state: the initial world via the normal
 /// constructor (declares all messages), with the kernel's request
 /// cursor drained into per-process queues so their relative order per
-/// process is preserved.
+/// process is preserved. The queues are shared by every state of the
+/// exploration; a state only moves its per-process cursor along them.
 fn initial_state<P: Protocol + Clone>(
     processes: usize,
     workload: Workload,
@@ -329,10 +337,10 @@ fn initial_state<P: Protocol + Clone>(
         .with_faults(faults.clone());
     let sim = Simulation::new(config, workload, factory);
     let (mut world, mut protocols) = sim.into_parts();
-    let mut requests: Vec<VecDeque<Scheduled>> = vec![VecDeque::new(); processes];
+    let mut requests: Vec<Vec<Scheduled>> = vec![Vec::new(); processes];
     // `World::build` schedules nothing: every pending event is a request.
     while let Some(ev) = world.pop_next() {
-        requests[ev.node].push_back(ev);
+        requests[ev.node].push(ev);
     }
     for node in 0..processes {
         protocols.react(&mut world, node, HostEvent::Init);
@@ -350,7 +358,8 @@ fn initial_state<P: Protocol + Clone>(
         world,
         protocols,
         pool,
-        requests,
+        requests: requests.into_iter().map(Vec::into_boxed_slice).collect(),
+        cursor: vec![0; processes],
         cache: None,
     }
 }
@@ -371,26 +380,81 @@ struct TKey {
     kind: EventKind,
 }
 
+impl TKey {
+    fn of(ev: &Scheduled) -> TKey {
+        TKey {
+            node: ev.node,
+            time: ev.time,
+            kind: ev.kind.clone(),
+        }
+    }
+}
+
 /// Which pending event a transition fires.
 #[derive(Debug, Clone, Copy)]
 enum Pick {
     /// `pool[i]` (removed by `swap_remove`).
     Pool(usize),
-    /// The head of process `p`'s request queue.
+    /// Process `p`'s next request, at its cursor.
     Request(usize),
 }
 
-#[derive(Clone)]
 struct State<P> {
     world: crate::kernel::World,
     protocols: Vec<P>,
     /// In-flight frames and timers, any of which may fire next.
     pool: Vec<Scheduled>,
-    /// Unissued user requests per process (ordered).
-    requests: Vec<VecDeque<Scheduled>>,
+    /// Every user request per process, in issue order: fixed at the
+    /// root and shared by every state of the exploration.
+    requests: Arc<[Box<[Scheduled]>]>,
+    /// Requests issued so far per process: `requests[p][cursor[p]]` is
+    /// process `p`'s next one.
+    cursor: Vec<u32>,
     /// Incrementally maintained canonical key, present iff
     /// deduplication is on.
     cache: Option<Box<KeyCache>>,
+}
+
+/// Written out so that a branch copies into its frame's spare in place
+/// (`clone_from` reuses every buffer the spare already holds) and so
+/// that every field is named: one added later is a compile error here,
+/// not a stale copy.
+impl<P: Clone> Clone for State<P> {
+    fn clone(&self) -> State<P> {
+        let State {
+            world,
+            protocols,
+            pool,
+            requests,
+            cursor,
+            cache,
+        } = self;
+        State {
+            world: world.clone(),
+            protocols: protocols.clone(),
+            pool: pool.clone(),
+            requests: requests.clone(),
+            cursor: cursor.clone(),
+            cache: cache.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &State<P>) {
+        let State {
+            world,
+            protocols,
+            pool,
+            requests,
+            cursor,
+            cache,
+        } = source;
+        self.world.clone_from(world);
+        self.protocols.clone_from(protocols);
+        self.pool.clone_from(pool);
+        self.requests.clone_from(requests);
+        self.cursor.clone_from(cursor);
+        self.cache.clone_from(cache);
+    }
 }
 
 impl<P: Protocol + Hash> State<P> {
@@ -400,36 +464,23 @@ impl<P: Protocol + Hash> State<P> {
         self.world.take_error().map(Box::new)
     }
 
-    /// Enumerates the enabled transitions in the classic branch order:
-    /// every pool event by index, then each process's next request.
-    fn transitions(&self) -> Vec<(TKey, Pick)> {
-        let mut out = Vec::with_capacity(self.pool.len() + 2);
+    /// Refills `out` with the enabled transitions in the classic branch
+    /// order: every pool event by index, then each process's next
+    /// request.
+    fn transitions_into(&self, out: &mut Vec<(TKey, Pick)>) {
+        out.clear();
         for (i, ev) in self.pool.iter().enumerate() {
-            out.push((
-                TKey {
-                    node: ev.node,
-                    time: ev.time,
-                    kind: ev.kind.clone(),
-                },
-                Pick::Pool(i),
-            ));
+            out.push((TKey::of(ev), Pick::Pool(i)));
         }
-        for (p, q) in self.requests.iter().enumerate() {
-            if let Some(ev) = q.front() {
-                out.push((
-                    TKey {
-                        node: ev.node,
-                        time: ev.time,
-                        kind: ev.kind.clone(),
-                    },
-                    Pick::Request(p),
-                ));
+        for (p, (queue, &next)) in self.requests.iter().zip(&self.cursor).enumerate() {
+            if let Some(ev) = queue.get(next as usize) {
+                out.push((TKey::of(ev), Pick::Request(p)));
             }
         }
-        out
     }
 
-    /// Removes the picked pending event, mirroring the removal in the
+    /// Removes the picked pending event (a request is issued by moving
+    /// its process's cursor past it), mirroring a pool removal in the
     /// key cache.
     fn take_transition(&mut self, pick: Pick) -> Scheduled {
         match pick {
@@ -440,12 +491,9 @@ impl<P: Protocol + Hash> State<P> {
                 self.pool.swap_remove(i)
             }
             Pick::Request(p) => {
-                if let Some(c) = &mut self.cache {
-                    c.popped[p] += 1;
-                }
-                self.requests[p]
-                    .pop_front()
-                    .expect("nonempty request queue")
+                let ev = self.requests[p][self.cursor[p] as usize].clone();
+                self.cursor[p] += 1;
+                ev
             }
         }
     }
@@ -529,7 +577,8 @@ fn pool_component(ev: &Scheduled) -> (u64, usize, &EventKind) {
 /// fixed) by: the per-process chains of run events journaled since the
 /// root (the captured run is an order-independent function of them),
 /// the per-node protocol states, the multiset of pending pool events,
-/// and how many requests each process has issued. Kernel bookkeeping is
+/// and how many requests each process has issued (the state's request
+/// cursor, which the key reads instead of copying). Kernel bookkeeping is
 /// excluded: sequence labels only break heap ties the explorer ignores,
 /// stats are not visitor-observable, the latency RNG is never consulted
 /// under `Fixed` latency, and the fault RNG is behaviourally inert under
@@ -540,7 +589,6 @@ fn pool_component(ev: &Scheduled) -> (u64, usize, &EventKind) {
 /// instead of re-encoding every `BTreeMap` from scratch. Every component
 /// is interned, and the key is the vector of their ids
 /// ([`KeyCache::exact_key`]).
-#[derive(Clone)]
 struct KeyCache {
     /// Per-process [`Interner`] id of the run-event chain since the
     /// root.
@@ -549,9 +597,26 @@ struct KeyCache {
     proto: Vec<u32>,
     /// Per pool event id; mirrors `State::pool` index for index.
     pool: Vec<u32>,
-    /// Requests issued per process (with the fixed root workload, this
-    /// pins the remaining queue).
-    popped: Vec<u32>,
+}
+
+/// Written out for the same reasons as `State`'s: `clone_from` reuses
+/// the spare's vectors, and every field is named.
+impl Clone for KeyCache {
+    fn clone(&self) -> KeyCache {
+        let KeyCache { chain, proto, pool } = self;
+        KeyCache {
+            chain: chain.clone(),
+            proto: proto.clone(),
+            pool: pool.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &KeyCache) {
+        let KeyCache { chain, proto, pool } = source;
+        self.chain.clone_from(chain);
+        self.proto.clone_from(proto);
+        self.pool.clone_from(pool);
+    }
 }
 
 impl KeyCache {
@@ -565,7 +630,6 @@ impl KeyCache {
                 .map(|p| interner.intern(Space::Proto, p))
                 .collect(),
             pool: Vec::new(),
-            popped: vec![0; processes],
         };
         for ev in pool {
             cache.pool_push(ev, interner);
@@ -586,8 +650,9 @@ impl KeyCache {
             .push(interner.intern(Space::Pool, &pool_component(ev)));
     }
 
-    /// Writes the exact key into `out`: `[chain; n] ++ [proto; n] ++
-    /// sorted pool ids ++ [popped; n]`. It is the complete component
+    /// Writes the exact key of the state whose request cursor is
+    /// `cursor` into `out`: `[chain; n] ++ [proto; n] ++ sorted pool ids
+    /// ++ [cursor; n]`. It is the complete component
     /// material, not a digest: a digest collision would silently merge
     /// two *distinct* configurations and could prune a reachable
     /// violating schedule, which is unacceptable for a model checker.
@@ -597,14 +662,14 @@ impl KeyCache {
     /// vector is injective with no pool count to convert. The pool is
     /// an unordered multiset (commuting prefixes produce it in
     /// different orders), canonicalized by sorting its ids.
-    fn exact_key(&self, out: &mut Vec<u32>) {
+    fn exact_key(&self, cursor: &[u32], out: &mut Vec<u32>) {
         out.clear();
         out.extend_from_slice(&self.chain);
         out.extend_from_slice(&self.proto);
         let start = out.len();
         out.extend_from_slice(&self.pool);
         out[start..].sort_unstable();
-        out.extend_from_slice(&self.popped);
+        out.extend_from_slice(cursor);
     }
 }
 
@@ -679,9 +744,11 @@ enum SeenVerdict {
     /// New state: explore it.
     Enter,
     /// Revisited with a smaller sleep set than stored: re-explore with
-    /// the intersection (Godefroid's rule; the stored set strictly
-    /// shrinks, so re-exploration terminates even on cyclic graphs).
-    EnterWith(Vec<TKey>),
+    /// the intersection, which the stored set was narrowed to and the
+    /// caller's sleep set refilled with (Godefroid's rule; the stored
+    /// set strictly shrinks, so re-exploration terminates even on
+    /// cyclic graphs).
+    EnterWith,
     /// Already explored at least as permissively: prune.
     Prune,
 }
@@ -704,19 +771,16 @@ struct Shard {
     probe: Vec<u32>,
 }
 
-/// Applies the sleep-set subset rule to a revisited state. With
-/// reduction off both sets are empty and this is a plain prune.
+/// Applies the sleep-set subset rule to a revisited state, narrowing
+/// `stored` in place to its intersection with `sleep` when the state
+/// must be re-explored. With reduction off both sets are empty and this
+/// is a plain prune.
 fn por_rule(stored: &mut Vec<TKey>, sleep: &[TKey], por: bool) -> SeenVerdict {
     if !por || stored.iter().all(|u| sleep.contains(u)) {
         return SeenVerdict::Prune;
     }
-    let inter: Vec<TKey> = stored
-        .iter()
-        .filter(|u| sleep.contains(u))
-        .cloned()
-        .collect();
-    stored.clone_from(&inter);
-    SeenVerdict::EnterWith(inter)
+    stored.retain(|u| sleep.contains(u));
+    SeenVerdict::EnterWith
 }
 
 impl SeenShards {
@@ -737,7 +801,16 @@ impl SeenShards {
         })
     }
 
-    fn check(&self, cache: &KeyCache, sleep: &[TKey], por: bool) -> SeenVerdict {
+    /// Looks up the state keyed by `cache` and `cursor`, arriving with
+    /// the sleep set `sleep`; on [`SeenVerdict::EnterWith`] `sleep` is
+    /// refilled with the narrowed set to explore under.
+    fn check(
+        &self,
+        cache: &KeyCache,
+        cursor: &[u32],
+        sleep: &mut Vec<TKey>,
+        por: bool,
+    ) -> SeenVerdict {
         // The key's per-process prefix is already canonical (only the
         // pool needs sorting), so equal keys pick the same shard.
         let i = if self.mask == 0 {
@@ -749,9 +822,13 @@ impl SeenShards {
             .lock()
             .expect("no worker panicked in the seen-set");
         let Shard { states, probe } = &mut *shard;
-        cache.exact_key(probe);
+        cache.exact_key(cursor, probe);
         if let Some(stored) = states.get_mut(&probe[..]) {
-            return por_rule(stored, sleep, por);
+            let verdict = por_rule(stored, sleep, por);
+            if let SeenVerdict::EnterWith = verdict {
+                sleep.clone_from(stored);
+            }
+            return verdict;
         }
         states.insert(probe.as_slice().into(), sleep.to_vec());
         SeenVerdict::Enter
@@ -800,7 +877,22 @@ struct Sink<'a, V> {
     error: Mutex<Option<Box<SimError>>>,
 }
 
-impl<V: Fn(&StreamingRun) -> bool> Sink<'_, V> {
+impl<'a, V: Fn(&StreamingRun) -> bool> Sink<'a, V> {
+    fn new(visit: &'a V, cap: usize) -> Sink<'a, V> {
+        Sink {
+            visit,
+            cap,
+            schedules: AtomicUsize::new(0),
+            non_live: AtomicUsize::new(0),
+            pruned: AtomicUsize::new(0),
+            sleep_skipped: AtomicUsize::new(0),
+            truncated: AtomicBool::new(false),
+            stopped: AtomicBool::new(false),
+            stall: Mutex::new(None),
+            error: Mutex::new(None),
+        }
+    }
+
     fn stopped(&self) -> bool {
         self.stopped.load(Ordering::Relaxed)
     }
@@ -943,28 +1035,47 @@ impl<P, M> Frontier<P, M> {
     }
 }
 
-/// The state and monitor a child is dispatched on: its own clones, or —
-/// for the child that has none — its parent's.
-fn own_or_parent<'a, P, M>(
-    own: &'a mut Option<(State<P>, M)>,
-    state: &'a mut State<P>,
-    mon: &'a mut M,
-) -> (&'a mut State<P>, &'a mut M) {
-    match own {
-        Some((state, mon)) => (state, mon),
-        None => (state, mon),
+/// One DFS depth's reusable buffers. A worker keeps one frame per depth
+/// it has reached (`stack[depth]`), so a node refills buffers an earlier
+/// node at its depth already grew, and a branch is copied into a spare
+/// state an earlier branch at its depth already sized.
+struct Frame<P, M> {
+    /// The node's enabled transitions, in branch order.
+    trans: Vec<(TKey, Pick)>,
+    /// Indices into `trans` of the transitions not asleep.
+    explorable: Vec<usize>,
+    /// Transitions executed before the current sibling.
+    done: Vec<TKey>,
+    /// The node's sleep set, written by its parent (empty without
+    /// reduction).
+    sleep: Vec<TKey>,
+    /// The state and monitor a child with a later sibling runs on;
+    /// `None` until this depth first branches, and again once a worker
+    /// donates it.
+    spare: Option<(State<P>, M)>,
+}
+
+impl<P, M> Default for Frame<P, M> {
+    fn default() -> Frame<P, M> {
+        Frame {
+            trans: Vec::new(),
+            explorable: Vec::new(),
+            done: Vec::new(),
+            sleep: Vec::new(),
+            spare: None,
+        }
     }
 }
 
-/// The engine: one recursive DFS shared by every mode. `sleep` is this
-/// state's sleep set (empty without reduction); `frontier` is `Some`
+/// The engine: one recursive DFS shared by every mode. `stack[depth]`
+/// is this state's frame, its `sleep` already set; `frontier` is `Some`
 /// only with several threads, where explorable children may be donated
 /// instead of recursed into. Returns `false` to abort the traversal.
 fn dfs<P, M, V>(
     state: &mut State<P>,
-    mut sleep: Vec<TKey>,
     mon: &mut M,
     depth: usize,
+    stack: &mut Vec<Frame<P, M>>,
     env: &Env<'_>,
     sink: &Sink<'_, V>,
     frontier: Option<&Frontier<P, M>>,
@@ -977,14 +1088,47 @@ where
     if !sink.enter() {
         return false;
     }
-    let trans = state.transitions();
+    // Out of the stack while in use, so that the children can take the
+    // frames below it.
+    let mut frame = std::mem::take(&mut stack[depth]);
+    let go_on = expand(state, mon, depth, &mut frame, stack, env, sink, frontier);
+    stack[depth] = frame;
+    go_on
+}
+
+/// [`dfs`]'s body, on the frame taken out of `stack[depth]`.
+#[allow(clippy::too_many_arguments)]
+fn expand<P, M, V>(
+    state: &mut State<P>,
+    mon: &mut M,
+    depth: usize,
+    frame: &mut Frame<P, M>,
+    stack: &mut Vec<Frame<P, M>>,
+    env: &Env<'_>,
+    sink: &Sink<'_, V>,
+    frontier: Option<&Frontier<P, M>>,
+) -> bool
+where
+    P: Protocol + Clone + Hash,
+    M: RunObserver + Clone,
+    V: Fn(&StreamingRun) -> bool,
+{
+    let Frame {
+        trans,
+        explorable,
+        done,
+        sleep,
+        spare,
+    } = frame;
+    state.transitions_into(trans);
     if trans.is_empty() {
         // A leaf always arrives with an empty effective sleep set
         // (sleep members stay enabled, and nothing is enabled here), so
         // it is stored fully explored and every revisit prunes: leaves
         // are counted once per distinct terminal configuration.
+        sleep.clear();
         if let Some((seen, cache)) = env.seen.zip(state.cache.as_deref()) {
-            if let SeenVerdict::Prune = seen.check(cache, &[], env.por) {
+            if let SeenVerdict::Prune = seen.check(cache, &state.cursor, sleep, env.por) {
                 return true;
             }
         }
@@ -995,29 +1139,29 @@ where
         return true;
     }
     if let Some((seen, cache)) = env.seen.zip(state.cache.as_deref()) {
-        match seen.check(cache, &sleep, env.por) {
-            SeenVerdict::Enter => {}
-            SeenVerdict::EnterWith(s) => sleep = s,
-            SeenVerdict::Prune => return true,
+        if let SeenVerdict::Prune = seen.check(cache, &state.cursor, sleep, env.por) {
+            return true;
         }
     }
-    let explorable: Vec<usize> = if env.por && !sleep.is_empty() {
-        (0..trans.len())
-            .filter(|&i| !sleep.contains(&trans[i].0))
-            .collect()
+    explorable.clear();
+    if env.por && !sleep.is_empty() {
+        explorable.extend((0..trans.len()).filter(|&i| !sleep.contains(&trans[i].0)));
     } else {
-        (0..trans.len()).collect()
-    };
+        explorable.extend(0..trans.len());
+    }
     if explorable.is_empty() {
         sink.sleep_skipped.fetch_add(1, Ordering::Relaxed);
         return true;
+    }
+    if stack.len() == depth + 1 {
+        stack.push(Frame::default());
     }
     let last = explorable.len() - 1;
     // Transitions executed before the current sibling (the classic
     // "done" set): a later sibling's child sleeps on each earlier
     // independent one, because every order putting that one first is
     // covered by the earlier sibling's subtree.
-    let mut done: Vec<TKey> = Vec::new();
+    done.clear();
     for (j, &ti) in explorable.iter().enumerate() {
         if sink.stopped() {
             return false;
@@ -1025,9 +1169,22 @@ where
         let (t_key, pick) = (&trans[ti].0, trans[ti].1);
         // Nothing reads this state or its monitor once the last child
         // is dispatched, so that child runs on them in place; only a
-        // child with a later sibling branches off clones of its own.
-        let mut own = (j < last).then(|| (state.clone(), mon.clone()));
-        let (next, child_mon) = own_or_parent(&mut own, state, mon);
+        // child with a later sibling runs on a copy, made in this
+        // depth's spare.
+        let branch = j < last;
+        if branch {
+            match spare {
+                Some((next, child_mon)) => {
+                    next.clone_from(state);
+                    child_mon.clone_from(mon);
+                }
+                None => *spare = Some((state.clone(), mon.clone())),
+            }
+        }
+        let (next, child_mon) = match spare.as_mut().filter(|_| branch) {
+            Some((next, child_mon)) => (next, child_mon),
+            None => (&mut *state, &mut *mon),
+        };
         let ev = next.take_transition(pick);
         let interner = env.seen.map(|s| &s.interner);
         let condemned = next.execute(ev, child_mon, interner);
@@ -1045,23 +1202,24 @@ where
             }
             continue;
         }
-        let child_sleep: Vec<TKey> = if env.por {
-            sleep
-                .iter()
-                .chain(done.iter())
-                .filter(|u| u.node != t_key.node)
-                .cloned()
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let child_sleep = &mut stack[depth + 1].sleep;
+        child_sleep.clear();
+        if env.por {
+            child_sleep.extend(
+                sleep
+                    .iter()
+                    .chain(done.iter())
+                    .filter(|u| u.node != t_key.node)
+                    .cloned(),
+            );
+        }
         if let Some(f) = frontier.filter(|f| f.hungry()) {
-            // Only a clone can be given away: the last child *is* this
-            // worker's state.
-            if let Some((state, mon)) = own.take() {
+            // Only the spare can be given away: the last child *is*
+            // this worker's state.
+            if let Some((state, mon)) = spare.take_if(|_| branch) {
                 f.push(Job {
                     state,
-                    sleep: child_sleep,
+                    sleep: std::mem::take(child_sleep),
                     mon,
                     depth: depth + 1,
                 });
@@ -1071,8 +1229,11 @@ where
                 continue;
             }
         }
-        let (next, child_mon) = own_or_parent(&mut own, state, mon);
-        if !dfs(next, child_sleep, child_mon, depth + 1, env, sink, frontier) {
+        let (next, child_mon) = match spare.as_mut().filter(|_| branch) {
+            Some((next, child_mon)) => (next, child_mon),
+            None => (&mut *state, &mut *mon),
+        };
+        if !dfs(next, child_mon, depth + 1, stack, env, sink, frontier) {
             return false;
         }
         if env.por {
@@ -1113,23 +1274,13 @@ where
         max_depth: opts.max_depth,
         seen: seen.as_ref(),
     };
-    let sink = Sink {
-        visit,
-        cap: opts.cap,
-        schedules: AtomicUsize::new(0),
-        non_live: AtomicUsize::new(0),
-        pruned: AtomicUsize::new(0),
-        sleep_skipped: AtomicUsize::new(0),
-        truncated: AtomicBool::new(false),
-        stopped: AtomicBool::new(false),
-        stall: Mutex::new(None),
-        error: Mutex::new(None),
-    };
+    let sink = Sink::new(visit, opts.cap);
     if let Some(e) = root.take_error() {
         // Poisoned before the first transition (a bad workload request).
         sink.error(e);
     } else if threads == 1 {
-        dfs(&mut root, Vec::new(), &mut monitor, 0, &env, &sink, None);
+        let mut stack = vec![Frame::default()];
+        dfs(&mut root, &mut monitor, 0, &mut stack, &env, &sink, None);
     } else {
         let frontier = Frontier::new(threads);
         frontier.push(Job {
@@ -1142,6 +1293,7 @@ where
             for w in 0..threads {
                 let (frontier, env, sink) = (&frontier, &env, &sink);
                 s.spawn(move || {
+                    let mut stack = Vec::new();
                     while !sink.stopped() {
                         let Some(mut job) = frontier.pop(w) else {
                             if frontier.pending.load(Ordering::SeqCst) == 0 {
@@ -1151,11 +1303,15 @@ where
                             std::thread::sleep(std::time::Duration::from_micros(20));
                             continue;
                         };
+                        if stack.len() <= job.depth {
+                            stack.resize_with(job.depth + 1, Frame::default);
+                        }
+                        stack[job.depth].sleep = job.sleep;
                         dfs(
                             &mut job.state,
-                            job.sleep,
                             &mut job.mon,
                             job.depth,
+                            &mut stack,
                             env,
                             sink,
                             Some(frontier),
@@ -1545,7 +1701,9 @@ mod tests {
         interner: &Mutex<Interner>,
     ) -> Vec<State<P>> {
         let mut out = Vec::new();
-        for (_, pick) in state.transitions() {
+        let mut trans = Vec::new();
+        state.transitions_into(&mut trans);
+        for (_, pick) in trans {
             let mut next = state.clone();
             let ev = next.take_transition(pick);
             next.execute(ev, &mut Unobserved, Some(interner));
@@ -1604,18 +1762,14 @@ mod tests {
     struct Oracle {
         /// Run events per process at the root (not part of any chain).
         root_events: Vec<usize>,
-        /// Unissued requests per process at the root.
-        root_requests: Vec<usize>,
     }
 
     impl Oracle {
         fn new<P>(root: &State<P>) -> Oracle {
-            let processes = root.requests.len();
             Oracle {
-                root_events: (0..processes)
+                root_events: (0..root.requests.len())
                     .map(|p| root.world.builder.sequence(ProcessId(p)).len())
                     .collect(),
-                root_requests: root.requests.iter().map(VecDeque::len).collect(),
             }
         }
 
@@ -1636,9 +1790,7 @@ mod tests {
                 .iter()
                 .map(|ev| bytes_of(&pool_component(ev)))
                 .collect();
-            let popped: Vec<u64> = (0..self.root_requests.len())
-                .map(|p| (self.root_requests[p] - state.requests[p].len()) as u64)
-                .collect();
+            let popped: Vec<u64> = state.cursor.iter().map(|&c| u64::from(c)).collect();
             let mut bytes = Vec::new();
             let mut h = Encoder(&mut bytes);
             chains.len().hash(&mut h);
@@ -1682,7 +1834,7 @@ mod tests {
         let arrive = |state: &State<P>| {
             let cache = state.cache.as_ref().expect("cache attached at the root");
             let mut ids = Vec::new();
-            cache.exact_key(&mut ids);
+            cache.exact_key(&state.cursor, &mut ids);
             Arrival {
                 bytes: oracle.key(state),
                 ids,
@@ -1846,8 +1998,9 @@ mod tests {
         );
     }
 
-    /// [`Immediate`], counting its clones: every `State::clone` makes
-    /// one per process.
+    /// [`Immediate`], counting its clones: every `State` copy makes one
+    /// per process, a `clone_from` into a spare included (`Counted`
+    /// keeps the default `clone_from`, which clones).
     #[derive(Hash)]
     struct Counted(CloneCount);
 
@@ -1935,6 +2088,80 @@ mod tests {
         assert_eq!(par.schedules, seq.schedules);
         assert_eq!(par_runs, seq_runs);
         assert_eq!(par_clones, seq_clones);
+    }
+
+    /// Explores on from `state` under reduction, on one thread, with no
+    /// seen-set: `(schedules, sleep_skipped)` and the multiset of runs.
+    fn explore_on<P: Protocol + Clone + Hash>(
+        mut state: State<P>,
+    ) -> ((usize, usize), BTreeMap<Fingerprint, usize>) {
+        // Nothing keys the state without a seen-set, and a cache no
+        // interner updates would drift from it.
+        state.cache = None;
+        let runs = Mutex::new(BTreeMap::new());
+        let visit = |run: &StreamingRun| tally(&runs, run);
+        let sink = Sink::new(&visit, usize::MAX);
+        let env = Env {
+            por: true,
+            max_depth: usize::MAX,
+            seen: None,
+        };
+        let mut stack = vec![Frame::default()];
+        assert!(dfs(
+            &mut state,
+            &mut Unobserved,
+            0,
+            &mut stack,
+            &env,
+            &sink,
+            None
+        ));
+        let counts = (sink.schedules.into_inner(), sink.sleep_skipped.into_inner());
+        (counts, runs.into_inner().expect("final read"))
+    }
+
+    #[test]
+    fn a_copy_into_a_dirty_spare_is_a_clone() {
+        // `Tally` states carry tags, a slab and an echo log, so every
+        // buffer of a state holds something.
+        let interner = Mutex::default();
+        let mut root = initial_state(3, fan_out(), |_| Tally::default(), &FaultModel::none());
+        attach_cache(&mut root, &interner);
+        root.world.record = true;
+        let oracle = Oracle::new(&root);
+        let ids = |state: &State<Tally>| {
+            let mut ids = Vec::new();
+            let cache = state.cache.as_ref().expect("cache attached at the root");
+            cache.exact_key(&state.cursor, &mut ids);
+            ids
+        };
+        // The second child of the root's only child: the process's next
+        // request, with the first frame still in flight.
+        let first = branch_states(&root, &interner).swap_remove(0);
+        let state = branch_states(&first, &interner).swap_remove(1);
+        // Dirty spares: every state on another branch, the first
+        // child's, from there down to its leaf.
+        let mut dirty = vec![branch_states(&first, &interner).swap_remove(0)];
+        while let Some(next) = branch_states(&dirty[dirty.len() - 1], &interner).pop() {
+            dirty.push(next);
+        }
+        let deepest = &dirty[dirty.len() - 1];
+        assert!(deepest.world.builder.event_count() > state.world.builder.event_count());
+        let fresh = state.clone();
+        let expected = explore_on(state.clone());
+        assert!(expected.0 .0 > 1, "the copy has somewhere to go");
+        for mut spare in dirty {
+            spare.clone_from(&state);
+            assert_eq!(oracle.key(&spare), oracle.key(&fresh));
+            assert_eq!(ids(&spare), ids(&fresh));
+            assert_eq!(
+                format!("{:?}", spare.world.builder),
+                format!("{:?}", fresh.world.builder)
+            );
+            assert_eq!(format!("{:?}", spare.pool), format!("{:?}", fresh.pool));
+            assert_eq!(explore_on(spare), expected);
+        }
+        assert_eq!(explore_on(fresh), expected);
     }
 
     /// Condemns any prefix whose deliveries on the (0 → 1) channel are
@@ -2262,6 +2489,36 @@ mod tests {
         let par = explore(3, fan_out(), |_| Immediate, &opts, &|_| true);
         assert_eq!(par.schedules, exact.schedules);
         assert!(par.states <= exact.states);
+    }
+
+    #[test]
+    fn a_revisit_with_a_smaller_sleep_set_explores_the_intersection() {
+        let seen = SeenShards::new(&DedupMode::Exact, 1).expect("a seen-set");
+        let cache = KeyCache {
+            chain: vec![0],
+            proto: vec![1],
+            pool: Vec::new(),
+        };
+        let check = |cursor: u32, sleep: &mut Vec<TKey>| seen.check(&cache, &[cursor], sleep, true);
+        let key = |id| TKey {
+            node: 0,
+            time: 0,
+            kind: EventKind::Timer { id },
+        };
+        assert!(matches!(
+            check(0, &mut vec![key(1), key(2)]),
+            SeenVerdict::Enter
+        ));
+        // Both the stored set and the arriving one become {2}.
+        let mut sleep = vec![key(2), key(3)];
+        assert!(matches!(check(0, &mut sleep), SeenVerdict::EnterWith));
+        assert_eq!(sleep, [key(2)]);
+        assert!(matches!(check(0, &mut vec![key(2)]), SeenVerdict::Prune));
+        let mut sleep = Vec::new();
+        assert!(matches!(check(0, &mut sleep), SeenVerdict::EnterWith));
+        assert!(sleep.is_empty());
+        // Another cursor is another state.
+        assert!(matches!(check(1, &mut vec![key(1)]), SeenVerdict::Enter));
     }
 
     #[test]

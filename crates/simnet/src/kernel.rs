@@ -786,7 +786,6 @@ pub(crate) struct NodeTrack {
     pub(crate) rejected: u32,
 }
 
-#[derive(Clone)]
 pub(crate) struct World {
     pub(crate) processes: usize,
     pub(crate) latency: LatencyModel,
@@ -836,6 +835,105 @@ pub(crate) struct World {
     /// dispatch, drained by [`World::apply`], so steady-state dispatch
     /// does not allocate.
     scratch: Vec<HostAction>,
+}
+
+/// Written out rather than derived for two reasons: `clone_from`
+/// overwrites the target's buffers in place, so the explorer copies a
+/// world into its DFS frame's spare without touching the allocator once
+/// that spare is warm; and both methods name every field, so a field
+/// added later is a compile error here instead of a silently stale copy.
+impl Clone for World {
+    fn clone(&self) -> World {
+        let World {
+            processes,
+            latency,
+            faults,
+            builder,
+            queue,
+            requests,
+            rng,
+            fault_rng,
+            seq,
+            now,
+            stats,
+            messages,
+            nodes,
+            error,
+            record,
+            record_wire,
+            fresh,
+            spare,
+            decisions,
+            scratch,
+        } = self;
+        World {
+            processes: *processes,
+            latency: *latency,
+            faults: faults.clone(),
+            builder: builder.clone(),
+            queue: queue.clone(),
+            requests: requests.clone(),
+            rng: rng.clone(),
+            fault_rng: fault_rng.clone(),
+            seq: *seq,
+            now: *now,
+            stats: stats.clone(),
+            messages: messages.clone(),
+            nodes: nodes.clone(),
+            error: error.clone(),
+            record: *record,
+            record_wire: *record_wire,
+            fresh: fresh.clone(),
+            spare: spare.clone(),
+            decisions: decisions.clone(),
+            scratch: scratch.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &World) {
+        let World {
+            processes,
+            latency,
+            faults,
+            builder,
+            queue,
+            requests,
+            rng,
+            fault_rng,
+            seq,
+            now,
+            stats,
+            messages,
+            nodes,
+            error,
+            record,
+            record_wire,
+            fresh,
+            spare,
+            decisions,
+            scratch,
+        } = source;
+        self.processes = *processes;
+        self.latency = *latency;
+        self.faults.clone_from(faults);
+        self.builder.clone_from(builder);
+        self.queue.clone_from(queue);
+        self.requests.clone_from(requests);
+        self.rng.clone_from(rng);
+        self.fault_rng.clone_from(fault_rng);
+        self.seq = *seq;
+        self.now = *now;
+        self.stats.clone_from(stats);
+        self.messages.clone_from(messages);
+        self.nodes.clone_from(nodes);
+        self.error.clone_from(error);
+        self.record = *record;
+        self.record_wire = *record_wire;
+        self.fresh.clone_from(fresh);
+        self.spare.clone_from(spare);
+        self.decisions.clone_from(decisions);
+        self.scratch.clone_from(scratch);
+    }
 }
 
 impl World {

@@ -9,9 +9,10 @@
 //! allocation counter at every observed run event and requires the
 //! entire second half of the event stream to be allocation-free.
 //!
-//! The same test bounds the explorer's allocator calls per schedule, so
-//! a per-leaf copy of the run cannot come back unnoticed, and under
-//! exact deduplication, so a per-state byte key cannot either.
+//! The same test bounds the explorer's allocator calls: by the depth of
+//! the search rather than by its schedule count, so a per-branch state
+//! copy or a per-node buffer cannot come back unnoticed, and under exact
+//! deduplication, so a per-state byte key cannot either.
 //!
 //! One `#[test]` for the whole file: the counter is process-global, so a
 //! second test on a parallel harness thread would be counted too.
@@ -118,16 +119,16 @@ fn dispatch_is_allocation_free_at_steady_state() {
     });
     assert_eq!(allocs, 0, "slab-backed state must settle to zero allocs");
 
-    // The explorer hands its visitor the world's own run: 337 allocator
-    // calls for the 15 schedules of three same-channel messages (22.5
-    // per schedule). A state clone shares the declared messages and
-    // keeps one record per message and one per process: 426 when it
-    // copied the messages and kept six separate per-message and
-    // per-process vectors. Materializing a run per leaf — messages,
-    // event flags and one sequence per process cloned — cost 5 or 6
-    // more per schedule (515 in all when it did).
-    let same_channel = Workload {
-        sends: (0..3)
+    // The explorer hands its visitor the world's own run, keeps one
+    // frame of buffers per DFS depth, and copies a branching child into
+    // that depth's spare state with `clone_from`: 112 allocator calls
+    // for the 15 schedules of three same-channel messages, nearly all of
+    // them building the root and warming each depth once. A fresh state
+    // clone per branch and fresh per-node vectors cost 337; a state
+    // clone that also copied the message table, 426; a run cloned per
+    // leaf on top of that, 515.
+    let same_channel = |messages: usize| Workload {
+        sends: (0..messages)
             .map(|_| SendSpec {
                 at: 0,
                 src: 0,
@@ -136,37 +137,77 @@ fn dispatch_is_allocation_free_at_steady_state() {
             })
             .collect(),
     };
+    let plain = |messages| {
+        msgorder_testkit::counting(|| {
+            explore(
+                2,
+                same_channel(messages),
+                |_| Immediate,
+                &ExploreOptions::default(),
+                &|_| true,
+            )
+        })
+    };
+    let (exp, calls) = plain(3);
+    assert_eq!(exp.schedules, 15);
+    assert!(
+        calls <= 112,
+        "{calls} allocator calls for 15 schedules: is a state cloned per branch, \
+         or a node's transitions collected into a fresh vector, again?"
+    );
+
+    // So the calls grow with the depth of the search, not with its
+    // schedule count: two more messages add four dispatches to every
+    // schedule and multiply the schedules by 63 (15 → 945), yet add 110
+    // calls (222 measured), under 32 per extra depth. At a fresh clone
+    // per branch they added ~20 000.
+    let (exp, more) = plain(5);
+    assert_eq!(exp.schedules, 945);
+    assert!(
+        more - calls <= 32 * 4,
+        "{more} allocator calls for 945 schedules against {calls} for 15: \
+         the explorer allocates per schedule again"
+    );
+
+    // The benchmark's pool shape 0 under reduction: 6 070 schedules in
+    // 388 allocator calls (392 in a release build); 442 868 with a fresh
+    // state clone per branch and fresh per-node vectors.
+    let por = ExploreOptions {
+        por: true,
+        ..ExploreOptions::default()
+    };
     let (exp, calls) = msgorder_testkit::counting(|| {
         explore(
-            2,
-            same_channel.clone(),
+            3,
+            Workload::uniform_random(3, 7, 3),
             |_| Immediate,
-            &ExploreOptions::default(),
+            &por,
             &|_| true,
         )
     });
-    assert_eq!(exp.schedules, 15);
+    assert_eq!(exp.schedules, 6_070);
     assert!(
-        calls <= 337,
-        "{calls} allocator calls for 15 schedules: is a run cloned per leaf, \
-         or a state's message table copied, again?"
+        calls <= 400,
+        "{calls} allocator calls for 6 070 reduced schedules: bounded by depth no longer"
     );
 
     // Exact deduplication merges the same space into 6 schedules over
-    // 24 states: 385 allocator calls with interned components and one
-    // id-vector key per state; a state clone copies 4 id vectors (450
-    // before the state clone shrank, see above). Copying every
-    // component's bytes into each state and into a fresh key per
+    // 24 states: 225 allocator calls with interned components and one
+    // id-vector key per state, its stored sleep set and the interner's
+    // tables making up most of them (385 with a fresh state clone per
+    // branch, 450 before the state clone shrank, see above). Copying
+    // every component's bytes into each state and into a fresh key per
     // insert cost 807.
     let exact = ExploreOptions {
         dedup: DedupMode::Exact,
         ..ExploreOptions::default()
     };
+    let w = same_channel(3);
     let (exp, calls) =
-        msgorder_testkit::counting(|| explore(2, same_channel, |_| Immediate, &exact, &|_| true));
+        msgorder_testkit::counting(|| explore(2, w, |_| Immediate, &exact, &|_| true));
     assert_eq!((exp.schedules, exp.states), (6, 24));
     assert!(
-        calls <= 385,
+        calls <= 225,
         "{calls} allocator calls for 24 exact states: is a byte key built per state again?"
     );
 }
