@@ -13,7 +13,7 @@
 //!   `n × ⌈n/64⌉` word matrices (descendants and ancestors), built from
 //!   an edge slice in one topological pass.
 //! - [`Poset`] — a validated strict partial order with comparability
-//!   queries, covers, down-sets, minimal/maximal elements.
+//!   queries, covers, minimal elements and a linear extension.
 //! - [`linear`] — linear extensions: existence, enumeration, counting and
 //!   uniform-ish random sampling.
 //! - [`VectorClock`] — classic Fidge/Mattern clocks, used by the causal
@@ -41,7 +41,6 @@ mod bitset;
 mod closure;
 mod error;
 mod graph;
-pub mod ideals;
 pub mod linear;
 mod poset;
 mod vclock;

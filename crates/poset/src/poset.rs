@@ -1,6 +1,5 @@
 //! Validated strict partial orders.
 
-use crate::bitset::BitSet;
 use crate::closure::TransitiveClosure;
 use crate::error::PosetError;
 use crate::graph::{DiGraph, NodeId};
@@ -96,31 +95,6 @@ impl Poset {
             .collect()
     }
 
-    /// Elements with no strict successor.
-    pub fn maximal_elements(&self) -> Vec<NodeId> {
-        (0..self.len())
-            .filter(|&u| (0..self.len()).all(|v| !self.lt(u, v)))
-            .collect()
-    }
-
-    /// The principal down-set of `v`: `{u : u < v}`.
-    pub fn down_set(&self, v: NodeId) -> BitSet {
-        self.closure.ancestors(v).to_bitset()
-    }
-
-    /// The principal up-set of `u`: `{v : u < v}`.
-    pub fn up_set(&self, u: NodeId) -> BitSet {
-        self.closure.descendants(u).to_bitset()
-    }
-
-    /// Whether `ideal` is downward closed (an order ideal): if it contains
-    /// `v` it contains every `u < v`.
-    pub fn is_order_ideal(&self, ideal: &BitSet) -> bool {
-        ideal
-            .iter()
-            .all(|v| self.closure.ancestors(v).is_subset(ideal))
-    }
-
     /// One topological linear extension (deterministic, index tie-break).
     pub fn a_linear_extension(&self) -> Vec<NodeId> {
         let mut g = DiGraph::new(self.len());
@@ -128,20 +102,6 @@ impl Poset {
             g.add_edge(u, v).expect("cover endpoints in range");
         }
         g.topo_sort().expect("poset is acyclic by construction")
-    }
-
-    /// The width-friendly antichain check: no two elements of `set` are
-    /// comparable.
-    pub fn is_antichain(&self, set: &BitSet) -> bool {
-        let items: Vec<NodeId> = set.iter().collect();
-        for (i, &a) in items.iter().enumerate() {
-            for &b in &items[i + 1..] {
-                if self.comparable(a, b) {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 
@@ -177,42 +137,6 @@ mod tests {
     fn minimal_maximal() {
         let p = diamond();
         assert_eq!(p.minimal_elements(), vec![0]);
-        assert_eq!(p.maximal_elements(), vec![3]);
-    }
-
-    #[test]
-    fn antichain_of_incomparables() {
-        let p = diamond();
-        let ac: BitSet = {
-            let mut s = BitSet::new(4);
-            s.insert(1);
-            s.insert(2);
-            s
-        };
-        assert!(p.is_antichain(&ac));
-        let mut chain = BitSet::new(4);
-        chain.insert(0);
-        chain.insert(3);
-        assert!(!p.is_antichain(&chain));
-    }
-
-    #[test]
-    fn down_up_sets() {
-        let p = diamond();
-        assert_eq!(p.down_set(3).iter().collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert_eq!(p.up_set(0).iter().collect::<Vec<_>>(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn order_ideal_check() {
-        let p = diamond();
-        let mut ideal = BitSet::new(4);
-        ideal.insert(0);
-        ideal.insert(1);
-        assert!(p.is_order_ideal(&ideal));
-        let mut not_ideal = BitSet::new(4);
-        not_ideal.insert(1); // missing 0 < 1
-        assert!(!p.is_order_ideal(&not_ideal));
     }
 
     #[test]

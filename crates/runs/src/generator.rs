@@ -9,14 +9,17 @@
 //!   paper's specification universe is broader than the realizable runs;
 //! - runs guaranteed causally ordered ([`random_causal_run`]) or
 //!   logically synchronous ([`random_sync_run`]);
-//! - the *exhaustive* enumeration of small executions
-//!   ([`for_each_schedule`]) used to check set equalities such as
-//!   Lemma 3's `B1 ⇔ B2 ⇔ B3` without sampling bias.
+//! - every distinct user view of a small message set
+//!   ([`distinct_user_views`]), used to check set equalities such as
+//!   Lemma 3's `B1 ⇔ B2 ⇔ B3` without sampling bias. It combines one
+//!   order of each process's own sends and deliveries, not whole
+//!   schedules.
 
 use crate::ids::{EventKind, MessageId, ProcessId, SystemEvent, UserEvent};
 use crate::message::MessageMeta;
 use crate::system::SystemRun;
 use crate::users_view::UserRun;
+use msgorder_poset::{linear, Poset};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -233,73 +236,78 @@ pub fn random_sync_run(params: GenParams) -> UserRun {
     b.users_view()
 }
 
-/// Exhaustively enumerates every schedule (interleaving of the four
-/// events of each message, respecting `s* < s < r* < r` per message) for
-/// the given message endpoint list, invoking `visit` on each complete
-/// run. Returns the number of schedules visited.
+/// Every distinct user view of an execution of messages with the given
+/// endpoints (message `i` goes from `endpoints[i].0` to
+/// `endpoints[i].1`), each once.
 ///
-/// The number of schedules grows as a multinomial — keep
-/// `endpoints.len() <= 3` (3 messages = 34,650 schedules).
-pub fn for_each_schedule<F>(processes: usize, endpoints: &[(usize, usize)], mut visit: F) -> usize
-where
-    F: FnMut(&SystemRun),
-{
-    fn rec<F: FnMut(&SystemRun)>(
-        b: &mut SystemRun,
-        stage: &mut [u8],
-        visit: &mut F,
-        count: &mut usize,
-    ) {
-        let pending: Vec<usize> = (0..stage.len()).filter(|&i| stage[i] < 4).collect();
-        if pending.is_empty() {
-            *count += 1;
-            visit(b);
-            return;
-        }
-        for i in pending {
-            let kind = EventKind::ALL[usize::from(stage[i])];
-            let mut next = b.clone();
-            next.append(SystemEvent::new(MessageId(i), kind))
-                .expect("stages feed in order");
-            stage[i] += 1;
-            rec(&mut next, stage, visit, count);
-            stage[i] -= 1;
-        }
-    }
-    let mut b = SystemRun::new(processes);
-    for &(src, dst) in endpoints {
-        b.message(src, dst);
-    }
-    let mut stage = vec![0u8; endpoints.len()];
-    let mut count = 0;
-    rec(&mut b, &mut stage, &mut visit, &mut count);
-    count
-}
-
-/// Enumerates the distinct *user views* of every schedule, deduplicated
-/// by their order relation. Returns the deduplicated runs.
+/// A view `(H, ▷)` is process order among sends and deliveries plus
+/// `x.s ▷ x.r`, closed transitively (§3.3), so it is fixed by each
+/// process's order of its own events: the sends it originates and the
+/// deliveries it receives. The views are the acyclic combinations of one
+/// order per process. Each is the view of some schedule (any
+/// topological order of it, an invoke just before its send and a
+/// receive just before its delivery), and the view of every schedule is
+/// one of them. `▷` is total on each process, so two combinations never
+/// give the same relation and nothing needs deduplicating.
+///
+/// The output order is deterministic: lexicographic in the per-process
+/// order indices, process 0's most significant, where a process's orders
+/// are numbered lexicographically by the positions of its events in
+/// endpoint order. The cost is `Π_p k_p!` combinations for a process
+/// with `k_p` events, so keep the input small.
+///
+/// # Panics
+/// Panics with `process out of range` if an endpoint is `>= processes`.
 pub fn distinct_user_views(processes: usize, endpoints: &[(usize, usize)]) -> Vec<UserRun> {
-    use std::collections::BTreeSet;
-    let mut seen: BTreeSet<Vec<(usize, usize)>> = BTreeSet::new();
+    assert!(
+        endpoints
+            .iter()
+            .all(|&(src, dst)| src < processes && dst < processes),
+        "process out of range"
+    );
+    let mut metas = Vec::with_capacity(endpoints.len());
+    let mut events: Vec<Vec<UserEvent>> = vec![Vec::new(); processes];
+    for (i, &(src, dst)) in endpoints.iter().enumerate() {
+        let x = MessageId(i);
+        metas.push(MessageMeta::new(x, ProcessId(src), ProcessId(dst)));
+        events[src].push(UserEvent::send(x));
+        events[dst].push(UserEvent::deliver(x));
+    }
+    // Every order of a process's events is a linear extension of the
+    // antichain over their positions, in lexicographic order.
+    let orders: Vec<Vec<Vec<usize>>> = events
+        .iter()
+        .map(|e| linear::all_extensions(&Poset::from_pairs(e.len(), []).expect("no pairs")))
+        .collect();
+    let mut pick = vec![0usize; processes];
     let mut out = Vec::new();
-    for_each_schedule(processes, endpoints, |run| {
-        let user = run.users_view();
-        let key: Vec<(usize, usize)> = user
-            .relation_pairs()
-            .into_iter()
-            .map(|(a, b)| (a.node(), b.node()))
-            .collect();
-        if seen.insert(key) {
-            out.push(user);
+    loop {
+        let pairs = (0..processes).flat_map(|p| {
+            let own = &events[p];
+            orders[p][pick[p]]
+                .windows(2)
+                .map(move |w| (own[w[0]], own[w[1]]))
+        });
+        if let Ok(view) = UserRun::new(metas.clone(), pairs) {
+            out.push(view);
         }
-    });
-    out
+        let Some(p) = (0..processes)
+            .rev()
+            .find(|&p| pick[p] + 1 < orders[p].len())
+        else {
+            return out;
+        };
+        pick[p] += 1;
+        pick[p + 1..].fill(0);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::UserEventKind;
     use crate::limit_sets;
+    use std::collections::BTreeSet;
 
     #[test]
     fn random_system_run_is_quiescent_and_complete() {
@@ -379,20 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_count_one_message() {
-        // One message: exactly one schedule (s*, s, r*, r).
-        let count = for_each_schedule(2, &[(0, 1)], |_| {});
-        assert_eq!(count, 1);
-    }
-
-    #[test]
-    fn schedule_count_two_messages() {
-        // Two messages: interleavings of two 4-chains = C(8,4) = 70.
-        let count = for_each_schedule(2, &[(0, 1), (0, 1)], |_| {});
-        assert_eq!(count, 70);
-    }
-
-    #[test]
     fn distinct_user_views_two_messages_same_channel() {
         let views = distinct_user_views(2, &[(0, 1), (0, 1)]);
         // Same channel: sends totally ordered, delivers totally ordered —
@@ -426,5 +420,119 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The seven endpoint lists of `paper_theorems` and EXP-L3.
+    const LISTS: [(usize, &[(usize, usize)]); 7] = [
+        (2, &[(0, 1), (0, 1)]),
+        (3, &[(0, 1), (1, 2)]),
+        (2, &[(0, 1), (1, 0)]),
+        (3, &[(0, 1), (1, 2), (2, 0)]),
+        (2, &[(0, 1), (0, 1), (0, 1)]),
+        (2, &[(0, 1), (0, 1), (1, 0)]),
+        (3, &[(0, 1), (2, 1), (0, 2)]),
+    ];
+
+    type Relation = Vec<(UserEvent, UserEvent)>;
+
+    /// The views by brute force, sharing no code with
+    /// [`distinct_user_views`]: every sequence of the `2m` user events
+    /// with each `x.s` before its `x.r`, projected to per-process
+    /// sequences and deduplicated by relation.
+    fn views_of_every_interleaving(
+        processes: usize,
+        endpoints: &[(usize, usize)],
+    ) -> BTreeSet<Relation> {
+        fn rec(
+            processes: usize,
+            endpoints: &[(usize, usize)],
+            seq: &mut Vec<UserEvent>,
+            out: &mut BTreeSet<Relation>,
+        ) {
+            if seq.len() == 2 * endpoints.len() {
+                let mut last: Vec<Option<UserEvent>> = vec![None; processes];
+                let mut pairs = Vec::new();
+                for &e in seq.iter() {
+                    let (src, dst) = endpoints[e.msg.0];
+                    let p = if e.kind == UserEventKind::Send {
+                        src
+                    } else {
+                        dst
+                    };
+                    if let Some(prev) = last[p].replace(e) {
+                        pairs.push((prev, e));
+                    }
+                }
+                let metas = (0..endpoints.len())
+                    .map(|i| {
+                        let (src, dst) = endpoints[i];
+                        MessageMeta::new(MessageId(i), ProcessId(src), ProcessId(dst))
+                    })
+                    .collect();
+                let view = UserRun::new(metas, pairs).expect("a sequence is acyclic");
+                out.insert(view.relation_pairs());
+                return;
+            }
+            for i in 0..endpoints.len() {
+                let (s, r) = (
+                    UserEvent::send(MessageId(i)),
+                    UserEvent::deliver(MessageId(i)),
+                );
+                let next = if !seq.contains(&s) {
+                    s
+                } else if !seq.contains(&r) {
+                    r
+                } else {
+                    continue;
+                };
+                seq.push(next);
+                rec(processes, endpoints, seq, out);
+                seq.pop();
+            }
+        }
+        let mut out = BTreeSet::new();
+        rec(processes, endpoints, &mut Vec::new(), &mut out);
+        out
+    }
+
+    fn assert_matches_oracle(processes: usize, endpoints: &[(usize, usize)]) {
+        let views = distinct_user_views(processes, endpoints);
+        let relations: BTreeSet<Relation> = views.iter().map(UserRun::relation_pairs).collect();
+        assert_eq!(relations.len(), views.len(), "{endpoints:?}: a view twice");
+        assert_eq!(
+            relations,
+            views_of_every_interleaving(processes, endpoints),
+            "{endpoints:?}"
+        );
+    }
+
+    #[test]
+    fn views_equal_those_of_every_interleaving() {
+        let ends: Vec<(usize, usize)> = (0..3).flat_map(|a| (0..3).map(move |b| (a, b))).collect();
+        assert_matches_oracle(3, &[]);
+        for &x in &ends {
+            assert_matches_oracle(3, &[x]);
+            for &y in &ends {
+                assert_matches_oracle(3, &[x, y]);
+            }
+        }
+        for (processes, endpoints) in LISTS {
+            assert_matches_oracle(processes, endpoints);
+        }
+    }
+
+    #[test]
+    fn view_counts_of_the_paper_lists() {
+        let counts: Vec<usize> = LISTS
+            .iter()
+            .map(|&(processes, endpoints)| distinct_user_views(processes, endpoints).len())
+            .collect();
+        assert_eq!(counts, [4, 2, 3, 7, 36, 22, 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "process out of range")]
+    fn out_of_range_endpoint_panics() {
+        distinct_user_views(2, &[(0, 1), (1, 2)]);
     }
 }

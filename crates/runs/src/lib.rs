@@ -22,8 +22,11 @@
 //!   (user view, §3.4) and `X_tl ⊆ X_td ⊆ X_gn` (system view, §3.2.1).
 //! - [`construct`] — the Figure 5 construction turning a user-view run
 //!   back into a system run, plus the numbering schemes `N` / `T`.
-//! - [`generator`] — seeded random and exhaustive run generation used by
-//!   the experiments and property tests.
+//! - [`generator`] — seeded random run generation, and every distinct
+//!   user view of a small message set, used by the experiments and
+//!   property tests. The views are built from one order of each
+//!   process's own sends and deliveries, so a process with `k_p` events
+//!   costs a factor `k_p!`: keep those inputs small.
 //!
 //! # Example
 //!
@@ -48,7 +51,6 @@
 #![warn(missing_docs)]
 
 pub mod construct;
-pub mod cuts;
 pub mod display;
 mod error;
 pub mod generator;

@@ -287,37 +287,6 @@ proptest! {
         prop_assert!(r.run.is_quiescent());
     }
 
-    /// Consistent-cut counting agrees with the ideal count of the event
-    /// poset on random small runs (the §2 lattice connection).
-    #[test]
-    fn cuts_equal_ideals(msgs in 1usize..5, seed in 0u64..300) {
-        use msgorder::poset::{ideals, DiGraph, Poset};
-        use msgorder::runs::{cuts, EventKind, ProcessId, SystemEvent};
-        use msgorder::runs::generator::random_system_run;
-        let run = random_system_run(GenParams::new(3, msgs, seed));
-        let n = run.process_count();
-        let mut events = Vec::new();
-        for p in 0..n {
-            events.extend(run.sequence(ProcessId(p)).iter().copied());
-        }
-        let node_of = |e: SystemEvent| events.iter().position(|x| *x == e).unwrap();
-        let mut g = DiGraph::new(events.len());
-        for p in 0..n {
-            for w in run.sequence(ProcessId(p)).windows(2) {
-                g.add_edge(node_of(w[0]), node_of(w[1])).unwrap();
-            }
-        }
-        for meta in run.messages() {
-            let s = SystemEvent::new(meta.id, EventKind::Send);
-            let r = SystemEvent::new(meta.id, EventKind::Receive);
-            if run.contains(s) && run.contains(r) {
-                g.add_edge(node_of(s), node_of(r)).unwrap();
-            }
-        }
-        let poset = Poset::from_graph(&g).unwrap();
-        prop_assert_eq!(cuts::count_consistent(&run), ideals::ideal_count(&poset));
-    }
-
     /// Every linear extension of a random poset respects the order.
     #[test]
     fn linear_extensions_respect_order(
