@@ -451,6 +451,10 @@ impl MonitorTimings {
 ///    over earlier-completed messages therefore finds every violation
 ///    exactly once, at its completion event.
 ///
+/// A position `v` with a conjunct `v.r ▷ w.e` (`w ≠ v`) is never pinned:
+/// every event of an earlier-completed message executed before the
+/// fresh delivery, so by fact 1 that delivery cannot precede it.
+///
 /// The remaining positions are not searched by scanning every
 /// earlier-completed message. Under vector clocks the causal past of an
 /// event is a consistent cut — a prefix of every process — and its
@@ -460,8 +464,9 @@ impl MonitorTimings {
 /// messages' events. The ranges over-approximate, every survivor is
 /// re-checked by the full consistency test, and survivors are tried in
 /// completion order, so the first witness is the one a plain scan of
-/// the candidate lists finds. The view must therefore stamp clocks
-/// ([`OrderView::event_clock`]).
+/// the candidate lists finds. The bounds lie near the live end of each
+/// process's list, so they are searched from the end. The view must
+/// stamp clocks ([`OrderView::event_clock`]).
 ///
 /// The index holds fed messages only, never whatever else the view
 /// already contains: the kernel reports deliveries in batches and a
@@ -483,6 +488,10 @@ impl MonitorTimings {
 #[derive(Clone)]
 pub struct Monitor<'p> {
     prep: Arc<Prepared<'p>>,
+    /// By variable: whether the freshly completed message can bind it.
+    /// Not if a conjunct `v.r ▷ w.e` (`w ≠ v`) asks its delivery — the
+    /// newest event — to precede an event of a message fed earlier.
+    pinnable: Arc<[bool]>,
     /// Per-variable candidates among completed messages (color-filtered,
     /// in completion order) — what a variable no bound conjunct touches
     /// falls back to.
@@ -542,11 +551,37 @@ impl Clone for Scratch {
     }
 }
 
+/// `list.partition_point(pred)` for a `pred` true on a prefix and false
+/// after it, searched from the end: probes 1, 2, 4, … entries back until
+/// one holds, then binary-searches the last gap. A boundary `d` entries
+/// from the end costs `O(log d)` probes — a clock-ordered index is
+/// queried near its live end.
+fn partition_from_end<T>(list: &[T], mut pred: impl FnMut(&T) -> bool) -> usize {
+    let mut hi = list.len();
+    let mut step = 1;
+    while step <= list.len() {
+        let at = list.len() - step;
+        if pred(&list[at]) {
+            return at + 1 + list[at + 1..hi].partition_point(pred);
+        }
+        hi = at;
+        step *= 2;
+    }
+    list[..hi].partition_point(pred)
+}
+
 impl<'p> Monitor<'p> {
     /// Compiles `pred` into an online monitor.
     pub fn new(pred: &'p ForbiddenPredicate) -> Self {
+        let mut pinnable = vec![true; pred.var_count()];
+        for c in pred.conjuncts() {
+            if c.lhs.kind == UserEventKind::Deliver && c.lhs.var != c.rhs.var {
+                pinnable[c.lhs.var.0] = false;
+            }
+        }
         Monitor {
             prep: Arc::new(Prepared::new(pred)),
+            pinnable: pinnable.into(),
             candidates: vec![Vec::new(); pred.var_count()],
             index: Vec::new(),
             declared: 0,
@@ -589,7 +624,7 @@ impl<'p> Monitor<'p> {
             self.reserve(view, sent.len());
             let vars = self.prep.pred.var_count();
             for v in 0..vars {
-                if !self.passes_filters(view, v, m) {
+                if !self.pinnable[v] || !self.passes_filters(view, v, m) {
                     continue;
                 }
                 // Pin `m` at `v` and search the other positions.
@@ -620,7 +655,7 @@ impl<'p> Monitor<'p> {
                     // A delivery lands at the end; a send as far from it
                     // as events after it belong to messages fed earlier.
                     let list = &mut self.index[p].events;
-                    let at = list.partition_point(|e| e.clock < entry.clock);
+                    let at = partition_from_end(list, |e| e.clock < entry.clock);
                     list.insert(at, entry);
                 }
             }
@@ -731,9 +766,9 @@ impl<'p> Monitor<'p> {
     /// (the cut below `b`), `b ▷ var.e` to the suffix of `p` starting
     /// at the first event whose clock has seen `b`,
     /// `V(e)[proc(b)] ≥ V(b)[proc(b)]` — clocks only grow along a
-    /// process, so both bounds are binary searches. Of `var`'s send and
-    /// delivery, the one left with the shorter stretch of index is
-    /// enumerated.
+    /// process, so both bounds are [`partition_from_end`] searches,
+    /// cheap when `b` is recent. Of `var`'s send and delivery, the
+    /// one left with the shorter stretch of index is enumerated.
     fn narrow<V: OrderView>(&mut self, view: &V, var: usize) -> Option<Range<usize>> {
         let mut confined = [false; 2];
         for c in self.prep.pred.conjuncts() {
@@ -759,13 +794,13 @@ impl<'p> Monitor<'p> {
             for (process, &cut) in self.index.iter_mut().zip(clock) {
                 let (range, list) = (&mut process.admissible[k], &process.events);
                 if var_first {
-                    range.end = range.end.min(list.partition_point(|e| e.clock <= cut));
+                    range.end = range.end.min(partition_from_end(list, |e| e.clock <= cut));
                 } else {
                     let seen = |e: &Indexed| {
                         view.event_clock(e.event)
                             .is_some_and(|v| v[at] >= clock[at])
                     };
-                    range.start = range.start.max(list.partition_point(|e| !seen(e)));
+                    range.start = range.start.max(partition_from_end(list, |e| !seen(e)));
                 }
             }
         }
@@ -1451,15 +1486,33 @@ mod tests {
         }
     }
 
-    /// The clock-index monitor finds, after *every* completion, exactly
-    /// the witness the full scan finds — fed one completion at a time,
-    /// in batches with the view ahead of the feed (how the kernel
-    /// notifies observers), and late from the finished run (how a
-    /// recorded trace is re-verified) — and the three feeds agree.
-    #[test]
-    fn monitor_witness_is_the_full_scan_witness_on_every_feed() {
-        use msgorder_runs::StreamingRun;
-        let preds = [
+    /// Declares `m` messages over `n` processes for the witness
+    /// differentials. From message `plain` on, every fifth is red, and
+    /// two more colors give the catalog's color-restricted entries
+    /// messages to bind.
+    fn declare_colored(
+        rng: &mut Rng,
+        n: usize,
+        m: usize,
+        plain: usize,
+    ) -> msgorder_runs::StreamingRun {
+        let mut declared = msgorder_runs::StreamingRun::new(n);
+        for i in 0..m {
+            let (src, dst) = (rng.below(n), rng.below(n));
+            match if i < plain { 0 } else { i % 5 } {
+                4 => declared.message_colored(src, dst, "red"),
+                1 => declared.message_colored(src, dst, "s1"),
+                2 => declared.message_colored(src, dst, "handoff"),
+                _ => declared.message(src, dst),
+            };
+        }
+        declared
+    }
+
+    /// The hand-written differential predicates, then every catalog
+    /// entry.
+    fn differential_predicates() -> (Vec<ForbiddenPredicate>, Vec<ForbiddenPredicate>) {
+        let hand = [
             "forbid x, y: x.s < y.s & y.r < x.r",
             "forbid x, y: x.s < y.s & y.r < x.r \
              where proc(x.s) = proc(y.s), proc(x.r) = proc(y.r)",
@@ -1472,55 +1525,142 @@ mod tests {
             "forbid x, y: x.r < y.s",
         ]
         .map(|p| ForbiddenPredicate::parse(p).unwrap());
+        let catalog = crate::catalog::all().into_iter().map(|e| e.predicate);
+        (hand.into(), catalog.collect())
+    }
+
+    /// Replays `steps` over a clone of `declared` once per feed — `live`,
+    /// one completion at a time; `batched`, with the view ahead of the
+    /// feed (how the kernel notifies observers); `late`, from the
+    /// finished run (how a recorded trace is re-verified) — and asserts
+    /// that the clock-index monitor reports the full scan's witness
+    /// after every completion and that the feeds agree. Returns the
+    /// witness.
+    fn assert_full_scan_witness(
+        rng: &mut Rng,
+        declared: &msgorder_runs::StreamingRun,
+        steps: &[(usize, usize)],
+        pred: &ForbiddenPredicate,
+        seed: u64,
+        feeds: &[&str],
+    ) -> Option<Vec<MessageId>> {
+        let mut witnesses = Vec::new();
+        for &feed in feeds {
+            let mut run = declared.clone();
+            let (mut indexed, mut scan) = (Monitor::new(pred), ScanMonitor::new(pred));
+            let lag = || match feed {
+                "live" => 0,
+                "batched" => 1 + rng.below(3),
+                _ => usize::MAX,
+            };
+            replay_feeding(&mut run, steps, lag, |view, done| {
+                assert_eq!(
+                    indexed.on_complete(view, done),
+                    scan.on_complete(view, done),
+                    "seed {seed}, {pred}, {feed} feed: witness after {done:?}"
+                );
+            });
+            let scanned: usize = scan.candidates.iter().map(Vec::len).sum();
+            assert_eq!(indexed.live_state(), scanned);
+            witnesses.push(indexed.witness().map(<[_]>::to_vec));
+        }
+        for (feed, witness) in feeds.iter().zip(&witnesses) {
+            assert_eq!(witness, &witnesses[0], "seed {seed}, {pred}: {feed}");
+        }
+        witnesses.swap_remove(0)
+    }
+
+    /// The clock-index monitor finds, after *every* completion and on
+    /// every feed, exactly the witness the full scan finds, for the
+    /// hand-written predicates on every run and for every catalog entry
+    /// on every run of at most 8 messages and every eighth longer one.
+    /// The scan pins one variable and walks the rest, about
+    /// `m^(arity − 1)` steps per completion, so the entries of four and
+    /// five variables skip the longer runs.
+    #[test]
+    fn monitor_witness_is_the_full_scan_witness_on_every_feed() {
+        let (hand, catalog) = differential_predicates();
         let (mut violating, mut clean) = (0, 0);
+        let mut catalog_runs = vec![0; catalog.len()];
         for seed in 0..400u64 {
             let mut rng = Rng(0xd1ff_0bad ^ (seed << 1) | 1);
             let n = 2 + rng.below(3);
             let m = 4 + rng.below(40);
             let window = 1 + rng.below(6);
-            let mut declared = StreamingRun::new(n);
-            for i in 0..m {
-                let (src, dst) = (rng.below(n), rng.below(n));
-                if i % 5 == 4 {
-                    declared.message_colored(src, dst, "red");
-                } else {
-                    declared.message(src, dst);
-                }
-            }
+            let declared = declare_colored(&mut rng, n, m, 0);
             let steps = windowed_schedule(&mut rng, m, window);
-            for pred in &preds {
-                let mut witnesses = Vec::new();
-                for feed in ["live", "batched", "late"] {
-                    let mut run = declared.clone();
-                    let (mut indexed, mut scan) = (Monitor::new(pred), ScanMonitor::new(pred));
-                    let lag = || match feed {
-                        "live" => 0,
-                        "batched" => 1 + rng.below(3),
-                        _ => usize::MAX,
-                    };
-                    replay_feeding(&mut run, &steps, lag, |view, done| {
-                        assert_eq!(
-                            indexed.on_complete(view, done),
-                            scan.on_complete(view, done),
-                            "seed {seed}, {pred}, {feed} feed: witness after {done:?}"
-                        );
-                    });
-                    let scanned: usize = scan.candidates.iter().map(Vec::len).sum();
-                    assert_eq!(indexed.live_state(), scanned);
-                    witnesses.push(indexed.witness().map(<[_]>::to_vec));
-                }
-                assert_eq!(witnesses[0], witnesses[1], "seed {seed}, {pred}: batched");
-                assert_eq!(witnesses[0], witnesses[2], "seed {seed}, {pred}: late");
-                match witnesses[0] {
+            let picked = (0..catalog.len())
+                .filter(|&i| m <= 8 || (seed % 8 == 0 && catalog[i].var_count() <= 3))
+                .inspect(|&i| catalog_runs[i] += 1);
+            for pred in hand.iter().chain(picked.map(|i| &catalog[i])) {
+                let feeds = ["live", "batched", "late"];
+                match assert_full_scan_witness(&mut rng, &declared, &steps, pred, seed, &feeds) {
                     Some(_) => violating += 1,
                     None => clean += 1,
                 }
             }
         }
         assert!(
-            violating >= 200 && clean >= 200,
+            violating >= 1000 && clean >= 1000,
             "one verdict is vacuous: {violating} violating, {clean} clean"
         );
+        assert!(
+            catalog_runs.iter().all(|&runs| runs >= 30),
+            "a catalog entry is checked on too few runs: {catalog_runs:?}"
+        );
+    }
+
+    /// The same differential, fed live, on runs of hundreds of messages
+    /// with up to 64 in flight, for every two-variable predicate: index
+    /// lists long enough that the searches from the end gallop far back.
+    /// Colors start halfway, so a color-restricted entry's first witness
+    /// is found over long lists, and the unsatisfiable entries keep both
+    /// monitors searching to the last completion.
+    #[test]
+    fn monitor_witness_is_the_full_scan_witness_on_long_runs() {
+        let (hand, catalog) = differential_predicates();
+        let mut clean = 0;
+        for seed in 0..6u64 {
+            let mut rng = Rng(0x1046_5eed ^ (seed << 1) | 1);
+            let n = 2 + rng.below(3);
+            let m = 300 + rng.below(301);
+            let window = 1 + rng.below(64);
+            let declared = declare_colored(&mut rng, n, m, m / 2);
+            let steps = windowed_schedule(&mut rng, m, window);
+            for pred in hand.iter().chain(&catalog).filter(|p| p.var_count() == 2) {
+                if assert_full_scan_witness(&mut rng, &declared, &steps, pred, seed, &["live"])
+                    .is_none()
+                {
+                    clean += 1;
+                }
+            }
+        }
+        assert!(clean >= 18, "only {clean} runs stayed clean to the end");
+    }
+
+    #[test]
+    fn partition_from_end_is_partition_point() {
+        for len in 0..=70usize {
+            let list: Vec<usize> = (0..len).collect();
+            for boundary in 0..=len {
+                let mut probes = 0u32;
+                let at = partition_from_end(&list, |&x| {
+                    probes += 1;
+                    x < boundary
+                });
+                assert_eq!(
+                    at,
+                    list.partition_point(|&x| x < boundary),
+                    "len {len}, boundary {boundary}"
+                );
+                // Probes grow with the distance from the end, not the length.
+                let from_end = len - boundary;
+                assert!(
+                    probes <= 2 * (usize::BITS - from_end.leading_zeros()) + 1,
+                    "len {len}, boundary {boundary}: {probes} probes"
+                );
+            }
+        }
     }
 
     #[test]
