@@ -10,7 +10,7 @@
 //! when `target/` exists in the working directory. A filter that matches
 //! no experiment id exits with status 2 and writes nothing.
 
-use msgorder_bench::{f1, f2, Engine, Table};
+use msgorder_bench::{f1, f2, Table};
 use msgorder_classifier::classify::classify;
 use msgorder_classifier::cycles::enumerate_cycles;
 use msgorder_classifier::reduce::reduce_cycle;
@@ -72,32 +72,13 @@ fn main() {
         std::process::exit(2);
     }
     let mut digest = serde_json::Map::new();
-    let engine = engine();
-    println!(
-        "[batch engine: {} thread(s); set MSGORDER_THREADS to override]",
-        engine.threads()
-    );
-    let mut timings = serde_json::Map::new();
     for (id, run) in experiments {
         if !want(&id.to_lowercase()) {
             continue;
         }
         println!("\n================ {id} ================");
-        let started = std::time::Instant::now();
-        let value = run();
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        println!("[{id} took {wall_ms:.1} ms]");
-        digest.insert(id.to_owned(), value);
-        timings.insert(id.to_owned(), json!(wall_ms));
+        digest.insert(id.to_owned(), run());
     }
-    digest.insert("_timings_ms".to_owned(), Value::Object(timings));
-    digest.insert(
-        "_engine".to_owned(),
-        json!({
-            "threads": engine.threads(),
-            "cores": std::thread::available_parallelism().map_or(1, |n| n.get()),
-        }),
-    );
     let path = std::path::Path::new("target");
     if path.is_dir() {
         let out = path.join("experiments.json");
@@ -110,12 +91,6 @@ fn main() {
             println!("\n[digest written to {}]", out.display());
         }
     }
-}
-
-/// The batch engine shared by the parallelized experiments
-/// ([`Engine`] is `Copy`; reading the env twice is harmless).
-fn engine() -> Engine {
-    Engine::from_env()
 }
 
 /// EXP-T1 — the §4.3 decision table over the full catalog.
@@ -133,17 +108,12 @@ fn exp_t1() -> Value {
     ]);
     let mut agree_all = true;
     let mut rows = Vec::new();
-    // Each catalog entry's analysis (cycle enumeration, min-order BFS) is
-    // independent — a natural batch for the engine.
-    let analyzed = engine().par_map(catalog::all(), |entry| {
+    for entry in catalog::all() {
         let report = Spec::from_predicate(entry.predicate.clone())
             .named(entry.name)
             .analyze();
         let s = report.summary();
         let verdict = report.classification().protocol_class();
-        (entry, s, verdict)
-    });
-    for (entry, s, verdict) in analyzed {
         let agree = verdict == entry.expected;
         agree_all &= agree;
         t.row([
@@ -189,25 +159,18 @@ fn exp_l3() -> Value {
         catalog::causal_b3(),
     );
     // One predicate against a corpus of views: prepare each predicate
-    // once (variable order, color filters) and batch the corpus.
+    // once (variable order, color filters).
     let (p1, p2, p3) = (
         eval::Prepared::new(&b1),
         eval::Prepared::new(&b2),
         eval::Prepared::new(&b3),
     );
-    let verdicts = engine().par_map_ref(&views, |v| {
-        (
-            p1.holds(v),
-            p2.holds(v),
-            p3.holds(v),
-            limit_sets::in_x_co(v),
-        )
-    });
     let mut equal = true;
     let mut co_match = true;
-    for (r1, r2, r3, in_co) in verdicts {
+    for v in &views {
+        let (r1, r2, r3) = (p1.holds(v), p2.holds(v), p3.holds(v));
         equal &= r1 == r2 && r2 == r3;
-        co_match &= r2 != in_co;
+        co_match &= r2 != limit_sets::in_x_co(v);
     }
     let mut impossible_never_fire = true;
     for pred in [
@@ -216,10 +179,7 @@ fn exp_l3() -> Value {
         catalog::mutual_deliver(),
     ] {
         let prep = eval::Prepared::new(&pred);
-        impossible_never_fire &= engine()
-            .par_map_ref(&views, |v| !prep.holds(v))
-            .into_iter()
-            .all(|ok| ok);
+        impossible_never_fire &= views.iter().all(|v| !prep.holds(v));
     }
     let mut t = Table::new(["claim", "runs checked", "holds"]);
     t.row([
@@ -305,59 +265,39 @@ fn exp_f2() -> Value {
             },
         ],
     };
-    // Seeds are independent: scan them through the engine a chunk at a
-    // time, keeping the original first-hit semantics (the lowest seed
-    // with an inverted arrival wins, and later chunks never run).
-    let engine = engine();
+    // The lowest seed with an inverted arrival wins.
     let fifo_spec = catalog::fifo();
-    let chunk = (engine.threads() * 4).max(4);
-    let mut start = 0usize;
-    while start < 200 {
-        let end = (start + chunk).min(200);
-        let hit = engine
-            .par_map_range(start..end, |seed| {
-                let r = Simulation::run_uniform(
-                    SimConfig::new(2, LatencyModel::Uniform { lo: 1, hi: 500 }, seed as u64),
-                    workload.clone(),
-                    |_| ProtocolKind::Fifo.instantiate(2, 0),
-                )
-                .expect("no protocol bug");
-                let (x, y) = (MessageId(0), MessageId(1));
-                let arrived_inverted = r.run.happens_before(
-                    SystemEvent::new(y, EventKind::Receive),
-                    SystemEvent::new(x, EventKind::Receive),
-                );
-                if !arrived_inverted {
-                    return None;
-                }
-                let delivered_in_order = r.run.happens_before(
-                    SystemEvent::new(x, EventKind::Deliver),
-                    SystemEvent::new(y, EventKind::Deliver),
-                );
-                let fifo_clean = eval::satisfies_spec(&fifo_spec, &r.run.users_view());
-                Some((
-                    seed,
-                    r.stats.total_inhibition,
-                    delivered_in_order,
-                    fifo_clean,
-                ))
-            })
-            .into_iter()
-            .flatten()
-            .next();
-        if let Some((seed, inhibition, delivered_in_order, fifo_clean)) = hit {
-            println!("seed {seed}: m1 arrived before m0, protocol delayed m1's delivery");
-            println!("  inhibition total: {inhibition} ticks");
-            println!("  deliveries in send order: {delivered_in_order}");
-            println!("  user view FIFO-clean: {fifo_clean}");
-            assert!(delivered_in_order);
-            return json!({
-                "seed": seed,
-                "inhibition": inhibition,
-                "delivered_in_order": delivered_in_order,
-            });
+    for seed in 0..200u64 {
+        let r = Simulation::run_uniform(
+            SimConfig::new(2, LatencyModel::Uniform { lo: 1, hi: 500 }, seed),
+            workload.clone(),
+            |_| ProtocolKind::Fifo.instantiate(2, 0),
+        )
+        .expect("no protocol bug");
+        let (x, y) = (MessageId(0), MessageId(1));
+        let arrived_inverted = r.run.happens_before(
+            SystemEvent::new(y, EventKind::Receive),
+            SystemEvent::new(x, EventKind::Receive),
+        );
+        if !arrived_inverted {
+            continue;
         }
-        start = end;
+        let delivered_in_order = r.run.happens_before(
+            SystemEvent::new(x, EventKind::Deliver),
+            SystemEvent::new(y, EventKind::Deliver),
+        );
+        let fifo_clean = eval::satisfies_spec(&fifo_spec, &r.run.users_view());
+        let inhibition = r.stats.total_inhibition;
+        println!("seed {seed}: m1 arrived before m0, protocol delayed m1's delivery");
+        println!("  inhibition total: {inhibition} ticks");
+        println!("  deliveries in send order: {delivered_in_order}");
+        println!("  user view FIFO-clean: {fifo_clean}");
+        assert!(delivered_in_order);
+        return json!({
+            "seed": seed,
+            "inhibition": inhibition,
+            "delivered_in_order": delivered_in_order,
+        });
     }
     // No seed inverted the arrival order. Report a structured error
     // instead of aborting so the rest of the suite still runs.
@@ -431,24 +371,16 @@ fn exp_f4() -> Value {
 fn exp_f5() -> Value {
     println!("Figure 5: inserting s*/r* immediately before s/r reconstructs a system run;");
     println!("for sync runs the blocks yield the vertical-arrow numbering N (Theorem 1.1).\n");
-    let engine = engine();
     let total = 50usize;
-    let roundtrips = engine
-        .par_map_range(0..total, |seed| {
-            let user = random_user_run(GenParams::new(3, 6, seed as u64));
-            construct::roundtrips_exactly(&user)
-        })
-        .into_iter()
-        .filter(|&ok| ok)
+    let roundtrips = (0..total as u64)
+        .filter(|&seed| construct::roundtrips_exactly(&random_user_run(GenParams::new(3, 6, seed))))
         .count();
     let sync_total = 50usize;
-    let gn_ok = engine
-        .par_map_range(0..sync_total, |seed| {
-            let user = msgorder_runs::generator::random_sync_run(GenParams::new(3, 6, seed as u64));
+    let gn_ok = (0..sync_total as u64)
+        .filter(|&seed| {
+            let user = msgorder_runs::generator::random_sync_run(GenParams::new(3, 6, seed));
             construct::gn_system_from_sync_user(&user).is_some_and(|sys| limit_sets::in_x_gn(&sys))
         })
-        .into_iter()
-        .filter(|&ok| ok)
         .count();
     println!("execution-derived user views that round-trip exactly : {roundtrips}/{total}");
     println!("sync runs realized inside X_gn (vertical arrows)     : {gn_ok}/{sync_total}");
@@ -465,16 +397,14 @@ fn exp_f7() -> Value {
     println!("to admit it (Lemma 2.1).\n");
     use msgorder_runs::lemma2;
     let total = 40usize;
-    let ok = engine()
-        .par_map_range(0..total, |seed| {
-            let user = msgorder_runs::generator::random_sync_run(GenParams::new(3, 6, seed as u64));
+    let ok = (0..total as u64)
+        .filter(|&seed| {
+            let user = msgorder_runs::generator::random_sync_run(GenParams::new(3, 6, seed));
             let sys =
                 construct::gn_system_from_sync_user(&user).expect("sync run realizes in X_gn");
             let series = lemma2::gn_prefix_series(&sys).expect("X_gn run has a series");
             series.pending_always_singleton()
         })
-        .into_iter()
-        .filter(|&ok| ok)
         .count();
     println!("X_gn runs with a singleton-pending prefix series : {ok}/{total}");
     // and one concrete series rendered:
@@ -942,16 +872,13 @@ fn exp_s1() -> Value {
     println!("as the number of messages grows (X_async is always 100%).\n");
     let mut t = Table::new(["messages", "runs", "in X_co", "in X_sync"]);
     let mut rows = Vec::new();
-    let engine = engine();
     for msgs in [2usize, 4, 6, 8, 10, 14] {
         let total = 300;
         let (mut co, mut sync) = (0u32, 0u32);
-        for (in_co, in_sync) in engine.par_map_range(0..total, |seed| {
-            let run = random_user_run(GenParams::new(3, msgs, seed as u64));
-            (limit_sets::in_x_co(&run), limit_sets::in_x_sync(&run))
-        }) {
-            co += u32::from(in_co);
-            sync += u32::from(in_sync);
+        for seed in 0..total {
+            let run = random_user_run(GenParams::new(3, msgs, seed));
+            co += u32::from(limit_sets::in_x_co(&run));
+            sync += u32::from(limit_sets::in_x_sync(&run));
         }
         t.row([
             msgs.to_string(),
@@ -977,7 +904,6 @@ fn exp_m1() -> Value {
     println!("Exhaustive exploration (all frame orderings) of small configurations.\n");
     let opts = ExploreOptions {
         cap: 1 << 20,
-        threads: engine().threads(),
         ..ExploreOptions::default()
     };
     let same3 = Workload {
@@ -1058,8 +984,8 @@ fn exp_m1() -> Value {
         );
     };
 
-    // The explorer fans its top-level branches across worker threads;
-    // the visitors fold into atomics since they run concurrently.
+    // An explorer visitor is `Fn + Sync` (with `threads > 1` it runs on
+    // worker threads), so the visitors fold into atomics.
     let mut all_ok = true;
     {
         let ok = AtomicBool::new(true);
@@ -1211,7 +1137,6 @@ fn exp_n1() -> Value {
     let n = 3;
     let msgs = 20usize;
     let seeds = 6u64;
-    let engine = engine();
     let fifo_pred = catalog::fifo();
     let fifo_spec = eval::Prepared::new(&fifo_pred);
     let variants: Vec<(&str, ProtocolKind, bool)> = vec![
@@ -1232,29 +1157,29 @@ fn exp_n1() -> Value {
     let mut rows = Vec::new();
     for drop in [0.0f64, 0.05, 0.1, 0.2, 0.3] {
         for (name, kind, reliable) in &variants {
-            // Seeds are independent simulations: a natural engine batch.
-            let per_seed = engine.par_map_range(0..seeds as usize, |seed| {
-                let seed = seed as u64;
-                let w = Workload::uniform_random(n, msgs, seed);
-                let config = SimConfig::new(n, LatencyModel::Uniform { lo: 1, hi: 500 }, seed)
-                    .with_faults(msgorder_simnet::FaultModel::none().with_drop(drop).unwrap());
-                let r = Simulation::run_uniform(config, w, |node| {
-                    kind.instantiate_with(n, node, *reliable)
+            let per_seed: Vec<_> = (0..seeds)
+                .map(|seed| {
+                    let w = Workload::uniform_random(n, msgs, seed);
+                    let config = SimConfig::new(n, LatencyModel::Uniform { lo: 1, hi: 500 }, seed)
+                        .with_faults(msgorder_simnet::FaultModel::none().with_drop(drop).unwrap());
+                    let r = Simulation::run_uniform(config, w, |node| {
+                        kind.instantiate_with(n, node, *reliable)
+                    })
+                    .expect("no protocol bug");
+                    let ordering_ok = match kind {
+                        ProtocolKind::Async => true,
+                        ProtocolKind::Fifo => fifo_spec.satisfies_spec(&r.run.users_view()),
+                        _ => limit_sets::in_x_co(&r.run.users_view()),
+                    };
+                    (
+                        r.stats.delivered,
+                        r.stats.retransmitted_frames,
+                        r.stats.dropped_frames,
+                        r.completed && r.run.is_quiescent(),
+                        ordering_ok,
+                    )
                 })
-                .expect("no protocol bug");
-                let ordering_ok = match kind {
-                    ProtocolKind::Async => true,
-                    ProtocolKind::Fifo => fifo_spec.satisfies_spec(&r.run.users_view()),
-                    _ => limit_sets::in_x_co(&r.run.users_view()),
-                };
-                (
-                    r.stats.delivered,
-                    r.stats.retransmitted_frames,
-                    r.stats.dropped_frames,
-                    r.completed && r.run.is_quiescent(),
-                    ordering_ok,
-                )
-            });
+                .collect();
             let total = (seeds as usize * msgs) as f64;
             let delivered: usize = per_seed.iter().map(|x| x.0).sum();
             let retx: usize = per_seed.iter().map(|x| x.1).sum();

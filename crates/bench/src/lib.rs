@@ -1,15 +1,13 @@
-//! Shared helpers for the experiment runner (`experiments`): the batch
-//! [`Engine`], the plain-text [`Table`], and the [`snapshot`] exploration
-//! the benchmark harness under `benchmark/` times. Every speed number
-//! comes from that harness; this crate measures nothing itself.
+//! Shared helpers for the experiment runner (`experiments`): the
+//! plain-text [`Table`] and the [`snapshot`] exploration the benchmark
+//! harness under `benchmark/` times. The runner is one sequential loop;
+//! every speed number comes from that harness, and this crate measures
+//! nothing itself.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod par;
 pub mod snapshot;
-
-pub use par::Engine;
 
 use std::fmt::Write as _;
 

@@ -1,8 +1,9 @@
 //! The experiment runner end to end: every in-runner `assert!` on a
-//! paper claim holds (the process exits 0), the printed tables do not
-//! depend on the batch engine's width, and a filter naming no
-//! experiment is refused without touching an existing digest.
+//! paper claim holds (the process exits 0), the digest holds exactly the
+//! experiments' results, and a filter naming no experiment is refused
+//! without touching an existing digest.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -18,40 +19,38 @@ fn scratch_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn run(dir: &Path, threads: &str, args: &[&str]) -> Output {
+fn run(dir: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(args)
         .current_dir(dir)
-        .env("MSGORDER_THREADS", threads)
         .output()
         .expect("runs the experiments binary")
 }
 
-/// Stdout minus the lines that legitimately vary: the engine banner and
-/// the per-experiment wall-clock lines.
-fn tables(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stdout)
-        .lines()
-        .filter(|l| !l.starts_with("[batch engine:"))
-        .filter(|l| !(l.starts_with("[EXP-") && l.ends_with(" ms]")))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[test]
-fn every_experiment_passes_and_prints_the_same_tables_at_one_and_two_threads() {
+fn every_experiment_passes_and_the_digest_holds_only_results() {
     let dir = scratch_dir("all");
-    let outs: Vec<Output> = ["1", "2"].iter().map(|t| run(&dir, t, &[])).collect();
-    for (out, threads) in outs.iter().zip([1, 2]) {
-        assert!(
-            out.status.success(),
-            "experiments failed at {threads} thread(s):\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    let (one, two) = (tables(&outs[0]), tables(&outs[1]));
-    assert!(one.contains("================ EXP-T1 ================"));
-    assert!(one == two, "stdout differs between 1 and 2 threads");
+    std::fs::create_dir(dir.join("target")).expect("creates target/");
+    let out = run(&dir, &[]);
+    assert!(
+        out.status.success(),
+        "experiments failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("================ EXP-T1 ================"));
+    let ids: BTreeSet<&str> = stdout
+        .lines()
+        .filter_map(|l| l.strip_prefix("================ "))
+        .filter_map(|l| l.strip_suffix(" ================"))
+        .collect();
+    let digest = std::fs::read(dir.join("target/experiments.json")).expect("writes the digest");
+    let digest: BTreeMap<String, serde_json::Value> =
+        serde_json::from_slice(&digest).expect("the digest is a JSON object");
+    assert_eq!(
+        digest.keys().map(String::as_str).collect::<BTreeSet<_>>(),
+        ids
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -62,7 +61,7 @@ fn a_filter_matching_no_experiment_fails_and_keeps_the_digest() {
     let digest = dir.join("target/experiments.json");
     std::fs::write(&digest, b"{\"EXP-T1\": \"kept\"}").expect("writes the old digest");
 
-    let out = run(&dir, "1", &["zz"]);
+    let out = run(&dir, &["zz"]);
     assert!(!out.status.success(), "a filter matching nothing must fail");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("`zz` matches no experiment"), "{stderr}");

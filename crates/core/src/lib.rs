@@ -27,11 +27,9 @@
 
 mod report;
 mod spec;
-mod spec_set;
 
 pub use report::AnalysisReport;
 pub use spec::Spec;
-pub use spec_set::SpecSet;
 
 // Re-export the vocabulary types users need alongside the facade.
 pub use msgorder_classifier::classify::Classification;

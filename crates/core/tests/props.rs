@@ -1,7 +1,7 @@
 //! Property tests for the facade.
 
-use msgorder_core::{Spec, SpecSet};
-use msgorder_predicate::catalog::{self, PaperClass};
+use msgorder_core::Spec;
+use msgorder_predicate::catalog;
 use proptest::prelude::*;
 
 proptest! {
@@ -28,32 +28,5 @@ proptest! {
         prop_assert!(rendered.contains(&report.classification().to_string()));
         let json = report.to_json();
         prop_assert_eq!(json["name"].as_str(), Some(entry.name));
-    }
-
-    /// SpecSet classes combine monotonically: adding a member never makes
-    /// the set easier to implement.
-    #[test]
-    fn spec_set_monotone(a in 0usize..20, b in 0usize..20) {
-        fn rank(c: PaperClass) -> u8 {
-            match c {
-                PaperClass::Tagless => 0,
-                PaperClass::Tagged => 1,
-                PaperClass::General => 2,
-                PaperClass::Unimplementable => 3,
-            }
-        }
-        let entries = catalog::all();
-        let (ea, eb) = (&entries[a % entries.len()], &entries[b % entries.len()]);
-        let single = SpecSet::from_predicates("a", [ea.predicate.clone()]);
-        let both = SpecSet::from_predicates(
-            "ab",
-            [ea.predicate.clone(), eb.predicate.clone()],
-        );
-        prop_assert!(rank(both.combined_class()) >= rank(single.combined_class()));
-        prop_assert_eq!(
-            rank(both.combined_class()),
-            rank(single.combined_class())
-                .max(rank(SpecSet::from_predicates("b", [eb.predicate.clone()]).combined_class()))
-        );
     }
 }

@@ -111,37 +111,6 @@ impl BitSet {
         changed
     }
 
-    /// In-place intersection: `self &= other`.
-    ///
-    /// # Panics
-    /// Panics if capacities differ.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= *b;
-        }
-    }
-
-    /// In-place difference: `self &= !other`.
-    ///
-    /// # Panics
-    /// Panics if capacities differ.
-    pub fn difference_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !*b;
-        }
-    }
-
-    /// Whether `self` and `other` share no elements.
-    ///
-    /// # Panics
-    /// Panics if capacities differ.
-    pub fn is_disjoint(&self, other: &BitSet) -> bool {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
-    }
-
     /// Whether every element of `self` is in `other`.
     ///
     /// # Panics
@@ -346,21 +315,6 @@ mod tests {
         b.insert(2);
         assert!(a.is_subset(&b));
         assert!(!b.is_subset(&a));
-        let mut c = BitSet::new(64);
-        c.insert(3);
-        assert!(a.is_disjoint(&c));
-        assert!(!a.is_disjoint(&b));
-    }
-
-    #[test]
-    fn difference_and_intersection() {
-        let mut a: BitSet = [1usize, 2, 3].into_iter().collect();
-        let b: BitSet = [2usize, 3].into_iter().collect();
-        let mut a2 = a.clone();
-        a.difference_with(&b);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1]);
-        a2.intersect_with(&b);
-        assert_eq!(a2.iter().collect::<Vec<_>>(), vec![2, 3]);
     }
 
     #[test]

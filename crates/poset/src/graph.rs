@@ -18,8 +18,6 @@ pub struct DiGraph {
     edges: Vec<(NodeId, NodeId)>,
     /// Outgoing edge ids per node.
     out: Vec<Vec<EdgeId>>,
-    /// Incoming edge ids per node.
-    inc: Vec<Vec<EdgeId>>,
 }
 
 impl DiGraph {
@@ -29,7 +27,6 @@ impl DiGraph {
             n,
             edges: Vec::new(),
             out: vec![Vec::new(); n],
-            inc: vec![Vec::new(); n],
         }
     }
 
@@ -59,7 +56,6 @@ impl DiGraph {
         let id = self.edges.len();
         self.edges.push((u, v));
         self.out[u].push(id);
-        self.inc[v].push(id);
         Ok(id)
     }
 
@@ -81,19 +77,9 @@ impl DiGraph {
         &self.out[u]
     }
 
-    /// Ids of edges entering `v`.
-    pub fn in_edges(&self, v: NodeId) -> &[EdgeId] {
-        &self.inc[v]
-    }
-
     /// Successor nodes of `u` (may contain duplicates for parallel edges).
     pub fn successors(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.out[u].iter().map(move |&e| self.edges[e].1)
-    }
-
-    /// Predecessor nodes of `v` (may contain duplicates for parallel edges).
-    pub fn predecessors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.inc[v].iter().map(move |&e| self.edges[e].0)
     }
 
     /// A topological order of the nodes, or a witness cycle if none exists.
@@ -193,23 +179,6 @@ impl DiGraph {
             }
         }
         None
-    }
-
-    /// The subgraph induced by `keep`, with nodes renumbered densely.
-    ///
-    /// Returns the new graph and the mapping from old node id to new.
-    pub fn induced_subgraph(&self, keep: &[NodeId]) -> (DiGraph, Vec<Option<NodeId>>) {
-        let mut map: Vec<Option<NodeId>> = vec![None; self.n];
-        for (new, &old) in keep.iter().enumerate() {
-            map[old] = Some(new);
-        }
-        let mut g = DiGraph::new(keep.len());
-        for &(u, v) in &self.edges {
-            if let (Some(nu), Some(nv)) = (map[u], map[v]) {
-                g.add_edge(nu, nv).expect("renumbered nodes are in range");
-            }
-        }
-        (g, map)
     }
 
     /// The graph with every edge reversed.
@@ -376,32 +345,11 @@ mod tests {
     }
 
     #[test]
-    fn induced_subgraph_renumbers() {
-        let g = diamond();
-        let (sub, map) = g.induced_subgraph(&[1, 3]);
-        assert_eq!(sub.node_count(), 2);
-        assert_eq!(sub.edge_count(), 1); // only 1 -> 3 survives
-        assert_eq!(map[1], Some(0));
-        assert_eq!(map[3], Some(1));
-        assert_eq!(map[0], None);
-        assert_eq!(sub.endpoints(0), (0, 1));
-    }
-
-    #[test]
     fn reversed_flips_edges() {
         let g = diamond().reversed();
         assert!(g.successors(3).any(|v| v == 1));
         assert!(g.successors(1).any(|v| v == 0));
         assert_eq!(g.edge_count(), 4);
-    }
-
-    #[test]
-    fn predecessors_and_in_edges() {
-        let g = diamond();
-        let preds: Vec<_> = g.predecessors(3).collect();
-        assert_eq!(preds.len(), 2);
-        assert!(preds.contains(&1) && preds.contains(&2));
-        assert_eq!(g.in_edges(0).len(), 0);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! `T : M -> N` linearizing the message precedence relation (§3.4), and
 //! several proofs in the paper construct runs by picking particular
 //! linearizations (Figure 7). This module provides existence, exhaustive
-//! enumeration (for small posets, used by the exhaustive-run experiments),
-//! counting, and seeded random sampling.
+//! enumeration (for small posets, used by the exhaustive-run experiments)
+//! and counting.
 
 use crate::poset::Poset;
 
@@ -103,48 +103,6 @@ pub fn all_extensions(p: &Poset) -> Vec<Vec<usize>> {
     out
 }
 
-/// Draws a random linear extension using a caller-supplied choice
-/// function: at each step `choose(k)` must return an index `< k` picking
-/// among the currently-available minimal elements (sorted ascending).
-///
-/// Using a closure keeps this crate free of a `rand` dependency while
-/// letting callers plug in any RNG. Note this samples uniformly over
-/// *greedy choices*, not uniformly over extensions — good enough for
-/// workload generation, and deterministic under a seeded RNG.
-pub fn random_extension_with<F>(p: &Poset, mut choose: F) -> Vec<usize>
-where
-    F: FnMut(usize) -> usize,
-{
-    let n = p.len();
-    let covers = if n == 0 { Vec::new() } else { p.covers() };
-    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut indeg = vec![0usize; n];
-    for (u, v) in covers {
-        succ[u].push(v);
-        indeg[v] += 1;
-    }
-    let mut avail: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
-    let mut out = Vec::with_capacity(n);
-    while !avail.is_empty() {
-        let i = choose(avail.len());
-        assert!(
-            i < avail.len(),
-            "choice function returned out-of-range index"
-        );
-        let v = avail.swap_remove(i);
-        out.push(v);
-        for &w in &succ[v] {
-            indeg[w] -= 1;
-            if indeg[w] == 0 {
-                avail.push(w);
-            }
-        }
-        avail.sort_unstable();
-    }
-    assert_eq!(out.len(), n, "poset must be acyclic");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,24 +158,8 @@ mod tests {
     }
 
     #[test]
-    fn random_extension_deterministic_choices() {
-        let p = diamond();
-        // always choose the last available element
-        let ext = random_extension_with(&p, |k| k - 1);
-        assert_eq!(ext.len(), 4);
-        let mut pos = [0usize; 4];
-        for (i, &v) in ext.iter().enumerate() {
-            pos[v] = i;
-        }
-        for (u, v) in p.relation_pairs() {
-            assert!(pos[u] < pos[v]);
-        }
-    }
-
-    #[test]
     fn empty_poset_extension() {
         let p = Poset::from_pairs(0, []).unwrap();
         assert_eq!(count_extensions(&p), 1, "the empty sequence");
-        assert!(random_extension_with(&p, |_| 0).is_empty());
     }
 }

@@ -111,12 +111,6 @@ impl VectorClock {
     pub fn entries(&self) -> &[u64] {
         &self.entries
     }
-
-    /// Serialized width in bytes, used for tag-overhead accounting in the
-    /// protocol experiments (`8 * n`).
-    pub fn byte_width(&self) -> usize {
-        self.entries.len() * std::mem::size_of::<u64>()
-    }
 }
 
 impl Index<usize> for VectorClock {
@@ -239,7 +233,6 @@ mod tests {
     fn display_and_bytes() {
         let c = VectorClock::from_entries(vec![1, 2]);
         assert_eq!(c.to_string(), "[1,2]");
-        assert_eq!(c.byte_width(), 16);
     }
 
     #[test]

@@ -424,15 +424,6 @@ impl MonitorTimings {
         let bucket = (64 - nanos.max(1).leading_zeros() as usize - 1).min(31);
         self.buckets[bucket] += 1;
     }
-
-    /// Mean nanoseconds per search (0 if none ran).
-    pub fn mean_nanos(&self) -> f64 {
-        if self.searches == 0 {
-            0.0
-        } else {
-            self.total_nanos as f64 / self.searches as f64
-        }
-    }
 }
 
 /// An online monitor for one forbidden predicate.

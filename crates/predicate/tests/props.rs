@@ -1,6 +1,6 @@
 //! Property tests for predicates: parsing, normalization, evaluation.
 
-use msgorder_predicate::{eval, ForbiddenPredicate, Normalized, Var};
+use msgorder_predicate::{catalog, eval, ForbiddenPredicate, Normalized, Var};
 use msgorder_runs::generator::{random_user_run, GenParams};
 use proptest::prelude::*;
 
@@ -89,6 +89,24 @@ proptest! {
                 let b = UserEvent { msg: inst[c.rhs.var.0], kind: c.rhs.kind };
                 prop_assert!(run.before(a, b), "conjunct {c:?} unsatisfied");
             }
+        }
+    }
+}
+
+#[test]
+fn prepared_agrees_with_free_functions() {
+    // The plan-hoisted evaluator is a pure refactoring of the free
+    // functions — same verdict on every run.
+    for entry in catalog::all() {
+        let prep = eval::Prepared::new(&entry.predicate);
+        for seed in 0..8 {
+            let run = random_user_run(GenParams::new(3, 10, seed));
+            assert_eq!(
+                prep.holds(&run),
+                eval::holds(&entry.predicate, &run),
+                "{} seed {seed}",
+                entry.name
+            );
         }
     }
 }

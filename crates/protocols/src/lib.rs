@@ -23,9 +23,9 @@
 //! Every protocol is verified by simulating adversarial workloads and
 //! monitoring the corresponding forbidden predicate *online* while the
 //! run executes ([`verify`]) — safety *and* liveness, per the paper's
-//! definition of "implements". [`verify_online`] halts at the first
-//! violating delivery; [`OnlineMonitor`] plugs the same detector into
-//! exhaustive schedule exploration.
+//! definition of "implements". [`OnlineMonitor::halting`] halts a
+//! streaming simulation at the first violating delivery, and plugs the
+//! same detector into exhaustive schedule exploration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,6 +54,6 @@ pub use reliable::{ControlEvent, ReliableLink, RetryConfig};
 pub use sync::SyncProtocol;
 pub use synthesis::SynthesizedTagged;
 pub use verify::{
-    explore_violations, run_and_verify, verify_exhaustive, verify_online, ExhaustiveOutcome,
-    OnlineMonitor, VerifyOutcome, Violations,
+    explore_violations, run_and_verify, verify_exhaustive, ExhaustiveOutcome, OnlineMonitor,
+    VerifyOutcome, Violations,
 };

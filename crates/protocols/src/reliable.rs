@@ -127,12 +127,6 @@ impl ReliableLink {
         }
     }
 
-    /// Frames sent through this link that have not been acknowledged
-    /// (nor given up on) yet.
-    pub fn outstanding(&self) -> usize {
-        self.user_out.len() + self.ctl_out.len()
-    }
-
     fn backoff(&self, attempts: u32) -> u64 {
         self.config.backoff(attempts)
     }

@@ -13,7 +13,8 @@
 //! [`eval::Monitor`]: the unsafe path is a *single* incremental search
 //! whose witness is the violation, found at the exact delivery that
 //! completes it — no post-hoc transitive closure, no second search.
-//! [`verify_online`] additionally halts the simulation at that delivery.
+//! [`OnlineMonitor::halting`] under [`Simulation::run_streaming`]
+//! additionally halts the simulation at that delivery.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -126,8 +127,7 @@ pub struct VerifyOutcome {
     /// Safety: the user's view belongs to `X_B`.
     pub safe: bool,
     /// Liveness: every requested message was sent and delivered, and the
-    /// simulation completed within its step budget. Always `false` when
-    /// [`verify_online`] halted early — liveness is undecided then.
+    /// simulation completed within its step budget.
     pub live: bool,
     /// If unsafe, one satisfying instantiation of the forbidden
     /// predicate (the offending messages, in [`user_run`]'s numbering).
@@ -197,36 +197,7 @@ pub fn run_and_verify<P: Protocol>(
     factory: impl Fn(usize) -> P,
     spec: &ForbiddenPredicate,
 ) -> VerifyOutcome {
-    verify_with(config, workload, factory, OnlineMonitor::new(spec), spec)
-}
-
-/// Like [`run_and_verify`], but halts the simulation at the violating
-/// delivery — the early-exit online pipeline. On a violation,
-/// [`live`](VerifyOutcome::live) is reported `false` (undecided) and
-/// [`user_run`](VerifyOutcome::user_run) projects the prefix up to
-/// detection.
-pub fn verify_online<P: Protocol>(
-    config: SimConfig,
-    workload: Workload,
-    factory: impl Fn(usize) -> P,
-    spec: &ForbiddenPredicate,
-) -> VerifyOutcome {
-    verify_with(
-        config,
-        workload,
-        factory,
-        OnlineMonitor::halting(spec),
-        spec,
-    )
-}
-
-fn verify_with<P: Protocol>(
-    config: SimConfig,
-    workload: Workload,
-    factory: impl Fn(usize) -> P,
-    mut monitor: OnlineMonitor<'_>,
-    spec: &ForbiddenPredicate,
-) -> VerifyOutcome {
+    let mut monitor = OnlineMonitor::new(spec);
     let processes = config.processes;
     match Simulation::new(config, workload, factory).run_streaming(&mut monitor) {
         Ok(result) => VerifyOutcome {
@@ -596,14 +567,18 @@ mod tests {
                 "seed {seed}: detection at event {at} of {total_events} \
                  must precede the drain"
             );
-            // Same seed, halting pipeline: identical detection point,
-            // and the prefix view is strictly smaller than the full run.
-            let early = verify_online(config(n, seed), w, |_| AsyncProtocol::new(), &spec);
-            assert!(!early.safe);
-            assert_eq!(early.detection_event, full.detection_event);
-            assert_eq!(early.detection_time, full.detection_time);
+            // Same seed, halting monitor (the `simulate --online` and
+            // `soak` path): identical detection point, and the prefix
+            // view is strictly smaller than the full run.
+            let mut halting = OnlineMonitor::halting(&spec);
+            let early = Simulation::new(config(n, seed), w, |_| AsyncProtocol::new())
+                .run_streaming(&mut halting)
+                .expect("no protocol bug");
+            assert!(halting.violated());
+            assert_eq!(halting.detection_event(), full.detection_event);
+            assert_eq!(halting.detection_time(), full.detection_time);
             assert!(
-                early.user_run().len() < full.user_run().len(),
+                early.run.users_view().len() < full.user_run().len(),
                 "seed {seed}: halting before drain must leave messages incomplete"
             );
             checked = true;

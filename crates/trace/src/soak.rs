@@ -8,9 +8,9 @@
 //! the caller's base drop/duplication rates, and a [`LiveMetrics`]
 //! observer draining deltas into the shared registry — no trace is
 //! retained, so hours of episodes hold the same memory as one. When a
-//! spec is configured, an [`OnlineMonitor`] rides along and a
+//! spec is configured, an [`OnlineMonitor::halting`] rides along and a
 //! violating episode is counted (and ends at the detection, exactly as
-//! `verify_online` would). Every episode's liveness verdict feeds the
+//! `simulate --online` does). Every episode's liveness verdict feeds the
 //! per-blame-class stuck counters — the "periodic online liveness
 //! sampling" the ROADMAP asks the soak to prove.
 //!

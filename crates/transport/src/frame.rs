@@ -227,11 +227,6 @@ impl Decoder {
         self.crc = true;
     }
 
-    /// Whether the decoder is verifying per-frame checksums.
-    pub fn crc_enabled(&self) -> bool {
-        self.crc
-    }
-
     /// Frames discarded for checksum mismatch since construction.
     pub fn crc_rejected(&self) -> u64 {
         self.rejected
