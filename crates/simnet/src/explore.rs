@@ -44,7 +44,12 @@
 //!    re-encoded from scratch. The seen-set hash-conses every component
 //!    value once per exploration (SPIN's collapse compression) and keys
 //!    a state by the short vector of its component ids, so two states
-//!    merge iff every component is byte-identical.
+//!    merge iff every component is byte-identical. Each shard stores
+//!    every key and sleep set back to back in one append-only arena,
+//!    found through an index from a key's word hash to a chain of
+//!    entries that each compare the whole key, so a hash collision
+//!    never merges two states and an insert calls the allocator only
+//!    when the arena doubles.
 //! 3. **Threads** ([`ExploreOptions::threads`]). A run is its partial
 //!    order, not its interleaving, so the explorer's contract is the
 //!    *set* of terminal configurations, and the single-thread search —
@@ -71,10 +76,10 @@ use crate::kernel::{
 use crate::liveness::{self, LivenessVerdict};
 use crate::workload::Workload;
 use msgorder_runs::{StreamingRun, SystemEvent};
+use std::borrow::Borrow;
 use std::cmp::Reverse;
-use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -528,7 +533,7 @@ impl<P: Protocol + Hash> State<P> {
             // so the cache chains stay per-process-ordered.
             for entry in &self.world.fresh {
                 if let KernelEvent::Run { ev, .. } = entry {
-                    c.chain_append(node, ev, &mut table);
+                    c.chain_append(node, *ev, &mut table);
                 }
             }
             c.set_proto(node, &self.protocols[node], &mut table);
@@ -564,11 +569,6 @@ impl Hasher for Encoder<'_> {
     fn finish(&self) -> u64 {
         0
     }
-}
-
-/// A pool event's component: everything but its tie-breaking `seq`.
-fn pool_component(ev: &Scheduled) -> (u64, usize, &EventKind) {
-    (ev.time, ev.node, &ev.kind)
 }
 
 /// The incrementally maintained configuration key.
@@ -625,10 +625,7 @@ impl KeyCache {
         let processes = protocols.len();
         let mut cache = KeyCache {
             chain: vec![0; processes],
-            proto: protocols
-                .iter()
-                .map(|p| interner.intern(Space::Proto, p))
-                .collect(),
+            proto: protocols.iter().map(|p| interner.proto(p)).collect(),
             pool: Vec::new(),
         };
         for ev in pool {
@@ -637,17 +634,16 @@ impl KeyCache {
         cache
     }
 
-    fn chain_append(&mut self, p: usize, ev: &SystemEvent, interner: &mut Interner) {
-        self.chain[p] = interner.intern(Space::Chain(self.chain[p]), ev);
+    fn chain_append(&mut self, p: usize, ev: SystemEvent, interner: &mut Interner) {
+        self.chain[p] = interner.chain(self.chain[p], ev);
     }
 
     fn set_proto(&mut self, node: usize, proto: &impl Hash, interner: &mut Interner) {
-        self.proto[node] = interner.intern(Space::Proto, proto);
+        self.proto[node] = interner.proto(proto);
     }
 
     fn pool_push(&mut self, ev: &Scheduled, interner: &mut Interner) {
-        self.pool
-            .push(interner.intern(Space::Pool, &pool_component(ev)));
+        self.pool.push(interner.pool(ev));
     }
 
     /// Writes the exact key of the state whose request cursor is
@@ -656,12 +652,12 @@ impl KeyCache {
     /// material, not a digest: a digest collision would silently merge
     /// two *distinct* configurations and could prune a reachable
     /// violating schedule, which is unacceptable for a model checker.
-    /// Every id names one encoding and `n` is fixed per exploration, so
-    /// the pool's ids are the key less its first `2n` and last `n`
-    /// entries, and keys compare equal only at equal lengths: the
-    /// vector is injective with no pool count to convert. The pool is
-    /// an unordered multiset (commuting prefixes produce it in
-    /// different orders), canonicalized by sorting its ids.
+    /// Every id names one component value and `n` is fixed per
+    /// exploration, so the pool's ids are the key less its first `2n`
+    /// and last `n` entries, and keys compare equal only at equal
+    /// lengths: the vector is injective with no pool count to convert.
+    /// The pool is an unordered multiset (commuting prefixes produce it
+    /// in different orders), canonicalized by sorting its ids.
     fn exact_key(&self, cursor: &[u32], out: &mut Vec<u32>) {
         out.clear();
         out.extend_from_slice(&self.chain);
@@ -683,55 +679,161 @@ fn attach_cache<P: Hash>(state: &mut State<P>, interner: &Mutex<Interner>) {
     )));
 }
 
-/// Which table of the [`Interner`] a component belongs to.
-enum Space {
-    /// A run-event chain, named by its parent chain's id and the event
-    /// appended to it.
-    Chain(u32),
-    /// A node's protocol state.
-    Proto,
-    /// A pending pool event.
-    Pool,
+/// The explorer's word hasher (the multiply-rotate step of FxHash): one
+/// rotate, xor and multiply per word written. Every table it serves is
+/// keyed by the explorer's own ids and values, never by outside input,
+/// and exactness never rests on it — each table compares whole keys —
+/// so a weak hash costs a longer probe, never a merged state.
+#[derive(Default, Clone, Copy)]
+struct WordHasher(u64);
+
+type WordBuild = BuildHasherDefault<WordHasher>;
+
+impl WordHasher {
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
 }
 
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let mut word = [0; 8];
+            word.copy_from_slice(w);
+            self.add(u64::from_le_bytes(word));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+    /// The multiply leaves the product's best-mixed bits on top; the
+    /// rotate brings them down to the bucket index a table masks off.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// The word hash of a sequence of ids: the seen-set's index hash of a
+/// key, and the shard choice.
+fn hash_words<'a>(words: impl IntoIterator<Item = &'a u32>) -> u64 {
+    let mut h = WordHasher::default();
+    for &w in words {
+        h.add(u64::from(w));
+    }
+    h.finish()
+}
+
+/// Converts a table length into a dense `u32` id or arena offset. Every
+/// id and offset stands for stored bytes, so memory runs out long before
+/// 2³² of them.
+fn dense(n: usize) -> u32 {
+    u32::try_from(n).expect("fewer than 2^32 ids and arena offsets")
+}
+
+/// A pool event's component — everything but its tie-breaking `seq` —
+/// as the [`Interner`] looks it up: borrowed from a [`Scheduled`], so a
+/// lookup copies nothing, or owned as a stored key. Both hash and
+/// compare as the tuple `(time, node, kind)`.
+trait PoolEvent {
+    fn parts(&self) -> (u64, usize, &EventKind);
+}
+
+impl PoolEvent for Scheduled {
+    fn parts(&self) -> (u64, usize, &EventKind) {
+        (self.time, self.node, &self.kind)
+    }
+}
+
+impl PoolEvent for (u64, usize, EventKind) {
+    fn parts(&self) -> (u64, usize, &EventKind) {
+        (self.0, self.1, &self.2)
+    }
+}
+
+impl<'a> Borrow<dyn PoolEvent + 'a> for (u64, usize, EventKind) {
+    fn borrow(&self) -> &(dyn PoolEvent + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn PoolEvent + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn PoolEvent + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn PoolEvent + '_ {}
+
 /// The hash-consing table behind exact keys (collapse compression):
-/// every distinct component value is stored once, as its canonical
-/// bytes, and named by a dense `u32` id. A chain is a trie path — its
-/// id is that of (parent chain id, appended event encoding) — so an
-/// append costs one lookup, and two chains share an id iff their event
-/// sequences are equal. Ids are stable within one exploration; `0` is
-/// the empty chain.
+/// every distinct component value is stored once and named by a dense
+/// `u32` id, per table in order of first sight from `1`. A chain is a
+/// trie path — its id is that of (parent chain id, appended event) — so
+/// an append costs one lookup, and two chains share an id iff their
+/// event sequences are equal. Chains and pool events are keyed by value;
+/// a protocol state, known only to be `Hash`, by the bytes its `Hash`
+/// writes. Ids are stable within one exploration; `0` is the empty
+/// chain.
 #[derive(Default)]
 struct Interner {
-    chains: HashMap<Box<[u8]>, u32>,
-    protos: HashMap<Box<[u8]>, u32>,
-    pool: HashMap<Box<[u8]>, u32>,
-    /// Where a component is encoded; its bytes are copied into a table
-    /// only when they are new.
+    chains: HashMap<(u32, SystemEvent), u32, WordBuild>,
+    protos: HashMap<Box<[u8]>, u32, WordBuild>,
+    pool: HashMap<(u64, usize, EventKind), u32, WordBuild>,
+    /// Where a protocol state is encoded; its bytes are copied into the
+    /// table only when they are new.
     scratch: Vec<u8>,
 }
 
 impl Interner {
-    /// Encodes `value` into `space` and returns its id. The table
-    /// compares whole encodings, so one id names one byte string.
-    fn intern(&mut self, space: Space, value: &(impl Hash + ?Sized)) -> u32 {
+    /// The id of `parent`'s chain extended by `ev`.
+    fn chain(&mut self, parent: u32, ev: SystemEvent) -> u32 {
+        let next = self.chains.len() + 1;
+        *self
+            .chains
+            .entry((parent, ev))
+            .or_insert_with(|| dense(next))
+    }
+
+    /// The id of a protocol state's encoding. The table compares whole
+    /// encodings, so one id names one byte string.
+    fn proto(&mut self, proto: &(impl Hash + ?Sized)) -> u32 {
         self.scratch.clear();
-        let table = match space {
-            Space::Chain(parent) => {
-                self.scratch.extend_from_slice(&parent.to_le_bytes());
-                &mut self.chains
-            }
-            Space::Proto => &mut self.protos,
-            Space::Pool => &mut self.pool,
-        };
-        value.hash(&mut Encoder(&mut self.scratch));
-        if let Some(&id) = table.get(&self.scratch[..]) {
+        proto.hash(&mut Encoder(&mut self.scratch));
+        if let Some(&id) = self.protos.get(&self.scratch[..]) {
             return id;
         }
-        // Each entry holds its bytes: memory runs out long before 2³²
-        // distinct components.
-        let id = u32::try_from(table.len() + 1).expect("fewer than 2^32 distinct components");
-        table.insert(self.scratch.as_slice().into(), id);
+        let id = dense(self.protos.len() + 1);
+        self.protos.insert(self.scratch.as_slice().into(), id);
+        id
+    }
+
+    /// The id of a pending event's component.
+    fn pool(&mut self, ev: &Scheduled) -> u32 {
+        if let Some(&id) = self.pool.get(ev as &dyn PoolEvent) {
+            return id;
+        }
+        let id = dense(self.pool.len() + 1);
+        self.pool.insert((ev.time, ev.node, ev.kind.clone()), id);
         id
     }
 }
@@ -756,31 +858,57 @@ enum SeenVerdict {
 struct SeenShards {
     shards: Vec<Mutex<Shard>>,
     mask: usize,
-    /// Picks a state's shard when there is more than one.
-    hasher: RandomState,
     /// The component table, shared by every worker.
     interner: Mutex<Interner>,
 }
 
+/// One seen-set shard: an append-only arena. Every stored key and sleep
+/// set lies back to back in `keys` and `sleeps`, an [`Entry`] records
+/// where, and `index` maps a key's word hash to the newest entry with
+/// that hash, older ones chained through [`Entry::next`]. A lookup
+/// compares the length and then the whole key at each entry of its
+/// chain, so keys that share a hash cost a comparison each and never
+/// merge. An insert appends to three vectors and the index, so it calls
+/// the allocator only when one of them doubles.
 #[derive(Default)]
 struct Shard {
-    /// Exact key → stored sleep set.
-    states: HashMap<Box<[u32]>, Vec<TKey>>,
+    keys: Vec<u32>,
+    sleeps: Vec<TKey>,
+    entries: Vec<Entry>,
+    index: HashMap<u64, u32, WordBuild>,
     /// The probed key, built under the shard lock so that a revisit
     /// allocates nothing.
     probe: Vec<u32>,
 }
 
-/// Applies the sleep-set subset rule to a revisited state, narrowing
-/// `stored` in place to its intersection with `sleep` when the state
-/// must be re-explored. With reduction off both sets are empty and this
-/// is a plain prune.
-fn por_rule(stored: &mut Vec<TKey>, sleep: &[TKey], por: bool) -> SeenVerdict {
+/// Where one stored state's key and sleep set sit in its [`Shard`].
+struct Entry {
+    key: u32,
+    key_len: u32,
+    sleep: u32,
+    /// Shrinks in place when a revisit narrows the stored set.
+    sleep_len: u32,
+    /// The next older entry whose key has the same word hash.
+    next: Option<u32>,
+}
+
+/// Applies the sleep-set subset rule to a revisited state: `None` to
+/// prune it, or — when it must be re-explored — `Some(kept)` after
+/// narrowing `stored` in place, stably, so that its first `kept` members
+/// are its intersection with `sleep`. With reduction off both sets are
+/// empty and this is a plain prune.
+fn por_rule(stored: &mut [TKey], sleep: &[TKey], por: bool) -> Option<usize> {
     if !por || stored.iter().all(|u| sleep.contains(u)) {
-        return SeenVerdict::Prune;
+        return None;
     }
-    stored.retain(|u| sleep.contains(u));
-    SeenVerdict::EnterWith
+    let mut kept = 0;
+    for i in 0..stored.len() {
+        if sleep.contains(&stored[i]) {
+            stored.swap(kept, i);
+            kept += 1;
+        }
+    }
+    Some(kept)
 }
 
 impl SeenShards {
@@ -796,7 +924,6 @@ impl SeenShards {
         Some(SeenShards {
             shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
             mask: n - 1,
-            hasher: RandomState::new(),
             interner: Mutex::default(),
         })
     }
@@ -816,22 +943,14 @@ impl SeenShards {
         let i = if self.mask == 0 {
             0
         } else {
-            self.hasher.hash_one((&cache.chain, &cache.proto)) as usize & self.mask
+            hash_words(cache.chain.iter().chain(&cache.proto)) as usize & self.mask
         };
         let mut shard = self.shards[i]
             .lock()
             .expect("no worker panicked in the seen-set");
-        let Shard { states, probe } = &mut *shard;
-        cache.exact_key(cursor, probe);
-        if let Some(stored) = states.get_mut(&probe[..]) {
-            let verdict = por_rule(stored, sleep, por);
-            if let SeenVerdict::EnterWith = verdict {
-                sleep.clone_from(stored);
-            }
-            return verdict;
-        }
-        states.insert(probe.as_slice().into(), sleep.to_vec());
-        SeenVerdict::Enter
+        cache.exact_key(cursor, &mut shard.probe);
+        let h = hash_words(&shard.probe);
+        shard.check_hashed(h, sleep, por)
     }
 
     /// Distinct states inserted.
@@ -841,10 +960,57 @@ impl SeenShards {
             .map(|s| {
                 s.lock()
                     .expect("no worker panicked in the seen-set")
-                    .states
-                    .len()
+                    .states()
             })
             .sum()
+    }
+}
+
+impl Shard {
+    fn states(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// [`SeenShards::check`] for the key in `probe`, whose word hash is
+    /// `h`.
+    fn check_hashed(&mut self, h: u64, sleep: &mut Vec<TKey>, por: bool) -> SeenVerdict {
+        let Shard {
+            keys,
+            sleeps,
+            entries,
+            index,
+            probe,
+        } = self;
+        let head = index.get(&h).copied();
+        let mut at = head;
+        while let Some(i) = at {
+            let e = &mut entries[i as usize];
+            // Slice equality compares the lengths first, so a key that
+            // prefixes another is another state.
+            if keys[e.key as usize..][..e.key_len as usize] == probe[..] {
+                let stored = &mut sleeps[e.sleep as usize..][..e.sleep_len as usize];
+                let Some(kept) = por_rule(stored, sleep, por) else {
+                    return SeenVerdict::Prune;
+                };
+                e.sleep_len = dense(kept);
+                sleep.clear();
+                sleep.extend_from_slice(&stored[..kept]);
+                return SeenVerdict::EnterWith;
+            }
+            at = e.next;
+        }
+        let id = dense(entries.len());
+        entries.push(Entry {
+            key: dense(keys.len()),
+            key_len: dense(probe.len()),
+            sleep: dense(sleeps.len()),
+            sleep_len: dense(sleep.len()),
+            next: head,
+        });
+        keys.extend_from_slice(probe);
+        sleeps.extend_from_slice(sleep);
+        index.insert(h, id);
+        SeenVerdict::Enter
     }
 }
 
@@ -1747,6 +1913,11 @@ mod tests {
         }
     }
 
+    /// A pool event's component: everything but its tie-breaking `seq`.
+    fn pool_component(ev: &Scheduled) -> (u64, usize, &EventKind) {
+        (ev.time, ev.node, &ev.kind)
+    }
+
     /// `value`'s canonical encoding, copied out.
     fn bytes_of(value: &(impl Hash + ?Sized)) -> Vec<u8> {
         let mut out = Vec::new();
@@ -1874,10 +2045,59 @@ mod tests {
         // chains; appending it again finds the one already interned.
         let mut interner = Interner::default();
         let ev = SystemEvent::new(MessageId(0), msgorder_runs::EventKind::Send);
-        let a = interner.intern(Space::Chain(1), &ev);
-        let b = interner.intern(Space::Chain(2), &ev);
+        let a = interner.chain(1, ev);
+        let b = interner.chain(2, ev);
         assert_ne!(a, b, "two chains merged");
-        assert_eq!(interner.intern(Space::Chain(2), &ev), b);
+        assert_eq!(interner.chain(2, ev), b);
+    }
+
+    /// Stores or revisits `key` in `shard` under the index hash `h`.
+    fn visit_hashed(shard: &mut Shard, h: u64, key: &[u32]) -> SeenVerdict {
+        shard.probe.clear();
+        shard.probe.extend_from_slice(key);
+        shard.check_hashed(h, &mut Vec::new(), true)
+    }
+
+    #[test]
+    fn distinct_keys_sharing_an_index_hash_stay_distinct() {
+        // Every hash is the same here, so only the comparison of whole
+        // keys along the entry chain tells the two states apart.
+        let mut shard = Shard::default();
+        for key in [[1, 2, 3], [1, 2, 4]] {
+            assert!(matches!(
+                visit_hashed(&mut shard, 7, &key),
+                SeenVerdict::Enter
+            ));
+        }
+        for key in [[1, 2, 3], [1, 2, 4]] {
+            assert!(matches!(
+                visit_hashed(&mut shard, 7, &key),
+                SeenVerdict::Prune
+            ));
+        }
+        assert_eq!(shard.states(), 2);
+    }
+
+    #[test]
+    fn a_key_that_prefixes_a_stored_key_is_a_new_state() {
+        // Keys differ in length only by their pool, so one can be a
+        // prefix of another: both orders of arrival must store both.
+        for (first, second) in [(&[1, 2, 3][..], &[1, 2][..]), (&[1, 2], &[1, 2, 3])] {
+            let mut shard = Shard::default();
+            assert!(matches!(
+                visit_hashed(&mut shard, 7, first),
+                SeenVerdict::Enter
+            ));
+            assert!(matches!(
+                visit_hashed(&mut shard, 7, second),
+                SeenVerdict::Enter
+            ));
+            assert!(matches!(
+                visit_hashed(&mut shard, 7, first),
+                SeenVerdict::Prune
+            ));
+            assert_eq!(shard.states(), 2);
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! The same test bounds the explorer's allocator calls: by the depth of
 //! the search rather than by its schedule count, so a per-branch state
 //! copy or a per-node buffer cannot come back unnoticed, and under exact
-//! deduplication, so a per-state byte key cannot either.
+//! deduplication, so a per-state key or sleep-set allocation cannot
+//! either.
 //!
 //! One `#[test]` for the whole file: the counter is process-global, so a
 //! second test on a parallel harness thread would be counted too.
@@ -192,12 +193,13 @@ fn dispatch_is_allocation_free_at_steady_state() {
     );
 
     // Exact deduplication merges the same space into 6 schedules over
-    // 24 states: 225 allocator calls with interned components and one
-    // id-vector key per state, its stored sleep set and the interner's
-    // tables making up most of them (385 with a fresh state clone per
-    // branch, 450 before the state clone shrank, see above). Copying
-    // every component's bytes into each state and into a fresh key per
-    // insert cost 807.
+    // 24 states: 168 allocator calls with interned components and every
+    // key and sleep set stored in the seen-set's arena, the interner's
+    // tables and the arena's doublings making up most of them. One boxed
+    // id-vector key and one sleep-set vector per state cost 225 (385
+    // with a fresh state clone per branch, 450 before the state clone
+    // shrank, see above); copying every component's bytes into each
+    // state and into a fresh key per insert cost 807.
     let exact = ExploreOptions {
         dedup: DedupMode::Exact,
         ..ExploreOptions::default()
@@ -207,7 +209,32 @@ fn dispatch_is_allocation_free_at_steady_state() {
         msgorder_testkit::counting(|| explore(2, w, |_| Immediate, &exact, &|_| true));
     assert_eq!((exp.schedules, exp.states), (6, 24));
     assert!(
-        calls <= 225,
-        "{calls} allocator calls for 24 exact states: is a byte key built per state again?"
+        calls <= 168,
+        "{calls} allocator calls for 24 exact states: is a key or a sleep set boxed per state again?"
+    );
+
+    // Pool shape 0 under reduction with exact deduplication: 49 318
+    // states in 568 allocator calls, 176 beyond the reduced search's own
+    // — an insert allocates only when an arena or a table doubles. One
+    // boxed key and one sleep-set vector per state cost 81 972, about
+    // 1.7 per state.
+    let por_exact = ExploreOptions {
+        por: true,
+        dedup: DedupMode::Exact,
+        ..ExploreOptions::default()
+    };
+    let (exp, calls) = msgorder_testkit::counting(|| {
+        explore(
+            3,
+            Workload::uniform_random(3, 7, 3),
+            |_| Immediate,
+            &por_exact,
+            &|_| true,
+        )
+    });
+    assert_eq!(exp.states, 49_318);
+    assert!(
+        calls <= 600,
+        "{calls} allocator calls for 49 318 exact states: the seen-set allocates per state again"
     );
 }
