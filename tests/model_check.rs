@@ -389,6 +389,57 @@ fn full_and_reduced_search_reach_the_same_views_for_every_kind() {
     assert_eq!(sizes, want);
 }
 
+/// A kind that sends no control frame appends a run event at its
+/// process on every dispatch, so two equal state keys are one
+/// Mazurkiewicz trace, which the sleep sets already enter once (ROADMAP
+/// item 15(a)). On a seeded shape under reduction the seen-set therefore
+/// prunes nothing for the tagless and tagged kinds, which all walk one
+/// tree; only the general kinds, whose control frames append no run
+/// event, revisit states.
+#[test]
+fn only_control_frame_kinds_revisit_states_under_reduction() {
+    use msgorder::predicate::catalog::PaperClass;
+    use msgorder::protocols::ProtocolKind;
+    let w = Workload::uniform_random(3, 5, 2);
+    // (kind, schedules without the seen-set, schedules and states with it)
+    #[rustfmt::skip]
+    let pins = [
+        (ProtocolKind::Async, 48, 48, 314),
+        (ProtocolKind::Fifo, 48, 48, 314),
+        (ProtocolKind::CausalRst, 48, 48, 314),
+        (ProtocolKind::CausalSes, 48, 48, 314),
+        (ProtocolKind::Flush, 48, 48, 314),
+        (ProtocolKind::Sync, 8_484, 112, 2_909),
+        (ProtocolKind::SyncBatched, 1_708, 65, 1_797),
+    ];
+    for (kind, off, exact, states) in pins {
+        let [o, e] = [DedupMode::Off, DedupMode::Exact].map(|dedup| {
+            let opts = ExploreOptions {
+                por: true,
+                dedup,
+                ..ExploreOptions::default()
+            };
+            let e = explore(
+                3,
+                w.clone(),
+                |node| kind.explorable(3, node, false),
+                &opts,
+                &|_| true,
+            );
+            assert!(!e.truncated && e.error.is_none(), "{}", kind.name());
+            e
+        });
+        let name = kind.name();
+        assert_eq!(
+            (o.schedules, e.schedules, e.states),
+            (off, exact, states),
+            "{name}"
+        );
+        let revisits = e.schedules < o.schedules;
+        assert_eq!(revisits, kind.class() == PaperClass::General, "{name}");
+    }
+}
+
 #[test]
 fn async_protocol_exhaustively_crosses_the_pair() {
     let w = crossing_pair();
