@@ -121,8 +121,11 @@ impl Protocol for CausalSes {
 mod tests {
     use super::*;
     use crate::causal_rst::CausalRst;
+    use crate::tagcodec;
     use msgorder_runs::limit_sets;
     use msgorder_simnet::{LatencyModel, SimConfig, Simulation, StreamResult, Workload};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn sim(processes: usize, seed: u64, w: Workload) -> StreamResult {
         Simulation::run_uniform(
@@ -172,30 +175,77 @@ mod tests {
         }
     }
 
+    /// A protocol with its arriving tags copied out.
+    struct Tapped<P> {
+        inner: P,
+        tags: Rc<RefCell<Vec<Vec<u8>>>>,
+    }
+
+    impl<P: Protocol> Protocol for Tapped<P> {
+        fn on_send_request(&mut self, ctx: &mut Ctx<'_>, msg: MessageId) {
+            self.inner.on_send_request(ctx, msg);
+        }
+
+        fn on_user_frame(
+            &mut self,
+            ctx: &mut Ctx<'_>,
+            from: ProcessId,
+            msg: MessageId,
+            tag: Vec<u8>,
+        ) {
+            self.tags.borrow_mut().push(tag.clone());
+            self.inner.on_user_frame(ctx, from, msg, tag);
+        }
+    }
+
+    /// Every tag `make`'s instances send on a lossless network (each
+    /// one arrives exactly once), and the tag bytes the kernel counted.
+    fn tags_sent<P: Protocol>(n: usize, make: impl Fn(usize) -> P) -> (Vec<Vec<u8>>, usize) {
+        let tags = Rc::new(RefCell::new(Vec::new()));
+        let r = Simulation::run_uniform(
+            SimConfig::new(n, LatencyModel::Uniform { lo: 1, hi: 300 }, 5),
+            Workload::uniform_random(n, 30, 5),
+            |me| Tapped {
+                inner: make(me),
+                tags: Rc::clone(&tags),
+            },
+        )
+        .expect("no protocol bug");
+        assert!(r.completed && r.run.is_quiescent());
+        let tags = tags.take();
+        assert_eq!(tags.len(), 30);
+        assert_eq!(r.stats.tag_bytes, tags.iter().map(Vec::len).sum::<usize>());
+        (tags, r.stats.tag_bytes)
+    }
+
     #[test]
     fn ses_tags_smaller_than_rst_for_larger_systems() {
         // The point of SES: constraint sets stay sparse while the RST
-        // matrix is always n². Compare mean tag bytes on a sparse
-        // workload over many processes.
+        // matrix is always n². Compare the counters each tag carries —
+        // n·(1 + |constraints|) against n² — on a sparse workload over
+        // many processes. Bytes would compare codecs (SES's JSON against
+        // RST's varints), not the algorithms.
         let n = 8;
-        let w = Workload::uniform_random(n, 30, 5);
-        let ses = Simulation::run_uniform(
-            SimConfig::new(n, LatencyModel::Uniform { lo: 1, hi: 300 }, 5),
-            w.clone(),
-            |me| CausalSes::new(n, me),
-        )
-        .expect("no protocol bug");
-        let rst = Simulation::run_uniform(
-            SimConfig::new(n, LatencyModel::Uniform { lo: 1, hi: 300 }, 5),
-            w,
-            |_| CausalRst::new(n),
-        )
-        .expect("no protocol bug");
+        let (ses, ses_bytes) = tags_sent(n, |me| CausalSes::new(n, me));
+        let (rst, rst_bytes) = tags_sent(n, |_| CausalRst::new(n));
+        let ses_counters: usize = ses
+            .iter()
+            .map(|t| {
+                let tag: Tag = serde_json::from_slice(t).expect("SES tag decodes");
+                n * (1 + tag.constraints.len())
+            })
+            .sum();
+        let rst_counters: usize = rst
+            .iter()
+            .map(|t| {
+                let mut m = Vec::new();
+                tagcodec::decode_into(t, n * n, &mut m).expect("RST tag decodes");
+                m.len()
+            })
+            .sum();
         assert!(
-            ses.stats.tag_bytes < rst.stats.tag_bytes,
-            "SES {} vs RST {}",
-            ses.stats.tag_bytes,
-            rst.stats.tag_bytes
+            ses_counters < rst_counters,
+            "SES {ses_counters} vs RST {rst_counters} counters ({ses_bytes} vs {rst_bytes} bytes)"
         );
     }
 

@@ -41,6 +41,7 @@ pub mod registry;
 pub mod reliable;
 pub mod sync;
 pub mod synthesis;
+pub mod tagcodec;
 pub mod verify;
 
 pub use asynch::AsyncProtocol;

@@ -2,9 +2,12 @@
 //! seeds, workload shapes and latency spreads.
 
 use msgorder_predicate::{catalog, eval};
-use msgorder_protocols::ProtocolKind;
-use msgorder_runs::limit_sets;
-use msgorder_simnet::{LatencyModel, SimConfig, Simulation, Workload};
+use msgorder_protocols::{CausalBss, ProtocolKind};
+use msgorder_runs::{limit_sets, MessageId, ProcessId};
+use msgorder_simnet::{
+    HostAction, HostEnv, HostEvent, LatencyModel, Protocol, ProtocolHost, SimConfig, Simulation,
+    Workload,
+};
 use proptest::prelude::*;
 
 fn run(
@@ -20,6 +23,45 @@ fn run(
         |node| kind.instantiate(procs, node),
     )
     .expect("no protocol bug")
+}
+
+/// Every tagged kind: the registry's, and `causal-bss` with the
+/// broadcast workload it requires.
+const TAGGED: [&str; 6] = [
+    "fifo",
+    "causal-rst",
+    "causal-ses",
+    "causal-bss",
+    "flush",
+    "synthesized",
+];
+
+fn tagged(name: &str, n: usize, node: usize) -> Box<dyn Protocol> {
+    if name == "causal-bss" {
+        return Box::new(CausalBss::new(n, node));
+    }
+    ProtocolKind::by_name(name, Some(&catalog::causal()))
+        .expect("a registry kind")
+        .instantiate(n, node)
+}
+
+/// The user frames `name` sends for `w` on 3 processes, each request
+/// dispatched to its sender through the host harness: `(from, msg, tag)`.
+fn frames_sent(name: &str, w: &Workload) -> Vec<(ProcessId, MessageId, Vec<u8>)> {
+    let mut senders: Vec<_> = (0..3)
+        .map(|node| (tagged(name, 3, node), HostEnv::new(node, 3, w)))
+        .collect();
+    let mut frames = Vec::new();
+    for (i, send) in w.sends.iter().enumerate() {
+        let (p, env) = &mut senders[send.src];
+        p.process_event(env, HostEvent::Request { msg: MessageId(i) });
+        for action in env.take_actions() {
+            if let HostAction::SendUser { msg, tag } = action {
+                frames.push((ProcessId(send.src), msg, tag));
+            }
+        }
+    }
+    frames
 }
 
 proptest! {
@@ -95,5 +137,47 @@ proptest! {
         prop_assert!(r.completed && r.run.is_quiescent());
         prop_assert!(eval::satisfies_spec(&pred, &r.run.users_view()));
         prop_assert_eq!(r.stats.control_messages, 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// No bytes on the wire reach a panic: a user frame whose tag is
+    /// arbitrary, or a real tag with one bit flipped, is either rejected
+    /// (and nothing else happens) or acted on, by every tagged kind.
+    #[test]
+    fn foreign_tag_bytes_are_rejected_or_acted_on(
+        kind in 0usize..TAGGED.len(),
+        seed in 0u64..10_000,
+        pick in any::<usize>(),
+        bit in any::<usize>(),
+        junk in collection::vec(any::<u8>(), 0..64),
+        flip in any::<bool>(),
+    ) {
+        let name = TAGGED[kind];
+        let w = if name == "causal-bss" {
+            Workload::broadcast_rounds(3, 2, seed)
+        } else {
+            Workload::uniform_random(3, 8, seed)
+        };
+        let frames = frames_sent(name, &w);
+        let (from, msg, clean) = &frames[pick % frames.len()];
+        let tag = if flip {
+            let mut dirty = clean.clone();
+            let bit = bit % (dirty.len() * 8);
+            dirty[bit / 8] ^= 1 << (bit % 8);
+            dirty
+        } else {
+            junk
+        };
+        let dst = w.sends[msg.0].dst;
+        let mut env = HostEnv::new(dst, 3, &w);
+        let mut p = tagged(name, 3, dst);
+        p.process_event(&mut env, HostEvent::UserFrame { from: *from, msg: *msg, tag });
+        let actions = env.take_actions();
+        if actions.iter().any(|a| matches!(a, HostAction::RejectFrame { .. })) {
+            prop_assert_eq!(actions.len(), 1, "{} rejected and acted: {:?}", name, actions);
+        }
     }
 }

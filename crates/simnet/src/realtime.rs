@@ -29,8 +29,9 @@
 //!    function that applies a simulated protocol's
 //!    [`Ctx`](crate::Ctx) calls (journal, stats, fault accounting).
 //!
-//! Replaying the recorded decisions through [`Simulation::with_replay`]
-//! therefore reproduces the identical event sequence, fingerprint, and
+//! Replaying the recorded decisions through
+//! [`Simulation::with_replay`](crate::Simulation::with_replay) therefore
+//! reproduces the identical event sequence, fingerprint, and
 //! verdict — a live-socket trace rides the verify/shrink pipeline
 //! unchanged (the perp-sim pacing idea from SNIPPETS.md §1, grafted
 //! onto the replayable kernel).

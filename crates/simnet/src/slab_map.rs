@@ -1,7 +1,7 @@
 //! [`SortedSlab`] — a flat ordered map for hashable protocol state.
 //!
-//! The deduplicating explorer ([`crate::explore`]) encodes protocol
-//! state through `std::hash::Hash` after every dispatch; a `BTreeMap`
+//! The deduplicating explorer ([`explore`](mod@crate::explore)) encodes
+//! protocol state through `std::hash::Hash` after every dispatch; a `BTreeMap`
 //! there means the hasher pointer-chases tree nodes on every
 //! canonicalization. `SortedSlab` keeps the same canonical semantics —
 //! entries ordered by key, order-independent equality and hashing — in

@@ -407,7 +407,8 @@ fn client_refuses_events_naming_unknown_ids() {
     let unknown_sender = HostEvent::UserFrame {
         from: ProcessId(7),
         msg: MessageId(0),
-        tag: br#"{"sent":[[0,0,0],[0,0,0],[0,0,0]]}"#.to_vec(),
+        // A well-formed 3-process tag: a refusal here is the sender's.
+        tag: msgorder_protocols::tagcodec::encode(&[0; 9]),
     };
     for ev in [unknown_message, unknown_sender] {
         let event = EventMsg { seq: 0, now: 0, ev };

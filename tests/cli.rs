@@ -750,7 +750,7 @@ const PINS: &[(&str, &[&str], &[&str])] = &[
     (
         "simulate --protocol causal-rst --processes 3 --messages 20 --seed 4 --spec causal \
          --crash 1:40:150 --record TRACE",
-        &["fingerprint e2fcaa8795271739"],
+        &["fingerprint 174530aec7ef4d99"],
         &["DeferredToRestart"],
     ),
     // Post-hoc limit sets at episode scale.
@@ -773,7 +773,7 @@ const PINS: &[(&str, &[&str], &[&str])] = &[
     // The metrics report is rendered from the registry.
     (
         "simulate --protocol causal-rst --spec causal --corrupt 0.3 --reliable --seed 1 --metrics",
-        &["rejected frames     6 (malformed 6)", "delivery latency"],
+        &["rejected frames     7 (malformed 7)", "delivery latency"],
         &[],
     ),
     // Chaos sweeps, seeded and bounded.

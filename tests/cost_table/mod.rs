@@ -138,7 +138,7 @@ const COSTS: &[Cost] = &[
            catches: "a view built or a snapshot digested per leaf", measure: checked_leaf },
     Cost { layer: "protocols", operation: "tag bytes per user message, fifo, 400 messages", bound: 8.0,
            catches: "a wider sequence-number tag", measure: || tag_bytes(ProtocolKind::Fifo, 400) },
-    Cost { layer: "protocols", operation: "tag bytes per user message, causal-rst, 400 messages", bound: 58.2,
+    Cost { layer: "protocols", operation: "tag bytes per user message, causal-rst, 400 messages", bound: 17.0,
            catches: "a wider or less sparse matrix tag", measure: || tag_bytes(ProtocolKind::CausalRst, 400) },
     Cost { layer: "protocols", operation: "tag bytes per user message, causal-ses, 400 messages", bound: 137.9875,
            catches: "constraint sets that are pruned less", measure: || tag_bytes(ProtocolKind::CausalSes, 400) },
