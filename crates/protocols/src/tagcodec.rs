@@ -71,6 +71,9 @@ fn decode_counters(bytes: &[u8], count: usize, out: &mut Vec<u64>) -> Option<()>
     if checksum(body) != check {
         return None;
     }
+    // Once, not by doubling: a cloned `out` has exact capacity. Every
+    // counter takes at least a byte, so a bad `count` reserves no more.
+    out.reserve(count.min(body.len()));
     let mut at = 0;
     for _ in 0..count {
         // A byte below 0x80 is a whole varint, canonical as it stands.

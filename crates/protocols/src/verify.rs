@@ -714,6 +714,42 @@ mod tests {
         }
     }
 
+    /// A tag's id is handed out by whichever worker first sees the tag,
+    /// so the tagged kinds' searches must not depend on the thread
+    /// count. Every complete run violates the spec, so equal digests
+    /// mean equal sets of views.
+    #[test]
+    fn tagged_kinds_agree_across_threads() {
+        let spec = msgorder_predicate::parse::parse("forbid x: x.s < x.r").expect("parses");
+        for kind in [ProtocolKind::Fifo, ProtocolKind::CausalRst] {
+            for dedup in [DedupMode::Off, DedupMode::Exact] {
+                let search = |threads| {
+                    let opts = ExploreOptions {
+                        por: true,
+                        dedup: dedup.clone(),
+                        threads,
+                        ..ExploreOptions::default()
+                    };
+                    let w = Workload::uniform_random(3, 7, 3);
+                    let found = explore_violations(
+                        3,
+                        w,
+                        |node| kind.explorable(3, node, false),
+                        &spec,
+                        &opts,
+                    );
+                    let e = &found.exploration;
+                    let counts = (e.schedules, e.states, e.error.is_none());
+                    (counts, found.schedules, found.configs.len(), found.digest())
+                };
+                let one = search(1);
+                assert_eq!(one.1, one.0 .0, "every schedule violates");
+                assert!(one.2 > 1, "{} reaches one view", kind.name());
+                assert_eq!(search(4), one, "{} under {dedup:?}", kind.name());
+            }
+        }
+    }
+
     /// The single-thread search is the reference for every other mode,
     /// so its traversal is pinned: `(schedules, pruned, states,
     /// sleep_skipped, truncated)` as captured at the commit before the

@@ -8,10 +8,11 @@
 //! a state is dead the moment its last explorable child has been
 //! dispatched, so that child runs on the state (and the monitor) it
 //! inherits, and only a child with a later sibling — the one kind that
-//! can also be donated to another worker — is first copied into its
-//! depth's spare state with `clone_from`. Each worker keeps one frame
-//! of reusable buffers per DFS depth (the enabled transitions, the
-//! sleep and done sets, that spare), so once every depth has been
+//! can also be donated to another worker — is first copied with
+//! `clone_from` into the state slot of the depth below. Each worker
+//! keeps one level per DFS depth: reusable buffers (the enabled
+//! transitions, the sleep and done sets) and that slot. A DFS step moves
+//! only the buffers, never a state, so once every depth has been
 //! reached a branch costs copies into warm buffers and no allocator
 //! calls. The traversal, the visit order and every counter are those of
 //! cloning at each branch: which child pays for the copy, and where the
@@ -76,12 +77,11 @@ use crate::kernel::{
 use crate::liveness::{self, LivenessVerdict};
 use crate::workload::Workload;
 use msgorder_runs::{StreamingRun, SystemEvent};
-use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The most worker threads one exploration runs. A larger
 /// [`ExploreOptions::threads`] is clamped to it, and
@@ -292,7 +292,7 @@ where
 /// schedules; [`Exploration::pruned`] counts the condemned prefixes.
 ///
 /// The monitor is copied wherever the state is — for every child but the
-/// last of each state, into that depth's spare with
+/// last of each state, into the next depth's slot with
 /// [`Clone::clone_from`] — so it should keep its state small, or
 /// implement `clone_from` to reuse its buffers. Only run
 /// events reach it: wire and fault records are not journaled under
@@ -329,42 +329,47 @@ where
 
 /// Builds the explorer's root state: the initial world via the normal
 /// constructor (declares all messages), with the kernel's request
-/// cursor drained into per-process queues so their relative order per
-/// process is preserved. The queues are shared by every state of the
+/// cursor drained and grouped by process, each process's requests in
+/// issue order. The requests are shared by every state of the
 /// exploration; a state only moves its per-process cursor along them.
+/// Every pending event is keyed once, here or when it enters the pool,
+/// its payload named in `interner`.
 fn initial_state<P: Protocol + Clone>(
     processes: usize,
     workload: Workload,
     factory: impl Fn(usize) -> P,
     faults: &FaultModel,
+    interner: &Mutex<Interner>,
 ) -> State<P> {
     let config = SimConfig::new(processes, crate::latency::LatencyModel::Fixed(1), 0)
         .with_faults(faults.clone());
     let sim = Simulation::new(config, workload, factory);
     let (mut world, mut protocols) = sim.into_parts();
-    let mut requests: Vec<Vec<Scheduled>> = vec![Vec::new(); processes];
+    let mut table = interner.lock().expect("no worker panicked interning");
+    let mut keyed = |ev: Scheduled| (TKey::of(&ev, |bytes| table.bytes(bytes)), ev);
+    let mut requests = Vec::with_capacity(world.requests.len());
     // `World::build` schedules nothing: every pending event is a request.
     while let Some(ev) = world.pop_next() {
-        requests[ev.node].push(ev);
+        requests.push(keyed(ev));
     }
+    // A stable sort: each process's requests stay in issue order.
+    requests.sort_by_key(|(_, ev)| ev.node);
+    let cursor = (0..processes)
+        .map(|p| dense(requests.partition_point(|(_, ev)| ev.node < p)))
+        .collect();
     for node in 0..processes {
         protocols.react(&mut world, node, HostEvent::Init);
     }
-    // The emptied cursor's buffer becomes the pool's (collected in
-    // place), so the root adds no allocation of its own.
-    let mut pool: Vec<Scheduled> = std::mem::take(&mut world.requests)
-        .into_iter()
-        .map(|Reverse(ev)| ev)
-        .collect();
+    let mut pool = Vec::with_capacity(requests.len());
     while let Some(Reverse(ev)) = world.queue.pop() {
-        pool.push(ev);
+        pool.push(keyed(ev));
     }
     State {
         world,
         protocols,
         pool,
-        requests: requests.into_iter().map(Vec::into_boxed_slice).collect(),
-        cursor: vec![0; processes],
+        requests: requests.into(),
+        cursor,
         cache: None,
     }
 }
@@ -378,20 +383,57 @@ fn initial_state<P: Protocol + Clone>(
 /// excluded — two pending events with the same `(node, time, kind)`
 /// have identical dispatch effects, so they are interchangeable for
 /// sleep sets.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Three words and `Copy`: a tag or control payload is named by its
+/// [`Interner::bytes`] id, which is one-to-one, so two keys are equal iff
+/// their events' `(node, time, kind)` are, and sleep sets, done sets and
+/// the seen-set copy and compare words, never payload bytes. A pending
+/// event is keyed once, when it enters the pool or the root's requests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct TKey {
-    node: usize,
     time: u64,
-    kind: EventKind,
+    /// `node << 2 | kind`, the kind one of `REQUEST`, `USER`, `CONTROL`
+    /// and `TIMER`.
+    head: u32,
+    /// The kind's fields: a request's message; a user frame's sender,
+    /// message and tag id; a control frame's sender and payload id; a
+    /// timer's id, low word first.
+    body: [u32; 3],
 }
 
 impl TKey {
-    fn of(ev: &Scheduled) -> TKey {
+    const REQUEST: u32 = 0;
+    const USER: u32 = 1;
+    const CONTROL: u32 = 2;
+    const TIMER: u32 = 3;
+
+    /// `ev`'s key, its payload named by `name`; an empty payload is
+    /// `0` and never named, so the tagless kinds never reach the table.
+    fn of(ev: &Scheduled, mut name: impl FnMut(&[u8]) -> u32) -> TKey {
+        let mut id = |bytes: &[u8]| if bytes.is_empty() { 0 } else { name(bytes) };
+        let (kind, body) = match &ev.kind {
+            EventKind::Request { msg } => (Self::REQUEST, [dense(msg.0), 0, 0]),
+            EventKind::UserArrival { from, msg, tag } => {
+                (Self::USER, [dense(*from), dense(msg.0), id(tag)])
+            }
+            EventKind::ControlArrival { from, bytes } => {
+                (Self::CONTROL, [dense(*from), id(bytes), 0])
+            }
+            EventKind::Timer { id } => (Self::TIMER, [*id as u32, (*id >> 32) as u32, 0]),
+        };
+        let node = u32::try_from(ev.node)
+            .ok()
+            .filter(|&n| n < 1 << 30)
+            .expect("fewer than 2^30 processes");
         TKey {
-            node: ev.node,
             time: ev.time,
-            kind: ev.kind.clone(),
+            head: node << 2 | kind,
+            body,
         }
+    }
+
+    fn node(self) -> u32 {
+        self.head >> 2
     }
 }
 
@@ -407,13 +449,16 @@ enum Pick {
 struct State<P> {
     world: crate::kernel::World,
     protocols: Vec<P>,
-    /// In-flight frames and timers, any of which may fire next.
-    pool: Vec<Scheduled>,
-    /// Every user request per process, in issue order: fixed at the
-    /// root and shared by every state of the exploration.
-    requests: Arc<[Box<[Scheduled]>]>,
-    /// Requests issued so far per process: `requests[p][cursor[p]]` is
-    /// process `p`'s next one.
+    /// In-flight frames and timers, any of which may fire next, each
+    /// with its key.
+    pool: Vec<(TKey, Scheduled)>,
+    /// Every user request with its key, grouped by process in issue
+    /// order: fixed at the root and shared by every state of the
+    /// exploration.
+    requests: Arc<[(TKey, Scheduled)]>,
+    /// Per process, the index in `requests` of its next request: it has
+    /// none left once the entry there is another process's, or there is
+    /// none.
     cursor: Vec<u32>,
     /// Incrementally maintained canonical key, present iff
     /// deduplication is on.
@@ -474,12 +519,12 @@ impl<P: Protocol + Hash> State<P> {
     /// request.
     fn transitions_into(&self, out: &mut Vec<(TKey, Pick)>) {
         out.clear();
-        for (i, ev) in self.pool.iter().enumerate() {
-            out.push((TKey::of(ev), Pick::Pool(i)));
-        }
-        for (p, (queue, &next)) in self.requests.iter().zip(&self.cursor).enumerate() {
-            if let Some(ev) = queue.get(next as usize) {
-                out.push((TKey::of(ev), Pick::Request(p)));
+        let pool = self.pool.iter().enumerate();
+        out.extend(pool.map(|(i, &(key, _))| (key, Pick::Pool(i))));
+        for (p, &next) in self.cursor.iter().enumerate() {
+            match self.requests.get(next as usize) {
+                Some(&(key, ref ev)) if ev.node == p => out.push((key, Pick::Request(p))),
+                _ => {}
             }
         }
     }
@@ -493,10 +538,10 @@ impl<P: Protocol + Hash> State<P> {
                 if let Some(c) = &mut self.cache {
                     c.pool.swap_remove(i);
                 }
-                self.pool.swap_remove(i)
+                self.pool.swap_remove(i).1
             }
             Pick::Request(p) => {
-                let ev = self.requests[p][self.cursor[p] as usize].clone();
+                let ev = self.requests[self.cursor[p] as usize].1.clone();
                 self.cursor[p] += 1;
                 ev
             }
@@ -516,16 +561,19 @@ impl<P: Protocol + Hash> State<P> {
         &mut self,
         ev: Scheduled,
         mon: &mut dyn RunObserver,
-        interner: Option<&Mutex<Interner>>,
+        interner: &Mutex<Interner>,
     ) -> bool {
         let node = ev.node;
         self.world.step(&mut self.protocols, node, ev.kind);
         let first_new = self.pool.len();
+        // Locked only to name a payload or to update the key cache.
+        let mut table = None;
         while let Some(Reverse(nev)) = self.world.queue.pop() {
-            self.pool.push(nev);
+            let key = TKey::of(&nev, |bytes| locked(interner, &mut table).bytes(bytes));
+            self.pool.push((key, nev));
         }
-        if let (Some(c), Some(interner)) = (&mut self.cache, interner) {
-            let mut table = interner.lock().expect("no worker panicked interning");
+        if let Some(c) = &mut self.cache {
+            let table = locked(interner, &mut table);
             // The explorer never journals wire/fault records
             // (record_wire stays off under exploration), so only run
             // events appear. Every run event journaled during a
@@ -533,20 +581,29 @@ impl<P: Protocol + Hash> State<P> {
             // so the cache chains stay per-process-ordered.
             for entry in &self.world.fresh {
                 if let KernelEvent::Run { ev, .. } = entry {
-                    c.chain_append(node, *ev, &mut table);
+                    c.chain_append(node, *ev, table);
                 }
             }
-            c.set_proto(node, &self.protocols[node], &mut table);
-            for nev in &self.pool[first_new..] {
-                c.pool_push(nev, &mut table);
+            c.set_proto(node, &self.protocols[node], table);
+            for &(key, _) in &self.pool[first_new..] {
+                c.pool_push(key, table);
             }
         }
+        drop(table);
         let condemned = !self.world.notify_observer(mon);
         if self.pool.len() >= POOL_LIMIT {
             self.world.poison_step_limit(POOL_LIMIT, false, false);
         }
         condemned
     }
+}
+
+/// `interner`, locked at the first call through `guard`.
+fn locked<'a, 'g>(
+    interner: &'a Mutex<Interner>,
+    guard: &'g mut Option<MutexGuard<'a, Interner>>,
+) -> &'g mut Interner {
+    guard.get_or_insert_with(|| interner.lock().expect("no worker panicked interning"))
 }
 
 /// Pending events at once beyond which a protocol is taken to generate
@@ -621,17 +678,12 @@ impl Clone for KeyCache {
 
 impl KeyCache {
     /// The root's key.
-    fn new<P: Hash>(protocols: &[P], pool: &[Scheduled], interner: &mut Interner) -> Self {
-        let processes = protocols.len();
-        let mut cache = KeyCache {
-            chain: vec![0; processes],
+    fn new<P: Hash>(protocols: &[P], pool: &[(TKey, Scheduled)], interner: &mut Interner) -> Self {
+        KeyCache {
+            chain: vec![0; protocols.len()],
             proto: protocols.iter().map(|p| interner.proto(p)).collect(),
-            pool: Vec::new(),
-        };
-        for ev in pool {
-            cache.pool_push(ev, interner);
+            pool: pool.iter().map(|&(key, _)| interner.pool(key)).collect(),
         }
-        cache
     }
 
     fn chain_append(&mut self, p: usize, ev: SystemEvent, interner: &mut Interner) {
@@ -642,8 +694,8 @@ impl KeyCache {
         self.proto[node] = interner.proto(proto);
     }
 
-    fn pool_push(&mut self, ev: &Scheduled, interner: &mut Interner) {
-        self.pool.push(interner.pool(ev));
+    fn pool_push(&mut self, key: TKey, interner: &mut Interner) {
+        self.pool.push(interner.pool(key));
     }
 
     /// Writes the exact key of the state whose request cursor is
@@ -745,66 +797,48 @@ fn dense(n: usize) -> u32 {
     u32::try_from(n).expect("fewer than 2^32 ids and arena offsets")
 }
 
-/// A pool event's component — everything but its tie-breaking `seq` —
-/// as the [`Interner`] looks it up: borrowed from a [`Scheduled`], so a
-/// lookup copies nothing, or owned as a stored key. Both hash and
-/// compare as the tuple `(time, node, kind)`.
-trait PoolEvent {
-    fn parts(&self) -> (u64, usize, &EventKind);
-}
-
-impl PoolEvent for Scheduled {
-    fn parts(&self) -> (u64, usize, &EventKind) {
-        (self.time, self.node, &self.kind)
-    }
-}
-
-impl PoolEvent for (u64, usize, EventKind) {
-    fn parts(&self) -> (u64, usize, &EventKind) {
-        (self.0, self.1, &self.2)
-    }
-}
-
-impl<'a> Borrow<dyn PoolEvent + 'a> for (u64, usize, EventKind) {
-    fn borrow(&self) -> &(dyn PoolEvent + 'a) {
-        self
-    }
-}
-
-impl Hash for dyn PoolEvent + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.parts().hash(state);
-    }
-}
-
-impl PartialEq for dyn PoolEvent + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.parts() == other.parts()
-    }
-}
-
-impl Eq for dyn PoolEvent + '_ {}
-
-/// The hash-consing table behind exact keys (collapse compression):
-/// every distinct component value is stored once and named by a dense
-/// `u32` id, per table in order of first sight from `1`. A chain is a
-/// trie path — its id is that of (parent chain id, appended event) — so
-/// an append costs one lookup, and two chains share an id iff their
-/// event sequences are equal. Chains and pool events are keyed by value;
-/// a protocol state, known only to be `Hash`, by the bytes its `Hash`
-/// writes. Ids are stable within one exploration; `0` is the empty
-/// chain.
+/// The hash-consing table of one exploration (collapse compression),
+/// shared by its workers: every distinct value is stored once and named
+/// by a dense `u32` id, per table in order of first sight from `1`.
+///
+/// - Byte strings — tag and control payloads, and protocol-state
+///   encodings — are keyed by content, so one id names one byte string:
+///   this is what keeps a [`TKey`] exact. The empty string is `0` and is
+///   never looked up, so no lookup hands `memcmp` an empty slice.
+/// - The components of an exact key, filled only under deduplication: a
+///   chain is a trie path — its id is that of (parent chain id, appended
+///   event) — so an append costs one lookup, and two chains share an id
+///   iff their event sequences are equal (`0` is the empty chain); a
+///   pending event is keyed by its `TKey`; a protocol state, known only
+///   to be `Hash`, by the byte string its `Hash` writes.
+///
+/// Ids are stable within one exploration. Several workers hand them out
+/// in whichever order they first see a value, so no search decision may
+/// read more of an id than which value it names.
 #[derive(Default)]
 struct Interner {
+    bytes: HashMap<Box<[u8]>, u32, WordBuild>,
     chains: HashMap<(u32, SystemEvent), u32, WordBuild>,
-    protos: HashMap<Box<[u8]>, u32, WordBuild>,
-    pool: HashMap<(u64, usize, EventKind), u32, WordBuild>,
+    pool: HashMap<TKey, u32, WordBuild>,
     /// Where a protocol state is encoded; its bytes are copied into the
     /// table only when they are new.
     scratch: Vec<u8>,
 }
 
 impl Interner {
+    /// The id of a byte string.
+    fn bytes(&mut self, bytes: &[u8]) -> u32 {
+        if bytes.is_empty() {
+            return 0;
+        }
+        if let Some(&id) = self.bytes.get(bytes) {
+            return id;
+        }
+        let id = dense(self.bytes.len() + 1);
+        self.bytes.insert(bytes.into(), id);
+        id
+    }
+
     /// The id of `parent`'s chain extended by `ev`.
     fn chain(&mut self, parent: u32, ev: SystemEvent) -> u32 {
         let next = self.chains.len() + 1;
@@ -814,27 +848,20 @@ impl Interner {
             .or_insert_with(|| dense(next))
     }
 
-    /// The id of a protocol state's encoding. The table compares whole
-    /// encodings, so one id names one byte string.
+    /// The id of a protocol state's encoding.
     fn proto(&mut self, proto: &(impl Hash + ?Sized)) -> u32 {
-        self.scratch.clear();
-        proto.hash(&mut Encoder(&mut self.scratch));
-        if let Some(&id) = self.protos.get(&self.scratch[..]) {
-            return id;
-        }
-        let id = dense(self.protos.len() + 1);
-        self.protos.insert(self.scratch.as_slice().into(), id);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        proto.hash(&mut Encoder(&mut scratch));
+        let id = self.bytes(&scratch);
+        self.scratch = scratch;
         id
     }
 
     /// The id of a pending event's component.
-    fn pool(&mut self, ev: &Scheduled) -> u32 {
-        if let Some(&id) = self.pool.get(ev as &dyn PoolEvent) {
-            return id;
-        }
-        let id = dense(self.pool.len() + 1);
-        self.pool.insert((ev.time, ev.node, ev.kind.clone()), id);
-        id
+    fn pool(&mut self, key: TKey) -> u32 {
+        let next = self.pool.len() + 1;
+        *self.pool.entry(key).or_insert_with(|| dense(next))
     }
 }
 
@@ -858,8 +885,6 @@ enum SeenVerdict {
 struct SeenShards {
     shards: Vec<Mutex<Shard>>,
     mask: usize,
-    /// The component table, shared by every worker.
-    interner: Mutex<Interner>,
 }
 
 /// One seen-set shard: an append-only arena. Every stored key and sleep
@@ -924,7 +949,6 @@ impl SeenShards {
         Some(SeenShards {
             shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
             mask: n - 1,
-            interner: Mutex::default(),
         })
     }
 
@@ -1023,6 +1047,7 @@ struct Env<'e> {
     por: bool,
     max_depth: usize,
     seen: Option<&'e SeenShards>,
+    interner: &'e Mutex<Interner>,
 }
 
 /// Where the engine reports: the visitor, the cap, and the counters
@@ -1201,11 +1226,11 @@ impl<P, M> Frontier<P, M> {
     }
 }
 
-/// One DFS depth's reusable buffers. A worker keeps one frame per depth
-/// it has reached (`stack[depth]`), so a node refills buffers an earlier
-/// node at its depth already grew, and a branch is copied into a spare
-/// state an earlier branch at its depth already sized.
-struct Frame<P, M> {
+/// One DFS depth's reusable buffers: all that [`dfs`] moves, so a step
+/// moves four vectors and never a state. A node refills buffers an
+/// earlier node at its depth already grew.
+#[derive(Default)]
+struct Frame {
     /// The node's enabled transitions, in branch order.
     trans: Vec<(TKey, Pick)>,
     /// Indices into `trans` of the transitions not asleep.
@@ -1215,33 +1240,47 @@ struct Frame<P, M> {
     /// The node's sleep set, written by its parent (empty without
     /// reduction).
     sleep: Vec<TKey>,
-    /// The state and monitor a child with a later sibling runs on;
-    /// `None` until this depth first branches, and again once a worker
-    /// donates it.
-    spare: Option<(State<P>, M)>,
 }
 
-impl<P, M> Default for Frame<P, M> {
-    fn default() -> Frame<P, M> {
-        Frame {
-            trans: Vec::new(),
-            explorable: Vec::new(),
-            done: Vec::new(),
-            sleep: Vec::new(),
-            spare: None,
+/// One DFS depth of a worker: its [`Frame`] and its state slot. The
+/// root, or a donated job, sits in the slot of its own depth; a node at
+/// depth `d` copies each child that has a later sibling into slot
+/// `d + 1`, into a state an earlier branch at that depth already sized,
+/// and runs its last child in place on its own slot. The slot is empty
+/// until the depth above first branches, and again once a worker donates
+/// its state.
+struct Level<P, M> {
+    frame: Frame,
+    slot: Option<(State<P>, M)>,
+}
+
+impl<P, M> Default for Level<P, M> {
+    fn default() -> Level<P, M> {
+        Level {
+            frame: Frame::default(),
+            slot: None,
         }
     }
 }
 
-/// The engine: one recursive DFS shared by every mode. `stack[depth]`
-/// is this state's frame, its `sleep` already set; `frontier` is `Some`
-/// only with several threads, where explorable children may be donated
+impl<P, M> Level<P, M> {
+    /// The state and monitor in this level's slot, which a node running
+    /// on it has filled.
+    fn node(&mut self) -> (&mut State<P>, &mut M) {
+        let (state, mon) = self.slot.as_mut().expect("a node runs on a filled slot");
+        (state, mon)
+    }
+}
+
+/// The engine: one recursive DFS shared by every mode. The node at
+/// `depth` runs on the state in `levels[at].slot` (`at <= depth`), its
+/// sleep set already in `levels[depth].frame`; `frontier` is `Some` only
+/// with several threads, where explorable children may be donated
 /// instead of recursed into. Returns `false` to abort the traversal.
 fn dfs<P, M, V>(
-    state: &mut State<P>,
-    mon: &mut M,
+    levels: &mut Vec<Level<P, M>>,
+    at: usize,
     depth: usize,
-    stack: &mut Vec<Frame<P, M>>,
     env: &Env<'_>,
     sink: &Sink<'_, V>,
     frontier: Option<&Frontier<P, M>>,
@@ -1254,22 +1293,20 @@ where
     if !sink.enter() {
         return false;
     }
-    // Out of the stack while in use, so that the children can take the
-    // frames below it.
-    let mut frame = std::mem::take(&mut stack[depth]);
-    let go_on = expand(state, mon, depth, &mut frame, stack, env, sink, frontier);
-    stack[depth] = frame;
+    // Out of its level while in use, so that the children can take the
+    // levels below it.
+    let mut frame = std::mem::take(&mut levels[depth].frame);
+    let go_on = expand(levels, at, depth, &mut frame, env, sink, frontier);
+    levels[depth].frame = frame;
     go_on
 }
 
-/// [`dfs`]'s body, on the frame taken out of `stack[depth]`.
-#[allow(clippy::too_many_arguments)]
+/// [`dfs`]'s body, on the frame taken out of `levels[depth]`.
 fn expand<P, M, V>(
-    state: &mut State<P>,
-    mon: &mut M,
+    levels: &mut Vec<Level<P, M>>,
+    at: usize,
     depth: usize,
-    frame: &mut Frame<P, M>,
-    stack: &mut Vec<Frame<P, M>>,
+    frame: &mut Frame,
     env: &Env<'_>,
     sink: &Sink<'_, V>,
     frontier: Option<&Frontier<P, M>>,
@@ -1284,8 +1321,8 @@ where
         explorable,
         done,
         sleep,
-        spare,
     } = frame;
+    let (state, _) = levels[at].node();
     state.transitions_into(trans);
     if trans.is_empty() {
         // A leaf always arrives with an empty effective sleep set
@@ -1319,8 +1356,8 @@ where
         sink.sleep_skipped.fetch_add(1, Ordering::Relaxed);
         return true;
     }
-    if stack.len() == depth + 1 {
-        stack.push(Frame::default());
+    if levels.len() == depth + 1 {
+        levels.push(Level::default());
     }
     let last = explorable.len() - 1;
     // Transitions executed before the current sibling (the classic
@@ -1332,28 +1369,31 @@ where
         if sink.stopped() {
             return false;
         }
-        let (t_key, pick) = (&trans[ti].0, trans[ti].1);
+        let (t_key, pick) = trans[ti];
         // Nothing reads this state or its monitor once the last child
         // is dispatched, so that child runs on them in place; only a
-        // child with a later sibling runs on a copy, made in this
-        // depth's spare.
+        // child with a later sibling runs on a copy, made in the next
+        // depth's slot. No node on the path to this one runs on that
+        // slot: each runs on the slot of its own depth or above.
         let branch = j < last;
+        let (mine, below) = levels.split_at_mut(depth + 1);
+        let (state, mon) = mine[at].node();
+        let child = &mut below[0];
         if branch {
-            match spare {
+            match &mut child.slot {
                 Some((next, child_mon)) => {
                     next.clone_from(state);
                     child_mon.clone_from(mon);
                 }
-                None => *spare = Some((state.clone(), mon.clone())),
+                None => child.slot = Some((state.clone(), mon.clone())),
             }
         }
-        let (next, child_mon) = match spare.as_mut().filter(|_| branch) {
+        let (next, child_mon) = match child.slot.as_mut().filter(|_| branch) {
             Some((next, child_mon)) => (next, child_mon),
-            None => (&mut *state, &mut *mon),
+            None => (state, mon),
         };
         let ev = next.take_transition(pick);
-        let interner = env.seen.map(|s| &s.interner);
-        let condemned = next.execute(ev, child_mon, interner);
+        let condemned = next.execute(ev, child_mon, env.interner);
         if let Some(e) = next.take_error() {
             sink.error(e);
             return false;
@@ -1364,25 +1404,24 @@ where
             // stays sound: those skipped orders would be condemned too.
             sink.pruned.fetch_add(1, Ordering::Relaxed);
             if env.por {
-                done.push(t_key.clone());
+                done.push(t_key);
             }
             continue;
         }
-        let child_sleep = &mut stack[depth + 1].sleep;
+        let child_sleep = &mut child.frame.sleep;
         child_sleep.clear();
         if env.por {
             child_sleep.extend(
                 sleep
                     .iter()
                     .chain(done.iter())
-                    .filter(|u| u.node != t_key.node)
-                    .cloned(),
+                    .filter(|u| u.node() != t_key.node()),
             );
         }
         if let Some(f) = frontier.filter(|f| f.hungry()) {
-            // Only the spare can be given away: the last child *is*
-            // this worker's state.
-            if let Some((state, mon)) = spare.take_if(|_| branch) {
+            // Only the copy can be given away: the last child runs on
+            // this worker's own slot.
+            if let Some((state, mon)) = child.slot.take_if(|_| branch) {
                 f.push(Job {
                     state,
                     sleep: std::mem::take(child_sleep),
@@ -1390,20 +1429,17 @@ where
                     depth: depth + 1,
                 });
                 if env.por {
-                    done.push(t_key.clone());
+                    done.push(t_key);
                 }
                 continue;
             }
         }
-        let (next, child_mon) = match spare.as_mut().filter(|_| branch) {
-            Some((next, child_mon)) => (next, child_mon),
-            None => (&mut *state, &mut *mon),
-        };
-        if !dfs(next, child_mon, depth + 1, stack, env, sink, frontier) {
+        let child_at = if branch { depth + 1 } else { at };
+        if !dfs(levels, child_at, depth + 1, env, sink, frontier) {
             return false;
         }
         if env.por {
-            done.push(t_key.clone());
+            done.push(t_key);
         }
     }
     true
@@ -1418,7 +1454,7 @@ fn search<P, M, V>(
     processes: usize,
     workload: Workload,
     factory: impl Fn(usize) -> P,
-    mut monitor: M,
+    monitor: M,
     monitored: bool,
     opts: &ExploreOptions,
     visit: &V,
@@ -1430,23 +1466,28 @@ where
 {
     let threads = opts.threads.clamp(1, MAX_THREADS);
     let seen = SeenShards::new(opts.dedup_effective(), threads);
-    let mut root = initial_state(processes, workload, factory, &opts.faults);
-    if let Some(seen) = &seen {
-        attach_cache(&mut root, &seen.interner);
+    let interner = Mutex::default();
+    let mut root = initial_state(processes, workload, factory, &opts.faults, &interner);
+    if seen.is_some() {
+        attach_cache(&mut root, &interner);
     }
     root.world.record = monitored || root.cache.is_some();
     let env = Env {
         por: opts.por_effective(),
         max_depth: opts.max_depth,
         seen: seen.as_ref(),
+        interner: &interner,
     };
     let sink = Sink::new(visit, opts.cap);
     if let Some(e) = root.take_error() {
         // Poisoned before the first transition (a bad workload request).
         sink.error(e);
     } else if threads == 1 {
-        let mut stack = vec![Frame::default()];
-        dfs(&mut root, &mut monitor, 0, &mut stack, &env, &sink, None);
+        let mut levels = vec![Level {
+            frame: Frame::default(),
+            slot: Some((root, monitor)),
+        }];
+        dfs(&mut levels, 0, 0, &env, &sink, None);
     } else {
         let frontier = Frontier::new(threads);
         frontier.push(Job {
@@ -1459,9 +1500,9 @@ where
             for w in 0..threads {
                 let (frontier, env, sink) = (&frontier, &env, &sink);
                 s.spawn(move || {
-                    let mut stack = Vec::new();
+                    let mut levels = Vec::new();
                     while !sink.stopped() {
-                        let Some(mut job) = frontier.pop(w) else {
+                        let Some(job) = frontier.pop(w) else {
                             if frontier.pending.load(Ordering::SeqCst) == 0 {
                                 break;
                             }
@@ -1469,19 +1510,13 @@ where
                             std::thread::sleep(std::time::Duration::from_micros(20));
                             continue;
                         };
-                        if stack.len() <= job.depth {
-                            stack.resize_with(job.depth + 1, Frame::default);
+                        let d = job.depth;
+                        if levels.len() <= d {
+                            levels.resize_with(d + 1, Level::default);
                         }
-                        stack[job.depth].sleep = job.sleep;
-                        dfs(
-                            &mut job.state,
-                            &mut job.mon,
-                            job.depth,
-                            &mut stack,
-                            env,
-                            sink,
-                            Some(frontier),
-                        );
+                        levels[d].frame.sleep = job.sleep;
+                        levels[d].slot = Some((job.state, job.mon));
+                        dfs(&mut levels, d, d, env, sink, Some(frontier));
                         frontier.pending.fetch_sub(1, Ordering::SeqCst);
                     }
                 });
@@ -1872,7 +1907,7 @@ mod tests {
         for (_, pick) in trans {
             let mut next = state.clone();
             let ev = next.take_transition(pick);
-            next.execute(ev, &mut Unobserved, Some(interner));
+            next.execute(ev, &mut Unobserved, interner);
             out.push(next);
         }
         out
@@ -1938,7 +1973,7 @@ mod tests {
     impl Oracle {
         fn new<P>(root: &State<P>) -> Oracle {
             Oracle {
-                root_events: (0..root.requests.len())
+                root_events: (0..root.cursor.len())
                     .map(|p| root.world.builder.sequence(ProcessId(p)).len())
                     .collect(),
             }
@@ -1959,7 +1994,7 @@ mod tests {
             let mut pool: Vec<Vec<u8>> = state
                 .pool
                 .iter()
-                .map(|ev| bytes_of(&pool_component(ev)))
+                .map(|(_, ev)| bytes_of(&pool_component(ev)))
                 .collect();
             let popped: Vec<u64> = state.cursor.iter().map(|&c| u64::from(c)).collect();
             let mut bytes = Vec::new();
@@ -1998,7 +2033,7 @@ mod tests {
         factory: impl Fn(usize) -> P,
     ) -> Vec<Arrival> {
         let interner = Mutex::default();
-        let mut root = initial_state(processes, w, factory, &FaultModel::none());
+        let mut root = initial_state(processes, w, factory, &FaultModel::none(), &interner);
         attach_cache(&mut root, &interner);
         root.world.record = true;
         let oracle = Oracle::new(&root);
@@ -2314,6 +2349,7 @@ mod tests {
     /// seen-set: `(schedules, sleep_skipped)` and the multiset of runs.
     fn explore_on<P: Protocol + Clone + Hash>(
         mut state: State<P>,
+        interner: &Mutex<Interner>,
     ) -> ((usize, usize), BTreeMap<Fingerprint, usize>) {
         // Nothing keys the state without a seen-set, and a cache no
         // interner updates would drift from it.
@@ -2325,17 +2361,13 @@ mod tests {
             por: true,
             max_depth: usize::MAX,
             seen: None,
+            interner,
         };
-        let mut stack = vec![Frame::default()];
-        assert!(dfs(
-            &mut state,
-            &mut Unobserved,
-            0,
-            &mut stack,
-            &env,
-            &sink,
-            None
-        ));
+        let mut levels = vec![Level {
+            frame: Frame::default(),
+            slot: Some((state, Unobserved)),
+        }];
+        assert!(dfs(&mut levels, 0, 0, &env, &sink, None));
         let counts = (sink.schedules.into_inner(), sink.sleep_skipped.into_inner());
         (counts, runs.into_inner().expect("final read"))
     }
@@ -2345,7 +2377,13 @@ mod tests {
         // `Tally` states carry tags, a slab and an echo log, so every
         // buffer of a state holds something.
         let interner = Mutex::default();
-        let mut root = initial_state(3, fan_out(), |_| Tally::default(), &FaultModel::none());
+        let mut root = initial_state(
+            3,
+            fan_out(),
+            |_| Tally::default(),
+            &FaultModel::none(),
+            &interner,
+        );
         attach_cache(&mut root, &interner);
         root.world.record = true;
         let oracle = Oracle::new(&root);
@@ -2368,7 +2406,7 @@ mod tests {
         let deepest = &dirty[dirty.len() - 1];
         assert!(deepest.world.builder.event_count() > state.world.builder.event_count());
         let fresh = state.clone();
-        let expected = explore_on(state.clone());
+        let expected = explore_on(state.clone(), &interner);
         assert!(expected.0 .0 > 1, "the copy has somewhere to go");
         for mut spare in dirty {
             spare.clone_from(&state);
@@ -2379,9 +2417,9 @@ mod tests {
                 format!("{:?}", fresh.world.builder)
             );
             assert_eq!(format!("{:?}", spare.pool), format!("{:?}", fresh.pool));
-            assert_eq!(explore_on(spare), expected);
+            assert_eq!(explore_on(spare, &interner), expected);
         }
-        assert_eq!(explore_on(fresh), expected);
+        assert_eq!(explore_on(fresh, &interner), expected);
     }
 
     /// Condemns any prefix whose deliveries on the (0 → 1) channel are
@@ -2720,11 +2758,7 @@ mod tests {
             pool: Vec::new(),
         };
         let check = |cursor: u32, sleep: &mut Vec<TKey>| seen.check(&cache, &[cursor], sleep, true);
-        let key = |id| TKey {
-            node: 0,
-            time: 0,
-            kind: EventKind::Timer { id },
-        };
+        let key = |id| timer_key(0, id);
         assert!(matches!(
             check(0, &mut vec![key(1), key(2)]),
             SeenVerdict::Enter
@@ -2739,6 +2773,78 @@ mod tests {
         assert!(sleep.is_empty());
         // Another cursor is another state.
         assert!(matches!(check(1, &mut vec![key(1)]), SeenVerdict::Enter));
+    }
+
+    /// The key of a timer `id` pending at `node`.
+    fn timer_key(node: usize, id: u64) -> TKey {
+        let ev = Scheduled {
+            time: 0,
+            seq: 0,
+            node,
+            kind: EventKind::Timer { id },
+        };
+        TKey::of(&ev, |_| unreachable!("a timer has no payload"))
+    }
+
+    #[test]
+    fn a_dfs_step_moves_and_compares_only_words() {
+        fn copy<T: Copy>() {}
+        copy::<TKey>();
+        assert!(std::mem::size_of::<TKey>() <= 24);
+        // What `dfs` moves out of a level and back: no state.
+        assert!(std::mem::size_of::<Frame>() <= 128);
+        // A timer id keeps all 64 bits; the node and kind stay apart.
+        assert_ne!(timer_key(0, 1), timer_key(0, 1 << 32));
+        assert_ne!(timer_key(0, 1), timer_key(1, 1));
+        assert_eq!(timer_key(5, u64::MAX).node(), 5);
+    }
+
+    #[test]
+    fn byte_ids_are_one_to_one() {
+        let mut interner = Interner::default();
+        let strings: Vec<Vec<u8>> = vec![
+            vec![],
+            vec![0],
+            vec![0, 0],
+            vec![1],
+            vec![1, 0],
+            vec![0, 1],
+            vec![0xff; 9],
+            vec![0xff; 8],
+            b"tag".to_vec(),
+            b"tah".to_vec(),
+        ];
+        let ids: Vec<u32> = strings.iter().map(|s| interner.bytes(s)).collect();
+        for (i, a) in strings.iter().enumerate() {
+            // The same bytes again, at another address.
+            let again = a.clone();
+            assert_eq!(interner.bytes(&again), ids[i], "{a:?} named twice");
+            for (j, b) in strings.iter().enumerate() {
+                assert_eq!(ids[i] == ids[j], a == b, "{a:?} and {b:?}");
+            }
+        }
+        assert_eq!(interner.bytes(&Vec::with_capacity(4)), 0);
+        // A protocol state's encoding shares the table.
+        assert_eq!(interner.proto(&[1u8][..]), interner.proto(&[1u8][..]));
+
+        // Keys: equal payloads at two addresses key equal, one flipped
+        // bit or a dangling against an allocated empty tag does not
+        // split or merge them.
+        let user = |tag: Vec<u8>| Scheduled {
+            time: 1,
+            seq: 0,
+            node: 2,
+            kind: EventKind::UserArrival {
+                from: 0,
+                msg: msgorder_runs::MessageId(3),
+                tag,
+            },
+        };
+        let mut key = |tag: Vec<u8>| TKey::of(&user(tag), |b| interner.bytes(b));
+        assert_eq!(key(b"tag".to_vec()), key(b"tag".to_vec()));
+        assert_ne!(key(b"tag".to_vec()), key(b"tah".to_vec()));
+        assert_eq!(key(Vec::new()), key(Vec::with_capacity(4)));
+        assert_ne!(key(Vec::new()), key(vec![0]));
     }
 
     #[test]

@@ -604,7 +604,10 @@ pub(crate) enum DecisionSource {
     Replay(VecDeque<TransmitDecision>),
 }
 
-#[derive(Debug, Clone, Hash, PartialEq, Eq)]
+/// `PartialEq` is written out below, not derived. It is still field-by-
+/// field equality, so the derived `Hash` agrees with it.
+#[allow(clippy::derived_hash_with_manual_eq)]
+#[derive(Debug, Clone, Hash, Eq)]
 pub(crate) enum EventKind {
     Request {
         msg: MessageId,
@@ -621,6 +624,42 @@ pub(crate) enum EventKind {
     Timer {
         id: u64,
     },
+}
+
+/// Field by field, with the payloads compared by [`same_bytes`]: the
+/// derived equality hands two empty payloads — `Vec`'s dangling pointer
+/// — to `memcmp`, which costs ~140 ns a call there against ~3 ns for two
+/// allocated empty ones.
+impl PartialEq for EventKind {
+    fn eq(&self, other: &EventKind) -> bool {
+        use EventKind::{ControlArrival, Request, Timer, UserArrival};
+        match (self, other) {
+            (Request { msg: a }, Request { msg: b }) => a == b,
+            (
+                UserArrival { from, msg, tag },
+                UserArrival {
+                    from: from_b,
+                    msg: msg_b,
+                    tag: tag_b,
+                },
+            ) => from == from_b && msg == msg_b && same_bytes(tag, tag_b),
+            (
+                ControlArrival { from, bytes },
+                ControlArrival {
+                    from: from_b,
+                    bytes: bytes_b,
+                },
+            ) => from == from_b && same_bytes(bytes, bytes_b),
+            (Timer { id: a }, Timer { id: b }) => a == b,
+            _ => false,
+        }
+    }
+}
+
+/// Byte-string equality that compares lengths first and never hands
+/// `memcmp` an empty slice.
+pub(crate) fn same_bytes(a: &[u8], b: &[u8]) -> bool {
+    a.len() == b.len() && (a.is_empty() || a == b)
 }
 
 /// Flips one payload bit selected by `seed` (length-preserving).
@@ -1229,6 +1268,9 @@ impl World {
     /// If the world is poisoned, extracts the counterexample with the
     /// partial captured run and the stats so far attached.
     pub(crate) fn take_error(&mut self) -> Option<SimError> {
+        // Checked in place first: `take` copies the whole
+        // `SimError`-sized slot out even when it is empty.
+        self.error.as_ref()?;
         let mut e = self.error.take()?;
         let run = std::mem::replace(&mut self.builder, StreamingRun::new(0));
         e.trace = Some(run.into_run());
@@ -2230,5 +2272,90 @@ mod tests {
             .collect();
         assert_eq!(invokes, [(1, 2), (3, 2), (0, 7), (2, 7), (4, 7)]);
         assert_eq!(r.stats, immediate_stats(5, 500, 107, 5));
+    }
+
+    /// The reference equality: `Debug` renders every field, payload
+    /// bytes included, and never compares two slices.
+    fn same_fields(a: &EventKind, b: &EventKind) -> bool {
+        format!("{a:?}") == format!("{b:?}")
+    }
+
+    /// A payload of `len` bytes drawn from `bytes`; an empty one is
+    /// `Vec`'s dangling empty vector or, when `allocated`, an empty
+    /// vector with a real buffer.
+    fn payload(bytes: &[u8], allocated: bool) -> Vec<u8> {
+        let mut out = if allocated {
+            Vec::with_capacity(8)
+        } else {
+            Vec::new()
+        };
+        out.extend_from_slice(bytes);
+        out
+    }
+
+    fn kind(code: u8, field: usize, bytes: Vec<u8>) -> EventKind {
+        match code {
+            0 => EventKind::Request {
+                msg: MessageId(field),
+            },
+            1 => EventKind::UserArrival {
+                from: field,
+                msg: MessageId(1),
+                tag: bytes,
+            },
+            2 => EventKind::ControlArrival { from: field, bytes },
+            _ => EventKind::Timer { id: field as u64 },
+        }
+    }
+
+    #[test]
+    fn event_kind_equality_covers_every_payload_edge() {
+        let dangling = || payload(&[], false);
+        let allocated = || payload(&[], true);
+        let bytes = payload(&[3, 1, 4], true);
+        let mut flipped = bytes.clone();
+        flipped[2] ^= 1 << 5;
+        for code in [1, 2] {
+            let k = |b: Vec<u8>| kind(code, 0, b);
+            for (a, b, equal) in [
+                (dangling(), dangling(), true),
+                (dangling(), allocated(), true),
+                (allocated(), allocated(), true),
+                (dangling(), bytes.clone(), false),
+                (allocated(), bytes.clone(), false),
+                // Equal bytes at two addresses (two allocations).
+                (bytes.clone(), payload(&bytes, true), true),
+                (bytes.clone(), flipped.clone(), false),
+                (bytes.clone(), bytes[..2].to_vec(), false),
+            ] {
+                let (a, b) = (k(a), k(b));
+                assert_eq!(a == b, equal, "{a:?} vs {b:?}");
+                assert_eq!(b == a, equal, "{b:?} vs {a:?}");
+                assert_eq!(same_fields(&a, &b), equal);
+            }
+        }
+        assert!(same_bytes(&[], &payload(&[], true)));
+        assert!(!same_bytes(&[], &[0]));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2_000))]
+
+        /// Small alphabets, so that most pairs share a variant and many
+        /// are equal.
+        #[test]
+        fn written_out_event_kind_equality_is_field_by_field(
+            (code_a, field_a, bytes_a, alloc_a) in (
+                0u8..4, 0usize..2, proptest::collection::vec(0u8..2, 0..3), proptest::any::<bool>()
+            ),
+            (code_b, field_b, bytes_b, alloc_b) in (
+                0u8..4, 0usize..2, proptest::collection::vec(0u8..2, 0..3), proptest::any::<bool>()
+            ),
+        ) {
+            let a = kind(code_a, field_a, payload(&bytes_a, alloc_a));
+            let b = kind(code_b, field_b, payload(&bytes_b, alloc_b));
+            proptest::prop_assert_eq!(a == b, same_fields(&a, &b));
+            proptest::prop_assert_eq!(a == a.clone(), true);
+        }
     }
 }

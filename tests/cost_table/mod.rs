@@ -148,9 +148,9 @@ const COSTS: &[Cost] = &[
            catches: "more knowledge piggybacked per tag", measure: || tag_bytes(ProtocolKind::Synthesized(vec![catalog::causal()]), 100) },
     Cost { layer: "protocols", operation: "explore POR, pool shape 0, async (calls)", bound: 402.0,
            catches: "calls added to the tagless floor by the registry's enum", measure: || explore_kind(ProtocolKind::Async) },
-    Cost { layer: "protocols", operation: "explore POR, pool shape 0, fifo (calls)", bound: 401_305.0,
+    Cost { layer: "protocols", operation: "explore POR, pool shape 0, fifo (calls)", bound: 254_949.0,
            catches: "more calls per copied protocol state", measure: || explore_kind(ProtocolKind::Fifo) },
-    Cost { layer: "protocols", operation: "explore POR, pool shape 0, causal-rst (calls)", bound: 406_007.0,
+    Cost { layer: "protocols", operation: "explore POR, pool shape 0, causal-rst (calls)", bound: 218_316.0,
            catches: "more calls per copied protocol state", measure: || explore_kind(ProtocolKind::CausalRst) },
     Cost { layer: "transport", operation: "causal-rst over a Unix socket, late half (calls per message)", bound: 8.0,
            catches: "a JSON value tree or a fresh `Vec` per frame", measure: socket_round_trip },
