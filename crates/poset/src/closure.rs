@@ -16,9 +16,8 @@ use crate::graph::{Csr, DiGraph, NodeId};
 /// The reachability matrix of a directed acyclic graph.
 ///
 /// `reaches(u, v)` answers "is there a non-empty directed path from `u` to
-/// `v`?" — the closure of a *strict* order: no node reaches itself. The
-/// default value is the closure of the empty universe.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// `v`?" — the closure of a *strict* order: no node reaches itself.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransitiveClosure {
     n: usize,
     /// Words per matrix row: `⌈n/64⌉`.
@@ -106,37 +105,6 @@ impl TransitiveClosure {
             rows,
             cols,
         })
-    }
-
-    /// Overwrites this closure with an order on nodes `0..n` that the
-    /// caller already knows is a strict partial order (irreflexive and
-    /// transitive), given row by row: `fill(u, words)` sets in the
-    /// zeroed `words` — `⌈n/64⌉` of them, laid out as
-    /// [`descendants`](Self::descendants) — the bit of every `v` with
-    /// `u` before `v`, and never `u`'s own. No edge list, no Kahn pass,
-    /// and no allocation once the matrices have held `n` nodes; each set
-    /// bit is mirrored into the transposed matrix as it is read back.
-    pub fn assign_rows(&mut self, n: usize, mut fill: impl FnMut(NodeId, &mut [u64])) {
-        let stride = n.div_ceil(64);
-        self.n = n;
-        self.stride = stride;
-        self.rows.clear();
-        self.rows.resize(n * stride, 0);
-        self.cols.clear();
-        self.cols.resize(n * stride, 0);
-        for u in 0..n {
-            let row = &mut self.rows[u * stride..][..stride];
-            fill(u, row);
-            debug_assert_eq!(row[u / 64] >> (u % 64) & 1, 0, "node {u} before itself");
-            for (wi, &word) in row.iter().enumerate() {
-                let mut word = word;
-                while word != 0 {
-                    let v = wi * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    self.cols[v * stride + u / 64] |= 1 << (u % 64);
-                }
-            }
-        }
     }
 
     /// Computes the closure of `g`, or `None` if `g` has a cycle.
@@ -301,20 +269,6 @@ mod tests {
         let c = closure(5, &[(0, 1), (1, 2), (0, 2), (2, 4), (1, 4), (3, 4)]);
         let red = c.reduction();
         assert_eq!(c.pairs(), closure(5, &red).pairs());
-    }
-
-    #[test]
-    fn assigned_rows_are_the_closure_of_their_edges() {
-        let edges = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (5, 4)];
-        let reference = closure(70, &edges);
-        // Reused from a larger universe, so stale words would show.
-        let mut c = closure(130, &[(0, 129), (64, 65)]);
-        c.assign_rows(70, |u, row| {
-            row.copy_from_slice(reference.descendants(u).words())
-        });
-        assert_eq!(c, reference);
-        c.assign_rows(0, |_, _| unreachable!("no rows in an empty universe"));
-        assert_eq!(c, TransitiveClosure::default());
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! the paper's theorems require.
 //!
 //! Two searches share the consistency check ([`OrderView`] is all it
-//! needs): [`Prepared`] evaluates post-hoc against a materialized
-//! [`UserRun`], narrowing its last variable with closure rows, and
-//! [`Monitor`] evaluates *online* against a live `StreamingRun` prefix,
-//! narrowing every variable with vector-clock cuts — it finds the first
+//! needs): [`Prepared`] evaluates a whole run — a materialized
+//! [`UserRun`], whose closure rows narrow its last variable, or a
+//! clock-stamped `StreamingRun`, whose clocks do — and [`Monitor`]
+//! evaluates *online* against a live `StreamingRun` prefix, narrowing
+//! every variable with vector-clock cuts — it finds the first
 //! violating instantiation at the exact delivery event completing it.
 
 use crate::ast::{Constraint, EventTerm, ForbiddenPredicate, Var};
@@ -48,16 +49,8 @@ fn consistent<V: OrderView>(
     just_set: Var,
     msg: MessageId,
 ) -> bool {
-    for c in pred.conjuncts() {
-        if c.lhs.var != just_set && c.rhs.var != just_set {
-            continue;
-        }
-        if let (Some(a), Some(b)) = (term_event(c.lhs, assignment), term_event(c.rhs, assignment)) {
-            if !view.before(a, b) {
-                return false;
-            }
-        }
-    }
+    // The process and color constraints first: they read endpoints and
+    // colors, which is cheaper than any order query.
     for c in pred.constraints() {
         match c {
             Constraint::SameProcess(a, b) | Constraint::DiffProcess(a, b) => {
@@ -86,6 +79,16 @@ fn consistent<V: OrderView>(
             }
         }
     }
+    for c in pred.conjuncts() {
+        if c.lhs.var != just_set && c.rhs.var != just_set {
+            continue;
+        }
+        if let (Some(a), Some(b)) = (term_event(c.lhs, assignment), term_event(c.rhs, assignment)) {
+            if !view.before(a, b) {
+                return false;
+            }
+        }
+    }
     true
 }
 
@@ -105,32 +108,97 @@ pub struct Prepared<'p> {
     order: Vec<usize>,
     /// Per-variable color filters: `(color, must_have)`.
     color_filters: Vec<Vec<(&'p str, bool)>>,
+    /// Whether binding `order[d]` completes a conjunct or a process
+    /// constraint: only then does depth `d` ask [`consistent`] (the
+    /// color constraints are already in the candidate lists).
+    checked: Vec<bool>,
     /// Word-parallel narrowing plan for the last variable in `order`.
     last: Option<LastStep>,
 }
 
 /// Candidate narrowing for the variable assigned last. With every other
-/// variable bound, each conjunct touching the last variable pins one of
-/// its events inside a known closure row: `last.e ▷ b` means the event
-/// lies in `ancestors(b)`, `a ▷ last.e` means it lies in
-/// `descendants(a)`. Intersecting those rows as whole `u64` words
-/// replaces the innermost per-candidate [`OrderView::before`] loop with
-/// a handful of word operations — the mask is a sound over-approximation
-/// (conjuncts binding the last variable twice are skipped), so every
-/// survivor is still re-checked by [`consistent`].
+/// variable bound, each process constraint touching the last variable
+/// pins one of its events to, or away from, a known process: the
+/// search intersects the candidate mask with that process's send-bit
+/// mask of the candidates' events, one word at a time, before any
+/// order is asked. Then each conjunct touching the last variable pins
+/// one of its events on one side of a bound event: `last.e ▷ b` means the
+/// event lies in `ancestors(b)`, `a ▷ last.e` means it lies in
+/// `descendants(a)`. The view narrows the candidate mask to that side
+/// ([`retain_ordered`]): a closure view intersects whole rows as `u64`
+/// words, a clock-stamped view runs one Fidge test per surviving
+/// candidate. The mask is a sound over-approximation (conjuncts binding
+/// the last variable twice are skipped, and so is everything on a view
+/// that can do neither), so every survivor is still re-checked by
+/// [`consistent`].
 #[derive(Clone)]
 struct LastStep {
     /// The variable assigned last (`order.last()`).
     var: usize,
     /// One entry per conjunct with exactly one side on the last
-    /// variable: `(bit offset of the last variable's event kind,
-    /// the bound side's term, whether the last variable is the lhs)`.
-    narrowing: Vec<(usize, EventTerm, bool)>,
+    /// variable: `(the last variable's event kind, the bound side's
+    /// term, whether the last variable is the lhs)`.
+    narrowing: Vec<(UserEventKind, EventTerm, bool)>,
+    /// One entry per process constraint with exactly one side on the
+    /// last variable: `(the last variable's event kind, the bound
+    /// side's term, whether the processes must be equal)`.
+    sites: Vec<(UserEventKind, EventTerm, bool)>,
 }
 
 /// Even bits — the send-event positions of [`UserEvent::node`] indexing,
 /// where message `m`'s send sits at bit `2m`.
 const SEND_BITS: u64 = 0x5555_5555_5555_5555;
+
+/// Narrows `mask` (send-bit aligned: bit `2m` for message `m`) to the
+/// messages whose `kind` event lies after `e` under `▷` (`after`) or
+/// before it. A view holding a closure ANDs in `e`'s row, shifted onto
+/// the send bits; a clock-stamped view costs one Fidge test per set
+/// send bit — `a ▷ b ⇔ a ≠ b ∧ V(a)[p_a] ≤ V(b)[p_a]`. A view with
+/// neither leaves the mask to [`consistent`]. Odd bits are left as they
+/// are.
+fn retain_ordered<V: OrderView>(
+    view: &V,
+    mask: &mut [u64],
+    e: UserEvent,
+    kind: UserEventKind,
+    after: bool,
+) {
+    if let Some(row) = view.closure_row(e, after) {
+        and_shifted(mask, row, kind.index());
+        return;
+    }
+    if mask.iter().all(|&w| w & SEND_BITS == 0) {
+        // Nothing left to test: read no clock.
+        return;
+    }
+    let Some(ve) = view.event_clock(e) else {
+        return;
+    };
+    let pe = event_process(view, e);
+    for (i, word) in mask.iter_mut().enumerate() {
+        let mut bits = *word & SEND_BITS;
+        while bits != 0 {
+            let bit = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let f = UserEvent {
+                msg: MessageId((64 * i + bit) / 2),
+                kind,
+            };
+            let ordered = f != e
+                && view.event_clock(f).is_some_and(|vf| {
+                    if after {
+                        ve[pe] <= vf[pe]
+                    } else {
+                        let pf = event_process(view, f);
+                        vf[pf] <= ve[pf]
+                    }
+                });
+            if !ordered {
+                *word &= !(1 << bit);
+            }
+        }
+    }
+}
 
 /// `dst &= src >> shift` across word boundaries (`shift < 64`). Aligns a
 /// closure row keyed by event node onto send-bit (`2m`) positions.
@@ -178,6 +246,10 @@ struct SearchState {
     cand: Vec<u64>,
     /// Per-leaf working mask.
     combined: Vec<u64>,
+    /// Where the last variable's candidates' events happen, when
+    /// [`LastStep::sites`] asks: the send-bit mask of the candidates
+    /// whose event of kind `k` is on process `p` at word `(2p + k)·words`.
+    sites: Vec<u64>,
     /// The instantiation handed to the caller, in variable order.
     witness: Vec<MessageId>,
 }
@@ -201,37 +273,66 @@ impl<'p> Prepared<'p> {
                 _ => {}
             }
         }
+        let bound_at = |v: Var| order.iter().position(|&o| o == v.0).expect("a variable");
+        let mut checked = vec![false; m];
+        for c in pred.conjuncts() {
+            checked[bound_at(c.lhs.var).max(bound_at(c.rhs.var))] = true;
+        }
+        for c in pred.constraints() {
+            if let Constraint::SameProcess(a, b) | Constraint::DiffProcess(a, b) = c {
+                checked[bound_at(a.var).max(bound_at(b.var))] = true;
+            }
+        }
         let last = order.last().map(|&lv| {
             let mut narrowing = Vec::new();
             for c in pred.conjuncts() {
                 let on_lhs = c.lhs.var.0 == lv;
                 let on_rhs = c.rhs.var.0 == lv;
                 if on_lhs && !on_rhs {
-                    narrowing.push((c.lhs.kind.index(), c.rhs, true));
+                    narrowing.push((c.lhs.kind, c.rhs, true));
                 } else if on_rhs && !on_lhs {
-                    narrowing.push((c.rhs.kind.index(), c.lhs, false));
+                    narrowing.push((c.rhs.kind, c.lhs, false));
                 }
             }
-            LastStep { var: lv, narrowing }
+            let mut sites = Vec::new();
+            for c in pred.constraints() {
+                let (Constraint::SameProcess(a, b) | Constraint::DiffProcess(a, b)) = c else {
+                    continue;
+                };
+                let same = matches!(c, Constraint::SameProcess(_, _));
+                if a.var.0 == lv && b.var.0 != lv {
+                    sites.push((a.kind, *b, same));
+                } else if b.var.0 == lv && a.var.0 != lv {
+                    sites.push((b.kind, *a, same));
+                }
+            }
+            LastStep {
+                var: lv,
+                narrowing,
+                sites,
+            }
         });
         Prepared {
             pred,
             order,
             color_filters,
+            checked,
             last,
         }
     }
 
-    /// The run-dependent half of plan construction: candidate lists
-    /// filtered through the precomputed color filters, into `out`.
-    fn fill_candidates(&self, run: &UserRun, out: &mut Vec<Vec<MessageId>>) {
+    /// The run-dependent half of plan construction: the complete
+    /// messages, filtered through the precomputed color filters, into
+    /// `out`.
+    fn fill_candidates<V: OrderView>(&self, view: &V, out: &mut Vec<Vec<MessageId>>) {
         out.resize_with(self.color_filters.len(), Vec::new);
         for (list, filters) in out.iter_mut().zip(&self.color_filters) {
             list.clear();
-            list.extend((0..run.len()).map(MessageId).filter(|&msg| {
-                filters
-                    .iter()
-                    .all(|&(color, want)| run.message(msg).has_color(color) == want)
+            list.extend((0..view.message_count()).map(MessageId).filter(|&msg| {
+                view.is_message_complete(msg)
+                    && filters
+                        .iter()
+                        .all(|&(color, want)| view.has_color(msg, color) == want)
             }));
         }
     }
@@ -252,11 +353,18 @@ impl<'p> Prepared<'p> {
             .map(<[MessageId]>::to_vec)
     }
 
-    /// [`find_instantiation`](Self::find_instantiation) in `scratch`'s
-    /// buffers: the witness is borrowed from them.
-    pub fn find_with<'s>(
+    /// [`find_instantiation`](Self::find_instantiation) on any
+    /// [`OrderView`], in `scratch`'s buffers: the witness is borrowed
+    /// from them. Only complete messages are candidates, so on a
+    /// [`StreamingRun`](msgorder_runs::StreamingRun) this decides the
+    /// predicate on the user's view of the run, read off its clocks; the
+    /// witness then names the run's own message ids, each the
+    /// [`dense_id`](msgorder_runs::SystemRun::dense_id) preimage of the
+    /// witness [`users_view`](msgorder_runs::SystemRun::users_view)
+    /// gives.
+    pub fn find_with<'s, V: OrderView>(
         &self,
-        run: &UserRun,
+        run: &V,
         scratch: &'s mut EvalScratch,
     ) -> Option<&'s [MessageId]> {
         let found = self.search(run, scratch, &mut |_| true);
@@ -279,12 +387,12 @@ impl<'p> Prepared<'p> {
     /// The one search behind every entry: fills `scratch` for `run` —
     /// the candidate lists, an empty assignment, and the last
     /// variable's candidate mask (send-bit aligned) beside a same-width
-    /// working mask, sized to the closure's `2·|M|` node space — then
+    /// working mask, sized to the `2·|M|` event nodes — then
     /// backtracks, handing each instantiation to `found` until it
     /// returns `true`. Returns whether it did.
-    fn search(
+    fn search<V: OrderView>(
         &self,
-        run: &UserRun,
+        run: &V,
         scratch: &mut EvalScratch,
         found: &mut dyn FnMut(&[MessageId]) -> bool,
     ) -> bool {
@@ -292,27 +400,42 @@ impl<'p> Prepared<'p> {
         let st = &mut scratch.search;
         st.assignment.clear();
         st.assignment.resize(self.pred.var_count(), None);
-        let words = (2 * run.len()).div_ceil(64);
+        let words = (2 * run.message_count()).div_ceil(64);
         st.cand.clear();
         st.cand.resize(words, 0);
         st.combined.clear();
         st.combined.resize(words, 0);
+        st.sites.clear();
         if let Some(last) = &self.last {
-            for &m in &scratch.candidates[last.var] {
+            let lasts = &scratch.candidates[last.var];
+            for &m in lasts {
                 st.cand[(2 * m.0) / 64] |= 1 << ((2 * m.0) % 64);
+            }
+            if !last.sites.is_empty() {
+                let ends = |m: MessageId| [run.src(m).0, run.dst(m).0];
+                let procs = lasts
+                    .iter()
+                    .flat_map(|&m| ends(m))
+                    .max()
+                    .map_or(0, |p| p + 1);
+                st.sites.resize(2 * procs * words, 0);
+                for &m in lasts {
+                    for (k, p) in ends(m).into_iter().enumerate() {
+                        st.sites[(2 * p + k) * words + 2 * m.0 / 64] |= 1 << (2 * m.0 % 64);
+                    }
+                }
             }
         }
         self.search_user(run, &scratch.candidates, st, 0, found)
     }
 
-    /// Backtracking search over a materialized [`UserRun`], assigning
-    /// the variables in `order` from `candidates` (indexed by variable,
-    /// not order position) until the last one, where closure rows narrow
-    /// the candidate set word-parallel before [`consistent`] re-checks
-    /// the survivors (see [`LastStep`]).
-    fn search_user(
+    /// Backtracking search, assigning the variables in `order` from
+    /// `candidates` (indexed by variable, not order position) until the
+    /// last one, where the view narrows the candidate mask before
+    /// [`consistent`] re-checks the survivors (see [`LastStep`]).
+    fn search_user<V: OrderView>(
         &self,
-        run: &UserRun,
+        run: &V,
         candidates: &[Vec<MessageId>],
         st: &mut SearchState,
         depth: usize,
@@ -333,7 +456,7 @@ impl<'p> Prepared<'p> {
                 continue;
             }
             st.assignment[var] = Some(msg);
-            if consistent(self.pred, run, &st.assignment, Var(var), msg)
+            if (!self.checked[depth] || consistent(self.pred, run, &st.assignment, Var(var), msg))
                 && self.search_user(run, candidates, st, depth + 1, found)
             {
                 return true;
@@ -343,13 +466,13 @@ impl<'p> Prepared<'p> {
         false
     }
 
-    /// The last-variable step: intersect the closure rows pinned by the
-    /// bound variables, align each onto send-bit positions, and walk
-    /// only the surviving candidates (in increasing message order, so
+    /// The last-variable step: drop the bound messages, narrow the mask
+    /// to the side of each bound event its conjuncts pin, and walk only
+    /// the surviving candidates (in increasing message order, so
     /// witnesses match a plain scan of the candidate list exactly).
-    fn last_leaf(
+    fn last_leaf<V: OrderView>(
         &self,
-        run: &UserRun,
+        run: &V,
         last: &LastStep,
         st: &mut SearchState,
         found: &mut dyn FnMut(&[MessageId]) -> bool,
@@ -358,24 +481,34 @@ impl<'p> Prepared<'p> {
             assignment,
             cand,
             combined,
+            sites,
             witness,
         } = st;
         combined.copy_from_slice(cand);
-        for &(shift, other, last_is_lhs) in &last.narrowing {
-            let Some(ev) = term_event(other, assignment) else {
-                continue;
-            };
-            let row = if last_is_lhs {
-                run.closure().ancestors(ev.node())
-            } else {
-                run.closure().descendants(ev.node())
-            };
-            and_shifted(combined, row.words(), shift);
-        }
         // Injectivity: drop messages already bound by earlier variables.
         for m in assignment.iter().flatten() {
             let bit = 2 * m.0;
             combined[bit / 64] &= !(1u64 << (bit % 64));
+        }
+        let words = combined.len();
+        for &(kind, other, same) in &last.sites {
+            let Some(ev) = term_event(other, assignment) else {
+                continue;
+            };
+            // No candidate has an event on a process past the table.
+            let at = (2 * event_process(run, ev) + kind.index()) * words;
+            match sites.get(at..at + words) {
+                Some(site) if same => combined.iter_mut().zip(site).for_each(|(c, s)| *c &= s),
+                Some(site) => combined.iter_mut().zip(site).for_each(|(c, s)| *c &= !s),
+                None if same => combined.fill(0),
+                None => {}
+            }
+        }
+        for &(kind, other, last_is_lhs) in &last.narrowing {
+            let Some(ev) = term_event(other, assignment) else {
+                continue;
+            };
+            retain_ordered(run, combined, ev, kind, !last_is_lhs);
         }
         for (i, &word) in combined.iter().enumerate() {
             let mut word = word & SEND_BITS;
@@ -1758,6 +1891,13 @@ mod tests {
             ForbiddenPredicate::parse("forbid x, y: x.s < y.r & y.s < x.r").unwrap(),
             ForbiddenPredicate::parse("forbid x, y: x.s < y.s & y.r < x.r where color(y) = red")
                 .unwrap(),
+            // The last variable, `z`, pinned to one process and away
+            // from another.
+            ForbiddenPredicate::parse(
+                "forbid x, y, z: x.s < y.r & z.s < x.r \
+                 where proc(x.s) != proc(z.r), proc(y.s) = proc(z.s)",
+            )
+            .unwrap(),
         ];
         // One scratch for every run and predicate, so a stale buffer shows.
         let mut scratch = EvalScratch::default();

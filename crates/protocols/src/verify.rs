@@ -322,12 +322,14 @@ impl Violations {
 /// and collects every terminal configuration that violates `spec` —
 /// what `msgorder explore --spec` prints and the benchmark's `explore-*`
 /// workloads time. Unlike [`verify_exhaustive`] nothing is pruned: each
-/// complete schedule's user's view is read off the run's vector clocks
-/// ([`UserRun::assign_from_clocks`]), checked against the predicate
-/// prepared once for the whole search, and digested if it violates. The
-/// view and the search buffers are kept per worker thread and refilled
-/// at every leaf, so a leaf touches the allocator only to record a new
-/// violating configuration.
+/// complete schedule's run is checked against the predicate prepared
+/// once for the whole search, on the vector clocks the kernel stamped
+/// ([`eval::Prepared::find_with`] over the [`StreamingRun`]), and, if it
+/// violates, digested from the same clocks
+/// ([`StreamingRun::users_view_digest`]). No view is built: the search
+/// buffers are kept per worker thread and refilled at every leaf, so a
+/// leaf touches the allocator only to record a new violating
+/// configuration.
 pub fn explore_violations<P>(
     processes: usize,
     workload: Workload,
@@ -342,22 +344,20 @@ where
     let schedules = AtomicUsize::new(0);
     let configs: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::new());
     thread_local! {
-        /// This worker's view and search buffers: the visitor is one
-        /// `Fn` shared by every worker, so they cannot live in it.
-        static LEAF: RefCell<(UserRun, eval::EvalScratch)> = RefCell::default();
+        /// This worker's search buffers: the visitor is one `Fn` shared
+        /// by every worker, so they cannot live in it.
+        static SCRATCH: RefCell<eval::EvalScratch> = RefCell::default();
     }
     let exploration = explore(processes, workload, factory, opts, &|run| {
-        LEAF.with(|leaf| {
-            let (user, scratch) = &mut *leaf.borrow_mut();
-            user.assign_from_clocks(run);
-            if prepared.find_with(user, scratch).is_some() {
-                schedules.fetch_add(1, Ordering::Relaxed);
-                configs
-                    .lock()
-                    .expect("no visitor panicked holding the digest set")
-                    .insert(user.digest());
-            }
-        });
+        let violates =
+            SCRATCH.with(|scratch| prepared.find_with(run, &mut scratch.borrow_mut()).is_some());
+        if violates {
+            schedules.fetch_add(1, Ordering::Relaxed);
+            configs
+                .lock()
+                .expect("no visitor panicked holding the digest set")
+                .insert(run.users_view_digest());
+        }
         true
     });
     Violations {

@@ -3,10 +3,10 @@
 
 use msgorder_predicate::{catalog, eval};
 use msgorder_protocols::{CausalBss, ProtocolKind};
-use msgorder_runs::{limit_sets, MessageId, ProcessId};
+use msgorder_runs::{limit_sets, MessageId, ProcessId, StreamingRun};
 use msgorder_simnet::{
-    HostAction, HostEnv, HostEvent, LatencyModel, Protocol, ProtocolHost, SimConfig, Simulation,
-    Workload,
+    FaultModel, HostAction, HostEnv, HostEvent, LatencyModel, Protocol, ProtocolHost, SimConfig,
+    Simulation, Workload,
 };
 use proptest::prelude::*;
 
@@ -178,6 +178,71 @@ proptest! {
         let actions = env.take_actions();
         if actions.iter().any(|a| matches!(a, HostAction::RejectFrame { .. })) {
             prop_assert_eq!(actions.len(), 1, "{} rejected and acted: {:?}", name, actions);
+        }
+    }
+}
+
+/// The explorer's leaf check on one terminal run: the search on the
+/// run's clocks finds the witness the search on its user's view finds,
+/// renumbered, for every catalog spec, and the clock digest is the
+/// view's digest.
+fn leaf_check_is_the_views(run: &StreamingRun) -> Result<(), String> {
+    let view = run.users_view();
+    prop_assert_eq!(run.users_view_digest(), view.digest());
+    let mut scratch = eval::EvalScratch::default();
+    for entry in catalog::all() {
+        let prepared = eval::Prepared::new(&entry.predicate);
+        let on_clocks = prepared.find_with(run, &mut scratch).map(|witness| {
+            witness
+                .iter()
+                .map(|&m| run.dense_id(m).expect("a witness names complete messages"))
+                .collect::<Vec<_>>()
+        });
+        prop_assert_eq!(
+            on_clocks,
+            prepared.find_instantiation(&view),
+            "{}",
+            entry.name
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// What `explore_violations` checks at a leaf — the predicate
+    /// searched and the view digested on the kernel's clocks — is what
+    /// the post-hoc view gives, on runs of every registry kind under
+    /// every latency model, with colored messages, and on lossy
+    /// networks whose runs end with messages still in flight.
+    #[test]
+    fn the_leaf_check_on_the_clocks_is_the_users_view_check(
+        procs in 2usize..5,
+        msgs in 0usize..10,
+        seed in 0u64..10_000,
+        latency in 0usize..3,
+        lossy in any::<bool>(),
+    ) {
+        let latency = [
+            LatencyModel::Fixed(3),
+            LatencyModel::Uniform { lo: 1, hi: 400 },
+            LatencyModel::Straggler { lo: 1, hi: 60, slow_every: 4, slow_factor: 20 },
+        ][latency];
+        let drop = if lossy { 0.3 } else { 0.0 };
+        let mut w = Workload::uniform_random(procs, msgs, seed);
+        for (i, send) in w.sends.iter_mut().enumerate() {
+            send.color = [None, Some("red"), None, Some("handoff")][i % 4].map(str::to_owned);
+        }
+        let mut kinds = ProtocolKind::fixed();
+        kinds.push(ProtocolKind::Synthesized(vec![catalog::causal()]));
+        for kind in &kinds {
+            let config = SimConfig::new(procs, latency, seed)
+                .with_faults(FaultModel::none().with_drop(drop).expect("a probability"));
+            // A lossy run may end in a counterexample; its run is not a leaf.
+            if let Ok(r) = Simulation::run_uniform(config, w.clone(), |node| kind.instantiate(procs, node)) {
+                leaf_check_is_the_views(&r.run)?;
+            }
         }
     }
 }

@@ -1,9 +1,8 @@
 //! The user's view: complete runs `(H, ▷)` (§3.3).
 
 use crate::error::RunError;
-use crate::ids::{EventKind, MessageId, ProcessId, UserEvent};
+use crate::ids::{MessageId, UserEvent};
 use crate::message::MessageMeta;
-use crate::streaming::StreamingRun;
 use msgorder_poset::{DiGraph, TransitiveClosure};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -21,12 +20,7 @@ use std::fmt;
 /// Beyond the paper's two written conditions we require `x.s ▷ x.r` for
 /// every message ([`UserRun::new`] adds those edges itself), which every
 /// construction in the paper also assumes.
-///
-/// The default value is the empty run; [`assign_from_clocks`] refills a
-/// run in place, reusing its buffers.
-///
-/// [`assign_from_clocks`]: UserRun::assign_from_clocks
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct UserRun {
     messages: Vec<MessageMeta>,
     closure: TransitiveClosure,
@@ -86,88 +80,6 @@ impl UserRun {
         })
     }
 
-    /// Overwrites this run with the user's view of `run`, read off the
-    /// vector clocks the run stamps as it grows: the same messages,
-    /// closure and skeleton as [`SystemRun::users_view`], without its
-    /// edge list, Kahn pass or fresh matrices. Once the buffers have
-    /// held a view this size, the only allocation left is a color
-    /// string longer than the one it overwrites.
-    ///
-    /// Complete messages are kept in id order and renumbered densely,
-    /// as there. They carry their original ids until the skeleton has
-    /// been read, so a run event finds its message by binary search
-    /// (or at its own id, when every message is complete).
-    /// `▷` is the Fidge test `a ▷ b ⇔ a ≠ b ∧ V(a)[p_a] ≤ V(b)[p_a]`,
-    /// asked of every ordered pair of events: `O(m²)` word reads, where
-    /// the Kahn build costs `O(E·m/64)` — the right trade for the
-    /// explorer's few-message leaves, not for a long run.
-    ///
-    /// [`SystemRun::users_view`]: crate::SystemRun::users_view
-    pub fn assign_from_clocks(&mut self, run: &StreamingRun) {
-        let mut kept = 0;
-        for meta in run.messages() {
-            if !run.is_message_complete(meta.id) {
-                continue;
-            }
-            match self.messages.get_mut(kept) {
-                Some(slot) => {
-                    slot.id = meta.id;
-                    slot.src = meta.src;
-                    slot.dst = meta.dst;
-                    slot.color.clone_from(&meta.color);
-                }
-                None => self.messages.push(meta.clone()),
-            }
-            kept += 1;
-        }
-        self.messages.truncate(kept);
-        let messages = &self.messages;
-        let every = kept == run.messages().len();
-        let dense = |m: MessageId| {
-            if every {
-                return m.0;
-            }
-            messages
-                .binary_search_by_key(&m, |meta| meta.id)
-                .expect("a user event of a complete message")
-        };
-        self.skeleton.clear();
-        for p in 0..run.process_count() {
-            let mut prev = None;
-            for ev in run.sequence(ProcessId(p)) {
-                let user = matches!(ev.kind, EventKind::Send | EventKind::Deliver);
-                if !user || !run.is_message_complete(ev.msg) {
-                    continue;
-                }
-                let cur = dense(ev.msg);
-                if let Some(prev) = prev.filter(|&prev| prev != cur) {
-                    self.skeleton.push((prev, cur));
-                }
-                prev = Some(cur);
-            }
-        }
-        // Row `u` holds every event whose clock has caught up with
-        // `u`'s own component; message `j`'s send and delivery are the
-        // bit pair `2j, 2j + 1`, so each word covers 32 messages.
-        let (n, slab) = (run.process_count(), run.clock_slab());
-        self.closure.assign_rows(2 * kept, |u, row| {
-            let meta = &messages[u / 2];
-            let p = if u % 2 == 0 { meta.src } else { meta.dst }.0;
-            let own = slab[(2 * meta.id.0 + u % 2) * n + p];
-            for (word, chunk) in row.iter_mut().zip(messages.chunks(32)) {
-                for (k, m) in chunk.iter().enumerate() {
-                    let send = 2 * m.id.0 * n + p;
-                    let pair = u64::from(slab[send] >= own) | u64::from(slab[send + n] >= own) << 1;
-                    *word |= pair << (2 * k);
-                }
-            }
-            row[u / 64] &= !(1 << (u % 64));
-        });
-        for (i, meta) in self.messages.iter_mut().enumerate() {
-            meta.id = MessageId(i);
-        }
-    }
-
     /// A 64-bit FNV-1a digest of the *partial order* — each message's
     /// endpoints, then the covering pairs of `▷` as `(event-node,
     /// event-node)` in [`TransitiveClosure::for_each_cover`] order: identical
@@ -175,22 +87,20 @@ impl UserRun {
     /// computed without allocating. The explorer sums these over its
     /// violating configurations (wrapping addition, so the total is
     /// independent of the order workers reach them in) — the `digest`
-    /// line of `msgorder explore` and the benchmark's output check.
+    /// line of `msgorder explore` and the benchmark's output check —
+    /// reading each one off the run's clocks
+    /// ([`StreamingRun::users_view_digest`](crate::StreamingRun::users_view_digest)).
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: usize| {
-            h ^= v as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        };
+        let mut h = Fnv::new();
         for m in &self.messages {
-            eat(m.src.0);
-            eat(m.dst.0);
+            h.eat(m.src.0);
+            h.eat(m.dst.0);
         }
         self.closure.for_each_cover(|u, v| {
-            eat(u);
-            eat(v);
+            h.eat(u);
+            h.eat(v);
         });
-        h
+        h.finish()
     }
 
     /// The messages of the run.
@@ -331,6 +241,25 @@ impl UserRun {
     }
 }
 
+/// 64-bit FNV-1a over a sequence of words, the hash behind
+/// [`UserRun::digest`] and [`crate::StreamingRun::users_view_digest`].
+pub(crate) struct Fnv(u64);
+
+impl Fnv {
+    pub(crate) fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub(crate) fn eat(&mut self, v: usize) {
+        self.0 ^= v as u64;
+        self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+    }
+
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 impl fmt::Display for UserRun {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render())
@@ -371,6 +300,8 @@ impl TryFrom<UserRunSnapshot> for UserRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::{EventKind, ProcessId};
+    use crate::StreamingRun;
 
     fn meta(n: usize) -> Vec<MessageMeta> {
         (0..n)
@@ -510,13 +441,6 @@ mod tests {
     use crate::ids::SystemEvent;
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
-    use std::cell::RefCell;
-
-    thread_local! {
-        /// The one view every case refills, so a buffer left stale by a
-        /// larger earlier view shows.
-        static REUSED: RefCell<UserRun> = RefCell::default();
-    }
 
     /// The digest as first defined: FNV-1a over a snapshot's endpoints
     /// and its covering pairs.
@@ -531,17 +455,11 @@ mod tests {
         h
     }
 
-    fn clock_view_is_users_view(run: &StreamingRun) -> Result<(), String> {
+    fn clock_digest_is_view_digest(run: &StreamingRun) -> Result<(), String> {
         let reference = run.users_view();
-        REUSED.with(|cell| {
-            let view = &mut *cell.borrow_mut();
-            view.assign_from_clocks(run);
-            prop_assert_eq!(view.messages, reference.messages);
-            prop_assert_eq!(view.closure, reference.closure);
-            prop_assert_eq!(view.skeleton, reference.skeleton);
-            prop_assert_eq!(view.digest(), snapshot_digest(&reference));
-            Ok(())
-        })
+        prop_assert_eq!(reference.digest(), snapshot_digest(&reference));
+        prop_assert_eq!(run.users_view_digest(), reference.digest());
+        Ok(())
     }
 
     proptest! {
@@ -549,11 +467,12 @@ mod tests {
 
         /// Every prefix of a random schedule — incomplete messages,
         /// colored ones and a self-addressed one included — reads the
-        /// same view off its clocks as [`SystemRun::users_view`] builds.
+        /// digest of the view [`SystemRun::users_view`] builds off its
+        /// clocks.
         ///
         /// [`SystemRun::users_view`]: crate::SystemRun::users_view
         #[test]
-        fn the_clock_built_view_is_the_users_view(
+        fn the_clock_digest_is_the_users_view_digest(
             procs in 1usize..5,
             msgs in 0usize..9,
             seed in 0u64..1_000_000,
@@ -570,7 +489,7 @@ mod tests {
                 };
             }
             let mut stage = vec![0usize; msgs];
-            clock_view_is_users_view(&run)?;
+            clock_digest_is_view_digest(&run)?;
             loop {
                 let open: Vec<usize> = (0..msgs).filter(|&i| stage[i] < 4).collect();
                 if open.is_empty() {
@@ -580,7 +499,7 @@ mod tests {
                 run.append(SystemEvent::new(MessageId(i), EventKind::ALL[stage[i]]))
                     .expect("a valid next event");
                 stage[i] += 1;
-                clock_view_is_users_view(&run)?;
+                clock_digest_is_view_digest(&run)?;
             }
         }
     }

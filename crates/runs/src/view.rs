@@ -62,6 +62,22 @@ pub trait OrderView {
     fn event_clock(&self, _e: UserEvent) -> Option<&[u64]> {
         None
     }
+
+    /// Whether both of `m`'s user events have occurred: the user's view
+    /// holds only complete messages. The default asks `x.s ▷ x.r`,
+    /// which holds exactly when both events are present.
+    fn is_message_complete(&self, m: MessageId) -> bool {
+        self.before(UserEvent::send(m), UserEvent::deliver(m))
+    }
+
+    /// `e`'s row of the transitive closure of `▷`, indexed by
+    /// [`UserEvent::node`]: its descendants if `after`, else its
+    /// ancestors. A view that holds a closure hands it out so a search
+    /// can intersect whole words; views that answer from clocks leave
+    /// this at its default, `None`.
+    fn closure_row(&self, _e: UserEvent, _after: bool) -> Option<&[u64]> {
+        None
+    }
 }
 
 impl OrderView for crate::UserRun {
@@ -75,6 +91,20 @@ impl OrderView for crate::UserRun {
 
     fn message_count(&self) -> usize {
         self.len()
+    }
+
+    fn is_message_complete(&self, _m: MessageId) -> bool {
+        true
+    }
+
+    fn closure_row(&self, e: UserEvent, after: bool) -> Option<&[u64]> {
+        let closure = self.closure();
+        let row = if after {
+            closure.descendants(e.node())
+        } else {
+            closure.ancestors(e.node())
+        };
+        Some(row.words())
     }
 }
 
@@ -105,5 +135,13 @@ impl<V: OrderView + ?Sized> OrderView for &V {
 
     fn event_clock(&self, e: UserEvent) -> Option<&[u64]> {
         (**self).event_clock(e)
+    }
+
+    fn is_message_complete(&self, m: MessageId) -> bool {
+        (**self).is_message_complete(m)
+    }
+
+    fn closure_row(&self, e: UserEvent, after: bool) -> Option<&[u64]> {
+        (**self).closure_row(e, after)
     }
 }

@@ -98,7 +98,8 @@ pub enum Listener {
 
 impl Listener {
     /// Accepts one connection (blocking unless
-    /// [`set_nonblocking`](Listener::set_nonblocking) was called).
+    /// [`set_nonblocking`](Listener::set_nonblocking) was called),
+    /// retrying an accept a signal interrupted.
     ///
     /// # Errors
     /// The underlying accept error (`WouldBlock` when non-blocking and
@@ -106,12 +107,12 @@ impl Listener {
     pub fn accept(&self) -> io::Result<Conn> {
         match self {
             Listener::Tcp(l) => {
-                let (s, _) = l.accept()?;
+                let (s, _) = retry_interrupted(|| l.accept())?;
                 s.set_nodelay(true)?;
                 Ok(Conn::Tcp(s))
             }
             Listener::Unix(l) => {
-                let (s, _) = l.accept()?;
+                let (s, _) = retry_interrupted(|| l.accept())?;
                 Ok(Conn::Unix(s))
             }
         }
@@ -181,12 +182,27 @@ impl Conn {
     }
 }
 
+/// Repeats `op` while it fails with `Interrupted`. Both ends of a
+/// session set a receive timeout, and signal(7) says a socket read
+/// with one is not restarted after a signal handler runs, even under
+/// `SA_RESTART`: without the retry, any handled signal (a profiler's
+/// `SIGPROF`, say) would end a live session.
+fn retry_interrupted<T>(mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+    loop {
+        match op() {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            done => return done,
+        }
+    }
+}
+
+/// Reads retry when a signal interrupts them.
 impl Read for Conn {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
+        retry_interrupted(|| match self {
             Conn::Tcp(s) => s.read(buf),
             Conn::Unix(s) => s.read(buf),
-        }
+        })
     }
 }
 
@@ -209,6 +225,42 @@ impl Write for Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fails its first read with `Interrupted`, then reads `data`.
+    struct InterruptedOnce<'a> {
+        interrupted: bool,
+        data: &'a [u8],
+    }
+
+    impl Read for InterruptedOnce<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if !self.interrupted {
+                self.interrupted = true;
+                return Err(io::Error::from(io::ErrorKind::Interrupted));
+            }
+            self.data.read(buf)
+        }
+    }
+
+    #[test]
+    fn an_interrupted_read_is_retried() {
+        let mut reader = InterruptedOnce {
+            interrupted: false,
+            data: b"hello",
+        };
+        let mut buf = [0u8; 8];
+        let n = retry_interrupted(|| reader.read(&mut buf)).expect("the retry reads");
+        assert_eq!(&buf[..n], b"hello");
+        assert!(reader.interrupted);
+        // Any other error is handed back at once.
+        let mut calls = 0;
+        let err = retry_interrupted(|| {
+            calls += 1;
+            Err::<(), _>(io::Error::from(io::ErrorKind::WouldBlock))
+        })
+        .unwrap_err();
+        assert_eq!((err.kind(), calls), (io::ErrorKind::WouldBlock, 1));
+    }
 
     #[test]
     fn parses_both_schemes_and_rejects_garbage() {

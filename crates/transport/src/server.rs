@@ -198,6 +198,9 @@ impl SocketHost {
     /// Accepts one connection and completes its handshake, filling
     /// `self.links` at whichever node dialed in.
     fn accept_one(&mut self, deadline: Instant) -> Result<(), TransportError> {
+        // A peer usually dials within microseconds of the last one, so
+        // the first polls come fast; an idle wait backs off to 5 ms.
+        let mut pause = Duration::from_micros(20);
         let conn = loop {
             match self.listener.accept() {
                 Ok(conn) => break conn,
@@ -213,7 +216,8 @@ impl SocketHost {
                             "timed out waiting for processes {missing:?} to connect"
                         )));
                     }
-                    std::thread::sleep(Duration::from_millis(5));
+                    std::thread::sleep(pause);
+                    pause = (pause * 2).min(Duration::from_millis(5));
                 }
                 Err(e) => return Err(TransportError::Io(e)),
             }

@@ -23,7 +23,10 @@
 //! `tests/alloc_guard.rs`, `tests/mem_guard.rs` and
 //! `tests/monitor_cost.rs` check the rows of one guard each.
 
-use msgorder::predicate::{catalog, eval::Monitor};
+use msgorder::predicate::{
+    catalog,
+    eval::{EvalScratch, Monitor, Prepared},
+};
 use msgorder::protocols::{explore_violations, AsyncProtocol, CausalRst, ProtocolKind};
 use msgorder::runs::generator::{random_system_run, GenParams};
 use msgorder::runs::{
@@ -134,8 +137,10 @@ const COSTS: &[Cost] = &[
            catches: "the seen-set allocating per state", measure: explore_pool_exact },
     Cost { layer: "protocols", operation: "causal-rst dispatch, late half (calls per send)", bound: 1.05,
            catches: "an allocation beyond the tag buffer the frame hands over", measure: causal_rst_dispatch },
-    Cost { layer: "protocols", operation: "`explore_violations` leaf check beyond the search (calls per leaf)", bound: 1.0,
+    Cost { layer: "protocols", operation: "`explore_violations` leaf check beyond the search (calls per leaf)", bound: 0.0933,
            catches: "a view built or a snapshot digested per leaf", measure: checked_leaf },
+    Cost { layer: "protocols", operation: "leaf check, `before` + `event_clock` per leaf, pool shape 0, fifo", bound: 10.75,
+           catches: "order asked of candidates the process constraints rule out", measure: leaf_queries },
     Cost { layer: "protocols", operation: "tag bytes per user message, fifo, 400 messages", bound: 8.0,
            catches: "a wider sequence-number tag", measure: || tag_bytes(ProtocolKind::Fifo, 400) },
     Cost { layer: "protocols", operation: "tag bytes per user message, causal-rst, 400 messages", bound: 17.0,
@@ -393,6 +398,11 @@ impl OrderView for CountingView<'_> {
         self.event_clock.set(self.event_clock.get() + 1);
         self.run.event_clock(e)
     }
+
+    /// The run's completion flags: no order query.
+    fn is_message_complete(&self, m: MessageId) -> bool {
+        self.run.is_message_complete(m)
+    }
 }
 
 /// Feeds every delivery to the monitor through a [`CountingView`].
@@ -596,6 +606,32 @@ fn checked_leaf() -> f64 {
     assert_eq!((leaves, found.configs.len()), (6_070, 4_192));
     assert_eq!(bare.schedules, leaves);
     checked.saturating_sub(engine) as f64 / leaves as f64
+}
+
+/// `before` and `event_clock` calls per leaf when the explorer's leaf
+/// check — `Prepared::find_with` on the kernel's run — searches pool
+/// shape 0 for a `fifo` violation through a [`CountingView`].
+fn leaf_queries() -> f64 {
+    let spec = catalog::fifo();
+    let prepared = Prepared::new(&spec);
+    let counted = Mutex::new((EvalScratch::default(), 0u64, 0u64));
+    let opts = por(DedupMode::Off);
+    let exp = explore(3, pool_shape_0(), |_| AsyncProtocol::new(), &opts, &|run| {
+        let (before, event_clock) = (Cell::new(0), Cell::new(0));
+        let view = CountingView {
+            run,
+            before: &before,
+            event_clock: &event_clock,
+        };
+        let mut counted = counted.lock().unwrap();
+        let (scratch, violating, queries) = &mut *counted;
+        *violating += u64::from(prepared.find_with(&view, scratch).is_some());
+        *queries += before.get() + event_clock.get();
+        true
+    });
+    let (_, violating, queries) = counted.into_inner().unwrap();
+    assert_eq!((exp.schedules, violating), (6_070, 4_192));
+    queries as f64 / exp.schedules as f64
 }
 
 /// `Stats::tag_bytes_per_user` of `kind` on `messages` uniformly random
