@@ -361,6 +361,20 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
+/// A box encodes exactly as what it holds: boxing a field changes its
+/// layout in memory, never its bytes on the wire.
+impl<T: Serialize + ?Sized> Serialize for Box<T> {
+    fn to_json_value(&self) -> Value {
+        (**self).to_json_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for Box<T> {
+    fn from_json_value(v: &Value) -> Result<Self, Error> {
+        T::from_json_value(v).map(Box::new)
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_json_value(&self) -> Value {
         match self {
@@ -567,6 +581,16 @@ mod tests {
         let v = t.to_json_value();
         let back: (usize, u64, Option<String>) = Deserialize::from_json_value(&v).unwrap();
         assert_eq!(back, t);
+    }
+
+    #[test]
+    fn a_box_encodes_as_its_contents() {
+        let t = (3usize, Some(7u64));
+        let boxed = Box::new(t);
+        assert_eq!(boxed.to_json_value(), t.to_json_value());
+        let back: Box<(usize, Option<u64>)> =
+            Deserialize::from_json_value(&t.to_json_value()).unwrap();
+        assert_eq!(back, boxed);
     }
 
     #[test]

@@ -72,7 +72,7 @@ use crate::error::SimError;
 use crate::faults::FaultModel;
 use crate::host::HostEvent;
 use crate::kernel::{
-    Driver, EventKind, KernelEvent, Protocol, RunObserver, Scheduled, SimConfig, Simulation,
+    Driver, EventKind, JournalEntry, Protocol, RunObserver, Scheduled, SimConfig, Simulation,
 };
 use crate::liveness::{self, LivenessVerdict};
 use crate::workload::Workload;
@@ -580,7 +580,7 @@ impl<P: Protocol + Hash> State<P> {
             // dispatch at `node` belongs to `node`'s process sequence,
             // so the cache chains stay per-process-ordered.
             for entry in &self.world.fresh {
-                if let KernelEvent::Run { ev, .. } = entry {
+                if let JournalEntry::Run { ev, .. } = entry {
                     c.chain_append(node, *ev, table);
                 }
             }

@@ -552,6 +552,11 @@ pub enum FaultRecord {
 /// `s`, `r*`, `r`) interleaved, in execution order, with the wire and
 /// fault records between them. This is the trace-event schema serialized
 /// by the `msgorder-trace` crate (DESIGN.md §10).
+///
+/// The wire record sits out of line: it is the one wide record, and
+/// inline it would size every run event's slot by it. Boxed, an event
+/// is 32 bytes; the box encodes exactly as the record, so the schema is
+/// unchanged.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KernelEvent {
     /// A run event with its simulated time.
@@ -562,7 +567,21 @@ pub enum KernelEvent {
         time: u64,
     },
     /// A frame put on (or eaten off) the wire.
-    Wire(WireRecord),
+    Wire(Box<WireRecord>),
+    /// A crash-schedule effect.
+    Fault(FaultRecord),
+}
+
+/// One entry of the kernel's own journal ([`World::fresh`]): what a
+/// [`KernelEvent`] is, with the wire record held in the recycled side
+/// buffer [`World::wires`] instead of a box, so journaling a frame never
+/// allocates once both buffers are warm.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum JournalEntry {
+    /// A run event with its simulated time.
+    Run { ev: SystemEvent, time: u64 },
+    /// The next unread record of [`World::wires`].
+    Wire,
     /// A crash-schedule effect.
     Fault(FaultRecord),
 }
@@ -864,10 +883,10 @@ pub(crate) struct World {
     pub(crate) record_wire: bool,
     /// Journal entries appended since the observer last drained, in
     /// execution order.
-    pub(crate) fresh: Vec<KernelEvent>,
-    /// Recycled journal buffer: after a drain, `fresh`'s storage parks
-    /// here so the steady-state record path never reallocates.
-    pub(crate) spare: Vec<KernelEvent>,
+    pub(crate) fresh: Vec<JournalEntry>,
+    /// The records of `fresh`'s [`JournalEntry::Wire`] entries, in
+    /// order; drained with it.
+    pub(crate) wires: Vec<WireRecord>,
     /// Where network decisions come from (sampled or replayed).
     pub(crate) decisions: DecisionSource,
     /// Reusable action buffer of the in-process driver: filled by one
@@ -901,7 +920,7 @@ impl Clone for World {
             record,
             record_wire,
             fresh,
-            spare,
+            wires,
             decisions,
             scratch,
         } = self;
@@ -923,7 +942,7 @@ impl Clone for World {
             record: *record,
             record_wire: *record_wire,
             fresh: fresh.clone(),
-            spare: spare.clone(),
+            wires: wires.clone(),
             decisions: decisions.clone(),
             scratch: scratch.clone(),
         }
@@ -948,7 +967,7 @@ impl Clone for World {
             record,
             record_wire,
             fresh,
-            spare,
+            wires,
             decisions,
             scratch,
         } = source;
@@ -969,7 +988,7 @@ impl Clone for World {
         self.record = *record;
         self.record_wire = *record_wire;
         self.fresh.clone_from(fresh);
-        self.spare.clone_from(spare);
+        self.wires.clone_from(wires);
         self.decisions.clone_from(decisions);
         self.scratch.clone_from(scratch);
     }
@@ -979,7 +998,7 @@ impl World {
     /// Journals a just-appended run event for the streaming observer.
     pub(crate) fn journal(&mut self, msg: MessageId, kind: RunEventKind) {
         if self.record {
-            self.fresh.push(KernelEvent::Run {
+            self.fresh.push(JournalEntry::Run {
                 ev: SystemEvent::new(msg, kind),
                 time: self.now,
             });
@@ -989,7 +1008,7 @@ impl World {
     /// Journals a crash-schedule effect for the streaming observer.
     fn journal_fault(&mut self, fault: FaultRecord) {
         if self.record_wire {
-            self.fresh.push(KernelEvent::Fault(fault));
+            self.fresh.push(JournalEntry::Fault(fault));
         }
     }
 
@@ -1079,7 +1098,7 @@ impl World {
             record: false,
             record_wire: false,
             fresh: Vec::new(),
-            spare: Vec::new(),
+            wires: Vec::new(),
             decisions: DecisionSource::Sample,
             scratch: Vec::new(),
         };
@@ -1153,32 +1172,33 @@ impl World {
         if self.fresh.is_empty() {
             return true;
         }
-        // Swap in the recycled buffer so draining does not surrender
-        // `fresh`'s storage: the next batch appends into `spare`'s old
-        // capacity and the drained buffer parks back — the record path
-        // stops allocating once the two buffers reach steady state.
-        let mut fresh = std::mem::replace(&mut self.fresh, std::mem::take(&mut self.spare));
-        let run_count = fresh
+        let run_count = self
+            .fresh
             .iter()
-            .filter(|e| matches!(e, KernelEvent::Run { .. }))
+            .filter(|e| matches!(e, JournalEntry::Run { .. }))
             .count();
         let mut index = self.builder.event_count() - run_count;
         let mut halted = false;
-        for entry in fresh.drain(..) {
+        let mut wires = self.wires.iter();
+        // Draining in place keeps both buffers' storage: the record path
+        // stops allocating once they reach steady state.
+        for entry in self.fresh.drain(..) {
             match entry {
-                KernelEvent::Run { ev, time } => {
+                JournalEntry::Run { ev, time } => {
                     if !obs.on_event(&self.builder, ev, index, time) {
                         halted = true;
                         break;
                     }
                     index += 1;
                 }
-                KernelEvent::Wire(w) => obs.on_wire(&w),
-                KernelEvent::Fault(f) => obs.on_fault(&f),
+                JournalEntry::Wire => {
+                    let wire = wires.next().expect("one wire record per wire entry");
+                    obs.on_wire(wire);
+                }
+                JournalEntry::Fault(f) => obs.on_fault(&f),
             }
         }
-        fresh.clear();
-        self.spare = fresh;
+        self.wires.clear();
         !halted
     }
 
@@ -1443,13 +1463,14 @@ impl World {
             },
         };
         if self.record_wire {
-            self.fresh.push(KernelEvent::Wire(WireRecord {
+            self.fresh.push(JournalEntry::Wire);
+            self.wires.push(WireRecord {
                 from,
                 to,
                 time: self.now,
                 payload: PayloadKind::of(&kind, retransmit),
                 decision,
-            }));
+            });
         }
         if let EventKind::UserArrival { msg, .. } = &kind {
             let fate = &mut self.messages[msg.0].fate;
@@ -2049,6 +2070,39 @@ mod tests {
         })
         .expect_err("resend before send");
         assert_eq!(e.kind, SimErrorKind::ResendBeforeSend);
+    }
+
+    #[test]
+    fn a_boxed_wire_record_encodes_as_the_record() {
+        let wire = WireRecord {
+            from: 2,
+            to: 0,
+            time: 41,
+            payload: PayloadKind::User {
+                msg: MessageId(5),
+                bytes: 9,
+                retransmit: true,
+            },
+            decision: TransmitDecision {
+                delay: 7,
+                dup_delay: Some(3),
+                corrupt: Some(11),
+                ..TransmitDecision::default()
+            },
+        };
+        let boxed = Box::new(wire);
+        let plain = serde_json::to_string(&wire).expect("serializes");
+        assert_eq!(serde_json::to_string(&boxed).expect("serializes"), plain);
+        let back: WireRecord = serde_json::from_str(&plain).expect("parses");
+        assert_eq!(back, wire);
+        let back: Box<WireRecord> = serde_json::from_str(&plain).expect("parses");
+        assert_eq!(back, boxed);
+        // A journal line carries the record's own encoding, tagged.
+        let ev = KernelEvent::Wire(boxed);
+        let line = serde_json::to_string(&ev).expect("serializes");
+        assert_eq!(line, format!("{{\"Wire\":{plain}}}"));
+        let back: KernelEvent = serde_json::from_str(&line).expect("parses");
+        assert_eq!(back, ev);
     }
 
     /// Records every observed event; optionally halts at the first

@@ -537,119 +537,125 @@ fn mix(h: &mut u64, v: u64) {
 
 fn mix_event(h: &mut u64, ev: &KernelEvent) {
     match ev {
-        KernelEvent::Run { ev, time } => {
+        KernelEvent::Run { ev, time } => mix_run(h, *ev, *time),
+        KernelEvent::Wire(w) => mix_wire(h, w),
+        KernelEvent::Fault(f) => mix_fault(h, f),
+    }
+}
+
+fn mix_run(h: &mut u64, ev: msgorder_runs::SystemEvent, time: u64) {
+    mix(h, 0);
+    mix(h, ev.msg.0 as u64);
+    mix(
+        h,
+        match ev.kind {
+            EventKind::Invoke => 0,
+            EventKind::Send => 1,
+            EventKind::Receive => 2,
+            EventKind::Deliver => 3,
+        },
+    );
+    mix(h, time);
+}
+
+fn mix_wire(h: &mut u64, w: &WireRecord) {
+    mix(h, 1);
+    mix(h, w.from as u64);
+    mix(h, w.to as u64);
+    mix(h, w.time);
+    match w.payload {
+        msgorder_simnet::PayloadKind::User {
+            msg,
+            bytes,
+            retransmit,
+        } => {
             mix(h, 0);
-            mix(h, ev.msg.0 as u64);
-            mix(
-                h,
-                match ev.kind {
-                    EventKind::Invoke => 0,
-                    EventKind::Send => 1,
-                    EventKind::Receive => 2,
-                    EventKind::Deliver => 3,
-                },
-            );
+            mix(h, msg.0 as u64);
+            mix(h, bytes as u64);
+            mix(h, retransmit as u64);
+        }
+        msgorder_simnet::PayloadKind::Control { bytes, retransmit } => {
+            mix(h, 1);
+            mix(h, bytes as u64);
+            mix(h, retransmit as u64);
+        }
+    }
+    mix(h, w.decision.delay);
+    mix(
+        h,
+        match w.decision.dropped {
+            None => 0,
+            Some(msgorder_simnet::DropReason::Partition) => 1,
+            Some(msgorder_simnet::DropReason::Loss) => 2,
+        },
+    );
+    match w.decision.dup_delay {
+        None => mix(h, 0),
+        Some(d) => {
+            mix(h, 1);
+            mix(h, d);
+        }
+    }
+    // Adversarial decisions mix *only* when present, so every
+    // pre-adversarial trace — and every run under a quiet model — keeps
+    // its historical fingerprint bit-for-bit.
+    if let Some(seed) = w.decision.corrupt {
+        mix(h, 3);
+        mix(h, seed);
+    }
+    if let Some(forge) = w.decision.forge {
+        mix(h, 4);
+        mix(h, forge.seed);
+        mix(h, forge.delay);
+    }
+    if let Some(d) = w.decision.replay_delay {
+        mix(h, 5);
+        mix(h, d);
+    }
+    if w.decision.reorder_extra != 0 {
+        mix(h, 6);
+        mix(h, w.decision.reorder_extra);
+    }
+}
+
+fn mix_fault(h: &mut u64, f: &FaultRecord) {
+    mix(h, 2);
+    match f {
+        FaultRecord::ArrivalAtCrashed { node, time } => {
+            mix(h, 0);
+            mix(h, *node as u64);
             mix(h, *time);
         }
-        KernelEvent::Wire(w) => {
+        FaultRecord::DeferredToRestart { node, time, until } => {
             mix(h, 1);
-            mix(h, w.from as u64);
-            mix(h, w.to as u64);
-            mix(h, w.time);
-            match w.payload {
-                msgorder_simnet::PayloadKind::User {
-                    msg,
-                    bytes,
-                    retransmit,
-                } => {
-                    mix(h, 0);
-                    mix(h, msg.0 as u64);
-                    mix(h, bytes as u64);
-                    mix(h, retransmit as u64);
-                }
-                msgorder_simnet::PayloadKind::Control { bytes, retransmit } => {
-                    mix(h, 1);
-                    mix(h, bytes as u64);
-                    mix(h, retransmit as u64);
-                }
-            }
-            mix(h, w.decision.delay);
+            mix(h, *node as u64);
+            mix(h, *time);
+            mix(h, *until);
+        }
+        FaultRecord::LostToCrash { node, time } => {
+            mix(h, 2);
+            mix(h, *node as u64);
+            mix(h, *time);
+        }
+        FaultRecord::Rejected {
+            node,
+            from,
+            time,
+            reason,
+        } => {
+            mix(h, 3);
+            mix(h, *node as u64);
+            mix(h, *from as u64);
+            mix(h, *time);
             mix(
                 h,
-                match w.decision.dropped {
-                    None => 0,
-                    Some(msgorder_simnet::DropReason::Partition) => 1,
-                    Some(msgorder_simnet::DropReason::Loss) => 2,
+                match reason {
+                    msgorder_simnet::RejectReason::Malformed => 0,
+                    msgorder_simnet::RejectReason::StaleEpoch => 1,
+                    msgorder_simnet::RejectReason::Replayed => 2,
+                    msgorder_simnet::RejectReason::Unexpected => 3,
                 },
             );
-            match w.decision.dup_delay {
-                None => mix(h, 0),
-                Some(d) => {
-                    mix(h, 1);
-                    mix(h, d);
-                }
-            }
-            // Adversarial decisions mix *only* when present, so every
-            // pre-adversarial trace — and every run under a quiet model
-            // — keeps its historical fingerprint bit-for-bit.
-            if let Some(seed) = w.decision.corrupt {
-                mix(h, 3);
-                mix(h, seed);
-            }
-            if let Some(forge) = w.decision.forge {
-                mix(h, 4);
-                mix(h, forge.seed);
-                mix(h, forge.delay);
-            }
-            if let Some(d) = w.decision.replay_delay {
-                mix(h, 5);
-                mix(h, d);
-            }
-            if w.decision.reorder_extra != 0 {
-                mix(h, 6);
-                mix(h, w.decision.reorder_extra);
-            }
-        }
-        KernelEvent::Fault(f) => {
-            mix(h, 2);
-            match f {
-                FaultRecord::ArrivalAtCrashed { node, time } => {
-                    mix(h, 0);
-                    mix(h, *node as u64);
-                    mix(h, *time);
-                }
-                FaultRecord::DeferredToRestart { node, time, until } => {
-                    mix(h, 1);
-                    mix(h, *node as u64);
-                    mix(h, *time);
-                    mix(h, *until);
-                }
-                FaultRecord::LostToCrash { node, time } => {
-                    mix(h, 2);
-                    mix(h, *node as u64);
-                    mix(h, *time);
-                }
-                FaultRecord::Rejected {
-                    node,
-                    from,
-                    time,
-                    reason,
-                } => {
-                    mix(h, 3);
-                    mix(h, *node as u64);
-                    mix(h, *from as u64);
-                    mix(h, *time);
-                    mix(
-                        h,
-                        match reason {
-                            msgorder_simnet::RejectReason::Malformed => 0,
-                            msgorder_simnet::RejectReason::StaleEpoch => 1,
-                            msgorder_simnet::RejectReason::Replayed => 2,
-                            msgorder_simnet::RejectReason::Unexpected => 3,
-                        },
-                    );
-                }
-            }
         }
     }
 }
@@ -660,16 +666,23 @@ fn mix_event(h: &mut u64, ev: &KernelEvent) {
 /// streams are identical; the file format is not hashed, so the same
 /// events written in another schema version keep their fingerprint.
 pub fn fingerprint(processes: usize, events: &[KernelEvent]) -> u64 {
-    let mut h = FNV_OFFSET;
-    mix(&mut h, processes as u64);
+    let mut h = fingerprint_seed(processes);
     for ev in events {
         mix_event(&mut h, ev);
     }
     h
 }
 
+/// The fingerprint of an empty event stream over `processes`.
+fn fingerprint_seed(processes: usize) -> u64 {
+    let mut h = FNV_OFFSET;
+    mix(&mut h, processes as u64);
+    h
+}
+
 /// A [`RunObserver`] that journals the complete kernel event stream —
-/// the capture side of the trace pipeline.
+/// the capture side of the trace pipeline. A kept wire record is boxed
+/// here, once per frame; the kernel's own journal holds it unboxed.
 #[derive(Debug, Default)]
 pub struct Recorder {
     /// The captured stream, in execution order.
@@ -699,7 +712,7 @@ impl RunObserver for Recorder {
     }
 
     fn on_wire(&mut self, wire: &WireRecord) {
-        self.events.push(KernelEvent::Wire(*wire));
+        self.events.push(KernelEvent::Wire(Box::new(*wire)));
     }
 
     fn on_fault(&mut self, fault: &FaultRecord) {
@@ -790,36 +803,50 @@ pub fn record_with_extra<P: Protocol>(
     Ok(Recorded { trace, outcome })
 }
 
-/// The one place a recorded simulation is built and run: `setup`'s
-/// kernel under a [`Recorder`], sampling the network afresh or — with
+/// The one place a simulation of a setup is built and run: `setup`'s
+/// kernel under `obs`, sampling the network afresh or — with
 /// `decisions` — replaying a recorded one bit-exactly.
+#[allow(clippy::result_large_err)] // `Simulation::run_streaming`'s result
+fn run_observed<P: Protocol>(
+    setup: &Setup,
+    factory: impl Fn(usize) -> P,
+    decisions: Option<Vec<TransmitDecision>>,
+    obs: &mut dyn RunObserver,
+) -> Result<StreamResult, SimError> {
+    let mut sim = Simulation::new(setup.config(), setup.workload.clone(), factory)
+        .with_step_limit(setup.step_limit);
+    if let Some(decisions) = decisions {
+        sim = sim.with_replay(decisions);
+    }
+    sim.run_streaming(obs)
+}
+
+/// [`run_observed`] under a [`Recorder`] (and `extra`, if any).
 fn run_recorded<P: Protocol>(
     setup: &Setup,
     factory: impl Fn(usize) -> P,
     decisions: Option<Vec<TransmitDecision>>,
     extra: Option<&mut dyn RunObserver>,
 ) -> (Vec<KernelEvent>, Result<StreamResult, SimError>) {
-    let mut sim = Simulation::new(setup.config(), setup.workload.clone(), factory)
-        .with_step_limit(setup.step_limit);
-    if let Some(decisions) = decisions {
-        sim = sim.with_replay(decisions);
-    }
     // 4 run events per message, one wire record per frame, plus slack
     // for control traffic and retransmissions.
     let mut recorder = Recorder::with_capacity(setup.workload.len() * 8);
     let outcome = match extra {
-        Some(x) => {
-            let mut fan = Fanout(vec![&mut recorder, x]);
-            sim.run_streaming(&mut fan)
-        }
-        None => sim.run_streaming(&mut recorder),
+        Some(x) => run_observed(
+            setup,
+            factory,
+            decisions,
+            &mut Fanout(vec![&mut recorder, x]),
+        ),
+        None => run_observed(setup, factory, decisions, &mut recorder),
     };
     (recorder.events, outcome)
 }
 
 /// Re-executes `setup` under its registry protocol against a recorded
-/// decision log — what [`replay`] compares a trace to and what the
-/// shrinker runs every candidate through.
+/// decision log, keeping the re-executed journal — what the shrinker
+/// runs every candidate through. ([`replay`] compares as it runs
+/// instead, keeping none.)
 pub(crate) fn reexecute(
     setup: &Setup,
     spec: Option<&ForbiddenPredicate>,
@@ -996,33 +1023,103 @@ impl ReplayReport {
     }
 }
 
+/// Checks a re-execution against a recorded event stream record by
+/// record, as the kernel journals it, and folds the re-execution's
+/// fingerprint: [`replay`]'s observer, which keeps no second journal.
+struct Comparator<'t> {
+    /// The recorded stream.
+    recorded: &'t [KernelEvent],
+    /// Records the re-execution has journaled so far.
+    seen: usize,
+    /// No journaled record differed from the recorded one at its place.
+    agrees: bool,
+    /// Fingerprint of the re-executed stream so far.
+    fingerprint: u64,
+}
+
+impl<'t> Comparator<'t> {
+    fn new(processes: usize, recorded: &'t [KernelEvent]) -> Comparator<'t> {
+        Comparator {
+            recorded,
+            seen: 0,
+            agrees: true,
+            fingerprint: fingerprint_seed(processes),
+        }
+    }
+
+    /// Compares the next journaled record with the recorded one at its
+    /// place, if the recording reaches that far.
+    fn check(&mut self, same: impl FnOnce(&KernelEvent) -> bool) {
+        if let Some(rec) = self.recorded.get(self.seen) {
+            self.agrees &= same(rec);
+        }
+        self.seen += 1;
+    }
+
+    /// Whether the re-executed stream is the recorded one — or, for a
+    /// recording an observer halted, extends it: the replayed kernel
+    /// (with no halting observer) runs past that point.
+    fn identical(&self, halted: bool) -> bool {
+        let len = self.recorded.len();
+        self.agrees && (self.seen == len || (halted && self.seen > len))
+    }
+}
+
+impl RunObserver for Comparator<'_> {
+    fn on_event(
+        &mut self,
+        _view: &StreamingRun,
+        ev: msgorder_runs::SystemEvent,
+        _index: usize,
+        time: u64,
+    ) -> bool {
+        mix_run(&mut self.fingerprint, ev, time);
+        self.check(|rec| *rec == KernelEvent::Run { ev, time });
+        true
+    }
+
+    fn on_wire(&mut self, wire: &WireRecord) {
+        mix_wire(&mut self.fingerprint, wire);
+        self.check(|rec| matches!(rec, KernelEvent::Wire(w) if **w == *wire));
+    }
+
+    fn on_fault(&mut self, fault: &FaultRecord) {
+        mix_fault(&mut self.fingerprint, fault);
+        self.check(|rec| matches!(rec, KernelEvent::Fault(f) if f == fault));
+    }
+
+    fn wants_wire(&self) -> bool {
+        true
+    }
+}
+
 /// Replays a trace: checks file integrity (fingerprint), re-executes
 /// the recorded protocol through the kernel with the recorded network
-/// decisions (when the protocol is in the registry), and re-verifies
-/// the recorded spec against the reconstructed run.
+/// decisions (when the protocol is in the registry), comparing each
+/// re-executed record with the recorded one as it is journaled, and
+/// re-verifies the recorded spec against the reconstructed run.
 pub fn replay(trace: &Trace) -> Result<ReplayReport, TraceError> {
     let setup = &trace.header.setup;
     let recomputed = fingerprint(setup.processes, &trace.events);
     let fingerprint_ok = recomputed == trace.footer.fingerprint;
 
     let spec = setup.spec_predicate()?;
-    let reexecution = match reexecute(setup, spec.as_ref(), trace.decisions()) {
+    let reexecution = match resolve_protocol(&setup.protocol, spec.as_ref()) {
         // Only a protocol outside the registry cannot be re-executed.
         Err(_) => None,
-        Ok((events, outcome)) => {
+        Ok(kind) => {
+            let mut comparator = Comparator::new(setup.processes, &trace.events);
+            let outcome = run_observed(
+                setup,
+                registry_factory(&kind, setup),
+                Some(trace.decisions()),
+                &mut comparator,
+            );
             let (stats, error) = match &outcome {
                 Ok(sr) => (sr.stats.clone(), None),
                 Err(e) => (e.stats.clone(), Some(ErrorSummary::of(e))),
             };
-            // A run the observer halted stops mid-stream; the replayed
-            // kernel (with no halting observer) runs past that point, so
-            // compare only the recorded prefix then.
-            let identical = if trace.footer.halted {
-                events.len() >= trace.events.len()
-                    && events[..trace.events.len()] == trace.events[..]
-            } else {
-                events == trace.events
-            };
+            let identical = comparator.identical(trace.footer.halted);
             let stats_match = trace.footer.halted || stats == trace.footer.stats;
             // A halted recording stopped consuming decisions early, so
             // the unhalted replay may legitimately run the log dry past
@@ -1037,7 +1134,7 @@ pub fn replay(trace: &Trace) -> Result<ReplayReport, TraceError> {
                 error == trace.footer.error
             };
             Some(Reexecution {
-                fingerprint: fingerprint(setup.processes, &events),
+                fingerprint: comparator.fingerprint,
                 identical,
                 stats_match,
                 error_match,

@@ -150,7 +150,7 @@ fn synthetic_stream(seed: u64, msgs: usize) -> Vec<KernelEvent> {
     for m in 0..msgs {
         let r = mix(seed ^ m as u64);
         let lost = r.is_multiple_of(10);
-        out.push(KernelEvent::Wire(WireRecord {
+        out.push(KernelEvent::Wire(Box::new(WireRecord {
             from: m % 4,
             to: (m + 1) % 4,
             time: 3 * m as u64 + 1,
@@ -172,9 +172,9 @@ fn synthetic_stream(seed: u64, msgs: usize) -> Vec<KernelEvent> {
                 dup_delay: (!lost && r.is_multiple_of(5)).then_some(2),
                 ..TransmitDecision::default()
             },
-        }));
+        })));
         if m.is_multiple_of(6) {
-            out.push(KernelEvent::Wire(WireRecord {
+            out.push(KernelEvent::Wire(Box::new(WireRecord {
                 from: m % 4,
                 to: (m + 2) % 4,
                 time: 3 * m as u64 + 1,
@@ -186,7 +186,7 @@ fn synthetic_stream(seed: u64, msgs: usize) -> Vec<KernelEvent> {
                     delay: 2,
                     ..TransmitDecision::default()
                 },
-            }));
+            })));
         }
         if !lost {
             let t = 3 * m as u64 + 2 + r % 50;
@@ -222,7 +222,7 @@ fn latency_tracker_memory_stays_bounded_over_a_million_messages() {
                     ev: SystemEvent::new(MessageId(i), EventKind::Invoke),
                     time: t,
                 },
-                KernelEvent::Wire(WireRecord {
+                KernelEvent::Wire(Box::new(WireRecord {
                     from: i % 4,
                     to: (i + 1) % 4,
                     time: t,
@@ -236,7 +236,7 @@ fn latency_tracker_memory_stays_bounded_over_a_million_messages() {
                         dropped: lost(i).then_some(DropReason::Loss),
                         ..TransmitDecision::default()
                     },
-                }),
+                })),
             ]);
             if lost(i) {
                 dropped += 1;

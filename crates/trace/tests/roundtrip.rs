@@ -100,6 +100,62 @@ fn tampered_trace_fails_fingerprint() {
     assert!(!report.ok());
 }
 
+/// Replay compares every re-executed record with the recorded one at
+/// its place. Each edit below keeps the file consistent (the footer's
+/// fingerprint is recomputed), so only the re-execution can notice it:
+/// the first event, a middle run event, one wire record's decision and
+/// its own time, and the last event, each moved by one tick, and a
+/// trace missing its last event.
+#[test]
+fn replay_notices_an_edit_at_any_place() {
+    let s = setup("causal-rst", false, FaultModel::none(), 7, 12);
+    let recorded = record(&s).expect("records").trace;
+    assert!(replay(&recorded).expect("replay runs").ok());
+    let events = &recorded.events;
+    let runs: Vec<usize> = (0..events.len())
+        .filter(|&i| matches!(events[i], KernelEvent::Run { .. }))
+        .collect();
+    let wire = events
+        .iter()
+        .position(|e| matches!(e, KernelEvent::Wire(_)))
+        .expect("some wire record");
+    let later = |ev: &mut KernelEvent| match ev {
+        KernelEvent::Run { time, .. } => *time += 1,
+        KernelEvent::Wire(w) => w.time += 1,
+        KernelEvent::Fault(_) => panic!("a fault-free run journals no fault"),
+    };
+    for what in [
+        "first event",
+        "middle run event",
+        "wire decision",
+        "wire time",
+        "last event",
+        "last event removed",
+    ] {
+        let mut trace = recorded.clone();
+        let ev = &mut trace.events;
+        match what {
+            "first event" => later(&mut ev[0]),
+            "middle run event" => later(&mut ev[runs[runs.len() / 2]]),
+            "wire decision" => {
+                if let KernelEvent::Wire(w) = &mut ev[wire] {
+                    w.decision.delay += 1;
+                }
+            }
+            "wire time" => later(&mut ev[wire]),
+            "last event" => later(ev.last_mut().expect("events")),
+            _ => drop(ev.pop()),
+        }
+        assert_ne!(trace.events, recorded.events, "{what}");
+        trace.footer.fingerprint = fingerprint(trace.header.setup.processes, &trace.events);
+        let report = replay(&trace).expect("replay runs");
+        assert!(report.fingerprint_ok, "{what}: the footer was recomputed");
+        assert!(!report.ok(), "{what}");
+        let re = report.reexecution.expect("registry protocol");
+        assert!(!re.identical, "{what}: the re-execution must differ");
+    }
+}
+
 /// Satellite 1 regression, trace-driven: two messages in flight from the
 /// same sender to *different* destinations under heavy ack loss retry
 /// independently — per-message retransmission counts stay within the

@@ -34,10 +34,10 @@ use msgorder::runs::{
     SystemEvent, UserEvent, UserRun, UserRunSnapshot,
 };
 use msgorder::simnet::{
-    explore, Ctx, DedupMode, ExploreOptions, FaultModel, LatencyModel, Protocol, RunObserver,
-    SendSpec, SimConfig, Simulation, SortedSlab, Workload,
+    explore, Ctx, DedupMode, ExploreOptions, FaultModel, KernelEvent, LatencyModel, Protocol,
+    RunObserver, SendSpec, SimConfig, Simulation, SortedSlab, Workload,
 };
-use msgorder::trace::Setup;
+use msgorder::trace::{Setup, Trace};
 use msgorder::transport::{run_client, serve_on_observed, ClientOptions, Endpoint, ServeOptions};
 use msgorder_testkit::{allocated_bytes, allocations, counting, CountingAlloc};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -157,6 +157,10 @@ const COSTS: &[Cost] = &[
            catches: "more calls per copied protocol state", measure: || explore_kind(ProtocolKind::Fifo) },
     Cost { layer: "protocols", operation: "explore POR, pool shape 0, causal-rst (calls)", bound: 218_316.0,
            catches: "more calls per copied protocol state", measure: || explore_kind(ProtocolKind::CausalRst) },
+    Cost { layer: "trace", operation: "`record`, 2 000-message causal-rst episode (bytes)", bound: 2_241_630.0,
+           catches: "a wire record inline in every event's slot", measure: record_bytes },
+    Cost { layer: "trace", operation: "`replay` of that trace (bytes)", bound: 1_738_452.0,
+           catches: "a second journal recorded to compare against", measure: replay_bytes },
     Cost { layer: "transport", operation: "causal-rst over a Unix socket, late half (calls per message)", bound: 8.0,
            catches: "a JSON value tree or a fresh `Vec` per frame", measure: socket_round_trip },
 ];
@@ -661,6 +665,48 @@ fn explore_kind(kind: ProtocolKind) -> f64 {
     });
     assert_eq!(exp.schedules, 6_070, "{}", kind.name());
     calls as f64
+}
+
+/// A 2 000-message `causal-rst` episode over 4 processes, spec-less as
+/// `sim-bare`'s, recorded once: its trace, and the bytes `record`
+/// requested.
+fn traced_episode() -> &'static (Trace, f64) {
+    static EPISODE: OnceLock<(Trace, f64)> = OnceLock::new();
+    EPISODE.get_or_init(|| {
+        let msgs = 2_000;
+        let setup = Setup {
+            processes: 4,
+            latency: LatencyModel::Uniform { lo: 1, hi: 100 },
+            seed: 3,
+            faults: FaultModel::none(),
+            workload: Workload::uniform_random(4, msgs, 3),
+            protocol: "causal-rst".to_owned(),
+            reliable: false,
+            spec: None,
+            step_limit: 1_000_000,
+        };
+        let before = allocated_bytes();
+        let recorded = msgorder::trace::record(&setup).expect("registry protocol");
+        let bytes = allocated_bytes() - before;
+        let r = recorded.outcome.expect("no protocol bug");
+        assert!(r.completed && r.stats.delivered == msgs, "run must finish");
+        (recorded.trace, bytes as f64)
+    })
+}
+
+fn record_bytes() -> f64 {
+    // A run event, not the wire record, sets the journal's width.
+    assert!(std::mem::size_of::<KernelEvent>() <= 32);
+    traced_episode().1
+}
+
+fn replay_bytes() -> f64 {
+    let trace = &traced_episode().0;
+    let before = allocated_bytes();
+    let report = msgorder::trace::replay(trace).expect("replays");
+    let bytes = allocated_bytes() - before;
+    assert!(report.ok(), "{report:?}");
+    bytes as f64
 }
 
 /// Allocator calls per delivery over the second half of 2 000
