@@ -17,6 +17,10 @@
 //! evaluates *online* against a live `StreamingRun` prefix, narrowing
 //! every variable with vector-clock cuts — it finds the first
 //! violating instantiation at the exact delivery event completing it.
+//! On a projection of a run, which keeps clocks, [`holds`] and
+//! [`find_instantiation`] decide by feeding the [`Monitor`] the
+//! deliveries in one linear extension, and search the closure only to
+//! name a witness.
 
 use crate::ast::{Constraint, EventTerm, ForbiddenPredicate, Var};
 use msgorder_runs::{MessageId, OrderView, UserEvent, UserEventKind, UserRun};
@@ -339,7 +343,8 @@ impl<'p> Prepared<'p> {
 
     /// See [`holds`].
     pub fn holds(&self, run: &UserRun) -> bool {
-        self.find_with(run, &mut EvalScratch::default()).is_some()
+        self.monitored(run)
+            .unwrap_or_else(|| self.find_with(run, &mut EvalScratch::default()).is_some())
     }
 
     /// See [`satisfies_spec`].
@@ -349,8 +354,33 @@ impl<'p> Prepared<'p> {
 
     /// See [`find_instantiation`].
     pub fn find_instantiation(&self, run: &UserRun) -> Option<Vec<MessageId>> {
+        if self.monitored(run) == Some(false) {
+            return None;
+        }
         self.find_with(run, &mut EvalScratch::default())
             .map(<[MessageId]>::to_vec)
+    }
+
+    /// Decides the predicate on a projection of a run by feeding a
+    /// [`Monitor`] its deliveries in the order of one linear extension
+    /// ([`UserRun::delivery_order`]): each message is fed after every
+    /// message whose delivery precedes its own, which is all the
+    /// monitor's soundness asks, and the monitor reads only the clocks.
+    /// `None` — the caller searches — for a run that keeps no clocks,
+    /// and for a predicate without variables, which holds on every run
+    /// without any order being asked.
+    ///
+    /// Decide by monitor, name by closure: the monitor's witness is the
+    /// first to complete, not the first in the search order, so a run
+    /// on which the predicate holds is searched again for the witness
+    /// [`find_with`](Self::find_with) gives.
+    fn monitored(&self, run: &UserRun) -> Option<bool> {
+        let order = run.delivery_order()?;
+        if self.order.is_empty() {
+            return None;
+        }
+        let mut monitor = Monitor::compiled(self.clone());
+        Some(order.iter().any(|&m| monitor.on_complete(run, m).is_some()))
     }
 
     /// [`find_instantiation`](Self::find_instantiation) on any
@@ -531,10 +561,12 @@ impl<'p> Prepared<'p> {
     }
 }
 
-/// Wall-clock accounting of a [`Monitor`]'s delta searches — the timing
-/// hook behind the tracing layer's monitor-search histogram. One delta
-/// search runs per completed message (until the first witness), so
-/// `searches == completed_seen()` while the monitor is live.
+/// Wall-clock accounting of a [`Monitor`]'s delta searches — the
+/// monitor-search histogram of `msgorder simulate --metrics`. The
+/// monitor reads no clock itself: its one timed caller,
+/// `protocols::verify::OnlineMonitor`, times each call that feeds a
+/// message and [`record`](Self::record)s it here, so `searches ==
+/// completed_seen()` while the monitor is live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MonitorTimings {
     /// Delta searches executed.
@@ -550,7 +582,8 @@ pub struct MonitorTimings {
 }
 
 impl MonitorTimings {
-    fn record(&mut self, nanos: u64) {
+    /// Counts one delta search that took `nanos` nanoseconds.
+    pub fn record(&mut self, nanos: u64) {
         self.searches += 1;
         self.total_nanos += nanos;
         self.max_nanos = self.max_nanos.max(nanos);
@@ -628,7 +661,6 @@ pub struct Monitor<'p> {
     /// Completed messages seen so far (monotone; for diagnostics).
     fed: usize,
     witness: Option<Vec<MessageId>>,
-    timings: MonitorTimings,
     scratch: Scratch,
 }
 
@@ -697,6 +729,12 @@ fn partition_from_end<T>(list: &[T], mut pred: impl FnMut(&T) -> bool) -> usize 
 impl<'p> Monitor<'p> {
     /// Compiles `pred` into an online monitor.
     pub fn new(pred: &'p ForbiddenPredicate) -> Self {
+        Monitor::compiled(Prepared::new(pred))
+    }
+
+    /// A monitor for the predicate `prep` was compiled from.
+    fn compiled(prep: Prepared<'p>) -> Self {
+        let pred = prep.pred;
         let mut pinnable = vec![true; pred.var_count()];
         for c in pred.conjuncts() {
             if c.lhs.kind == UserEventKind::Deliver && c.lhs.var != c.rhs.var {
@@ -704,14 +742,13 @@ impl<'p> Monitor<'p> {
             }
         }
         Monitor {
-            prep: Arc::new(Prepared::new(pred)),
+            prep: Arc::new(prep),
             pinnable: pinnable.into(),
             candidates: vec![Vec::new(); pred.var_count()],
             index: Vec::new(),
             declared: 0,
             fed: 0,
             witness: None,
-            timings: MonitorTimings::default(),
             scratch: Scratch::default(),
         }
     }
@@ -744,7 +781,6 @@ impl<'p> Monitor<'p> {
             return self.witness.as_deref();
         };
         if self.witness.is_none() {
-            let started = std::time::Instant::now();
             self.reserve(view, sent.len());
             let vars = self.prep.pred.var_count();
             for v in 0..vars {
@@ -784,8 +820,6 @@ impl<'p> Monitor<'p> {
                 }
             }
             self.fed += 1;
-            self.timings
-                .record(started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         }
         self.witness.as_deref()
     }
@@ -951,11 +985,6 @@ impl<'p> Monitor<'p> {
         Some(from..pool.len())
     }
 
-    /// Wall-clock accounting of the delta searches run so far.
-    pub fn timings(&self) -> MonitorTimings {
-        self.timings
-    }
-
     /// Whether a satisfying instantiation has been found.
     pub fn violated(&self) -> bool {
         self.witness.is_some()
@@ -984,7 +1013,7 @@ impl<'p> Monitor<'p> {
 /// variables makes every conjunct and constraint true. A run satisfying
 /// `B` violates the specification `X_B`.
 pub fn holds(pred: &ForbiddenPredicate, run: &UserRun) -> bool {
-    find_instantiation(pred, run).is_some()
+    Prepared::new(pred).holds(run)
 }
 
 /// Whether the run belongs to the specification set `X_B` (no
@@ -1802,7 +1831,6 @@ mod tests {
         assert_eq!(mon.on_complete(&s, x), None);
         assert_eq!(mon.on_complete(&s, MessageId(7)), None);
         assert_eq!((mon.completed_seen(), mon.live_state()), (0, 0));
-        assert_eq!(mon.timings().searches, 0);
         // A view without clocks completes nothing.
         assert_eq!(mon.on_complete(&overtaking_run(), MessageId(0)), None);
         assert_eq!(mon.completed_seen(), 0);

@@ -21,6 +21,7 @@ use std::collections::BTreeSet;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 use msgorder_predicate::{eval, ForbiddenPredicate};
 use msgorder_runs::{EventKind, MessageId, StreamingRun, SystemEvent, UserRun};
@@ -41,6 +42,8 @@ use msgorder_simnet::{
 #[derive(Clone)]
 pub struct OnlineMonitor<'p> {
     inner: eval::Monitor<'p>,
+    /// Wall-clock time of each call that fed the monitor a message.
+    timings: eval::MonitorTimings,
     halt_on_violation: bool,
     detection_event: Option<usize>,
     detection_time: Option<u64>,
@@ -53,6 +56,7 @@ impl<'p> OnlineMonitor<'p> {
     pub fn new(pred: &'p ForbiddenPredicate) -> Self {
         OnlineMonitor {
             inner: eval::Monitor::new(pred),
+            timings: eval::MonitorTimings::default(),
             halt_on_violation: false,
             detection_event: None,
             detection_time: None,
@@ -99,9 +103,10 @@ impl<'p> OnlineMonitor<'p> {
 
     /// Wall-clock accounting of the delta searches run so far (see
     /// [`eval::MonitorTimings`]) — the source of the `--metrics`
-    /// monitor-search histogram.
+    /// monitor-search histogram. Timed here, around each delivery that
+    /// feeds the monitor, so a bare [`eval::Monitor`] reads no clock.
     pub fn search_timings(&self) -> eval::MonitorTimings {
-        self.inner.timings()
+        self.timings
     }
 }
 
@@ -110,7 +115,16 @@ impl RunObserver for OnlineMonitor<'_> {
         if self.inner.violated() {
             return !self.halt_on_violation;
         }
-        if ev.kind == EventKind::Deliver && self.inner.on_complete(view, ev.msg).is_some() {
+        if ev.kind != EventKind::Deliver {
+            return true;
+        }
+        let (fed, started) = (self.inner.completed_seen(), Instant::now());
+        let violated = self.inner.on_complete(view, ev.msg).is_some();
+        if self.inner.completed_seen() > fed {
+            let nanos = started.elapsed().as_nanos();
+            self.timings.record(nanos.min(u128::from(u64::MAX)) as u64);
+        }
+        if violated {
             self.detection_event = Some(index);
             self.detection_time = Some(time);
             if self.halt_on_violation {
@@ -378,6 +392,34 @@ mod tests {
 
     fn config(processes: usize, seed: u64) -> SimConfig {
         SimConfig::new(processes, LatencyModel::Uniform { lo: 1, hi: 900 }, seed)
+    }
+
+    /// One timed search per delivery that feeds the monitor: none for a
+    /// delivery the view has not completed, none after the witness.
+    #[test]
+    fn only_a_delivery_that_feeds_the_monitor_is_timed() {
+        let spec = catalog::causal();
+        let mut mon = OnlineMonitor::new(&spec);
+        let mut s = StreamingRun::new(2);
+        let x = s.message(0, 1);
+        let y = s.message(0, 1);
+        s.invoke(x).unwrap().send(x).unwrap();
+        s.transmit(y).unwrap();
+        let deliver = |m| SystemEvent::new(m, EventKind::Deliver);
+        // `x` is sent but not delivered: the monitor is not fed.
+        assert!(mon.on_event(&s, deliver(x), 0, 0));
+        assert_eq!(mon.search_timings().searches, 0);
+        assert!(mon.on_event(&s, deliver(y), 1, 0));
+        assert_eq!(mon.search_timings().searches, 1);
+        s.receive(x).unwrap().deliver(x).unwrap();
+        assert!(mon.on_event(&s, deliver(x), 2, 0));
+        assert_eq!(mon.witness(), Some(&[x, y][..]));
+        assert!(mon.on_event(&s, deliver(x), 3, 0));
+        let timings = mon.search_timings();
+        assert_eq!(
+            (timings.searches, timings.buckets.iter().sum::<u64>()),
+            (2, 2)
+        );
     }
 
     #[test]

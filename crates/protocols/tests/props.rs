@@ -3,7 +3,7 @@
 
 use msgorder_predicate::{catalog, eval};
 use msgorder_protocols::{CausalBss, ProtocolKind};
-use msgorder_runs::{limit_sets, MessageId, ProcessId, StreamingRun};
+use msgorder_runs::{limit_sets, MessageId, ProcessId, StreamingRun, UserRun, UserRunSnapshot};
 use msgorder_simnet::{
     FaultModel, HostAction, HostEnv, HostEvent, LatencyModel, Protocol, ProtocolHost, SimConfig,
     Simulation, Workload,
@@ -185,13 +185,35 @@ proptest! {
 /// The explorer's leaf check on one terminal run: the search on the
 /// run's clocks finds the witness the search on its user's view finds,
 /// renumbered, for every catalog spec, and the clock digest is the
-/// view's digest.
+/// view's digest. The view itself decides on its clocks, by the
+/// monitor fed in one linear extension, and names the witness and
+/// verdict a closure-backed view of the same order gives.
 fn leaf_check_is_the_views(run: &StreamingRun) -> Result<(), String> {
     let view = run.users_view();
+    let reference = UserRun::try_from(UserRunSnapshot::from(&view)).expect("a partial order");
     prop_assert_eq!(run.users_view_digest(), view.digest());
     let mut scratch = eval::EvalScratch::default();
     for entry in catalog::all() {
         let prepared = eval::Prepared::new(&entry.predicate);
+        let witness = eval::find_instantiation(&entry.predicate, &reference);
+        prop_assert_eq!(
+            eval::find_instantiation(&entry.predicate, &view),
+            witness.clone(),
+            "{}",
+            entry.name
+        );
+        prop_assert_eq!(
+            eval::holds(&entry.predicate, &view),
+            witness.is_some(),
+            "{}",
+            entry.name
+        );
+        prop_assert_eq!(
+            prepared.satisfies_spec(&view),
+            eval::satisfies_spec(&entry.predicate, &reference),
+            "{}",
+            entry.name
+        );
         let on_clocks = prepared.find_with(run, &mut scratch).map(|witness| {
             witness
                 .iter()

@@ -21,14 +21,45 @@ pub fn in_x_async(_run: &UserRun) -> bool {
 
 /// Membership in `X_co` (causal ordering):
 /// `∀x, y ∈ M : ¬((x.s ▷ y.s) ∧ (y.r ▷ x.r))`.
+///
+/// On a projection of a run ([`SystemRun::users_view`]) this reads the
+/// clocks, one walk per destination: a violation with `y` delivered
+/// anywhere implies one with some `z` delivered at `dst(x)` before `x`.
+/// The path `y.r ⇝ x.r` ends on `dst(x)`'s chain; take its last
+/// send-to-delivery edge `z.s ▷ z.r` (`z = y` if it has none). Then
+/// `z.r` precedes `x.r` on that chain, `z ≠ x` (else `x.s ▷ y.s ▷ y.r ⊴
+/// x.s`), and `x.s ▷ y.s ⊴ z.s`. So walking each process's deliveries
+/// with the running join `J` of the sends delivered so far, `x` violates
+/// iff `V(x.s)[src(x)] ≤ J[src(x)]` — `O(events · n)`, no closure. Any
+/// other run answers from its closure, as [`co_violation`] does.
 pub fn in_x_co(run: &UserRun) -> bool {
-    co_violation(run).is_none()
+    let Some(clocks) = run.clocks() else {
+        return co_violation(run).is_none();
+    };
+    let n = clocks.processes();
+    let mut join = vec![0u64; n];
+    for q in 0..n {
+        join.fill(0);
+        for &v in clocks.chain(q) {
+            if v % 2 == 0 {
+                continue;
+            }
+            let sent = clocks.clock(v - 1);
+            let p = run.message(MessageId(v / 2)).src.0;
+            if sent[p] <= join[p] {
+                return false;
+            }
+            msgorder_poset::words::merge_in_place(&mut join, sent);
+        }
+    }
+    true
 }
 
 /// The first causal-ordering violation `(x, y)` with
 /// `x.s ▷ y.s ∧ y.r ▷ x.r`, if any — first in lexicographic order.
 ///
-/// Sends are the even event nodes and deliveries the odd ones, so for a
+/// Read off the closure, which a projection builds for it. Sends are
+/// the even event nodes and deliveries the odd ones, so for a
 /// fixed `x` the offending `y` are the even bits of
 /// `row(x.s) & (col(x.r) >> 1)`, one word (32 messages) at a time.
 pub fn co_violation(run: &UserRun) -> Option<(MessageId, MessageId)> {

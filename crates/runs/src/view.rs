@@ -5,7 +5,8 @@
 //! *does user event `a` precede user event `b` under `▷`?* and *what
 //! are message `m`'s endpoints and color?* Abstracting those queries
 //! lets the same consistency check run post-hoc against a
-//! [`UserRun`](crate::UserRun) (bitset transitive closure) and online
+//! [`UserRun`](crate::UserRun) (Fidge clocks on a projection of a run,
+//! a bitset transitive closure otherwise) and online
 //! against a [`StreamingRun`](crate::StreamingRun) (vector clocks on the
 //! live prefix) without materializing the full poset. The online
 //! monitor additionally reads the clocks themselves
@@ -57,8 +58,8 @@ pub trait OrderView {
     /// process, `V(e)[p]` counting the user events of `p` in `e`'s
     /// causal past (`e` included) — or `None` if `e` has not occurred.
     /// Views that answer [`before`](OrderView::before) from a closure
-    /// keep no clocks and leave this at its default, `None` for every
-    /// event.
+    /// alone keep no clocks and leave this at its default, `None` for
+    /// every event.
     fn event_clock(&self, _e: UserEvent) -> Option<&[u64]> {
         None
     }
@@ -93,10 +94,16 @@ impl OrderView for crate::UserRun {
         self.len()
     }
 
+    fn event_clock(&self, e: UserEvent) -> Option<&[u64]> {
+        crate::UserRun::event_clock(self, e)
+    }
+
     fn is_message_complete(&self, _m: MessageId) -> bool {
         true
     }
 
+    /// Builds a projection's closure on the first call: a whole-run
+    /// search narrows by rows.
     fn closure_row(&self, e: UserEvent, after: bool) -> Option<&[u64]> {
         let closure = self.closure();
         let row = if after {

@@ -28,12 +28,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+static LARGEST_REQUEST: AtomicU64 = AtomicU64::new(0);
 
 /// A [`System`]-backed allocator that counts every call that produces
 /// or grows a block.
 ///
 /// Install it with `#[global_allocator]` in a test binary and read the
-/// counters through [`allocations`] / [`allocated_bytes`]. A
+/// counters through [`allocations`] / [`allocated_bytes`] /
+/// [`largest_request`]. A
 /// reallocation that grows a buffer counts as one allocation (matching the number of calls into the allocator, the
 /// quantity the zero-alloc guards bound).
 pub struct CountingAlloc;
@@ -44,6 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        LARGEST_REQUEST.fetch_max(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -54,6 +57,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        LARGEST_REQUEST.fetch_max(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -67,6 +71,18 @@ pub fn allocations() -> u64 {
 /// subtract).
 pub fn allocated_bytes() -> u64 {
     ALLOCATED_BYTES.load(Ordering::Relaxed)
+}
+
+/// Runs `f` and returns `(result, the largest single request during
+/// f)`: the size of the biggest block allocated, or grown to, in bytes —
+/// what bounds a peak that one buffer sets, such as a matrix.
+///
+/// Single-threaded sections only, as for [`counting`]; calls do not nest.
+pub fn largest_request<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let outside = LARGEST_REQUEST.swap(0, Ordering::Relaxed);
+    let out = f();
+    let largest = LARGEST_REQUEST.fetch_max(outside, Ordering::Relaxed);
+    (out, largest)
 }
 
 /// Runs `f` and returns `(result, allocations during f)`.

@@ -25,7 +25,7 @@
 
 use msgorder::predicate::{
     catalog,
-    eval::{EvalScratch, Monitor, Prepared},
+    eval::{self, EvalScratch, Monitor, Prepared},
 };
 use msgorder::protocols::{explore_violations, AsyncProtocol, CausalRst, ProtocolKind};
 use msgorder::runs::generator::{random_system_run, GenParams};
@@ -39,7 +39,7 @@ use msgorder::simnet::{
 };
 use msgorder::trace::{Setup, Trace};
 use msgorder::transport::{run_client, serve_on_observed, ClientOptions, Endpoint, ServeOptions};
-use msgorder_testkit::{allocated_bytes, allocations, counting, CountingAlloc};
+use msgorder_testkit::{allocated_bytes, allocations, counting, largest_request, CountingAlloc};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::{Mutex, OnceLock};
@@ -103,12 +103,14 @@ const COSTS: &[Cost] = &[
            catches: "a closure built from per-node lists or per-row bitsets", measure: small_users_view },
     Cost { layer: "runs", operation: "`users_view`, 2 000 messages (calls)", bound: 16.0,
            catches: "allocator calls that grow with the run's size", measure: || posthoc(0) },
-    Cost { layer: "runs", operation: "`users_view`, 2 000 messages (bytes)", bound: 5_999_999.0,
-           catches: "a closure beyond two flat bit matrices and the edge lists", measure: || posthoc(1) },
+    Cost { layer: "runs", operation: "`users_view`, 2 000 messages (bytes)", bound: 370_072.0,
+           catches: "a closure built by the projection (4 671 824 with its two matrices), or more than one clock per user event", measure: || posthoc(1) },
     Cost { layer: "runs", operation: "`in_x_sync`, 2 000 messages (calls)", bound: 6.0,
            catches: "a per-node `DiGraph` on the verdict path", measure: || posthoc(2) },
-    Cost { layer: "runs", operation: "post-hoc `users_view` + `in_x_co` + `in_x_sync`, 2 000 messages (bytes)", bound: 16_777_215.0,
-           catches: "`X_sync` decided on the full message-precedence digraph", measure: || posthoc(3) },
+    Cost { layer: "runs", operation: "post-hoc `users_view` + `in_x_co` + `in_x_sync`, 2 000 messages (bytes)", bound: 450_080.0,
+           catches: "a closure built to decide `X_co` (4 751 800 with one), or `X_sync` decided on the full message-precedence digraph", measure: || posthoc(3) },
+    Cost { layer: "runs", operation: "largest allocation, post-hoc 2 000-message causal-rst episode (bytes)", bound: 500_000.0,
+           catches: "a `Θ(m²)` closure matrix on the product path (one is 2 016 000 bytes)", measure: posthoc_largest_request },
     Cost { layer: "runs", operation: "reject a cyclic 2 000-message order (bytes)", bound: 2_015_999.0,
            catches: "a closure matrix allocated before the cycle is found", measure: reject_cyclic_order },
     Cost { layer: "predicate", operation: "`Monitor::on_complete`, late half of 2 000 deliveries (calls)", bound: 0.0,
@@ -314,6 +316,32 @@ fn posthoc(i: usize) -> f64 {
         assert_eq!((co, sync), (false, false));
         [view_calls, view_bytes, sync_calls, bytes].map(|v| v as f64)
     })[i]
+}
+
+/// The largest single allocation of a 2 000-message `causal-rst`
+/// episode over 4 processes checked the way `sim-posthoc` checks it:
+/// `Simulation::run`, `users_view`, `in_x_co`, `in_x_sync` and
+/// `find_instantiation(causal)`. The bound is `m²/8` bytes, a quarter
+/// of one `2m × 2m`-bit closure matrix.
+fn posthoc_largest_request() -> f64 {
+    let (n, msgs) = (4, 2_000);
+    let spec = catalog::causal();
+    let config = SimConfig::new(n, LatencyModel::Uniform { lo: 1, hi: 100 }, 3);
+    let workload = Workload::uniform_random(n, msgs, 3);
+    let (verdict, largest) = largest_request(|| {
+        let r = Simulation::new(config, workload, |_| CausalRst::new(n))
+            .run()
+            .expect("no protocol bug");
+        assert!(r.completed && r.run.is_quiescent(), "run must finish");
+        let user = r.run.users_view();
+        (
+            limit_sets::in_x_co(&user),
+            limit_sets::in_x_sync(&user),
+            eval::find_instantiation(&spec, &user),
+        )
+    });
+    assert!(matches!(verdict, (true, _, None)), "{verdict:?}");
+    largest as f64
 }
 
 fn reject_cyclic_order() -> f64 {
