@@ -17,13 +17,15 @@
 //! evaluates *online* against a live `StreamingRun` prefix, narrowing
 //! every variable with vector-clock cuts — it finds the first
 //! violating instantiation at the exact delivery event completing it.
+//! The monitor decides the crossing pairs of causal and FIFO ordering
+//! by running joins of send clocks and searches only to name a witness.
 //! On a projection of a run, which keeps clocks, [`holds`] and
 //! [`find_instantiation`] decide by feeding the [`Monitor`] the
 //! deliveries in one linear extension, and search the closure only to
 //! name a witness.
 
-use crate::ast::{Constraint, EventTerm, ForbiddenPredicate, Var};
-use msgorder_runs::{MessageId, OrderView, UserEvent, UserEventKind, UserRun};
+use crate::ast::{Conjunct, Constraint, EventTerm, ForbiddenPredicate, Var};
+use msgorder_runs::{MessageId, OrderView, RunningJoins, UserEvent, UserEventKind, UserRun};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -612,6 +614,31 @@ impl MonitorTimings {
 /// every event of an earlier-completed message executed before the
 /// fresh delivery, so by fact 1 that delivery cannot precede it.
 ///
+/// # Decide by join, name by search
+///
+/// For the crossing pair `a.s ▷ b.s ∧ b.r ▷ a.r` — bare (causal
+/// ordering) or with both sends and both deliveries on one process each
+/// (FIFO) — the monitor keeps no index while the run stays clean. The
+/// fresh message `x` can bind only `a`. If some fed `y` has
+/// `x.s ▷ y.s ∧ y.r ▷ x.r`, then some `z` delivered at `d = dst(x)`
+/// before `x` has `x.s ▷ z.s`, in every user view and with no `X_co`
+/// assumption (THEORY §3.4): `▷` is generated by process order and the
+/// edges `w.s ▷ w.r`, so the path `y.r ⇝ x.r` ends on `d`'s chain, and
+/// its last send-to-delivery edge `z.s ▷ z.r` (`z = y` if it has none)
+/// puts `z.r` before `x.r` on that chain, with `x.s ▷ y.s ⊴ z.s` and
+/// `z ≠ x` (else `x.s ▷ y.s ▷ y.r ⊴ x.s`). A feed in completion order
+/// has fed that `z` before `x`. So the monitor keeps, per destination,
+/// the join of the fed messages' send clocks ([`RunningJoins`]) and a
+/// log of the fed ids, and `x` from `s` completes a violation iff
+/// `row[d][s] ≥ V(x.s)[s]`; otherwise `V(x.s)` is merged into `row[d]`
+/// — under FIFO only `row[d][s]` is raised, since there `y` itself
+/// shares `x`'s channel. A clean delivery costs one compare, one
+/// `n`-word merge and no index work. When the check fires, the logged
+/// messages are indexed in feed order and the search below runs at `x`,
+/// so the witness is the one the index search names; that happens at
+/// most once, because the monitor stops at its first witness. Every
+/// other predicate takes the index search at every completion.
+///
 /// The remaining positions are not searched by scanning every
 /// earlier-completed message. Under vector clocks the causal past of an
 /// event is a consistent cut — a prefix of every process — and its
@@ -634,8 +661,9 @@ impl MonitorTimings {
 ///
 /// Per completed message the monitor stores its id in the candidate
 /// list of each variable whose color constraints it passes and two
-/// index entries, so memory grows with *arity × completed messages*,
-/// never with the event count. Both are reserved when the view's
+/// index entries (a joining monitor: one log entry, beside `n × n`
+/// join words), so memory grows with *arity × completed messages*,
+/// never with the event count. All are reserved when the view's
 /// messages are first seen, and the in-flight assignment and the pool
 /// of narrowed candidates are reused, so feeding a declared message
 /// does not allocate once the pool has grown to the run's in-flight
@@ -649,19 +677,77 @@ pub struct Monitor<'p> {
     /// Not if a conjunct `v.r ▷ w.e` (`w ≠ v`) asks its delivery — the
     /// newest event — to precede an event of a message fed earlier.
     pinnable: Arc<[bool]>,
+    /// While the predicate is a crossing pair and no violation has
+    /// completed: the join that decides it. `candidates` and `index`
+    /// stay empty until the check fires.
+    joined: Option<Joined>,
     /// Per-variable candidates among completed messages (color-filtered,
     /// in completion order) — what a variable no bound conjunct touches
     /// falls back to.
     candidates: Vec<Vec<MessageId>>,
     /// Per process, the user events of fed messages it hosts.
     index: Vec<ProcessIndex>,
-    /// How many of the view's declared messages `index` has reserved
-    /// room for.
+    /// How many of the view's declared messages `index` (or, while the
+    /// monitor keeps a join, the log) has reserved room for.
     declared: usize,
     /// Completed messages seen so far (monotone; for diagnostics).
     fed: usize,
     witness: Option<Vec<MessageId>>,
     scratch: Scratch,
+}
+
+/// The crossing pairs [`Monitor`] decides by join, recognised from the
+/// predicate's structure: two variables `a ≠ b` and the conjuncts
+/// `a.s ▷ b.s` and `b.r ▷ a.r`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Crossing {
+    /// No constraint (causal ordering).
+    Causal,
+    /// `proc(a.s) = proc(b.s)` and `proc(a.r) = proc(b.r)`, and nothing
+    /// else (FIFO ordering).
+    Fifo,
+}
+
+impl Crossing {
+    fn of(pred: &ForbiddenPredicate) -> Option<Crossing> {
+        use UserEventKind::Send;
+        let ([c, d], 2) = (pred.conjuncts(), pred.var_count()) else {
+            return None;
+        };
+        let (sends, deliveries) = if c.lhs.kind == Send { (c, d) } else { (d, c) };
+        let (a, b) = (sends.lhs.var, sends.rhs.var);
+        if a == b
+            || *sends != Conjunct::new(a.s(), b.s())
+            || *deliveries != Conjunct::new(b.r(), a.r())
+        {
+            return None;
+        }
+        let same = |k: &Constraint, x: EventTerm, y: EventTerm| {
+            *k == Constraint::SameProcess(x, y) || *k == Constraint::SameProcess(y, x)
+        };
+        match pred.constraints() {
+            [] => Some(Crossing::Causal),
+            [k, l]
+                if (same(k, a.s(), b.s()) && same(l, a.r(), b.r()))
+                    || (same(l, a.s(), b.s()) && same(k, a.r(), b.r())) =>
+            {
+                Some(Crossing::Fifo)
+            }
+            _ => None,
+        }
+    }
+}
+
+/// What a [`Monitor`] deciding a [`Crossing`] by join keeps.
+#[derive(Clone)]
+struct Joined {
+    shape: Crossing,
+    /// Row `d`: the join of the send clocks of the logged messages
+    /// delivered at `d` — every component for [`Crossing::Causal`], each
+    /// sender's own for [`Crossing::Fifo`].
+    joins: RunningJoins,
+    /// The fed messages in feed order, indexed only if the check fires.
+    log: Vec<MessageId>,
 }
 
 /// One process's sequence of user events, restricted to fed messages.
@@ -732,6 +818,16 @@ impl<'p> Monitor<'p> {
         Monitor::compiled(Prepared::new(pred))
     }
 
+    /// A monitor that never decides by join: every completion runs the
+    /// index search. The reference the join is tested against.
+    #[doc(hidden)]
+    pub fn indexed(pred: &'p ForbiddenPredicate) -> Self {
+        Monitor {
+            joined: None,
+            ..Monitor::new(pred)
+        }
+    }
+
     /// A monitor for the predicate `prep` was compiled from.
     fn compiled(prep: Prepared<'p>) -> Self {
         let pred = prep.pred;
@@ -742,6 +838,11 @@ impl<'p> Monitor<'p> {
             }
         }
         Monitor {
+            joined: Crossing::of(pred).map(|shape| Joined {
+                shape,
+                joins: RunningJoins::default(),
+                log: Vec::new(),
+            }),
             prep: Arc::new(prep),
             pinnable: pinnable.into(),
             candidates: vec![Vec::new(); pred.var_count()],
@@ -769,10 +870,12 @@ impl<'p> Monitor<'p> {
     /// now (or was already) satisfied. Message ids are in `view`'s
     /// numbering.
     ///
-    /// Calling order must follow completion order; after the first
-    /// witness the monitor stops searching and keeps reporting it. A
-    /// message whose send or delivery `view` has no clock for is not
-    /// complete in that view: the call changes nothing.
+    /// Calling order must follow completion order, and every message
+    /// that completes must be fed (a crossing pair decided by join
+    /// relies on both); after the first witness the monitor stops
+    /// searching and keeps reporting it. A message whose send or
+    /// delivery `view` has no clock for is not complete in that view:
+    /// the call changes nothing.
     pub fn on_complete<V: OrderView>(&mut self, view: &V, m: MessageId) -> Option<&[MessageId]> {
         let (Some(sent), Some(delivered)) = (
             view.event_clock(UserEvent::send(m)),
@@ -782,60 +885,126 @@ impl<'p> Monitor<'p> {
         };
         if self.witness.is_none() {
             self.reserve(view, sent.len());
-            let vars = self.prep.pred.var_count();
-            for v in 0..vars {
-                if !self.pinnable[v] || !self.passes_filters(view, v, m) {
-                    continue;
-                }
-                // Pin `m` at `v` and search the other positions.
-                self.scratch.assignment[v] = Some(m);
-                if consistent(self.prep.pred, view, &self.scratch.assignment, Var(v), m)
-                    && self.search(view, v, 0)
-                {
-                    break;
-                }
-                self.scratch.assignment[v] = None;
-            }
-            if self.witness.is_none() {
-                for v in 0..vars {
-                    if self.passes_filters(view, v, m) {
-                        self.candidates[v].push(m);
-                    }
-                }
-                for (event, clock) in [
-                    (UserEvent::send(m), sent),
-                    (UserEvent::deliver(m), delivered),
-                ] {
-                    let p = event_process(view, event);
-                    let entry = Indexed {
-                        clock: clock[p],
-                        rank: self.fed,
-                        event,
-                    };
-                    // A delivery lands at the end; a send as far from it
-                    // as events after it belong to messages fed earlier.
-                    let list = &mut self.index[p].events;
-                    let at = partition_from_end(list, |e| e.clock < entry.clock);
-                    list.insert(at, entry);
-                }
+            if !self.joined(view, m, sent) {
+                self.search_at(view, m, sent, delivered);
             }
             self.fed += 1;
         }
         self.witness.as_deref()
     }
 
-    /// Sizes the assignment for this predicate and the index for `n`
-    /// processes and, when `view` has declared messages since the last
-    /// call, reserves index and candidate room for all of them, so that
-    /// feeding them allocates nothing.
+    /// Decides `m` by the join while the monitor keeps one: `true` if no
+    /// violation completes at `m`, which is then logged. `false` when
+    /// the search must run at `m` — the monitor keeps no join, or the
+    /// check fired. Firing indexes the logged messages in feed order,
+    /// with the ranks they were fed at, exactly as the search would have
+    /// indexed them, and drops the join for good.
+    fn joined<V: OrderView>(&mut self, view: &V, m: MessageId, sent: &[u64]) -> bool {
+        let Some(joined) = &mut self.joined else {
+            return false;
+        };
+        let (s, d) = (view.src(m).0, view.dst(m).0);
+        if !joined.joins.covers(d, s, sent) {
+            match joined.shape {
+                Crossing::Causal => joined.joins.merge(d, sent),
+                Crossing::Fifo => joined.joins.raise(d, s, sent),
+            }
+            joined.log.push(m);
+            return true;
+        }
+        let log = std::mem::take(&mut joined.log);
+        (self.joined, self.declared) = (None, 0);
+        self.reserve(view, sent.len());
+        for (rank, &z) in log.iter().enumerate() {
+            // Fed, so both clocks are stamped.
+            if let (Some(sent), Some(delivered)) = (
+                view.event_clock(UserEvent::send(z)),
+                view.event_clock(UserEvent::deliver(z)),
+            ) {
+                self.admit(view, z, rank, sent, delivered);
+            }
+        }
+        false
+    }
+
+    /// The index search at `m`: pins `m` at each variable it can bind
+    /// and searches the other positions over the indexed messages; if
+    /// no witness completes, indexes `m`.
+    fn search_at<V: OrderView>(&mut self, view: &V, m: MessageId, sent: &[u64], delivered: &[u64]) {
+        for v in 0..self.prep.pred.var_count() {
+            if !self.pinnable[v] || !self.passes_filters(view, v, m) {
+                continue;
+            }
+            // Pin `m` at `v` and search the other positions.
+            self.scratch.assignment[v] = Some(m);
+            if consistent(self.prep.pred, view, &self.scratch.assignment, Var(v), m)
+                && self.search(view, v, 0)
+            {
+                return;
+            }
+            self.scratch.assignment[v] = None;
+        }
+        self.admit(view, m, self.fed, sent, delivered);
+    }
+
+    /// Adds `m`, fed at position `rank`, to the candidate list of each
+    /// variable it passes the filters of, and its two events to their
+    /// processes' index lists.
+    fn admit<V: OrderView>(
+        &mut self,
+        view: &V,
+        m: MessageId,
+        rank: usize,
+        sent: &[u64],
+        delivered: &[u64],
+    ) {
+        for v in 0..self.prep.pred.var_count() {
+            if self.passes_filters(view, v, m) {
+                self.candidates[v].push(m);
+            }
+        }
+        for (event, clock) in [
+            (UserEvent::send(m), sent),
+            (UserEvent::deliver(m), delivered),
+        ] {
+            let p = event_process(view, event);
+            let entry = Indexed {
+                clock: clock[p],
+                rank,
+                event,
+            };
+            // A delivery lands at the end; a send as far from it as
+            // events after it belong to messages fed earlier.
+            let list = &mut self.index[p].events;
+            let at = partition_from_end(list, |e| e.clock < entry.clock);
+            list.insert(at, entry);
+        }
+    }
+
+    /// Sizes the assignment for this predicate and, when `view` has
+    /// declared messages since the last call, reserves room for all of
+    /// them, so that feeding them allocates nothing: a log entry each
+    /// and `n × n` join words while the monitor keeps a join, index and
+    /// candidate room for `n` processes otherwise.
     fn reserve<V: OrderView>(&mut self, view: &V, n: usize) {
         self.scratch
             .assignment
             .resize(self.prep.pred.var_count(), None);
+        let declared = view.message_count();
+        if let Some(joined) = &mut self.joined {
+            if self.declared < declared {
+                if joined.joins.rows() < n {
+                    joined.joins = RunningJoins::new(n, n);
+                }
+                let log = &mut joined.log;
+                log.reserve(declared.saturating_sub(log.len()));
+                self.declared = declared;
+            }
+            return;
+        }
         if self.index.len() < n {
             self.index.resize_with(n, ProcessIndex::default);
         }
-        let declared = view.message_count();
         if self.declared >= declared {
             return;
         }
@@ -1005,7 +1174,12 @@ impl<'p> Monitor<'p> {
     /// Current partial-match state size: total candidate-list entries
     /// across variables (bounded by arity × completed messages).
     pub fn live_state(&self) -> usize {
-        self.candidates.iter().map(Vec::len).sum()
+        match &self.joined {
+            // Every variable would list every logged message: the
+            // shapes that join have no color filter.
+            Some(joined) => self.prep.pred.var_count() * joined.log.len(),
+            None => self.candidates.iter().map(Vec::len).sum(),
+        }
     }
 }
 
@@ -1342,6 +1516,41 @@ mod tests {
         assert_eq!(mon.completed_seen(), 2);
         // The verdict is sticky and reported without further search.
         assert_eq!(mon.on_complete(&s, x), Some(&[x, y][..]));
+    }
+
+    #[test]
+    fn crossing_pairs_are_recognised_by_structure() {
+        let shape = |text: &str| Crossing::of(&ForbiddenPredicate::parse(text).unwrap());
+        assert_eq!(Crossing::of(&causal()), Some(Crossing::Causal));
+        assert_eq!(Crossing::of(&crate::catalog::fifo()), Some(Crossing::Fifo));
+        // Names, conjunct order and a constraint's sides do not matter.
+        assert_eq!(
+            shape("forbid u, v: u.r < v.r & v.s < u.s"),
+            Some(Crossing::Causal)
+        );
+        assert_eq!(
+            shape(
+                "forbid x, y: x.s < y.s & y.r < x.r \
+                 where proc(y.r) = proc(x.r), proc(y.s) = proc(x.s)"
+            ),
+            Some(Crossing::Fifo)
+        );
+        for other in [
+            crate::catalog::causal_b1(),
+            crate::catalog::k_weaker_causal(1),
+            crate::catalog::session_fifo(),
+            crate::catalog::global_forward_flush(),
+            crate::catalog::receive_second_before_first(),
+            crate::catalog::mutual_deliver(),
+        ] {
+            assert_eq!(Crossing::of(&other), None, "{other}");
+        }
+        assert_eq!(
+            shape("forbid x, y: x.s < y.s & y.r < x.r where proc(x.s) = proc(y.s)"),
+            None,
+            "one constraint of FIFO's two"
+        );
+        assert_eq!(shape("forbid x, y: x.s < y.s & x.r < y.r"), None);
     }
 
     #[test]
@@ -1686,9 +1895,9 @@ mod tests {
     /// one completion at a time; `batched`, with the view ahead of the
     /// feed (how the kernel notifies observers); `late`, from the
     /// finished run (how a recorded trace is re-verified) — and asserts
-    /// that the clock-index monitor reports the full scan's witness
-    /// after every completion and that the feeds agree. Returns the
-    /// witness.
+    /// that the clock-index monitor, and the monitor that decides a
+    /// crossing pair by join, report the full scan's witness after every
+    /// completion and that the feeds agree. Returns the witness.
     fn assert_full_scan_witness(
         rng: &mut Rng,
         declared: &msgorder_runs::StreamingRun,
@@ -1700,21 +1909,29 @@ mod tests {
         let mut witnesses = Vec::new();
         for &feed in feeds {
             let mut run = declared.clone();
-            let (mut indexed, mut scan) = (Monitor::new(pred), ScanMonitor::new(pred));
+            let (mut joined, mut indexed) = (Monitor::new(pred), Monitor::indexed(pred));
+            let mut scan = ScanMonitor::new(pred);
             let lag = || match feed {
                 "live" => 0,
                 "batched" => 1 + rng.below(3),
                 _ => usize::MAX,
             };
             replay_feeding(&mut run, steps, lag, |view, done| {
+                let want = scan.on_complete(view, done);
                 assert_eq!(
                     indexed.on_complete(view, done),
-                    scan.on_complete(view, done),
+                    want,
                     "seed {seed}, {pred}, {feed} feed: witness after {done:?}"
+                );
+                assert_eq!(
+                    joined.on_complete(view, done),
+                    want,
+                    "seed {seed}, {pred}, {feed} feed: joined witness after {done:?}"
                 );
             });
             let scanned: usize = scan.candidates.iter().map(Vec::len).sum();
             assert_eq!(indexed.live_state(), scanned);
+            assert_eq!(joined.live_state(), scanned);
             witnesses.push(indexed.witness().map(<[_]>::to_vec));
         }
         for (feed, witness) in feeds.iter().zip(&witnesses) {

@@ -2,11 +2,14 @@
 //! seeds, workload shapes and latency spreads.
 
 use msgorder_predicate::{catalog, eval};
-use msgorder_protocols::{CausalBss, ProtocolKind};
-use msgorder_runs::{limit_sets, MessageId, ProcessId, StreamingRun, UserRun, UserRunSnapshot};
+use msgorder_protocols::{CausalBss, OnlineMonitor, ProtocolKind};
+use msgorder_runs::{
+    limit_sets, EventKind, MessageId, ProcessId, StreamingRun, SystemEvent, UserRun,
+    UserRunSnapshot,
+};
 use msgorder_simnet::{
-    FaultModel, HostAction, HostEnv, HostEvent, LatencyModel, Protocol, ProtocolHost, SimConfig,
-    Simulation, Workload,
+    FaultModel, HostAction, HostEnv, HostEvent, LatencyModel, Protocol, ProtocolHost, RunObserver,
+    SimConfig, Simulation, Workload,
 };
 use proptest::prelude::*;
 
@@ -264,6 +267,92 @@ proptest! {
             // A lossy run may end in a counterexample; its run is not a leaf.
             if let Ok(r) = Simulation::run_uniform(config, w.clone(), |node| kind.instantiate(procs, node)) {
                 leaf_check_is_the_views(&r.run)?;
+            }
+        }
+    }
+}
+
+/// The product's [`OnlineMonitor`], which decides `causal` and `fifo`
+/// by its running joins, beside the index-search reference fed the same
+/// deliveries; `detected` is the event index at which the reference
+/// first finds a witness.
+struct JoinBesideSearch<'p> {
+    online: OnlineMonitor<'p>,
+    reference: eval::Monitor<'p>,
+    detected: Option<usize>,
+}
+
+impl RunObserver for JoinBesideSearch<'_> {
+    fn on_event(&mut self, run: &StreamingRun, ev: SystemEvent, index: usize, time: u64) -> bool {
+        if ev.kind == EventKind::Deliver
+            && !self.reference.violated()
+            && self.reference.on_complete(run, ev.msg).is_some()
+        {
+            self.detected = Some(index);
+        }
+        self.online.on_event(run, ev, index, time)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The online monitor's join decides `causal` and `fifo` exactly as
+    /// the index search does — same verdict, same detecting delivery,
+    /// same witness — on runs of every registry kind under every latency
+    /// model, on quiet, lossy (with and without the reliable layer) and
+    /// duplicating networks, halting at the violation or running on.
+    #[test]
+    fn the_join_monitor_is_the_index_search(
+        procs in 2usize..5,
+        msgs in 0usize..40,
+        seed in 0u64..10_000,
+        latency in 0usize..3,
+        faults in 0usize..4,
+        halting in any::<bool>(),
+    ) {
+        let latency = [
+            LatencyModel::Fixed(3),
+            LatencyModel::Uniform { lo: 1, hi: 400 },
+            LatencyModel::Straggler { lo: 1, hi: 60, slow_every: 4, slow_factor: 20 },
+        ][latency];
+        // Quiet; lossy, then lossy under the reliable layer; duplicating.
+        let (drop, dup, reliable) = [
+            (0.0, 0.0, false),
+            (0.3, 0.0, false),
+            (0.3, 0.0, true),
+            (0.0, 0.3, false),
+        ][faults];
+        let faults = FaultModel::none()
+            .with_drop(drop)
+            .and_then(|f| f.with_duplication(dup))
+            .expect("probabilities");
+        let w = Workload::uniform_random(procs, msgs, seed);
+        let mut kinds = ProtocolKind::fixed();
+        kinds.push(ProtocolKind::Synthesized(vec![catalog::causal()]));
+        for spec in [catalog::causal(), catalog::fifo()] {
+            for kind in &kinds {
+                let online = if halting {
+                    OnlineMonitor::halting(&spec)
+                } else {
+                    OnlineMonitor::new(&spec)
+                };
+                let mut observer = JoinBesideSearch {
+                    online,
+                    reference: eval::Monitor::indexed(&spec),
+                    detected: None,
+                };
+                let config = SimConfig::new(procs, latency, seed).with_faults(faults.clone());
+                // A lossy run may end in a counterexample: the monitors
+                // saw the same deliveries either way.
+                let _ = Simulation::new(config, w.clone(), |node| {
+                    kind.instantiate_with(procs, node, reliable)
+                })
+                .run_streaming(&mut observer);
+                let (online, at) = (&observer.online, format!("{} under {spec}", kind.name()));
+                prop_assert_eq!(online.violated(), observer.reference.violated(), "{}", at);
+                prop_assert_eq!(online.detection_event(), observer.detected, "{}", at);
+                prop_assert_eq!(online.witness(), observer.reference.witness(), "{}", at);
             }
         }
     }

@@ -24,7 +24,13 @@ pub fn render_timeline(run: &SystemRun) -> String {
     for p in 0..n {
         events.extend(run.sequence(ProcessId(p)).iter().copied());
     }
-    let index_of = |e: SystemEvent| events.iter().position(|x| *x == e).expect("present");
+    // Each event's place in `events`, by message and kind: every event
+    // of a sequence is a declared message's, at most once.
+    let mut slot = vec![usize::MAX; 4 * run.messages().len()];
+    for (i, e) in events.iter().enumerate() {
+        slot[4 * e.msg.0 + e.kind.index()] = i;
+    }
+    let index_of = |e: SystemEvent| slot[4 * e.msg.0 + e.kind.index()];
     let mut g = DiGraph::new(events.len());
     for p in 0..n {
         let seq = run.sequence(ProcessId(p));

@@ -18,6 +18,9 @@
 //!   `▷` on the live prefix in O(1) (online monitoring).
 //! - [`UserRun`] — the user's view: complete runs `(H, ▷)`, the
 //!   elements of the paper's specification universe `X`.
+//! - [`RunningJoins`] — per-destination joins of delivered send clocks,
+//!   which decide the crossing pair of causal and FIFO ordering on
+//!   clocks alone.
 //! - [`limit_sets`] — membership tests for `X_async ⊇ X_co ⊇ X_sync`
 //!   (user view, §3.4) and `X_tl ⊆ X_td ⊆ X_gn` (system view, §3.2.1).
 //! - [`construct`] — the Figure 5 construction turning a user-view run
@@ -55,6 +58,7 @@ pub mod display;
 mod error;
 pub mod generator;
 mod ids;
+mod joins;
 pub mod lemma2;
 pub mod limit_sets;
 mod message;
@@ -66,6 +70,7 @@ mod view;
 
 pub use error::RunError;
 pub use ids::{EventKind, MessageId, ProcessId, SystemEvent, UserEvent, UserEventKind};
+pub use joins::RunningJoins;
 pub use message::MessageMeta;
 pub use streaming::StreamingRun;
 pub use system::{PendingSets, SystemRun};

@@ -8,6 +8,7 @@
 //! (Lemma 2).
 
 use crate::ids::{EventKind, MessageId, ProcessId, UserEvent};
+use crate::joins::RunningJoins;
 use crate::system::SystemRun;
 use crate::users_view::UserRun;
 use msgorder_poset::DiGraph;
@@ -29,27 +30,27 @@ pub fn in_x_async(_run: &UserRun) -> bool {
 /// send-to-delivery edge `z.s ▷ z.r` (`z = y` if it has none). Then
 /// `z.r` precedes `x.r` on that chain, `z ≠ x` (else `x.s ▷ y.s ▷ y.r ⊴
 /// x.s`), and `x.s ▷ y.s ⊴ z.s`. So walking each process's deliveries
-/// with the running join `J` of the sends delivered so far, `x` violates
-/// iff `V(x.s)[src(x)] ≤ J[src(x)]` — `O(events · n)`, no closure. Any
-/// other run answers from its closure, as [`co_violation`] does.
+/// with the running join `J` of the sends delivered so far
+/// ([`RunningJoins`]), `x` violates iff `V(x.s)[src(x)] ≤ J[src(x)]` —
+/// `O(events · n)`, no closure. Any other run answers from its
+/// closure, as [`co_violation`] does.
 pub fn in_x_co(run: &UserRun) -> bool {
     let Some(clocks) = run.clocks() else {
         return co_violation(run).is_none();
     };
     let n = clocks.processes();
-    let mut join = vec![0u64; n];
+    let mut join = RunningJoins::new(1, n);
     for q in 0..n {
-        join.fill(0);
+        join.clear();
         for &v in clocks.chain(q) {
             if v % 2 == 0 {
                 continue;
             }
             let sent = clocks.clock(v - 1);
-            let p = run.message(MessageId(v / 2)).src.0;
-            if sent[p] <= join[p] {
+            if join.covers(0, run.message(MessageId(v / 2)).src.0, sent) {
                 return false;
             }
-            msgorder_poset::words::merge_in_place(&mut join, sent);
+            join.merge(0, sent);
         }
     }
     true
