@@ -16,7 +16,7 @@
 //! holds other than `n²` counters, is `Malformed`. The only allocation
 //! per message is the tag buffer the host takes ownership of.
 
-use crate::reliable::ReliableLink;
+use crate::link::Link;
 use crate::tagcodec;
 use msgorder_poset::words;
 use msgorder_runs::{MessageId, ProcessId};
@@ -36,8 +36,9 @@ pub struct CausalRst {
     /// `parked[i * n * n..][..n * n]`. Never holds anything else, so
     /// equal states hash equal.
     parked: Vec<u64>,
-    /// Ack/retransmission layer for lossy networks, if enabled.
-    link: Option<ReliableLink>,
+    /// Sends user frames, and acks and retransmits them in the
+    /// [`reliable`](CausalRst::reliable) variant.
+    link: Link,
 }
 
 impl CausalRst {
@@ -50,7 +51,7 @@ impl CausalRst {
             delivered_from: vec![0; n],
             pending: Vec::new(),
             parked: Vec::new(),
-            link: None,
+            link: Link::new(),
         }
     }
 
@@ -58,7 +59,7 @@ impl CausalRst {
     /// survives `FaultModel` loss and duplication.
     pub fn reliable(n: usize) -> Self {
         CausalRst {
-            link: Some(ReliableLink::new()),
+            link: Link::reliable(),
             ..CausalRst::new(n)
         }
     }
@@ -100,16 +101,11 @@ impl Protocol for CausalRst {
         // not count into another row.
         self.sent[me * self.n..][..self.n][dst] += 1;
         let tag = tagcodec::encode(&self.sent);
-        match &mut self.link {
-            Some(link) => link.send_user(ctx, msg, tag),
-            None => ctx.send_user(msg, tag),
-        }
+        self.link.send_user(ctx, msg, tag);
     }
 
     fn on_user_frame(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, msg: MessageId, tag: Vec<u8>) {
-        if let Some(link) = &mut self.link {
-            link.ack_user(ctx, from, msg);
-        }
+        self.link.ack_user(ctx, from, msg);
         // Undecodable bytes or a matrix that is not n × n (the delivery
         // check reads `m[k][me]` for every k) are adversarial — reject
         // them structurally instead of panicking. The matrix is decoded
@@ -123,17 +119,13 @@ impl Protocol for CausalRst {
     }
 
     fn on_control_frame(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, bytes: Vec<u8>) {
-        // RST sends no control traffic of its own: everything arriving
-        // here is link bookkeeping (user-frame acks).
-        if let Some(link) = &mut self.link {
-            link.on_control(ctx, from, bytes);
-        }
+        // RST sends no payloads of its own: everything arriving here is
+        // link bookkeeping (user-frame acks).
+        self.link.on_control(ctx, from, &bytes, 0);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, id: u64) {
-        if let Some(link) = &mut self.link {
-            link.on_timer(ctx, id);
-        }
+        self.link.on_timer(ctx, id);
     }
 }
 

@@ -1,6 +1,6 @@
 //! FIFO channels by per-channel sequence numbers (tagged, 8 bytes).
 
-use crate::reliable::ReliableLink;
+use crate::link::Link;
 use msgorder_runs::{MessageId, ProcessId};
 use msgorder_simnet::{Ctx, Protocol, RejectReason, SortedSlab};
 
@@ -20,8 +20,9 @@ pub struct FifoProtocol {
     next_in: SortedSlab<usize, u64>,
     /// Early arrivals, per source, keyed by sequence number.
     pending: SortedSlab<usize, SortedSlab<u64, MessageId>>,
-    /// Ack/retransmission layer for lossy networks, if enabled.
-    link: Option<ReliableLink>,
+    /// Sends user frames, and acks and retransmits them in the
+    /// [`reliable`](FifoProtocol::reliable) variant.
+    link: Link,
 }
 
 impl FifoProtocol {
@@ -34,7 +35,7 @@ impl FifoProtocol {
     /// survives `FaultModel` loss and duplication.
     pub fn reliable() -> Self {
         FifoProtocol {
-            link: Some(ReliableLink::new()),
+            link: Link::reliable(),
             ..FifoProtocol::default()
         }
     }
@@ -55,16 +56,11 @@ impl Protocol for FifoProtocol {
         let seq = self.next_out.get_or_insert_with(dst, || 0);
         let tag = seq.to_le_bytes().to_vec();
         *seq += 1;
-        match &mut self.link {
-            Some(link) => link.send_user(ctx, msg, tag),
-            None => ctx.send_user(msg, tag),
-        }
+        self.link.send_user(ctx, msg, tag);
     }
 
     fn on_user_frame(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, msg: MessageId, tag: Vec<u8>) {
-        if let Some(link) = &mut self.link {
-            link.ack_user(ctx, from, msg);
-        }
+        self.link.ack_user(ctx, from, msg);
         // A benign channel always carries exactly the 8 bytes we sent;
         // anything else is adversarial truncation or garbage.
         let Ok(tag) = <[u8; 8]>::try_from(tag) else {
@@ -79,17 +75,13 @@ impl Protocol for FifoProtocol {
     }
 
     fn on_control_frame(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, bytes: Vec<u8>) {
-        // FIFO sends no control traffic of its own: everything arriving
-        // here is link bookkeeping (user-frame acks).
-        if let Some(link) = &mut self.link {
-            link.on_control(ctx, from, bytes);
-        }
+        // FIFO sends no payloads of its own: everything arriving here
+        // is link bookkeeping (user-frame acks).
+        self.link.on_control(ctx, from, &bytes, 0);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, id: u64) {
-        if let Some(link) = &mut self.link {
-            link.on_timer(ctx, id);
-        }
+        self.link.on_timer(ctx, id);
     }
 }
 

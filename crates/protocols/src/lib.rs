@@ -34,11 +34,10 @@ pub mod asynch;
 pub mod causal_bss;
 pub mod causal_rst;
 pub mod causal_ses;
-pub mod epoch;
 pub mod fifo;
 pub mod flush;
+pub mod link;
 pub mod registry;
-pub mod reliable;
 pub mod sync;
 pub mod synthesis;
 pub mod tagcodec;
@@ -50,8 +49,8 @@ pub use causal_rst::CausalRst;
 pub use causal_ses::CausalSes;
 pub use fifo::FifoProtocol;
 pub use flush::FlushChannels;
+pub use link::{Link, RetryConfig};
 pub use registry::{ExplorableProtocol, ProtocolKind};
-pub use reliable::{ControlEvent, ReliableLink, RetryConfig};
 pub use sync::SyncProtocol;
 pub use synthesis::SynthesizedTagged;
 pub use verify::{

@@ -28,24 +28,26 @@
 //! same destination could reorder in transit and be delivered inverted,
 //! closing a crown.)
 
-use crate::epoch::{self, EpochError, EpochGuard};
-use crate::reliable::{ControlEvent, ReliableLink};
+use crate::link::Link;
 use msgorder_runs::{MessageId, ProcessId};
-use msgorder_simnet::{Ctx, Protocol, RejectReason};
-use serde::{Deserialize, Serialize};
+use msgorder_simnet::{Ctx, Protocol};
 use std::collections::VecDeque;
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A control message; its discriminant is the link frame's `body`.
+#[derive(Debug, Clone, Copy)]
 enum Msg {
     /// sender → coordinator: let me transmit.
-    Request,
+    Request = 0,
     /// coordinator → sender: go ahead.
-    Grant,
+    Grant = 1,
     /// receiver → coordinator (per-message mode): delivered, lock free.
-    Release,
+    Release = 2,
     /// receiver → sender (batched mode): delivered.
-    Ack,
+    Ack = 3,
 }
+
+/// Every [`Msg`], indexed by its body.
+const MSGS: [Msg; 4] = [Msg::Request, Msg::Grant, Msg::Release, Msg::Ack];
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum SenderState {
@@ -66,14 +68,13 @@ pub struct SyncProtocol {
     // --- per-sender state ---
     state: SenderState,
     waiting: VecDeque<MessageId>,
-    /// Ack/retransmission layer for lossy networks, if enabled. The
-    /// lock-server handshake is stateful, so a single lost Grant or
-    /// Release deadlocks the system — the link retransmits them.
-    link: Option<ReliableLink>,
-    /// Epoch validation: control frames minted before a peer's crash
-    /// must not act after its restart (a replayed pre-crash `Grant`
-    /// would open a lock window the coordinator no longer remembers).
-    guard: EpochGuard,
+    /// Sends and reads every frame. The lock-server handshake is
+    /// stateful, so a single lost Grant or Release deadlocks the system:
+    /// the [`with_retransmission`](SyncProtocol::with_retransmission)
+    /// link retransmits them. Every link refuses control frames minted
+    /// before a peer's crash (a replayed pre-crash `Grant` would open a
+    /// lock window the coordinator no longer remembers).
+    link: Link,
 }
 
 impl Default for SyncProtocol {
@@ -91,8 +92,7 @@ impl SyncProtocol {
             busy: false,
             state: SenderState::Idle,
             waiting: VecDeque::new(),
-            link: None,
-            guard: EpochGuard::new(),
+            link: Link::new(),
         }
     }
 
@@ -107,28 +107,18 @@ impl SyncProtocol {
     /// Adds an ack/retransmission layer so the handshake survives
     /// `FaultModel` loss and duplication.
     pub fn with_retransmission(mut self) -> Self {
-        self.link = Some(ReliableLink::new());
+        self.link = Link::reliable();
         self
     }
 
     const COORD: usize = 0;
 
-    fn send_ctl(&mut self, ctx: &mut Ctx<'_>, to: usize, m: &Msg) {
-        // Unit-variant serialization is infallible; the epoch wrapper is
-        // a byte no-op until this process has restarted at least once.
-        let json = serde_json::to_vec(m).expect("control message serializes");
-        let bytes = epoch::wrap(ctx.epoch(), json);
-        match &mut self.link {
-            Some(link) => link.send_control(ctx, ProcessId(to), bytes),
-            None => ctx.send_control(ProcessId(to), bytes),
-        }
+    fn send_ctl(&mut self, ctx: &mut Ctx<'_>, to: usize, m: Msg) {
+        self.link.send(ctx, ProcessId(to), m as u64);
     }
 
     fn send_user_frame(&mut self, ctx: &mut Ctx<'_>, msg: MessageId) {
-        match &mut self.link {
-            Some(link) => link.send_user(ctx, msg, Vec::new()),
-            None => ctx.send_user(msg, Vec::new()),
-        }
+        self.link.send_user(ctx, msg, Vec::new());
     }
 
     fn coord_pump(&mut self, ctx: &mut Ctx<'_>) {
@@ -138,14 +128,14 @@ impl SyncProtocol {
         }
         if let Some(requester) = self.queue.pop_front() {
             self.busy = true;
-            self.send_ctl(ctx, requester, &Msg::Grant);
+            self.send_ctl(ctx, requester, Msg::Grant);
         }
     }
 
     fn request_if_needed(&mut self, ctx: &mut Ctx<'_>) {
         if self.state == SenderState::Idle && !self.waiting.is_empty() {
             self.state = SenderState::Waiting;
-            self.send_ctl(ctx, Self::COORD, &Msg::Request);
+            self.send_ctl(ctx, Self::COORD, Msg::Request);
         }
     }
 
@@ -161,7 +151,7 @@ impl SyncProtocol {
             // crash): hand the lock straight back so the coordinator
             // isn't wedged on a window that will never release.
             self.state = SenderState::Idle;
-            self.send_ctl(ctx, Self::COORD, &Msg::Release);
+            self.send_ctl(ctx, Self::COORD, Msg::Release);
             return;
         };
         if self.batched {
@@ -187,7 +177,7 @@ impl SyncProtocol {
             self.send_user_frame(ctx, next);
         } else {
             self.state = SenderState::Idle;
-            self.send_ctl(ctx, Self::COORD, &Msg::Release);
+            self.send_ctl(ctx, Self::COORD, Msg::Release);
         }
     }
 }
@@ -199,47 +189,23 @@ impl Protocol for SyncProtocol {
     }
 
     fn on_user_frame(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, msg: MessageId, _tag: Vec<u8>) {
-        if let Some(link) = &mut self.link {
-            link.ack_user(ctx, from, msg);
-        }
+        self.link.ack_user(ctx, from, msg);
         ctx.deliver(msg);
         if self.batched {
-            self.send_ctl(ctx, from.0, &Msg::Ack);
+            self.send_ctl(ctx, from.0, Msg::Ack);
         } else {
-            self.send_ctl(ctx, Self::COORD, &Msg::Release);
+            self.send_ctl(ctx, Self::COORD, Msg::Release);
         }
     }
 
     fn on_control_frame(&mut self, ctx: &mut Ctx<'_>, from: ProcessId, bytes: Vec<u8>) {
-        let payload = match &mut self.link {
-            Some(link) => match link.on_control(ctx, from, bytes) {
-                ControlEvent::Consumed => return,
-                ControlEvent::Deliver(p) | ControlEvent::Passthrough(p) => p,
-            },
-            None => bytes,
+        // The link refuses stale-epoch stragglers and undecodable
+        // (corrupted/forged) frames, and hands over only a body below
+        // `MSGS.len()`.
+        let Some(body) = self.link.on_control(ctx, from, &bytes, MSGS.len() as u64) else {
+            return;
         };
-        // Adversarial input reaches here: refuse stale-epoch stragglers
-        // and undecodable (corrupted/forged) payloads structurally — a
-        // panic would turn one flipped bit into a dead process.
-        let payload = match self.guard.admit(from, &payload) {
-            Ok(p) => p,
-            Err(EpochError::Stale { .. }) => {
-                ctx.reject_frame(from, RejectReason::StaleEpoch);
-                return;
-            }
-            Err(EpochError::Malformed) => {
-                ctx.reject_frame(from, RejectReason::Malformed);
-                return;
-            }
-        };
-        let m: Msg = match serde_json::from_slice(payload) {
-            Ok(m) => m,
-            Err(_) => {
-                ctx.reject_frame(from, RejectReason::Malformed);
-                return;
-            }
-        };
-        match m {
+        match MSGS[body as usize] {
             Msg::Request => {
                 // A sender has at most one request in flight (it stays
                 // Waiting until granted), so a repeat here is a network
@@ -260,9 +226,7 @@ impl Protocol for SyncProtocol {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, id: u64) {
-        if let Some(link) = &mut self.link {
-            link.on_timer(ctx, id);
-        }
+        self.link.on_timer(ctx, id);
     }
 }
 

@@ -6,7 +6,7 @@
 //! last) followed by the wrapping sum of every byte before it. The sum
 //! changes by `±2^b mod 256 ≠ 0` under a flip of bit `b` of any earlier
 //! byte, so every single-bit flip — all the fault layer does to a user
-//! tag — is caught before a counter is read.
+//! tag or a control frame — is caught before a counter is read.
 //!
 //! Decoding is strict, so the codec is injective: a varint with a
 //! redundant high zero group, one beyond `u64`, a count other than the
@@ -14,9 +14,10 @@
 //! accepted tag re-encodes to exactly its own bytes. The explorer
 //! interns tags by value, which is what keeps its state counts exact.
 //!
-//! Tags carry no magic byte: a host never demultiplexes user tags by
-//! their lead byte, and the control framing (`0xAB`, `0xAE`) wraps
-//! control payloads only.
+//! The codec carries no magic byte and no type: the caller fixes the
+//! count. `causal-rst` tags are `n²` counters; every control frame is
+//! one tag whose first counter, its kind, fixes how many follow
+//! ([`crate::link`]).
 
 /// The longest varint of a `u64`: ten groups, the last holding bit 63.
 const MAX_VARINT_LEN: usize = 10;
@@ -59,23 +60,38 @@ pub fn encode(counters: &[u64]) -> Vec<u8> {
 /// counters, in which case `out` is left as it was.
 pub fn decode_into(bytes: &[u8], count: usize, out: &mut Vec<u64>) -> Option<()> {
     let mark = out.len();
-    let decoded = decode_counters(bytes, count, out);
+    let decoded = checked_body(bytes).and_then(|body| {
+        // Once, not by doubling: a cloned `out` has exact capacity. Every
+        // counter takes at least a byte, so a bad `count` reserves no more.
+        out.reserve(count.min(body.len()));
+        read_counters(body, count, |_, v| out.push(v))
+    });
     if decoded.is_none() {
         out.truncate(mark);
     }
     decoded
 }
 
-fn decode_counters(bytes: &[u8], count: usize, out: &mut Vec<u64>) -> Option<()> {
+/// Decodes a tag of exactly `N` counters. `None` for anything
+/// [`encode`] cannot have produced with `N` counters.
+pub fn decode_array<const N: usize>(bytes: &[u8]) -> Option<[u64; N]> {
+    let body = checked_body(bytes)?;
+    let mut out = [0; N];
+    read_counters(body, N, |i, v| out[i] = v)?;
+    Some(out)
+}
+
+/// The bytes before the check byte, if the check byte is right.
+fn checked_body(bytes: &[u8]) -> Option<&[u8]> {
     let (&check, body) = bytes.split_last()?;
-    if checksum(body) != check {
-        return None;
-    }
-    // Once, not by doubling: a cloned `out` has exact capacity. Every
-    // counter takes at least a byte, so a bad `count` reserves no more.
-    out.reserve(count.min(body.len()));
+    (checksum(body) == check).then_some(body)
+}
+
+/// Reads exactly `count` counters that fill `body`, handing each to
+/// `put` with its index.
+fn read_counters(body: &[u8], count: usize, mut put: impl FnMut(usize, u64)) -> Option<()> {
     let mut at = 0;
-    for _ in 0..count {
+    for i in 0..count {
         // A byte below 0x80 is a whole varint, canonical as it stands.
         let b = *body.get(at)?;
         let v = if b < 0x80 {
@@ -86,7 +102,7 @@ fn decode_counters(bytes: &[u8], count: usize, out: &mut Vec<u64>) -> Option<()>
             at += used;
             v
         };
-        out.push(v);
+        put(i, v);
     }
     (at == body.len()).then_some(())
 }
@@ -158,6 +174,10 @@ mod tests {
             encode(&[0, 127, 128, 300]),
             [0, 127, 0x80, 1, 0xac, 2, 0xae]
         );
+        assert_eq!(
+            decode_array(&encode(&[0, 127, 128, u64::MAX])),
+            Some([0, 127, 128, u64::MAX])
+        );
         assert_eq!(encode(&[u64::MAX]).len(), MAX_VARINT_LEN + 1);
         for bits in 1..=64usize {
             let v = u64::MAX >> (64 - bits);
@@ -216,6 +236,14 @@ mod tests {
         assert_eq!(decode(&[], 0), None, "not even a check byte");
         assert_eq!(decode(&[1, 2], 1), None, "wrong check byte");
         assert_eq!(decode(&[0], 0), Some(vec![]));
+        for (bytes, what) in [
+            (with_check(&[5, 6, 7]), "a trailing byte"),
+            (with_check(&[5]), "one counter of two"),
+            (vec![5, 6, 0], "wrong check byte"),
+        ] {
+            assert_eq!(decode_array::<2>(&bytes), None, "{what}");
+        }
+        assert_eq!(decode_array(&with_check(&[5, 6])), Some([5, 6]));
     }
 
     /// Bytes that look like a tag: an encoding truncated, extended, or

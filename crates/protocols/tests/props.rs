@@ -67,6 +67,76 @@ fn frames_sent(name: &str, w: &Workload) -> Vec<(ProcessId, MessageId, Vec<u8>)>
     frames
 }
 
+/// Every registry kind with its retransmission flag: plain, and
+/// reliable where the kind has a reliable variant.
+fn registry_variants() -> Vec<(ProtocolKind, bool)> {
+    let mut kinds = ProtocolKind::fixed();
+    kinds.push(ProtocolKind::Synthesized(vec![catalog::causal()]));
+    kinds
+        .into_iter()
+        .flat_map(|kind| {
+            let reliable = kind.supports_retransmission();
+            [(kind.clone(), false)]
+                .into_iter()
+                .chain(reliable.then_some((kind, true)))
+        })
+        .collect()
+}
+
+/// The control frames the `reliable` variant of `kind` sends running
+/// `w` on 3 processes whose epochs are `epochs`: every frame handed to
+/// its destination at once, in send order, timers never firing.
+/// `(from, to, bytes)`.
+fn control_frames_sent(
+    kind: &ProtocolKind,
+    reliable: bool,
+    w: &Workload,
+    epochs: [u64; 3],
+) -> Vec<(ProcessId, usize, Vec<u8>)> {
+    let mut nodes: Vec<_> = (0..3)
+        .map(|node| {
+            let mut env = HostEnv::new(node, 3, w);
+            env.set_epoch(epochs[node]);
+            (kind.instantiate_with(3, node, reliable), env)
+        })
+        .collect();
+    let mut queue: std::collections::VecDeque<(usize, HostEvent)> = w
+        .sends
+        .iter()
+        .enumerate()
+        .map(|(i, send)| (send.src, HostEvent::Request { msg: MessageId(i) }))
+        .collect();
+    let mut frames = Vec::new();
+    while let Some((node, ev)) = queue.pop_front() {
+        let (p, env) = &mut nodes[node];
+        p.process_event(env, ev);
+        for action in env.take_actions() {
+            match action {
+                HostAction::SendUser { msg, tag } => queue.push_back((
+                    w.sends[msg.0].dst,
+                    HostEvent::UserFrame {
+                        from: ProcessId(node),
+                        msg,
+                        tag,
+                    },
+                )),
+                HostAction::SendControl { to, bytes } => {
+                    frames.push((ProcessId(node), to.0, bytes.clone()));
+                    queue.push_back((
+                        to.0,
+                        HostEvent::ControlFrame {
+                            from: ProcessId(node),
+                            bytes,
+                        },
+                    ));
+                }
+                _ => {}
+            }
+        }
+    }
+    frames
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -182,6 +252,56 @@ proptest! {
         if actions.iter().any(|a| matches!(a, HostAction::RejectFrame { .. })) {
             prop_assert_eq!(actions.len(), 1, "{} rejected and acted: {:?}", name, actions);
         }
+    }
+
+    /// The same for control frames, at every registry kind, plain and
+    /// reliable: arbitrary bytes, or a frame the kind really sent with
+    /// one bit flipped or one byte appended (its check byte repaired),
+    /// reach no panic, and a refused frame yields exactly one
+    /// `RejectFrame` and nothing else. A flipped or extended frame is
+    /// always refused: the check byte catches every single-bit flip, and
+    /// a frame's kind fixes its counter count.
+    #[test]
+    fn foreign_control_bytes_are_rejected_or_acted_on(
+        variant in 0usize..11,
+        seed in 0u64..10_000,
+        epochs in (0u64..300, 0u64..300, 0u64..300),
+        pick in any::<usize>(),
+        bit in any::<usize>(),
+        junk in collection::vec(any::<u8>(), 0..64),
+        edit in 0usize..3,
+    ) {
+        let variants = registry_variants();
+        let (kind, reliable) = &variants[variant % variants.len()];
+        let w = Workload::uniform_random(3, 6, seed);
+        let frames = control_frames_sent(kind, *reliable, &w, [epochs.0, epochs.1, epochs.2]);
+        let (from, to, bytes, forged) = match (edit, frames.get(pick % frames.len().max(1))) {
+            (1, Some((from, to, clean))) => {
+                let mut dirty = clean.clone();
+                let bit = bit % (dirty.len() * 8);
+                dirty[bit / 8] ^= 1 << (bit % 8);
+                (*from, *to, dirty, true)
+            }
+            (2, Some((from, to, clean))) => {
+                let (&check, body) = clean.split_last().expect("a check byte");
+                let extra = bit as u8;
+                let mut longer = body.to_vec();
+                longer.push(extra);
+                longer.push(check.wrapping_add(extra));
+                (*from, *to, longer, true)
+            }
+            _ => (ProcessId(pick % 3), bit % 3, junk, false),
+        };
+        let mut env = HostEnv::new(to, 3, &w);
+        let mut p = kind.instantiate_with(3, to, *reliable);
+        p.process_event(&mut env, HostEvent::ControlFrame { from, bytes: bytes.clone() });
+        let actions = env.take_actions();
+        let refused = actions.iter().any(|a| matches!(a, HostAction::RejectFrame { .. }));
+        let name = format!("{}{}", kind.name(), if *reliable { " --reliable" } else { "" });
+        if refused {
+            prop_assert_eq!(actions.len(), 1, "{} rejected and acted: {:?}", name, actions);
+        }
+        prop_assert!(!forged || refused, "{} acted on {:?}: {:?}", name, bytes, actions);
     }
 }
 

@@ -66,8 +66,12 @@ use msgorder_simnet::{
 use serde::{Deserialize, Serialize};
 
 /// Version stamp of the JSONL trace schema. Bump on any incompatible
-/// change to [`Setup`], [`KernelEvent`], or the framing.
-pub const TRACE_VERSION: u32 = 2;
+/// change to [`Setup`], [`KernelEvent`], or the framing — or to the
+/// bytes a protocol puts on the wire, which wire records count: `3`
+/// frames every control frame as one link envelope
+/// ([`msgorder_protocols::link`]), so a v2 trace's control frames
+/// would replay with other byte counts.
+pub const TRACE_VERSION: u32 = 3;
 
 /// Everything needed to re-create the simulation a trace was recorded
 /// from: feed it to [`record`] to (re-)run, and carry it in the trace

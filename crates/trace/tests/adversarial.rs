@@ -43,15 +43,16 @@ fn baseline_setup(protocol: &str, seed: u64) -> Setup {
 #[test]
 fn quiet_adversarial_model_keeps_preadversarial_fingerprints() {
     let pins: &[(&str, u64, u64)] = &[
-        ("fifo", 3, 10447233090107869491),
-        ("fifo", 11, 560338282453771713),
-        // Re-captured when causal-rst's tag became binary: a wire
-        // record carries its tag's length, so the fingerprint moved
-        // while the schedule did not.
-        ("causal-rst", 3, 7874865184836799165),
-        ("causal-rst", 11, 6446954952595467785),
-        ("sync", 3, 3858905718874074982),
-        ("sync", 11, 14865458837620922709),
+        // Re-captured when control frames became link envelopes (and
+        // causal-rst's tag binary before that): a wire record carries
+        // its frame's length, so the fingerprint moved while the
+        // schedule did not.
+        ("fifo", 3, 481955383241209529),
+        ("fifo", 11, 6588886763321796717),
+        ("causal-rst", 3, 795246106536494931),
+        ("causal-rst", 11, 11157499806723830305),
+        ("sync", 3, 7792625433906877396),
+        ("sync", 11, 8808183383198562721),
         // Captured at the commit before the single-backend kernel, so
         // every fixed-name registry protocol pins that refactor too.
         ("async", 3, 7438647529498225702),
@@ -60,8 +61,8 @@ fn quiet_adversarial_model_keeps_preadversarial_fingerprints() {
         ("causal-ses", 11, 11710198535216910509),
         ("flush", 3, 2486484488977183494),
         ("flush", 11, 4852362940803313959),
-        ("sync-batched", 3, 6378338132599173819),
-        ("sync-batched", 11, 1847497660884904145),
+        ("sync-batched", 3, 6013823015389336972),
+        ("sync-batched", 11, 5694308932755874674),
     ];
     for &(protocol, seed, want) in pins {
         let recorded = record(&baseline_setup(protocol, seed)).expect("records");
@@ -72,10 +73,9 @@ fn quiet_adversarial_model_keeps_preadversarial_fingerprints() {
     }
 }
 
-/// Same pin through a crash/restart schedule (epoch machinery present
-/// but every epoch stays 0 until a restart completes — and even then,
-/// only *control* frames change, so a crash-free protocol layer keeps
-/// its bytes).
+/// Same pin through a crash/restart schedule (every epoch stays 0 until
+/// a restart completes, and even then only *control* frames carry it,
+/// so a protocol without control frames keeps its bytes).
 #[test]
 fn quiet_adversarial_model_keeps_crash_schedule_fingerprint() {
     let mut faults = FaultModel::none().with_drop(0.1).expect("valid");
@@ -84,11 +84,12 @@ fn quiet_adversarial_model_keeps_crash_schedule_fingerprint() {
         at: 200,
         restart: Some(900),
     }];
-    // `sync` tags its control frames with `Ctx::epoch`, so its row also
-    // pins the epoch a restarted process reports.
+    // `sync`'s link stamps its control frames with `Ctx::epoch`, so its
+    // row also pins the epoch a restarted process reports. Re-captured
+    // when control frames became link envelopes.
     for (protocol, want) in [
         ("flush", 14055127132968614344),
-        ("sync", 2049752050517373982),
+        ("sync", 942856248819523716),
     ] {
         let setup = Setup {
             processes: 4,
@@ -162,7 +163,7 @@ fn adversarial_runs_replay_bit_exact() {
 #[test]
 fn golden_adversarial_trace_replays() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/golden/shrunk-adversarial-v2.jsonl");
+        .join("../../tests/golden/shrunk-adversarial-v3.jsonl");
     let trace = Trace::read(path.to_str().expect("utf-8 path")).expect("reads");
     assert!(
         !trace.header.setup.faults.adversarial.is_quiet(),

@@ -502,16 +502,18 @@ fn golden(name: &str) -> String {
     std::fs::read_to_string(path).expect("golden reads")
 }
 
-/// The goldens were rewritten from schema v1 to v2 without moving an
-/// event: the fingerprint hashes events, not bytes, so each footer
-/// carries — and each event stream recomputes — its v1 value, and the
-/// derived schema writes each file back byte for byte.
+/// The goldens were re-recorded at schema v3 without moving an event's
+/// time or decision. The fingerprint hashes events, not file bytes, so
+/// the two goldens without a control frame keep their v1 values; a wire
+/// record carries its frame's length, so `trace-v3`'s pin moved with its
+/// acks. Each footer carries — and each event stream recomputes — its
+/// pin, and the derived schema writes each file back byte for byte.
 #[test]
-fn v2_goldens_keep_their_v1_fingerprints() {
+fn v3_goldens_keep_their_pinned_fingerprints() {
     for (name, pin) in [
-        ("trace-v2.jsonl", 15041617536091139050),
-        ("shrunk-v2.jsonl", 7224746513626374873),
-        ("shrunk-adversarial-v2.jsonl", 10760362535232550892),
+        ("trace-v3.jsonl", 10934304705225658992),
+        ("shrunk-v3.jsonl", 7224746513626374873),
+        ("shrunk-adversarial-v3.jsonl", 10760362535232550892),
     ] {
         let text = golden(name);
         let trace = Trace::from_jsonl(&text).expect("golden parses");
@@ -527,21 +529,25 @@ fn v2_goldens_keep_their_v1_fingerprints() {
 }
 
 /// A v1 header is refused by its version even though its fault model
-/// lacks a key v2 requires: the number is read before the fields.
+/// lacks a key v2 requires: the number is read before the fields. A v2
+/// header is refused the same way, though it parses: its control byte
+/// counts belong to another framing.
 #[test]
 fn a_v1_header_is_refused_by_its_version() {
-    let v1 = golden("trace-v2.jsonl")
-        .replacen("\"version\":2", "\"version\":1", 1)
-        .replacen(
-            ",\"adversarial\":{\"corrupt\":0.0,\"forge\":0.0,\"replay_stale\":0.0,\"reorder\":0.0}",
-            "",
-            1,
-        );
-    match Trace::from_jsonl(&v1) {
-        Err(TraceError::Schema(why)) => {
-            assert_eq!(why, "trace version 1 (this build reads 2)");
+    let v3 = golden("trace-v3.jsonl");
+    let v1 = v3.replacen("\"version\":3", "\"version\":1", 1).replacen(
+        ",\"adversarial\":{\"corrupt\":0.0,\"forge\":0.0,\"replay_stale\":0.0,\"reorder\":0.0}",
+        "",
+        1,
+    );
+    let v2 = v3.replacen("\"version\":3", "\"version\":2", 1);
+    for (old, text) in [(1, v1), (2, v2)] {
+        match Trace::from_jsonl(&text) {
+            Err(TraceError::Schema(why)) => {
+                assert_eq!(why, format!("trace version {old} (this build reads 3)"));
+            }
+            other => panic!("expected a version refusal, got {other:?}"),
         }
-        other => panic!("expected a version refusal, got {other:?}"),
     }
 }
 

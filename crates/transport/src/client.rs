@@ -145,8 +145,8 @@ pub fn run_client(opts: &ClientOptions) -> Result<ClientReport, TransportError> 
         };
         // A redial is the wire-level analogue of a crash/restart
         // window: bump the environment's epoch so control frames sent
-        // after the reconnect carry a generation tag and pre-drop
-        // stragglers are rejectable as stale (see `protocols::epoch`).
+        // after the reconnect carry the new epoch and pre-drop
+        // stragglers are rejectable as stale (see `protocols::link`).
         inst.env.set_epoch(u64::from(report.connects - 1));
         let served = serve_events(
             &mut framed,

@@ -80,14 +80,17 @@ pub const CH_ACTION: u8 = 2;
 ///   JSON;
 /// - `4` — the `Welcome`'s [`Setup`] is written in trace schema v2
 ///   ([`msgorder_trace::TRACE_VERSION`]): every [`FaultModel`] key is
-///   always present.
+///   always present;
+/// - `5` — control frames are link envelopes
+///   ([`msgorder_protocols::link`], trace schema v3): a peer of an
+///   older build frames them in bytes this one refuses.
 ///
 /// [`FaultModel`]: msgorder_simnet::FaultModel
 /// Both handshake messages state the speaker's version and either side
 /// refuses a peer announcing any other: there is nothing to negotiate.
 /// The handshake itself is JSON in plain framing; every frame after the
 /// `Welcome` is checksummed.
-pub const WIRE_VERSION: u16 = 4;
+pub const WIRE_VERSION: u16 = 5;
 
 /// Handshake and lifecycle messages on [`CH_CONTROL`].
 // `Welcome` dwarfs the other variants because it carries the full run

@@ -318,7 +318,7 @@ fn replay_metrics_from_recorded_events() {
 
 #[test]
 fn golden_trace_replays() {
-    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/trace-v2.jsonl");
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/trace-v3.jsonl");
     let (ok, stdout, stderr) = msgorder(&["replay", golden]);
     assert!(ok, "golden trace must keep replaying: {stdout}{stderr}");
     assert!(stdout.contains("REPLAY OK"), "{stdout}");
@@ -369,7 +369,7 @@ fn shrink_minimizes_a_stalled_trace_end_to_end() {
 fn golden_shrunk_trace_replays_and_reshrinks_to_itself() {
     let dir = std::env::temp_dir().join(format!("msgorder-cli-reshrink-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for name in ["shrunk-v2", "shrunk-adversarial-v2"] {
+    for name in ["shrunk-v3", "shrunk-adversarial-v3"] {
         let golden = format!("{}/tests/golden/{name}.jsonl", env!("CARGO_MANIFEST_DIR"));
         let (ok, stdout, stderr) = msgorder(&["replay", &golden]);
         assert!(
@@ -443,7 +443,7 @@ fn hand_edited_trace_headers_are_errors_not_panics() {
     ];
     let dir = std::env::temp_dir().join(format!("msgorder-cli-headers-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for golden in ["trace-v2", "shrunk-v2", "shrunk-adversarial-v2"] {
+    for golden in ["trace-v3", "shrunk-v3", "shrunk-adversarial-v3"] {
         let path = format!("{}/tests/golden/{golden}.jsonl", env!("CARGO_MANIFEST_DIR"));
         let text = std::fs::read_to_string(&path).unwrap();
         Trace::from_jsonl(&text).expect("the untouched golden loads");
@@ -472,19 +472,21 @@ fn hand_edited_trace_headers_are_errors_not_panics() {
             }
         }
         // A header of another schema version is refused by its number.
-        let edited = format!("{}\n{events}", with_field(header, "version", "1"));
-        assert!(
-            matches!(Trace::from_jsonl(&edited), Err(TraceError::Schema(_))),
-            "{golden}: from_jsonl must refuse version 1"
-        );
-        let file = dir.join(format!("{golden}.jsonl"));
-        std::fs::write(&file, &edited).unwrap();
-        let (ok, _, stderr) = msgorder(&["replay", file.to_str().unwrap()]);
-        assert!(
-            !ok && stderr.contains("trace version 1 (this build reads 2)")
-                && !stderr.contains("panicked"),
-            "{golden}: {stderr}"
-        );
+        for old in ["1", "2"] {
+            let edited = format!("{}\n{events}", with_field(header, "version", old));
+            assert!(
+                matches!(Trace::from_jsonl(&edited), Err(TraceError::Schema(_))),
+                "{golden}: from_jsonl must refuse version {old}"
+            );
+            let file = dir.join(format!("{golden}.jsonl"));
+            std::fs::write(&file, &edited).unwrap();
+            let (ok, _, stderr) = msgorder(&["replay", file.to_str().unwrap()]);
+            assert!(
+                !ok && stderr.contains(&format!("trace version {old} (this build reads 3)"))
+                    && !stderr.contains("panicked"),
+                "{golden}: {stderr}"
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -770,10 +772,11 @@ const PINS: &[(&str, &[&str], &[&str])] = &[
         &["spec          : VIOLATED by [3, 9]", "detected at"],
         &[],
     ),
-    // The metrics report is rendered from the registry.
+    // The metrics report is rendered from the registry. Every corrupted
+    // ack is refused as malformed too.
     (
         "simulate --protocol causal-rst --spec causal --corrupt 0.3 --reliable --seed 1 --metrics",
-        &["rejected frames     7 (malformed 7)", "delivery latency"],
+        &["rejected frames     14 (malformed 14)", "delivery latency"],
         &[],
     ),
     // Chaos sweeps, seeded and bounded.

@@ -174,18 +174,24 @@ const COSTS: &[Cost] = &[
            catches: "a wider flush tag", measure: || tag_bytes(ProtocolKind::Flush, 400) },
     Cost { layer: "protocols", operation: "tag bytes per user message, synthesized(causal), 100 messages", bound: 2_983.91,
            catches: "more knowledge piggybacked per tag", measure: || tag_bytes(ProtocolKind::Synthesized(vec![catalog::causal()]), 100) },
+    Cost { layer: "protocols", operation: "control bytes per user message, sync, 400 messages", bound: 12.0,
+           catches: "a wider control frame (25.0 as JSON)", measure: || control_bytes(ProtocolKind::Sync, false) },
+    Cost { layer: "protocols", operation: "control bytes per user message, sync-batched, 400 messages", bound: 4.12,
+           catches: "a wider control frame (5.25 as JSON)", measure: || control_bytes(ProtocolKind::SyncBatched, false) },
+    Cost { layer: "protocols", operation: "control bytes per user message, fifo --reliable, 400 messages", bound: 3.68,
+           catches: "a wider ack (10.0 with a magic byte, an opcode and an 8-byte id)", measure: || control_bytes(ProtocolKind::Fifo, true) },
     Cost { layer: "protocols", operation: "explore POR, pool shape 0, async (calls)", bound: 402.0,
            catches: "calls added to the tagless floor by the registry's enum", measure: || explore_kind(ProtocolKind::Async) },
     Cost { layer: "protocols", operation: "explore POR, pool shape 0, fifo (calls)", bound: 254_949.0,
            catches: "more calls per copied protocol state", measure: || explore_kind(ProtocolKind::Fifo) },
     Cost { layer: "protocols", operation: "explore POR, pool shape 0, causal-rst (calls)", bound: 218_316.0,
            catches: "more calls per copied protocol state", measure: || explore_kind(ProtocolKind::CausalRst) },
-    Cost { layer: "trace", operation: "`record`, 2 000-message causal-rst episode (bytes)", bound: 2_241_630.0,
+    Cost { layer: "trace", operation: "`record`, 2 000-message causal-rst episode (bytes)", bound: 2_241_598.0,
            catches: "a wire record inline in every event's slot", measure: record_bytes },
-    Cost { layer: "trace", operation: "`replay` of that trace (bytes)", bound: 1_738_452.0,
+    Cost { layer: "trace", operation: "`replay` of that trace (bytes)", bound: 1_738_420.0,
            catches: "a second journal recorded to compare against", measure: replay_bytes },
     Cost { layer: "transport", operation: "causal-rst over a Unix socket, late half (calls per message)", bound: 8.0,
-           catches: "a JSON value tree or a fresh `Vec` per frame", measure: socket_round_trip },
+           catches: "a JSON value tree or a fresh `Vec` per frame (one of the 7.996 is the recorder's boxed wire record; 6.996 without it)", measure: socket_round_trip },
 ];
 
 /// One row measures at a time, on a counted thread.
@@ -700,6 +706,19 @@ fn tag_bytes(kind: ProtocolKind, messages: usize) -> f64 {
         .expect("no protocol bug");
     assert!(out.completed && out.run.is_quiescent(), "{}", kind.name());
     out.stats.tag_bytes_per_user()
+}
+
+/// Control bytes per user message of `simulate --protocol <kind>
+/// [--reliable] --processes 4 --messages 400 --seed 3`.
+fn control_bytes(kind: ProtocolKind, reliable: bool) -> f64 {
+    let n = 4;
+    let config = SimConfig::new(n, LatencyModel::Uniform { lo: 1, hi: 800 }, 3);
+    let workload = Workload::uniform_random(n, 400, 3);
+    let out = Simulation::new(config, workload, |node| kind.explorable(n, node, reliable))
+        .run()
+        .expect("no protocol bug");
+    assert!(out.completed && out.run.is_quiescent(), "{}", kind.name());
+    out.stats.control_bytes as f64 / out.stats.user_messages as f64
 }
 
 /// Allocator calls of the reduced search of pool shape 0 with `kind`.

@@ -35,9 +35,9 @@ fn arb_predicate() -> impl Strategy<Value = ForbiddenPredicate> {
 
 /// The checked-in traces whose event lines the edit property mutates.
 const GOLDENS: [&str; 3] = [
-    include_str!("golden/trace-v2.jsonl"),
-    include_str!("golden/shrunk-v2.jsonl"),
-    include_str!("golden/shrunk-adversarial-v2.jsonl"),
+    include_str!("golden/trace-v3.jsonl"),
+    include_str!("golden/shrunk-v3.jsonl"),
+    include_str!("golden/shrunk-adversarial-v3.jsonl"),
 ];
 
 /// The enum tags an event line can carry, each with its siblings.
